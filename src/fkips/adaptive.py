@@ -137,7 +137,7 @@ class AdaptiveConfig:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
-            raise InputError("target kept fraction must lie in (0, 1)")
+            raise InputError("epsilon (target kept fraction) must lie in (0, 1)")
         if self.tol <= 0:
             raise InputError("tol must be > 0")
         if self.delta_max is not None and self.delta_max <= 0:
@@ -204,7 +204,7 @@ def theoretical_adaptive_flow(
     if not problem.finite:
         raise InputError("the deterministic reference needs a finite problem")
     if not 0.0 < epsilon < 1.0:
-        raise InputError("target kept fraction must lie in (0, 1)")
+        raise InputError("epsilon (target kept fraction) must lie in (0, 1)")
     v = problem.v_values
     if np.any(v < 0):
         raise InputError("energies must be >= 0 (declared V_min = 0)")

@@ -23,7 +23,7 @@ import numpy as np
 from . import bounds
 from .engine import IpsRun, run_ips
 from .errors import InputError, NoMinorizationError
-from .flow import FlowSpec, run_flow
+from .flow import FlowSpec
 from .measures import (
     BoundedFunction,
     FiniteDistribution,
@@ -286,6 +286,7 @@ class IsaStepReport:
 class IsaFlow:
     """Tuned annealing flow: the flow spec plus per-step tuning report."""
 
+    problem: GibbsProblem
     flow: FlowSpec
     schedule: TemperatureSchedule
     cert: MinorizationCert
@@ -333,7 +334,9 @@ def build_isa_flow(
             IsaStepReport(step=n, beta=beta_n, delta=delta, mcmc_iters=m_n, kernel_power=power)
         )
     flow = FlowSpec(initial=gibbs_measure(problem, schedule.betas[0]), steps=tuple(steps))
-    return IsaFlow(flow=flow, schedule=schedule, cert=cert, a=a, steps=tuple(reports))
+    return IsaFlow(
+        problem=problem, flow=flow, schedule=schedule, cert=cert, a=a, steps=tuple(reports)
+    )
 
 
 @dataclass(frozen=True)
@@ -355,20 +358,17 @@ class OptimizeResult:
 
 
 def optimize(
-    problem: GibbsProblem,
-    schedule: TemperatureSchedule,
+    isa: IsaFlow,
     n_particles: int,
     seed: int,
     epsilon_level: float,
     eps_prime: float,
     *,
-    cert: MinorizationCert | None = None,
-    k0: int = 1,
-    a: float = 0.5,
     y_values: tuple = (2.0,),
     replicate: int = 0,
 ) -> OptimizeResult:
-    """Run the tuned annealing optimizer and report the composite bound.
+    """Run the tuned annealing optimizer on a built flow and report the
+    composite bound.
 
     Per step the result holds the proportion of particles at energy
     ``V_min + epsilon_level`` or above, the exact-law mass of the same
@@ -380,10 +380,8 @@ def optimize(
     """
     if not 0.0 < eps_prime < epsilon_level:
         raise InputError("thresholds must satisfy 0 < eps' < eps")
-    if cert is None:
-        cert = minorize(problem, k0)
-    isa = build_isa_flow(problem, schedule, cert, a)
-    trace = run_flow(isa.flow)
+    problem, schedule, cert, a = isa.problem, isa.schedule, isa.cert, isa.a
+    trace = isa.flow.trace
     run = run_ips(isa.flow, n_particles, seed, replicate=replicate)
 
     v = problem.v_values

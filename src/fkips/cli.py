@@ -15,8 +15,8 @@ import sys
 
 from . import bounds
 from .errors import ConfigError, FkipsError
-from .flow import run_flow
 from .harness import (
+    RawConfig,
     emit_csv,
     parse_config,
     run_experiment,
@@ -40,8 +40,9 @@ def _load_config(path: str, args):
     if args.threads is not None:
         overrides["threads"] = args.threads
     if overrides:
-        cfg.raw.sections.setdefault("run", {}).update(overrides)
-        cfg = type(cfg).from_raw(cfg.raw)
+        sections = cfg.raw.sections
+        run = {**sections.get("run", {}), **overrides}
+        cfg = type(cfg).from_raw(RawConfig({**sections, "run": run}))
     return cfg
 
 
@@ -71,11 +72,11 @@ def _cmd_run(args, force_kind=None) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _load_config(args.config, args)
-    flow = cfg.build_flow()
+    flow = cfg.flow
     if flow is None:
         print("adaptive configs have no standalone exact flow", file=sys.stderr)
         return USAGE_ERROR
-    trace = run_flow(flow)
+    trace = flow.trace
     lines = ["step,log_gamma1,gamma1" + "".join(f",eta_{i}" for i in range(flow.dim))]
     for n, eta in enumerate(trace.etas):
         cells = [str(n), format(trace.log_gamma1[n], ".17g"), format(trace.gamma1[n], ".17g")]

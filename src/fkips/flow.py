@@ -15,15 +15,18 @@ composed potential ``G_{p,n}``, its row normalization the composed transition
     g_{p,n} = max(G_{p,n}) / min(G_{p,n})      (potential-ratio oscillation)
     b_{p,n} = dobrushin(P_{p,n})               (mixing of the composed step)
 
-whose product controls every non-asymptotic estimate downstream.  Everything
-here is dense linear algebra, exact up to float64 roundoff, and serves as
-ground truth for the particle engine and the bound verifiers.
+whose product controls every non-asymptotic estimate downstream.  A frozen
+:class:`FlowSpec` builds its run (``spec.trace``) and its table of g_{p,n},
+b_{p,n} for all p <= n (``spec.table``) once; every check reads those.
+Everything here is dense linear algebra, exact up to float64 roundoff, and
+serves as ground truth for the particle engine and the bound verifiers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +75,16 @@ class FlowSpec:
     @property
     def horizon(self) -> int:
         return len(self.steps)
+
+    @cached_property
+    def trace(self) -> "FlowTrace":
+        """The exact flow, run once per spec."""
+        return run_flow(self)
+
+    @cached_property
+    def table(self) -> "SemigroupTable":
+        """Stability constants of every composed operator, built once per spec."""
+        return SemigroupTable.build(self)
 
 
 @dataclass(frozen=True)
@@ -177,34 +190,16 @@ def _quantities_from_matrix(p: int, n: int, q: np.ndarray, log_scale: float) -> 
     )
 
 
-def semigroup(spec: FlowSpec, p: int, n: int) -> SemigroupQuantities:
-    """Composed operator Q_{p,n} built by the backward factor recursion.
+def _backward(spec: FlowSpec, n: int):
+    """Yield ``(p, q, log_scale)`` for p = n, n-1, ..., 0, where
+    ``q * exp(log_scale)`` is the composed operator Q_{p,n}.
 
     Each factor is renormalized by its largest entry with the scale tracked
     separately in log space, so annealing products cannot underflow.
     """
-    if not 0 <= p <= n <= spec.horizon:
-        raise InputError("indices must satisfy 0 <= p <= n <= horizon")
     q = np.eye(spec.dim)
     log_scale = 0.0
-    for k in range(n, p, -1):
-        q = _step_factor(spec, k) @ q
-        top = q.max()
-        if top <= 0:
-            raise RatioOverflowError("composed operator vanished")
-        q = q / top
-        log_scale += math.log(top)
-    return _quantities_from_matrix(p, n, q, log_scale)
-
-
-def semigroup_table(spec: FlowSpec, n: int) -> list:
-    """All composed operators ending at time ``n``: entries for p = n..0."""
-    if not 0 <= n <= spec.horizon:
-        raise InputError("index out of range")
-    out = []
-    q = np.eye(spec.dim)
-    log_scale = 0.0
-    out.append(_quantities_from_matrix(n, n, q, log_scale))
+    yield n, q, log_scale
     for p in range(n - 1, -1, -1):
         q = _step_factor(spec, p + 1) @ q
         top = q.max()
@@ -212,8 +207,52 @@ def semigroup_table(spec: FlowSpec, n: int) -> list:
             raise RatioOverflowError("composed operator vanished")
         q = q / top
         log_scale += math.log(top)
-        out.append(_quantities_from_matrix(p, n, q, log_scale))
-    return out
+        yield p, q, log_scale
+
+
+def _gamma_route(trace: FlowTrace, p: int, q: np.ndarray, log_scale: float, values) -> float:
+    """``gamma_p . Q_{p,n} . f`` from a scaled composed operator."""
+    gamma_p_vec = trace.etas[p].weights * trace.gamma1[p]
+    return float(gamma_p_vec @ (q @ values)) * math.exp(log_scale)
+
+
+def semigroup(spec: FlowSpec, p: int, n: int) -> SemigroupQuantities:
+    """Composed operator Q_{p,n} built by the backward factor recursion."""
+    if not 0 <= p <= n <= spec.horizon:
+        raise InputError("indices must satisfy 0 <= p <= n <= horizon")
+    return next(_quantities_from_matrix(p, n, q, s) for k, q, s in _backward(spec, n) if k == p)
+
+
+def semigroup_table(spec: FlowSpec, n: int) -> list:
+    """All composed operators ending at time ``n``: entries for p = n..0."""
+    if not 0 <= n <= spec.horizon:
+        raise InputError("index out of range")
+    return [_quantities_from_matrix(p, n, q, s) for p, q, s in _backward(spec, n)]
+
+
+@dataclass(frozen=True, eq=False)
+class SemigroupTable:
+    """Stability constants of all Q_{p,n}: ``g[p, n]`` = g_{p,n}, ``b[p, n]`` =
+    b_{p,n} and ``mass[p, n]`` = ``gamma_p . Q_{p,n} . 1`` for p <= n <= T
+    (NaN for p > n).  Only scalars are kept: the per-pair matrices would take
+    O(d^2 T^2) memory."""
+
+    g: np.ndarray
+    b: np.ndarray
+    mass: np.ndarray
+
+    @classmethod
+    def build(cls, spec: FlowSpec) -> "SemigroupTable":
+        size, ones = spec.horizon + 1, np.ones(spec.dim)
+        g, b, mass = (np.full((size, size), np.nan) for _ in range(3))
+        for n in range(size):
+            for p, q, log_scale in _backward(spec, n):
+                sg = _quantities_from_matrix(p, n, q, log_scale)
+                g[p, n], b[p, n] = sg.g, sg.b
+                mass[p, n] = _gamma_route(spec.trace, p, q, log_scale, ones)
+        for arr in (g, b, mass):
+            arr.setflags(write=False)
+        return cls(g=g, b=b, mass=mass)
 
 
 def compose_measure(spec: FlowSpec, sg: SemigroupQuantities, mu: FiniteDistribution,
@@ -236,9 +275,7 @@ def gamma_via_semigroup(spec: FlowSpec, trace: FlowTrace, p: int, n: int,
     if values is None:
         values = np.ones(spec.dim)
     sg = semigroup(spec, p, n)
-    v = np.asarray(values, dtype=np.float64)
-    gamma_p_vec = trace.etas[p].weights * trace.gamma1[p]
-    return float(gamma_p_vec @ (sg.q_scaled @ v)) * math.exp(sg.log_scale)
+    return _gamma_route(trace, p, sg.q_scaled, sg.log_scale, np.asarray(values, dtype=np.float64))
 
 
 def gamma_direct(trace: FlowTrace, n: int, values=None) -> float:
@@ -301,13 +338,11 @@ def check_semigroup_lemmas(spec: FlowSpec, include_as_printed: bool = False) -> 
     regression test pinning a 3-state counterexample); it is reported only
     for documentation and never gates verification.
     """
-    trace_g = [None] + [potential_ratio(g) for g, _ in spec.steps]
-    trace_b = [None] + [dobrushin(m) for _, m in spec.steps]
+    trace_g, trace_b = [None, *spec.trace.g], [None, *spec.trace.b]
+    g, b = spec.table.g.T.tolist(), spec.table.b.T.tolist()
     records = []
     for n in range(spec.horizon + 1):
-        table = semigroup_table(spec, n)   # index i holds pair (n - i, n)
-        g_pn = {sg.p: sg.g for sg in table}
-        b_pn = {sg.p: sg.b for sg in table}
+        g_pn, b_pn = g[n], b[n]
         for p in range(n + 1):
             # potential-ratio sum bound
             rhs = 0.0
@@ -370,11 +405,8 @@ def stability_sums(spec: FlowSpec) -> list:
     This is the constant multiplying ``B_p / sqrt(N)`` in the particle
     L^p error bound.
     """
-    sums = []
-    for n in range(spec.horizon + 1):
-        table = semigroup_table(spec, n)
-        sums.append(sum(sg.g * sg.b for sg in table))
-    return sums
+    g, b = spec.table.g.tolist(), spec.table.b.tolist()
+    return [sum(g[p][n] * b[p][n] for p in range(n, -1, -1)) for n in range(spec.horizon + 1)]
 
 
 @dataclass(frozen=True)
@@ -407,28 +439,20 @@ def raw_concentration_estimates(spec: FlowSpec, n: int) -> RawConcentrationEstim
     """Evaluate the §-level estimate sums with exact composed quantities."""
     if not 1 <= n <= spec.horizon:
         raise InputError("time index out of range")
-    step_g = [potential_ratio(g) for g, _ in spec.steps]
-    end_table = semigroup_table(spec, n)
-    r_n = 4.0 * sum(sg.g**3 * sg.b for sg in end_table)
-    beta_bar_sq = 4.0 * sum((sg.g * sg.b) ** 2 for sg in end_table)
-    b_star = 2.0 * max(sg.g * sg.b for sg in end_table)
-    # pair table over 0 <= q <= p < n
-    pair = {}
-    for p in range(n):
-        for sg in semigroup_table(spec, p):
-            pair[(sg.p, p)] = (sg.g, sg.b)
+    step_g, g, b = spec.trace.g, spec.table.g.tolist(), spec.table.b.tolist()
+    end = range(n, -1, -1)
+    r_n = 4.0 * sum(g[p][n] ** 3 * b[p][n] for p in end)
+    beta_bar_sq = 4.0 * sum((g[p][n] * b[p][n]) ** 2 for p in end)
+    b_star = 2.0 * max(g[p][n] * b[p][n] for p in end)
     taus = []
     for q in range(n):
         total = 0.0
         for p in range(q, n):
-            g_qp, b_qp = pair[(q, p)]
-            total += g_qp * step_g[p] * b_qp
+            total += g[q][p] * step_g[p] * b[q][p]
         taus.append(4.0 / n * total)
     tau_star = max(taus)
     r_bar = 8.0 / n * sum(
-        step_g[p] * pair[(q, p)][0] ** 3 * pair[(q, p)][1]
-        for p in range(n)
-        for q in range(p + 1)
+        step_g[p] * g[q][p] ** 3 * b[q][p] for p in range(n) for q in range(p + 1)
     )
     sigma_bar_sq = (
         sum((t / tau_star) ** 2 for t in taus) if tau_star > 0 else float(n)

@@ -38,7 +38,9 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,14 +56,8 @@ from .annealing import (
     optimize,
 )
 from .engine import run_ips
-from .errors import ConfigError
-from .flow import (
-    FlowSpec,
-    check_semigroup_lemmas,
-    gamma_via_semigroup,
-    run_flow,
-    semigroup_table,
-)
+from .errors import ConfigError, DegenerateMeasureError, NoMinorizationError
+from .flow import FlowSpec, check_semigroup_lemmas
 from .measures import (
     BoundedFunction,
     FiniteDistribution,
@@ -137,6 +133,15 @@ def _parse_value(text: str):
         except ValueError:
             return text
     return _parse_scalar(text) if parts else ""
+
+
+@contextmanager
+def _field(name: str):
+    """Report a bad value met while assembling ``name`` as a config error."""
+    try:
+        yield
+    except (ValueError, DegenerateMeasureError, NoMinorizationError) as exc:
+        raise ConfigError([f"{name}: {exc}"]) from exc
 
 
 @dataclass
@@ -235,7 +240,16 @@ class ExperimentConfig:
             n_test_functions=n_test,
             threads=threads,
         )
-        cfg.build_flow()   # fail fast on semantic errors
+        # fail fast on semantic errors; the flow is kept for every later reader
+        if cfg.flow is None:
+            cfg.build_problem()
+            cfg.build_adaptive_config()
+        elif not isinstance(eps_mode, str):
+            g_max = max((g.values.max() for g, _ in cfg.flow.steps[: cfg.horizon()]), default=0.0)
+            if not 0.0 <= eps_mode * g_max <= 1.0 + 1e-12:
+                raise ConfigError(
+                    [f"eps_mode = {eps_mode!r} breaks 0 <= eps * max G <= 1 (max G = {g_max:g})"]
+                )
         return cfg
 
     # -- assembly -----------------------------------------------------------
@@ -248,32 +262,36 @@ class ExperimentConfig:
         if v is None:
             errors.append("problem.v is required")
             raise ConfigError(errors)
-        v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+        with _field("problem.v"):
+            v = np.atleast_1d(np.asarray(v, dtype=np.float64))
         if dim is None:
             dim = v.size
         if v.size != dim:
             errors.append(f"problem.v has {v.size} entries, expected dim = {dim}")
         m_spec = raw.get("problem", "m", "uniform")
-        if isinstance(m_spec, str) and m_spec == "uniform":
-            m = FiniteDistribution.uniform(int(dim))
-        else:
-            m = FiniteDistribution.from_unnormalized(np.asarray(m_spec, dtype=np.float64))
-        prop = raw.get("problem", "proposal", "uniform")
-        if isinstance(prop, str):
-            parts = prop.split()
-            if parts[0] == "uniform":
-                kernel = KernelMatrix.uniform(int(dim))
-            elif parts[0] == "lazy-ring":
-                stay = float(parts[1]) if len(parts) > 1 else 0.5
-                kernel = KernelMatrix.lazy_ring(int(dim), stay)
+        with _field("problem.m"):
+            if isinstance(m_spec, str) and m_spec == "uniform":
+                m = FiniteDistribution.uniform(int(dim))
             else:
-                errors.append(f"unknown proposal {prop!r}")
-                raise ConfigError(errors)
-        else:
-            kernel = KernelMatrix(np.asarray(prop, dtype=np.float64))
+                m = FiniteDistribution.from_unnormalized(np.asarray(m_spec, dtype=np.float64))
+        prop = raw.get("problem", "proposal", "uniform")
+        with _field("problem.proposal"):
+            if isinstance(prop, str):
+                parts = prop.split()
+                if parts[0] == "uniform":
+                    kernel = KernelMatrix.uniform(int(dim))
+                elif parts[0] == "lazy-ring":
+                    stay = float(parts[1]) if len(parts) > 1 else 0.5
+                    kernel = KernelMatrix.lazy_ring(int(dim), stay)
+                else:
+                    errors.append(f"unknown proposal {prop!r}")
+                    raise ConfigError(errors)
+            else:
+                kernel = KernelMatrix(np.asarray(prop, dtype=np.float64))
         if errors:
             raise ConfigError(errors)
-        return GibbsProblem(energy=BoundedFunction(v), reference=m, proposal=kernel)
+        with _field("problem"):
+            return GibbsProblem(energy=BoundedFunction(v), reference=m, proposal=kernel)
 
     def build_schedule(self) -> TemperatureSchedule:
         raw = self.raw
@@ -286,18 +304,19 @@ class ExperimentConfig:
         if mode is None:
             raise ConfigError([f"schedule.mode must be bounded|decreasing|constant"])
         betas = raw.get("schedule", "betas")
-        if betas is None:
-            beta0 = float(raw.get("schedule", "beta0", 0.0))
-            delta = float(raw.get("schedule", "delta", 0.5))
-            steps = int(raw.get("schedule", "steps", self.steps))
-            return TemperatureSchedule.constant_step(beta0, delta, steps)
-        betas = tuple(float(b) for b in np.atleast_1d(betas))
-        declared = raw.get("schedule", "delta_declared")
-        if mode == "bounded-increment" and declared is None:
-            declared = max(
-                betas[i + 1] - betas[i] for i in range(len(betas) - 1)
-            ) if len(betas) > 1 else 0.0
-        return TemperatureSchedule(betas, mode, declared_delta=declared)
+        with _field("schedule"):
+            if betas is None:
+                beta0 = float(raw.get("schedule", "beta0", 0.0))
+                delta = float(raw.get("schedule", "delta", 0.5))
+                steps = int(raw.get("schedule", "steps", self.steps))
+                return TemperatureSchedule.constant_step(beta0, delta, steps)
+            betas = tuple(float(b) for b in np.atleast_1d(betas))
+            declared = raw.get("schedule", "delta_declared")
+            if mode == "bounded-increment" and declared is None:
+                declared = max(
+                    betas[i + 1] - betas[i] for i in range(len(betas) - 1)
+                ) if len(betas) > 1 else 0.0
+            return TemperatureSchedule(betas, mode, declared_delta=declared)
 
     def build_adaptive_config(self) -> adaptive_mod.AdaptiveConfig:
         raw = self.raw
@@ -305,14 +324,15 @@ class ExperimentConfig:
         if eps is None:
             raise ConfigError(["adaptive.epsilon is required"])
         delta_max = raw.get("adaptive", "delta_max")
-        return adaptive_mod.AdaptiveConfig(
-            epsilon=float(eps),
-            tol=float(raw.get("adaptive", "tol", 1e-10)),
-            delta_max=None if delta_max in (None, "none") else float(delta_max),
-            mutation_mode=raw.get("adaptive", "mutation", "theoretical"),
-            mcmc_iters=int(raw.get("adaptive", "mcmc_iters", 1)),
-            beta0=float(raw.get("adaptive", "beta0", 0.0)),
-        )
+        with _field("adaptive"):
+            return adaptive_mod.AdaptiveConfig(
+                epsilon=float(eps),
+                tol=float(raw.get("adaptive", "tol", 1e-10)),
+                delta_max=None if delta_max in (None, "none") else float(delta_max),
+                mutation_mode=raw.get("adaptive", "mutation", "theoretical"),
+                mcmc_iters=int(raw.get("adaptive", "mcmc_iters", 1)),
+                beta0=float(raw.get("adaptive", "beta0", 0.0)),
+            )
 
     def build_flow(self) -> FlowSpec | None:
         """Finite flow the experiment drives; None for adaptive runs."""
@@ -321,46 +341,53 @@ class ExperimentConfig:
             pots = raw.get("flow", "potentials")
             if pots is None:
                 raise ConfigError(["flow.potentials is required for classic runs"])
-            pots = np.atleast_2d(np.asarray(pots, dtype=np.float64))
+            with _field("flow.potentials"):
+                pots = np.atleast_2d(np.asarray(pots, dtype=np.float64))
+                potentials = [PotentialVector(row) for row in pots]
             dim = pots.shape[1]
             init_spec = raw.get("flow", "initial", "uniform")
-            if isinstance(init_spec, str) and init_spec == "uniform":
-                initial = FiniteDistribution.uniform(dim)
-            else:
-                initial = FiniteDistribution.from_unnormalized(
-                    np.asarray(init_spec, dtype=np.float64)
-                )
+            with _field("flow.initial"):
+                if isinstance(init_spec, str) and init_spec == "uniform":
+                    initial = FiniteDistribution.uniform(dim)
+                else:
+                    initial = FiniteDistribution.from_unnormalized(
+                        np.asarray(init_spec, dtype=np.float64)
+                    )
             stacked = raw.get("flow", "kernels")
             if stacked is not None:
-                stacked = np.asarray(stacked, dtype=np.float64)
-                if stacked.shape != (pots.shape[0] * dim, dim):
-                    raise ConfigError(["flow.kernels must stack one d x d kernel per step"])
-                kernels = [
-                    KernelMatrix(stacked[i * dim : (i + 1) * dim]) for i in range(pots.shape[0])
-                ]
+                with _field("flow.kernels"):
+                    stacked = np.asarray(stacked, dtype=np.float64)
+                    if stacked.shape != (len(potentials) * dim, dim):
+                        raise ConfigError(["flow.kernels must stack one d x d kernel per step"])
+                    kernels = [
+                        KernelMatrix(stacked[i * dim : (i + 1) * dim])
+                        for i in range(len(potentials))
+                    ]
             else:
                 kern = raw.get("flow", "kernel")
                 if kern is None:
                     raise ConfigError(["flow.kernel or flow.kernels is required"])
-                shared = KernelMatrix(np.asarray(kern, dtype=np.float64))
-                kernels = [shared] * pots.shape[0]
-            steps = tuple(
-                (PotentialVector(pots[i]), kernels[i]) for i in range(pots.shape[0])
-            )
-            return FlowSpec(initial=initial, steps=steps)
+                with _field("flow.kernel"):
+                    kernels = [KernelMatrix(np.asarray(kern, dtype=np.float64))] * len(potentials)
+            with _field("flow"):
+                return FlowSpec(initial=initial, steps=tuple(zip(potentials, kernels)))
         if self.kind == "isa":
             problem = self.build_problem()
             schedule = self.build_schedule()
-            k0 = int(self.raw.get("schedule", "k0", 1))
-            a = float(self.raw.get("schedule", "a", 0.5))
-            cert = minorize(problem, k0)
-            return build_isa_flow(problem, schedule, cert, a).flow
+            with _field("schedule"):
+                k0 = int(self.raw.get("schedule", "k0", 1))
+                a = float(self.raw.get("schedule", "a", 0.5))
+                return build_isa_flow(problem, schedule, minorize(problem, k0), a).flow
         return None
 
+    @cached_property
+    def flow(self) -> FlowSpec | None:
+        """The flow from :meth:`build_flow`, built once (by ``from_raw``)."""
+        return self.build_flow()
+
     def horizon(self) -> int:
-        flow = self.build_flow()
-        if flow is not None:
-            return min(self.steps, flow.horizon) if self.steps else flow.horizon
+        if self.flow is not None:
+            return min(self.steps, self.flow.horizon) if self.steps else self.flow.horizon
         return self.steps
 
 
@@ -528,19 +555,17 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Experim
     counter-based streams, collected in replicate order.
     """
     threads = cfg.threads if threads is None else max(1, int(threads))
-    flow = cfg.build_flow()
+    flow = cfg.flow
     oracle_csv = None
     if cfg.kind in ("classic", "isa"):
         horizon = cfg.horizon()
-        dim = flow.dim
-        fdict = osc1_dictionary(dim, cfg.n_test_functions)
+        fdict = osc1_dictionary(flow.dim, cfg.n_test_functions)
         tables = tuple(fdict)
         job = lambda rep: _classic_replicate(flow, cfg, horizon, tables, rep)
         stat_names = ["log_gamma1", "mean_potential", "kept_fraction", "ess"] + [
             f"est_{i}" for i in range(len(tables))
         ]
-        trace = run_flow(FlowSpec(initial=flow.initial, steps=flow.steps[:horizon]))
-        oracle_csv = _oracle_csv(trace, tables)
+        oracle_csv = _oracle_csv(flow.trace, horizon, tables)
     else:
         problem = cfg.build_problem()
         acfg = cfg.build_adaptive_config()
@@ -600,13 +625,13 @@ def _stats_csv(stats: ReplicateStats, stat_names) -> str:
     return buf.getvalue()
 
 
-def _oracle_csv(trace, tables) -> str:
+def _oracle_csv(trace, horizon, tables) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["step", "log_gamma1", "gamma1"] + [f"exact_est_{i}" for i in range(len(tables))]
     )
-    for n, eta in enumerate(trace.etas):
+    for n, eta in enumerate(trace.etas[: horizon + 1]):
         writer.writerow(
             [n, _fmt(trace.log_gamma1[n]), _fmt(trace.gamma1[n])]
             + [_fmt(float(eta.weights @ t)) for t in tables]
@@ -665,10 +690,10 @@ def _binomial_allowance(bound: float, replicates: int) -> float:
     return 3.0 * math.sqrt(b * (1.0 - b) / replicates)
 
 
-def _deviation_tensor(flow, cfg_particles, replicates, seed, horizon, fdict, threads=1):
+def _deviation_tensor(flow, cfg_particles, replicates, seed, fdict, threads=1):
     """dev[r, n, j] = empirical-minus-exact mean of dictionary entry j, and
     the per-replicate log mass gaps."""
-    trace = run_flow(FlowSpec(initial=flow.initial, steps=flow.steps[:horizon]))
+    trace, horizon = flow.trace, flow.horizon
     exact = np.array([[eta.expect(f) for f in fdict] for eta in trace.etas])
     devs = np.zeros((replicates, horizon + 1, fdict.shape[0]))
     log_gaps = np.zeros((replicates, horizon + 1))
@@ -686,33 +711,32 @@ def _deviation_tensor(flow, cfg_particles, replicates, seed, horizon, fdict, thr
     if threads == 1:
         results = map(job, range(replicates))
     else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        results = pool.map(job, range(replicates))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(job, range(replicates)))
     for rep, local_dev, local_gap in results:
         devs[rep] = local_dev
         log_gaps[rep] = local_gap
-    return trace, devs, log_gaps
+    return devs, log_gaps
 
 
 def composed_caps_bounded(flow: FlowSpec, a: float, g_sup: float):
     """Exact composed-quantity caps implied by the uniform-regime hypothesis:
     ``g_{p,n} <= g_sup + a``, ``b_p g_{p-1,n} <= a`` and
     ``g_{p,n} b_{p,n} <= a^(n-p)``.  Returns (ok, worst_excess, scope)."""
-    trace = run_flow(flow)
+    step_b, g, b = flow.trace.b, flow.table.g.tolist(), flow.table.b.tolist()
     worst, scope, ok = -math.inf, "none", True
     for n in range(flow.horizon + 1):
-        table = {sg.p: sg for sg in semigroup_table(flow, n)}
-        for p, sg in table.items():
+        for p in range(n, -1, -1):
             for name, excess in (
-                ("g_pn", sg.g - (g_sup + a)),
-                ("g_pn*b_pn", sg.g * sg.b - a ** (n - p)),
+                ("g_pn", g[p][n] - (g_sup + a)),
+                ("g_pn*b_pn", g[p][n] * b[p][n] - a ** (n - p)),
             ):
                 if excess > worst:
                     worst, scope = excess, f"{name},p={p},n={n}"
                 ok &= excess <= 1e-10
             if p >= 1:
-                # b_p pairs with g_{p-1,n}; trace.b is 0-indexed by step
-                excess = trace.b[p - 1] * table[p - 1].g - a
+                # b_p pairs with g_{p-1,n}; step_b is 0-indexed by step
+                excess = step_b[p - 1] * g[p - 1][n] - a
                 if excess > worst:
                     worst, scope = excess, f"b_p*g_(p-1)n,p={p},n={n}"
                 ok &= excess <= 1e-10
@@ -723,19 +747,18 @@ def composed_caps_decreasing(flow: FlowSpec, a: float):
     """Exact composed caps of the decreasing regime:
     ``g_{p,n} <= g_(p+1)^(1+alpha)`` for p < n and
     ``g_{p,n} b_{p,n} <= a^(n-p)``."""
-    trace = run_flow(flow)
+    step_g, g, b = flow.trace.g, flow.table.g.tolist(), flow.table.b.tolist()
     alpha = a / (1.0 - a)
     worst, scope, ok = -math.inf, "none", True
     for n in range(flow.horizon + 1):
-        for sg in semigroup_table(flow, n):
-            p = sg.p
+        for p in range(n, -1, -1):
             if p < n:
-                excess = sg.g - trace.g[p] ** (1.0 + alpha)
-                # trace.g is 0-indexed: trace.g[p] is the step-(p+1) ratio
+                excess = g[p][n] - step_g[p] ** (1.0 + alpha)
+                # step_g is 0-indexed: step_g[p] is the step-(p+1) ratio
                 if excess > worst:
                     worst, scope = excess, f"g_pn,p={p},n={n}"
                 ok &= excess <= 1e-10
-            excess = sg.g * sg.b - a ** (n - p)
+            excess = g[p][n] * b[p][n] - a ** (n - p)
             if excess > worst:
                 worst, scope = excess, f"g_pn*b_pn,p={p},n={n}"
             ok &= excess <= 1e-10
@@ -763,7 +786,7 @@ def check_uniform_regime(
     normalized log mass ratio.
     """
     rows = []
-    trace = run_flow(flow)
+    trace = flow.trace
     b_cap = bounds.condition_bounded(g_sup, a)
     hyp_ok = all(g <= g_sup + 1e-12 for g in trace.g) and all(
         b <= b_cap + 1e-12 for b in trace.b
@@ -789,9 +812,7 @@ def check_uniform_regime(
     horizon = flow.horizon
     fdict = osc1_dictionary(flow.dim)
     r2_reps = replicates if l2_replicates is None else l2_replicates
-    _, devs, log_gaps = _deviation_tensor(
-        flow, n_particles, replicates, seed, horizon, fdict, threads
-    )
+    devs, log_gaps = _deviation_tensor(flow, n_particles, replicates, seed, fdict, threads)
 
     # L2 level, uniformly in time
     l2_bound = bounds.lp_uniform_bound(2, a, n_particles)
@@ -862,7 +883,7 @@ def check_decreasing_regime(
     """Decreasing-regime checks: hypothesis on each step's mixing level, the
     per-time deviation thresholds, and the three-term mass-ratio bound."""
     rows = []
-    trace = run_flow(flow)
+    trace = flow.trace
     g_sched = list(trace.g)
     hyp_ok = True
     for p, (g_p, b_p) in enumerate(zip(trace.g, trace.b), start=1):
@@ -882,9 +903,7 @@ def check_decreasing_regime(
 
     horizon = flow.horizon
     fdict = osc1_dictionary(flow.dim)
-    _, devs, log_gaps = _deviation_tensor(
-        flow, n_particles, replicates, seed, horizon, fdict, threads
-    )
+    devs, log_gaps = _deviation_tensor(flow, n_particles, replicates, seed, fdict, threads)
     l2_bound = bounds.lp_uniform_bound(2, a, n_particles)
     l2 = np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=1)
     for n in range(horizon + 1):
@@ -935,15 +954,14 @@ def check_decreasing_regime(
 
 def check_oracle_identity(flow: FlowSpec, rel_tol: float = 1e-10) -> VerifyReport:
     """Mass recursion vs composed-operator route, every split point."""
-    trace = run_flow(flow)
+    gamma1, mass = flow.trace.gamma1, flow.table.mass.tolist()
     rows = []
     ok_all = True
     for n in range(flow.horizon + 1):
-        direct = trace.gamma1[n]
+        direct = gamma1[n]
         worst = 0.0
         for p in range(n + 1):
-            alt = gamma_via_semigroup(flow, trace, p, n)
-            worst = max(worst, abs(alt - direct) / max(abs(direct), 1e-300))
+            worst = max(worst, abs(mass[p][n] - direct) / max(abs(direct), 1e-300))
         ok = worst <= rel_tol
         ok_all &= ok
         rows.append(
@@ -968,7 +986,7 @@ def verify_bounds(cfg: ExperimentConfig, threads: int | None = None) -> VerifyRe
         tuple(float(y) for y in np.atleast_1d(y_values)) if y_values is not None else (1.0, 2.0, 4.0)
     )
     if cfg.kind == "classic":
-        flow = cfg.build_flow()
+        flow = cfg.flow
         a = float(raw.get("checks", "a", 0.5))
         regime = raw.get("checks", "regime", "bounded")
         rows = list(check_oracle_identity(flow).rows)
@@ -984,7 +1002,7 @@ def verify_bounds(cfg: ExperimentConfig, threads: int | None = None) -> VerifyRe
         )
         if regime == "bounded":
             g_sup = raw.get("checks", "g_sup")
-            g_sup = float(g_sup) if g_sup is not None else max(run_flow(flow).g)
+            g_sup = float(g_sup) if g_sup is not None else max(flow.trace.g)
             report = check_uniform_regime(
                 flow,
                 a,
@@ -1150,18 +1168,10 @@ def check_isa_bounds(
     allow = _binomial_allowance(level, replicates)
     exceed = None
     exact_below = True
+    isa = build_isa_flow(problem, schedule, cert, a)
     for rep in range(replicates):
         result = optimize(
-            problem,
-            schedule,
-            n_particles,
-            seed,
-            eps_level,
-            eps_prime,
-            cert=cert,
-            a=a,
-            y_values=(y,),
-            replicate=rep,
+            isa, n_particles, seed, eps_level, eps_prime, y_values=(y,), replicate=rep
         )
         if exceed is None:
             exceed = np.zeros(len(result.rows))

@@ -34,6 +34,10 @@ def rng_for(seed=0):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def _isa(problem, schedule, k0, a=0.5):
+    return build_isa_flow(problem, schedule, minorize(problem, k0), a)
+
+
 class TestProblem:
     def test_reversibility_is_required(self):
         with pytest.raises(InputError):
@@ -265,13 +269,11 @@ class TestOptimize:
             proposal=KernelMatrix.lazy_ring(4, 0.25),
         )
         result = optimize(
-            prob,
-            TemperatureSchedule.constant_step(0.0, 0.2, 3),
+            _isa(prob, TemperatureSchedule.constant_step(0.0, 0.2, 3), k0=2),
             200,
             seed=4,
             epsilon_level=0.5,
             eps_prime=0.25,
-            k0=2,
         )
         assert all(r.proportion == 0.0 for r in result.rows)
         assert all(r.proportion_exact == 0.0 for r in result.rows)
@@ -279,13 +281,11 @@ class TestOptimize:
     def test_sublevel_mass_matches_direct_sum(self):
         prob = double_well_problem()
         result = optimize(
-            prob,
-            TemperatureSchedule.constant_step(0.0, 0.5, 2),
+            _isa(prob, TemperatureSchedule.constant_step(0.0, 0.5, 2), k0=4),
             100,
             seed=5,
             epsilon_level=0.5,
             eps_prime=0.25,
-            k0=4,
         )
         direct = float(
             prob.reference.weights[prob.v_values <= prob.v_min + 0.25].sum()
@@ -295,13 +295,11 @@ class TestOptimize:
     def test_exact_mass_sits_below_the_gibbs_term(self):
         prob = double_well_problem()
         result = optimize(
-            prob,
-            TemperatureSchedule.constant_step(0.0, 0.5, 6),
+            _isa(prob, TemperatureSchedule.constant_step(0.0, 0.5, 6), k0=4),
             200,
             seed=6,
             epsilon_level=0.5,
             eps_prime=0.25,
-            k0=4,
         )
         for row in result.rows:
             assert row.proportion_exact <= row.gibbs_term + 1e-12
@@ -309,11 +307,9 @@ class TestOptimize:
     def test_threshold_ordering(self):
         with pytest.raises(InputError):
             optimize(
-                double_well_problem(),
-                TemperatureSchedule.constant_step(0.0, 0.5, 2),
+                _isa(double_well_problem(), TemperatureSchedule.constant_step(0.0, 0.5, 2), k0=4),
                 50,
                 seed=7,
                 epsilon_level=0.25,
                 eps_prime=0.5,
-                k0=4,
             )

@@ -1,0 +1,137 @@
+"""Golden digests: the SHA-256 of every CLI output file on small configs.
+
+A refactor that claims to change no output bytes must pass these
+unchanged.  A change that alters bytes on purpose re-pins the digests and
+says why in CHANGES.md.  Float cells print at 17 significant digits, so
+the digests also pin the float64 arithmetic of the numpy build in use.
+"""
+
+import hashlib
+
+import pytest
+
+from fkips.cli import main as cli_main
+
+RUN = """
+[run]
+n_particles = 40
+steps = 4
+replicates = 5
+seed = 13
+"""
+
+CLASSIC = """
+[flow]
+initial = uniform
+potentials = 1 1.5 2; 2 1 1.5; 1.5 2 1; 1 2 1.2
+kernel = 0.4 0.3 0.3; 0.3 0.4 0.3; 0.3 0.3 0.4
+
+[algorithm]
+kind = classic
+""" + RUN
+
+BOUNDED = CLASSIC + """
+[checks]
+regime = bounded
+a = 0.5
+g_sup = 2.0
+y_values = 1 2
+"""
+
+K1 = "0.4 0.3 0.3; 0.3 0.4 0.3; 0.3 0.3 0.4"
+K2 = "0.5 0.25 0.25; 0.4 0.35 0.25; 0.45 0.25 0.3"
+
+DECREASING = f"""
+[flow]
+initial = 0.2 0.3 0.5
+potentials = 1 1.5 1.2; 1.25 1 1.1; 1 1.05 1.125; 1.0625 1 1.03
+kernels = {K1}; {K2}; {K1}; {K2}
+
+[algorithm]
+kind = classic
+
+[checks]
+regime = decreasing
+a = 0.5
+y_values = 1 2
+""" + RUN
+
+ISA = """
+[problem]
+dim = 4
+v = 0 0.6 1 0.3
+m = uniform
+proposal = lazy-ring 0.5
+
+[algorithm]
+kind = isa
+
+[schedule]
+mode = constant
+beta0 = 0.0
+delta = 0.5
+steps = 4
+a = 0.5
+k0 = 2
+
+[checks]
+epsilon_level = 0.5
+eps_prime = 0.25
+y_values = 2
+""" + RUN
+
+ADAPTIVE = """
+[problem]
+dim = 4
+v = 0.5 0.65 0.8 1.0
+m = uniform
+proposal = lazy-ring 0.25
+
+[algorithm]
+kind = adaptive
+
+[adaptive]
+epsilon = 0.75
+mcmc_iters = 3
+""" + RUN
+
+# (command, config, expected exit code, {output file: sha256})
+CASES = {
+    "run-classic": ("run", CLASSIC, 0, {
+        "oracle.csv": "a0709517c5854440f55fc600ee14aefa5af99458d2b04c4792b4f2c2dcdeb455",
+        "raw.csv": "f0dba301329ad13281690addf378ef389b7608970cfc5c20497e4980d810f957",
+        "stats.csv": "05fd128c4e3c07b6e7c847234309d0d8f28a2c10af0f5957f87f059ae7bff612",
+    }),
+    "run-isa": ("run", ISA, 0, {
+        "oracle.csv": "21e469af1aab8ee64e0144b3c2e05462c73e03e2a9e0f38d4e7300ee9896e1ee",
+        "raw.csv": "e46e60d02a63888f89d293d4fa0bfdc273df10f19cbcc7d0db0798bd316ad993",
+        "stats.csv": "b8c7603b25a78b046a656aad18c43f641104ba0eeae850be679ab8b4c57fe250",
+    }),
+    "adaptive": ("adaptive", ADAPTIVE, 0, {
+        "raw.csv": "ad97ecb288d285ed1eddcfaf82e6e7c2f4096c11c5b5019b34de1d26179ba4d4",
+        "stats.csv": "920c90467ca60e0633bb6fb0646fb32edda191f7bb72d95debb29d1b88ce1522",
+    }),
+    "oracle": ("oracle", CLASSIC, 0, {
+        "oracle.csv": "314ce83a61798b2ae924e93ec3489f6032695b5d76af769a773ef6ab1df7e37f",
+    }),
+    "verify-bounded": ("verify-bounds", BOUNDED, 0, {
+        "verify.csv": "0603f3dd8c8a2b010d4e7c279ac0d89a18befb6720ca651bfc0f73ef2a3e5ec6",
+    }),
+    "verify-decreasing": ("verify-bounds", DECREASING, 0, {
+        "verify.csv": "c2cf37bcbbefd987cfa83458cad30083efea034d9d3ea34ba71f86e99196a505",
+    }),
+    "verify-isa": ("verify-bounds", ISA, 0, {
+        "verify.csv": "1ecd5152b5b342504b0ec74aad2267d910e77ec87ce53a01a4151bf58c57450a",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_digests(case, tmp_path):
+    command, text, code, digests = CASES[case]
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == code
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == digests

@@ -67,6 +67,19 @@ seed = 11
 """
 
 
+ISA_TEXT = """
+[problem]
+v = 0 0.5 1
+proposal = lazy-ring 0.5
+
+[algorithm]
+kind = isa
+
+[schedule]
+k0 = 2
+"""
+
+
 class TestParsing:
     def test_minimal_classic_with_defaults(self):
         cfg = parse_config(CLASSIC_TEXT)
@@ -226,10 +239,22 @@ class TestVerifyDispatch:
 
 
 class TestCli:
-    def test_usage_error_on_bad_config(self, tmp_path):
+    def test_usage_error_on_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("[run]\nn_particles = -1\n")
-        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        cases = [
+            ("run", "[run]\nn_particles = -1\n", "n_particles"),
+            ("adaptive", ADAPTIVE_TEXT.replace("epsilon = 0.75", "epsilon = 1.5"), "adaptive"),
+            ("run", CLASSIC_TEXT.replace("1 2; 1 2; 1 2", "1 2; 1 -2; 1 2"), "flow.potentials"),
+            ("run", CLASSIC_TEXT + "eps_mode = 5.0\n", "eps_mode"),
+            ("run", CLASSIC_TEXT.replace("initial = uniform", "initial = 0 0"), "flow.initial"),
+            ("run", ISA_TEXT.replace("lazy-ring 0.5", "1 0 0; 0 1 0; 0 0 1"), "schedule"),
+        ]
+        for command, text, field in cases:
+            with pytest.raises(ConfigError):
+                parse_config(text)
+            bad.write_text(text)
+            assert cli_main([command, "--config", str(bad), "--out", str(tmp_path)]) == 2
+            assert f"config error: {field}" in capsys.readouterr().err
 
     def test_run_writes_deterministic_outputs(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"

@@ -120,6 +120,18 @@ class TestDobrushin:
                 dobrushin_by_enumeration(rows), abs=1e-12
             )
 
+    def test_row_blocks_match_pairwise_total_variation(self):
+        # at d = 200 the pairwise-difference temporary is 64 MB, so the
+        # rows are compared in several blocks
+        rng = rng_for(12)
+        d = 200
+        k = KernelMatrix(random_kernel_rows(rng, d))
+        rows = [k.row(x) for x in range(d)]
+        expected = max(
+            total_variation(rows[x], rows[y]) for x in range(d) for y in range(x + 1, d)
+        )
+        assert dobrushin(k) == pytest.approx(expected, abs=1e-15)
+
     def test_submultiplicative_under_composition(self):
         rng = rng_for(3)
         for _ in range(200):
