@@ -8,8 +8,8 @@ Layers, bottom up:
   quantities;
 * :mod:`fkips.bounds` -- closed-form calculators for every deviation
   constant, tuning rule and tail bound;
-* :mod:`fkips.engine` -- the N-particle simulator with counter-based
-  deterministic randomness;
+* :mod:`fkips.engine` -- the N-particle simulator and the occupation-count
+  engine for finite flows, with counter-based deterministic randomness;
 * :mod:`fkips.annealing` -- Boltzmann-Gibbs targets, Metropolis annealing
   kernels, minorization certificates, the tuned optimizer;
 * :mod:`fkips.adaptive` -- adaptive temperature increments and their
@@ -30,7 +30,14 @@ from .measures import (
     total_variation,
 )
 from .flow import FlowSpec, FlowTrace, fk_step, run_flow, semigroup
-from .engine import ParticleEnsemble, init_ensemble, mutation_step, run_ips, selection_step
+from .engine import (
+    ParticleEnsemble,
+    init_ensemble,
+    mutation_step,
+    run_counts,
+    run_ips,
+    selection_step,
+)
 from .annealing import (
     GibbsProblem,
     MinorizationCert,
@@ -72,6 +79,7 @@ __all__ = [
     "osc",
     "potential_ratio",
     "run_adaptive",
+    "run_counts",
     "run_flow",
     "run_ips",
     "selection_step",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .engine import IpsRun, run_ips
+from .engine import CountRun, run_counts
 from .errors import InputError, NoMinorizationError
 from .flow import FlowSpec
 from .measures import (
@@ -353,7 +353,7 @@ class OptimizeStepRow:
 class OptimizeResult:
     rows: tuple
     report: bounds.BoundReport
-    run: IpsRun
+    run: CountRun
     isa: IsaFlow
 
 
@@ -382,7 +382,7 @@ def optimize(
         raise InputError("thresholds must satisfy 0 < eps' < eps")
     problem, schedule, cert, a = isa.problem, isa.schedule, isa.cert, isa.a
     trace = isa.flow.trace
-    run = run_ips(isa.flow, n_particles, seed, replicate=replicate)
+    run = run_counts(isa.flow, n_particles, seed, replicate=replicate)
 
     v = problem.v_values
     v_min = problem.v_min
@@ -410,7 +410,7 @@ def optimize(
             float(y): gibbs_term + bounds.eta_deviation_threshold(r_i, r_j, n_particles, y)
             for y in y_values
         }
-        emp = float(tail_set[np.asarray(run.ensembles[n].states, dtype=np.int64)].mean())
+        emp = float(run.counts[n] @ tail_set) / n_particles
         exact = trace.etas[n].expect(tail_set)
         rows.append(
             OptimizeStepRow(

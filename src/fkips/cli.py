@@ -13,10 +13,13 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import bounds
 from .errors import ConfigError, FkipsError
 from .harness import (
     RawConfig,
+    _oracle_csv,
     emit_csv,
     parse_config,
     run_experiment,
@@ -76,15 +79,10 @@ def _cmd_oracle(args) -> int:
     if flow is None:
         print("adaptive configs have no standalone exact flow", file=sys.stderr)
         return USAGE_ERROR
-    trace = flow.trace
-    lines = ["step,log_gamma1,gamma1" + "".join(f",eta_{i}" for i in range(flow.dim))]
-    for n, eta in enumerate(trace.etas):
-        cells = [str(n), format(trace.log_gamma1[n], ".17g"), format(trace.gamma1[n], ".17g")]
-        cells += [format(w, ".17g") for w in eta.weights]
-        lines.append(",".join(cells))
+    units = tuple(np.eye(flow.dim))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "oracle.csv")
-    emit_csv("\n".join(lines) + "\n", path)
+    emit_csv(_oracle_csv(flow.trace, flow.horizon, units, column="eta"), path)
     print(f"wrote {path}")
     return 0
 

@@ -7,6 +7,12 @@ kernel draw.  The running product of pre-selection mean potentials is an
 unbiased estimator of the unnormalized flow mass and is accumulated in log
 space.
 
+Two engines simulate this transition.  :func:`run_ips` moves N particle
+states and takes any flow, including sampler callables on general spaces;
+it is also the reference the count engine is tested against.
+:func:`run_counts` serves finite flows: it steps the per-state occupation
+counts, which carry the same law at O(d^2) per step whatever N is.
+
 Randomness is counter-based: every (seed, replicate, step, purpose) tuple
 indexes a disjoint Philox stream, and all per-particle draws are vectorized
 reads from that stream.  Trajectories therefore depend only on those four
@@ -36,14 +42,43 @@ class Purpose(IntEnum):
     MUTATE = 3
 
 
-def substream(seed: int, replicate: int, step: int, purpose: int) -> np.random.Generator:
-    """Dedicated Philox stream for one (replicate, step, purpose) slot."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), _KEY_SALT], dtype=np.uint64)
-    counter = np.array(
+def _key(seed: int) -> np.ndarray:
+    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), _KEY_SALT], dtype=np.uint64)
+
+
+def _counter(replicate: int, step: int, purpose: int) -> np.ndarray:
+    return np.array(
         [0, replicate & 0xFFFFFFFFFFFFFFFF, step & 0xFFFFFFFFFFFFFFFF, int(purpose)],
         dtype=np.uint64,
     )
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def substream(seed: int, replicate: int, step: int, purpose: int) -> np.random.Generator:
+    """Dedicated Philox stream for one (replicate, step, purpose) slot."""
+    bit_gen = np.random.Philox(key=_key(seed), counter=_counter(replicate, step, purpose))
+    return np.random.Generator(bit_gen)
+
+
+class _SlotStream:
+    """One generator moved to any (replicate, step, purpose) slot of a seed by
+    setting its Philox state: the draws equal :func:`substream`'s for that
+    slot, without building a new bit generator per slot."""
+
+    def __init__(self, seed: int):
+        self._key = _key(seed)
+        self._bit_gen = np.random.Philox(key=self._key)
+        self._rng = np.random.Generator(self._bit_gen)
+
+    def at(self, replicate: int, step: int, purpose: int) -> np.random.Generator:
+        self._bit_gen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _counter(replicate, step, purpose), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +130,6 @@ class StepDiagnostics:
     ess: float
     log_gamma1: float
     wall_time: float
-    estimates: tuple = ()
 
 
 def _potential_values(potential, states: np.ndarray) -> np.ndarray:
@@ -246,6 +280,18 @@ class IpsRun:
         return float(np.exp(self.ensembles[n].log_gamma1))
 
 
+def _schedule(spec, horizon, eps):
+    """The first ``horizon`` (potential, kernel) steps and their eps policies."""
+    steps = list(spec.steps)
+    horizon = len(steps) if horizon is None else int(horizon)
+    if not 0 <= horizon <= len(steps):
+        raise InputError("horizon out of range")
+    eps_schedule = list(eps) if isinstance(eps, (list, tuple)) else [eps] * horizon
+    if len(eps_schedule) != horizon:
+        raise InputError("eps schedule length mismatch")
+    return steps[:horizon], eps_schedule
+
+
 def run_ips(
     spec,
     n_particles: int,
@@ -254,7 +300,6 @@ def run_ips(
     horizon: int | None = None,
     eps: object = "auto",
     replicate: int = 0,
-    test_functions: tuple = (),
 ) -> IpsRun:
     """Simulate the particle approximation of a flow.
 
@@ -263,14 +308,8 @@ def run_ips(
     pairs) and ``horizon``.  ``eps`` is an eps policy (see
     :func:`resolve_eps`) or a per-step sequence of policies.
     """
-    steps = list(spec.steps)
-    horizon = len(steps) if horizon is None else int(horizon)
-    if not 0 <= horizon <= len(steps):
-        raise InputError("horizon out of range")
-    eps_schedule = list(eps) if isinstance(eps, (list, tuple)) else [eps] * horizon
-    if len(eps_schedule) != horizon:
-        raise InputError("eps schedule length mismatch")
-
+    steps, eps_schedule = _schedule(spec, horizon, eps)
+    horizon = len(steps)
     ens = init_ensemble(spec.initial, n_particles, seed, replicate)
     ensembles = [ens]
     diagnostics = []
@@ -290,7 +329,98 @@ def run_ips(
                 ess=outcome.ess,
                 log_gamma1=ens.log_gamma1,
                 wall_time=time.perf_counter() - t0,
-                estimates=tuple(estimate(ens, f) for f in test_functions),
             )
         )
     return IpsRun(ensembles=tuple(ensembles), diagnostics=tuple(diagnostics))
+
+
+@dataclass(frozen=True, eq=False)
+class CountRun:
+    """Occupation counts of a finite flow, one row per step, and diagnostics."""
+
+    counts: np.ndarray      # (T+1) x d, every row sums to N
+    diagnostics: tuple
+
+    @property
+    def histograms(self) -> np.ndarray:
+        """Occupation measures eta^N_0 .. eta^N_T, one row per step."""
+        return self.counts / self.counts[0].sum()
+
+    @property
+    def log_gamma1(self) -> np.ndarray:
+        """Log mass estimates for steps 0 .. T."""
+        return np.array([0.0] + [d.log_gamma1 for d in self.diagnostics])
+
+
+def run_counts(
+    spec,
+    n_particles: int,
+    seed: int,
+    *,
+    horizon: int | None = None,
+    eps: object = "auto",
+    replicate: int = 0,
+) -> CountRun:
+    """Simulate the particle approximation of a finite flow through its
+    per-state occupation counts.
+
+    On a finite space the transition of :func:`run_ips` depends on the
+    particles only through their counts c, so one step draws, exactly in
+    law: the kept particles ``Binomial(c_x, eps G(x))`` per state, the
+    ``N - sum K`` redraws ``Multinomial(N - sum K, c G / sum c G)`` and the
+    moves ``sum_x Multinomial(c'_x, M(x, .))``.  The cost is O(d^2) per step
+    whatever N is.  Draws come from the same (seed, replicate, step, purpose)
+    slots as :func:`run_ips` but are used differently, so the two engines
+    agree in law, not draw for draw.  ``eps`` is as in :func:`run_ips`.
+    """
+    finite = isinstance(spec.initial, FiniteDistribution) and all(
+        isinstance(g, PotentialVector) and isinstance(m, KernelMatrix) for g, m in spec.steps
+    )
+    if not finite:
+        raise InputError("the count engine needs a finite flow; run_ips takes samplers")
+    if n_particles < 1:
+        raise InputError("population size must be >= 1")
+    steps, eps_schedule = _schedule(spec, horizon, eps)
+    streams = _SlotStream(seed)
+    counts = np.empty((len(steps) + 1, spec.initial.dim), dtype=np.int64)
+    counts[0] = streams.at(replicate, 0, Purpose.INIT).multinomial(
+        n_particles, spec.initial.weights
+    )
+    log_gamma1 = 0.0
+    diagnostics = []
+    for n, (potential, kernel) in enumerate(steps):
+        t0 = time.perf_counter()
+        c, g = counts[n], potential.values
+        g_occupied = g[c > 0]
+        if g_occupied.min() < 0:
+            raise InputError("selection potential must be non-negative")
+        weights = c * g
+        total = float(weights.sum())
+        if total <= 0:
+            raise ExtinctionError(n)
+        g_max = float(g_occupied.max())
+        eps_n = resolve_eps(eps_schedule[n], g_max)
+        if eps_n < 0:
+            raise InputError("eps must be >= 0")
+        if eps_n * g_max > 1.0 + 1e-12:
+            raise InputError("eps * max potential exceeds 1 on this ensemble")
+        kept = streams.at(replicate, n + 1, Purpose.KEEP).binomial(c, np.clip(eps_n * g, 0.0, 1.0))
+        n_kept = int(kept.sum())
+        selected = kept + streams.at(replicate, n + 1, Purpose.RESAMPLE).multinomial(
+            n_particles - n_kept, weights / total
+        )
+        moves = streams.at(replicate, n + 1, Purpose.MUTATE).multinomial(selected, kernel.rows)
+        counts[n + 1] = moves.sum(axis=0)
+        mean_g = total / n_particles
+        log_gamma1 += float(np.log(mean_g))
+        diagnostics.append(
+            StepDiagnostics(
+                step=n + 1,
+                mean_potential=mean_g,
+                kept_fraction=n_kept / n_particles,
+                ess=total * total / float(weights @ g),
+                log_gamma1=log_gamma1,
+                wall_time=time.perf_counter() - t0,
+            )
+        )
+    return CountRun(counts=counts, diagnostics=tuple(diagnostics))

@@ -48,6 +48,7 @@ from . import adaptive as adaptive_mod
 from . import bounds
 from .annealing import (
     GibbsProblem,
+    IsaFlow,
     TemperatureSchedule,
     build_isa_flow,
     gibbs_measure,
@@ -55,7 +56,7 @@ from .annealing import (
     minorize,
     optimize,
 )
-from .engine import run_ips
+from .engine import run_counts
 from .errors import ConfigError, DegenerateMeasureError, NoMinorizationError
 from .flow import FlowSpec, check_semigroup_lemmas
 from .measures import (
@@ -372,13 +373,20 @@ class ExperimentConfig:
             with _field("flow"):
                 return FlowSpec(initial=initial, steps=tuple(zip(potentials, kernels)))
         if self.kind == "isa":
-            problem = self.build_problem()
-            schedule = self.build_schedule()
-            with _field("schedule"):
-                k0 = int(self.raw.get("schedule", "k0", 1))
-                a = float(self.raw.get("schedule", "a", 0.5))
-                return build_isa_flow(problem, schedule, minorize(problem, k0), a).flow
+            return self.isa.flow
         return None
+
+    @cached_property
+    def isa(self) -> IsaFlow | None:
+        """The tuned annealing flow of an isa config, built once; None otherwise."""
+        if self.kind != "isa":
+            return None
+        problem = self.build_problem()
+        schedule = self.build_schedule()
+        with _field("schedule"):
+            k0 = int(self.raw.get("schedule", "k0", 1))
+            a = float(self.raw.get("schedule", "a", 0.5))
+            return build_isa_flow(problem, schedule, minorize(problem, k0), a)
 
     @cached_property
     def flow(self) -> FlowSpec | None:
@@ -496,25 +504,19 @@ class ExperimentResult:
 
 
 def _classic_replicate(flow, cfg, horizon, fdict_tables, rep):
-    run = run_ips(
-        flow,
-        cfg.n_particles,
-        cfg.seed,
-        horizon=horizon,
-        eps=cfg.eps_mode,
-        replicate=rep,
-        test_functions=fdict_tables,
+    run = run_counts(
+        flow, cfg.n_particles, cfg.seed, horizon=horizon, eps=cfg.eps_mode, replicate=rep
     )
+    log_gamma1 = run.log_gamma1
     rows = {}
-    for n in range(horizon + 1):
-        ens = run.ensembles[n]
+    for n, hist in enumerate(run.histograms):
+        diag = run.diagnostics[n - 1] if n else None
         stats = {
-            "log_gamma1": ens.log_gamma1,
-            "mean_potential": run.diagnostics[n - 1].mean_potential if n else math.nan,
-            "kept_fraction": run.diagnostics[n - 1].kept_fraction if n else math.nan,
-            "ess": run.diagnostics[n - 1].ess if n else float(cfg.n_particles),
+            "log_gamma1": log_gamma1[n],
+            "mean_potential": diag.mean_potential if diag else math.nan,
+            "kept_fraction": diag.kept_fraction if diag else math.nan,
+            "ess": diag.ess if diag else float(cfg.n_particles),
         }
-        hist = ens.histogram(flow.dim).weights
         for i, table in enumerate(fdict_tables):
             stats[f"est_{i}"] = float(hist @ table)
         rows[(rep, n)] = stats
@@ -625,11 +627,13 @@ def _stats_csv(stats: ReplicateStats, stat_names) -> str:
     return buf.getvalue()
 
 
-def _oracle_csv(trace, horizon, tables) -> str:
+def _oracle_csv(trace, horizon, tables, column="exact_est") -> str:
+    """Exact mass and the exact mean of each table, steps 0..horizon; the
+    table columns are named ``{column}_0, {column}_1, ...``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        ["step", "log_gamma1", "gamma1"] + [f"exact_est_{i}" for i in range(len(tables))]
+        ["step", "log_gamma1", "gamma1"] + [f"{column}_{i}" for i in range(len(tables))]
     )
     for n, eta in enumerate(trace.etas[: horizon + 1]):
         writer.writerow(
@@ -699,14 +703,8 @@ def _deviation_tensor(flow, cfg_particles, replicates, seed, fdict, threads=1):
     log_gaps = np.zeros((replicates, horizon + 1))
 
     def job(rep):
-        run = run_ips(flow, cfg_particles, seed, horizon=horizon, replicate=rep)
-        local_dev = np.zeros((horizon + 1, fdict.shape[0]))
-        local_gap = np.zeros(horizon + 1)
-        for n in range(horizon + 1):
-            hist = run.ensembles[n].histogram(flow.dim).weights
-            local_dev[n] = hist @ fdict.T - exact[n]
-            local_gap[n] = run.ensembles[n].log_gamma1 - trace.log_gamma1[n]
-        return rep, local_dev, local_gap
+        run = run_counts(flow, cfg_particles, seed, replicate=rep)
+        return rep, run.histograms @ fdict.T - exact, run.log_gamma1 - trace.log_gamma1
 
     if threads == 1:
         results = map(job, range(replicates))
@@ -1027,17 +1025,10 @@ def verify_bounds(cfg: ExperimentConfig, threads: int | None = None) -> VerifyRe
         rows.extend(report.rows)
         return VerifyReport(rows=tuple(rows), hypothesis_ok=report.hypothesis_ok)
     if cfg.kind == "isa":
-        problem = cfg.build_problem()
-        schedule = cfg.build_schedule()
-        k0 = int(raw.get("schedule", "k0", 1))
-        a = float(raw.get("schedule", "a", 0.5))
         eps_level = float(raw.get("checks", "epsilon_level", 0.5))
         eps_prime = float(raw.get("checks", "eps_prime", 0.25))
         return check_isa_bounds(
-            problem,
-            schedule,
-            k0,
-            a,
+            cfg.isa,
             eps_level,
             eps_prime,
             cfg.n_particles,
@@ -1095,10 +1086,7 @@ def verify_bounds(cfg: ExperimentConfig, threads: int | None = None) -> VerifyRe
 
 
 def check_isa_bounds(
-    problem: GibbsProblem,
-    schedule: TemperatureSchedule,
-    k0: int,
-    a: float,
+    isa: IsaFlow,
     eps_level: float,
     eps_prime: float,
     n_particles: int,
@@ -1109,9 +1097,10 @@ def check_isa_bounds(
     beta_grid=(0.0, 0.5, 1.0, 2.0, 5.0),
 ) -> VerifyReport:
     """Annealing checks: invariance, mixing estimate, tail bound and the
-    replicated optimizer exceedance at confidence exponent y."""
+    replicated optimizer exceedance at confidence exponent y, all on the
+    built flow ``isa``."""
     rows = []
-    cert = minorize(problem, k0)
+    problem, cert = isa.problem, isa.cert
     # invariance of the annealing kernel
     worst_inv = 0.0
     for beta in beta_grid:
@@ -1168,7 +1157,6 @@ def check_isa_bounds(
     allow = _binomial_allowance(level, replicates)
     exceed = None
     exact_below = True
-    isa = build_isa_flow(problem, schedule, cert, a)
     for rep in range(replicates):
         result = optimize(
             isa, n_particles, seed, eps_level, eps_prime, y_values=(y,), replicate=rep

@@ -22,6 +22,7 @@ from fkips.adaptive import (
 )
 from fkips.annealing import (
     TemperatureSchedule,
+    build_isa_flow,
     gibbs_measure,
     metropolis_kernel,
     minorize,
@@ -296,10 +297,7 @@ def test_criterion_09_gibbs_tail_and_optimizer():
     # replicated optimizer at y = 2
     schedule = TemperatureSchedule.constant_step(0.0, 0.5, 24)
     verify = check_isa_bounds(
-        prob,
-        schedule,
-        k0=4,
-        a=0.5,
+        build_isa_flow(prob, schedule, minorize(prob, 4), 0.5),
         eps_level=0.5,
         eps_prime=0.25,
         n_particles=1000,

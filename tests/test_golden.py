@@ -99,13 +99,13 @@ mcmc_iters = 3
 CASES = {
     "run-classic": ("run", CLASSIC, 0, {
         "oracle.csv": "a0709517c5854440f55fc600ee14aefa5af99458d2b04c4792b4f2c2dcdeb455",
-        "raw.csv": "f0dba301329ad13281690addf378ef389b7608970cfc5c20497e4980d810f957",
-        "stats.csv": "05fd128c4e3c07b6e7c847234309d0d8f28a2c10af0f5957f87f059ae7bff612",
+        "raw.csv": "c2090fca44cd6078c807dbadd2370fc55d04d9ecff29cdd6ec94d943e9bccd00",
+        "stats.csv": "1767f58f9ee3fcf594a4890f03c550f9720c2adbc1fe195bf8f9e5f427314142",
     }),
     "run-isa": ("run", ISA, 0, {
         "oracle.csv": "21e469af1aab8ee64e0144b3c2e05462c73e03e2a9e0f38d4e7300ee9896e1ee",
-        "raw.csv": "e46e60d02a63888f89d293d4fa0bfdc273df10f19cbcc7d0db0798bd316ad993",
-        "stats.csv": "b8c7603b25a78b046a656aad18c43f641104ba0eeae850be679ab8b4c57fe250",
+        "raw.csv": "fa146e48b37dd36c167fae64382175a312cbba5ab9b72ec4df0303c7f2a5b90f",
+        "stats.csv": "dae584e23d90cf5ac97cde27a9ef062ef7111db77563c457e934a75250e9953e",
     }),
     "adaptive": ("adaptive", ADAPTIVE, 0, {
         "raw.csv": "ad97ecb288d285ed1eddcfaf82e6e7c2f4096c11c5b5019b34de1d26179ba4d4",
@@ -115,10 +115,10 @@ CASES = {
         "oracle.csv": "314ce83a61798b2ae924e93ec3489f6032695b5d76af769a773ef6ab1df7e37f",
     }),
     "verify-bounded": ("verify-bounds", BOUNDED, 0, {
-        "verify.csv": "0603f3dd8c8a2b010d4e7c279ac0d89a18befb6720ca651bfc0f73ef2a3e5ec6",
+        "verify.csv": "d3ad805b464d46f4b0ac5b8e22217bdbae5bf6f322939ef608b6c9adb3ba3e2c",
     }),
     "verify-decreasing": ("verify-bounds", DECREASING, 0, {
-        "verify.csv": "c2cf37bcbbefd987cfa83458cad30083efea034d9d3ea34ba71f86e99196a505",
+        "verify.csv": "c2ae8891e22f305540e2323575259519350712cdca0176cbe38f452274aede81",
     }),
     "verify-isa": ("verify-bounds", ISA, 0, {
         "verify.csv": "1ecd5152b5b342504b0ec74aad2267d910e77ec87ce53a01a4151bf58c57450a",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fkips.cli import main as cli_main
-from fkips.engine import run_ips
+from fkips.engine import run_counts
 from fkips.errors import ConfigError
 from fkips.flow import FlowSpec
 from fkips.harness import (
@@ -128,13 +128,13 @@ class TestRunExperiment:
     def test_single_replicate_reproduces_engine_run(self):
         cfg = parse_config(CLASSIC_TEXT.replace("replicates = 4", "replicates = 1"))
         flow = cfg.build_flow()
-        direct = run_ips(flow, cfg.n_particles, cfg.seed, eps="auto", replicate=0)
+        direct = run_counts(flow, cfg.n_particles, cfg.seed, eps="auto", replicate=0)
         result = run_experiment(cfg)
         reader = csv.DictReader(io.StringIO(result.raw_csv))
         rows = {int(r["step"]): r for r in reader}
         for n in range(4):
             assert float(rows[n]["log_gamma1"]) == pytest.approx(
-                direct.ensembles[n].log_gamma1, rel=1e-15
+                direct.log_gamma1[n], rel=1e-15
             )
 
     def test_byte_identical_across_runs_and_threads(self):
