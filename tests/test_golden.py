@@ -80,6 +80,16 @@ eps_prime = 0.25
 y_values = 2
 """ + RUN
 
+# The composite optimizer bound sits far above every particle proportion of
+# ISA, so at any y >= 0 each exceedance count is 0 and no byte of verify.csv
+# depends on the optimizer's draws.  y < 0 has no probabilistic meaning
+# (e^-y > 1, so every row passes); here it lowers the step-4 threshold to
+# about 0.24, inside the spread of the proportions, so that row's count
+# pins the draws.
+ISA_EXCEEDANCE = ISA.replace("y_values = 2", "y_values = -31.25").replace(
+    "replicates = 5", "replicates = 50"
+)
+
 ADAPTIVE = """
 [problem]
 dim = 4
@@ -122,6 +132,9 @@ CASES = {
     }),
     "verify-isa": ("verify-bounds", ISA, 0, {
         "verify.csv": "1ecd5152b5b342504b0ec74aad2267d910e77ec87ce53a01a4151bf58c57450a",
+    }),
+    "verify-isa-exceedance": ("verify-bounds", ISA_EXCEEDANCE, 0, {
+        "verify.csv": "130ef2616ce8aba329175aa0d71bc615f74575d8e5a43564c911b6fe07bf78f8",
     }),
 }
 
