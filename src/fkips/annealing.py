@@ -343,15 +343,15 @@ def build_isa_flow(
 class OptimizeStepRow:
     step: int
     beta: float
-    proportion: float          # particle mass at energy >= V_min + eps
-    proportion_exact: float    # same mass under the exact flow law
+    proportion_exact: float    # mass at energy >= V_min + eps under the exact flow law
     gibbs_term: float
     thresholds: dict           # y -> composite bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizeResult:
     rows: tuple
+    proportions: np.ndarray    # (R, T): particle mass at energy >= V_min + eps, steps 1..T
     report: bounds.BoundReport
     run: CountRun
     isa: IsaFlow
@@ -365,14 +365,15 @@ def optimize(
     eps_prime: float,
     *,
     y_values: tuple = (2.0,),
-    replicate: int = 0,
+    replicates: int = 1,
 ) -> OptimizeResult:
-    """Run the tuned annealing optimizer on a built flow and report the
-    composite bound.
+    """Run R replicates of the tuned annealing optimizer on a built flow and
+    report the composite bound.
 
-    Per step the result holds the proportion of particles at energy
-    ``V_min + epsilon_level`` or above, the exact-law mass of the same
-    event, and for each requested confidence exponent y the bound
+    Per step and replicate the result holds the proportion of particles at
+    energy ``V_min + epsilon_level`` or above; per step it holds the
+    exact-law mass of the same event and, for each requested confidence
+    exponent y, the bound
 
         gibbs_tail(beta_n) + (r_i N + r_j y) / N^2
 
@@ -382,7 +383,7 @@ def optimize(
         raise InputError("thresholds must satisfy 0 < eps' < eps")
     problem, schedule, cert, a = isa.problem, isa.schedule, isa.cert, isa.a
     trace = isa.flow.trace
-    run = run_counts(isa.flow, n_particles, seed, replicate=replicate)
+    run = run_counts(isa.flow, n_particles, seed, replicates=replicates)
 
     v = problem.v_values
     v_min = problem.v_min
@@ -390,6 +391,8 @@ def optimize(
     m_eps_prime = problem.sublevel_mass(v_min + eps_prime)
     if m_eps_prime <= 0:
         raise InputError("reference mass of the eps' sub-level set is zero")
+    # a per-row sum of whole counts: exact, whatever R is
+    proportions = (run.counts[:, 1:] * tail_set).sum(axis=2) / n_particles
 
     mode = schedule.tuning_mode
     if mode == "bounded":
@@ -410,14 +413,11 @@ def optimize(
             float(y): gibbs_term + bounds.eta_deviation_threshold(r_i, r_j, n_particles, y)
             for y in y_values
         }
-        emp = float(run.counts[n] @ tail_set) / n_particles
-        exact = trace.etas[n].expect(tail_set)
         rows.append(
             OptimizeStepRow(
                 step=n,
                 beta=beta_n,
-                proportion=emp,
-                proportion_exact=exact,
+                proportion_exact=trace.etas[n].expect(tail_set),
                 gibbs_term=gibbs_term,
                 thresholds=thresholds,
             )
@@ -441,4 +441,6 @@ def optimize(
         },
         formula_ref="tail <= exp(-beta_n (eps - eps')) / m_eps' + (r_i N + r_j y)/N^2",
     )
-    return OptimizeResult(rows=tuple(rows), report=report, run=run, isa=isa)
+    return OptimizeResult(
+        rows=tuple(rows), proportions=proportions, report=report, run=run, isa=isa
+    )

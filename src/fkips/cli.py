@@ -54,7 +54,9 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--particles", type=int, default=None)
     p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="speed only, never output")
+    p.add_argument(
+        "--threads", type=int, default=None, help="accepted for older scripts; has no effect"
+    )
     p.add_argument("--out", default=".", help="output directory")
 
 

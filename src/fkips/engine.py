@@ -11,18 +11,19 @@ Two engines simulate this transition.  :func:`run_ips` moves N particle
 states and takes any flow, including sampler callables on general spaces;
 it is also the reference the count engine is tested against.
 :func:`run_counts` serves finite flows: it steps the per-state occupation
-counts, which carry the same law at O(d^2) per step whatever N is.
+counts, which carry the same law at O(d^2) per step whatever N is, for a
+whole block of replicates per numpy call.
 
-Randomness is counter-based: every (seed, replicate, step, purpose) tuple
-indexes a disjoint Philox stream, and all per-particle draws are vectorized
-reads from that stream.  Trajectories therefore depend only on those four
-integers, never on scheduling or thread count, and replicates can run in
-any order or in parallel with bit-identical results.
+Randomness is counter-based: every (seed, index, step, purpose) tuple keys a
+disjoint Philox stream, where the index is the replicate for
+:func:`run_ips` and the block of :data:`BLOCK` replicates for
+:func:`run_counts`.  All draws are vectorized reads from those streams, so a
+replicate's trajectory depends only on the seed and its replicate number,
+never on the replicate count, the order of work or any thread count.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -46,9 +47,9 @@ def _key(seed: int) -> np.ndarray:
     return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), _KEY_SALT], dtype=np.uint64)
 
 
-def _counter(replicate: int, step: int, purpose: int) -> np.ndarray:
+def _counter(index: int, step: int, purpose: int) -> np.ndarray:
     return np.array(
-        [0, replicate & 0xFFFFFFFFFFFFFFFF, step & 0xFFFFFFFFFFFFFFFF, int(purpose)],
+        [0, index & 0xFFFFFFFFFFFFFFFF, step & 0xFFFFFFFFFFFFFFFF, int(purpose)],
         dtype=np.uint64,
     )
 
@@ -60,7 +61,7 @@ def substream(seed: int, replicate: int, step: int, purpose: int) -> np.random.G
 
 
 class _SlotStream:
-    """One generator moved to any (replicate, step, purpose) slot of a seed by
+    """One generator moved to any (index, step, purpose) slot of a seed by
     setting its Philox state: the draws equal :func:`substream`'s for that
     slot, without building a new bit generator per slot."""
 
@@ -69,10 +70,10 @@ class _SlotStream:
         self._bit_gen = np.random.Philox(key=self._key)
         self._rng = np.random.Generator(self._bit_gen)
 
-    def at(self, replicate: int, step: int, purpose: int) -> np.random.Generator:
+    def at(self, index: int, step: int, purpose: int) -> np.random.Generator:
         self._bit_gen.state = {
             "bit_generator": "Philox",
-            "state": {"counter": _counter(replicate, step, purpose), "key": self._key},
+            "state": {"counter": _counter(index, step, purpose), "key": self._key},
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
@@ -129,7 +130,6 @@ class StepDiagnostics:
     kept_fraction: float
     ess: float
     log_gamma1: float
-    wall_time: float
 
 
 def _potential_values(potential, states: np.ndarray) -> np.ndarray:
@@ -314,7 +314,6 @@ def run_ips(
     ensembles = [ens]
     diagnostics = []
     for n in range(horizon):
-        t0 = time.perf_counter()
         potential, kernel = steps[n]
         gv_max = float(_potential_values(potential, ens.states).max())
         eps_n = resolve_eps(eps_schedule[n], gv_max)
@@ -328,7 +327,6 @@ def run_ips(
                 kept_fraction=outcome.kept_fraction,
                 ess=outcome.ess,
                 log_gamma1=ens.log_gamma1,
-                wall_time=time.perf_counter() - t0,
             )
         )
     return IpsRun(ensembles=tuple(ensembles), diagnostics=tuple(diagnostics))
@@ -336,20 +334,25 @@ def run_ips(
 
 @dataclass(frozen=True, eq=False)
 class CountRun:
-    """Occupation counts of a finite flow, one row per step, and diagnostics."""
+    """Occupation counts of R replicates of a finite flow and their per-step
+    diagnostics; every array has the replicate axis first."""
 
-    counts: np.ndarray      # (T+1) x d, every row sums to N
-    diagnostics: tuple
+    counts: np.ndarray          # (R, T+1, d), every row sums to N
+    mean_potential: np.ndarray  # (R, T), pre-selection mean potential of steps 1..T
+    kept_fraction: np.ndarray   # (R, T)
+    ess: np.ndarray             # (R, T), (sum c G)^2 / sum c G^2
+    log_gamma1: np.ndarray      # (R, T+1), log mass estimates of steps 0..T
 
     @property
     def histograms(self) -> np.ndarray:
-        """Occupation measures eta^N_0 .. eta^N_T, one row per step."""
-        return self.counts / self.counts[0].sum()
+        """Occupation measures eta^N_0 .. eta^N_T of every replicate."""
+        return self.counts / self.counts[0, 0].sum()
 
-    @property
-    def log_gamma1(self) -> np.ndarray:
-        """Log mass estimates for steps 0 .. T."""
-        return np.array([0.0] + [d.log_gamma1 for d in self.diagnostics])
+
+# Replicates drawn per numpy call.  Replicate r reads the slots of block
+# r // BLOCK, so a new value would change the draws of every replicate past
+# the first block: it is part of the stream contract, not an option.
+BLOCK = 128
 
 
 def run_counts(
@@ -357,21 +360,28 @@ def run_counts(
     n_particles: int,
     seed: int,
     *,
+    replicates: int = 1,
     horizon: int | None = None,
     eps: object = "auto",
-    replicate: int = 0,
 ) -> CountRun:
-    """Simulate the particle approximation of a finite flow through its
-    per-state occupation counts.
+    """Simulate R replicates of the particle approximation of a finite flow
+    through their per-state occupation counts.
 
     On a finite space the transition of :func:`run_ips` depends on the
     particles only through their counts c, so one step draws, exactly in
     law: the kept particles ``Binomial(c_x, eps G(x))`` per state, the
     ``N - sum K`` redraws ``Multinomial(N - sum K, c G / sum c G)`` and the
     moves ``sum_x Multinomial(c'_x, M(x, .))``.  The cost is O(d^2) per step
-    whatever N is.  Draws come from the same (seed, replicate, step, purpose)
-    slots as :func:`run_ips` but are used differently, so the two engines
-    agree in law, not draw for draw.  ``eps`` is as in :func:`run_ips`.
+    whatever N is.  ``eps`` is as in :func:`run_ips`; ``auto`` is resolved
+    per replicate.
+
+    Replicates are drawn in blocks of :data:`BLOCK` rows: each step of block
+    ``b = r // BLOCK`` makes one numpy call per purpose, reading the
+    (seed, b, step, purpose) slot.  numpy fills the rows of a call in
+    replicate order, so a partial last block draws exactly the leading rows
+    of a full one: replicate r depends on (seed, r) only, not on R nor on
+    the order in which blocks run.  The draws differ from :func:`run_ips`'s,
+    so the two engines agree in law, not draw for draw.
     """
     finite = isinstance(spec.initial, FiniteDistribution) and all(
         isinstance(g, PotentialVector) and isinstance(m, KernelMatrix) for g, m in spec.steps
@@ -380,47 +390,65 @@ def run_counts(
         raise InputError("the count engine needs a finite flow; run_ips takes samplers")
     if n_particles < 1:
         raise InputError("population size must be >= 1")
+    if replicates < 1:
+        raise InputError("replicates must be >= 1")
     steps, eps_schedule = _schedule(spec, horizon, eps)
+    run = _empty_run(replicates, len(steps), spec.initial.dim)
     streams = _SlotStream(seed)
-    counts = np.empty((len(steps) + 1, spec.initial.dim), dtype=np.int64)
-    counts[0] = streams.at(replicate, 0, Purpose.INIT).multinomial(
-        n_particles, spec.initial.weights
+    for block in range(-(-replicates // BLOCK)):
+        _count_block(run, block, spec.initial, steps, eps_schedule, n_particles, streams)
+    return run
+
+
+def _empty_run(replicates: int, horizon: int, dim: int) -> CountRun:
+    return CountRun(
+        counts=np.empty((replicates, horizon + 1, dim), dtype=np.int64),
+        mean_potential=np.empty((replicates, horizon)),
+        kept_fraction=np.empty((replicates, horizon)),
+        ess=np.empty((replicates, horizon)),
+        log_gamma1=np.zeros((replicates, horizon + 1)),
     )
-    log_gamma1 = 0.0
-    diagnostics = []
+
+
+def _count_block(run, block, initial, steps, eps_schedule, n_particles, streams):
+    """Fill the rows of ``block`` in ``run`` in place.
+
+    Every per-replicate value is an elementwise or a per-row reduction of
+    that replicate's own data, so it does not depend on the block's size.
+    """
+    rows = slice(block * BLOCK, min(run.counts.shape[0], (block + 1) * BLOCK))
+    counts = run.counts[rows]
+    k = counts.shape[0]
+    counts[:, 0] = streams.at(block, 0, Purpose.INIT).multinomial(
+        n_particles, initial.weights, size=k
+    )
     for n, (potential, kernel) in enumerate(steps):
-        t0 = time.perf_counter()
-        c, g = counts[n], potential.values
-        g_occupied = g[c > 0]
-        if g_occupied.min() < 0:
+        c, g = counts[:, n], potential.values
+        occupied = c > 0
+        if np.any(occupied & (g < 0)):
             raise InputError("selection potential must be non-negative")
         weights = c * g
-        total = float(weights.sum())
-        if total <= 0:
+        total = weights.sum(axis=1)
+        if np.any(total <= 0):
             raise ExtinctionError(n)
-        g_max = float(g_occupied.max())
-        eps_n = resolve_eps(eps_schedule[n], g_max)
-        if eps_n < 0:
+        g_max = np.where(occupied, g, -np.inf).max(axis=1)
+        mode = eps_schedule[n]
+        # only "auto" depends on the ensemble; the other policies are constants
+        eps_n = 1.0 / g_max if mode == "auto" else np.full(k, resolve_eps(mode, 0.0))
+        if np.any(eps_n < 0):
             raise InputError("eps must be >= 0")
-        if eps_n * g_max > 1.0 + 1e-12:
+        if np.any(eps_n * g_max > 1.0 + 1e-12):
             raise InputError("eps * max potential exceeds 1 on this ensemble")
-        kept = streams.at(replicate, n + 1, Purpose.KEEP).binomial(c, np.clip(eps_n * g, 0.0, 1.0))
-        n_kept = int(kept.sum())
-        selected = kept + streams.at(replicate, n + 1, Purpose.RESAMPLE).multinomial(
-            n_particles - n_kept, weights / total
+        keep_p = np.clip(eps_n[:, None] * g, 0.0, 1.0)
+        kept = streams.at(block, n + 1, Purpose.KEEP).binomial(c, keep_p)
+        n_kept = kept.sum(axis=1)
+        selected = kept + streams.at(block, n + 1, Purpose.RESAMPLE).multinomial(
+            n_particles - n_kept, weights / total[:, None]
         )
-        moves = streams.at(replicate, n + 1, Purpose.MUTATE).multinomial(selected, kernel.rows)
-        counts[n + 1] = moves.sum(axis=0)
+        moves = streams.at(block, n + 1, Purpose.MUTATE).multinomial(selected, kernel.rows)
+        counts[:, n + 1] = moves.sum(axis=1)
         mean_g = total / n_particles
-        log_gamma1 += float(np.log(mean_g))
-        diagnostics.append(
-            StepDiagnostics(
-                step=n + 1,
-                mean_potential=mean_g,
-                kept_fraction=n_kept / n_particles,
-                ess=total * total / float(weights @ g),
-                log_gamma1=log_gamma1,
-                wall_time=time.perf_counter() - t0,
-            )
-        )
-    return CountRun(counts=counts, diagnostics=tuple(diagnostics))
+        run.mean_potential[rows, n] = mean_g
+        run.kept_fraction[rows, n] = n_kept / n_particles
+        run.ess[rows, n] = total * total / (weights * g).sum(axis=1)
+        run.log_gamma1[rows, n + 1] = run.log_gamma1[rows, n] + np.log(mean_g)

@@ -23,13 +23,16 @@ and keys:
                 mcmc_iters, beta0
     [run]       n_particles, steps, replicates, seed, eps_mode
                 (auto|multinomial|float), n_test_functions, threads
+                (validated and kept so older configs still parse; it has
+                no effect)
     [checks]    regime (bounded|decreasing), a, g_sup, y_values, s_values,
                 epsilon_level, eps_prime
 
 Every output is a deterministic function of (config, seed): replicates use
-counter-based streams indexed by replicate number, aggregation folds in
-replicate order regardless of scheduling, and CSV cells print floats at 17
-significant digits.
+counter-based streams keyed by (seed, block, step, purpose) whose rows do
+not depend on the replicate count (see :mod:`fkips.engine`), aggregation
+folds in replicate order, and CSV cells print floats at 17 significant
+digits.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -203,7 +205,7 @@ class ExperimentConfig:
     seed: int
     eps_mode: object
     n_test_functions: int
-    threads: int
+    threads: int   # validated for older configs; has no effect
 
     @classmethod
     def from_raw(cls, raw: RawConfig) -> "ExperimentConfig":
@@ -503,24 +505,41 @@ class ExperimentResult:
     oracle_csv: str | None
 
 
-def _classic_replicate(flow, cfg, horizon, fdict_tables, rep):
+def _expectations(hists, tables) -> np.ndarray:
+    """(R, T+1, d) occupation measures against (k, d) tables -> (R, T+1, k).
+
+    Each value is a sum over one row of one replicate, never a product over
+    the whole block, so a replicate's values do not depend on R.
+    """
+    tables = np.asarray(tables)
+    return np.stack([(h[:, None, :] * tables).sum(axis=2) for h in hists])
+
+
+def _classic_rows(flow, cfg, horizon, tables):
+    """(replicate, step) -> statistics of every replicate of a finite flow,
+    and the statistic names in column order."""
     run = run_counts(
-        flow, cfg.n_particles, cfg.seed, horizon=horizon, eps=cfg.eps_mode, replicate=rep
+        flow, cfg.n_particles, cfg.seed, replicates=cfg.replicates, horizon=horizon,
+        eps=cfg.eps_mode,
     )
-    log_gamma1 = run.log_gamma1
-    rows = {}
-    for n, hist in enumerate(run.histograms):
-        diag = run.diagnostics[n - 1] if n else None
-        stats = {
-            "log_gamma1": log_gamma1[n],
-            "mean_potential": diag.mean_potential if diag else math.nan,
-            "kept_fraction": diag.kept_fraction if diag else math.nan,
-            "ess": diag.ess if diag else float(cfg.n_particles),
-        }
-        for i, table in enumerate(fdict_tables):
-            stats[f"est_{i}"] = float(hist @ table)
-        rows[(rep, n)] = stats
-    return rows
+    first = lambda value: np.full((cfg.replicates, 1), value)
+    columns = [
+        run.log_gamma1,
+        np.hstack([first(math.nan), run.mean_potential]),
+        np.hstack([first(math.nan), run.kept_fraction]),
+        np.hstack([first(float(cfg.n_particles)), run.ess]),
+    ]
+    columns += list(np.moveaxis(_expectations(run.histograms, tables), 2, 0))
+    names = ["log_gamma1", "mean_potential", "kept_fraction", "ess"] + [
+        f"est_{i}" for i in range(len(tables))
+    ]
+    values = np.stack(columns, axis=2).tolist()
+    raw_rows = {
+        (rep, n): dict(zip(names, row))
+        for rep, steps in enumerate(values)
+        for n, row in enumerate(steps)
+    }
+    return raw_rows, names
 
 
 def _adaptive_replicate(problem, acfg, cfg, reference, fdict_tables, rep):
@@ -550,29 +569,24 @@ def _adaptive_replicate(problem, acfg, cfg, reference, fdict_tables, rep):
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute all replicates and aggregate.
 
-    ``threads`` only affects wall time: replicates are independent
-    counter-based streams, collected in replicate order.
+    Finite flows run every replicate through one block-wise
+    :func:`~fkips.engine.run_counts` call; adaptive runs go one replicate at
+    a time.  The ``threads`` config key has no effect.
     """
-    threads = cfg.threads if threads is None else max(1, int(threads))
     flow = cfg.flow
     oracle_csv = None
     if cfg.kind in ("classic", "isa"):
         horizon = cfg.horizon()
-        fdict = osc1_dictionary(flow.dim, cfg.n_test_functions)
-        tables = tuple(fdict)
-        job = lambda rep: _classic_replicate(flow, cfg, horizon, tables, rep)
-        stat_names = ["log_gamma1", "mean_potential", "kept_fraction", "ess"] + [
-            f"est_{i}" for i in range(len(tables))
-        ]
+        tables = tuple(osc1_dictionary(flow.dim, cfg.n_test_functions))
+        raw_rows, stat_names = _classic_rows(flow, cfg, horizon, tables)
         oracle_csv = _oracle_csv(flow.trace, horizon, tables)
     else:
         problem = cfg.build_problem()
         acfg = cfg.build_adaptive_config()
-        fdict = osc1_dictionary(problem.dim, cfg.n_test_functions)
-        tables = tuple(fdict)
+        tables = tuple(osc1_dictionary(problem.dim, cfg.n_test_functions))
         reference = None
         if acfg.mutation_mode == "theoretical":
             reference = adaptive_mod.theoretical_adaptive_flow(
@@ -582,19 +596,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Experim
                 mcmc_iters=acfg.mcmc_iters,
                 beta0=acfg.beta0,
             )
-        job = lambda rep: _adaptive_replicate(problem, acfg, cfg, reference, tables, rep)
         stat_names = ["log_gamma1", "delta", "beta", "c", "kept_fraction", "saturated"] + [
             f"est_{i}" for i in range(len(tables))
         ]
-
-    raw_rows: dict = {}
-    if threads == 1:
+        raw_rows = {}
         for rep in range(cfg.replicates):
-            raw_rows.update(job(rep))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(job, range(cfg.replicates)):
-                raw_rows.update(chunk)
+            raw_rows.update(_adaptive_replicate(problem, acfg, cfg, reference, tables, rep))
     stats = aggregate(raw_rows, stat_names)
     return ExperimentResult(
         config=cfg,
@@ -694,27 +701,13 @@ def _binomial_allowance(bound: float, replicates: int) -> float:
     return 3.0 * math.sqrt(b * (1.0 - b) / replicates)
 
 
-def _deviation_tensor(flow, cfg_particles, replicates, seed, fdict, threads=1):
+def _deviation_tensor(flow, n_particles, replicates, seed, fdict):
     """dev[r, n, j] = empirical-minus-exact mean of dictionary entry j, and
     the per-replicate log mass gaps."""
-    trace, horizon = flow.trace, flow.horizon
+    trace = flow.trace
     exact = np.array([[eta.expect(f) for f in fdict] for eta in trace.etas])
-    devs = np.zeros((replicates, horizon + 1, fdict.shape[0]))
-    log_gaps = np.zeros((replicates, horizon + 1))
-
-    def job(rep):
-        run = run_counts(flow, cfg_particles, seed, replicate=rep)
-        return rep, run.histograms @ fdict.T - exact, run.log_gamma1 - trace.log_gamma1
-
-    if threads == 1:
-        results = map(job, range(replicates))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(replicates)))
-    for rep, local_dev, local_gap in results:
-        devs[rep] = local_dev
-        log_gaps[rep] = local_gap
-    return devs, log_gaps
+    run = run_counts(flow, n_particles, seed, replicates=replicates)
+    return _expectations(run.histograms, fdict) - exact, run.log_gamma1 - trace.log_gamma1
 
 
 def composed_caps_bounded(flow: FlowSpec, a: float, g_sup: float):
@@ -773,7 +766,6 @@ def check_uniform_regime(
     *,
     y_values=(1.0, 2.0, 4.0),
     l2_replicates: int | None = None,
-    threads: int = 1,
 ) -> VerifyReport:
     """All uniform-regime checks on one flow.
 
@@ -810,7 +802,7 @@ def check_uniform_regime(
     horizon = flow.horizon
     fdict = osc1_dictionary(flow.dim)
     r2_reps = replicates if l2_replicates is None else l2_replicates
-    devs, log_gaps = _deviation_tensor(flow, n_particles, replicates, seed, fdict, threads)
+    devs, log_gaps = _deviation_tensor(flow, n_particles, replicates, seed, fdict)
 
     # L2 level, uniformly in time
     l2_bound = bounds.lp_uniform_bound(2, a, n_particles)
@@ -876,7 +868,6 @@ def check_decreasing_regime(
     seed: int,
     *,
     y_values=(1.0, 2.0, 4.0),
-    threads: int = 1,
 ) -> VerifyReport:
     """Decreasing-regime checks: hypothesis on each step's mixing level, the
     per-time deviation thresholds, and the three-term mass-ratio bound."""
@@ -901,7 +892,7 @@ def check_decreasing_regime(
 
     horizon = flow.horizon
     fdict = osc1_dictionary(flow.dim)
-    devs, log_gaps = _deviation_tensor(flow, n_particles, replicates, seed, fdict, threads)
+    devs, log_gaps = _deviation_tensor(flow, n_particles, replicates, seed, fdict)
     l2_bound = bounds.lp_uniform_bound(2, a, n_particles)
     l2 = np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=1)
     for n in range(horizon + 1):
@@ -968,13 +959,12 @@ def check_oracle_identity(flow: FlowSpec, rel_tol: float = 1e-10) -> VerifyRepor
     return VerifyReport(rows=tuple(rows), hypothesis_ok=ok_all)
 
 
-def verify_bounds(cfg: ExperimentConfig, threads: int | None = None) -> VerifyReport:
+def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
     """Config-driven verification suite; dispatches on the algorithm kind.
 
     When [run] replicates is omitted, L2-style checks default to 500
     replicates and tail-frequency checks to 2000.
     """
-    threads = cfg.threads if threads is None else max(1, int(threads))
     raw = cfg.raw
     explicit_r = raw.get("run", "replicates")
     tail_replicates = cfg.replicates if explicit_r is not None else 2000
@@ -1010,7 +1000,6 @@ def verify_bounds(cfg: ExperimentConfig, threads: int | None = None) -> VerifyRe
                 cfg.seed,
                 y_values=y_values,
                 l2_replicates=l2_replicates,
-                threads=threads,
             )
         else:
             report = check_decreasing_regime(
@@ -1020,7 +1009,6 @@ def verify_bounds(cfg: ExperimentConfig, threads: int | None = None) -> VerifyRe
                 tail_replicates,
                 cfg.seed,
                 y_values=y_values,
-                threads=threads,
             )
         rows.extend(report.rows)
         return VerifyReport(rows=tuple(rows), hypothesis_ok=report.hypothesis_ok)
@@ -1155,19 +1143,10 @@ def check_isa_bounds(
     # replicated optimizer: per-step exceedance of the composite bound
     level = math.exp(-y)
     allow = _binomial_allowance(level, replicates)
-    exceed = None
-    exact_below = True
-    for rep in range(replicates):
-        result = optimize(
-            isa, n_particles, seed, eps_level, eps_prime, y_values=(y,), replicate=rep
-        )
-        if exceed is None:
-            exceed = np.zeros(len(result.rows))
-        for i, row in enumerate(result.rows):
-            if row.proportion > row.thresholds[y]:
-                exceed[i] += 1
-            if row.proportion_exact > row.gibbs_term + 1e-12:
-                exact_below = False
+    result = optimize(
+        isa, n_particles, seed, eps_level, eps_prime, y_values=(y,), replicates=replicates
+    )
+    exact_below = all(row.proportion_exact <= row.gibbs_term + 1e-12 for row in result.rows)
     rows.append(
         CheckRow(
             "optimizer-exact-mass",
@@ -1177,6 +1156,8 @@ def check_isa_bounds(
             "pass" if exact_below else "fail",
         )
     )
+    thresholds = np.array([row.thresholds[y] for row in result.rows])
+    exceed = (result.proportions > thresholds).sum(axis=0)
     freqs = exceed / replicates
     for n, freq in enumerate(freqs, start=1):
         rows.append(

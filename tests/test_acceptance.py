@@ -379,9 +379,10 @@ def test_criterion_12_adaptive_concentration():
 
 
 def test_criterion_13_determinism(tmp_path):
-    """Byte-identical CSV across thread counts and consecutive runs."""
-    classic = parse_config(
-        flow_to_config(bounded_regime_flow(6, seed=100), n_particles=150, replicates=40, seed=9)
+    """Byte-identical CSV across the threads key (1, 2, 8), which is accepted
+    and has no effect, and across consecutive runs."""
+    classic = flow_to_config(
+        bounded_regime_flow(6, seed=100), n_particles=150, replicates=40, seed=9
     )
     adaptive_text = """
 [problem]
@@ -403,8 +404,10 @@ replicates = 40
 seed = 9
 """
     ok = True
-    for cfg in (classic, parse_config(adaptive_text)):
-        outputs = {run_experiment(cfg, threads=t).raw_csv for t in (1, 2, 8)}
-        outputs.add(run_experiment(cfg, threads=1).raw_csv)
+    for text in (classic, adaptive_text):
+        outputs = {
+            run_experiment(parse_config(text + f"threads = {t}\n")).raw_csv for t in (1, 2, 8)
+        }
+        outputs.add(run_experiment(parse_config(text)).raw_csv)
         ok &= len(outputs) == 1
-    report(13, ok, "raw CSV identical across threads (1, 2, 8) and consecutive runs")
+    report(13, ok, "raw CSV identical across threads = 1, 2, 8 and consecutive runs")

@@ -275,7 +275,7 @@ class TestOptimize:
             epsilon_level=0.5,
             eps_prime=0.25,
         )
-        assert all(r.proportion == 0.0 for r in result.rows)
+        assert np.all(result.proportions == 0.0)
         assert all(r.proportion_exact == 0.0 for r in result.rows)
 
     def test_sublevel_mass_matches_direct_sum(self):

@@ -1,5 +1,6 @@
 """Occupation-count engine: equal in law to the particle engine and to the
-exact oracle, and the counter-based stream contract the two engines share."""
+exact oracle, and the block-level stream contract that makes a replicate's
+row a function of (seed, replicate) only."""
 
 import math
 
@@ -9,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from fkips.engine import Purpose, _SlotStream, run_counts, run_ips, substream
+from fkips.engine import (
+    BLOCK,
+    Purpose,
+    _count_block,
+    _empty_run,
+    _schedule,
+    _SlotStream,
+    run_counts,
+    run_ips,
+    substream,
+)
 from fkips.errors import InputError
 from fkips.flow import FlowSpec
 from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
@@ -37,15 +48,15 @@ class TestLawAgainstParticleEngine:
     def test_two_sample_final_estimate_and_log_mass(self, eps):
         spec, n_particles, reps = rotating_flow(), 50, 400
         ips = [run_ips(spec, n_particles, seed=31, replicate=r, eps=eps) for r in range(reps)]
-        cnt = [run_counts(spec, n_particles, seed=32, replicate=r, eps=eps) for r in range(reps)]
+        cnt = run_counts(spec, n_particles, seed=32, replicates=reps, eps=eps)
         est_ips = [run.final.histogram(3).weights @ F for run in ips]
-        est_cnt = [run.histograms[-1] @ F for run in cnt]
+        est_cnt = cnt.histograms[:, -1] @ F
         assert stats.ks_2samp(est_ips, est_cnt).pvalue > 1e-3
         gam_ips = [run.final.log_gamma1 for run in ips]
-        gam_cnt = [run.log_gamma1[-1] for run in cnt]
+        gam_cnt = cnt.log_gamma1[:, -1]
         assert stats.ks_2samp(gam_ips, gam_cnt).pvalue > 1e-3
         kept_ips = [np.mean([d.kept_fraction for d in run.diagnostics]) for run in ips]
-        kept_cnt = [np.mean([d.kept_fraction for d in run.diagnostics]) for run in cnt]
+        kept_cnt = cnt.kept_fraction.mean(axis=1)
         assert stats.ks_2samp(kept_ips, kept_cnt).pvalue > 1e-3
 
 
@@ -53,9 +64,7 @@ class TestLawAgainstExactOracle:
     def test_mean_histogram_matches_eta(self):
         # the O(1/N) bias of eta^N sits far below the standard error at this N
         spec, n_particles, reps = rotating_flow(), 100_000, 1000
-        hists = np.array(
-            [run_counts(spec, n_particles, seed=33, replicate=r).histograms for r in range(reps)]
-        )
+        hists = run_counts(spec, n_particles, seed=33, replicates=reps).histograms
         for n, eta in enumerate(spec.trace.etas):
             se = hists[:, n].std(axis=0, ddof=1) / math.sqrt(reps)
             z = np.abs(hists[:, n].mean(axis=0) - eta.weights) / se
@@ -64,9 +73,7 @@ class TestLawAgainstExactOracle:
     @pytest.mark.parametrize("eps", ["auto", "multinomial"])
     def test_mass_estimator_unbiased(self, eps):
         spec, reps = rotating_flow(), 4000
-        gammas = np.exp(
-            [run_counts(spec, 50, seed=34, replicate=r, eps=eps).log_gamma1 for r in range(reps)]
-        )
+        gammas = np.exp(run_counts(spec, 50, seed=34, replicates=reps, eps=eps).log_gamma1)
         for n in range(1, spec.horizon + 1):
             se = gammas[:, n].std(ddof=1) / math.sqrt(reps)
             assert abs(gammas[:, n].mean() - spec.trace.gamma1[n]) <= 4 * se, n
@@ -76,9 +83,9 @@ class TestLawAgainstExactOracle:
             FiniteDistribution.uniform(2),
             ((PotentialVector.constant(2, 2.5), KernelMatrix.uniform(2)),) * 3,
         )
-        run = run_counts(spec, 64, seed=13)
-        assert run.log_gamma1[3] == pytest.approx(3 * math.log(2.5), rel=1e-12)
-        assert all(d.kept_fraction == 1.0 and d.ess == pytest.approx(64.0) for d in run.diagnostics)
+        run = run_counts(spec, 64, seed=13, replicates=3)
+        assert np.allclose(run.log_gamma1[:, 3], 3 * math.log(2.5), rtol=1e-12)
+        assert np.all(run.kept_fraction == 1.0) and np.allclose(run.ess, 64.0)
 
     def test_two_state_transition_law(self):
         # N = 10 from (1/2, 1/2), weights (1, 3), eps = 1/3: a state-1
@@ -103,60 +110,110 @@ class TestLawAgainstExactOracle:
                 from1 = stats.binom.pmf(np.arange(s1 + 1), s1, 0.6)
                 pmf += w * np.convolve(from0, from1)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        finals = [
-            run_counts(spec, n_particles, seed=77, eps=1.0 / 3.0, replicate=r).counts[1, 1]
-            for r in range(reps)
-        ]
+        run = run_counts(spec, n_particles, seed=77, eps=1.0 / 3.0, replicates=reps)
+        finals = run.counts[:, 1, 1]
         expected = reps * pmf
         assert expected.min() >= 5.0   # every cell fit for the chi-square
         observed = np.bincount(finals, minlength=n_particles + 1)
         assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
+def _fields(run):
+    return (run.counts, run.mean_potential, run.kept_fraction, run.ess, run.log_gamma1)
+
+
+def _same_rows(run, other, rows):
+    return all(np.array_equal(a[rows], b[rows]) for a, b in zip(_fields(run), _fields(other)))
+
+
+# The block draws of one step, each reading a slot as run_counts does:
+# rows of counts and probabilities in, one row of draws per replicate out.
+_BLOCK_DRAWS = {
+    "init": lambda g, c, p, m: g.multinomial(int(c[0, 0]) + 1, p[0] / p[0].sum(), size=len(c)),
+    "keep": lambda g, c, p, m: g.binomial(c, p),
+    "redraw": lambda g, c, p, m: g.multinomial(c.sum(axis=1), p / p.sum(axis=1, keepdims=True)),
+    "move": lambda g, c, p, m: g.multinomial(c, m),
+}
+
+
 class TestStreamContract:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=U64,
-        replicate=U64,
+        index=U64,
         step=U64,
         purpose=st.sampled_from(list(Purpose)),
-        kind=st.sampled_from(["random", "binomial", "multinomial"]),
+        kind=st.sampled_from(["random", *_BLOCK_DRAWS]),
     )
-    def test_rekeyed_stream_equals_substream(self, seed, replicate, step, purpose, kind):
-        draws = {
-            "random": lambda g: g.random(9),
-            "binomial": lambda g: g.binomial([0, 3, 50, 1000], [0.5, 0.1, 0.9, 0.37]),
-            "multinomial": lambda g: g.multinomial(
-                [7, 0, 400], [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.6, 0.3, 0.1]]
-            ),
-        }[kind]
+    def test_rekeyed_stream_equals_substream(self, seed, index, step, purpose, kind):
+        rng = np.random.default_rng(seed % 1000)
+        c, p = rng.integers(0, 60, (5, 4)), rng.random((5, 4))
+        m = rng.dirichlet(np.ones(4), size=4)
+        draw = (lambda g: g.random(9)) if kind == "random" else (
+            lambda g: _BLOCK_DRAWS[kind](g, c, p, m)
+        )
         streams = _SlotStream(seed)
         # leave a half-used buffer and a cached 32-bit word behind first
-        streams.at(replicate ^ 1, step, purpose).integers(0, 2**32, 3, dtype=np.uint32)
-        got = draws(streams.at(replicate, step, purpose))
-        assert np.array_equal(got, draws(substream(seed, replicate, step, purpose)))
+        streams.at(index ^ 1, step, purpose).integers(0, 2**32, 3, dtype=np.uint32)
+        got = draw(streams.at(index, step, purpose))
+        assert np.array_equal(got, draw(substream(seed, index, step, purpose)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        rows=st.integers(1, BLOCK - 1),
+        kind=st.sampled_from(list(_BLOCK_DRAWS)),
+    )
+    def test_partial_block_draws_the_leading_rows(self, seed, rows, kind):
+        # the fact the block contract rests on: numpy fills rows in order
+        rng = np.random.default_rng(seed)
+        c, p = rng.integers(0, 200, (BLOCK, 6)), rng.random((BLOCK, 6))
+        m = rng.dirichlet(np.ones(6), size=6)
+        full = _BLOCK_DRAWS[kind](substream(seed, 0, 1, Purpose.KEEP), c, p, m)
+        part = _BLOCK_DRAWS[kind](substream(seed, 0, 1, Purpose.KEEP), c[:rows], p[:rows], m)
+        assert np.array_equal(full[:rows], part)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        replicate=st.integers(0, 3 * BLOCK),
+        extra=st.integers(1, 2 * BLOCK),
+        eps=st.sampled_from(["auto", "multinomial", 0.2]),
+    )
+    def test_row_independent_of_replicate_count(self, replicate, extra, eps):
+        spec = rotating_flow(3)
+        short = run_counts(spec, 200, seed=5, replicates=replicate + 1, eps=eps)
+        long = run_counts(spec, 200, seed=5, replicates=replicate + 1 + extra, eps=eps)
+        assert _same_rows(short, long, slice(replicate + 1))
 
     @settings(max_examples=20, deadline=None)
-    @given(order=st.permutations(range(6)))
+    @given(order=st.permutations(range(4)))
     def test_rows_independent_of_replicate_order(self, order):
-        spec = rotating_flow(3)
-        base = [run_counts(spec, 200, seed=5, replicate=r).counts for r in range(6)]
-        shuffled = {r: run_counts(spec, 200, seed=5, replicate=r).counts for r in order}
-        assert all(np.array_equal(base[r], shuffled[r]) for r in range(6))
+        # blocks of replicates computed in any order give the same rows
+        spec, replicates = rotating_flow(3), 3 * BLOCK + 5
+        base = run_counts(spec, 200, seed=5, replicates=replicates)
+        steps, eps_schedule = _schedule(spec, None, "auto")
+        run, streams = _empty_run(replicates, spec.horizon, spec.dim), _SlotStream(5)
+        for block in order:
+            _count_block(run, block, spec.initial, steps, eps_schedule, 200, streams)
+        assert _same_rows(base, run, slice(None))
 
     @settings(max_examples=40, deadline=None)
     @given(
         horizon=st.integers(0, 5),
         extra=st.integers(1, 4),
-        replicate=st.integers(0, 1000),
+        replicates=st.integers(1, 2 * BLOCK + 1),
         eps=st.sampled_from(["auto", "multinomial", 0.2]),
     )
-    def test_prefix_stable_in_horizon(self, horizon, extra, replicate, eps):
+    def test_prefix_stable_in_horizon(self, horizon, extra, replicates, eps):
         spec = rotating_flow(horizon + extra)
-        short = run_counts(spec, 300, seed=6, horizon=horizon, eps=eps, replicate=replicate)
-        long = run_counts(spec, 300, seed=6, horizon=horizon + extra, eps=eps, replicate=replicate)
-        assert np.array_equal(short.counts, long.counts[: horizon + 1])
-        assert np.array_equal(short.log_gamma1, long.log_gamma1[: horizon + 1])
+        short = run_counts(spec, 300, seed=6, horizon=horizon, eps=eps, replicates=replicates)
+        long = run_counts(
+            spec, 300, seed=6, horizon=horizon + extra, eps=eps, replicates=replicates
+        )
+        assert np.array_equal(short.counts, long.counts[:, : horizon + 1])
+        assert np.array_equal(short.log_gamma1, long.log_gamma1[:, : horizon + 1])
+        for name in ("mean_potential", "kept_fraction", "ess"):
+            assert np.array_equal(getattr(short, name), getattr(long, name)[:, :horizon])
 
 
 class TestInputs:
@@ -171,6 +228,8 @@ class TestInputs:
     def test_rejects_empty_population(self):
         with pytest.raises(InputError):
             run_counts(rotating_flow(), 0, seed=0)
+        with pytest.raises(InputError):
+            run_counts(rotating_flow(), 10, seed=0, replicates=0)
 
     def test_eps_cap_enforced_on_occupied_states(self):
         with pytest.raises(InputError):
@@ -182,5 +241,5 @@ class TestInputs:
             FiniteDistribution([0.5, 0.5, 0.0]),
             ((PotentialVector([1.0, 2.0, 4.0]), KernelMatrix.identity(3)),),
         )
-        run = run_counts(spec, 100, seed=0, eps=0.5)
-        assert run.counts[1, 2] == 0
+        run = run_counts(spec, 100, seed=0, eps=0.5, replicates=BLOCK + 1)
+        assert np.all(run.counts[:, 1, 2] == 0)

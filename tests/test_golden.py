@@ -109,13 +109,13 @@ mcmc_iters = 3
 CASES = {
     "run-classic": ("run", CLASSIC, 0, {
         "oracle.csv": "a0709517c5854440f55fc600ee14aefa5af99458d2b04c4792b4f2c2dcdeb455",
-        "raw.csv": "c2090fca44cd6078c807dbadd2370fc55d04d9ecff29cdd6ec94d943e9bccd00",
-        "stats.csv": "1767f58f9ee3fcf594a4890f03c550f9720c2adbc1fe195bf8f9e5f427314142",
+        "raw.csv": "04b75948d44002b362924f318941339e6181498979dc05718254de9410e1b4a9",
+        "stats.csv": "5c65c05f1d0f42e8392c4508d26ac4ac452318d6a6eb83d57fd31511f3356f5c",
     }),
     "run-isa": ("run", ISA, 0, {
         "oracle.csv": "21e469af1aab8ee64e0144b3c2e05462c73e03e2a9e0f38d4e7300ee9896e1ee",
-        "raw.csv": "fa146e48b37dd36c167fae64382175a312cbba5ab9b72ec4df0303c7f2a5b90f",
-        "stats.csv": "dae584e23d90cf5ac97cde27a9ef062ef7111db77563c457e934a75250e9953e",
+        "raw.csv": "d7492d8a56051b25629492b2448210043daab8fd81a673d24f9d3918def5495a",
+        "stats.csv": "325d52e31d44dab27b022242412ff4dc26ab2ed5ceeb33937e471d504ae0b516",
     }),
     "adaptive": ("adaptive", ADAPTIVE, 0, {
         "raw.csv": "ad97ecb288d285ed1eddcfaf82e6e7c2f4096c11c5b5019b34de1d26179ba4d4",
@@ -125,16 +125,16 @@ CASES = {
         "oracle.csv": "314ce83a61798b2ae924e93ec3489f6032695b5d76af769a773ef6ab1df7e37f",
     }),
     "verify-bounded": ("verify-bounds", BOUNDED, 0, {
-        "verify.csv": "d3ad805b464d46f4b0ac5b8e22217bdbae5bf6f322939ef608b6c9adb3ba3e2c",
+        "verify.csv": "04e8eb5b826231d12b2adf1ce01212376cca8c36002dc846ddb59ddb522b9ec7",
     }),
     "verify-decreasing": ("verify-bounds", DECREASING, 0, {
-        "verify.csv": "c2ae8891e22f305540e2323575259519350712cdca0176cbe38f452274aede81",
+        "verify.csv": "52f515c12035992726841119c50d01bebc054c3f592d205cbab5e163a024ba4d",
     }),
     "verify-isa": ("verify-bounds", ISA, 0, {
         "verify.csv": "1ecd5152b5b342504b0ec74aad2267d910e77ec87ce53a01a4151bf58c57450a",
     }),
     "verify-isa-exceedance": ("verify-bounds", ISA_EXCEEDANCE, 0, {
-        "verify.csv": "130ef2616ce8aba329175aa0d71bc615f74575d8e5a43564c911b6fe07bf78f8",
+        "verify.csv": "77b0af664c285af4948f22d3c73ad04759bb97faaeabeaaf4829c6e31080dcf6",
     }),
 }
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fkips.cli import main as cli_main
-from fkips.engine import run_counts
+from fkips.engine import BLOCK, run_counts
 from fkips.errors import ConfigError
 from fkips.flow import FlowSpec
 from fkips.harness import (
@@ -128,19 +128,21 @@ class TestRunExperiment:
     def test_single_replicate_reproduces_engine_run(self):
         cfg = parse_config(CLASSIC_TEXT.replace("replicates = 4", "replicates = 1"))
         flow = cfg.build_flow()
-        direct = run_counts(flow, cfg.n_particles, cfg.seed, eps="auto", replicate=0)
+        direct = run_counts(flow, cfg.n_particles, cfg.seed, eps="auto")
         result = run_experiment(cfg)
         reader = csv.DictReader(io.StringIO(result.raw_csv))
         rows = {int(r["step"]): r for r in reader}
         for n in range(4):
             assert float(rows[n]["log_gamma1"]) == pytest.approx(
-                direct.log_gamma1[n], rel=1e-15
+                direct.log_gamma1[0, n], rel=1e-15
             )
 
     def test_byte_identical_across_runs_and_threads(self):
-        cfg = parse_config(CLASSIC_TEXT)
-        outs = [run_experiment(cfg, threads=t) for t in (1, 2, 8)]
-        again = run_experiment(cfg, threads=1)
+        # the threads key is accepted for older configs and changes nothing
+        outs = [
+            run_experiment(parse_config(CLASSIC_TEXT + f"threads = {t}\n")) for t in (1, 2, 8)
+        ]
+        again = run_experiment(parse_config(CLASSIC_TEXT))
         assert len({o.raw_csv for o in outs} | {again.raw_csv}) == 1
         assert len({o.stats_csv for o in outs}) == 1
 
@@ -266,6 +268,23 @@ class TestCli:
         ) == 0
         for name in ("raw.csv", "stats.csv", "oracle.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_raw_rows_independent_of_replicate_count(self, tmp_path):
+        # each short count and the long one sit on either side of a block
+        # boundary; d = 10 puts every per-row sum on numpy's pairwise path,
+        # and a 2-row block is where a BLAS product over the block has
+        # been seen to round differently
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(flow_to_config(bounded_regime_flow(5, dim=10), n_particles=300, seed=3))
+        lines = {}
+        for reps in (2, BLOCK - 3, BLOCK + 5):
+            out = tmp_path / f"r{reps}"
+            argv = ["run", "--config", str(cfg_path), "--out", str(out), "--replicates", str(reps)]
+            assert cli_main(argv) == 0
+            lines[reps] = (out / "raw.csv").read_bytes().splitlines()
+            assert len(lines[reps]) == 1 + reps * 6
+        for reps in (2, BLOCK - 3):
+            assert lines[BLOCK + 5][: len(lines[reps])] == lines[reps]
 
     def test_adaptive_subcommand_enforces_kind(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"
