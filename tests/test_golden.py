@@ -105,6 +105,15 @@ epsilon = 0.75
 mcmc_iters = 3
 """ + RUN
 
+# At N = 40 and 5 replicates several tail-shape frequencies lie strictly
+# between 0 and 1, so verify.csv pins the adaptive engine's draws.
+VERIFY_ADAPTIVE = ADAPTIVE + """
+[checks]
+a = 0.6
+s_values = 0.05 0.1 0.15
+y_values = 1 2
+"""
+
 # (command, config, expected exit code, {output file: sha256})
 CASES = {
     "run-classic": ("run", CLASSIC, 0, {
@@ -132,6 +141,9 @@ CASES = {
     }),
     "verify-isa": ("verify-bounds", ISA, 0, {
         "verify.csv": "1ecd5152b5b342504b0ec74aad2267d910e77ec87ce53a01a4151bf58c57450a",
+    }),
+    "verify-adaptive": ("verify-bounds", VERIFY_ADAPTIVE, 0, {
+        "verify.csv": "da79a596c9ba93bd283858d51be2655a960342fb7f376138ab194d9795118b1d",
     }),
     "verify-isa-exceedance": ("verify-bounds", ISA_EXCEEDANCE, 0, {
         "verify.csv": "77b0af664c285af4948f22d3c73ad04759bb97faaeabeaaf4829c6e31080dcf6",
