@@ -31,8 +31,18 @@ import numpy as np
 
 from . import bounds
 from .annealing import GibbsProblem, gibbs_measure, metropolis_kernel
-from .engine import ParticleEnsemble, init_ensemble, mutation_step, selection_step
-from .errors import InputError
+from .engine import (
+    BLOCK,
+    CountRun,
+    ParticleEnsemble,
+    Purpose,
+    _SlotStream,
+    _transition,
+    init_ensemble,
+    mutation_step,
+    selection_step,
+)
+from .errors import InputError, SolverError
 from .flow import FlowSpec
 from .measures import FiniteDistribution, KernelMatrix, PotentialVector, dobrushin, potential_ratio
 from .testfns import osc1_dictionary
@@ -40,10 +50,12 @@ from .testfns import osc1_dictionary
 
 @dataclass(frozen=True, eq=False)
 class LambdaCurve:
-    """Mean selection weight ``lambda(x) = sum_i w_i exp(-x v_i)``.
+    """Mean selection weights ``lambda(x) = sum_i w_i exp(-x v_i)``.
 
-    Strictly decreasing and convex whenever some mass sits at positive
-    energy; ``lambda(0) = 1``.
+    ``weights`` is one row of m weights or a (k, m) stack of rows against the
+    same m energies; each row is normalized, so ``lambda(0) = 1``.  Every
+    curve is convex, and strictly decreasing whenever some of its mass sits
+    at positive energy.
     """
 
     v_values: np.ndarray
@@ -52,12 +64,12 @@ class LambdaCurve:
     def __post_init__(self):
         v = np.asarray(self.v_values, dtype=np.float64)
         w = np.asarray(self.weights, dtype=np.float64)
-        if v.shape != w.shape or v.ndim != 1 or v.size == 0:
-            raise InputError("curve needs matching 1-d energies and weights")
+        if v.ndim != 1 or v.size == 0 or w.ndim not in (1, 2) or w.shape[-1] != v.size:
+            raise InputError("curve needs 1-d energies and matching rows of weights")
         if np.any(v < 0):
             raise InputError("energies must be >= 0 (declared V_min = 0)")
         object.__setattr__(self, "v_values", v)
-        object.__setattr__(self, "weights", w / w.sum())
+        object.__setattr__(self, "weights", w / w.sum(axis=-1, keepdims=True))
 
     @classmethod
     def from_distribution(cls, mu: FiniteDistribution, v_values) -> "LambdaCurve":
@@ -68,51 +80,103 @@ class LambdaCurve:
         n = v_of_states.shape[0]
         return cls(v_of_states, np.full(n, 1.0 / n))
 
-    def value(self, x: float) -> float:
-        return float(self.weights @ np.exp(-x * self.v_values))
+    def value(self, x, slope: bool = False):
+        """lambda at x: a float for one row, else one value per row at the
+        row's own x.  With ``slope``, also returns lambda'(x).
+
+        Each row is an elementwise product and a sum over that row alone,
+        so its value does not depend on the other rows.
+        """
+        terms = self.weights * np.exp(-np.asarray(x, dtype=np.float64)[..., None] * self.v_values)
+        lam = terms.sum(axis=-1)
+        lam = float(lam) if lam.ndim == 0 else lam
+        if not slope:
+            return lam
+        grad = -(terms * self.v_values).sum(axis=-1)
+        return lam, float(grad) if grad.ndim == 0 else grad
+
+
+# Smallest accepted solver tolerance: a curve value is a sum of m rounded
+# float64 terms near epsilon <= 1, so a residual below about 1e-13 may be
+# out of reach of the arithmetic.
+TOL_FLOOR = 1e-13
+# Newton iterations before the solver gives up and raises.
+MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
 class KappaResult:
+    """Solved increments; floats for a one-row curve, else arrays of rows."""
+
     delta: float
     saturated: bool
-    lam: float   # lambda at the returned increment
+    lam: float          # lambda at the returned increment
+    iterations: int     # Newton iterations taken
 
 
 def kappa_solve(
-    curve: LambdaCurve, epsilon: float, tol: float = 1e-10, delta_max: float = 1e6
+    curve: LambdaCurve,
+    epsilon: float,
+    tol: float = 1e-10,
+    delta_max: float = 1e6,
+    *,
+    step: int | None = None,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> KappaResult:
-    """Invert the mean-weight curve: find Delta with ``lambda(Delta) = eps``.
+    """Invert the mean-weight curve: find Delta with ``lambda(Delta) = eps``,
+    for every row of ``curve`` at once.
 
-    Bracket [0, 1] is doubled until the curve drops below epsilon (or the
-    cap is hit), then bisected until the curve value is within ``tol`` of
-    epsilon.  If even ``lambda(delta_max) > epsilon`` the mass is trapped
-    near V = 0 and the cap is returned with ``saturated`` set.
+    Newton's method starts each row at Delta = 0.  lambda is convex and
+    decreasing, so the iterates rise monotonically to the root; a row is
+    frozen once ``|lambda - eps| <= tol``.  Iterates are capped at
+    ``delta_max``: a row whose curve is still above epsilon there has its
+    mass trapped near V = 0 and returns the cap with ``saturated`` set.  A
+    row still unconverged after ``max_iterations`` raises
+    :class:`~fkips.errors.SolverError` naming ``step``, Delta and the
+    residual.  Every curve evaluation goes through
+    :meth:`LambdaCurve.value`.
 
     ``epsilon = 1`` is the exact boundary solution Delta = 0.
     """
     if not 0.0 < epsilon <= 1.0:
         raise InputError("target mean weight must lie in (0, 1]")
-    if tol <= 0 or delta_max <= 0:
-        raise InputError("tol and delta_max must be > 0")
+    if not tol >= TOL_FLOOR or delta_max <= 0:
+        raise InputError(f"tol must be >= {TOL_FLOOR:g} and delta_max > 0")
+    shape = curve.weights.shape[:-1]
+    delta = np.zeros(shape)
+    saturated = np.zeros(shape, dtype=bool)
+    iterations = np.zeros(shape, dtype=np.int64)
     if epsilon == 1.0:
-        return KappaResult(0.0, False, 1.0)
-    lam_cap = curve.value(delta_max)
-    if lam_cap > epsilon:
-        return KappaResult(delta_max, True, lam_cap)
-    lo, hi = 0.0, min(1.0, delta_max)
-    while curve.value(hi) > epsilon and hi < delta_max:
-        lo, hi = hi, min(2.0 * hi, delta_max)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = curve.value(mid)
-        if abs(val - epsilon) <= tol:
-            return KappaResult(mid, False, val)
-        if val > epsilon:
-            lo = mid
-        else:
-            hi = mid
-    return KappaResult(0.5 * (lo + hi), False, curve.value(0.5 * (lo + hi)))
+        return _kappa_result(delta, saturated, np.ones(shape), iterations)
+    lam, grad = curve.value(delta, slope=True)
+    active = np.abs(lam - epsilon) > tol
+    for _ in range(max_iterations):
+        if not np.any(active):
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # lambda' < 0 unless all of a row's mass sits at V = 0; such a
+            # flat row steps to the cap and saturates there
+            newton = np.minimum(delta + (lam - epsilon) / np.abs(grad), delta_max)
+        delta = np.where(active, newton, delta)
+        iterations += active
+        lam_new, grad_new = curve.value(delta, slope=True)
+        lam, grad = np.where(active, lam_new, lam), np.where(active, grad_new, grad)
+        capped = active & (delta >= delta_max) & (lam > epsilon)
+        saturated |= capped
+        active &= ~capped & (np.abs(lam - epsilon) > tol)
+    if np.any(active):
+        r = int(np.argmax(np.ravel(active)))
+        residual = np.abs(lam - epsilon)
+        raise SolverError(
+            step, float(np.ravel(delta)[r]), float(np.ravel(residual)[r]), max_iterations
+        )
+    return _kappa_result(delta, saturated, lam, iterations)
+
+
+def _kappa_result(delta, saturated, lam, iterations) -> KappaResult:
+    if np.ndim(delta) == 0:
+        return KappaResult(float(delta), bool(saturated), float(lam), int(iterations))
+    return KappaResult(delta, saturated, lam, iterations)
 
 
 @dataclass(frozen=True)
@@ -138,8 +202,11 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise InputError("epsilon (target kept fraction) must lie in (0, 1)")
-        if self.tol <= 0:
-            raise InputError("tol must be > 0")
+        if not self.tol >= TOL_FLOOR:
+            raise InputError(
+                f"tol must be >= {TOL_FLOOR:g} (float64 cannot resolve a smaller "
+                f"curve residual), got {self.tol!r}"
+            )
         if self.delta_max is not None and self.delta_max <= 0:
             raise InputError("delta_max must be > 0")
         if self.mutation_mode not in ("theoretical", "adaptive"):
@@ -219,7 +286,7 @@ def theoretical_adaptive_flow(
     for _ in range(horizon):
         eta_prev = etas[-1]
         curve = LambdaCurve.from_distribution(eta_prev, v)
-        res = kappa_solve(curve, epsilon, tol=kappa_tol, delta_max=1e9)
+        res = kappa_solve(curve, epsilon, tol=kappa_tol, delta_max=1e9, step=len(deltas) + 1)
         if res.saturated:
             raise InputError("increment solver saturated on the exact law")
         delta = res.delta
@@ -261,6 +328,7 @@ class AdaptiveStepRow:
     kept_fraction: float
     saturated: bool
     lambda_residual: float  # |lambda(Delta) - epsilon| at the solved increment
+    iterations: int         # Newton iterations of the increment solve
 
 
 @dataclass(frozen=True)
@@ -295,21 +363,10 @@ def run_adaptive(
     """
     if n_particles < 1:
         raise InputError("population size must be >= 1")
-    v_osc_value = problem.v_osc if problem.finite else None
-    if config.mutation_mode == "theoretical" and reference is None:
-        reference = theoretical_adaptive_flow(
-            problem,
-            config.epsilon,
-            horizon,
-            mcmc_iters=config.mcmc_iters,
-            beta0=config.beta0,
-        )
-    if reference is not None and reference.horizon < horizon:
-        raise InputError("reference schedule shorter than the requested horizon")
-
+    reference = _reference(problem, config, horizon, reference)
     if problem.finite:
         eta0 = gibbs_measure(problem, config.beta0)
-        delta_cap = config.resolved_delta_max(v_osc_value)
+        delta_cap = config.resolved_delta_max(problem.v_osc)
     else:
         eta0 = problem.reference
         if config.delta_max is None:
@@ -325,7 +382,9 @@ def run_adaptive(
         if np.any(v_states < 0):
             raise InputError("energies must be >= 0 (declared V_min = 0)")
         curve = LambdaCurve.from_ensemble(v_states)
-        res = kappa_solve(curve, config.epsilon, tol=config.tol, delta_max=delta_cap)
+        res = kappa_solve(
+            curve, config.epsilon, tol=config.tol, delta_max=delta_cap, step=n + 1
+        )
         delta = res.delta
         beta = beta + delta
         weights = np.exp(-delta * v_states)
@@ -333,9 +392,7 @@ def run_adaptive(
         if config.mutation_mode == "theoretical":
             kernel = reference.flow.steps[n][1]
         else:
-            kernel = metropolis_kernel(problem, beta)
-            if isinstance(kernel, KernelMatrix):
-                kernel = kernel.power(config.mcmc_iters)
+            kernel = _realized_kernel(problem, beta, config.mcmc_iters)
         ens = mutation_step(outcome.ensemble, kernel)
         ensembles.append(ens)
 
@@ -361,9 +418,149 @@ def run_adaptive(
                 kept_fraction=outcome.kept_fraction,
                 saturated=res.saturated,
                 lambda_residual=abs(res.lam - config.epsilon),
+                iterations=res.iterations,
             )
         )
     return AdaptiveRun(ensembles=tuple(ensembles), rows=tuple(rows))
+
+
+def _reference(problem, config, horizon, reference):
+    """The given reference, or the one theoretical mutation needs."""
+    if config.mutation_mode == "theoretical" and reference is None:
+        reference = theoretical_adaptive_flow(
+            problem,
+            config.epsilon,
+            horizon,
+            mcmc_iters=config.mcmc_iters,
+            beta0=config.beta0,
+        )
+    if reference is not None and reference.horizon < horizon:
+        raise InputError("reference schedule shorter than the requested horizon")
+    return reference
+
+
+def _realized_kernel(problem, beta, mcmc_iters):
+    """The annealing kernel at a realized inverse temperature."""
+    kernel = metropolis_kernel(problem, beta)
+    return kernel.power(mcmc_iters) if isinstance(kernel, KernelMatrix) else kernel
+
+
+@dataclass(frozen=True, eq=False)
+class AdaptiveCountRun(CountRun):
+    """Occupation counts and per-step records of R replicates of the
+    adaptive scheme; arrays have the replicate axis first.
+
+    ``mean_potential`` is lambda^N at the solved increment and
+    ``log_gamma1`` accumulates its logarithm.
+    """
+
+    delta: np.ndarray            # (R, T) realized increments
+    beta: np.ndarray             # (R, T+1) realized inverse temperatures
+    c: np.ndarray                # (R, T) perturbation constants
+    c_mode: str                  # "oracle" | "empirical"
+    saturated: np.ndarray        # (R, T) bool
+    lambda_residual: np.ndarray  # (R, T) |lambda(Delta) - epsilon|
+    iterations: np.ndarray       # (R, T) Newton iterations per solve
+
+
+def run_adaptive_counts(
+    problem: GibbsProblem,
+    config: AdaptiveConfig,
+    n_particles: int,
+    horizon: int,
+    seed: int,
+    *,
+    replicates: int = 1,
+    reference: ReferenceSchedule | None = None,
+) -> AdaptiveCountRun:
+    """Run R replicates of the adaptive scheme on a finite problem through
+    their per-state occupation counts.
+
+    One step of a block of :data:`~fkips.engine.BLOCK` replicates solves
+    every row's increment at once by :func:`kappa_solve` on
+    ``lambda_r(Delta) = sum_x c_{r,x} exp(-Delta v_x) / N``, keeps
+    ``Binomial(c_x, exp(-Delta v_x))`` particles per state, redraws the rest
+    as one ``Multinomial`` over ``c exp(-Delta v)`` and moves them as
+    :func:`~fkips.engine.run_counts` does, from the same (seed, block,
+    step, purpose) slots.  The kernel is the reference's in theoretical
+    mutation mode, and each row's annealing kernel at its realized inverse
+    temperature in adaptive mode.  This equals :func:`run_adaptive` in law,
+    not draw for draw, and replicate r depends on (seed, r) only.
+    """
+    if not problem.finite:
+        raise InputError("the count engine needs a finite problem; run_adaptive takes samplers")
+    if n_particles < 1:
+        raise InputError("population size must be >= 1")
+    if replicates < 1:
+        raise InputError("replicates must be >= 1")
+    if np.any(problem.v_values < 0):
+        raise InputError("energies must be >= 0 (declared V_min = 0)")
+    reference = _reference(problem, config, horizon, reference)
+    shape, d = (replicates, horizon), problem.dim
+    run = AdaptiveCountRun(
+        counts=np.empty((replicates, horizon + 1, d), dtype=np.int64),
+        mean_potential=np.empty(shape),
+        kept_fraction=np.empty(shape),
+        ess=np.empty(shape),
+        log_gamma1=np.zeros((replicates, horizon + 1)),
+        delta=np.empty(shape),
+        beta=np.empty((replicates, horizon + 1)),
+        c=np.empty(shape),
+        c_mode="empirical" if reference is None else "oracle",
+        saturated=np.empty(shape, dtype=bool),
+        lambda_residual=np.empty(shape),
+        iterations=np.empty(shape, dtype=np.int64),
+    )
+    streams = _SlotStream(seed)
+    for block in range(-(-replicates // BLOCK)):
+        _adaptive_block(run, block, problem, config, reference, n_particles, streams)
+    return run
+
+
+def _adaptive_block(run, block, problem, config, reference, n_particles, streams):
+    """Fill the rows of ``block`` in ``run`` in place; every per-row value
+    is elementwise or a sum over that row, as in the classic engine."""
+    rows = slice(block * BLOCK, min(run.counts.shape[0], (block + 1) * BLOCK))
+    counts = run.counts[rows]
+    k, eps = counts.shape[0], config.epsilon
+    v, v_max = problem.v_values, float(problem.v_values.max())
+    delta_cap = config.resolved_delta_max(problem.v_osc)
+    eta0 = gibbs_measure(problem, config.beta0)
+    counts[:, 0] = streams.at(block, 0, Purpose.INIT).multinomial(n_particles, eta0.weights, size=k)
+    beta = np.full(k, float(config.beta0))
+    run.beta[rows, 0] = beta
+    for n in range(run.delta.shape[1]):
+        c = counts[:, n]
+        res = kappa_solve(
+            LambdaCurve(v, c), eps, tol=config.tol, delta_max=delta_cap, step=n + 1
+        )
+        beta = beta + res.delta
+        g = np.exp(-res.delta[:, None] * v)
+        if config.mutation_mode == "theoretical":
+            kernel_rows = reference.flow.steps[n][1].rows
+        else:
+            kernel_rows = np.stack(
+                [_realized_kernel(problem, b, config.mcmc_iters).rows for b in beta]
+            )
+        weights = c * g
+        counts[:, n + 1], n_kept = _transition(streams, block, n + 1, c, g, weights, kernel_rows)
+        total = weights.sum(axis=1)
+        if reference is not None:
+            eta_v = reference.etas[n].expect(v)
+        else:
+            eta_v = (c * v).sum(axis=1) / n_particles
+        with np.errstate(over="ignore", divide="ignore"):
+            c_n = np.where(eta_v > 0, v_max * np.exp(res.delta * v_max) / (eps * eta_v), np.inf)
+        run.delta[rows, n] = res.delta
+        run.beta[rows, n + 1] = beta
+        run.c[rows, n] = c_n
+        run.saturated[rows, n] = res.saturated
+        run.lambda_residual[rows, n] = np.abs(res.lam - eps)
+        run.iterations[rows, n] = res.iterations
+        run.mean_potential[rows, n] = total / n_particles
+        run.kept_fraction[rows, n] = n_kept / n_particles
+        run.ess[rows, n] = total * total / (weights * g).sum(axis=1)
+        run.log_gamma1[rows, n + 1] = run.log_gamma1[rows, n] + np.log(total / n_particles)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +569,9 @@ def run_adaptive(
 
 
 def _dictionary_deviations(weight_rows: np.ndarray, target: np.ndarray, fdict: np.ndarray):
-    """Per-(replicate, function) deviations of empirical vs target means."""
-    return (weight_rows - target[None, :]) @ fdict.T
+    """Per-(replicate, function) deviations of empirical vs target means,
+    each a sum over one replicate's row."""
+    return ((weight_rows - target[None, :])[:, None, :] * fdict[None, :, :]).sum(axis=2)
 
 
 def _d2_estimate(devs: np.ndarray):
@@ -390,24 +588,10 @@ def _d2_estimate(devs: np.ndarray):
 
 def _replicate_histograms(problem, config, n_particles, horizon, seed, replicates, reference):
     """Empirical occupation weights and realized increments per replicate."""
-    d = problem.dim
-    hists = np.zeros((replicates, horizon + 1, d))
-    deltas = np.zeros((replicates, horizon))
-    for r in range(replicates):
-        run = run_adaptive(
-            problem,
-            config,
-            n_particles,
-            horizon,
-            seed,
-            replicate=r,
-            reference=reference,
-        )
-        for n, ens in enumerate(run.ensembles):
-            hists[r, n] = ens.histogram(d).weights
-        for n, row in enumerate(run.rows):
-            deltas[r, n] = row.delta
-    return hists, deltas
+    run = run_adaptive_counts(
+        problem, config, n_particles, horizon, seed, replicates=replicates, reference=reference
+    )
+    return run.histograms, run.delta
 
 
 @dataclass(frozen=True)
@@ -591,38 +775,33 @@ def khintchine_conditional_check(
         problem, config.epsilon, freeze_steps + 1, mcmc_iters=config.mcmc_iters,
         beta0=config.beta0,
     )
-    base_run = run_adaptive(
-        problem, config, n_particles, freeze_steps, seed,
-        replicate=0, reference=reference,
+    base_run = run_adaptive_counts(
+        problem, config, n_particles, freeze_steps, seed, reference=reference
     )
-    frozen = base_run.final
-    v_states = problem.energy_of(frozen.states)
-    curve = LambdaCurve.from_ensemble(v_states)
-    res = kappa_solve(curve, config.epsilon, tol=config.tol,
-                      delta_max=config.resolved_delta_max(problem.v_osc))
-    weights = np.exp(-res.delta * v_states)
+    frozen = base_run.counts[0, -1]
+    v = problem.v_values
+    res = kappa_solve(
+        LambdaCurve(v, frozen), config.epsilon, tol=config.tol,
+        delta_max=config.resolved_delta_max(problem.v_osc), step=freeze_steps + 1,
+    )
+    g = np.exp(-res.delta * v)
     kernel = reference.flow.steps[freeze_steps][1]
 
-    d = problem.dim
-    hist = frozen.histogram(d).weights
-    target = hist * np.exp(-res.delta * problem.v_values)
-    target /= target.sum()
+    target = frozen * g
+    target = target / target.sum()
     target = target @ kernel.rows
 
-    fdict = osc1_dictionary(d)
-    devs = np.zeros((replicates, fdict.shape[0]))
-    for r in range(replicates):
-        reseeded = ParticleEnsemble(
-            states=frozen.states,
-            step=frozen.step,
-            log_gamma1=frozen.log_gamma1,
-            seed=seed + 1,
-            replicate=r + 1,
+    # replay the next step from the frozen counts, one block of rows per call
+    streams = _SlotStream(seed + 1)
+    hists = np.empty((replicates, problem.dim))
+    for block in range(-(-replicates // BLOCK)):
+        rows = slice(block * BLOCK, min(replicates, (block + 1) * BLOCK))
+        c = np.broadcast_to(frozen, hists[rows].shape)
+        moved, _ = _transition(
+            streams, block, freeze_steps + 1, c, np.broadcast_to(g, c.shape), c * g, kernel.rows
         )
-        outcome = selection_step(reseeded, lambda st, w=weights: w, 1.0)
-        moved = mutation_step(outcome.ensemble, kernel)
-        emp = moved.histogram(d).weights
-        devs[r] = (emp - target) @ fdict.T
+        hists[rows] = moved / n_particles
+    devs = _dictionary_deviations(hists, target, osc1_dictionary(problem.dim))
     d2, se = _d2_estimate(devs)
     return d2, bounds.bp_constant(2) / math.sqrt(n_particles), se
 

@@ -440,15 +440,27 @@ def _count_block(run, block, initial, steps, eps_schedule, n_particles, streams)
         if np.any(eps_n * g_max > 1.0 + 1e-12):
             raise InputError("eps * max potential exceeds 1 on this ensemble")
         keep_p = np.clip(eps_n[:, None] * g, 0.0, 1.0)
-        kept = streams.at(block, n + 1, Purpose.KEEP).binomial(c, keep_p)
-        n_kept = kept.sum(axis=1)
-        selected = kept + streams.at(block, n + 1, Purpose.RESAMPLE).multinomial(
-            n_particles - n_kept, weights / total[:, None]
-        )
-        moves = streams.at(block, n + 1, Purpose.MUTATE).multinomial(selected, kernel.rows)
-        counts[:, n + 1] = moves.sum(axis=1)
+        counts[:, n + 1], n_kept = _transition(streams, block, n + 1, c, keep_p, weights, kernel.rows)
         mean_g = total / n_particles
         run.mean_potential[rows, n] = mean_g
         run.kept_fraction[rows, n] = n_kept / n_particles
         run.ess[rows, n] = total * total / (weights * g).sum(axis=1)
         run.log_gamma1[rows, n + 1] = run.log_gamma1[rows, n] + np.log(mean_g)
+
+
+def _transition(streams, block, step, counts, keep_p, weights, kernel_rows):
+    """Keep, redraw and move the (k, d) count rows of ``block`` into ``step``.
+
+    Row r keeps ``Binomial(c_x, keep_p[r, x])`` particles per state, redraws
+    the rest as one ``Multinomial`` over ``weights[r]`` (c times G) and moves
+    every particle by ``kernel_rows``, one (d, d) kernel for the block or a
+    (k, d, d) stack of one kernel per row.  Returns the next counts and the
+    kept count of every row.
+    """
+    kept = streams.at(block, step, Purpose.KEEP).binomial(counts, keep_p)
+    n_kept = kept.sum(axis=1)
+    redrawn = streams.at(block, step, Purpose.RESAMPLE).multinomial(
+        counts.sum(axis=1) - n_kept, weights / weights.sum(axis=1, keepdims=True)
+    )
+    moves = streams.at(block, step, Purpose.MUTATE).multinomial(kept + redrawn, kernel_rows)
+    return moves.sum(axis=1), n_kept

@@ -21,6 +21,18 @@ class ExtinctionError(FkipsError):
         self.step = step
 
 
+class SolverError(FkipsError):
+    """The adaptive increment solver reached its iteration cap unconverged."""
+
+    def __init__(self, step, delta: float, residual: float, iterations: int):
+        where = f" at step {step}" if step is not None else ""
+        super().__init__(
+            f"increment solver did not converge{where} after {iterations} Newton iterations: "
+            f"Delta = {delta:.17g}, |lambda(Delta) - epsilon| = {residual:.3g}"
+        )
+        self.step, self.delta, self.residual = step, delta, residual
+
+
 class RatioOverflowError(FkipsError):
     """A composed potential underflowed below 1e-300; its ratio is not reportable."""
 

@@ -455,45 +455,44 @@ class StatSummary:
     mean: float
     se: float
     quantiles: tuple            # (q10, q50, q90)
-    exceedance: tuple = ()      # ((threshold, frequency), ...)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicateStats:
-    """Aggregated per-(step, statistic) replicate summaries."""
+    """Per-(step, statistic) replicate summaries as (T+1, K) arrays."""
 
-    entries: dict   # (step, stat_name) -> StatSummary
+    names: tuple
+    mean: np.ndarray
+    se: np.ndarray
+    quantiles: np.ndarray   # (3, T+1, K): q10, q50, q90
     replicates: int
 
     def get(self, step: int, stat: str) -> StatSummary:
-        return self.entries[(step, stat)]
-
-
-def aggregate(raw_rows, stat_names, thresholds=()) -> ReplicateStats:
-    """Deterministic fold of raw per-replicate rows into summaries.
-
-    ``raw_rows`` maps (replicate, step) -> dict of statistic values; the
-    fold visits replicates in index order.
-    """
-    by_key: dict = {}
-    replicates = 0
-    for (rep, step), stats in sorted(raw_rows.items()):
-        replicates = max(replicates, rep + 1)
-        for name in stat_names:
-            by_key.setdefault((step, name), []).append(stats[name])
-    entries = {}
-    for key, vals in by_key.items():
-        arr = np.asarray(vals, dtype=np.float64)
-        se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-        entries[key] = StatSummary(
-            mean=float(arr.mean()),
-            se=se,
-            quantiles=tuple(float(q) for q in np.quantile(arr, (0.1, 0.5, 0.9))),
-            exceedance=tuple(
-                (float(t), float((np.abs(arr) >= t).mean())) for t in thresholds
-            ),
+        j = self.names.index(stat)
+        return StatSummary(
+            mean=float(self.mean[step, j]),
+            se=float(self.se[step, j]),
+            quantiles=tuple(float(q) for q in self.quantiles[:, step, j]),
         )
-    return ReplicateStats(entries=entries, replicates=replicates)
+
+
+def aggregate(values, stat_names) -> ReplicateStats:
+    """Deterministic fold of (R, T+1, K) per-replicate values into summaries.
+
+    The values of each (step, statistic) are laid out as one contiguous run
+    in replicate order before reducing, so every sum is numpy's pairwise sum
+    of that 1-d run and the summaries equal a fold of one column at a time.
+    """
+    x = np.ascontiguousarray(np.moveaxis(np.asarray(values, dtype=np.float64), 0, 2))
+    r = x.shape[-1]
+    se = x.std(axis=-1, ddof=1) / math.sqrt(r) if r > 1 else np.zeros(x.shape[:-1])
+    return ReplicateStats(
+        names=tuple(stat_names),
+        mean=x.mean(axis=-1),
+        se=se,
+        quantiles=np.quantile(x, (0.1, 0.5, 0.9), axis=-1),
+        replicates=r,
+    )
 
 
 @dataclass(frozen=True)
@@ -515,123 +514,105 @@ def _expectations(hists, tables) -> np.ndarray:
     return np.stack([(h[:, None, :] * tables).sum(axis=2) for h in hists])
 
 
-def _classic_rows(flow, cfg, horizon, tables):
-    """(replicate, step) -> statistics of every replicate of a finite flow,
-    and the statistic names in column order."""
+def _stat_values(run, head, tables):
+    """(R, T+1, K) values of a count run: the ``head`` columns, given as
+    (name, (R, T+1) array) pairs, then ``est_i``, the mean of table i."""
+    names = [name for name, _ in head] + [f"est_{i}" for i in range(len(tables))]
+    columns = [col for _, col in head] + list(
+        np.moveaxis(_expectations(run.histograms, tables), 2, 0)
+    )
+    return np.stack(columns, axis=2), names
+
+
+def _with_first(value, per_step):
+    """Prefix the (R, T) per-step values with ``value`` at step 0."""
+    return np.hstack([np.full((per_step.shape[0], 1), value), per_step])
+
+
+def _classic_values(flow, cfg, horizon, tables):
+    """Per-replicate statistics of a finite flow, from one count run."""
     run = run_counts(
         flow, cfg.n_particles, cfg.seed, replicates=cfg.replicates, horizon=horizon,
         eps=cfg.eps_mode,
     )
-    first = lambda value: np.full((cfg.replicates, 1), value)
-    columns = [
-        run.log_gamma1,
-        np.hstack([first(math.nan), run.mean_potential]),
-        np.hstack([first(math.nan), run.kept_fraction]),
-        np.hstack([first(float(cfg.n_particles)), run.ess]),
+    head = [
+        ("log_gamma1", run.log_gamma1),
+        ("mean_potential", _with_first(math.nan, run.mean_potential)),
+        ("kept_fraction", _with_first(math.nan, run.kept_fraction)),
+        ("ess", _with_first(float(cfg.n_particles), run.ess)),
     ]
-    columns += list(np.moveaxis(_expectations(run.histograms, tables), 2, 0))
-    names = ["log_gamma1", "mean_potential", "kept_fraction", "ess"] + [
-        f"est_{i}" for i in range(len(tables))
-    ]
-    values = np.stack(columns, axis=2).tolist()
-    raw_rows = {
-        (rep, n): dict(zip(names, row))
-        for rep, steps in enumerate(values)
-        for n, row in enumerate(steps)
-    }
-    return raw_rows, names
+    return _stat_values(run, head, tables)
 
 
-def _adaptive_replicate(problem, acfg, cfg, reference, fdict_tables, rep):
-    run = adaptive_mod.run_adaptive(
-        problem,
-        acfg,
-        cfg.n_particles,
-        cfg.steps,
-        cfg.seed,
-        replicate=rep,
-        reference=reference,
+def _adaptive_values(cfg):
+    """Per-replicate statistics of the adaptive scheme, from one count run."""
+    problem = cfg.build_problem()
+    acfg = cfg.build_adaptive_config()
+    tables = tuple(osc1_dictionary(problem.dim, cfg.n_test_functions))
+    run = adaptive_mod.run_adaptive_counts(
+        problem, acfg, cfg.n_particles, cfg.steps, cfg.seed, replicates=cfg.replicates
     )
-    rows = {}
-    for n, ens in enumerate(run.ensembles):
-        stats = {
-            "log_gamma1": ens.log_gamma1,
-            "delta": run.rows[n - 1].delta if n else 0.0,
-            "beta": run.rows[n - 1].beta if n else acfg.beta0,
-            "c": run.rows[n - 1].c if n else 0.0,
-            "kept_fraction": run.rows[n - 1].kept_fraction if n else math.nan,
-            "saturated": float(run.rows[n - 1].saturated) if n else 0.0,
-        }
-        hist = ens.histogram(problem.dim).weights
-        for i, table in enumerate(fdict_tables):
-            stats[f"est_{i}"] = float(hist @ table)
-        rows[(rep, n)] = stats
-    return rows
+    head = [
+        ("log_gamma1", run.log_gamma1),
+        ("delta", _with_first(0.0, run.delta)),
+        ("beta", run.beta),
+        ("c", _with_first(0.0, run.c)),
+        ("kept_fraction", _with_first(math.nan, run.kept_fraction)),
+        ("saturated", _with_first(0.0, run.saturated.astype(np.float64))),
+    ]
+    return _stat_values(run, head, tables)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute all replicates and aggregate.
 
-    Finite flows run every replicate through one block-wise
-    :func:`~fkips.engine.run_counts` call; adaptive runs go one replicate at
-    a time.  The ``threads`` config key has no effect.
+    Every kind runs all its replicates through one block-wise count-engine
+    call: :func:`~fkips.engine.run_counts` for classic and isa flows,
+    :func:`~fkips.adaptive.run_adaptive_counts` for the adaptive scheme.
+    The ``threads`` config key has no effect.
     """
     flow = cfg.flow
     oracle_csv = None
     if cfg.kind in ("classic", "isa"):
         horizon = cfg.horizon()
         tables = tuple(osc1_dictionary(flow.dim, cfg.n_test_functions))
-        raw_rows, stat_names = _classic_rows(flow, cfg, horizon, tables)
+        values, stat_names = _classic_values(flow, cfg, horizon, tables)
         oracle_csv = _oracle_csv(flow.trace, horizon, tables)
     else:
-        problem = cfg.build_problem()
-        acfg = cfg.build_adaptive_config()
-        tables = tuple(osc1_dictionary(problem.dim, cfg.n_test_functions))
-        reference = None
-        if acfg.mutation_mode == "theoretical":
-            reference = adaptive_mod.theoretical_adaptive_flow(
-                problem,
-                acfg.epsilon,
-                cfg.steps,
-                mcmc_iters=acfg.mcmc_iters,
-                beta0=acfg.beta0,
-            )
-        stat_names = ["log_gamma1", "delta", "beta", "c", "kept_fraction", "saturated"] + [
-            f"est_{i}" for i in range(len(tables))
-        ]
-        raw_rows = {}
-        for rep in range(cfg.replicates):
-            raw_rows.update(_adaptive_replicate(problem, acfg, cfg, reference, tables, rep))
-    stats = aggregate(raw_rows, stat_names)
+        values, stat_names = _adaptive_values(cfg)
+    stats = aggregate(values, stat_names)
     return ExperimentResult(
         config=cfg,
         stats=stats,
-        raw_csv=_raw_csv(raw_rows, stat_names),
-        stats_csv=_stats_csv(stats, stat_names),
+        raw_csv=_raw_csv(values, stat_names),
+        stats_csv=_stats_csv(stats),
         oracle_csv=oracle_csv,
     )
 
 
-def _raw_csv(raw_rows, stat_names) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["replicate", "step"] + stat_names)
-    for (rep, step) in sorted(raw_rows):
-        stats = raw_rows[(rep, step)]
-        writer.writerow([rep, step] + [_fmt(stats[name]) for name in stat_names])
-    return buf.getvalue()
+def _csv_line(cells) -> str:
+    # every cell is an int, a float or a plain name, so none needs quoting
+    return ",".join(cells) + "\n"
 
 
-def _stats_csv(stats: ReplicateStats, stat_names) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step", "statistic", "mean", "se", "q10", "q50", "q90"])
-    for (step, name) in sorted(stats.entries, key=lambda k: (k[0], stat_names.index(k[1]))):
-        s = stats.entries[(step, name)]
-        writer.writerow(
-            [step, name, _fmt(s.mean), _fmt(s.se)] + [_fmt(q) for q in s.quantiles]
-        )
-    return buf.getvalue()
+def _raw_csv(values, stat_names) -> str:
+    """One row per (replicate, step) of the (R, T+1, K) values."""
+    lines = [_csv_line(["replicate", "step", *stat_names])]
+    for rep, steps in enumerate(np.asarray(values, dtype=np.float64).tolist()):
+        for step, row in enumerate(steps):
+            lines.append(_csv_line([str(rep), str(step), *(format(x, _FLOAT_FMT) for x in row)]))
+    return "".join(lines)
+
+
+def _stats_csv(stats: ReplicateStats) -> str:
+    lines = [_csv_line(["step", "statistic", "mean", "se", "q10", "q50", "q90"])]
+    cells = np.stack([stats.mean, stats.se, *stats.quantiles], axis=2).tolist()
+    for step, row in enumerate(cells):
+        for name, summary in zip(stats.names, row):
+            lines.append(
+                _csv_line([str(step), name, *(format(x, _FLOAT_FMT) for x in summary)])
+            )
+    return "".join(lines)
 
 
 def _oracle_csv(trace, horizon, tables, column="exact_est") -> str:

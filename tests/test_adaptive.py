@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 from scipy.optimize import brentq
 
 from fkips.adaptive import (
+    TOL_FLOOR,
     AdaptiveConfig,
     LambdaCurve,
     concentration_check,
@@ -16,10 +20,12 @@ from fkips.adaptive import (
     l2_error_check,
     perturbation_check,
     run_adaptive,
+    run_adaptive_counts,
     theoretical_adaptive_flow,
 )
 from fkips.annealing import GibbsProblem
-from fkips.errors import InputError
+from fkips.engine import BLOCK
+from fkips.errors import InputError, SolverError
 from fkips.flow import run_flow
 from fkips.measures import BoundedFunction, FiniteDistribution, KernelMatrix
 
@@ -80,6 +86,48 @@ class TestKappaSolve:
         curve = LambdaCurve(np.array([0.5, 0.8, 1.0]), np.array([0.3, 0.3, 0.4]))
         deltas = [kappa_solve(curve, eps, tol=1e-12).delta for eps in (0.3, 0.5, 0.7, 0.9)]
         assert all(b < a for a, b in zip(deltas, deltas[1:]))
+
+
+class TestNewtonRows:
+    def test_rows_match_one_row_solves(self):
+        rng = np.random.default_rng(3)
+        v = np.array([0.1, 0.4, 0.55, 0.7, 1.0, 0.25])
+        counts = rng.integers(0, 200, (BLOCK + 3, v.size))
+        block = kappa_solve(LambdaCurve(v, counts), 0.6, tol=1e-12)
+        for r in (0, 5, BLOCK + 2):
+            one = kappa_solve(LambdaCurve(v, counts[r]), 0.6, tol=1e-12)
+            assert block.delta[r] == one.delta and block.iterations[r] == one.iterations
+        assert np.all(np.abs(block.lam - 0.6) <= 1e-12)
+
+    def test_few_iterations_from_zero(self):
+        # quadratic convergence: a handful of iterations reach 1e-12
+        curve = LambdaCurve(np.array([0.2, 1.0, 3.0]), np.array([0.5, 0.3, 0.2]))
+        for eps in (0.3, 0.75, 0.95):
+            res = kappa_solve(curve, eps, tol=1e-12)
+            assert 1 <= res.iterations <= 8 and abs(res.lam - eps) <= 1e-12
+
+    def test_saturated_rows_are_frozen_at_the_cap(self):
+        curve = LambdaCurve(np.array([0.0, 1.0]), np.array([[0.6, 0.4], [0.2, 0.8], [1.0, 0.0]]))
+        res = kappa_solve(curve, 0.5, delta_max=30.0)
+        assert res.saturated.tolist() == [True, False, True]
+        assert res.delta[0] == res.delta[2] == 30.0
+        assert abs(res.lam[1] - 0.5) <= 1e-10
+
+    def test_unconverged_solve_raises_with_step_delta_and_residual(self):
+        curve = LambdaCurve(np.array([0.2, 1.0, 3.0]), np.array([0.5, 0.3, 0.2]))
+        with pytest.raises(SolverError) as info:
+            kappa_solve(curve, 0.3, step=7, max_iterations=2)
+        msg = str(info.value)
+        assert "step 7" in msg and "Delta = " in msg and "|lambda(Delta) - epsilon|" in msg
+        assert info.value.step == 7 and info.value.residual > 1e-10
+
+    def test_tolerance_floor(self):
+        curve = LambdaCurve(np.array([1.0]), np.array([1.0]))
+        assert kappa_solve(curve, 0.5, tol=TOL_FLOOR).iterations > 0
+        with pytest.raises(InputError):
+            kappa_solve(curve, 0.5, tol=TOL_FLOOR / 10)
+        with pytest.raises(InputError, match="tol"):
+            AdaptiveConfig(epsilon=0.5, tol=1e-14)
 
 
 class TestTheoreticalFlow:
@@ -250,3 +298,116 @@ class TestVerificationProcedures:
         assert report.all_hold
         zero_rows = [r for r in report.rows if r.kind == "tail-shape" and r.level == 0.0]
         assert all(r.bound == 1.0 for r in zero_rows)
+
+
+def _count_fields(run):
+    return (
+        run.counts, run.log_gamma1, run.kept_fraction, run.mean_potential, run.ess,
+        run.delta, run.beta, run.c, run.saturated, run.lambda_residual, run.iterations,
+    )
+
+
+class TestCountEngineLaw:
+    """The adaptive count engine against the particle engine and the exact
+    reference, in law."""
+
+    @pytest.mark.parametrize("mode", ["theoretical", "adaptive"])
+    def test_two_sample_against_particle_engine(self, mode):
+        prob = adaptive_problem(4)
+        cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=3, mutation_mode=mode)
+        n_particles, horizon, reps = 50, 4, 400
+        ref = theoretical_adaptive_flow(prob, 0.75, horizon, mcmc_iters=3)
+        ref = ref if mode == "theoretical" else None
+        ips = [
+            run_adaptive(prob, cfg, n_particles, horizon, seed=41, replicate=r, reference=ref)
+            for r in range(reps)
+        ]
+        cnt = run_adaptive_counts(
+            prob, cfg, n_particles, horizon, seed=42, replicates=reps, reference=ref
+        )
+        samples = {
+            f"delta_{n + 1}": ([run.rows[n].delta for run in ips], cnt.delta[:, n])
+            for n in range(horizon)
+        }
+        samples["kept"] = (
+            [np.mean([row.kept_fraction for row in run.rows]) for run in ips],
+            cnt.kept_fraction.mean(axis=1),
+        )
+        samples["log_gamma_T"] = ([run.final.log_gamma1 for run in ips], cnt.log_gamma1[:, -1])
+        for name, (a, b) in samples.items():
+            assert stats.ks_2samp(a, b).pvalue > 1e-3, name
+
+    def test_mean_histogram_matches_reference_eta(self):
+        # the O(1/N) bias of eta^N sits far below the standard error at this N
+        prob = adaptive_problem(4)
+        cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=3)
+        n_particles, horizon, reps = 100_000, 4, 1000
+        ref = theoretical_adaptive_flow(prob, 0.75, horizon, mcmc_iters=3)
+        hists = run_adaptive_counts(
+            prob, cfg, n_particles, horizon, seed=43, replicates=reps, reference=ref
+        ).histograms
+        for n, eta in enumerate(ref.etas):
+            se = hists[:, n].std(axis=0, ddof=1) / math.sqrt(reps)
+            z = np.abs(hists[:, n].mean(axis=0) - eta.weights) / se
+            assert np.all(z <= 4.0), (n, z)
+
+    @pytest.mark.parametrize("mode", ["theoretical", "adaptive"])
+    def test_mean_kept_fraction_is_epsilon(self, mode):
+        # given the counts, the expected kept count is N lambda(Delta) = N eps
+        prob = adaptive_problem(6)
+        cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=3, mutation_mode=mode)
+        reps = 2000
+        run = run_adaptive_counts(prob, cfg, 1000, 5, seed=44, replicates=reps)
+        assert not run.saturated.any() and np.all(run.lambda_residual <= cfg.tol)
+        kept = run.kept_fraction
+        z = np.abs(kept.mean(axis=0) - 0.75) / (kept.std(axis=0, ddof=1) / math.sqrt(reps))
+        assert np.all(z <= 4.0), z
+
+    def test_solver_records_iterations_and_residuals(self):
+        prob = adaptive_problem(6)
+        cfg = AdaptiveConfig(epsilon=0.75, tol=1e-10, mcmc_iters=3)
+        run = run_adaptive_counts(prob, cfg, 1000, 6, seed=45, replicates=BLOCK + 1)
+        assert run.iterations.shape == (BLOCK + 1, 6)
+        assert np.all((run.iterations >= 1) & (run.iterations <= 8))
+        assert np.all(run.lambda_residual <= 1e-10)
+        ips = run_adaptive(prob, cfg, 300, 3, seed=45)
+        assert all(1 <= row.iterations <= 8 for row in ips.rows)
+
+    def test_saturation_flag_on_zero_energy_states(self):
+        prob = GibbsProblem(
+            energy=BoundedFunction([0.0, 0.0, 1.0]),
+            reference=FiniteDistribution.uniform(3),
+            proposal=KernelMatrix.lazy_ring(3, 0.25),
+        )
+        cfg = AdaptiveConfig(epsilon=0.5, mutation_mode="adaptive", delta_max=10.0)
+        run = run_adaptive_counts(prob, cfg, 60, 2, seed=4, replicates=20)
+        assert run.saturated.any() and np.all(run.delta <= 10.0)
+        assert np.array_equal(run.delta[run.saturated], np.full(run.saturated.sum(), 10.0))
+
+    def test_inputs(self):
+        prob = adaptive_problem(4)
+        cfg = AdaptiveConfig(epsilon=0.75)
+        with pytest.raises(InputError):
+            run_adaptive_counts(prob, cfg, 0, 2, seed=0)
+        with pytest.raises(InputError):
+            run_adaptive_counts(prob, cfg, 10, 2, seed=0, replicates=0)
+        short = theoretical_adaptive_flow(prob, 0.75, 1)
+        with pytest.raises(InputError):
+            run_adaptive_counts(prob, cfg, 10, 2, seed=0, reference=short)
+
+
+class TestCountEngineContract:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        replicate=st.integers(0, 2 * BLOCK),
+        extra=st.integers(1, 2 * BLOCK),
+        mode=st.sampled_from(["theoretical", "adaptive"]),
+    )
+    def test_row_independent_of_replicate_count(self, replicate, extra, mode):
+        prob = adaptive_problem(6)
+        cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=2, mutation_mode=mode)
+        short = run_adaptive_counts(prob, cfg, 300, 3, seed=5, replicates=replicate + 1)
+        long = run_adaptive_counts(prob, cfg, 300, 3, seed=5, replicates=replicate + 1 + extra)
+        rows = slice(replicate + 1)
+        for a, b in zip(_count_fields(short), _count_fields(long)):
+            assert np.array_equal(a[rows], b[rows])

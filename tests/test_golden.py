@@ -127,8 +127,8 @@ CASES = {
         "stats.csv": "325d52e31d44dab27b022242412ff4dc26ab2ed5ceeb33937e471d504ae0b516",
     }),
     "adaptive": ("adaptive", ADAPTIVE, 0, {
-        "raw.csv": "ad97ecb288d285ed1eddcfaf82e6e7c2f4096c11c5b5019b34de1d26179ba4d4",
-        "stats.csv": "920c90467ca60e0633bb6fb0646fb32edda191f7bb72d95debb29d1b88ce1522",
+        "raw.csv": "2102999d4b3fbae64de20f0b1a3d105ed1873a7741051e449b3323ba0c7cab6e",
+        "stats.csv": "516793d41f0673d1b31d39b1f14f4788af9f49271d17fe285652515f963d5ac8",
     }),
     "oracle": ("oracle", CLASSIC, 0, {
         "oracle.csv": "314ce83a61798b2ae924e93ec3489f6032695b5d76af769a773ef6ab1df7e37f",
@@ -143,7 +143,7 @@ CASES = {
         "verify.csv": "1ecd5152b5b342504b0ec74aad2267d910e77ec87ce53a01a4151bf58c57450a",
     }),
     "verify-adaptive": ("verify-bounds", VERIFY_ADAPTIVE, 0, {
-        "verify.csv": "da79a596c9ba93bd283858d51be2655a960342fb7f376138ab194d9795118b1d",
+        "verify.csv": "934a051967406def835ee8b5f65dff8c2e5a4a94bd247f6bcf4640faf22b57c3",
     }),
     "verify-isa-exceedance": ("verify-bounds", ISA_EXCEEDANCE, 0, {
         "verify.csv": "77b0af664c285af4948f22d3c73ad04759bb97faaeabeaaf4829c6e31080dcf6",

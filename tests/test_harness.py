@@ -169,19 +169,23 @@ class TestRunExperiment:
 
 class TestAggregate:
     def test_fold_in_replicate_order(self):
-        raw = {
-            (1, 0): {"x": 3.0},
-            (0, 0): {"x": 1.0},
-            (2, 0): {"x": 2.0},
-        }
-        stats = aggregate(raw, ["x"])
-        assert stats.get(0, "x").mean == pytest.approx(2.0)
-        assert stats.replicates == 3
-
-    def test_exceedance_grid(self):
-        raw = {(r, 0): {"x": float(r)} for r in range(4)}
-        stats = aggregate(raw, ["x"], thresholds=(2.0,))
-        assert stats.get(0, "x").exceedance == ((2.0, 0.5),)
+        # each (step, statistic) summary equals the 1-d fold of its column
+        # in replicate order, bit for bit; R = 300 spans pairwise-sum blocks
+        values = np.random.default_rng(4).lognormal(size=(300, 3, 2))
+        values[:, 0, 1] = math.nan
+        stats = aggregate(values, ["x", "y"])
+        assert stats.replicates == 300
+        for n in range(3):
+            for j, name in enumerate(["x", "y"]):
+                col = values[:, n, j].copy()
+                summary = stats.get(n, name)
+                assert np.array_equal(summary.mean, col.mean(), equal_nan=True)
+                assert np.array_equal(
+                    summary.se, col.std(ddof=1) / math.sqrt(col.size), equal_nan=True
+                )
+                assert np.array_equal(
+                    summary.quantiles, np.quantile(col, (0.1, 0.5, 0.9)), equal_nan=True
+                )
 
 
 class TestEmitCsv:
@@ -246,6 +250,7 @@ class TestCli:
         cases = [
             ("run", "[run]\nn_particles = -1\n", "n_particles"),
             ("adaptive", ADAPTIVE_TEXT.replace("epsilon = 0.75", "epsilon = 1.5"), "adaptive"),
+            ("adaptive", ADAPTIVE_TEXT.replace("mcmc_iters = 3", "tol = 1e-14"), "adaptive: tol"),
             ("run", CLASSIC_TEXT.replace("1 2; 1 2; 1 2", "1 2; 1 -2; 1 2"), "flow.potentials"),
             ("run", CLASSIC_TEXT + "eps_mode = 5.0\n", "eps_mode"),
             ("run", CLASSIC_TEXT.replace("initial = uniform", "initial = 0 0"), "flow.initial"),
@@ -283,6 +288,26 @@ class TestCli:
             assert cli_main(argv) == 0
             lines[reps] = (out / "raw.csv").read_bytes().splitlines()
             assert len(lines[reps]) == 1 + reps * 6
+        for reps in (2, BLOCK - 3):
+            assert lines[BLOCK + 5][: len(lines[reps])] == lines[reps]
+
+    def test_adaptive_raw_rows_independent_of_replicate_count(self, tmp_path):
+        # as above for the adaptive count engine: ten states put every
+        # per-row sum, the Newton solve's included, on numpy's pairwise path
+        v = " ".join(str(0.1 + 0.09 * i) for i in range(10))
+        cfg_path = tmp_path / "a.cfg"
+        cfg_path.write_text(
+            ADAPTIVE_TEXT.replace("dim = 4", "dim = 10")
+            .replace("v = 0.5 0.65 0.8 1.0", f"v = {v}")
+            .replace("replicates = 6", "replicates = 1")
+        )
+        lines = {}
+        for reps in (2, BLOCK - 3, BLOCK + 5):
+            out = tmp_path / f"r{reps}"
+            argv = ["adaptive", "--config", str(cfg_path), "--out", str(out)]
+            assert cli_main(argv + ["--replicates", str(reps)]) == 0
+            lines[reps] = (out / "raw.csv").read_bytes().splitlines()
+            assert len(lines[reps]) == 1 + reps * 4
         for reps in (2, BLOCK - 3):
             assert lines[BLOCK + 5][: len(lines[reps])] == lines[reps]
 
