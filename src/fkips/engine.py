@@ -440,7 +440,9 @@ def _count_block(run, block, initial, steps, eps_schedule, n_particles, streams)
         if np.any(eps_n * g_max > 1.0 + 1e-12):
             raise InputError("eps * max potential exceeds 1 on this ensemble")
         keep_p = np.clip(eps_n[:, None] * g, 0.0, 1.0)
-        counts[:, n + 1], n_kept = _transition(streams, block, n + 1, c, keep_p, weights, kernel.rows)
+        counts[:, n + 1], n_kept = _transition(
+            streams, block, n + 1, c, keep_p, weights, kernel.rows
+        )
         mean_g = total / n_particles
         run.mean_potential[rows, n] = mean_g
         run.kept_fraction[rows, n] = n_kept / n_particles
