@@ -12,7 +12,8 @@ Layers, bottom up:
   engine for finite flows, with counter-based deterministic randomness;
 * :mod:`fkips.annealing` -- Boltzmann-Gibbs targets, Metropolis annealing
   kernels, minorization certificates, the tuned optimizer;
-* :mod:`fkips.adaptive` -- adaptive temperature increments and their
+* :mod:`fkips.adaptive` -- adaptive temperature increments (a Newton
+  solve over rows), the adaptive particle and count engines, and their
   perturbation/concentration verification;
 * :mod:`fkips.harness` -- configs, replicate orchestration, bound
   verification, CSV emission (CLI in :mod:`fkips.cli`).
@@ -48,7 +49,13 @@ from .annealing import (
     minorize,
     optimize,
 )
-from .adaptive import AdaptiveConfig, LambdaCurve, kappa_solve, run_adaptive
+from .adaptive import (
+    AdaptiveConfig,
+    LambdaCurve,
+    kappa_solve,
+    run_adaptive,
+    run_adaptive_counts,
+)
 
 __version__ = "0.1.0"
 
@@ -79,6 +86,7 @@ __all__ = [
     "osc",
     "potential_ratio",
     "run_adaptive",
+    "run_adaptive_counts",
     "run_counts",
     "run_flow",
     "run_ips",

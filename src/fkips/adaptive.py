@@ -3,19 +3,29 @@
 Instead of a fixed schedule, each selection step solves for the increment
 that pins the ensemble's mean selection weight to a target:
 
-    Delta solves   mean_i exp(-Delta V(x_i)) = epsilon
+    Delta solves   lambda^N(Delta) = mean_i exp(-Delta V(x_i)) = epsilon
 
-so an expected fraction ``epsilon`` of particles is kept in place.  The same
-equation on the exact flow laws defines a deterministic reference schedule
-whose mass products decay geometrically with ratio epsilon; the particle
-scheme is a stochastic perturbation of that reference, and its deviation is
-controlled by the per-step constants
+so an expected fraction ``epsilon`` of particles is kept in place.
+:func:`kappa_solve` finds the root by Newton's method from Delta = 0,
+vectorized over rows: lambda is convex and decreasing, so the iterates rise
+monotonically to the root, and a handful of iterations reach the tolerance.
+The same equation on the exact flow laws defines a deterministic reference
+schedule (:func:`theoretical_adaptive_flow`) whose mass products decay
+geometrically with ratio epsilon; the particle scheme is a stochastic
+perturbation of that reference, and its deviation is controlled by the
+per-step constants
 
     c_n = V_max exp(Delta_n V_max) / (epsilon * eta_{n-1}(V))
 
 through the triangle of estimates implemented in
 :func:`perturbation_check`, :func:`l2_error_check` and
 :func:`concentration_check`.
+
+Two engines run the scheme.  :func:`run_adaptive_counts` steps the
+per-state occupation counts of a whole block of replicates per numpy call
+and serves every finite caller; :func:`run_adaptive` moves N particle
+states, takes general-space problems and is the law reference the count
+engine is tested against.
 
 Energies must be normalized so declared ``V_min = 0`` (all values
 non-negative); the deterministic reference additionally requires strictly
@@ -121,7 +131,6 @@ def kappa_solve(
     delta_max: float = 1e6,
     *,
     step: int | None = None,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> KappaResult:
     """Invert the mean-weight curve: find Delta with ``lambda(Delta) = eps``,
     for every row of ``curve`` at once.
@@ -131,7 +140,7 @@ def kappa_solve(
     frozen once ``|lambda - eps| <= tol``.  Iterates are capped at
     ``delta_max``: a row whose curve is still above epsilon there has its
     mass trapped near V = 0 and returns the cap with ``saturated`` set.  A
-    row still unconverged after ``max_iterations`` raises
+    row still unconverged after :data:`MAX_ITERATIONS` raises
     :class:`~fkips.errors.SolverError` naming ``step``, Delta and the
     residual.  Every curve evaluation goes through
     :meth:`LambdaCurve.value`.
@@ -150,7 +159,7 @@ def kappa_solve(
         return _kappa_result(delta, saturated, np.ones(shape), iterations)
     lam, grad = curve.value(delta, slope=True)
     active = np.abs(lam - epsilon) > tol
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if not np.any(active):
             break
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -159,8 +168,8 @@ def kappa_solve(
             newton = np.minimum(delta + (lam - epsilon) / np.abs(grad), delta_max)
         delta = np.where(active, newton, delta)
         iterations += active
-        lam_new, grad_new = curve.value(delta, slope=True)
-        lam, grad = np.where(active, lam_new, lam), np.where(active, grad_new, grad)
+        # a frozen row keeps its Delta, so it re-evaluates to the same values
+        lam, grad = curve.value(delta, slope=True)
         capped = active & (delta >= delta_max) & (lam > epsilon)
         saturated |= capped
         active &= ~capped & (np.abs(lam - epsilon) > tol)
@@ -168,7 +177,7 @@ def kappa_solve(
         r = int(np.argmax(np.ravel(active)))
         residual = np.abs(lam - epsilon)
         raise SolverError(
-            step, float(np.ravel(delta)[r]), float(np.ravel(residual)[r]), max_iterations
+            step, float(np.ravel(delta)[r]), float(np.ravel(residual)[r]), MAX_ITERATIONS
         )
     return _kappa_result(delta, saturated, lam, iterations)
 
@@ -351,11 +360,13 @@ def run_adaptive(
     replicate: int = 0,
     reference: ReferenceSchedule | None = None,
 ) -> AdaptiveRun:
-    """Run the adaptive particle scheme.
+    """Run the adaptive particle scheme on N particle states.
 
-    Selection keeps particle i with probability exactly
-    ``exp(-Delta^N V(x_i))`` (no eps factor is needed since energies are
-    non-negative) and otherwise redraws from the weighted ensemble;
+    Finite problems run faster, for many replicates at once, through
+    :func:`run_adaptive_counts`, which has the same law.  Selection keeps
+    particle i with probability exactly ``exp(-Delta^N V(x_i))`` (no eps
+    factor is needed since energies are non-negative) and otherwise
+    redraws from the weighted ensemble;
     extinction is impossible because the weights are strictly positive.
     In theoretical mutation mode the kernels come from the deterministic
     reference (built on demand on finite problems); in adaptive mode they
@@ -764,8 +775,9 @@ def khintchine_conditional_check(
 ):
     """Conditional one-step L2 error from a frozen ensemble vs B_2/sqrt(N).
 
-    Freezes the ensemble after ``freeze_steps`` adaptive steps, replays the
-    next selection+mutation ``replicates`` times with fresh streams, and
+    Freezes the counts of replicate 0 after ``freeze_steps`` adaptive
+    steps, replays the next selection+mutation ``replicates`` times from
+    the streams of seed + 1, a block of replays per numpy call, and
     compares the dictionary L2 deviation from the exact conditional target
     (the frozen measure reweighted by the realized potential and pushed
     through the step kernel).  Test functions have sup norm 1/2, so the

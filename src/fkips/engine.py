@@ -12,7 +12,11 @@ states and takes any flow, including sampler callables on general spaces;
 it is also the reference the count engine is tested against.
 :func:`run_counts` serves finite flows: it steps the per-state occupation
 counts, which carry the same law at O(d^2) per step whatever N is, for a
-whole block of replicates per numpy call.
+whole block of replicates per numpy call.  Its keep/redraw/move step is
+shared with the adaptive count engine
+(:func:`fkips.adaptive.run_adaptive_counts`), which brings its own keep
+probabilities exp(-Delta V) and, in adaptive mutation mode, one kernel per
+replicate.
 
 Randomness is counter-based: every (seed, index, step, purpose) tuple keys a
 disjoint Philox stream, where the index is the replicate for

@@ -19,7 +19,7 @@ and keys:
     [algorithm] kind = classic | isa | adaptive
     [schedule]  mode (bounded|decreasing|constant), betas (array) or
                 beta0/delta/steps, delta_declared, a, k0
-    [adaptive]  epsilon, tol, delta_max, mutation (theoretical|adaptive),
+    [adaptive]  epsilon, tol (>= 1e-13), delta_max, mutation (theoretical|adaptive),
                 mcmc_iters, beta0
     [run]       n_particles, steps, replicates, seed, eps_mode
                 (auto|multinomial|float), n_test_functions, threads

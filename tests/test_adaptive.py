@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import brentq
 
+from fkips import adaptive
 from fkips.adaptive import (
     TOL_FLOOR,
     AdaptiveConfig,
@@ -113,10 +114,11 @@ class TestNewtonRows:
         assert res.delta[0] == res.delta[2] == 30.0
         assert abs(res.lam[1] - 0.5) <= 1e-10
 
-    def test_unconverged_solve_raises_with_step_delta_and_residual(self):
+    def test_unconverged_solve_raises_with_step_delta_and_residual(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "MAX_ITERATIONS", 2)
         curve = LambdaCurve(np.array([0.2, 1.0, 3.0]), np.array([0.5, 0.3, 0.2]))
         with pytest.raises(SolverError) as info:
-            kappa_solve(curve, 0.3, step=7, max_iterations=2)
+            kappa_solve(curve, 0.3, step=7)
         msg = str(info.value)
         assert "step 7" in msg and "Delta = " in msg and "|lambda(Delta) - epsilon|" in msg
         assert info.value.step == 7 and info.value.residual > 1e-10
