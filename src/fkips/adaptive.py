@@ -19,7 +19,10 @@ per-step constants
 
 through the triangle of estimates implemented in
 :func:`perturbation_check`, :func:`l2_error_check` and
-:func:`concentration_check`.
+:func:`concentration_check`.  These checks, and
+:func:`khintchine_conditional_check`, return a
+:class:`~fkips.bounds.VerifyReport` of :class:`~fkips.bounds.CheckRow`
+records, as the harness verifiers do.
 
 Two engines run the scheme.  :func:`run_adaptive_counts` steps the
 per-state occupation counts of a whole block of replicates per numpy call
@@ -374,7 +377,9 @@ def run_adaptive(
     """
     if n_particles < 1:
         raise InputError("population size must be >= 1")
-    reference = _reference(problem, config, horizon, reference)
+    reference = _reference(
+        problem, config, horizon, reference, config.mutation_mode == "theoretical"
+    )
     if problem.finite:
         eta0 = gibbs_measure(problem, config.beta0)
         delta_cap = config.resolved_delta_max(problem.v_osc)
@@ -435,9 +440,10 @@ def run_adaptive(
     return AdaptiveRun(ensembles=tuple(ensembles), rows=tuple(rows))
 
 
-def _reference(problem, config, horizon, reference):
-    """The given reference, or the one theoretical mutation needs."""
-    if config.mutation_mode == "theoretical" and reference is None:
+def _reference(problem, config, horizon, reference=None, needed=True):
+    """``reference`` or, when it is None and ``needed``, the deterministic
+    reference schedule of ``config``; either must cover ``horizon`` steps."""
+    if reference is None and needed:
         reference = theoretical_adaptive_flow(
             problem,
             config.epsilon,
@@ -506,7 +512,9 @@ def run_adaptive_counts(
         raise InputError("replicates must be >= 1")
     if np.any(problem.v_values < 0):
         raise InputError("energies must be >= 0 (declared V_min = 0)")
-    reference = _reference(problem, config, horizon, reference)
+    reference = _reference(
+        problem, config, horizon, reference, config.mutation_mode == "theoretical"
+    )
     shape, d = (replicates, horizon), problem.dim
     run = AdaptiveCountRun(
         counts=np.empty((replicates, horizon + 1, d), dtype=np.int64),
@@ -597,36 +605,6 @@ def _d2_estimate(devs: np.ndarray):
     return d2, se_d2
 
 
-def _replicate_histograms(problem, config, n_particles, horizon, seed, replicates, reference):
-    """Empirical occupation weights and realized increments per replicate."""
-    run = run_adaptive_counts(
-        problem, config, n_particles, horizon, seed, replicates=replicates, reference=reference
-    )
-    return run.histograms, run.delta
-
-
-@dataclass(frozen=True)
-class PerturbationRow:
-    step: int
-    name: str
-    lhs: float
-    rhs: float
-    allowance: float   # Monte Carlo slack granted on the comparison
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs + self.allowance
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    rows: tuple
-
-    @property
-    def all_hold(self) -> bool:
-        return all(r.holds for r in self.rows)
-
-
 def perturbation_check(
     problem: GibbsProblem,
     config: AdaptiveConfig,
@@ -634,7 +612,7 @@ def perturbation_check(
     horizon: int,
     seed: int,
     replicates: int,
-) -> PerturbationReport:
+) -> bounds.VerifyReport:
     """Empirically verify the two perturbation estimates with exact constants.
 
     Over replicated adaptive runs (theoretical mutation mode), per step n:
@@ -647,16 +625,17 @@ def perturbation_check(
     * one-step stability: the exact flow map phi contracts
           d2(phi(eta^N), phi(eta)) <= g * b * d2(eta^N, eta).
 
-    Distances are dictionary estimates; comparisons carry a 4-sigma Monte
-    Carlo allowance.
+    Distances are dictionary estimates.  Each comparison is one row,
+    ``reweighting-control``, ``reweighting-control-combined`` or
+    ``one-step-stability`` at scope ``n=<step>``, whose ``rhs`` includes a
+    4-sigma Monte Carlo allowance.
     """
-    reference = theoretical_adaptive_flow(
-        problem, config.epsilon, horizon, mcmc_iters=config.mcmc_iters, beta0=config.beta0
+    reference = _reference(problem, config, horizon)
+    run = run_adaptive_counts(
+        problem, replace(config, mutation_mode="theoretical"), n_particles, horizon, seed,
+        replicates=replicates, reference=reference,
     )
-    cfg = replace(config, mutation_mode="theoretical")
-    hists, deltas = _replicate_histograms(
-        problem, cfg, n_particles, horizon, seed, replicates, reference
-    )
+    hists = run.histograms
     fdict = osc1_dictionary(problem.dim)
     v = problem.v_values
     rows = []
@@ -665,7 +644,7 @@ def perturbation_check(
         eta_next = reference.etas[n + 1].weights
         base = hists[:, n, :]
         # psi_H reweighting of each replicate's occupation measure
-        h_rows = np.exp((reference.deltas[n] - deltas[:, n])[:, None] * v[None, :])
+        h_rows = np.exp((reference.deltas[n] - run.delta[:, n])[:, None] * v[None, :])
         rew = base * h_rows
         rew /= rew.sum(axis=1, keepdims=True)
         # exact flow map applied to each occupation measure
@@ -680,56 +659,22 @@ def perturbation_check(
         d2_push, se_p = _d2_estimate(_dictionary_deviations(pushed, eta_next, fdict))
 
         c_n = reference.c[n]
-        g_n, b_n = reference.g[n], reference.b[n]
-        rows.append(
-            PerturbationRow(
-                step=n + 1,
-                name="reweighting-control",
-                lhs=d2_rew_self,
-                rhs=c_n * d2_base,
-                allowance=4.0 * (se_rs + c_n * se_base),
-            )
-        )
-        rows.append(
-            PerturbationRow(
-                step=n + 1,
-                name="reweighting-control-combined",
-                lhs=d2_rew_eta,
-                rhs=(1.0 + c_n) * d2_base,
-                allowance=4.0 * (se_re + (1.0 + c_n) * se_base),
-            )
-        )
-        rows.append(
-            PerturbationRow(
-                step=n + 1,
-                name="one-step-stability",
-                lhs=d2_push,
-                rhs=g_n * b_n * d2_base,
-                allowance=4.0 * (se_p + g_n * b_n * se_base),
-            )
-        )
-    return PerturbationReport(rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class L2CheckRow:
-    step: int
-    d2_estimate: float
-    bound: float
-
-    @property
-    def holds(self) -> bool:
-        return self.d2_estimate <= self.bound
-
-
-@dataclass(frozen=True)
-class L2CheckReport:
-    rows: tuple
-    e_tilde: tuple
-
-    @property
-    def all_hold(self) -> bool:
-        return all(r.holds for r in self.rows)
+        gb = reference.g[n] * reference.b[n]
+        scope = f"n={n + 1}"
+        rows += [
+            bounds.CheckRow.compare(
+                "reweighting-control", scope, d2_rew_self,
+                c_n * d2_base + 4.0 * (se_rs + c_n * se_base),
+            ),
+            bounds.CheckRow.compare(
+                "reweighting-control-combined", scope, d2_rew_eta,
+                (1.0 + c_n) * d2_base + 4.0 * (se_re + (1.0 + c_n) * se_base),
+            ),
+            bounds.CheckRow.compare(
+                "one-step-stability", scope, d2_push, gb * d2_base + 4.0 * (se_p + gb * se_base)
+            ),
+        ]
+    return bounds.VerifyReport(rows=tuple(rows), hypothesis_ok=True)
 
 
 def l2_error_check(
@@ -739,15 +684,14 @@ def l2_error_check(
     horizon: int,
     seed: int,
     replicates: int,
-) -> L2CheckReport:
+) -> bounds.VerifyReport:
     """Replicate-estimated d2 against the accumulated envelope bound
-    ``B_2 e~_n / sqrt(N)`` with every constant exact."""
-    reference = theoretical_adaptive_flow(
-        problem, config.epsilon, horizon, mcmc_iters=config.mcmc_iters, beta0=config.beta0
-    )
-    hists, _ = _replicate_histograms(
-        problem, config, n_particles, horizon, seed, replicates, reference
-    )
+    ``B_2 e~_n / sqrt(N)`` with every constant exact: one ``adaptive-l2``
+    row per step n = 0..horizon, with no Monte Carlo allowance."""
+    reference = _reference(problem, config, horizon)
+    hists = run_adaptive_counts(
+        problem, config, n_particles, horizon, seed, replicates=replicates, reference=reference
+    ).histograms
     fdict = osc1_dictionary(problem.dim)
     b2 = bounds.bp_constant(2)
     rows = []
@@ -755,14 +699,9 @@ def l2_error_check(
         d2, _ = _d2_estimate(
             _dictionary_deviations(hists[:, n, :], reference.etas[n].weights, fdict)
         )
-        rows.append(
-            L2CheckRow(
-                step=n,
-                d2_estimate=d2,
-                bound=b2 * reference.e_tilde[n] / math.sqrt(n_particles),
-            )
-        )
-    return L2CheckReport(rows=tuple(rows), e_tilde=reference.e_tilde)
+        bound = b2 * reference.e_tilde[n] / math.sqrt(n_particles)
+        rows.append(bounds.CheckRow.compare("adaptive-l2", f"n={n}", d2, bound))
+    return bounds.VerifyReport(rows=tuple(rows), hypothesis_ok=True)
 
 
 def khintchine_conditional_check(
@@ -772,7 +711,7 @@ def khintchine_conditional_check(
     freeze_steps: int,
     seed: int,
     replicates: int,
-):
+) -> bounds.VerifyReport:
     """Conditional one-step L2 error from a frozen ensemble vs B_2/sqrt(N).
 
     Freezes the counts of replicate 0 after ``freeze_steps`` adaptive
@@ -781,12 +720,11 @@ def khintchine_conditional_check(
     compares the dictionary L2 deviation from the exact conditional target
     (the frozen measure reweighted by the realized potential and pushed
     through the step kernel).  Test functions have sup norm 1/2, so the
-    bound B_2/sqrt(N) applies with a factor-2 margin.
+    bound B_2/sqrt(N) applies with a factor-2 margin.  The report has one
+    ``adaptive-khintchine-conditional`` row at the replayed step, with no
+    Monte Carlo allowance.
     """
-    reference = theoretical_adaptive_flow(
-        problem, config.epsilon, freeze_steps + 1, mcmc_iters=config.mcmc_iters,
-        beta0=config.beta0,
-    )
+    reference = _reference(problem, config, freeze_steps + 1)
     base_run = run_adaptive_counts(
         problem, config, n_particles, freeze_steps, seed, reference=reference
     )
@@ -814,35 +752,12 @@ def khintchine_conditional_check(
         )
         hists[rows] = moved / n_particles
     devs = _dictionary_deviations(hists, target, osc1_dictionary(problem.dim))
-    d2, se = _d2_estimate(devs)
-    return d2, bounds.bp_constant(2) / math.sqrt(n_particles), se
-
-
-@dataclass(frozen=True)
-class ConcentrationRow:
-    n_particles: int
-    step: int
-    kind: str        # "tail-shape" | "threshold"
-    level: float     # s or y
-    frequency: float
-    bound: float
-    allowance: float
-
-    @property
-    def holds(self) -> bool:
-        return self.frequency <= self.bound + self.allowance
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    hypothesis_met: bool
-    hypothesis_levels: tuple
-    failing_step: int | None
-    rows: tuple
-
-    @property
-    def all_hold(self) -> bool:
-        return self.hypothesis_met and all(r.holds for r in self.rows)
+    d2, _ = _d2_estimate(devs)
+    row = bounds.CheckRow.compare(
+        "adaptive-khintchine-conditional", f"n={freeze_steps + 1}", d2,
+        bounds.bp_constant(2) / math.sqrt(n_particles),
+    )
+    return bounds.VerifyReport(rows=(row,), hypothesis_ok=True)
 
 
 def concentration_check(
@@ -855,38 +770,39 @@ def concentration_check(
     s_grid,
     y_grid,
     seed: int,
-) -> ConcentrationReport:
+) -> bounds.VerifyReport:
     """Exceedance frequencies of the adaptive scheme vs both uniform bounds.
 
-    First verifies the hypothesis ``b_n g_n (1 + c_n) <= a`` with exact
-    constants from the deterministic reference; refuses the bound comparison
-    (reporting the failing step) when it does not hold.  Then, over the
-    population grid, compares per-step dictionary deviations against
+    The first row, ``adaptive-hypothesis``, verifies ``b_n g_n (1 + c_n) <= a``
+    with exact constants from the deterministic reference; its ``lhs`` is the
+    largest level.  When the hypothesis fails it is the only row: status
+    ``hypothesis-unmet`` at scope ``step=<first failing step>``, and the
+    bound comparison is refused.  Otherwise, over the population grid,
+    per-step dictionary deviations are compared against
 
-    * the tail-shape bound at each s in ``s_grid``;
+    * the tail-shape bound at each s in ``s_grid`` (``adaptive-tail-shape``);
     * the threshold ``2 (1 + sqrt(y)) / ((1-a) sqrt(N))`` at each y >= 1,
-      whose tail level is ``exp(-y)``,
+      whose tail level is ``exp(-y)`` (``adaptive-threshold``),
 
-    each granted three binomial standard errors of Monte Carlo slack.
+    at scope ``N=<N>,n=<step>,level=<s or y>``; each row's ``rhs`` is the
+    bound plus three binomial standard errors of Monte Carlo allowance.
     """
-    reference = theoretical_adaptive_flow(
-        problem, config.epsilon, horizon, mcmc_iters=config.mcmc_iters, beta0=config.beta0
-    )
+    reference = _reference(problem, config, horizon)
     levels = reference.hypothesis_levels()
     bad = [i for i, lvl in enumerate(levels) if lvl > a]
     if bad:
-        return ConcentrationReport(
-            hypothesis_met=False,
-            hypothesis_levels=levels,
-            failing_step=bad[0] + 1,
-            rows=(),
+        row = bounds.CheckRow(
+            "adaptive-hypothesis", f"step={bad[0] + 1}", max(levels), a, "hypothesis-unmet"
         )
+        return bounds.VerifyReport(rows=(row,), hypothesis_ok=False)
     fdict = osc1_dictionary(problem.dim)
-    rows = []
+    rows = [bounds.CheckRow("adaptive-hypothesis", "all", max(levels), a, "pass")]
     for n_particles in n_grid:
-        hists, _ = _replicate_histograms(
-            problem, config, int(n_particles), horizon, seed, replicates, reference
-        )
+        n_particles = int(n_particles)
+        hists = run_adaptive_counts(
+            problem, config, n_particles, horizon, seed, replicates=replicates,
+            reference=reference,
+        ).histograms
         for n in range(1, horizon + 1):
             devs = np.abs(
                 _dictionary_deviations(hists[:, n, :], reference.etas[n].weights, fdict)
@@ -896,33 +812,17 @@ def concentration_check(
                 bound = bounds.adaptive_tail_bound(float(s), n_particles, a)
                 freq = float((worst >= s).mean()) if s > 0 else 1.0
                 se = math.sqrt(max(bound * (1.0 - bound), 0.0) / replicates)
-                rows.append(
-                    ConcentrationRow(
-                        n_particles=int(n_particles),
-                        step=n,
-                        kind="tail-shape",
-                        level=float(s),
-                        frequency=freq,
-                        bound=bound,
-                        allowance=3.0 * se,
-                    )
-                )
+                rows.append(bounds.CheckRow.compare(
+                    "adaptive-tail-shape", f"N={n_particles},n={n},level={float(s):.17g}",
+                    freq, bound + 3.0 * se,
+                ))
             for y in y_grid:
                 thr = bounds.adaptive_deviation_threshold(float(y), n_particles, a)
                 bound = math.exp(-float(y))
                 freq = float((worst >= thr).mean())
                 se = math.sqrt(bound * (1.0 - bound) / replicates)
-                rows.append(
-                    ConcentrationRow(
-                        n_particles=int(n_particles),
-                        step=n,
-                        kind="threshold",
-                        level=float(y),
-                        frequency=freq,
-                        bound=bound,
-                        allowance=3.0 * se,
-                    )
-                )
-    return ConcentrationReport(
-        hypothesis_met=True, hypothesis_levels=levels, failing_step=None, rows=tuple(rows)
-    )
+                rows.append(bounds.CheckRow.compare(
+                    "adaptive-threshold", f"N={n_particles},n={n},level={float(y):.17g}",
+                    freq, bound + 3.0 * se,
+                ))
+    return bounds.VerifyReport(rows=tuple(rows), hypothesis_ok=True)

@@ -8,10 +8,17 @@ tuning, the critical constant-step temperature increment, and the
 Boltzmann-Gibbs tail bound.  Repeated calls are bit-identical; factorials
 are evaluated in log space so the moment constants stay usable for large
 orders.
+
+It also holds the one record every verifier emits: a :class:`CheckRow`
+compares an estimate with its bound, and :class:`CheckRow.compare` is where
+pass or fail is decided; a :class:`VerifyReport` collects the rows and
+writes ``verify.csv``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -69,6 +76,53 @@ class BoundReport:
 
     def as_csv_rows(self) -> list:
         return [[self.name, k, format(float(v), ".17g")] for k, v in self.values.items()]
+
+
+@dataclass(frozen=True)
+class CheckRow:
+    """One checked estimate: ``lhs`` (an exact quantity, an empirical L2
+    level or an exceedance frequency) against ``rhs`` (its bound, with any
+    Monte Carlo allowance folded in)."""
+
+    name: str
+    scope: str       # e.g. "n=3,y=2" or "all"
+    lhs: float
+    rhs: float
+    status: str      # "pass" | "fail" | "hypothesis-unmet"
+
+    @classmethod
+    def compare(cls, name: str, scope: str, lhs: float, rhs: float) -> "CheckRow":
+        """The row of a comparison: ``"pass"`` exactly when ``lhs <= rhs``."""
+        return cls(name, scope, lhs, rhs, "pass" if lhs <= rhs else "fail")
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """The rows of a verification suite; ``hypothesis_ok`` is False when a
+    hypothesis preamble refused the comparisons."""
+
+    rows: tuple
+    hypothesis_ok: bool
+
+    @property
+    def all_pass(self) -> bool:
+        return all(r.status == "pass" for r in self.rows)
+
+    def failures(self):
+        return [r for r in self.rows if r.status == "fail"]
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["check", "scope", "lhs", "rhs", "margin", "status"])
+        for r in self.rows:
+            cells = (format(float(x), ".17g") for x in (r.lhs, r.rhs, r.margin))
+            writer.writerow([r.name, r.scope, *cells, r.status])
+        return buf.getvalue()
 
 
 def bp_constant(p: int) -> float:

@@ -25,8 +25,8 @@ and keys:
                 (auto|multinomial|float), n_test_functions, threads
                 (validated and kept so older configs still parse; it has
                 no effect)
-    [checks]    regime (bounded|decreasing), a, g_sup, y_values, s_values,
-                epsilon_level, eps_prime
+    [checks]    regime (bounded|decreasing), a, g_sup, y_values and s_values
+                (finite, >= 0), epsilon_level, eps_prime
 
 Every output is a deterministic function of (config, seed): replicates use
 counter-based streams keyed by (seed, block, step, purpose) whose rows do
@@ -48,6 +48,7 @@ import numpy as np
 
 from . import adaptive as adaptive_mod
 from . import bounds
+from .bounds import CheckRow, VerifyReport
 from .annealing import (
     GibbsProblem,
     IsaFlow,
@@ -243,10 +244,12 @@ class ExperimentConfig:
             n_test_functions=n_test,
             threads=threads,
         )
-        # fail fast on semantic errors; the flow is kept for every later reader
+        # fail fast on semantic errors; what is built is kept for every later reader
+        cfg.y_values
+        cfg.s_values
         if cfg.flow is None:
-            cfg.build_problem()
-            cfg.build_adaptive_config()
+            cfg.problem
+            cfg.adaptive_config
         elif not isinstance(eps_mode, str):
             g_max = max((g.values.max() for g, _ in cfg.flow.steps[: cfg.horizon()]), default=0.0)
             if not 0.0 <= eps_mode * g_max <= 1.0 + 1e-12:
@@ -257,7 +260,9 @@ class ExperimentConfig:
 
     # -- assembly -----------------------------------------------------------
 
-    def build_problem(self) -> GibbsProblem:
+    @cached_property
+    def problem(self) -> GibbsProblem:
+        """The Gibbs problem of an isa or adaptive config, built once."""
         raw = self.raw
         errors = []
         dim = raw.get("problem", "dim")
@@ -321,7 +326,9 @@ class ExperimentConfig:
                 ) if len(betas) > 1 else 0.0
             return TemperatureSchedule(betas, mode, declared_delta=declared)
 
-    def build_adaptive_config(self) -> adaptive_mod.AdaptiveConfig:
+    @cached_property
+    def adaptive_config(self) -> adaptive_mod.AdaptiveConfig:
+        """The ``[adaptive]`` parameters, built once."""
         raw = self.raw
         eps = raw.get("adaptive", "epsilon")
         if eps is None:
@@ -383,7 +390,7 @@ class ExperimentConfig:
         """The tuned annealing flow of an isa config, built once; None otherwise."""
         if self.kind != "isa":
             return None
-        problem = self.build_problem()
+        problem = self.problem
         schedule = self.build_schedule()
         with _field("schedule"):
             k0 = int(self.raw.get("schedule", "k0", 1))
@@ -395,10 +402,32 @@ class ExperimentConfig:
         """The flow from :meth:`build_flow`, built once (by ``from_raw``)."""
         return self.build_flow()
 
+    @cached_property
+    def y_values(self) -> tuple:
+        """The ``[checks]`` confidence exponents y (default 1 2 4)."""
+        return _check_levels(self.raw, "y_values", (1.0, 2.0, 4.0))
+
+    @cached_property
+    def s_values(self) -> tuple:
+        """The ``[checks]`` adaptive deviation levels s (default 0 0.1 0.2 0.3)."""
+        return _check_levels(self.raw, "s_values", (0.0, 0.1, 0.2, 0.3))
+
     def horizon(self) -> int:
         if self.flow is not None:
             return min(self.steps, self.flow.horizon) if self.steps else self.flow.horizon
         return self.steps
+
+
+def _check_levels(raw: RawConfig, key: str, default: tuple) -> tuple:
+    """The ``[checks] key`` grid as floats; each must be finite and >= 0."""
+    value = raw.get("checks", key)
+    if value is None:
+        return default
+    with _field(f"checks.{key}"):
+        levels = np.atleast_1d(np.asarray(value, dtype=np.float64))
+    if levels.ndim != 1 or not np.all(np.isfinite(levels) & (levels >= 0)):
+        raise ConfigError([f"checks.{key} must be finite numbers >= 0, got {value!r}"])
+    return tuple(float(x) for x in levels)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -546,11 +575,10 @@ def _classic_values(flow, cfg, horizon, tables):
 
 def _adaptive_values(cfg):
     """Per-replicate statistics of the adaptive scheme, from one count run."""
-    problem = cfg.build_problem()
-    acfg = cfg.build_adaptive_config()
-    tables = tuple(osc1_dictionary(problem.dim, cfg.n_test_functions))
+    tables = tuple(osc1_dictionary(cfg.problem.dim, cfg.n_test_functions))
     run = adaptive_mod.run_adaptive_counts(
-        problem, acfg, cfg.n_particles, cfg.steps, cfg.seed, replicates=cfg.replicates
+        cfg.problem, cfg.adaptive_config, cfg.n_particles, cfg.steps, cfg.seed,
+        replicates=cfg.replicates,
     )
     head = [
         ("log_gamma1", run.log_gamma1),
@@ -643,40 +671,6 @@ def emit_csv(text_or_result, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    scope: str       # e.g. "n=3,y=2" or "all"
-    lhs: float
-    rhs: float
-    status: str      # "pass" | "fail" | "hypothesis-unmet"
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    rows: tuple
-    hypothesis_ok: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.status == "pass" for r in self.rows)
-
-    def failures(self):
-        return [r for r in self.rows if r.status == "fail"]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check", "scope", "lhs", "rhs", "margin", "status"])
-        for r in self.rows:
-            writer.writerow([r.name, r.scope, _fmt(r.lhs), _fmt(r.rhs), _fmt(r.margin), r.status])
-        return buf.getvalue()
-
-
 def _binomial_allowance(bound: float, replicates: int) -> float:
     b = min(max(bound, 0.0), 1.0)
     return 3.0 * math.sqrt(b * (1.0 - b) / replicates)
@@ -746,7 +740,6 @@ def check_uniform_regime(
     seed: int,
     *,
     y_values=(1.0, 2.0, 4.0),
-    l2_replicates: int | None = None,
 ) -> VerifyReport:
     """All uniform-regime checks on one flow.
 
@@ -754,50 +747,30 @@ def check_uniform_regime(
     capped by g_sup, ergodic coefficients by a/(a+g_sup), plus the composed
     caps they imply); rows then cover the per-step L2 level, the
     occupation-deviation thresholds over the y grid, and both signs of the
-    normalized log mass ratio.
+    normalized log mass ratio, all over the same ``replicates`` runs.
     """
-    rows = []
     trace = flow.trace
     b_cap = bounds.condition_bounded(g_sup, a)
     hyp_ok = all(g <= g_sup + 1e-12 for g in trace.g) and all(
         b <= b_cap + 1e-12 for b in trace.b
     )
-    status_if = lambda ok: "pass" if ok else "fail"
-    if not hyp_ok:
-        rows.append(
-            CheckRow("uniform-hypothesis", "all", max(trace.b), b_cap, "hypothesis-unmet")
-        )
-        return VerifyReport(rows=tuple(rows), hypothesis_ok=False)
-    rows.append(CheckRow("uniform-hypothesis", "all", max(trace.b), b_cap, "pass"))
-    caps_ok, worst, scope = composed_caps_bounded(flow, a, g_sup)
-    rows.append(
-        CheckRow(
-            "uniform-composed-caps",
-            scope,
-            worst,
-            1e-10,
-            "pass" if caps_ok else "fail",
-        )
+    hypothesis = CheckRow(
+        "uniform-hypothesis", "all", max(trace.b), b_cap, "pass" if hyp_ok else "hypothesis-unmet"
     )
+    if not hyp_ok:
+        return VerifyReport(rows=(hypothesis,), hypothesis_ok=False)
+    _, worst, scope = composed_caps_bounded(flow, a, g_sup)
+    rows = [hypothesis, CheckRow.compare("uniform-composed-caps", scope, worst, 1e-10)]
 
     horizon = flow.horizon
     fdict = osc1_dictionary(flow.dim)
-    r2_reps = replicates if l2_replicates is None else l2_replicates
     devs, log_gaps = _deviation_tensor(flow, n_particles, replicates, seed, fdict)
 
     # L2 level, uniformly in time
     l2_bound = bounds.lp_uniform_bound(2, a, n_particles)
-    l2 = np.sqrt(np.mean(np.square(devs[:r2_reps]), axis=0)).max(axis=1)
+    l2 = np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=1)
     for n in range(horizon + 1):
-        rows.append(
-            CheckRow(
-                "uniform-l2",
-                f"n={n}",
-                float(l2[n]),
-                l2_bound,
-                status_if(l2[n] <= l2_bound),
-            )
-        )
+        rows.append(CheckRow.compare("uniform-l2", f"n={n}", float(l2[n]), l2_bound))
 
     # occupation-measure deviation thresholds
     params = bounds.RegimeParams(a=a, g_sup=g_sup, n_particles=n_particles)
@@ -809,15 +782,9 @@ def check_uniform_regime(
         for n in range(1, horizon + 1):
             freq = float((worst[:, n] > thr).mean())
             allow = _binomial_allowance(level, replicates)
-            rows.append(
-                CheckRow(
-                    "uniform-eta-deviation",
-                    f"n={n},y={_fmt(y)}",
-                    freq,
-                    level + allow,
-                    status_if(freq <= level + allow),
-                )
-            )
+            rows.append(CheckRow.compare(
+                "uniform-eta-deviation", f"n={n},y={_fmt(y)}", freq, level + allow
+            ))
 
     # normalized log mass ratio, both signs
     rt1, rt2 = bounds.r_tilde_bounded(params)
@@ -829,15 +796,9 @@ def check_uniform_regime(
             signed = log_gaps[:, n] / n
             for sign, tag in ((1.0, "+"), (-1.0, "-")):
                 freq = float((sign * signed > thr).mean())
-                rows.append(
-                    CheckRow(
-                        "uniform-mass-ratio",
-                        f"n={n},y={_fmt(y)},sign={tag}",
-                        freq,
-                        level + allow,
-                        status_if(freq <= level + allow),
-                    )
-                )
+                rows.append(CheckRow.compare(
+                    "uniform-mass-ratio", f"n={n},y={_fmt(y)},sign={tag}", freq, level + allow
+                ))
     return VerifyReport(rows=tuple(rows), hypothesis_ok=True)
 
 
@@ -855,21 +816,17 @@ def check_decreasing_regime(
     rows = []
     trace = flow.trace
     g_sched = list(trace.g)
-    hyp_ok = True
     for p, (g_p, b_p) in enumerate(zip(trace.g, trace.b), start=1):
         cap = bounds.condition_decreasing(g_p, a).value
         if b_p > cap + 1e-12:
-            hyp_ok = False
             rows.append(
                 CheckRow("decreasing-hypothesis", f"p={p}", b_p, cap, "hypothesis-unmet")
             )
-    if not hyp_ok:
+    if rows:
         return VerifyReport(rows=tuple(rows), hypothesis_ok=False)
     rows.append(CheckRow("decreasing-hypothesis", "all", 0.0, 0.0, "pass"))
-    caps_ok, worst, scope = composed_caps_decreasing(flow, a)
-    rows.append(
-        CheckRow("decreasing-composed-caps", scope, worst, 1e-10, "pass" if caps_ok else "fail")
-    )
+    _, worst, scope = composed_caps_decreasing(flow, a)
+    rows.append(CheckRow.compare("decreasing-composed-caps", scope, worst, 1e-10))
 
     horizon = flow.horizon
     fdict = osc1_dictionary(flow.dim)
@@ -877,15 +834,7 @@ def check_decreasing_regime(
     l2_bound = bounds.lp_uniform_bound(2, a, n_particles)
     l2 = np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=1)
     for n in range(horizon + 1):
-        rows.append(
-            CheckRow(
-                "decreasing-l2",
-                f"n={n}",
-                float(l2[n]),
-                l2_bound,
-                "pass" if l2[n] <= l2_bound else "fail",
-            )
-        )
+        rows.append(CheckRow.compare("decreasing-l2", f"n={n}", float(l2[n]), l2_bound))
     worst = np.abs(devs).max(axis=2)
     for y in y_values:
         level = math.exp(-y)
@@ -894,15 +843,9 @@ def check_decreasing_regime(
             dec = bounds.r_star_decreasing(g_sched, a, n_particles, n)
             thr = bounds.eta_deviation_threshold(dec.r3, dec.r4, n_particles, y)
             freq = float((worst[:, n] > thr).mean())
-            rows.append(
-                CheckRow(
-                    "decreasing-eta-deviation",
-                    f"n={n},y={_fmt(y)}",
-                    freq,
-                    level + allow,
-                    "pass" if freq <= level + allow else "fail",
-                )
-            )
+            rows.append(CheckRow.compare(
+                "decreasing-eta-deviation", f"n={n},y={_fmt(y)}", freq, level + allow
+            ))
             rt3, rt4, rt5 = bounds.r_tilde_decreasing(g_sched, a, n)
             thr_g = bounds.gamma_log_ratio_threshold_decreasing(
                 rt3, rt4, rt5, n, n_particles, y
@@ -910,15 +853,9 @@ def check_decreasing_regime(
             signed = log_gaps[:, n] / n
             for sign, tag in ((1.0, "+"), (-1.0, "-")):
                 freq = float((sign * signed > thr_g).mean())
-                rows.append(
-                    CheckRow(
-                        "decreasing-mass-ratio",
-                        f"n={n},y={_fmt(y)},sign={tag}",
-                        freq,
-                        level + allow,
-                        "pass" if freq <= level + allow else "fail",
-                    )
-                )
+                rows.append(CheckRow.compare(
+                    "decreasing-mass-ratio", f"n={n},y={_fmt(y)},sign={tag}", freq, level + allow
+                ))
     return VerifyReport(rows=tuple(rows), hypothesis_ok=True)
 
 
@@ -926,70 +863,43 @@ def check_oracle_identity(flow: FlowSpec, rel_tol: float = 1e-10) -> VerifyRepor
     """Mass recursion vs composed-operator route, every split point."""
     gamma1, mass = flow.trace.gamma1, flow.table.mass.tolist()
     rows = []
-    ok_all = True
     for n in range(flow.horizon + 1):
         direct = gamma1[n]
         worst = 0.0
         for p in range(n + 1):
             worst = max(worst, abs(mass[p][n] - direct) / max(abs(direct), 1e-300))
-        ok = worst <= rel_tol
-        ok_all &= ok
-        rows.append(
-            CheckRow("oracle-mass-identity", f"n={n}", worst, rel_tol, "pass" if ok else "fail")
-        )
-    return VerifyReport(rows=tuple(rows), hypothesis_ok=ok_all)
+        rows.append(CheckRow.compare("oracle-mass-identity", f"n={n}", worst, rel_tol))
+    return VerifyReport(rows=tuple(rows), hypothesis_ok=all(r.status == "pass" for r in rows))
 
 
 def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
     """Config-driven verification suite; dispatches on the algorithm kind.
 
-    When [run] replicates is omitted, L2-style checks default to 500
-    replicates and tail-frequency checks to 2000.
+    Classic configs get the oracle identity, the semigroup lemmas and the
+    checks of the ``[checks] regime``; isa configs get
+    :func:`check_isa_bounds` at the first y; adaptive configs get
+    :func:`~fkips.adaptive.concentration_check`'s report as it stands, over
+    the y values >= 1.  Every check runs ``[run] replicates`` replicates,
+    or 2000 when the key is omitted.
     """
     raw = cfg.raw
-    explicit_r = raw.get("run", "replicates")
-    tail_replicates = cfg.replicates if explicit_r is not None else 2000
-    l2_replicates = cfg.replicates if explicit_r is not None else 500
-    y_values = raw.get("checks", "y_values")
-    y_values = (
-        tuple(float(y) for y in np.atleast_1d(y_values)) if y_values is not None else (1.0, 2.0, 4.0)
-    )
+    replicates = cfg.replicates if raw.get("run", "replicates") is not None else 2000
     if cfg.kind == "classic":
         flow = cfg.flow
         a = float(raw.get("checks", "a", 0.5))
         regime = raw.get("checks", "regime", "bounded")
         rows = list(check_oracle_identity(flow).rows)
         lemmas = check_semigroup_lemmas(flow)
-        rows.append(
-            CheckRow(
-                "semigroup-lemmas",
-                "all",
-                -lemmas.min_slack,
-                1e-10,
-                "pass" if lemmas.holds(1e-10) else "fail",
-            )
-        )
+        rows.append(CheckRow.compare("semigroup-lemmas", "all", -lemmas.min_slack, 1e-10))
         if regime == "bounded":
             g_sup = raw.get("checks", "g_sup")
             g_sup = float(g_sup) if g_sup is not None else max(flow.trace.g)
             report = check_uniform_regime(
-                flow,
-                a,
-                g_sup,
-                cfg.n_particles,
-                tail_replicates,
-                cfg.seed,
-                y_values=y_values,
-                l2_replicates=l2_replicates,
+                flow, a, g_sup, cfg.n_particles, replicates, cfg.seed, y_values=cfg.y_values
             )
         else:
             report = check_decreasing_regime(
-                flow,
-                a,
-                cfg.n_particles,
-                tail_replicates,
-                cfg.seed,
-                y_values=y_values,
+                flow, a, cfg.n_particles, replicates, cfg.seed, y_values=cfg.y_values
             )
         rows.extend(report.rows)
         return VerifyReport(rows=tuple(rows), hypothesis_ok=report.hypothesis_ok)
@@ -997,61 +907,20 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
         eps_level = float(raw.get("checks", "epsilon_level", 0.5))
         eps_prime = float(raw.get("checks", "eps_prime", 0.25))
         return check_isa_bounds(
-            cfg.isa,
-            eps_level,
-            eps_prime,
-            cfg.n_particles,
-            tail_replicates,
-            cfg.seed,
-            y=float(y_values[0]) if y_values else 2.0,
+            cfg.isa, eps_level, eps_prime, cfg.n_particles, replicates, cfg.seed,
+            y=cfg.y_values[0],
         )
-    # adaptive
-    problem = cfg.build_problem()
-    acfg = cfg.build_adaptive_config()
-    a = float(raw.get("checks", "a", 0.6))
-    s_values = raw.get("checks", "s_values")
-    s_grid = (
-        tuple(float(s) for s in np.atleast_1d(s_values))
-        if s_values is not None
-        else (0.0, 0.1, 0.2, 0.3)
-    )
-    report = adaptive_mod.concentration_check(
-        problem,
-        acfg,
+    return adaptive_mod.concentration_check(
+        cfg.problem,
+        cfg.adaptive_config,
         (cfg.n_particles,),
         cfg.steps,
-        tail_replicates,
-        a,
-        s_grid,
-        tuple(y for y in y_values if y >= 1.0),
+        replicates,
+        float(raw.get("checks", "a", 0.6)),
+        cfg.s_values,
+        tuple(y for y in cfg.y_values if y >= 1.0),
         cfg.seed,
     )
-    rows = []
-    if not report.hypothesis_met:
-        rows.append(
-            CheckRow(
-                "adaptive-hypothesis",
-                f"step={report.failing_step}",
-                max(report.hypothesis_levels),
-                a,
-                "hypothesis-unmet",
-            )
-        )
-        return VerifyReport(rows=tuple(rows), hypothesis_ok=False)
-    rows.append(
-        CheckRow("adaptive-hypothesis", "all", max(report.hypothesis_levels), a, "pass")
-    )
-    for r in report.rows:
-        rows.append(
-            CheckRow(
-                f"adaptive-{r.kind}",
-                f"N={r.n_particles},n={r.step},level={_fmt(r.level)}",
-                r.frequency,
-                r.bound + r.allowance,
-                "pass" if r.holds else "fail",
-            )
-        )
-    return VerifyReport(rows=tuple(rows), hypothesis_ok=True)
 
 
 def check_isa_bounds(
@@ -1068,7 +937,6 @@ def check_isa_bounds(
     """Annealing checks: invariance, mixing estimate, tail bound and the
     replicated optimizer exceedance at confidence exponent y, all on the
     built flow ``isa``."""
-    rows = []
     problem, cert = isa.problem, isa.cert
     # invariance of the annealing kernel
     worst_inv = 0.0
@@ -1076,15 +944,7 @@ def check_isa_bounds(
         mu = gibbs_measure(problem, beta)
         pushed = mu.push(metropolis_kernel(problem, beta))
         worst_inv = max(worst_inv, float(np.abs(pushed.weights - mu.weights).max()))
-    rows.append(
-        CheckRow(
-            "annealing-invariance",
-            "beta-grid",
-            worst_inv,
-            1e-12,
-            "pass" if worst_inv <= 1e-12 else "fail",
-        )
-    )
+    rows = [CheckRow.compare("annealing-invariance", "beta-grid", worst_inv, 1e-12)]
     # mixing estimate for the k0-fold kernel
     worst_gap = -math.inf
     for beta in beta_grid:
@@ -1092,16 +952,8 @@ def check_isa_bounds(
         exact = dobrushin(kb)
         est = cert.mixing_bound(beta)
         worst_gap = max(worst_gap, exact - est)
-    rows.append(
-        CheckRow(
-            "annealing-mixing-estimate",
-            "beta-grid",
-            worst_gap,
-            1e-12,
-            "pass" if worst_gap <= 1e-12 else "fail",
-        )
-    )
-    # Boltzmann-Gibbs tail bound
+    rows.append(CheckRow.compare("annealing-mixing-estimate", "beta-grid", worst_gap, 1e-12))
+    # Boltzmann-Gibbs tail bound; the 1e-12 rounding slack is not part of rhs
     v_min = problem.v_min
     m_prime = problem.sublevel_mass(v_min + eps_prime)
     tail_ok = True
@@ -1113,13 +965,7 @@ def check_isa_bounds(
         worst_tail = max(worst_tail, exact_tail - bound)
         tail_ok &= exact_tail <= bound + 1e-12
     rows.append(
-        CheckRow(
-            "gibbs-tail",
-            "beta-grid",
-            worst_tail,
-            0.0,
-            "pass" if tail_ok else "fail",
-        )
+        CheckRow("gibbs-tail", "beta-grid", worst_tail, 0.0, "pass" if tail_ok else "fail")
     )
     # replicated optimizer: per-step exceedance of the composite bound
     level = math.exp(-y)
@@ -1129,25 +975,13 @@ def check_isa_bounds(
     )
     exact_below = all(row.proportion_exact <= row.gibbs_term + 1e-12 for row in result.rows)
     rows.append(
-        CheckRow(
-            "optimizer-exact-mass",
-            "all-steps",
-            0.0 if exact_below else 1.0,
-            0.0,
-            "pass" if exact_below else "fail",
-        )
+        CheckRow.compare("optimizer-exact-mass", "all-steps", 0.0 if exact_below else 1.0, 0.0)
     )
     thresholds = np.array([row.thresholds[y] for row in result.rows])
     exceed = (result.proportions > thresholds).sum(axis=0)
     freqs = exceed / replicates
     for n, freq in enumerate(freqs, start=1):
-        rows.append(
-            CheckRow(
-                "optimizer-exceedance",
-                f"n={n},y={_fmt(y)}",
-                float(freq),
-                level + allow,
-                "pass" if freq <= level + allow else "fail",
-            )
-        )
+        rows.append(CheckRow.compare(
+            "optimizer-exceedance", f"n={n},y={_fmt(y)}", float(freq), level + allow
+        ))
     return VerifyReport(rows=tuple(rows), hypothesis_ok=True)

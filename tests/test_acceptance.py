@@ -344,10 +344,10 @@ def test_criterion_11_adaptive_l2_envelope():
     prob = adaptive_problem(6)
     cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=4)
     rep = l2_error_check(prob, cfg, 400, 6, seed=1100, replicates=500)
-    worst = max(r.d2_estimate - r.bound for r in rep.rows)
+    worst = max(r.lhs - r.rhs for r in rep.rows)
     report(
         11,
-        rep.all_hold,
+        rep.all_pass,
         f"6-state, N = 400, R = 500, worst d2-minus-bound {worst:.4f}",
     )
 
@@ -368,12 +368,13 @@ def test_criterion_12_adaptive_concentration():
         (1.0, 2.0, 4.0),
         seed=1200,
     )
-    assert rep.hypothesis_met, f"hypothesis failed at step {rep.failing_step}"
-    worst = max(r.frequency - (r.bound + r.allowance) for r in rep.rows)
+    hypothesis, *rows = rep.rows
+    assert rep.hypothesis_ok, f"hypothesis failed at {hypothesis.scope}"
+    worst = max(r.lhs - r.rhs for r in rows)
     report(
         12,
-        rep.all_hold,
-        f"levels {tuple(round(h, 3) for h in rep.hypothesis_levels)} <= 0.6, "
+        rep.all_pass,
+        f"largest level {hypothesis.lhs:.3f} <= {hypothesis.rhs}, "
         f"worst freq-minus-cap {worst:.4f}",
     )
 

@@ -25,6 +25,7 @@ from fkips.adaptive import (
     theoretical_adaptive_flow,
 )
 from fkips.annealing import GibbsProblem
+from fkips.bounds import bp_constant
 from fkips.engine import BLOCK
 from fkips.errors import InputError, SolverError
 from fkips.flow import run_flow
@@ -254,7 +255,7 @@ class TestVerificationProcedures:
         prob = adaptive_problem(4)
         cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=3)
         report = perturbation_check(prob, cfg, 300, 3, seed=6, replicates=150)
-        assert report.all_hold
+        assert report.all_pass
         names = {r.name for r in report.rows}
         assert names == {
             "reweighting-control",
@@ -266,14 +267,17 @@ class TestVerificationProcedures:
         prob = adaptive_problem(6)
         cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=4)
         report = l2_error_check(prob, cfg, 400, 4, seed=7, replicates=150)
-        assert report.all_hold
-        assert report.e_tilde[0] == 1.0
+        assert report.all_pass
+        # e~_0 = 1, so the step-0 envelope is B_2 / sqrt(N) itself
+        assert report.rows[0].rhs == bp_constant(2) / math.sqrt(400)
 
     def test_khintchine_conditional_step(self):
         prob = adaptive_problem(4)
         cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=3)
-        d2, bound, _ = khintchine_conditional_check(prob, cfg, 400, 2, seed=8, replicates=200)
-        assert d2 <= bound
+        report = khintchine_conditional_check(prob, cfg, 400, 2, seed=8, replicates=200)
+        (row,) = report.rows
+        assert row.status == "pass"
+        assert row.rhs == bp_constant(2) / math.sqrt(400)
 
     def test_concentration_refuses_on_failed_hypothesis(self):
         # a barely-mixing kernel pushes b g (1+c) far above the level
@@ -286,9 +290,12 @@ class TestVerificationProcedures:
         report = concentration_check(
             prob, cfg, (100,), 3, 50, 0.3, (0.1,), (1.0,), seed=9
         )
-        assert not report.hypothesis_met
-        assert report.failing_step is not None
-        assert report.rows == ()
+        levels = theoretical_adaptive_flow(prob, 0.5, 3).hypothesis_levels()
+        first_bad = next(n for n, lvl in enumerate(levels, start=1) if lvl > 0.3)
+        assert not report.hypothesis_ok
+        (row,) = report.rows
+        assert (row.status, row.scope) == ("hypothesis-unmet", f"step={first_bad}")
+        assert row.lhs == max(levels)
 
     def test_concentration_bounds_hold_under_hypothesis(self):
         prob = adaptive_problem(4)
@@ -296,10 +303,15 @@ class TestVerificationProcedures:
         report = concentration_check(
             prob, cfg, (200,), 3, 300, 0.6, (0.0, 0.1, 0.25), (1.0, 2.0), seed=10
         )
-        assert report.hypothesis_met
-        assert report.all_hold
-        zero_rows = [r for r in report.rows if r.kind == "tail-shape" and r.level == 0.0]
-        assert all(r.bound == 1.0 for r in zero_rows)
+        assert report.hypothesis_ok
+        assert report.all_pass
+        zero_rows = [
+            r for r in report.rows
+            if r.name == "adaptive-tail-shape" and r.scope.endswith(",level=0")
+        ]
+        assert len(zero_rows) == 3
+        # the bound is 1 at s = 0, and its binomial allowance is 0
+        assert all(r.rhs == 1.0 for r in zero_rows)
 
 
 def _count_fields(run):

@@ -80,15 +80,10 @@ eps_prime = 0.25
 y_values = 2
 """ + RUN
 
-# The composite optimizer bound sits far above every particle proportion of
-# ISA, so at any y >= 0 each exceedance count is 0 and no byte of verify.csv
-# depends on the optimizer's draws.  y < 0 has no probabilistic meaning
-# (e^-y > 1, so every row passes); here it lowers the step-4 threshold to
-# about 0.24, inside the spread of the proportions, so that row's count
-# pins the draws.
-ISA_EXCEEDANCE = ISA.replace("y_values = 2", "y_values = -31.25").replace(
-    "replicates = 5", "replicates = 50"
-)
+# y < 0 has no probabilistic meaning (e^-y > 1, so every exceedance row
+# would pass), so a negative confidence exponent is a config error: exit 2
+# at parse time, before any output is written.
+ISA_EXCEEDANCE = ISA.replace("y_values = 2", "y_values = -31.25")
 
 ADAPTIVE = """
 [problem]
@@ -145,9 +140,7 @@ CASES = {
     "verify-adaptive": ("verify-bounds", VERIFY_ADAPTIVE, 0, {
         "verify.csv": "934a051967406def835ee8b5f65dff8c2e5a4a94bd247f6bcf4640faf22b57c3",
     }),
-    "verify-isa-exceedance": ("verify-bounds", ISA_EXCEEDANCE, 0, {
-        "verify.csv": "77b0af664c285af4948f22d3c73ad04759bb97faaeabeaaf4829c6e31080dcf6",
-    }),
+    "verify-isa-exceedance": ("verify-bounds", ISA_EXCEEDANCE, 2, {}),
 }
 
 
@@ -158,5 +151,6 @@ def test_cli_output_digests(case, tmp_path):
     cfg.write_text(text)
     out = tmp_path / "out"
     assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == code
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    files = out.iterdir() if out.exists() else ()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
     assert got == digests

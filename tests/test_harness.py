@@ -67,6 +67,8 @@ seed = 11
 """
 
 
+BOUNDED_TEXT = CLASSIC_TEXT + "\n[checks]\nregime = bounded\na = 0.5\ng_sup = 2.0\n"
+
 ISA_TEXT = """
 [problem]
 v = 0 0.5 1
@@ -255,6 +257,17 @@ class TestCli:
             ("run", CLASSIC_TEXT + "eps_mode = 5.0\n", "eps_mode"),
             ("run", CLASSIC_TEXT.replace("initial = uniform", "initial = 0 0"), "flow.initial"),
             ("run", ISA_TEXT.replace("lazy-ring 0.5", "1 0 0; 0 1 0; 0 0 1"), "schedule"),
+            # check levels must be finite and >= 0, whatever the kind and regime
+            ("verify-bounds", BOUNDED_TEXT + "y_values = 1 -2\n", "checks.y_values"),
+            ("verify-bounds", BOUNDED_TEXT + "y_values = 1 inf\n", "checks.y_values"),
+            (
+                "verify-bounds",
+                CLASSIC_TEXT + "[checks]\nregime = decreasing\ny_values = -1\n",
+                "checks.y_values",
+            ),
+            ("verify-bounds", ISA_TEXT + "[checks]\ny_values = -31.25\n", "checks.y_values"),
+            ("verify-bounds", ADAPTIVE_TEXT + "[checks]\ns_values = 0 -0.05\n", "checks.s_values"),
+            ("verify-bounds", ADAPTIVE_TEXT + "[checks]\ns_values = nan\n", "checks.s_values"),
         ]
         for command, text, field in cases:
             with pytest.raises(ConfigError):
