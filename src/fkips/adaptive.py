@@ -24,11 +24,13 @@ through the triangle of estimates implemented in
 :class:`~fkips.bounds.VerifyReport` of :class:`~fkips.bounds.CheckRow`
 records, as the harness verifiers do.
 
-Two engines run the scheme.  :func:`run_adaptive_counts` steps the
-per-state occupation counts of a whole block of replicates per numpy call
-and serves every finite caller; :func:`run_adaptive` moves N particle
-states, takes general-space problems and is the law reference the count
-engine is tested against.
+The scheme is the annealed transition with its potential exp(-Delta V)
+(and, in adaptive mutation mode, its kernel) chosen from the current
+occupation measure, so it runs as a step rule in the loops of
+:mod:`fkips.engine`.  :func:`run_adaptive_counts` steps the occupation
+counts of a block of replicates per numpy call and serves every finite
+caller; :func:`run_adaptive` moves N particle states, takes general-space
+problems and is the law reference the count engine is tested against.
 
 Energies must be normalized so declared ``V_min = 0`` (all values
 non-negative); the deterministic reference additionally requires strictly
@@ -47,13 +49,12 @@ from .annealing import GibbsProblem, gibbs_measure, metropolis_kernel
 from .engine import (
     BLOCK,
     CountRun,
-    ParticleEnsemble,
-    Purpose,
+    IpsRun,
+    _particle_loop,
+    _run_blocks,
     _SlotStream,
     _transition,
     init_ensemble,
-    mutation_step,
-    selection_step,
 )
 from .errors import InputError, SolverError
 from .flow import FlowSpec
@@ -337,20 +338,16 @@ class AdaptiveStepRow:
     beta: float             # realized inverse temperature
     c: float                # perturbation constant (oracle or surrogate)
     c_mode: str             # "oracle" | "empirical"
-    kept_fraction: float
     saturated: bool
     lambda_residual: float  # |lambda(Delta) - epsilon| at the solved increment
     iterations: int         # Newton iterations of the increment solve
 
 
 @dataclass(frozen=True)
-class AdaptiveRun:
-    ensembles: tuple
-    rows: tuple
+class AdaptiveRun(IpsRun):
+    """An :class:`~fkips.engine.IpsRun` plus one :class:`AdaptiveStepRow` per step."""
 
-    @property
-    def final(self) -> ParticleEnsemble:
-        return self.ensembles[-1]
+    rows: tuple
 
 
 def run_adaptive(
@@ -366,17 +363,16 @@ def run_adaptive(
     """Run the adaptive particle scheme on N particle states.
 
     Finite problems run faster, for many replicates at once, through
-    :func:`run_adaptive_counts`, which has the same law.  Selection keeps
-    particle i with probability exactly ``exp(-Delta^N V(x_i))`` (no eps
-    factor is needed since energies are non-negative) and otherwise
-    redraws from the weighted ensemble;
-    extinction is impossible because the weights are strictly positive.
-    In theoretical mutation mode the kernels come from the deterministic
-    reference (built on demand on finite problems); in adaptive mode they
-    are rebuilt at the realized inverse temperature each step.
+    :func:`run_adaptive_counts`, which has the same law.  The particle loop
+    of :func:`~fkips.engine.run_ips` keeps particle i with probability
+    exactly ``exp(-Delta^N V(x_i))`` (eps = 1, as energies are
+    non-negative) and otherwise redraws from the weighted ensemble, so the
+    diagnostics' mean potential is lambda^N(Delta^N) = epsilon up to the
+    solver tolerance; extinction is impossible because the weights are
+    strictly positive.  In theoretical mutation mode the kernels come from
+    the deterministic reference (built on demand on finite problems); in
+    adaptive mode they are rebuilt at the realized inverse temperature.
     """
-    if n_particles < 1:
-        raise InputError("population size must be >= 1")
     reference = _reference(
         problem, config, horizon, reference, config.mutation_mode == "theoretical"
     )
@@ -388,56 +384,36 @@ def run_adaptive(
         if config.delta_max is None:
             raise InputError("general-space runs need an explicit delta_max")
         delta_cap = config.delta_max
-
-    ens = init_ensemble(eta0, n_particles, seed, replicate)
-    ensembles = [ens]
     rows = []
-    beta = config.beta0
-    for n in range(horizon):
+
+    def rule(n, ens):
         v_states = problem.energy_of(ens.states)
-        if np.any(v_states < 0):
-            raise InputError("energies must be >= 0 (declared V_min = 0)")
-        curve = LambdaCurve.from_ensemble(v_states)
         res = kappa_solve(
-            curve, config.epsilon, tol=config.tol, delta_max=delta_cap, step=n + 1
+            LambdaCurve.from_ensemble(v_states), config.epsilon, tol=config.tol,
+            delta_max=delta_cap, step=n + 1,
         )
         delta = res.delta
-        beta = beta + delta
-        weights = np.exp(-delta * v_states)
-        outcome = selection_step(ens, lambda st, w=weights: w, 1.0)
+        beta = (rows[-1].beta if rows else config.beta0) + delta
         if config.mutation_mode == "theoretical":
             kernel = reference.flow.steps[n][1]
         else:
             kernel = _realized_kernel(problem, beta, config.mcmc_iters)
-        ens = mutation_step(outcome.ensemble, kernel)
-        ensembles.append(ens)
-
         if reference is not None:
-            eta_v = reference.etas[n].expect(problem.v_values)
-            c_mode = "oracle"
+            eta_v, c_mode = reference.etas[n].expect(problem.v_values), "oracle"
         else:
-            eta_v = float(v_states.mean())
-            c_mode = "empirical"
+            eta_v, c_mode = float(v_states.mean()), "empirical"
         v_max = float(problem.v_values.max()) if problem.finite else float(v_states.max())
-        c_n = (
-            v_max * math.exp(delta * v_max) / (config.epsilon * eta_v)
-            if eta_v > 0
-            else math.inf
-        )
-        rows.append(
-            AdaptiveStepRow(
-                step=n + 1,
-                delta=delta,
-                beta=beta,
-                c=c_n,
-                c_mode=c_mode,
-                kept_fraction=outcome.kept_fraction,
-                saturated=res.saturated,
-                lambda_residual=abs(res.lam - config.epsilon),
-                iterations=res.iterations,
-            )
-        )
-    return AdaptiveRun(ensembles=tuple(ensembles), rows=tuple(rows))
+        c_n = v_max * math.exp(delta * v_max) / (config.epsilon * eta_v) if eta_v > 0 else math.inf
+        rows.append(AdaptiveStepRow(
+            step=n + 1, delta=delta, beta=beta, c=c_n, c_mode=c_mode, saturated=res.saturated,
+            lambda_residual=abs(res.lam - config.epsilon), iterations=res.iterations,
+        ))
+        weights = np.exp(-delta * v_states)
+        return (lambda st, w=weights: w), 1.0, kernel
+
+    ens = init_ensemble(eta0, n_particles, seed, replicate)
+    ensembles, diagnostics = _particle_loop(ens, horizon, rule)
+    return AdaptiveRun(ensembles=ensembles, diagnostics=diagnostics, rows=tuple(rows))
 
 
 def _reference(problem, config, horizon, reference=None, needed=True):
@@ -493,77 +469,54 @@ def run_adaptive_counts(
     """Run R replicates of the adaptive scheme on a finite problem through
     their per-state occupation counts.
 
-    One step of a block of :data:`~fkips.engine.BLOCK` replicates solves
-    every row's increment at once by :func:`kappa_solve` on
-    ``lambda_r(Delta) = sum_x c_{r,x} exp(-Delta v_x) / N``, keeps
-    ``Binomial(c_x, exp(-Delta v_x))`` particles per state, redraws the rest
-    as one ``Multinomial`` over ``c exp(-Delta v)`` and moves them as
-    :func:`~fkips.engine.run_counts` does, from the same (seed, block,
-    step, purpose) slots.  The kernel is the reference's in theoretical
-    mutation mode, and each row's annealing kernel at its realized inverse
-    temperature in adaptive mode.  This equals :func:`run_adaptive` in law,
-    not draw for draw, and replicate r depends on (seed, r) only.
+    The count loop of :func:`~fkips.engine.run_counts` solves every row's
+    increment at once by :func:`kappa_solve` on
+    ``lambda_r(Delta) = sum_x c_{r,x} exp(-Delta v_x) / N`` and takes
+    ``G = exp(-Delta v)`` as both the potential and the keep probability
+    (the classic step at eps = 1): it keeps ``Binomial(c_x, G(x))``
+    particles per state and redraws the rest as one ``Multinomial`` over
+    ``c G``, from the same (seed, block, step, purpose) slots.  The kernel
+    is the reference's in theoretical mutation mode, and each row's
+    annealing kernel at its realized inverse temperature in adaptive mode.
+    This equals :func:`run_adaptive` in law, not draw for draw, and
+    replicate r depends on (seed, r) only.
     """
+    plan = _adaptive_plan(problem, config, n_particles, horizon, replicates, reference)
+    return _run_blocks(*plan, n_particles, seed)
+
+
+def _adaptive_plan(problem, config, n_particles, horizon, replicates, reference):
+    """The empty run, initial weights and step rule of :func:`run_adaptive_counts`;
+    the rule records each row's Delta, beta, c, saturation, residual and iterations."""
     if not problem.finite:
         raise InputError("the count engine needs a finite problem; run_adaptive takes samplers")
-    if n_particles < 1:
-        raise InputError("population size must be >= 1")
-    if replicates < 1:
-        raise InputError("replicates must be >= 1")
     if np.any(problem.v_values < 0):
         raise InputError("energies must be >= 0 (declared V_min = 0)")
     reference = _reference(
         problem, config, horizon, reference, config.mutation_mode == "theoretical"
     )
-    shape, d = (replicates, horizon), problem.dim
-    run = AdaptiveCountRun(
-        counts=np.empty((replicates, horizon + 1, d), dtype=np.int64),
-        mean_potential=np.empty(shape),
-        kept_fraction=np.empty(shape),
-        ess=np.empty(shape),
-        log_gamma1=np.zeros((replicates, horizon + 1)),
-        delta=np.empty(shape),
-        beta=np.empty((replicates, horizon + 1)),
-        c=np.empty(shape),
+    shape = (replicates, horizon)
+    run = AdaptiveCountRun._allocate(
+        n_particles, replicates, horizon, problem.dim,
+        delta=np.empty(shape), c=np.empty(shape), lambda_residual=np.empty(shape),
+        beta=np.full((replicates, horizon + 1), float(config.beta0)),
         c_mode="empirical" if reference is None else "oracle",
-        saturated=np.empty(shape, dtype=bool),
-        lambda_residual=np.empty(shape),
-        iterations=np.empty(shape, dtype=np.int64),
+        saturated=np.empty(shape, dtype=bool), iterations=np.empty(shape, dtype=np.int64),
     )
-    streams = _SlotStream(seed)
-    for block in range(-(-replicates // BLOCK)):
-        _adaptive_block(run, block, problem, config, reference, n_particles, streams)
-    return run
-
-
-def _adaptive_block(run, block, problem, config, reference, n_particles, streams):
-    """Fill the rows of ``block`` in ``run`` in place; every per-row value
-    is elementwise or a sum over that row, as in the classic engine."""
-    rows = slice(block * BLOCK, min(run.counts.shape[0], (block + 1) * BLOCK))
-    counts = run.counts[rows]
-    k, eps = counts.shape[0], config.epsilon
-    v, v_max = problem.v_values, float(problem.v_values.max())
+    eps, v, v_max = config.epsilon, problem.v_values, float(problem.v_values.max())
     delta_cap = config.resolved_delta_max(problem.v_osc)
-    eta0 = gibbs_measure(problem, config.beta0)
-    counts[:, 0] = streams.at(block, 0, Purpose.INIT).multinomial(n_particles, eta0.weights, size=k)
-    beta = np.full(k, float(config.beta0))
-    run.beta[rows, 0] = beta
-    for n in range(run.delta.shape[1]):
-        c = counts[:, n]
+
+    def rule(n, rows, c):
         res = kappa_solve(
             LambdaCurve(v, c), eps, tol=config.tol, delta_max=delta_cap, step=n + 1
         )
-        beta = beta + res.delta
-        g = np.exp(-res.delta[:, None] * v)
+        beta = run.beta[rows, n] + res.delta
         if config.mutation_mode == "theoretical":
             kernel_rows = reference.flow.steps[n][1].rows
         else:
             kernel_rows = np.stack(
                 [_realized_kernel(problem, b, config.mcmc_iters).rows for b in beta]
             )
-        weights = c * g
-        counts[:, n + 1], n_kept = _transition(streams, block, n + 1, c, g, weights, kernel_rows)
-        total = weights.sum(axis=1)
         if reference is not None:
             eta_v = reference.etas[n].expect(v)
         else:
@@ -576,10 +529,10 @@ def _adaptive_block(run, block, problem, config, reference, n_particles, streams
         run.saturated[rows, n] = res.saturated
         run.lambda_residual[rows, n] = np.abs(res.lam - eps)
         run.iterations[rows, n] = res.iterations
-        run.mean_potential[rows, n] = total / n_particles
-        run.kept_fraction[rows, n] = n_kept / n_particles
-        run.ess[rows, n] = total * total / (weights * g).sum(axis=1)
-        run.log_gamma1[rows, n + 1] = run.log_gamma1[rows, n] + np.log(total / n_particles)
+        g = np.exp(-res.delta[:, None] * v)
+        return g, g, kernel_rows
+
+    return run, gibbs_measure(problem, config.beta0).weights, rule
 
 
 # ---------------------------------------------------------------------------

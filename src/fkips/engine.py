@@ -7,16 +7,15 @@ kernel draw.  The running product of pre-selection mean potentials is an
 unbiased estimator of the unnormalized flow mass and is accumulated in log
 space.
 
-Two engines simulate this transition.  :func:`run_ips` moves N particle
-states and takes any flow, including sampler callables on general spaces;
-it is also the reference the count engine is tested against.
-:func:`run_counts` serves finite flows: it steps the per-state occupation
-counts, which carry the same law at O(d^2) per step whatever N is, for a
-whole block of replicates per numpy call.  Its keep/redraw/move step is
-shared with the adaptive count engine
-(:func:`fkips.adaptive.run_adaptive_counts`), which brings its own keep
-probabilities exp(-Delta V) and, in adaptive mutation mode, one kernel per
-replicate.
+One loop per kind of state space simulates this transition, driven by a
+private step rule that picks each step's potential, keep probability and
+kernel.  :func:`run_ips` moves N particle states and takes any flow,
+including sampler callables on general spaces; it is also the reference
+the count engine is tested against.  :func:`run_counts` serves finite
+flows: it steps the per-state occupation counts, which carry the same law
+at O(d^2) per step whatever N is, for a whole block of replicates per
+numpy call.  The adaptive scheme (:mod:`fkips.adaptive`) runs in both
+loops with its own rule.
 
 Randomness is counter-based: every (seed, index, step, purpose) tuple keys a
 disjoint Philox stream, where the index is the replicate for
@@ -277,9 +276,6 @@ class IpsRun:
     def final(self) -> ParticleEnsemble:
         return self.ensembles[-1]
 
-    def log_gamma1(self, n: int) -> float:
-        return self.ensembles[n].log_gamma1
-
     def gamma1(self, n: int) -> float:
         return float(np.exp(self.ensembles[n].log_gamma1))
 
@@ -313,27 +309,30 @@ def run_ips(
     :func:`resolve_eps`) or a per-step sequence of policies.
     """
     steps, eps_schedule = _schedule(spec, horizon, eps)
-    horizon = len(steps)
-    ens = init_ensemble(spec.initial, n_particles, seed, replicate)
-    ensembles = [ens]
-    diagnostics = []
-    for n in range(horizon):
+
+    def rule(n, ens):
         potential, kernel = steps[n]
         gv_max = float(_potential_values(potential, ens.states).max())
-        eps_n = resolve_eps(eps_schedule[n], gv_max)
+        return potential, resolve_eps(eps_schedule[n], gv_max), kernel
+
+    ens = init_ensemble(spec.initial, n_particles, seed, replicate)
+    return IpsRun(*_particle_loop(ens, len(steps), rule))
+
+
+def _particle_loop(ens, horizon, rule):
+    """Select and mutate ``ens`` for ``horizon`` steps by the (potential, eps,
+    kernel) that ``rule(n, ens)`` returns; gives the ensembles and diagnostics."""
+    ensembles, diagnostics = [ens], []
+    for n in range(horizon):
+        potential, eps_n, kernel = rule(n, ens)
         outcome = selection_step(ens, potential, eps_n)
         ens = mutation_step(outcome.ensemble, kernel)
         ensembles.append(ens)
-        diagnostics.append(
-            StepDiagnostics(
-                step=n + 1,
-                mean_potential=outcome.mean_potential,
-                kept_fraction=outcome.kept_fraction,
-                ess=outcome.ess,
-                log_gamma1=ens.log_gamma1,
-            )
-        )
-    return IpsRun(ensembles=tuple(ensembles), diagnostics=tuple(diagnostics))
+        diagnostics.append(StepDiagnostics(
+            step=n + 1, mean_potential=outcome.mean_potential, kept_fraction=outcome.kept_fraction,
+            ess=outcome.ess, log_gamma1=ens.log_gamma1,
+        ))
+    return tuple(ensembles), tuple(diagnostics)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,6 +350,20 @@ class CountRun:
     def histograms(self) -> np.ndarray:
         """Occupation measures eta^N_0 .. eta^N_T of every replicate."""
         return self.counts / self.counts[0, 0].sum()
+
+    @classmethod
+    def _allocate(cls, n_particles, replicates, horizon, dim, **records):
+        """Rows for :func:`_count_block` to fill, plus a subclass's ``records``."""
+        if n_particles < 1:
+            raise InputError("population size must be >= 1")
+        if replicates < 1:
+            raise InputError("replicates must be >= 1")
+        shape = (replicates, horizon)
+        return cls(
+            counts=np.empty((replicates, horizon + 1, dim), dtype=np.int64),
+            mean_potential=np.empty(shape), kept_fraction=np.empty(shape), ess=np.empty(shape),
+            log_gamma1=np.zeros((replicates, horizon + 1)), **records,
+        )
 
 
 # Replicates drawn per numpy call.  Replicate r reads the slots of block
@@ -387,66 +400,67 @@ def run_counts(
     the order in which blocks run.  The draws differ from :func:`run_ips`'s,
     so the two engines agree in law, not draw for draw.
     """
+    plan = _classic_plan(spec, n_particles, replicates, horizon, eps)
+    return _run_blocks(*plan, n_particles, seed)
+
+
+def _classic_plan(spec, n_particles, replicates, horizon, eps):
+    """The empty run, initial weights and step rule of :func:`run_counts`."""
     finite = isinstance(spec.initial, FiniteDistribution) and all(
         isinstance(g, PotentialVector) and isinstance(m, KernelMatrix) for g, m in spec.steps
     )
     if not finite:
         raise InputError("the count engine needs a finite flow; run_ips takes samplers")
-    if n_particles < 1:
-        raise InputError("population size must be >= 1")
-    if replicates < 1:
-        raise InputError("replicates must be >= 1")
     steps, eps_schedule = _schedule(spec, horizon, eps)
-    run = _empty_run(replicates, len(steps), spec.initial.dim)
-    streams = _SlotStream(seed)
-    for block in range(-(-replicates // BLOCK)):
-        _count_block(run, block, spec.initial, steps, eps_schedule, n_particles, streams)
-    return run
+    run = CountRun._allocate(n_particles, replicates, len(steps), spec.initial.dim)
 
-
-def _empty_run(replicates: int, horizon: int, dim: int) -> CountRun:
-    return CountRun(
-        counts=np.empty((replicates, horizon + 1, dim), dtype=np.int64),
-        mean_potential=np.empty((replicates, horizon)),
-        kept_fraction=np.empty((replicates, horizon)),
-        ess=np.empty((replicates, horizon)),
-        log_gamma1=np.zeros((replicates, horizon + 1)),
-    )
-
-
-def _count_block(run, block, initial, steps, eps_schedule, n_particles, streams):
-    """Fill the rows of ``block`` in ``run`` in place.
-
-    Every per-replicate value is an elementwise or a per-row reduction of
-    that replicate's own data, so it does not depend on the block's size.
-    """
-    rows = slice(block * BLOCK, min(run.counts.shape[0], (block + 1) * BLOCK))
-    counts = run.counts[rows]
-    k = counts.shape[0]
-    counts[:, 0] = streams.at(block, 0, Purpose.INIT).multinomial(
-        n_particles, initial.weights, size=k
-    )
-    for n, (potential, kernel) in enumerate(steps):
-        c, g = counts[:, n], potential.values
-        occupied = c > 0
+    def rule(n, rows, c):
+        potential, kernel = steps[n]
+        g, occupied = potential.values, c > 0
         if np.any(occupied & (g < 0)):
             raise InputError("selection potential must be non-negative")
-        weights = c * g
-        total = weights.sum(axis=1)
-        if np.any(total <= 0):
-            raise ExtinctionError(n)
         g_max = np.where(occupied, g, -np.inf).max(axis=1)
+        if np.any(g_max <= 0):   # every occupied state has G = 0
+            raise ExtinctionError(n)
         mode = eps_schedule[n]
         # only "auto" depends on the ensemble; the other policies are constants
-        eps_n = 1.0 / g_max if mode == "auto" else np.full(k, resolve_eps(mode, 0.0))
+        eps_n = 1.0 / g_max if mode == "auto" else np.full(len(c), resolve_eps(mode, 0.0))
         if np.any(eps_n < 0):
             raise InputError("eps must be >= 0")
         if np.any(eps_n * g_max > 1.0 + 1e-12):
             raise InputError("eps * max potential exceeds 1 on this ensemble")
-        keep_p = np.clip(eps_n[:, None] * g, 0.0, 1.0)
+        return g, np.clip(eps_n[:, None] * g, 0.0, 1.0), kernel.rows
+
+    return run, spec.initial.weights, rule
+
+
+def _run_blocks(run, initial, rule, n_particles, seed):
+    """Fill every block of ``run`` in place, in block order; returns ``run``."""
+    streams = _SlotStream(seed)
+    for block in range(-(-run.counts.shape[0] // BLOCK)):
+        _count_block(run, block, initial, rule, n_particles, streams)
+    return run
+
+
+def _count_block(run, block, initial, rule, n_particles, streams):
+    """Fill the rows of ``block`` in ``run`` in place: step n keeps, redraws
+    and moves the (k, d) counts ``c`` by the (potential, keep probability,
+    kernel rows) that ``rule(n, rows, c)`` returns.  Every per-replicate
+    value is an elementwise or a per-row reduction of that replicate's own
+    data, so it does not depend on the block's size."""
+    rows = slice(block * BLOCK, min(run.counts.shape[0], (block + 1) * BLOCK))
+    counts = run.counts[rows]
+    counts[:, 0] = streams.at(block, 0, Purpose.INIT).multinomial(
+        n_particles, initial, size=counts.shape[0]
+    )
+    for n in range(run.mean_potential.shape[1]):
+        c = counts[:, n]
+        g, keep_p, kernel_rows = rule(n, rows, c)
+        weights = c * g
         counts[:, n + 1], n_kept = _transition(
-            streams, block, n + 1, c, keep_p, weights, kernel.rows
+            streams, block, n + 1, c, keep_p, weights, kernel_rows
         )
+        total = weights.sum(axis=1)
         mean_g = total / n_particles
         run.mean_potential[rows, n] = mean_g
         run.kept_fraction[rows, n] = n_kept / n_particles

@@ -25,8 +25,9 @@ and keys:
                 (auto|multinomial|float), n_test_functions, threads
                 (validated and kept so older configs still parse; it has
                 no effect)
-    [checks]    regime (bounded|decreasing), a, g_sup, y_values and s_values
-                (finite, >= 0), epsilon_level, eps_prime
+    [checks]    regime (bounded|decreasing), a in (0, 1), g_sup >= 1,
+                epsilon_level > eps_prime > 0, y_values and s_values (>= 0;
+                y >= 1 for adaptive); every number finite
 
 Every output is a deterministic function of (config, seed): replicates use
 counter-based streams keyed by (seed, block, step, purpose) whose rows do
@@ -245,8 +246,7 @@ class ExperimentConfig:
             threads=threads,
         )
         # fail fast on semantic errors; what is built is kept for every later reader
-        cfg.y_values
-        cfg.s_values
+        cfg.checks
         if cfg.flow is None:
             cfg.problem
             cfg.adaptive_config
@@ -403,14 +403,9 @@ class ExperimentConfig:
         return self.build_flow()
 
     @cached_property
-    def y_values(self) -> tuple:
-        """The ``[checks]`` confidence exponents y (default 1 2 4)."""
-        return _check_levels(self.raw, "y_values", (1.0, 2.0, 4.0))
-
-    @cached_property
-    def s_values(self) -> tuple:
-        """The ``[checks]`` adaptive deviation levels s (default 0 0.1 0.2 0.3)."""
-        return _check_levels(self.raw, "s_values", (0.0, 0.1, 0.2, 0.3))
+    def checks(self) -> "Checks":
+        """The ``[checks]`` section, validated once (by ``from_raw``)."""
+        return _parse_checks(self.raw, self.kind)
 
     def horizon(self) -> int:
         if self.flow is not None:
@@ -418,16 +413,58 @@ class ExperimentConfig:
         return self.steps
 
 
-def _check_levels(raw: RawConfig, key: str, default: tuple) -> tuple:
-    """The ``[checks] key`` grid as floats; each must be finite and >= 0."""
-    value = raw.get("checks", key)
-    if value is None:
-        return default
-    with _field(f"checks.{key}"):
-        levels = np.atleast_1d(np.asarray(value, dtype=np.float64))
-    if levels.ndim != 1 or not np.all(np.isfinite(levels) & (levels >= 0)):
-        raise ConfigError([f"checks.{key} must be finite numbers >= 0, got {value!r}"])
-    return tuple(float(x) for x in levels)
+@dataclass(frozen=True)
+class Checks:
+    """The validated ``[checks]`` section; a ``g_sup`` of None stands for the
+    flow's largest potential ratio."""
+
+    regime: str
+    a: float
+    g_sup: float | None
+    epsilon_level: float
+    eps_prime: float
+    y_values: tuple
+    s_values: tuple
+
+
+def _parse_checks(raw: RawConfig, kind: str) -> Checks:
+    """Every ``[checks]`` value or its default; a bad one is a field error."""
+    errors = []
+
+    def numbers(key, default, ok, rule):
+        """``key`` as a float, or a tuple of floats if the default is one."""
+        value = raw.get("checks", key)
+        if value is None:
+            return default
+        with _field(f"checks.{key}"):
+            x = np.atleast_1d(np.asarray(value, dtype=np.float64))
+        grid = isinstance(default, tuple)
+        if x.ndim != 1 or (x.size != 1 and not grid) or not np.all(np.isfinite(x) & ok(x)):
+            errors.append(f"checks.{key} must be {rule}, got {value!r}")
+        return tuple(float(v) for v in x.ravel()) if grid else float(x.flat[0])
+
+    regime = raw.get("checks", "regime", "bounded")
+    if regime not in ("bounded", "decreasing"):
+        errors.append(f"checks.regime must be bounded|decreasing, got {regime!r}")
+    adaptive = kind == "adaptive"
+    y_min = 1.0 if adaptive else 0.0   # the adaptive threshold needs y >= 1
+    eps_level = numbers("epsilon_level", 0.5, lambda x: x > 0, "a finite number > 0")
+    checks = Checks(
+        regime=regime,
+        a=numbers("a", 0.6 if adaptive else 0.5, lambda x: (x > 0) & (x < 1), "in (0, 1)"),
+        g_sup=numbers("g_sup", None, lambda x: x >= 1, "a finite number >= 1"),
+        epsilon_level=eps_level,
+        eps_prime=numbers(
+            "eps_prime", 0.25, lambda x: (x > 0) & (x < eps_level), "in (0, epsilon_level)"
+        ),
+        y_values=numbers(
+            "y_values", (1.0, 2.0, 4.0), lambda x: x >= y_min, f"finite numbers >= {y_min:g}"
+        ),
+        s_values=numbers("s_values", (0.0, 0.1, 0.2, 0.3), lambda x: x >= 0, "finite numbers >= 0"),
+    )
+    if errors:
+        raise ConfigError(errors)
+    return checks
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -877,49 +914,38 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
 
     Classic configs get the oracle identity, the semigroup lemmas and the
     checks of the ``[checks] regime``; isa configs get
-    :func:`check_isa_bounds` at the first y; adaptive configs get
-    :func:`~fkips.adaptive.concentration_check`'s report as it stands, over
-    the y values >= 1.  Every check runs ``[run] replicates`` replicates,
-    or 2000 when the key is omitted.
+    :func:`check_isa_bounds`; adaptive configs get
+    :func:`~fkips.adaptive.concentration_check`'s report as it stands.
+    Every check covers the whole ``[checks] y_values`` grid and runs
+    ``[run] replicates`` replicates, or 2000 when the key is omitted.
     """
-    raw = cfg.raw
-    replicates = cfg.replicates if raw.get("run", "replicates") is not None else 2000
+    checks = cfg.checks
+    replicates = cfg.replicates if cfg.raw.get("run", "replicates") is not None else 2000
     if cfg.kind == "classic":
         flow = cfg.flow
-        a = float(raw.get("checks", "a", 0.5))
-        regime = raw.get("checks", "regime", "bounded")
         rows = list(check_oracle_identity(flow).rows)
         lemmas = check_semigroup_lemmas(flow)
         rows.append(CheckRow.compare("semigroup-lemmas", "all", -lemmas.min_slack, 1e-10))
-        if regime == "bounded":
-            g_sup = raw.get("checks", "g_sup")
-            g_sup = float(g_sup) if g_sup is not None else max(flow.trace.g)
+        if checks.regime == "bounded":
+            g_sup = checks.g_sup if checks.g_sup is not None else max(flow.trace.g)
             report = check_uniform_regime(
-                flow, a, g_sup, cfg.n_particles, replicates, cfg.seed, y_values=cfg.y_values
+                flow, checks.a, g_sup, cfg.n_particles, replicates, cfg.seed,
+                y_values=checks.y_values,
             )
         else:
             report = check_decreasing_regime(
-                flow, a, cfg.n_particles, replicates, cfg.seed, y_values=cfg.y_values
+                flow, checks.a, cfg.n_particles, replicates, cfg.seed, y_values=checks.y_values
             )
         rows.extend(report.rows)
         return VerifyReport(rows=tuple(rows), hypothesis_ok=report.hypothesis_ok)
     if cfg.kind == "isa":
-        eps_level = float(raw.get("checks", "epsilon_level", 0.5))
-        eps_prime = float(raw.get("checks", "eps_prime", 0.25))
         return check_isa_bounds(
-            cfg.isa, eps_level, eps_prime, cfg.n_particles, replicates, cfg.seed,
-            y=cfg.y_values[0],
+            cfg.isa, checks.epsilon_level, checks.eps_prime, cfg.n_particles, replicates,
+            cfg.seed, y_values=checks.y_values,
         )
     return adaptive_mod.concentration_check(
-        cfg.problem,
-        cfg.adaptive_config,
-        (cfg.n_particles,),
-        cfg.steps,
-        replicates,
-        float(raw.get("checks", "a", 0.6)),
-        cfg.s_values,
-        tuple(y for y in cfg.y_values if y >= 1.0),
-        cfg.seed,
+        cfg.problem, cfg.adaptive_config, (cfg.n_particles,), cfg.steps, replicates, checks.a,
+        checks.s_values, checks.y_values, cfg.seed,
     )
 
 
@@ -931,12 +957,12 @@ def check_isa_bounds(
     replicates: int,
     seed: int,
     *,
-    y: float = 2.0,
+    y_values=(2.0,),
     beta_grid=(0.0, 0.5, 1.0, 2.0, 5.0),
 ) -> VerifyReport:
     """Annealing checks: invariance, mixing estimate, tail bound and the
-    replicated optimizer exceedance at confidence exponent y, all on the
-    built flow ``isa``."""
+    replicated optimizer exceedance at each confidence exponent y in
+    ``y_values``, all on the built flow ``isa``."""
     problem, cert = isa.problem, isa.cert
     # invariance of the annealing kernel
     worst_inv = 0.0
@@ -968,20 +994,20 @@ def check_isa_bounds(
         CheckRow("gibbs-tail", "beta-grid", worst_tail, 0.0, "pass" if tail_ok else "fail")
     )
     # replicated optimizer: per-step exceedance of the composite bound
-    level = math.exp(-y)
-    allow = _binomial_allowance(level, replicates)
     result = optimize(
-        isa, n_particles, seed, eps_level, eps_prime, y_values=(y,), replicates=replicates
+        isa, n_particles, seed, eps_level, eps_prime, y_values=y_values, replicates=replicates
     )
     exact_below = all(row.proportion_exact <= row.gibbs_term + 1e-12 for row in result.rows)
     rows.append(
         CheckRow.compare("optimizer-exact-mass", "all-steps", 0.0 if exact_below else 1.0, 0.0)
     )
-    thresholds = np.array([row.thresholds[y] for row in result.rows])
-    exceed = (result.proportions > thresholds).sum(axis=0)
-    freqs = exceed / replicates
-    for n, freq in enumerate(freqs, start=1):
-        rows.append(CheckRow.compare(
-            "optimizer-exceedance", f"n={n},y={_fmt(y)}", float(freq), level + allow
-        ))
+    for y in y_values:
+        level = math.exp(-y)
+        allow = _binomial_allowance(level, replicates)
+        thresholds = np.array([row.thresholds[float(y)] for row in result.rows])
+        freqs = (result.proportions > thresholds).sum(axis=0) / replicates
+        for n, freq in enumerate(freqs, start=1):
+            rows.append(CheckRow.compare(
+                "optimizer-exceedance", f"n={n},y={_fmt(y)}", float(freq), level + allow
+            ))
     return VerifyReport(rows=tuple(rows), hypothesis_ok=True)

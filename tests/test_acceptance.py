@@ -303,7 +303,7 @@ def test_criterion_09_gibbs_tail_and_optimizer():
         n_particles=1000,
         replicates=200,
         seed=900,
-        y=2.0,
+        y_values=(2.0,),
     )
     ok &= verify.all_pass
     worst = min(r.margin for r in verify.rows)

@@ -209,10 +209,10 @@ class TestRunAdaptive:
         kept = np.array(
             [
                 [
-                    row.kept_fraction
-                    for row in run_adaptive(
+                    step.kept_fraction
+                    for step in run_adaptive(
                         prob, cfg, n_particles, 3, seed=3, replicate=r, reference=ref
-                    ).rows
+                    ).diagnostics
                 ]
                 for r in range(reps)
             ]
@@ -235,6 +235,24 @@ class TestRunAdaptive:
         # two thirds of the mass never decays below 1/2: the solver saturates
         assert any(row.saturated for row in run.rows)
         assert all(row.delta <= 10.0 for row in run.rows)
+
+    @pytest.mark.parametrize("mode", ["theoretical", "adaptive"])
+    def test_step_diagnostics(self, mode):
+        # the mean potential is lambda^N(Delta^N), which the solve pins to
+        # epsilon; the mass estimate accumulates its logarithm
+        prob = adaptive_problem(6)
+        cfg = AdaptiveConfig(epsilon=0.75, tol=1e-10, mcmc_iters=2, mutation_mode=mode)
+        n_particles = 300
+        run = run_adaptive(prob, cfg, n_particles, 5, seed=12)
+        assert [d.step for d in run.diagnostics] == [r.step for r in run.rows] == [1, 2, 3, 4, 5]
+        log_gamma = 0.0
+        for step, row in zip(run.diagnostics, run.rows):
+            assert not row.saturated
+            assert abs(step.mean_potential - cfg.epsilon) <= cfg.tol
+            assert 1.0 <= step.ess <= n_particles
+            log_gamma += math.log(step.mean_potential)
+            assert step.log_gamma1 == pytest.approx(log_gamma, rel=1e-12)
+            assert step.log_gamma1 == run.ensembles[step.step].log_gamma1
 
     def test_adaptive_mutation_mode_runs(self):
         prob = adaptive_problem(4)
@@ -344,7 +362,7 @@ class TestCountEngineLaw:
             for n in range(horizon)
         }
         samples["kept"] = (
-            [np.mean([row.kept_fraction for row in run.rows]) for run in ips],
+            [np.mean([step.kept_fraction for step in run.diagnostics]) for run in ips],
             cnt.kept_fraction.mean(axis=1),
         )
         samples["log_gamma_T"] = ([run.final.log_gamma1 for run in ips], cnt.log_gamma1[:, -1])

@@ -2,6 +2,8 @@
 exact oracle, and the block-level stream contract that makes a replicate's
 row a function of (seed, replicate) only."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -10,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from fkips.adaptive import AdaptiveConfig, _adaptive_plan
 from fkips.engine import (
     BLOCK,
     Purpose,
+    _classic_plan,
     _count_block,
-    _empty_run,
-    _schedule,
+    _run_blocks,
     _SlotStream,
     run_counts,
     run_ips,
@@ -24,6 +27,8 @@ from fkips.engine import (
 from fkips.errors import InputError
 from fkips.flow import FlowSpec
 from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
+
+from .instances import adaptive_problem
 
 U64 = st.integers(0, 2**64 - 1)
 
@@ -119,7 +124,9 @@ class TestLawAgainstExactOracle:
 
 
 def _fields(run):
-    return (run.counts, run.mean_potential, run.kept_fraction, run.ess, run.log_gamma1)
+    """Every per-replicate array of a count run, a subclass's records included."""
+    values = (getattr(run, f.name) for f in dataclasses.fields(run))
+    return tuple(v for v in values if isinstance(v, np.ndarray))
 
 
 def _same_rows(run, other, rows):
@@ -134,6 +141,22 @@ _BLOCK_DRAWS = {
     "redraw": lambda g, c, p, m: g.multinomial(c.sum(axis=1), p / p.sum(axis=1, keepdims=True)),
     "move": lambda g, c, p, m: g.multinomial(c, m),
 }
+
+
+def _plan(engine):
+    """The empty run, initial weights and step rule of one count engine:
+    N = 200, three steps and 3 BLOCK + 5 replicates."""
+    replicates = 3 * BLOCK + 5
+    if engine == "classic":
+        return _classic_plan(rotating_flow(3), 200, replicates, None, "auto")
+    mode = engine.split("-")[1]
+    cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=2, mutation_mode=mode)
+    return _adaptive_plan(adaptive_problem(6), cfg, 200, 3, replicates, None)
+
+
+@functools.lru_cache(maxsize=None)
+def _in_block_order(engine):
+    return _run_blocks(*_plan(engine), 200, 5)
 
 
 class TestStreamContract:
@@ -185,17 +208,17 @@ class TestStreamContract:
         long = run_counts(spec, 200, seed=5, replicates=replicate + 1 + extra, eps=eps)
         assert _same_rows(short, long, slice(replicate + 1))
 
+    @pytest.mark.parametrize("engine", ["classic", "adaptive-theoretical", "adaptive-adaptive"])
     @settings(max_examples=20, deadline=None)
     @given(order=st.permutations(range(4)))
-    def test_rows_independent_of_replicate_order(self, order):
-        # blocks of replicates computed in any order give the same rows
-        spec, replicates = rotating_flow(3), 3 * BLOCK + 5
-        base = run_counts(spec, 200, seed=5, replicates=replicates)
-        steps, eps_schedule = _schedule(spec, None, "auto")
-        run, streams = _empty_run(replicates, spec.horizon, spec.dim), _SlotStream(5)
+    def test_rows_independent_of_replicate_order(self, engine, order):
+        # blocks of replicates filled in any order give the same rows, for
+        # the classic step rule and the adaptive one in both mutation modes
+        run, initial, rule = _plan(engine)
+        streams = _SlotStream(5)
         for block in order:
-            _count_block(run, block, spec.initial, steps, eps_schedule, 200, streams)
-        assert _same_rows(base, run, slice(None))
+            _count_block(run, block, initial, rule, 200, streams)
+        assert _same_rows(_in_block_order(engine), run, slice(None))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -241,6 +241,13 @@ class TestVerifyDispatch:
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0] == "check,scope,lhs,rhs,margin,status"
 
+    def test_isa_exceedance_rows_cover_every_y(self):
+        text = ISA_TEXT + "[run]\nn_particles = 60\nsteps = 3\nreplicates = 5\n"
+        cfg = parse_config(text + "[checks]\ny_values = 2 4\n")
+        scopes = [r.scope for r in verify_bounds(cfg).rows if r.name == "optimizer-exceedance"]
+        horizon = cfg.isa.flow.horizon
+        assert scopes == [f"n={n},y={y}" for y in (2, 4) for n in range(1, horizon + 1)]
+
     def test_check_row_margin(self):
         row = CheckRow("x", "s", 1.0, 3.0, "pass")
         assert row.margin == 2.0
@@ -268,6 +275,22 @@ class TestCli:
             ("verify-bounds", ISA_TEXT + "[checks]\ny_values = -31.25\n", "checks.y_values"),
             ("verify-bounds", ADAPTIVE_TEXT + "[checks]\ns_values = 0 -0.05\n", "checks.s_values"),
             ("verify-bounds", ADAPTIVE_TEXT + "[checks]\ns_values = nan\n", "checks.s_values"),
+            # the adaptive threshold needs y >= 1
+            ("verify-bounds", ADAPTIVE_TEXT + "[checks]\ny_values = 0.5 2\n", "checks.y_values"),
+            # the rest of [checks], whatever the kind
+            (
+                "verify-bounds",
+                BOUNDED_TEXT.replace("regime = bounded", "regime = bonded"),
+                "checks.regime",
+            ),
+            ("verify-bounds", BOUNDED_TEXT.replace("a = 0.5", "a = 1.5"), "checks.a"),
+            ("verify-bounds", ADAPTIVE_TEXT + "[checks]\na = 1.2\n", "checks.a"),
+            ("verify-bounds", BOUNDED_TEXT.replace("g_sup = 2.0", "g_sup = 0.5"), "checks.g_sup"),
+            (
+                "verify-bounds",
+                ISA_TEXT + "[checks]\nepsilon_level = 0.5\neps_prime = 0.75\n",
+                "checks.eps_prime",
+            ),
         ]
         for command, text, field in cases:
             with pytest.raises(ConfigError):

@@ -15,7 +15,7 @@ import pytest
 
 import fkips
 
-from .test_golden import CLASSIC, VERIFY_ADAPTIVE
+from .test_golden import ADAPTIVE, CLASSIC, VERIFY_ADAPTIVE
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 SRC = pathlib.Path(fkips.__file__).resolve().parents[1]
@@ -33,6 +33,13 @@ SRC = pathlib.Path(fkips.__file__).resolve().parents[1]
                 "adaptive.LambdaCurve.value",
                 "measures.KernelMatrix.power",
             },
+        ),
+        # the path the adaptive-run workload times: the count loop with the
+        # adaptive step rule
+        (
+            "adaptive",
+            ADAPTIVE,
+            {"adaptive.run_adaptive_counts", "adaptive.kappa_solve", "adaptive.LambdaCurve.value"},
         ),
     ],
 )
