@@ -30,7 +30,7 @@ from .measures import (
     potential_ratio,
     total_variation,
 )
-from .flow import FlowSpec, FlowTrace, fk_step, run_flow, semigroup
+from .flow import FlowSpec, FlowTrace, fk_step, run_flow
 from .engine import (
     ParticleEnsemble,
     init_ensemble,

@@ -62,7 +62,7 @@ from .annealing import (
 )
 from .engine import run_counts
 from .errors import ConfigError, DegenerateMeasureError, NoMinorizationError
-from .flow import FlowSpec, check_semigroup_lemmas
+from .flow import FlowSpec, InequalityRecord, LemmaReport, check_semigroup_lemmas
 from .measures import (
     BoundedFunction,
     FiniteDistribution,
@@ -83,6 +83,15 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return format(float(x), _FLOAT_FMT)
     return str(x)
+
+
+def _config_text(val) -> str:
+    """A parsed config value written back as config text."""
+    if isinstance(val, np.ndarray):
+        if val.ndim == 2:
+            return "; ".join(" ".join(_fmt(x) for x in row) for row in val)
+        return " ".join(_fmt(x) for x in val)
+    return _fmt(val)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +449,7 @@ def _parse_checks(raw: RawConfig, kind: str) -> Checks:
             x = np.atleast_1d(np.asarray(value, dtype=np.float64))
         grid = isinstance(default, tuple)
         if x.ndim != 1 or (x.size != 1 and not grid) or not np.all(np.isfinite(x) & ok(x)):
-            errors.append(f"checks.{key} must be {rule}, got {value!r}")
+            errors.append(f"checks.{key} must be {rule}, got {_config_text(value)!r}")
         return tuple(float(v) for v in x.ravel()) if grid else float(x.flat[0])
 
     regime = raw.get("checks", "regime", "bounded")
@@ -476,15 +485,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         body = cfg.raw.sections[section]
         out.append(f"[{section}]")
         for key in sorted(body):
-            val = body[key]
-            if isinstance(val, np.ndarray):
-                if val.ndim == 2:
-                    text = "; ".join(" ".join(_fmt(x) for x in row) for row in val)
-                else:
-                    text = " ".join(_fmt(x) for x in val)
-            else:
-                text = _fmt(val)
-            out.append(f"{key} = {text}")
+            out.append(f"{key} = {_config_text(body[key])}")
         out.append("")
     return "\n".join(out)
 
@@ -722,50 +723,46 @@ def _deviation_tensor(flow, n_particles, replicates, seed, fdict):
     return _expectations(run.histograms, fdict) - exact, run.log_gamma1 - trace.log_gamma1
 
 
+def _cap_summary(records) -> tuple:
+    """(ok, worst excess, scope) of cap records.  A cap holds when
+    ``lhs - rhs <= 1e-10 * min(1, rhs)`` (:attr:`InequalityRecord.excess`), so
+    the caps ``a^(n-p)`` are checked to relative precision."""
+    report = LemmaReport(tuple(records))
+    worst = report.worst()
+    return report.holds(1e-10), worst.excess, f"{worst.name},p={worst.p},n={worst.n}"
+
+
 def composed_caps_bounded(flow: FlowSpec, a: float, g_sup: float):
     """Exact composed-quantity caps implied by the uniform-regime hypothesis:
     ``g_{p,n} <= g_sup + a``, ``b_p g_{p-1,n} <= a`` and
     ``g_{p,n} b_{p,n} <= a^(n-p)``.  Returns (ok, worst_excess, scope)."""
     step_b, g, b = flow.trace.b, flow.table.g.tolist(), flow.table.b.tolist()
-    worst, scope, ok = -math.inf, "none", True
+    records = []
     for n in range(flow.horizon + 1):
         for p in range(n, -1, -1):
-            for name, excess in (
-                ("g_pn", g[p][n] - (g_sup + a)),
-                ("g_pn*b_pn", g[p][n] * b[p][n] - a ** (n - p)),
-            ):
-                if excess > worst:
-                    worst, scope = excess, f"{name},p={p},n={n}"
-                ok &= excess <= 1e-10
+            records.append(InequalityRecord("g_pn", p, n, g[p][n], g_sup + a))
+            records.append(InequalityRecord("g_pn*b_pn", p, n, g[p][n] * b[p][n], a ** (n - p)))
             if p >= 1:
                 # b_p pairs with g_{p-1,n}; step_b is 0-indexed by step
-                excess = step_b[p - 1] * g[p - 1][n] - a
-                if excess > worst:
-                    worst, scope = excess, f"b_p*g_(p-1)n,p={p},n={n}"
-                ok &= excess <= 1e-10
-    return ok, worst, scope
+                bg = step_b[p - 1] * g[p - 1][n]
+                records.append(InequalityRecord("b_p*g_(p-1)n", p, n, bg, a))
+    return _cap_summary(records)
 
 
 def composed_caps_decreasing(flow: FlowSpec, a: float):
     """Exact composed caps of the decreasing regime:
     ``g_{p,n} <= g_(p+1)^(1+alpha)`` for p < n and
-    ``g_{p,n} b_{p,n} <= a^(n-p)``."""
+    ``g_{p,n} b_{p,n} <= a^(n-p)``.  Returns (ok, worst_excess, scope)."""
     step_g, g, b = flow.trace.g, flow.table.g.tolist(), flow.table.b.tolist()
     alpha = a / (1.0 - a)
-    worst, scope, ok = -math.inf, "none", True
+    records = []
     for n in range(flow.horizon + 1):
         for p in range(n, -1, -1):
             if p < n:
-                excess = g[p][n] - step_g[p] ** (1.0 + alpha)
                 # step_g is 0-indexed: step_g[p] is the step-(p+1) ratio
-                if excess > worst:
-                    worst, scope = excess, f"g_pn,p={p},n={n}"
-                ok &= excess <= 1e-10
-            excess = g[p][n] * b[p][n] - a ** (n - p)
-            if excess > worst:
-                worst, scope = excess, f"g_pn*b_pn,p={p},n={n}"
-            ok &= excess <= 1e-10
-    return ok, worst, scope
+                records.append(InequalityRecord("g_pn", p, n, g[p][n], step_g[p] ** (1.0 + alpha)))
+            records.append(InequalityRecord("g_pn*b_pn", p, n, g[p][n] * b[p][n], a ** (n - p)))
+    return _cap_summary(records)
 
 
 def check_uniform_regime(
@@ -925,7 +922,7 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
         flow = cfg.flow
         rows = list(check_oracle_identity(flow).rows)
         lemmas = check_semigroup_lemmas(flow)
-        rows.append(CheckRow.compare("semigroup-lemmas", "all", -lemmas.min_slack, 1e-10))
+        rows.append(CheckRow.compare("semigroup-lemmas", "all", lemmas.max_excess, 1e-10))
         if checks.regime == "bounded":
             g_sup = checks.g_sup if checks.g_sup is not None else max(flow.trace.g)
             report = check_uniform_regime(

@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import DegenerateMeasureError, InputError
 # accumulated floating-point drift out of oracle products.
 SUM_TOLERANCE = 1e-9
 
-# Cap on the pairwise row-difference temporary in ``dobrushin``.
+# Cap on the pairwise row-difference temporary in ``_max_row_l1``.
 _DOBRUSHIN_BLOCK_BYTES = 1 << 24
 
 
@@ -250,22 +251,37 @@ def total_variation(mu: FiniteDistribution, nu: FiniteDistribution) -> float:
     return 0.5 * float(np.abs(mu.weights - nu.weights).sum())
 
 
+@functools.lru_cache(maxsize=4)
+def _upper_pairs(n_rows: int, n_cols: int) -> tuple:
+    """Read-only indices (i, j), i < j, of an ``n_rows x n_cols`` band."""
+    pairs = np.triu_indices(n_rows, 1, n_cols)
+    for idx in pairs:
+        idx.setflags(write=False)
+    return pairs
+
+
+def _max_row_l1(rows: np.ndarray) -> float:
+    """Largest L1 distance between two rows of a square matrix (0 for one
+    row), visiting each pair i < j once.  The rows need not be stochastic.
+    Pairs are taken a band of rows at a time, so the pairwise-difference
+    temporary stays under ``_DOBRUSHIN_BLOCK_BYTES``."""
+    d = rows.shape[0]
+    band = max(1, _DOBRUSHIN_BLOCK_BYTES // (8 * d * d))
+    best = 0.0
+    for lo in range(0, d - 1, band):
+        i, j = _upper_pairs(min(band, d - 1 - lo), d - lo)
+        tail = rows[lo:]
+        best = max(best, float(np.abs(tail[i] - tail[j]).sum(axis=1).max()))
+    return best
+
+
 def dobrushin(kernel: KernelMatrix) -> float:
     """Dobrushin ergodic coefficient: worst-case row total variation.
 
     Satisfies ``dobrushin(K1.K2) <= dobrushin(K1) * dobrushin(K2)`` and
-    contracts both ``osc(K.f)`` and ``tv(mu.K, nu.K)``.  Row pairs are
-    compared a block of rows at a time, so the pairwise-difference
-    temporary stays under ``_DOBRUSHIN_BLOCK_BYTES``.
+    contracts both ``osc(K.f)`` and ``tv(mu.K, nu.K)``.
     """
-    rows = kernel.rows
-    d = rows.shape[0]
-    step = max(1, _DOBRUSHIN_BLOCK_BYTES // (8 * d * d))
-    best = max(
-        float(np.abs(rows[lo : lo + step, None, :] - rows[None, lo:, :]).sum(axis=2).max())
-        for lo in range(0, d, step)
-    )
-    return 0.5 * best
+    return 0.5 * _max_row_l1(kernel.rows)
 
 
 def bg_transform(potential: PotentialVector, mu: FiniteDistribution) -> FiniteDistribution:

@@ -56,15 +56,68 @@ def max_climb_by_paths(support, v, k0) -> float:
     return best
 
 
-def gamma_by_recursion(initial, steps, values=None) -> float:
-    """Unnormalized integral by the raw recursion on full weight vectors:
-    start from the initial weights and repeatedly apply diag(G) then K."""
+def weights_by_recursion(initial, steps) -> np.ndarray:
+    """The unnormalized measure gamma_n as a weight vector, by the raw
+    recursion: start from the initial weights and repeatedly apply diag(G)
+    then K."""
     w = np.asarray(initial, dtype=np.float64).copy()
     for g_vals, k_rows in steps:
         w = (w * np.asarray(g_vals)) @ np.asarray(k_rows)
+    return w
+
+
+def gamma_by_recursion(initial, steps, values=None) -> float:
+    """Unnormalized integral gamma_n(f) by :func:`weights_by_recursion`."""
+    w = weights_by_recursion(initial, steps)
     if values is None:
         return float(w.sum())
     return float(w @ np.asarray(values, dtype=np.float64))
+
+
+def composed_by_product(steps, p, n, dim):
+    """Q_{p,n} as the explicit product of diag(G_k) K_k for k = p+1..n, with
+    its row sums h = Q_{p,n} 1 and the row-normalized transition P_{p,n}.
+    No rescaling: fine for the short horizons of the tests."""
+    q = np.eye(dim)
+    for g_vals, k_rows in steps[p:n]:
+        q = q @ (np.asarray(g_vals)[:, None] * np.asarray(k_rows))
+    h = q.sum(axis=1)
+    return q, h, q / h[:, None]
+
+
+def composed_table_by_product(initial, steps):
+    """(g, b, mass) arrays of every pair p <= n (NaN for p > n) from
+    :func:`composed_by_product`: ``g = max h / min h``,
+    ``b = dobrushin_by_rows(P_{p,n})`` and ``mass = gamma_p . Q_{p,n} . 1``."""
+    size, dim = len(steps) + 1, len(initial)
+    g, b, mass = (np.full((size, size), np.nan) for _ in range(3))
+    for n in range(size):
+        for p in range(n + 1):
+            _, h, transition = composed_by_product(steps, p, n, dim)
+            g[p, n] = h.max() / h.min()
+            b[p, n] = dobrushin_by_rows(transition)
+            mass[p, n] = float(weights_by_recursion(initial, steps[:p]) @ h)
+    return g, b, mass
+
+
+def dobrushin_by_rows(rows) -> float:
+    """Ergodic coefficient as half the largest L1 distance over all ordered
+    row pairs, by a plain double loop."""
+    rows = np.asarray(rows, dtype=np.float64)
+    d = rows.shape[0]
+    return max(0.5 * float(np.abs(rows[x] - rows[y]).sum()) for x in range(d) for y in range(d))
+
+
+def kernel_potential_smoothing(k_rows, g_vals):
+    """Both sides of the smoothing of a potential by a kernel,
+
+        max_x K.G(x) / min_y K.G(y)  <=  1 + dobrushin(K) * (ratio(G) - 1),
+
+    as (lhs, rhs)."""
+    k_rows, g_vals = np.asarray(k_rows), np.asarray(g_vals)
+    kg = k_rows @ g_vals
+    lhs = float(kg.max()) / float(kg.min())
+    return lhs, 1.0 + dobrushin_by_rows(k_rows) * (float(g_vals.max()) / float(g_vals.min()) - 1.0)
 
 
 def random_distribution(rng, dim):

@@ -358,6 +358,27 @@ class TestComposedCapChecks:
             ok, worst, scope = composed_caps_decreasing(flow, 0.5)
             assert ok, (seed, worst, scope)
 
+    def test_caps_are_relative_below_one(self):
+        # constant potentials and M = 0.5 * 1 pi + 0.5 * Perm give
+        # b_{p,n} = 0.5^(n-p) exactly; a cap a^(n-p) with a = 0.5 (1 - 1e-10)
+        # is missed by about (n-p) * 1e-10 relative, which an absolute slack
+        # of 1e-10 cannot see at any n-p
+        from fkips.flow import FlowSpec
+        from fkips.harness import composed_caps_bounded
+        from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
+
+        dim, horizon = 4, 30
+        kernel = KernelMatrix(0.5 / dim + 0.5 * np.roll(np.eye(dim), 1, axis=1))
+        flow = FlowSpec(
+            FiniteDistribution.uniform(dim), ((PotentialVector.constant(dim), kernel),) * horizon
+        )
+        ok, worst, scope = composed_caps_bounded(flow, 0.5 * (1.0 - 1e-10), 1.0)
+        assert not ok
+        assert worst == pytest.approx(horizon * 1e-10, rel=1e-3)
+        assert scope == f"g_pn*b_pn,p=0,n={horizon}"
+        ok, worst, _ = composed_caps_bounded(flow, 0.5, 1.0)
+        assert ok and worst <= 1e-13
+
     def test_stacked_mcmc_mixing_rule(self):
         # adding m chain iterations after a mutation kernel multiplies the
         # coefficient caps: dob(M . K^m) <= dob(M) dob(K)^m

@@ -18,7 +18,7 @@ from fkips.engine import (
     substream,
 )
 from fkips.errors import ExtinctionError, InputError
-from fkips.flow import FlowSpec, run_flow, semigroup_table
+from fkips.flow import FlowSpec, run_flow, stability_sums
 from fkips.measures import (
     BoundedFunction,
     FiniteDistribution,
@@ -213,9 +213,7 @@ class TestRunIps:
         # for sup-norm-1 test functions, every step
         spec = small_flow(4)
         trace = run_flow(spec)
-        sums = [
-            sum(sg.g * sg.b for sg in semigroup_table(spec, n)) for n in range(5)
-        ]
+        sums = stability_sums(spec)
         fdict = 2.0 * osc1_dictionary(3, 8)   # sup norm 1
         n_particles, reps = 200, 300
         devs = np.zeros((reps, 5, fdict.shape[0]))

@@ -1,21 +1,19 @@
 """Exact flow oracle: step semantics, mass identities, composed operators
 and the stability estimates."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fkips.errors import InputError, RatioOverflowError
+from fkips.errors import InputError
 from fkips.flow import (
     FlowSpec,
-    check_kernel_potential_bound,
+    InequalityRecord,
+    LemmaReport,
     check_semigroup_lemmas,
-    compose_measure,
     fk_step,
-    gamma_direct,
-    gamma_via_semigroup,
     run_flow,
-    semigroup,
-    semigroup_table,
     stability_sums,
 )
 from fkips.measures import (
@@ -26,7 +24,16 @@ from fkips.measures import (
 )
 
 from .instances import random_flow
-from .oracles import gamma_by_recursion, random_distribution
+from .oracles import (
+    composed_by_product,
+    composed_table_by_product,
+    gamma_by_recursion,
+    kernel_potential_smoothing,
+    random_distribution,
+    random_kernel_rows,
+    random_potential_values,
+    weights_by_recursion,
+)
 
 
 def rng_for(seed=0):
@@ -94,13 +101,20 @@ class TestRunFlow:
         assert trace.etas[4].expect(f) == pytest.approx(num / den, rel=1e-12)
 
 
+def raw_steps(spec):
+    return [(g.values, m.rows) for g, m in spec.steps]
+
+
 class TestSemigroup:
+    """``spec.table`` against plain products of ``diag(G_k) K_k``."""
+
     def test_endpoint_is_identity(self):
         rng = rng_for(13)
         spec = random_flow(rng, dim=4, horizon=3)
-        sg = semigroup(spec, 2, 2)
-        assert sg.g == 1.0
-        assert np.allclose(sg.transition.rows, np.eye(4))
+        # Q_{2,2} = I: h = 1 and P_{2,2} = I, whose coefficient is 1
+        assert spec.table.g[2, 2] == 1.0
+        assert spec.table.b[2, 2] == 1.0
+        assert spec.table.mass[2, 2] == pytest.approx(spec.trace.gamma1[2], rel=1e-14)
 
     def test_single_step_transition_is_the_kernel(self):
         # P_{p,p+1} row-normalizes diag(G) K back to K; a rank-one kernel
@@ -109,9 +123,12 @@ class TestSemigroup:
             FiniteDistribution.uniform(3),
             ((PotentialVector([1.0, 2.0, 3.0]), KernelMatrix.uniform(3)),),
         )
-        sg = semigroup(spec, 0, 1)
-        assert sg.b == 0.0
-        assert np.allclose(sg.transition.rows, KernelMatrix.uniform(3).rows)
+        assert spec.table.b[0, 1] == 0.0
+        rng = rng_for(13)
+        spec = random_flow(rng, dim=5, horizon=4)
+        for p in range(4):
+            assert spec.table.b[p, p + 1] == pytest.approx(spec.trace.b[p], abs=1e-14)
+            assert spec.table.g[p, p + 1] == pytest.approx(spec.trace.g[p], rel=1e-14)
 
     def test_two_route_law_evaluation(self):
         # composed-operator evaluation equals three chained steps
@@ -119,8 +136,8 @@ class TestSemigroup:
         spec = random_flow(rng, dim=4, horizon=3)
         mu = FiniteDistribution(random_distribution(rng, 4))
         f = rng.standard_normal(4)
-        sg = semigroup(spec, 0, 3)
-        via_operator = compose_measure(spec, sg, mu, f)
+        q, h, _ = composed_by_product(raw_steps(spec), 0, 3, 4)
+        via_operator = float(mu.weights @ (q @ f)) / float(mu.weights @ h)
         stepped = mu
         for g, m in spec.steps:
             stepped = fk_step(stepped, g, m)
@@ -129,44 +146,66 @@ class TestSemigroup:
     def test_mass_identity_every_split(self):
         rng = rng_for(15)
         spec = random_flow(rng, dim=3, horizon=4)
-        trace = run_flow(spec)
+        trace, steps = run_flow(spec), raw_steps(spec)
         f = rng.standard_normal(3)
         for n in range(5):
-            direct = gamma_direct(trace, n, f)
+            direct = trace.etas[n].expect(f) * trace.gamma1[n]
             for p in range(n + 1):
-                assert gamma_via_semigroup(spec, trace, p, n, f) == pytest.approx(
-                    direct, rel=1e-10
-                )
+                q, _, _ = composed_by_product(steps, p, n, 3)
+                split = float(weights_by_recursion(spec.initial.weights, steps[:p]) @ (q @ f))
+                assert split == pytest.approx(direct, rel=1e-10)
+                assert spec.table.mass[p, n] == pytest.approx(trace.gamma1[n], rel=1e-10)
 
     def test_table_matches_pointwise_builds(self):
+        # every entry of the table against its own explicit product
         rng = rng_for(16)
-        spec = random_flow(rng, dim=3, horizon=4)
-        for n in range(5):
-            for sg in semigroup_table(spec, n):
-                solo = semigroup(spec, sg.p, n)
-                assert sg.g == pytest.approx(solo.g, rel=1e-12)
-                assert sg.b == pytest.approx(solo.b, abs=1e-12)
+        for _ in range(20):
+            spec = random_flow(rng, dim=int(rng.integers(2, 6)), horizon=int(rng.integers(1, 5)))
+            g, b, mass = composed_table_by_product(spec.initial.weights, raw_steps(spec))
+            table = spec.table
+            np.testing.assert_array_equal(np.isnan(table.g), np.isnan(g))
+            upper = ~np.isnan(g)
+            np.testing.assert_allclose(table.g[upper], g[upper], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(table.b[upper], b[upper], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(table.mass[upper], mass[upper], rtol=1e-12, atol=0)
 
     def test_underflow_guard(self):
         # four annealing steps at beta = 200 drive the composed potential
-        # minimum to exp(-800) < 1e-300; the scaled matrix stays finite but
-        # the true-scale table must refuse
+        # minimum to exp(-800) < 1e-300; the table rescales each step and
+        # keeps its scale in log space, so g stays finite and the mass
+        # identity holds
         step = (PotentialVector.boltzmann([0.5, 1.0], 200.0), KernelMatrix.identity(2))
         spec = FlowSpec(FiniteDistribution.uniform(2), (step,) * 4)
-        sg = semigroup(spec, 0, 4)
-        assert sg.potential_scaled.min() > 0
-        with pytest.raises(RatioOverflowError):
-            _ = sg.potential
-        # a shallower composition is still reportable
-        assert semigroup(spec, 0, 1).potential.values.min() > 0
+        table, trace = spec.table, spec.trace
+        for n in range(5):
+            for p in range(n + 1):
+                assert math.isfinite(table.g[p, n])
+                assert table.g[p, n] == pytest.approx(math.exp(100.0 * (n - p)), rel=1e-10)
+                assert table.mass[p, n] == pytest.approx(trace.gamma1[n], rel=1e-10)
 
     def test_index_validation(self):
+        # the table has an entry exactly for 0 <= p <= n <= horizon
         rng = rng_for(17)
         spec = random_flow(rng, dim=3, horizon=2)
-        with pytest.raises(InputError):
-            semigroup(spec, 2, 1)
-        with pytest.raises(InputError):
-            semigroup(spec, 0, 3)
+        for arr in (spec.table.g, spec.table.b, spec.table.mass):
+            assert arr.shape == (3, 3)
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(np.isnan(arr), np.tri(3, k=-1, dtype=bool))
+
+    def test_closed_form_coefficients(self):
+        # M = 0.8 * 1 pi + 0.2 * Perm with constant potentials: P_{p,n} =
+        # M^(n-p) and its coefficient is 0.2^(n-p) exactly, down to 1e-42
+        dim, beta, horizon = 16, 0.2, 60
+        perm = np.roll(np.eye(dim), 1, axis=1)
+        kernel = KernelMatrix((1.0 - beta) / dim + beta * perm)
+        spec = FlowSpec(
+            FiniteDistribution.uniform(dim), ((PotentialVector.constant(dim), kernel),) * horizon
+        )
+        table = spec.table
+        for n in range(horizon + 1):
+            for p in range(n + 1):
+                assert table.b[p, n] == pytest.approx(beta ** (n - p), rel=1e-10, abs=0), (p, n)
+                assert table.g[p, n] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestStabilityEstimates:
@@ -190,9 +229,45 @@ class TestStabilityEstimates:
         )
         report = check_semigroup_lemmas(spec)
         assert report.holds(1e-10)
-        # composed transitions collapse immediately: b_{p,n} = 0 for n > p + 0
-        sg = semigroup(spec, 0, 3)
-        assert sg.b == pytest.approx(0.0, abs=1e-15)
+        # composed transitions collapse immediately: b_{p,n} = 0 exactly
+        # for p < n, so the mixing bounds with rhs = 0 hold with no slack
+        upper = np.triu(np.ones((4, 4), dtype=bool), k=1)
+        assert np.all(spec.table.b[upper] == 0.0)
+
+    def test_flat_potentials_and_near_rank_one_kernels(self):
+        # relative comparisons where rhs < 1 must not read float resolution
+        # as a failure: constant potentials make the potential-ratio sum
+        # bound 0 and g_{p,n} - 1 roundoff, and a kernel 1e-9 from rank one
+        # knows b_k only to a relative 1e-7
+        rng = rng_for(22)
+        for _ in range(20):
+            d, horizon = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            flat, near = [], []
+            for _ in range(horizon):
+                rows = random_kernel_rows(rng, d)
+                target = random_distribution(rng, d)
+                flat.append((PotentialVector.constant(d, 0.5 + rng.random()), KernelMatrix(rows)))
+                near.append((
+                    PotentialVector(random_potential_values(rng, d)),
+                    KernelMatrix((1.0 - 1e-9) * np.tile(target, (d, 1)) + 1e-9 * rows),
+                ))
+            for steps in (flat, near):
+                spec = FlowSpec(FiniteDistribution.uniform(d), tuple(steps))
+                report = check_semigroup_lemmas(spec)
+                assert report.holds(1e-10), report.worst()
+
+    def test_excess_is_relative_below_one(self):
+        # a record holds when lhs - rhs <= tolerance * min(1, rhs)
+        def holds(lhs, rhs):
+            return LemmaReport((InequalityRecord("x", 0, 1, lhs, rhs),)).holds(1e-10)
+
+        assert holds(1.0 + 0.9e-10, 1.0) and not holds(1.0 + 1.1e-10, 1.0)
+        assert holds(4.0 + 0.9e-10, 4.0)
+        assert holds(1e-12 * (1.0 + 0.9e-10), 1e-12)
+        assert not holds(1e-12 * (1.0 + 1.1e-10), 1e-12)
+        assert not holds(2e-12, 1e-12)   # within an absolute 1e-10
+        assert holds(0.0, 0.0) and not holds(1e-300, 0.0)
+        assert InequalityRecord("x", 0, 1, 3e-12, 1e-12).excess == pytest.approx(2.0)
 
     def test_sum_form_with_bare_b_products_is_falsified(self):
         # Regression pin: carrying bare b_j products inside the potential
@@ -204,49 +279,45 @@ class TestStabilityEstimates:
         )
         report = check_semigroup_lemmas(spec, include_as_printed=True)
         printed = [r for r in report.records if r.name == "potential-ratio-sum-as-printed"]
-        assert min(r.slack for r in printed) < -0.1
+        assert max(r.excess for r in printed) > 0.1
         corrected = [r for r in report.records if r.name == "potential-ratio-sum"]
-        assert min(r.slack for r in corrected) >= -1e-10
+        assert max(r.excess for r in corrected) <= 1e-10
 
     def test_kernel_potential_smoothing(self):
-        const = check_kernel_potential_bound(
-            KernelMatrix.uniform(3), PotentialVector.constant(3)
-        )
-        assert const.lhs == pytest.approx(1.0) and const.rhs == pytest.approx(1.0)
-        ident = check_kernel_potential_bound(
-            KernelMatrix.identity(2), PotentialVector([1.0, 4.0])
-        )
-        assert ident.lhs == pytest.approx(4.0) and ident.rhs == pytest.approx(4.0)
+        lhs, rhs = kernel_potential_smoothing(KernelMatrix.uniform(3).rows, np.ones(3))
+        assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
+        lhs, rhs = kernel_potential_smoothing(np.eye(2), [1.0, 4.0])
+        assert lhs == pytest.approx(4.0) and rhs == pytest.approx(4.0)
         rng = rng_for(19)
         for _ in range(200):
             d = int(rng.integers(2, 9))
-            from .oracles import random_kernel_rows, random_potential_values
-
-            rec = check_kernel_potential_bound(
-                KernelMatrix(random_kernel_rows(rng, d)),
-                PotentialVector(random_potential_values(rng, d)),
+            lhs, rhs = kernel_potential_smoothing(
+                random_kernel_rows(rng, d), random_potential_values(rng, d)
             )
-            assert rec.slack >= -1e-12
+            assert rhs - lhs >= -1e-12
 
     def test_composed_map_contracts_total_variation(self):
+        # tv(phi(mu), phi(nu)) <= g_{0,3} b_{0,3} tv(mu, nu) for the
+        # normalized composed map phi(mu) = mu Q / mu Q 1
         rng = rng_for(20)
         for _ in range(100):
             spec = random_flow(rng, dim=int(rng.integers(2, 6)), horizon=3)
-            sg = semigroup(spec, 0, 3)
+            q, h, _ = composed_by_product(raw_steps(spec), 0, 3, spec.dim)
             mu = FiniteDistribution(random_distribution(rng, spec.dim))
             nu = FiniteDistribution(random_distribution(rng, spec.dim))
-            f_tables = np.eye(spec.dim)
-            phi_mu = np.array([compose_measure(spec, sg, mu, f) for f in f_tables])
-            phi_nu = np.array([compose_measure(spec, sg, nu, f) for f in f_tables])
+            phi_mu = (mu.weights @ q) / (mu.weights @ h)
+            phi_nu = (nu.weights @ q) / (nu.weights @ h)
             lhs = 0.5 * np.abs(phi_mu - phi_nu).sum()
-            assert lhs <= sg.g * sg.b * total_variation(mu, nu) + 1e-12
+            constant = spec.table.g[0, 3] * spec.table.b[0, 3]
+            assert lhs <= constant * total_variation(mu, nu) + 1e-12
 
     def test_stability_sums_match_tables(self):
         rng = rng_for(21)
         spec = random_flow(rng, dim=3, horizon=4)
         sums = stability_sums(spec)
+        g, b, _ = composed_table_by_product(spec.initial.weights, raw_steps(spec))
         for n in range(5):
-            expected = sum(sg.g * sg.b for sg in semigroup_table(spec, n))
+            expected = sum(g[p, n] * b[p, n] for p in range(n + 1))
             assert sums[n] == pytest.approx(expected, rel=1e-12)
 
 

@@ -129,10 +129,10 @@ CASES = {
         "oracle.csv": "314ce83a61798b2ae924e93ec3489f6032695b5d76af769a773ef6ab1df7e37f",
     }),
     "verify-bounded": ("verify-bounds", BOUNDED, 0, {
-        "verify.csv": "04e8eb5b826231d12b2adf1ce01212376cca8c36002dc846ddb59ddb522b9ec7",
+        "verify.csv": "bc8e0c641325b025dd18d3485c8fbb4bc0d75afe3436fd156b6a529bdf735edb",
     }),
     "verify-decreasing": ("verify-bounds", DECREASING, 0, {
-        "verify.csv": "52f515c12035992726841119c50d01bebc054c3f592d205cbab5e163a024ba4d",
+        "verify.csv": "329164faa73002deb11b0affb4d88a4b394dbe3866bdff726d099c90a8febec4",
     }),
     "verify-isa": ("verify-bounds", ISA, 0, {
         "verify.csv": "1ecd5152b5b342504b0ec74aad2267d910e77ec87ce53a01a4151bf58c57450a",

@@ -275,8 +275,13 @@ class TestCli:
             ("verify-bounds", ISA_TEXT + "[checks]\ny_values = -31.25\n", "checks.y_values"),
             ("verify-bounds", ADAPTIVE_TEXT + "[checks]\ns_values = 0 -0.05\n", "checks.s_values"),
             ("verify-bounds", ADAPTIVE_TEXT + "[checks]\ns_values = nan\n", "checks.s_values"),
-            # the adaptive threshold needs y >= 1
-            ("verify-bounds", ADAPTIVE_TEXT + "[checks]\ny_values = 0.5 2\n", "checks.y_values"),
+            # the adaptive threshold needs y >= 1; the grid is quoted as
+            # config text
+            (
+                "verify-bounds",
+                ADAPTIVE_TEXT + "[checks]\ny_values = 0.5 2\n",
+                "checks.y_values must be finite numbers >= 1, got '0.5 2'",
+            ),
             # the rest of [checks], whatever the kind
             (
                 "verify-bounds",

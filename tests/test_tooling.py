@@ -15,7 +15,7 @@ import pytest
 
 import fkips
 
-from .test_golden import ADAPTIVE, CLASSIC, VERIFY_ADAPTIVE
+from .test_golden import ADAPTIVE, BOUNDED, CLASSIC, VERIFY_ADAPTIVE
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 SRC = pathlib.Path(fkips.__file__).resolve().parents[1]
@@ -40,6 +40,13 @@ SRC = pathlib.Path(fkips.__file__).resolve().parents[1]
             "adaptive",
             ADAPTIVE,
             {"adaptive.run_adaptive_counts", "adaptive.kappa_solve", "adaptive.LambdaCurve.value"},
+        ),
+        # the exact layer of a classic bound check: the lemma and oracle
+        # rows read the composed-operator table
+        (
+            "verify-bounds",
+            BOUNDED,
+            {"flow.check_semigroup_lemmas", "harness.check_oracle_identity"},
         ),
     ],
 )
