@@ -40,6 +40,10 @@ def rng_for(seed=0):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def raw_steps(spec):
+    return [(g.values, m.rows) for g, m in spec.steps]
+
+
 class TestFkStep:
     def test_identity_maps(self):
         mu = FiniteDistribution([0.2, 0.8])
@@ -84,9 +88,9 @@ class TestRunFlow:
         for _ in range(25):
             spec = random_flow(rng)
             trace = run_flow(spec)
-            raw_steps = [(g.values, m.rows) for g, m in spec.steps]
+            steps = raw_steps(spec)
             for n in range(spec.horizon + 1):
-                expected = gamma_by_recursion(spec.initial.weights, raw_steps[:n])
+                expected = gamma_by_recursion(spec.initial.weights, steps[:n])
                 assert trace.gamma1[n] == pytest.approx(expected, rel=1e-12)
 
     def test_normalized_law_matches_mass_ratio(self):
@@ -94,15 +98,11 @@ class TestRunFlow:
         rng = rng_for(12)
         spec = random_flow(rng, dim=3, horizon=4)
         trace = run_flow(spec)
-        raw_steps = [(g.values, m.rows) for g, m in spec.steps]
+        steps = raw_steps(spec)
         f = rng.standard_normal(3)
-        num = gamma_by_recursion(spec.initial.weights, raw_steps, f)
-        den = gamma_by_recursion(spec.initial.weights, raw_steps)
+        num = gamma_by_recursion(spec.initial.weights, steps, f)
+        den = gamma_by_recursion(spec.initial.weights, steps)
         assert trace.etas[4].expect(f) == pytest.approx(num / den, rel=1e-12)
-
-
-def raw_steps(spec):
-    return [(g.values, m.rows) for g, m in spec.steps]
 
 
 class TestSemigroup:
