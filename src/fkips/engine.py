@@ -484,3 +484,40 @@ def _transition(streams, block, step, counts, keep_p, weights, kernel_rows):
     )
     moves = streams.at(block, step, Purpose.MUTATE).multinomial(kept + redrawn, kernel_rows)
     return moves.sum(axis=1), n_kept
+
+
+def _move_particles(rng, movers, kernel_rows):
+    """Move the (k, d) count rows ``movers`` one particle at a time by
+    ``kernel_rows``, one (d, d) kernel or a (k, d, d) stack, and count where
+    they land.
+
+    Particles are taken in (row, state) order and each reads one uniform, so
+    a row of N particles reads the next N uniforms and a partial block draws
+    the leading rows of a full one.  Each destination is an inverse-CDF
+    search of the particle's cumulative kernel row by binary halving, at
+    O(log d) per particle and O(kN) temporaries.  Every entry of that row
+    from the first one equal to its total on is +inf: a zero-probability
+    state repeats the previous cumulative value and is never landed on, and
+    a uniform at or above a total rounded below 1 lands on the last state of
+    positive probability.
+    """
+    k, d = movers.shape
+    width = 1 << (d - 1).bit_length()   # a power of two >= d, halved by the search
+    cdf = np.cumsum(kernel_rows, axis=-1)
+    table = np.full(cdf.shape[:-1] + (width,), np.inf)
+    np.copyto(table[..., :d], cdf, where=cdf < cdf[..., -1:])
+    # int32 positions index the table about twice as fast as int64 ones
+    index = np.int32 if table.size <= np.iinfo(np.int32).max else np.int64
+    cells = np.arange(k * d, dtype=index)   # row * d + state
+    state = cells % d
+    start = (cells if kernel_rows.ndim == 3 else state) * index(width)
+    # a particle's table position minus its landing cell, row * d + count
+    shift = np.repeat(start - (cells - state), movers.reshape(-1))
+    pos = np.repeat(start, movers.reshape(-1))
+    u = rng.random(pos.size)
+    half = width >> 1
+    while half:
+        pos += (table.reshape(-1)[pos + index(half - 1)] <= u) * index(half)
+        half >>= 1
+    landed = np.bincount(pos - shift, minlength=k * d)
+    return landed.reshape(k, d)

@@ -18,6 +18,7 @@ from fkips.engine import (
     Purpose,
     _classic_plan,
     _count_block,
+    _move_particles,
     _run_blocks,
     _SlotStream,
     run_counts,
@@ -29,6 +30,7 @@ from fkips.flow import FlowSpec
 from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 
 from .instances import adaptive_problem
+from .oracles import random_kernel_rows
 
 U64 = st.integers(0, 2**64 - 1)
 
@@ -41,6 +43,19 @@ def rotating_flow(horizon=4):
         FiniteDistribution([0.5, 0.3, 0.2]),
         tuple(
             (PotentialVector(pots[n % 3]), KernelMatrix.lazy_ring(3, 0.6)) for n in range(horizon)
+        ),
+    )
+
+
+def ring_flow(dim, horizon=4):
+    """``dim`` states on a lazy ring, so every kernel row is zero off three
+    entries, whose fittest state moves every step."""
+    ramp = 1.0 + 2.0 * np.arange(dim) / (dim - 1)
+    return FlowSpec(
+        FiniteDistribution.from_unnormalized(ramp[::-1]),
+        tuple(
+            (PotentialVector(np.roll(ramp, n)), KernelMatrix.lazy_ring(dim, 0.6))
+            for n in range(horizon)
         ),
     )
 
@@ -66,9 +81,16 @@ class TestLawAgainstParticleEngine:
 
 
 class TestLawAgainstExactOracle:
+    # Population sizes at or above d^2, where moves are one multinomial per
+    # occupied state; the subclass below reruns every test below d^2.
+    histogram_case = staticmethod(lambda: (rotating_flow(), 100_000))
+    mass_particles = 50
+    constant_particles = 64
+    two_state_particles = 10
+
     def test_mean_histogram_matches_eta(self):
         # the O(1/N) bias of eta^N sits far below the standard error at this N
-        spec, n_particles, reps = rotating_flow(), 100_000, 1000
+        (spec, n_particles), reps = self.histogram_case(), 1000
         hists = run_counts(spec, n_particles, seed=33, replicates=reps).histograms
         for n, eta in enumerate(spec.trace.etas):
             se = hists[:, n].std(axis=0, ddof=1) / math.sqrt(reps)
@@ -78,7 +100,9 @@ class TestLawAgainstExactOracle:
     @pytest.mark.parametrize("eps", ["auto", "multinomial"])
     def test_mass_estimator_unbiased(self, eps):
         spec, reps = rotating_flow(), 4000
-        gammas = np.exp(run_counts(spec, 50, seed=34, replicates=reps, eps=eps).log_gamma1)
+        gammas = np.exp(
+            run_counts(spec, self.mass_particles, seed=34, replicates=reps, eps=eps).log_gamma1
+        )
         for n in range(1, spec.horizon + 1):
             se = gammas[:, n].std(ddof=1) / math.sqrt(reps)
             assert abs(gammas[:, n].mean() - spec.trace.gamma1[n]) <= 4 * se, n
@@ -88,17 +112,18 @@ class TestLawAgainstExactOracle:
             FiniteDistribution.uniform(2),
             ((PotentialVector.constant(2, 2.5), KernelMatrix.uniform(2)),) * 3,
         )
-        run = run_counts(spec, 64, seed=13, replicates=3)
+        run = run_counts(spec, self.constant_particles, seed=13, replicates=3)
         assert np.allclose(run.log_gamma1[:, 3], 3 * math.log(2.5), rtol=1e-12)
-        assert np.all(run.kept_fraction == 1.0) and np.allclose(run.ess, 64.0)
+        assert np.all(run.kept_fraction == 1.0)
+        assert np.allclose(run.ess, self.constant_particles)
 
     def test_two_state_transition_law(self):
-        # N = 10 from (1/2, 1/2), weights (1, 3), eps = 1/3: a state-1
+        # N particles from (1/2, 1/2), weights (1, 3), eps = 1/3: a state-1
         # particle is always kept, a state-0 particle is recycled with
         # probability 2/3 into the pool (c0, 3 c1) / (c0 + 3 c1), then every
         # particle moves by M.  The exact law of the final state-1 count is
         # enumerated and compared by a chi-square test over 10^4 replicates.
-        n_particles, reps = 10, 10_000
+        n_particles, reps = self.two_state_particles, 10_000
         kernel = np.array([[0.8, 0.2], [0.4, 0.6]])
         spec = FlowSpec(
             FiniteDistribution.uniform(2),
@@ -123,6 +148,90 @@ class TestLawAgainstExactOracle:
         assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
+
+class TestLawAgainstExactOraclePerParticle(TestLawAgainstExactOracle):
+    """The same laws at N < d^2, where every particle draws its own move."""
+
+    histogram_case = staticmethod(lambda: (ring_flow(32), 1000))
+    mass_particles = 8
+    constant_particles = 3
+    two_state_particles = 3
+
+
+def _two_sample(a, b):
+    """p-value of a chi-square test that two count samples share a law,
+    over the cells either sample reaches."""
+    table = np.array([a, b])
+    return stats.chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+# Fixed movers of six rows of N = 12 < d^2 particles on d = 5 states.
+MOVERS = np.array([
+    [3, 0, 5, 2, 2], [12, 0, 0, 0, 0], [0, 0, 0, 0, 12],
+    [1, 2, 3, 4, 2], [0, 6, 0, 6, 0], [2, 2, 2, 2, 4],
+])
+
+
+class TestPerParticleMoves:
+    @pytest.mark.parametrize("stacked", [False, True], ids=["kernel", "stack"])
+    def test_two_sample_against_multinomial_moves(self, stacked):
+        # 4000 draws of the fixed movers by each sampler, as rows of one
+        # call: the landed totals per (row, state) and the law of one cell
+        rng, reps = np.random.default_rng(8), 4000
+        k, d = MOVERS.shape
+        if stacked:
+            kernel = np.stack([random_kernel_rows(rng, d) for _ in range(k)])
+            kernels = np.tile(kernel, (reps, 1, 1))
+        else:
+            kernel = kernels = random_kernel_rows(rng, d)
+        movers = np.tile(MOVERS, (reps, 1))
+        multi = substream(1, 0, 1, Purpose.MUTATE).multinomial(movers, kernels).sum(axis=1)
+        each = _move_particles(substream(2, 0, 1, Purpose.MUTATE), movers, kernels)
+        assert np.array_equal(each.sum(axis=1), movers.sum(axis=1))
+        multi, each = multi.reshape(reps, k, d), each.reshape(reps, k, d)
+        assert _two_sample(multi.sum(axis=0).ravel(), each.sum(axis=0).ravel()) > 1e-3
+        for row, state in ((0, 2), (3, 4)):
+            cell = [np.bincount(x[:, row, state], minlength=13) for x in (multi, each)]
+            assert _two_sample(*cell) > 1e-3
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["kernel", "stack"])
+    def test_no_particle_lands_on_a_zero_probability_state(self, stacked):
+        # BLOCK rows of 1000 particles, every row on one source state
+        kernel = np.array([
+            [0.0, 0.5, 0.0, 0.5, 0.0],
+            [0.2, 0.0, 0.8, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.3, 0.3, 0.0, 0.4, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+        ])
+        sources = np.arange(BLOCK) % 5
+        movers = 1000 * np.eye(5, dtype=np.int64)[sources]
+        kernels = kernel[sources][:, None, :].repeat(5, axis=1) if stacked else kernel
+        landed = _move_particles(substream(9, 0, 1, Purpose.MUTATE), movers, kernels)
+        assert landed.sum() >= 10**5 and np.all(landed.sum(axis=1) == 1000)
+        assert np.all(landed[kernel[sources] == 0] == 0)
+        for x in (0, 1, 3):   # the rows with more than one live entry
+            got = landed[sources == x].sum(axis=0)
+            live = kernel[x] > 0
+            assert stats.chisquare(got[live], got.sum() * kernel[x, live]).pvalue > 1e-3
+
+    def test_uniforms_at_the_ends_land_on_positive_states(self):
+        # a total rounded below the largest uniform lands on the last
+        # positive state, not on the zero tail; u = 0 skips a zero head
+        class Ends:
+            def random(self, size):
+                return np.resize([0.0, np.nextafter(1.0, 0.0)], size)
+
+        kernel = np.array([
+            [0.0, 0.25, 0.75 - 2.0**-52, 0.0],
+            [0.0, 0.0, 0.5, 0.5],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0, 0.5],
+        ])
+        landed = _move_particles(Ends(), 2 * np.eye(4, dtype=np.int64), kernel)
+        assert np.array_equal(landed, [[0, 1, 1, 0], [0, 0, 1, 1], [0, 2, 0, 0], [1, 0, 0, 1]])
+
+
 def _fields(run):
     """Every per-replicate array of a count run, a subclass's records included."""
     values = (getattr(run, f.name) for f in dataclasses.fields(run))
@@ -140,23 +249,35 @@ _BLOCK_DRAWS = {
     "keep": lambda g, c, p, m: g.binomial(c, p),
     "redraw": lambda g, c, p, m: g.multinomial(c.sum(axis=1), p / p.sum(axis=1, keepdims=True)),
     "move": lambda g, c, p, m: g.multinomial(c, m),
+    "move-particles": lambda g, c, p, m: _move_particles(g, c, m),
+    "move-particles-stack": lambda g, c, p, m: _move_particles(
+        g, c, np.broadcast_to(m, (len(c),) + m.shape)
+    ),
+}
+
+
+# Population size of each engine's plan: the "-sparse" plans run at N < d^2
+# (d = 3 classic, d = 6 adaptive), where moves are drawn per particle.
+_PLAN_PARTICLES = {
+    "classic": 200, "adaptive-theoretical": 200, "adaptive-adaptive": 200,
+    "classic-sparse": 8, "adaptive-adaptive-sparse": 20,
 }
 
 
 def _plan(engine):
     """The empty run, initial weights and step rule of one count engine:
-    N = 200, three steps and 3 BLOCK + 5 replicates."""
-    replicates = 3 * BLOCK + 5
-    if engine == "classic":
-        return _classic_plan(rotating_flow(3), 200, replicates, None, "auto")
+    three steps and 3 BLOCK + 5 replicates."""
+    replicates, n_particles = 3 * BLOCK + 5, _PLAN_PARTICLES[engine]
+    if engine.startswith("classic"):
+        return _classic_plan(rotating_flow(3), n_particles, replicates, None, "auto")
     mode = engine.split("-")[1]
     cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=2, mutation_mode=mode)
-    return _adaptive_plan(adaptive_problem(6), cfg, 200, 3, replicates, None)
+    return _adaptive_plan(adaptive_problem(6), cfg, n_particles, 3, replicates, None)
 
 
 @functools.lru_cache(maxsize=None)
 def _in_block_order(engine):
-    return _run_blocks(*_plan(engine), 200, 5)
+    return _run_blocks(*_plan(engine), _PLAN_PARTICLES[engine], 5)
 
 
 class TestStreamContract:
@@ -208,16 +329,17 @@ class TestStreamContract:
         long = run_counts(spec, 200, seed=5, replicates=replicate + 1 + extra, eps=eps)
         assert _same_rows(short, long, slice(replicate + 1))
 
-    @pytest.mark.parametrize("engine", ["classic", "adaptive-theoretical", "adaptive-adaptive"])
+    @pytest.mark.parametrize("engine", list(_PLAN_PARTICLES))
     @settings(max_examples=20, deadline=None)
     @given(order=st.permutations(range(4)))
     def test_rows_independent_of_replicate_order(self, engine, order):
         # blocks of replicates filled in any order give the same rows, for
-        # the classic step rule and the adaptive one in both mutation modes
+        # the classic step rule and the adaptive one in both mutation modes,
+        # with multinomial moves and, at N < d^2, per-particle ones
         run, initial, rule = _plan(engine)
         streams = _SlotStream(5)
         for block in order:
-            _count_block(run, block, initial, rule, 200, streams)
+            _count_block(run, block, initial, rule, _PLAN_PARTICLES[engine], streams)
         assert _same_rows(_in_block_order(engine), run, slice(None))
 
     @settings(max_examples=40, deadline=None)
