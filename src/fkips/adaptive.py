@@ -701,7 +701,8 @@ def khintchine_conditional_check(
         rows = slice(block * BLOCK, min(replicates, (block + 1) * BLOCK))
         c = np.broadcast_to(frozen, hists[rows].shape)
         moved, _ = _transition(
-            streams, block, freeze_steps + 1, c, np.broadcast_to(g, c.shape), c * g, kernel.rows
+            streams, block, freeze_steps + 1, c, np.broadcast_to(g, c.shape), c * g, kernel.rows,
+            n_particles,
         )
         hists[rows] = moved / n_particles
     devs = _dictionary_deviations(hists, target, osc1_dictionary(problem.dim))

@@ -458,7 +458,7 @@ def _count_block(run, block, initial, rule, n_particles, streams):
         g, keep_p, kernel_rows = rule(n, rows, c)
         weights = c * g
         counts[:, n + 1], n_kept = _transition(
-            streams, block, n + 1, c, keep_p, weights, kernel_rows
+            streams, block, n + 1, c, keep_p, weights, kernel_rows, n_particles
         )
         total = weights.sum(axis=1)
         mean_g = total / n_particles
@@ -468,22 +468,27 @@ def _count_block(run, block, initial, rule, n_particles, streams):
         run.log_gamma1[rows, n + 1] = run.log_gamma1[rows, n] + np.log(mean_g)
 
 
-def _transition(streams, block, step, counts, keep_p, weights, kernel_rows):
+def _transition(streams, block, step, counts, keep_p, weights, kernel_rows, n_particles):
     """Keep, redraw and move the (k, d) count rows of ``block`` into ``step``.
 
     Row r keeps ``Binomial(c_x, keep_p[r, x])`` particles per state, redraws
     the rest as one ``Multinomial`` over ``weights[r]`` (c times G) and moves
     every particle by ``kernel_rows``, one (d, d) kernel for the block or a
-    (k, d, d) stack of one kernel per row.  Returns the next counts and the
-    kept count of every row.
+    (k, d, d) stack of one kernel per row.  Moves are one
+    ``Multinomial(c'_x, M(x, .))`` per state, O(d^2) per row whatever N is,
+    when N >= d^2, and one inverse-CDF draw per particle
+    (:func:`_move_particles`), O(N log d) per row, below that.  Returns the
+    next counts and the kept count of every row.
     """
     kept = streams.at(block, step, Purpose.KEEP).binomial(counts, keep_p)
     n_kept = kept.sum(axis=1)
     redrawn = streams.at(block, step, Purpose.RESAMPLE).multinomial(
-        counts.sum(axis=1) - n_kept, weights / weights.sum(axis=1, keepdims=True)
+        n_particles - n_kept, weights / weights.sum(axis=1, keepdims=True)
     )
-    moves = streams.at(block, step, Purpose.MUTATE).multinomial(kept + redrawn, kernel_rows)
-    return moves.sum(axis=1), n_kept
+    movers, mutate = kept + redrawn, streams.at(block, step, Purpose.MUTATE)
+    if n_particles < movers.shape[1] ** 2:
+        return _move_particles(mutate, movers, kernel_rows), n_kept
+    return mutate.multinomial(movers, kernel_rows).sum(axis=1), n_kept
 
 
 def _move_particles(rng, movers, kernel_rows):
