@@ -187,7 +187,8 @@ class SemigroupTable:
                 if lo <= 0:
                     raise RatioOverflowError("composed potential has a zero entry; ratio undefined")
                 g[p, n] = h.max() / lo
-                b[p, n] = 0.5 * _max_row_l1(centred)
+                # C_{n,n} = I - 1 (x) e_0 has two rows at L1 distance 2 once d >= 2
+                b[p, n] = 0.5 * _max_row_l1(centred) if p < n else float(d > 1)
                 mass[p, n] = trace.gamma1[p] * trace.etas[p].expect(h) * math.exp(log_scale)
         for arr in (g, b, mass):
             arr.setflags(write=False)

@@ -260,18 +260,44 @@ def _upper_pairs(n_rows: int, n_cols: int) -> tuple:
     return pairs
 
 
+# Reused flat buffer of ``_max_row_l1``: module-level state, grown on demand
+# and never shrunk.
+_workspace = np.empty(0)
+
+
 def _max_row_l1(rows: np.ndarray) -> float:
     """Largest L1 distance between two rows of a square matrix (0 for one
     row), visiting each pair i < j once.  The rows need not be stochastic.
     Pairs are taken a band of rows at a time, so the pairwise-difference
-    temporary stays under ``_DOBRUSHIN_BLOCK_BYTES``."""
+    buffer stays under ``_DOBRUSHIN_BLOCK_BYTES``.
+
+    Each band gathers its row pairs into a workspace reused across calls,
+    subtracts and takes the absolute value in place and sums every pair's
+    contiguous row, so the result equals a per-pair ``np.abs(a - b).sum()``
+    bit for bit.  The workspace is module-level state: the function is not
+    safe to call from several threads at once.
+    """
+    global _workspace
     d = rows.shape[0]
     band = max(1, _DOBRUSHIN_BLOCK_BYTES // (8 * d * d))
     best = 0.0
     for lo in range(0, d - 1, band):
         i, j = _upper_pairs(min(band, d - 1 - lo), d - lo)
+        size = i.size * d
+        if _workspace.size < 2 * size + i.size:
+            _workspace = np.empty(2 * size + i.size)
+        left = _workspace[:size].reshape(i.size, d)
+        right = _workspace[size:2 * size].reshape(i.size, d)
+        sums = _workspace[2 * size:2 * size + i.size]
+        # positional method forms: at d = 8 keyword parsing costs as much
+        # as the arithmetic
         tail = rows[lo:]
-        best = max(best, float(np.abs(tail[i] - tail[j]).sum(axis=1).max()))
+        tail.take(i, 0, left, "clip")
+        tail.take(j, 0, right, "clip")
+        np.subtract(left, right, left)
+        np.abs(left, left)
+        np.add.reduce(left, 1, None, sums)
+        best = max(best, float(np.maximum.reduce(sums)))
     return best
 
 

@@ -1,6 +1,7 @@
 """Exact flow oracle: step semantics, mass identities, composed operators
 and the stability estimates."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from fkips.measures import (
     total_variation,
 )
 
-from .instances import random_flow
+from .instances import bounded_regime_flow, random_flow
 from .oracles import (
     composed_by_product,
     composed_table_by_product,
@@ -191,6 +192,18 @@ class TestSemigroup:
             assert arr.shape == (3, 3)
             assert not arr.flags.writeable
             np.testing.assert_array_equal(np.isnan(arr), np.tri(3, k=-1, dtype=bool))
+
+    def test_table_bytes_pinned(self):
+        # sha256 of the g, b and mass bytes of one seeded d = 64, T = 12
+        # table, pinned from the reduction that allocated four pairwise
+        # temporaries per call, before the workspace replaced it
+        table = bounded_regime_flow(12, dim=64, seed=13).table
+        digest = hashlib.sha256()
+        for arr in (table.g, table.b, table.mass):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "9c624b545680fea534c342dab3c9ca9710d417449176badc49d182820db8e200"
+        )
 
     def test_closed_form_coefficients(self):
         # M = 0.8 * 1 pi + 0.2 * Perm with constant potentials: P_{p,n} =

@@ -14,6 +14,7 @@ from fkips.measures import (
     FiniteDistribution,
     KernelMatrix,
     PotentialVector,
+    _max_row_l1,
     bg_transform,
     dobrushin,
     osc,
@@ -23,6 +24,7 @@ from fkips.measures import (
 
 from .oracles import (
     dobrushin_by_enumeration,
+    dobrushin_by_rows,
     random_distribution,
     random_kernel_rows,
     random_potential_values,
@@ -131,6 +133,18 @@ class TestDobrushin:
             total_variation(rows[x], rows[y]) for x in range(d) for y in range(x + 1, d)
         )
         assert dobrushin(k) == pytest.approx(expected, abs=1e-15)
+
+    def test_workspace_reduction_is_bit_identical_to_row_pairs(self):
+        # the sizes alternate between calls, so a workspace left over from a
+        # larger or a smaller call would show; signed matrices like the
+        # table's centred ones go through the same reduction
+        rng = rng_for(21)
+        dims = (1, 2, 3, 8, 9, 33, 64)
+        for d in dims + dims[::-1] + (64, 1, 33, 2, 9, 3, 8):
+            kernel = KernelMatrix(random_kernel_rows(rng, d))
+            assert dobrushin(kernel) == dobrushin_by_rows(kernel.rows), d
+            signed = kernel.rows - kernel.rows[rng.integers(d)]
+            assert 0.5 * _max_row_l1(signed) == dobrushin_by_rows(signed), d
 
     def test_submultiplicative_under_composition(self):
         rng = rng_for(3)
