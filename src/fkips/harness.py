@@ -732,16 +732,29 @@ def _cap_summary(records) -> tuple:
     return report.holds(1e-10), worst.excess, f"{worst.name},p={worst.p},n={worst.n}"
 
 
+def _stability_caps(flow: FlowSpec, a: float) -> list:
+    """The records ``g_{p,n} b_{p,n} <= a^(n-p)`` for p < n.  A p = n pair is
+    the identity ``1 = a^0`` with excess exactly 0, which would pin every
+    passing row's worst excess at 0; it is kept only at horizon 0, where it
+    is the only pair."""
+    g, b = flow.table.g.tolist(), flow.table.b.tolist()
+    return [
+        InequalityRecord("g_pn*b_pn", p, n, g[p][n] * b[p][n], a ** (n - p))
+        for n in range(flow.horizon + 1)
+        for p in range(n - 1 if flow.horizon else n, -1, -1)
+    ]
+
+
 def composed_caps_bounded(flow: FlowSpec, a: float, g_sup: float):
     """Exact composed-quantity caps implied by the uniform-regime hypothesis:
     ``g_{p,n} <= g_sup + a``, ``b_p g_{p-1,n} <= a`` and
-    ``g_{p,n} b_{p,n} <= a^(n-p)``.  Returns (ok, worst_excess, scope)."""
-    step_b, g, b = flow.trace.b, flow.table.g.tolist(), flow.table.b.tolist()
-    records = []
+    ``g_{p,n} b_{p,n} <= a^(n-p)`` (:func:`_stability_caps`).  Returns
+    (ok, worst_excess, scope)."""
+    step_b, g = flow.trace.b, flow.table.g.tolist()
+    records = _stability_caps(flow, a)
     for n in range(flow.horizon + 1):
         for p in range(n, -1, -1):
             records.append(InequalityRecord("g_pn", p, n, g[p][n], g_sup + a))
-            records.append(InequalityRecord("g_pn*b_pn", p, n, g[p][n] * b[p][n], a ** (n - p)))
             if p >= 1:
                 # b_p pairs with g_{p-1,n}; step_b is 0-indexed by step
                 bg = step_b[p - 1] * g[p - 1][n]
@@ -752,16 +765,15 @@ def composed_caps_bounded(flow: FlowSpec, a: float, g_sup: float):
 def composed_caps_decreasing(flow: FlowSpec, a: float):
     """Exact composed caps of the decreasing regime:
     ``g_{p,n} <= g_(p+1)^(1+alpha)`` for p < n and
-    ``g_{p,n} b_{p,n} <= a^(n-p)``.  Returns (ok, worst_excess, scope)."""
-    step_g, g, b = flow.trace.g, flow.table.g.tolist(), flow.table.b.tolist()
+    ``g_{p,n} b_{p,n} <= a^(n-p)`` (:func:`_stability_caps`).  Returns
+    (ok, worst_excess, scope)."""
+    step_g, g = flow.trace.g, flow.table.g.tolist()
     alpha = a / (1.0 - a)
-    records = []
+    records = _stability_caps(flow, a)
     for n in range(flow.horizon + 1):
-        for p in range(n, -1, -1):
-            if p < n:
-                # step_g is 0-indexed: step_g[p] is the step-(p+1) ratio
-                records.append(InequalityRecord("g_pn", p, n, g[p][n], step_g[p] ** (1.0 + alpha)))
-            records.append(InequalityRecord("g_pn*b_pn", p, n, g[p][n] * b[p][n], a ** (n - p)))
+        for p in range(n - 1, -1, -1):
+            # step_g is 0-indexed: step_g[p] is the step-(p+1) ratio
+            records.append(InequalityRecord("g_pn", p, n, g[p][n], step_g[p] ** (1.0 + alpha)))
     return _cap_summary(records)
 
 

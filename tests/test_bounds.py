@@ -358,6 +358,33 @@ class TestComposedCapChecks:
             ok, worst, scope = composed_caps_decreasing(flow, 0.5)
             assert ok, (seed, worst, scope)
 
+    def test_caps_report_the_closest_pair_with_p_below_n(self):
+        # a p = n pair is the identity g b = 1 = a^0 with excess exactly 0,
+        # which would pin every passing row at lhs 0, scope p=0,n=0; the
+        # worst excess is taken over p < n, and at horizon 0 the identity,
+        # the only pair, stays
+        from fkips.flow import FlowSpec
+        from fkips.harness import composed_caps_bounded, composed_caps_decreasing
+        from fkips.measures import FiniteDistribution
+
+        from .instances import bounded_regime_flow, decreasing_regime_flow
+
+        a, g_sup = 0.5, math.exp(0.5)
+        for flow, caps in (
+            (bounded_regime_flow(6, a=a, g_cap=g_sup, seed=11),
+             lambda f: composed_caps_bounded(f, a, g_sup)),
+            (decreasing_regime_flow(8, seed=55), lambda f: composed_caps_decreasing(f, a)),
+        ):
+            ok, worst, scope = caps(flow)
+            g, b = flow.table.g, flow.table.b
+            stability = max(
+                g[p, n] * b[p, n] / a ** (n - p) - 1.0
+                for n in range(flow.horizon + 1) for p in range(n)
+            )
+            p, n = (int(part.split("=")[1]) for part in scope.split(",")[1:])
+            assert ok and stability <= worst < 0 and p < n, scope
+            assert caps(FlowSpec(flow.initial, ())) == (True, 0.0, "g_pn*b_pn,p=0,n=0")
+
     def test_caps_are_relative_below_one(self):
         # constant potentials and M = 0.5 * 1 pi + 0.5 * Perm give
         # b_{p,n} = 0.5^(n-p) exactly; a cap a^(n-p) with a = 0.5 (1 - 1e-10)

@@ -129,10 +129,10 @@ CASES = {
         "oracle.csv": "314ce83a61798b2ae924e93ec3489f6032695b5d76af769a773ef6ab1df7e37f",
     }),
     "verify-bounded": ("verify-bounds", BOUNDED, 0, {
-        "verify.csv": "bc8e0c641325b025dd18d3485c8fbb4bc0d75afe3436fd156b6a529bdf735edb",
+        "verify.csv": "d1d37953de0e1fc48dc3fc7ffd25a9060830ce6633121b48e2fcd92f0dbaec77",
     }),
     "verify-decreasing": ("verify-bounds", DECREASING, 0, {
-        "verify.csv": "329164faa73002deb11b0affb4d88a4b394dbe3866bdff726d099c90a8febec4",
+        "verify.csv": "247f3f835ffc0547f66a83346767c7f49e7cd0b6a8628658f8fa8a72f94ca3c1",
     }),
     "verify-isa": ("verify-bounds", ISA, 0, {
         "verify.csv": "1ecd5152b5b342504b0ec74aad2267d910e77ec87ce53a01a4151bf58c57450a",
