@@ -30,6 +30,26 @@ kernel = 0.4 0.3 0.3; 0.3 0.4 0.3; 0.3 0.3 0.4
 kind = classic
 """ + RUN
 
+# Six states on a lazy ring, whose kernel rows are zero off three entries,
+# at N = 20 < d^2: the count engine draws the moves one particle at a time.
+RING6 = "; ".join(
+    " ".join(str(w) for w in row)
+    for row in (
+        (0.5, 0.25, 0, 0, 0, 0.25), (0.25, 0.5, 0.25, 0, 0, 0), (0, 0.25, 0.5, 0.25, 0, 0),
+        (0, 0, 0.25, 0.5, 0.25, 0), (0, 0, 0, 0.25, 0.5, 0.25), (0.25, 0, 0, 0, 0.25, 0.5),
+    )
+)
+
+CLASSIC_SPARSE = f"""
+[flow]
+initial = uniform
+potentials = 1 1.5 2 1.2 1.8 1.1; 2 1 1.5 1.9 1.1 1.3; 1.5 2 1 1.1 1.3 1.9; 1 2 1.2 1.5 1 1.4
+kernel = {RING6}
+
+[algorithm]
+kind = classic
+""" + RUN.replace("n_particles = 40", "n_particles = 20")
+
 BOUNDED = CLASSIC + """
 [checks]
 regime = bounded
@@ -115,6 +135,11 @@ CASES = {
         "oracle.csv": "a0709517c5854440f55fc600ee14aefa5af99458d2b04c4792b4f2c2dcdeb455",
         "raw.csv": "04b75948d44002b362924f318941339e6181498979dc05718254de9410e1b4a9",
         "stats.csv": "5c65c05f1d0f42e8392c4508d26ac4ac452318d6a6eb83d57fd31511f3356f5c",
+    }),
+    "run-classic-per-particle": ("run", CLASSIC_SPARSE, 0, {
+        "oracle.csv": "36086c5f6ec27f0e2b898516e705bae445e0e5e3ffba65537a10854da7ba201f",
+        "raw.csv": "308fe2030bfc93c554cd5ebc576b81c372c1f5bfb058a2ae34b645b1d460b34a",
+        "stats.csv": "96282aeb1d5a88e65e66475caec177babb157cb3f474c2348c73f081524aa6b4",
     }),
     "run-isa": ("run", ISA, 0, {
         "oracle.csv": "21e469af1aab8ee64e0144b3c2e05462c73e03e2a9e0f38d4e7300ee9896e1ee",

@@ -1,11 +1,13 @@
-"""Tooling smoke test: the benchmark's span tracer still binds the layers it
-names.
+"""Tooling smoke tests: the benchmark's span tracer still binds the layers it
+names, and the exact-verify workload still passes its own gate.
 
 ``perfbench/tracer.py`` wraps package functions from outside and raises if
 a wrapped original is left bound, so a refactor that moves or renames a
 traced function shows up here, not first in a benchmark run.
 """
 
+import csv
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -14,10 +16,12 @@ import sys
 import pytest
 
 import fkips
+from fkips.cli import main as cli_main
 
 from .test_golden import ADAPTIVE, BOUNDED, CLASSIC, VERIFY_ADAPTIVE
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 SRC = pathlib.Path(fkips.__file__).resolve().parents[1]
 
 
@@ -64,3 +68,28 @@ def test_tracer_records_named_spans(command, text, spans, tmp_path):
     assert proc.returncode == 0, proc.stderr
     recorded = {line.split("\t")[2] for line in spans_path.read_text().splitlines()}
     assert spans <= recorded
+
+
+def _workloads():
+    """``perfbench/workloads.py`` as a module; its dataclasses need it in
+    ``sys.modules`` while it runs."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("seed", [11, 5])
+def test_exact_verify_workload_passes_its_gate(seed, tmp_path):
+    # the benchmark's largest bound check, run in process: every row passes
+    # and the gate finds nothing; a refused hypothesis raises Refused
+    workload = _workloads().WORKLOADS["exact-verify"]
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(workload.config(seed))
+    out = tmp_path / "out"
+    assert cli_main([workload.command, "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "verify.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 205
+    assert workload.gate(str(out)) == []
