@@ -12,9 +12,10 @@ private step rule that picks each step's potential, keep probability and
 kernel.  :func:`run_ips` moves N particle states and takes any flow,
 including sampler callables on general spaces; it is also the reference
 the count engine is tested against.  :func:`run_counts` serves finite
-flows: it steps the per-state occupation counts, which carry the same law
-at O(d^2) per step whatever N is, for a whole block of replicates per
-numpy call.  The adaptive scheme (:mod:`fkips.adaptive`) runs in both
+flows: it steps the per-state occupation counts, which carry the same law,
+for a whole block of replicates per numpy call.  Its moves cost O(d^2) per
+replicate and step whatever N is when N >= d^2, and O(N log d), one draw
+per particle, below that.  The adaptive scheme (:mod:`fkips.adaptive`) runs in both
 loops with its own rule.
 
 Randomness is counter-based: every (seed, index, step, purpose) tuple keys a
@@ -388,9 +389,12 @@ def run_counts(
     particles only through their counts c, so one step draws, exactly in
     law: the kept particles ``Binomial(c_x, eps G(x))`` per state, the
     ``N - sum K`` redraws ``Multinomial(N - sum K, c G / sum c G)`` and the
-    moves ``sum_x Multinomial(c'_x, M(x, .))``.  The cost is O(d^2) per step
-    whatever N is.  ``eps`` is as in :func:`run_ips`; ``auto`` is resolved
-    per replicate.
+    moves ``sum_x Multinomial(c'_x, M(x, .))``.  The moves are drawn that
+    way, at O(d^2) per replicate and step whatever N is, when N >= d^2, and
+    as one inverse-CDF draw per particle, at O(N log d), when N < d^2 (see
+    :func:`_transition`); the rule reads only N and d, so a config always
+    takes the same path.  ``eps`` is as in :func:`run_ips`; ``auto`` is
+    resolved per replicate.
 
     Replicates are drawn in blocks of :data:`BLOCK` rows: each step of block
     ``b = r // BLOCK`` makes one numpy call per purpose, reading the

@@ -32,7 +32,7 @@ from .errors import DegenerateMeasureError, InputError
 # accumulated floating-point drift out of oracle products.
 SUM_TOLERANCE = 1e-9
 
-# Cap on the pairwise row-difference temporary in ``_max_row_l1``.
+# Cap on each pairwise row-difference buffer of ``_max_row_l1``.
 _DOBRUSHIN_BLOCK_BYTES = 1 << 24
 
 
