@@ -15,8 +15,8 @@ the count engine is tested against.  :func:`run_counts` serves finite
 flows: it steps the per-state occupation counts, which carry the same law,
 for a whole block of replicates per numpy call.  Its moves cost O(d^2) per
 replicate and step whatever N is when N >= d^2, and O(N log d), one draw
-per particle, below that.  The adaptive scheme (:mod:`fkips.adaptive`) runs in both
-loops with its own rule.
+per particle, below that.  The adaptive scheme (:mod:`fkips.adaptive`)
+runs in both loops with its own rule.
 
 Randomness is counter-based: every (seed, index, step, purpose) tuple keys a
 disjoint Philox stream, where the index is the replicate for
@@ -515,18 +515,19 @@ def _move_particles(rng, movers, kernel_rows):
     cdf = np.cumsum(kernel_rows, axis=-1)
     table = np.full(cdf.shape[:-1] + (width,), np.inf)
     np.copyto(table[..., :d], cdf, where=cdf < cdf[..., -1:])
+    table = table.reshape(-1)
     # int32 positions index the table about twice as fast as int64 ones
     index = np.int32 if table.size <= np.iinfo(np.int32).max else np.int64
     cells = np.arange(k * d, dtype=index)   # row * d + state
     state = cells % d
     start = (cells if kernel_rows.ndim == 3 else state) * index(width)
-    # a particle's table position minus its landing cell, row * d + count
+    # the search leaves pos = start + count, so pos - shift is the landing
+    # cell row * d + count
     shift = np.repeat(start - (cells - state), movers.reshape(-1))
     pos = np.repeat(start, movers.reshape(-1))
     u = rng.random(pos.size)
     half = width >> 1
     while half:
-        pos += (table.reshape(-1)[pos + index(half - 1)] <= u) * index(half)
+        pos += (table[pos + index(half - 1)] <= u) * index(half)
         half >>= 1
-    landed = np.bincount(pos - shift, minlength=k * d)
-    return landed.reshape(k, d)
+    return np.bincount(pos - shift, minlength=k * d).reshape(k, d)
