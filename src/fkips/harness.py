@@ -133,20 +133,36 @@ def _parse_scalar(token: str):
 
 
 def _parse_value(text: str):
+    """One config value: a scalar, a float vector (whitespace-separated
+    tokens) or a float matrix (rows separated by ``;``).  A vector or
+    matrix that does not parse, including a ragged one, comes back as its
+    text, which the field that reads it reports as a config error.
+
+    Tables are read by numpy's C text reader in one pass, at 8 bytes per
+    number.  It reads the tokens ``float()`` reads, bit for bit, except
+    that it skips blank rows and refuses some tokens ``float()`` takes
+    (``1_000``, non-ASCII digits); those values go through ``float()``.
+    """
     text = text.strip()
-    if ";" in text:
-        rows = [r.split() for r in text.split(";")]
+    table = ";" in text
+    if table:
+        rows = text.split(";")
+    elif len(text.split(None, 1)) > 1:
+        rows = [text]
+    else:
+        return _parse_scalar(text) if text else ""
+    if not any(not row or row.isspace() for row in rows):
         try:
-            return np.array([[float(x) for x in row] for row in rows])
+            values = np.loadtxt(rows, ndmin=2, comments=None)
         except ValueError:
-            return text
-    parts = text.split()
-    if len(parts) > 1:
-        try:
-            return np.array([float(x) for x in parts])
-        except ValueError:
-            return text
-    return _parse_scalar(text) if parts else ""
+            pass
+        else:
+            return values if table else values[0]
+    try:
+        values = np.array([[float(x) for x in row.split()] for row in rows])
+    except ValueError:
+        return text
+    return values if table else values[0]
 
 
 @contextmanager

@@ -21,7 +21,6 @@ Conventions
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,9 @@ from .errors import DegenerateMeasureError, InputError
 # accumulated floating-point drift out of oracle products.
 SUM_TOLERANCE = 1e-9
 
-# Cap on each pairwise row-difference buffer of ``_max_row_l1``.
-_DOBRUSHIN_BLOCK_BYTES = 1 << 24
+# Cap on the row-difference block of ``_max_row_l1``, sized to stay in a
+# core's L2 cache.
+_DOBRUSHIN_BLOCK_BYTES = 1 << 18
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -251,15 +251,6 @@ def total_variation(mu: FiniteDistribution, nu: FiniteDistribution) -> float:
     return 0.5 * float(np.abs(mu.weights - nu.weights).sum())
 
 
-@functools.lru_cache(maxsize=4)
-def _upper_pairs(n_rows: int, n_cols: int) -> tuple:
-    """Read-only indices (i, j), i < j, of an ``n_rows x n_cols`` band."""
-    pairs = np.triu_indices(n_rows, 1, n_cols)
-    for idx in pairs:
-        idx.setflags(write=False)
-    return pairs
-
-
 # Reused flat buffer of ``_max_row_l1``: module-level state, grown on demand
 # and never shrunk.
 _workspace = np.empty(0)
@@ -267,37 +258,41 @@ _workspace = np.empty(0)
 
 def _max_row_l1(rows: np.ndarray) -> float:
     """Largest L1 distance between two rows of a square matrix (0 for one
-    row), visiting each pair i < j once.  The rows need not be stochastic.
-    Pairs are taken a band of rows at a time, so the pairwise-difference
-    buffer stays under ``_DOBRUSHIN_BLOCK_BYTES``.
+    row).  The rows need not be stochastic.
 
-    Each band gathers its row pairs into a workspace reused across calls,
-    subtracts and takes the absolute value in place and sums every pair's
-    contiguous row, so the result equals a per-pair ``np.abs(a - b).sum()``
-    bit for bit.  The workspace is module-level state: the function is not
-    safe to call from several threads at once.
+    Row i is paired with row (i + s) mod d for s = 1..d//2, which visits
+    every pair i < j (the pairs at s = d/2 twice).  A copy of the rows
+    followed by its first d//2 rows makes each shift s a contiguous run of
+    rows, so a block of shifts is one overlapping strided view of it.
+    Blocks hold as many shifts as fit in ``_DOBRUSHIN_BLOCK_BYTES``.  Each
+    pair's |a - b| fills one contiguous row of a reused workspace and is
+    summed along it, and |a - b| = |b - a| exactly, so the result equals a
+    per-pair ``np.abs(a - b).sum()`` bit for bit.  The workspace is
+    module-level state: the function is not safe to call from several
+    threads at once.
     """
     global _workspace
     d = rows.shape[0]
-    band = max(1, _DOBRUSHIN_BLOCK_BYTES // (8 * d * d))
+    half = d // 2
+    per_block = max(1, min(half, _DOBRUSHIN_BLOCK_BYTES // (8 * d * d)))
+    ext_size = (d + half) * d
+    if _workspace.size < ext_size + per_block * d * d:
+        _workspace = np.empty(ext_size + per_block * d * d)
+    ext = _workspace[:ext_size].reshape(d + half, d)
+    ext[:d] = rows
+    ext[d:] = rows[:half]
     best = 0.0
-    for lo in range(0, d - 1, band):
-        i, j = _upper_pairs(min(band, d - 1 - lo), d - lo)
-        size = i.size * d
-        if _workspace.size < 2 * size + i.size:
-            _workspace = np.empty(2 * size + i.size)
-        left = _workspace[:size].reshape(i.size, d)
-        right = _workspace[size:2 * size].reshape(i.size, d)
-        sums = _workspace[2 * size:2 * size + i.size]
-        # positional method forms: at d = 8 keyword parsing costs as much
-        # as the arithmetic
-        tail = rows[lo:]
-        tail.take(i, 0, left, "clip")
-        tail.take(j, 0, right, "clip")
-        np.subtract(left, right, left)
-        np.abs(left, left)
-        np.add.reduce(left, 1, None, sums)
-        best = max(best, float(np.maximum.reduce(sums)))
+    for first in range(1, half + 1, per_block):
+        n = min(per_block, half + 1 - first)
+        # shifted[k, i] is row (i + first + k) mod d of ext: a view whose
+        # rows overlap across k
+        shifted = np.ndarray((n, d, d), np.float64, _workspace, 8 * first * d, (8 * d, 8 * d, 8))
+        diff = _workspace[ext_size:ext_size + n * d * d].reshape(n, d, d)
+        # positional forms: at d = 8 keyword parsing costs as much as the
+        # arithmetic
+        np.subtract(shifted, ext[:d], diff)
+        np.abs(diff, diff)
+        best = max(best, float(np.maximum.reduce(np.add.reduce(diff, 2), None)))
     return best
 
 

@@ -108,6 +108,35 @@ def dobrushin_by_rows(rows) -> float:
     return max(0.5 * float(np.abs(rows[x] - rows[y]).sum()) for x in range(d) for y in range(d))
 
 
+def parse_value_by_floats(text: str):
+    """A config value parsed token by token with ``float()``: a scalar
+    (bool, int, float or bare text), a vector, a ``;``-separated matrix,
+    or the stripped text when a vector or matrix does not parse."""
+    text = text.strip()
+    if ";" in text:
+        rows = [r.split() for r in text.split(";")]
+        try:
+            return np.array([[float(x) for x in row] for row in rows])
+        except ValueError:
+            return text
+    parts = text.split()
+    if len(parts) > 1:
+        try:
+            return np.array([float(x) for x in parts])
+        except ValueError:
+            return text
+    if not parts:
+        return ""
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 def kernel_potential_smoothing(k_rows, g_vals):
     """Both sides of the smoothing of a potential by a kernel,
 

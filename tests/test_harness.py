@@ -4,9 +4,13 @@ verification dispatch, CSV emission and the CLI."""
 import csv
 import io
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkips.cli import main as cli_main
 from fkips.engine import BLOCK, run_counts
@@ -14,6 +18,7 @@ from fkips.errors import ConfigError
 from fkips.flow import FlowSpec
 from fkips.harness import (
     CheckRow,
+    _parse_value,
     aggregate,
     check_oracle_identity,
     check_uniform_regime,
@@ -27,6 +32,7 @@ from fkips.harness import (
 from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 
 from .instances import bounded_regime_flow
+from .oracles import parse_value_by_floats
 
 CLASSIC_TEXT = """
 # minimal classic flow
@@ -124,6 +130,87 @@ class TestParsing:
         for (g1, k1), (g2, k2) in zip(rebuilt.steps, flow.steps):
             assert np.allclose(g1.values, g2.values, rtol=1e-15)
             assert np.allclose(k1.rows, k2.rows, rtol=1e-15)
+
+
+_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda x: format(x, ".17g")),
+    st.sampled_from(["nan", "-inf", "1e400", "-0"]),
+)
+
+
+@st.composite
+def _number_texts(draw):
+    """A vector, or a table of 1x1 to 8x8 (one row is written as a
+    vector), with varied token and row separators."""
+    cols = draw(st.integers(1, 8))
+    n_rows = draw(st.integers(1, 8))
+    gap = draw(st.sampled_from([" ", "\t", "  "]))
+    rows = [gap.join(draw(st.lists(_TOKENS, min_size=cols, max_size=cols))) for _ in range(n_rows)]
+    return draw(st.sampled_from([";", "; ", " ;\t"])).join(rows)
+
+
+# tokens float() reads and numpy's text reader refuses, tokens neither
+# reads, and blank or ragged rows that numpy would skip or refuse
+HOSTILE_VALUES = (
+    "1_000 2",
+    "1 2; 3 1_000",
+    "\u0661\u0662 3",
+    "1 2; \u0661 3",
+    "0x10 1",
+    "1,5 2",
+    "1 2; 1,5 3",
+    "1\t2;3\t4",
+    "1\t2",
+    "1 2;",
+    "1 2; ;3 4",
+    ";",
+    " ; ; ",
+    "1 2;3",
+    "1;2 3",
+    "1 2 3; 4 5",
+    "1\xa02 3",
+)
+
+
+def _assert_same_value(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert repr(got) == repr(want)
+
+
+class TestParseValue:
+    """numpy's text reader returns what float() returns, token by token."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_number_texts())
+    def test_tables_match_float_parse(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _parse_value(text)
+        _assert_same_value(got, parse_value_by_floats(text))
+
+    @pytest.mark.parametrize("text", HOSTILE_VALUES)
+    def test_hostile_values_match_float_parse(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _parse_value(text)
+        _assert_same_value(got, parse_value_by_floats(text))
+
+    def test_number_tables_parse_in_a_few_bytes_per_character(self):
+        # d^2 T = 163 840 kernel numbers in 3.5 MB of text; a Python str
+        # and float per number peaked at 7.6x the text
+        text = flow_to_config(bounded_regime_flow(40, dim=64, seed=13))
+        tracemalloc.start()
+        try:
+            parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(text)
 
 
 class TestRunExperiment:
@@ -303,6 +390,17 @@ class TestCli:
             bad.write_text(text)
             assert cli_main([command, "--config", str(bad), "--out", str(tmp_path)]) == 2
             assert f"config error: {field}" in capsys.readouterr().err
+
+    def test_blank_kernel_rows_name_the_field(self, tmp_path, capsys):
+        # numpy's text reader skips blank rows, which would leave a well
+        # shaped table behind a trailing ";" or an inserted blank row
+        text = flow_to_config(bounded_regime_flow(2, dim=3, seed=1))
+        line = next(ln for ln in text.splitlines() if ln.startswith("kernels = "))
+        bad = tmp_path / "bad.cfg"
+        for broken in (line + ";", line.replace("; ", "; ; ", 1)):
+            bad.write_text(text.replace(line, broken))
+            assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+            assert "config error: flow.kernels" in capsys.readouterr().err
 
     def test_run_writes_deterministic_outputs(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"

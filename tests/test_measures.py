@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fkips import measures
 from fkips.errors import DegenerateMeasureError, InputError
 from fkips.measures import (
     BoundedFunction,
@@ -123,8 +124,8 @@ class TestDobrushin:
             )
 
     def test_row_blocks_match_pairwise_total_variation(self):
-        # at d = 200 the pairwise-difference temporary is 64 MB, so the
-        # rows are compared in several blocks
+        # at d = 200 one shift's row differences take 320 KB, over the
+        # block cap, so the 100 shifts run in 100 blocks
         rng = rng_for(12)
         d = 200
         k = KernelMatrix(random_kernel_rows(rng, d))
@@ -134,13 +135,20 @@ class TestDobrushin:
         )
         assert dobrushin(k) == pytest.approx(expected, abs=1e-15)
 
-    def test_workspace_reduction_is_bit_identical_to_row_pairs(self):
+    @pytest.mark.parametrize("one_shift_per_block", [False, True])
+    def test_workspace_reduction_is_bit_identical_to_row_pairs(
+        self, one_shift_per_block, monkeypatch
+    ):
         # the sizes alternate between calls, so a workspace left over from a
         # larger or a smaller call would show; signed matrices like the
-        # table's centred ones go through the same reduction
+        # table's centred ones go through the same reduction; d = 128 and
+        # 129 take several blocks under the default cap, and a cap of one
+        # shift per block runs several blocks at every d >= 4
+        if one_shift_per_block:
+            monkeypatch.setattr(measures, "_DOBRUSHIN_BLOCK_BYTES", 8)
         rng = rng_for(21)
-        dims = (1, 2, 3, 8, 9, 33, 64)
-        for d in dims + dims[::-1] + (64, 1, 33, 2, 9, 3, 8):
+        dims = (1, 2, 3, 8, 9, 33, 64, 128, 129)
+        for d in dims + dims[::-1] + (64, 1, 129, 33, 2, 9, 128, 3, 8):
             kernel = KernelMatrix(random_kernel_rows(rng, d))
             assert dobrushin(kernel) == dobrushin_by_rows(kernel.rows), d
             signed = kernel.rows - kernel.rows[rng.integers(d)]
