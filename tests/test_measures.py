@@ -135,17 +135,20 @@ class TestDobrushin:
         )
         assert dobrushin(k) == pytest.approx(expected, abs=1e-15)
 
-    @pytest.mark.parametrize("one_shift_per_block", [False, True])
-    def test_workspace_reduction_is_bit_identical_to_row_pairs(
-        self, one_shift_per_block, monkeypatch
-    ):
+    def test_workspace_reduction_is_bit_identical_to_row_pairs(self):
+        # d = 128 and 129 take several blocks under the default cap
+        self._check_reduction_against_row_pairs()
+
+    def test_one_shift_per_block_is_bit_identical_to_row_pairs(self, monkeypatch):
+        # a cap of one shift per block runs several blocks at every d >= 4
+        monkeypatch.setattr(measures, "_DOBRUSHIN_BLOCK_BYTES", 8)
+        self._check_reduction_against_row_pairs()
+
+    @staticmethod
+    def _check_reduction_against_row_pairs():
         # the sizes alternate between calls, so a workspace left over from a
         # larger or a smaller call would show; signed matrices like the
-        # table's centred ones go through the same reduction; d = 128 and
-        # 129 take several blocks under the default cap, and a cap of one
-        # shift per block runs several blocks at every d >= 4
-        if one_shift_per_block:
-            monkeypatch.setattr(measures, "_DOBRUSHIN_BLOCK_BYTES", 8)
+        # table's centred ones go through the same reduction
         rng = rng_for(21)
         dims = (1, 2, 3, 8, 9, 33, 64, 128, 129)
         for d in dims + dims[::-1] + (64, 1, 129, 33, 2, 9, 128, 3, 8):
