@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fkips import bounds
 from fkips.annealing import (
     GibbsProblem,
     MinorizationCert,
@@ -303,6 +304,36 @@ class TestOptimize:
         )
         for row in result.rows:
             assert row.proportion_exact <= row.gibbs_term + 1e-12
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            TemperatureSchedule.constant_step(0.0, 0.5, 4),
+            TemperatureSchedule((0.0, 0.5, 0.9, 1.2, 1.4), "decreasing-increment"),
+        ],
+        ids=["bounded", "decreasing"],
+    )
+    def test_thresholds_add_the_regime_deviation_term(self, schedule):
+        # the composite bound is the Gibbs term plus (r_i N + r_j y) / N^2,
+        # with the uniform (r1*, r2*) at g_sup = exp(Delta osc V) or the
+        # decreasing (r3*(n), r4*(n)) over the ratios exp(Delta_p osc V)
+        prob = double_well_problem()
+        a, n_particles, ys = 0.5, 150, (0.0, 1.0, 2.5)
+        result = optimize(
+            _isa(prob, schedule, k0=4, a=a), n_particles, seed=8,
+            epsilon_level=0.5, eps_prime=0.25, y_values=ys,
+        )
+        assert result.report.inputs["mode"] == schedule.tuning_mode
+        g_sched = [math.exp(d * prob.v_osc) for d in schedule.deltas]
+        for row in result.rows:
+            if schedule.tuning_mode == "bounded":
+                g_sup = math.exp(schedule.delta_cap * prob.v_osc)
+                r_i, r_j = bounds.r_star_bounded(bounds.RegimeParams(a, g_sup, n_particles))
+            else:
+                r_i, r_j = bounds.r_star_decreasing(g_sched, a, n_particles, row.step)[:2]
+            for y in ys:
+                expected = row.gibbs_term + bounds.eta_deviation_threshold(r_i, r_j, n_particles, y)
+                assert row.thresholds[y] == expected
 
     def test_threshold_ordering(self):
         with pytest.raises(InputError):
