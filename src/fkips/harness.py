@@ -174,6 +174,17 @@ def _field(name: str):
         raise ConfigError([f"{name}: {exc}"]) from exc
 
 
+def _int_field(raw, section: str, key: str, default: int, minimum: int, name=None) -> int:
+    """``[section] key`` as an int >= ``minimum``.  A bool, a float or text is
+    refused, not truncated, by a :class:`ConfigError` naming ``name``
+    (``section.key`` unless given)."""
+    val = raw.get(section, key, default)
+    if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < minimum:
+        name = name or f"{section}.{key}"
+        raise ConfigError([f"{name} must be an integer >= {minimum}, got {val!r}"])
+    return int(val)
+
+
 @dataclass
 class RawConfig:
     """Parsed key-value sections, prior to semantic assembly."""
@@ -241,19 +252,20 @@ class ExperimentConfig:
         if kind not in ("classic", "isa", "adaptive"):
             errors.append(f"algorithm.kind must be classic|isa|adaptive, got {kind!r}")
 
-        def _int_field(section, key, default, minimum):
-            val = raw.get(section, key, default)
-            if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < minimum:
-                errors.append(f"{key} must be an integer >= {minimum}, got {val!r}")
+        def run_int(key, default, minimum):
+            # every [run] error is collected; the messages name the bare key
+            try:
+                return _int_field(raw, "run", key, default, minimum, name=key)
+            except ConfigError as exc:
+                errors.extend(exc.errors)
                 return default
-            return int(val)
 
-        n_particles = _int_field("run", "n_particles", 100, 1)
-        steps = _int_field("run", "steps", 1, 0)
-        replicates = _int_field("run", "replicates", 1, 1)
-        seed = _int_field("run", "seed", 0, 0)
-        n_test = _int_field("run", "n_test_functions", 4, 1)
-        threads = _int_field("run", "threads", 1, 1)
+        n_particles = run_int("n_particles", 100, 1)
+        steps = run_int("steps", 1, 0)
+        replicates = run_int("replicates", 1, 1)
+        seed = run_int("seed", 0, 0)
+        n_test = run_int("n_test_functions", 4, 1)
+        threads = run_int("threads", 1, 1)
         eps_mode = raw.get("run", "eps_mode", "auto")
         if isinstance(eps_mode, str) and eps_mode not in ("auto", "multinomial"):
             errors.append(f"eps_mode must be auto|multinomial|float, got {eps_mode!r}")
@@ -333,15 +345,19 @@ class ExperimentConfig:
             "decreasing": "decreasing-increment",
             "constant": "constant-step",
         }
-        mode = mode_map.get(raw.get("schedule", "mode", "constant"))
+        given = raw.get("schedule", "mode", "constant")
+        mode = mode_map.get(given) if isinstance(given, str) else None
         if mode is None:
-            raise ConfigError([f"schedule.mode must be bounded|decreasing|constant"])
+            raise ConfigError([
+                f"schedule.mode must be bounded|decreasing|constant, got {_config_text(given)!r}"
+            ])
         betas = raw.get("schedule", "betas")
+        if betas is None:
+            steps = _int_field(raw, "schedule", "steps", self.steps, 0)
         with _field("schedule"):
             if betas is None:
                 beta0 = float(raw.get("schedule", "beta0", 0.0))
                 delta = float(raw.get("schedule", "delta", 0.5))
-                steps = int(raw.get("schedule", "steps", self.steps))
                 return TemperatureSchedule.constant_step(beta0, delta, steps)
             betas = tuple(float(b) for b in np.atleast_1d(betas))
             declared = raw.get("schedule", "delta_declared")
@@ -359,13 +375,14 @@ class ExperimentConfig:
         if eps is None:
             raise ConfigError(["adaptive.epsilon is required"])
         delta_max = raw.get("adaptive", "delta_max")
+        mcmc_iters = _int_field(raw, "adaptive", "mcmc_iters", 1, 1)
         with _field("adaptive"):
             return adaptive_mod.AdaptiveConfig(
                 epsilon=float(eps),
                 tol=float(raw.get("adaptive", "tol", 1e-10)),
                 delta_max=None if delta_max in (None, "none") else float(delta_max),
                 mutation_mode=raw.get("adaptive", "mutation", "theoretical"),
-                mcmc_iters=int(raw.get("adaptive", "mcmc_iters", 1)),
+                mcmc_iters=mcmc_iters,
                 beta0=float(raw.get("adaptive", "beta0", 0.0)),
             )
 
@@ -417,8 +434,8 @@ class ExperimentConfig:
             return None
         problem = self.problem
         schedule = self.build_schedule()
+        k0 = _int_field(self.raw, "schedule", "k0", 1, 1)
         with _field("schedule"):
-            k0 = int(self.raw.get("schedule", "k0", 1))
             a = float(self.raw.get("schedule", "a", 0.5))
             return build_isa_flow(problem, schedule, minorize(problem, k0), a)
 

@@ -351,6 +351,18 @@ class TestCli:
             ("run", CLASSIC_TEXT + "eps_mode = 5.0\n", "eps_mode"),
             ("run", CLASSIC_TEXT.replace("initial = uniform", "initial = 0 0"), "flow.initial"),
             ("run", ISA_TEXT.replace("lazy-ring 0.5", "1 0 0; 0 1 0; 0 0 1"), "schedule"),
+            # integer fields outside [run] are refused, not truncated
+            ("adaptive", ADAPTIVE_TEXT.replace("mcmc_iters = 3", "mcmc_iters = 2.5"),
+             "adaptive.mcmc_iters"),
+            ("adaptive", ADAPTIVE_TEXT.replace("mcmc_iters = 3", "mcmc_iters = true"),
+             "adaptive.mcmc_iters"),
+            ("run", ISA_TEXT.replace("k0 = 2", "k0 = 2.9"), "schedule.k0"),
+            ("run", ISA_TEXT + "steps = 4.7\n", "schedule.steps"),
+            (
+                "run",
+                ISA_TEXT + "mode = bonded\n",
+                "schedule.mode must be bounded|decreasing|constant, got 'bonded'",
+            ),
             # check levels must be finite and >= 0, whatever the kind and regime
             ("verify-bounds", BOUNDED_TEXT + "y_values = 1 -2\n", "checks.y_values"),
             ("verify-bounds", BOUNDED_TEXT + "y_values = 1 inf\n", "checks.y_values"),
