@@ -377,7 +377,8 @@ def optimize(
 
         gibbs_tail(beta_n) + (r_i N + r_j y) / N^2
 
-    with the regime's deviation constants.
+    with the regime's occupation-deviation threshold
+    (:func:`~fkips.bounds.deviation_thresholds`).
     """
     if not 0.0 < eps_prime < epsilon_level:
         raise InputError("thresholds must satisfy 0 < eps' < eps")
@@ -394,23 +395,19 @@ def optimize(
     # a per-row sum of whole counts: exact, whatever R is
     proportions = (run.counts[:, 1:] * tail_set).sum(axis=2) / n_particles
 
+    # the potential-ratio cap, or the ratio of each step
     mode = schedule.tuning_mode
     if mode == "bounded":
-        params = bounds.RegimeParams(
-            a=a, g_sup=math.exp(schedule.delta_cap * problem.v_osc), n_particles=n_particles
-        )
-        r_i, r_j = bounds.r_star_bounded(params)
-    g_sched = [math.exp(d * problem.v_osc) for d in schedule.deltas]
+        g = math.exp(schedule.delta_cap * problem.v_osc)
+    else:
+        g = [math.exp(d * problem.v_osc) for d in schedule.deltas]
 
     rows = []
     for n in range(1, schedule.horizon + 1):
         beta_n = schedule.betas[n]
         gibbs_term = bounds.gibbs_tail_bound(beta_n, epsilon_level, eps_prime, m_eps_prime)
-        if mode == "decreasing":
-            dec = bounds.r_star_decreasing(g_sched, a, n_particles, n)
-            r_i, r_j = dec.r3, dec.r4
         thresholds = {
-            float(y): gibbs_term + bounds.eta_deviation_threshold(r_i, r_j, n_particles, y)
+            float(y): gibbs_term + bounds.deviation_thresholds(mode, a, g, n_particles, n, y)[0]
             for y in y_values
         }
         rows.append(

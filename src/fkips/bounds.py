@@ -9,6 +9,10 @@ Boltzmann-Gibbs tail bound.  Repeated calls are bit-identical; factorials
 are evaluated in log space so the moment constants stay usable for large
 orders.
 
+:func:`deviation_thresholds` is the one place that picks a regime's
+formulas for the occupation-deviation and mass-ratio thresholds; the
+classic bound checks and the annealing optimizer both read it.
+
 It also holds the one record every verifier emits: a :class:`CheckRow`
 compares an estimate with its bound, and :class:`CheckRow.compare` is where
 pass or fail is decided; a :class:`VerifyReport` collects the rows and
@@ -417,6 +421,26 @@ def gamma_log_ratio_threshold_decreasing(
         raise InputError("time index must be >= 1")
     nn = float(n_particles)
     return rt3 * (y + math.sqrt(y)) / nn + rt4 * y / (n * nn) + rt5 * math.sqrt(y / (n * nn))
+
+
+def deviation_thresholds(regime: str, a: float, g, n_particles: float, n: int, y: float):
+    """The (occupation-deviation, log-mass-ratio) thresholds of a regime at
+    time n >= 1, each exceeded with probability at most ``exp(-y)``: from
+    (r1*, r2*) and (rt1, rt2) at the cap ``g`` = g_sup in the ``"bounded"``
+    (uniform) regime, from (r3*(n), r4*(n)) and (rt3, rt4, rt5) over the
+    step ratios ``g`` = g_1, g_2, ... in the ``"decreasing"`` one."""
+    if regime == "bounded":
+        params = RegimeParams(a=a, g_sup=g, n_particles=n_particles)
+        r_i, r_j = r_star_bounded(params)
+        mass = gamma_log_ratio_threshold_bounded(*r_tilde_bounded(params), n, n_particles, y)
+    elif regime == "decreasing":
+        r_i, r_j = r_star_decreasing(g, a, n_particles, n)[:2]
+        mass = gamma_log_ratio_threshold_decreasing(
+            *r_tilde_decreasing(g, a, n), n, n_particles, y
+        )
+    else:
+        raise InputError("regime must be 'bounded' or 'decreasing'")
+    return eta_deviation_threshold(r_i, r_j, n_particles, y), mass
 
 
 def raw_eta_tail_level(

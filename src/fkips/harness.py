@@ -29,6 +29,14 @@ and keys:
                 epsilon_level > eps_prime > 0, y_values and s_values (>= 0;
                 y >= 1 for adaptive); every number finite
 
+A classic ``verify-bounds`` runs the oracle identity, the semigroup lemmas
+and one regime check, :func:`check_regime`, whichever the ``[checks]
+regime``.  The regimes differ only in their hypothesis rows, their composed
+caps (:func:`composed_caps`) and their threshold formulas
+(:func:`fkips.bounds.deviation_thresholds`), and both write their rows in
+one order: hypothesis, composed caps, L2 for n = 0..T, occupation deviation
+(y-major), then mass ratio (y-major, ``+`` before ``-``).
+
 Every output is a deterministic function of (config, seed): replicates use
 counter-based streams keyed by (seed, block, step, purpose) whose rows do
 not depend on the replicate count (see :mod:`fkips.engine`), aggregation
@@ -756,186 +764,116 @@ def _deviation_tensor(flow, n_particles, replicates, seed, fdict):
     return _expectations(run.histograms, fdict) - exact, run.log_gamma1 - trace.log_gamma1
 
 
-def _cap_summary(records) -> tuple:
-    """(ok, worst excess, scope) of cap records.  A cap holds when
-    ``lhs - rhs <= 1e-10 * min(1, rhs)`` (:attr:`InequalityRecord.excess`), so
-    the caps ``a^(n-p)`` are checked to relative precision."""
+def composed_caps(flow: FlowSpec, regime: str, a: float, g_sup=None):
+    """Exact composed-quantity caps implied by a regime's hypothesis.  Returns
+    (ok, worst excess, scope).
+
+    Both regimes cap ``g_{p,n} b_{p,n} <= a^(n-p)`` for p < n.  A p = n pair
+    is the identity ``1 = a^0`` with excess exactly 0, which would pin every
+    passing row's worst excess at 0; it is kept only at horizon 0, where it
+    is the only pair.  The ``"bounded"`` (uniform) regime adds
+    ``g_{p,n} <= g_sup + a`` and ``b_p g_{p-1,n} <= a``; the
+    ``"decreasing"`` one adds ``g_{p,n} <= g_(p+1)^(1+alpha)`` for p < n,
+    alpha = a/(1-a), and does not read ``g_sup``.  A cap holds when
+    ``lhs - rhs <= 1e-10 * min(1, rhs)`` (:attr:`InequalityRecord.excess`),
+    so the caps ``a^(n-p)`` are checked to relative precision.
+    """
+    g, b = flow.table.g.tolist(), flow.table.b.tolist()
+    records = [
+        InequalityRecord("g_pn*b_pn", p, n, g[p][n] * b[p][n], a ** (n - p))
+        for n in range(flow.horizon + 1)
+        for p in range(n - 1 if flow.horizon else n, -1, -1)
+    ]
+    step_g, step_b, alpha = flow.trace.g, flow.trace.b, a / (1.0 - a)
+    for n in range(flow.horizon + 1):
+        for p in range(n, -1, -1):
+            if regime == "decreasing":
+                # step_g is 0-indexed: step_g[p] is the step-(p+1) ratio
+                if p < n:
+                    cap = step_g[p] ** (1.0 + alpha)
+                    records.append(InequalityRecord("g_pn", p, n, g[p][n], cap))
+            else:
+                records.append(InequalityRecord("g_pn", p, n, g[p][n], g_sup + a))
+                if p >= 1:
+                    # b_p pairs with g_{p-1,n}; step_b is 0-indexed by step
+                    bg = step_b[p - 1] * g[p - 1][n]
+                    records.append(InequalityRecord("b_p*g_(p-1)n", p, n, bg, a))
     report = LemmaReport(tuple(records))
     worst = report.worst()
     return report.holds(1e-10), worst.excess, f"{worst.name},p={worst.p},n={worst.n}"
 
 
-def _stability_caps(flow: FlowSpec, a: float) -> list:
-    """The records ``g_{p,n} b_{p,n} <= a^(n-p)`` for p < n.  A p = n pair is
-    the identity ``1 = a^0`` with excess exactly 0, which would pin every
-    passing row's worst excess at 0; it is kept only at horizon 0, where it
-    is the only pair."""
-    g, b = flow.table.g.tolist(), flow.table.b.tolist()
-    return [
-        InequalityRecord("g_pn*b_pn", p, n, g[p][n] * b[p][n], a ** (n - p))
-        for n in range(flow.horizon + 1)
-        for p in range(n - 1 if flow.horizon else n, -1, -1)
-    ]
-
-
-def composed_caps_bounded(flow: FlowSpec, a: float, g_sup: float):
-    """Exact composed-quantity caps implied by the uniform-regime hypothesis:
-    ``g_{p,n} <= g_sup + a``, ``b_p g_{p-1,n} <= a`` and
-    ``g_{p,n} b_{p,n} <= a^(n-p)`` (:func:`_stability_caps`).  Returns
-    (ok, worst_excess, scope)."""
-    step_b, g = flow.trace.b, flow.table.g.tolist()
-    records = _stability_caps(flow, a)
-    for n in range(flow.horizon + 1):
-        for p in range(n, -1, -1):
-            records.append(InequalityRecord("g_pn", p, n, g[p][n], g_sup + a))
-            if p >= 1:
-                # b_p pairs with g_{p-1,n}; step_b is 0-indexed by step
-                bg = step_b[p - 1] * g[p - 1][n]
-                records.append(InequalityRecord("b_p*g_(p-1)n", p, n, bg, a))
-    return _cap_summary(records)
-
-
-def composed_caps_decreasing(flow: FlowSpec, a: float):
-    """Exact composed caps of the decreasing regime:
-    ``g_{p,n} <= g_(p+1)^(1+alpha)`` for p < n and
-    ``g_{p,n} b_{p,n} <= a^(n-p)`` (:func:`_stability_caps`).  Returns
-    (ok, worst_excess, scope)."""
-    step_g, g = flow.trace.g, flow.table.g.tolist()
-    alpha = a / (1.0 - a)
-    records = _stability_caps(flow, a)
-    for n in range(flow.horizon + 1):
-        for p in range(n - 1, -1, -1):
-            # step_g is 0-indexed: step_g[p] is the step-(p+1) ratio
-            records.append(InequalityRecord("g_pn", p, n, g[p][n], step_g[p] ** (1.0 + alpha)))
-    return _cap_summary(records)
-
-
-def check_uniform_regime(
+def check_regime(
     flow: FlowSpec,
+    regime: str,
     a: float,
-    g_sup: float,
+    g_sup: float | None,
     n_particles: int,
     replicates: int,
     seed: int,
     *,
     y_values=(1.0, 2.0, 4.0),
 ) -> VerifyReport:
-    """All uniform-regime checks on one flow.
+    """All checks of one concentration regime on one flow: ``"bounded"`` (the
+    uniform regime, potential ratios capped by ``g_sup``, None standing for
+    the flow's largest ratio) or ``"decreasing"``.
 
-    Preamble verifies the hypothesis with exact quantities (potential ratios
-    capped by g_sup, ergodic coefficients by a/(a+g_sup), plus the composed
-    caps they imply); rows then cover the per-step L2 level, the
-    occupation-deviation thresholds over the y grid, and both signs of the
-    normalized log mass ratio, all over the same ``replicates`` runs.
+    The hypothesis rows come first, and an unmet hypothesis returns them
+    alone: the uniform regime caps every ratio by g_sup and every ergodic
+    coefficient by a/(a+g_sup), the decreasing one caps step p's coefficient
+    by :func:`~fkips.bounds.condition_decreasing` of its ratio g_p.  Then, in
+    the order the module docstring gives, come the composed caps, the L2
+    level and the exceedances of both thresholds of
+    :func:`~fkips.bounds.deviation_thresholds`, all over the same
+    ``replicates`` runs; the row names start ``uniform-`` or ``decreasing-``.
     """
     trace = flow.trace
-    b_cap = bounds.condition_bounded(g_sup, a)
-    hyp_ok = all(g <= g_sup + 1e-12 for g in trace.g) and all(
-        b <= b_cap + 1e-12 for b in trace.b
-    )
-    hypothesis = CheckRow(
-        "uniform-hypothesis", "all", max(trace.b), b_cap, "pass" if hyp_ok else "hypothesis-unmet"
-    )
-    if not hyp_ok:
-        return VerifyReport(rows=(hypothesis,), hypothesis_ok=False)
-    _, worst, scope = composed_caps_bounded(flow, a, g_sup)
-    rows = [hypothesis, CheckRow.compare("uniform-composed-caps", scope, worst, 1e-10)]
+    name = "uniform" if regime == "bounded" else "decreasing"
+    # g: what bounds.deviation_thresholds reads, the cap or the step ratios
+    if regime == "bounded":
+        g = g_sup = max(trace.g) if g_sup is None else g_sup
+        b_cap = bounds.condition_bounded(g_sup, a)
+        ok = all(x <= g_sup + 1e-12 for x in trace.g) and all(b <= b_cap + 1e-12 for b in trace.b)
+        status = "pass" if ok else "hypothesis-unmet"
+        hypothesis = [CheckRow("uniform-hypothesis", "all", max(trace.b), b_cap, status)]
+    else:
+        g = list(trace.g)
+        caps = [bounds.condition_decreasing(g_p, a).value for g_p in trace.g]
+        hypothesis = [
+            CheckRow("decreasing-hypothesis", f"p={p}", b_p, cap, "hypothesis-unmet")
+            for p, (b_p, cap) in enumerate(zip(trace.b, caps), start=1)
+            if b_p > cap + 1e-12
+        ] or [CheckRow("decreasing-hypothesis", "all", 0.0, 0.0, "pass")]
+    if hypothesis[0].status != "pass":
+        return VerifyReport(rows=tuple(hypothesis), hypothesis_ok=False)
+    _, worst, scope = composed_caps(flow, regime, a, g_sup)
+    rows = hypothesis + [CheckRow.compare(f"{name}-composed-caps", scope, worst, 1e-10)]
 
-    horizon = flow.horizon
     fdict = osc1_dictionary(flow.dim)
     devs, log_gaps = _deviation_tensor(flow, n_particles, replicates, seed, fdict)
-
     # L2 level, uniformly in time
     l2_bound = bounds.lp_uniform_bound(2, a, n_particles)
     l2 = np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=1)
-    for n in range(horizon + 1):
-        rows.append(CheckRow.compare("uniform-l2", f"n={n}", float(l2[n]), l2_bound))
+    for n in range(flow.horizon + 1):
+        rows.append(CheckRow.compare(f"{name}-l2", f"n={n}", float(l2[n]), l2_bound))
 
-    # occupation-measure deviation thresholds
-    params = bounds.RegimeParams(a=a, g_sup=g_sup, n_particles=n_particles)
-    r1, r2 = bounds.r_star_bounded(params)
+    # exceedance frequencies of both thresholds, each at level exp(-y)
     worst = np.abs(devs).max(axis=2)   # per replicate, sup over dictionary
-    for y in y_values:
-        thr = bounds.eta_deviation_threshold(r1, r2, n_particles, y)
-        level = math.exp(-y)
-        for n in range(1, horizon + 1):
-            freq = float((worst[:, n] > thr).mean())
-            allow = _binomial_allowance(level, replicates)
-            rows.append(CheckRow.compare(
-                "uniform-eta-deviation", f"n={n},y={_fmt(y)}", freq, level + allow
-            ))
-
-    # normalized log mass ratio, both signs
-    rt1, rt2 = bounds.r_tilde_bounded(params)
+    mass_rows = []
     for y in y_values:
         level = math.exp(-y)
-        allow = _binomial_allowance(level, replicates)
-        for n in range(1, horizon + 1):
-            thr = bounds.gamma_log_ratio_threshold_bounded(rt1, rt2, n, n_particles, y)
+        rhs = level + _binomial_allowance(level, replicates)
+        for n in range(1, flow.horizon + 1):
+            eta_thr, mass_thr = bounds.deviation_thresholds(regime, a, g, n_particles, n, y)
+            freq = float((worst[:, n] > eta_thr).mean())
+            rows.append(CheckRow.compare(f"{name}-eta-deviation", f"n={n},y={_fmt(y)}", freq, rhs))
             signed = log_gaps[:, n] / n
             for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                freq = float((sign * signed > thr).mean())
-                rows.append(CheckRow.compare(
-                    "uniform-mass-ratio", f"n={n},y={_fmt(y)},sign={tag}", freq, level + allow
+                freq = float((sign * signed > mass_thr).mean())
+                mass_rows.append(CheckRow.compare(
+                    f"{name}-mass-ratio", f"n={n},y={_fmt(y)},sign={tag}", freq, rhs
                 ))
-    return VerifyReport(rows=tuple(rows), hypothesis_ok=True)
-
-
-def check_decreasing_regime(
-    flow: FlowSpec,
-    a: float,
-    n_particles: int,
-    replicates: int,
-    seed: int,
-    *,
-    y_values=(1.0, 2.0, 4.0),
-) -> VerifyReport:
-    """Decreasing-regime checks: hypothesis on each step's mixing level, the
-    per-time deviation thresholds, and the three-term mass-ratio bound."""
-    rows = []
-    trace = flow.trace
-    g_sched = list(trace.g)
-    for p, (g_p, b_p) in enumerate(zip(trace.g, trace.b), start=1):
-        cap = bounds.condition_decreasing(g_p, a).value
-        if b_p > cap + 1e-12:
-            rows.append(
-                CheckRow("decreasing-hypothesis", f"p={p}", b_p, cap, "hypothesis-unmet")
-            )
-    if rows:
-        return VerifyReport(rows=tuple(rows), hypothesis_ok=False)
-    rows.append(CheckRow("decreasing-hypothesis", "all", 0.0, 0.0, "pass"))
-    _, worst, scope = composed_caps_decreasing(flow, a)
-    rows.append(CheckRow.compare("decreasing-composed-caps", scope, worst, 1e-10))
-
-    horizon = flow.horizon
-    fdict = osc1_dictionary(flow.dim)
-    devs, log_gaps = _deviation_tensor(flow, n_particles, replicates, seed, fdict)
-    l2_bound = bounds.lp_uniform_bound(2, a, n_particles)
-    l2 = np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=1)
-    for n in range(horizon + 1):
-        rows.append(CheckRow.compare("decreasing-l2", f"n={n}", float(l2[n]), l2_bound))
-    worst = np.abs(devs).max(axis=2)
-    for y in y_values:
-        level = math.exp(-y)
-        allow = _binomial_allowance(level, replicates)
-        for n in range(1, horizon + 1):
-            dec = bounds.r_star_decreasing(g_sched, a, n_particles, n)
-            thr = bounds.eta_deviation_threshold(dec.r3, dec.r4, n_particles, y)
-            freq = float((worst[:, n] > thr).mean())
-            rows.append(CheckRow.compare(
-                "decreasing-eta-deviation", f"n={n},y={_fmt(y)}", freq, level + allow
-            ))
-            rt3, rt4, rt5 = bounds.r_tilde_decreasing(g_sched, a, n)
-            thr_g = bounds.gamma_log_ratio_threshold_decreasing(
-                rt3, rt4, rt5, n, n_particles, y
-            )
-            signed = log_gaps[:, n] / n
-            for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                freq = float((sign * signed > thr_g).mean())
-                rows.append(CheckRow.compare(
-                    "decreasing-mass-ratio", f"n={n},y={_fmt(y)},sign={tag}", freq, level + allow
-                ))
-    return VerifyReport(rows=tuple(rows), hypothesis_ok=True)
+    return VerifyReport(rows=tuple(rows + mass_rows), hypothesis_ok=True)
 
 
 def check_oracle_identity(flow: FlowSpec, rel_tol: float = 1e-10) -> VerifyReport:
@@ -954,8 +892,8 @@ def check_oracle_identity(flow: FlowSpec, rel_tol: float = 1e-10) -> VerifyRepor
 def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
     """Config-driven verification suite; dispatches on the algorithm kind.
 
-    Classic configs get the oracle identity, the semigroup lemmas and the
-    checks of the ``[checks] regime``; isa configs get
+    Classic configs get the oracle identity, the semigroup lemmas and
+    :func:`check_regime` on the ``[checks] regime``; isa configs get
     :func:`check_isa_bounds`; adaptive configs get
     :func:`~fkips.adaptive.concentration_check`'s report as it stands.
     Every check covers the whole ``[checks] y_values`` grid and runs
@@ -968,16 +906,10 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
         rows = list(check_oracle_identity(flow).rows)
         lemmas = check_semigroup_lemmas(flow)
         rows.append(CheckRow.compare("semigroup-lemmas", "all", lemmas.max_excess, 1e-10))
-        if checks.regime == "bounded":
-            g_sup = checks.g_sup if checks.g_sup is not None else max(flow.trace.g)
-            report = check_uniform_regime(
-                flow, checks.a, g_sup, cfg.n_particles, replicates, cfg.seed,
-                y_values=checks.y_values,
-            )
-        else:
-            report = check_decreasing_regime(
-                flow, checks.a, cfg.n_particles, replicates, cfg.seed, y_values=checks.y_values
-            )
+        report = check_regime(
+            flow, checks.regime, checks.a, checks.g_sup, cfg.n_particles, replicates, cfg.seed,
+            y_values=checks.y_values,
+        )
         rows.extend(report.rows)
         return VerifyReport(rows=tuple(rows), hypothesis_ok=report.hypothesis_ok)
     if cfg.kind == "isa":

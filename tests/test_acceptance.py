@@ -31,8 +31,7 @@ from fkips.engine import run_ips
 from fkips.flow import check_semigroup_lemmas, run_flow
 from fkips.harness import (
     check_isa_bounds,
-    composed_caps_bounded,
-    composed_caps_decreasing,
+    composed_caps,
     flow_to_config,
     parse_config,
     run_experiment,
@@ -158,7 +157,7 @@ def test_criterion_04_l2_uniform_bound():
     a, n_particles, reps = 0.5, 400, 500
     flow = bounded_regime_flow(30, a=a, seed=100)
     trace = run_flow(flow)
-    caps_ok, _, _ = composed_caps_bounded(flow, a, math.exp(0.5))
+    caps_ok, _, _ = composed_caps(flow, "bounded", a, math.exp(0.5))
     fdict = osc1_dictionary(flow.dim)
     exact = np.array([[eta.expect(f) for f in fdict] for eta in trace.etas])
     devs = np.zeros((reps, 31, fdict.shape[0]))
@@ -179,7 +178,7 @@ def test_criterion_05_eta_deviation_thresholds(bounded_tensor):
     a, g_sup = 0.5, math.exp(0.5)
     assert max(trace.g) <= g_sup + 1e-12
     assert max(trace.b) <= bounds.condition_bounded(g_sup, a) + 1e-12
-    caps_ok, _, _ = composed_caps_bounded(flow, a, g_sup)
+    caps_ok, _, _ = composed_caps(flow, "bounded", a, g_sup)
     params = bounds.RegimeParams(a=a, g_sup=g_sup, n_particles=n_particles)
     r1, r2 = bounds.r_star_bounded(params)
     ok = caps_ok
@@ -218,7 +217,7 @@ def test_criterion_06_mass_ratio_concentration(bounded_tensor):
     dec_trace = run_flow(dec_flow)
     for g_p, b_p in zip(dec_trace.g, dec_trace.b):
         assert b_p <= bounds.condition_decreasing(g_p, a).value + 1e-12
-    caps_ok, _, _ = composed_caps_decreasing(dec_flow, a)
+    caps_ok, _, _ = composed_caps(dec_flow, "decreasing", a)
     ok &= caps_ok
     g_sched = list(dec_trace.g)
     gaps = np.zeros((reps, 11))

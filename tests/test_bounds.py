@@ -1,6 +1,7 @@
 """Constant calculators: spec'd examples, frozen derived values, and the
 structural properties (monotonicity, determinism, guards)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,10 @@ from fkips.bounds import (
     condition_bounded,
     condition_decreasing,
     critical_delta_beta,
+    deviation_thresholds,
+    eta_deviation_threshold,
     gamma_log_ratio_threshold_bounded,
+    gamma_log_ratio_threshold_decreasing,
     gibbs_tail_bound,
     h0,
     h1,
@@ -278,6 +282,34 @@ class TestThresholdHelpers:
         with pytest.raises(InputError):
             adaptive_deviation_threshold(0.5, n, a)
 
+    def test_regime_thresholds_equal_the_formula_chain(self):
+        # deviation_thresholds picks each regime's formulas; every value is
+        # the chain it replaces, bit for bit
+        g_sched = [1.0 + 2.0**-p for p in range(1, 11)]   # decreasing, not constant
+        grid = itertools.product((0.1, 0.5, 0.9), (1, 50, 1000), range(1, 11), (0.0, 1.0, 2.5))
+        for a, n_particles, n, y in grid:
+            for g_sup in (1.0, 1.7):
+                params = RegimeParams(a=a, g_sup=g_sup, n_particles=n_particles)
+                expected = (
+                    eta_deviation_threshold(*r_star_bounded(params), n_particles, y),
+                    gamma_log_ratio_threshold_bounded(
+                        *r_tilde_bounded(params), n, n_particles, y
+                    ),
+                )
+                got = deviation_thresholds("bounded", a, g_sup, n_particles, n, y)
+                assert got == expected, (a, n_particles, n, y, g_sup)
+            dec = r_star_decreasing(g_sched, a, n_particles, n)
+            expected = (
+                eta_deviation_threshold(dec.r3, dec.r4, n_particles, y),
+                gamma_log_ratio_threshold_decreasing(
+                    *r_tilde_decreasing(g_sched, a, n), n, n_particles, y
+                ),
+            )
+            got = deviation_thresholds("decreasing", a, g_sched, n_particles, n, y)
+            assert got == expected, (a, n_particles, n, y)
+        with pytest.raises(InputError):
+            deviation_thresholds("uniform", 0.5, 1.0, 100, 1, 1.0)
+
 
 class TestReports:
     def test_bit_identical_repeat_calls(self):
@@ -338,24 +370,24 @@ class TestRawEstimates:
 
 class TestComposedCapChecks:
     def test_uniform_caps_on_conditioned_random_flows(self):
-        from fkips.harness import composed_caps_bounded
+        from fkips.harness import composed_caps
 
         from .instances import bounded_regime_flow
 
         a, g_sup = 0.5, math.exp(0.5)
         for seed in (11, 22, 33, 44):
             flow = bounded_regime_flow(6, a=a, g_cap=g_sup, seed=seed)
-            ok, worst, scope = composed_caps_bounded(flow, a, g_sup)
+            ok, worst, scope = composed_caps(flow, "bounded", a, g_sup)
             assert ok, (seed, worst, scope)
 
     def test_decreasing_caps_on_conditioned_random_flows(self):
-        from fkips.harness import composed_caps_decreasing
+        from fkips.harness import composed_caps
 
         from .instances import decreasing_regime_flow
 
         for seed in (55, 66, 77):
             flow = decreasing_regime_flow(8, seed=seed)
-            ok, worst, scope = composed_caps_decreasing(flow, 0.5)
+            ok, worst, scope = composed_caps(flow, "decreasing", 0.5)
             assert ok, (seed, worst, scope)
 
     def test_caps_report_the_closest_pair_with_p_below_n(self):
@@ -364,7 +396,7 @@ class TestComposedCapChecks:
         # worst excess is taken over p < n, and at horizon 0 the identity,
         # the only pair, stays
         from fkips.flow import FlowSpec
-        from fkips.harness import composed_caps_bounded, composed_caps_decreasing
+        from fkips.harness import composed_caps
         from fkips.measures import FiniteDistribution
 
         from .instances import bounded_regime_flow, decreasing_regime_flow
@@ -372,8 +404,8 @@ class TestComposedCapChecks:
         a, g_sup = 0.5, math.exp(0.5)
         for flow, caps in (
             (bounded_regime_flow(6, a=a, g_cap=g_sup, seed=11),
-             lambda f: composed_caps_bounded(f, a, g_sup)),
-            (decreasing_regime_flow(8, seed=55), lambda f: composed_caps_decreasing(f, a)),
+             lambda f: composed_caps(f, "bounded", a, g_sup)),
+            (decreasing_regime_flow(8, seed=55), lambda f: composed_caps(f, "decreasing", a)),
         ):
             ok, worst, scope = caps(flow)
             g, b = flow.table.g, flow.table.b
@@ -391,7 +423,7 @@ class TestComposedCapChecks:
         # is missed by about (n-p) * 1e-10 relative, which an absolute slack
         # of 1e-10 cannot see at any n-p
         from fkips.flow import FlowSpec
-        from fkips.harness import composed_caps_bounded
+        from fkips.harness import composed_caps
         from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 
         dim, horizon = 4, 30
@@ -399,11 +431,11 @@ class TestComposedCapChecks:
         flow = FlowSpec(
             FiniteDistribution.uniform(dim), ((PotentialVector.constant(dim), kernel),) * horizon
         )
-        ok, worst, scope = composed_caps_bounded(flow, 0.5 * (1.0 - 1e-10), 1.0)
+        ok, worst, scope = composed_caps(flow, "bounded", 0.5 * (1.0 - 1e-10), 1.0)
         assert not ok
         assert worst == pytest.approx(horizon * 1e-10, rel=1e-3)
         assert scope == f"g_pn*b_pn,p=0,n={horizon}"
-        ok, worst, _ = composed_caps_bounded(flow, 0.5, 1.0)
+        ok, worst, _ = composed_caps(flow, "bounded", 0.5, 1.0)
         assert ok and worst <= 1e-13
 
     def test_stacked_mcmc_mixing_rule(self):

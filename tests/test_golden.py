@@ -157,7 +157,7 @@ CASES = {
         "verify.csv": "d1d37953de0e1fc48dc3fc7ffd25a9060830ce6633121b48e2fcd92f0dbaec77",
     }),
     "verify-decreasing": ("verify-bounds", DECREASING, 0, {
-        "verify.csv": "247f3f835ffc0547f66a83346767c7f49e7cd0b6a8628658f8fa8a72f94ca3c1",
+        "verify.csv": "639d561512cb6a024755a63bfa876d9605d01ac20fa3d58182b07d1af9c05603",
     }),
     "verify-isa": ("verify-bounds", ISA, 0, {
         "verify.csv": "1ecd5152b5b342504b0ec74aad2267d910e77ec87ce53a01a4151bf58c57450a",

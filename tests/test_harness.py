@@ -21,7 +21,7 @@ from fkips.harness import (
     _parse_value,
     aggregate,
     check_oracle_identity,
-    check_uniform_regime,
+    check_regime,
     emit_csv,
     flow_to_config,
     parse_config,
@@ -33,6 +33,7 @@ from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 
 from .instances import bounded_regime_flow
 from .oracles import parse_value_by_floats
+from .test_golden import BOUNDED, DECREASING
 
 CLASSIC_TEXT = """
 # minimal classic flow
@@ -298,7 +299,7 @@ class TestVerifyDispatch:
             FiniteDistribution.uniform(3),
             ((PotentialVector.constant(3), KernelMatrix.uniform(3)),) * 3,
         )
-        report = check_uniform_regime(flow, 0.5, 1.0, 50, 20, seed=3)
+        report = check_regime(flow, "bounded", 0.5, 1.0, 50, 20, seed=3)
         assert report.hypothesis_ok and report.all_pass
 
     def test_hypothesis_unmet_is_not_a_failure(self):
@@ -307,7 +308,7 @@ class TestVerifyDispatch:
             FiniteDistribution.uniform(2),
             ((PotentialVector([1.0, 1.2]), KernelMatrix.identity(2)),) * 2,
         )
-        report = check_uniform_regime(flow, 0.5, 1.2, 50, 10, seed=4)
+        report = check_regime(flow, "bounded", 0.5, 1.2, 50, 10, seed=4)
         assert not report.hypothesis_ok
         assert all(r.status == "hypothesis-unmet" for r in report.rows)
         assert not report.failures()
@@ -327,6 +328,31 @@ class TestVerifyDispatch:
         assert report.all_pass
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0] == "check,scope,lhs,rhs,margin,status"
+
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [(BOUNDED, "uniform"), (DECREASING, "decreasing")],
+        ids=["bounded", "decreasing"],
+    )
+    def test_regimes_write_rows_in_one_order(self, text, prefix):
+        # hypothesis, composed caps, L2 for n = 0..T, eta deviation (y-major),
+        # then mass ratio (y-major, + before -), after the exact-layer rows
+        cfg = parse_config(text)
+        horizon, ys = cfg.flow.horizon, ("1", "2")
+        steps = range(1, horizon + 1)
+        expected = (
+            [("oracle-mass-identity", f"n={n}") for n in range(horizon + 1)]
+            + [("semigroup-lemmas", "all"), (f"{prefix}-hypothesis", "all")]
+            + [(f"{prefix}-l2", f"n={n}") for n in range(horizon + 1)]
+            + [(f"{prefix}-eta-deviation", f"n={n},y={y}") for y in ys for n in steps]
+            + [
+                (f"{prefix}-mass-ratio", f"n={n},y={y},sign={sign}")
+                for y in ys for n in steps for sign in "+-"
+            ]
+        )
+        got = [(r.name, r.scope) for r in verify_bounds(cfg).rows]
+        assert got.pop(horizon + 3)[0] == f"{prefix}-composed-caps"
+        assert got == expected
 
     def test_isa_exceedance_rows_cover_every_y(self):
         text = ISA_TEXT + "[run]\nn_particles = 60\nsteps = 3\nreplicates = 5\n"
@@ -363,6 +389,7 @@ class TestCli:
                 ISA_TEXT + "mode = bonded\n",
                 "schedule.mode must be bounded|decreasing|constant, got 'bonded'",
             ),
+            ("run", ISA_TEXT + "mode = 1 2\n", "schedule.mode must be bounded|decreasing|constant"),
             # check levels must be finite and >= 0, whatever the kind and regime
             ("verify-bounds", BOUNDED_TEXT + "y_values = 1 -2\n", "checks.y_values"),
             ("verify-bounds", BOUNDED_TEXT + "y_values = 1 inf\n", "checks.y_values"),

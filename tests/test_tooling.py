@@ -18,7 +18,7 @@ import pytest
 import fkips
 from fkips.cli import main as cli_main
 
-from .test_golden import ADAPTIVE, BOUNDED, CLASSIC, VERIFY_ADAPTIVE
+from .test_golden import ADAPTIVE, BOUNDED, CLASSIC, DECREASING, VERIFY_ADAPTIVE
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -52,6 +52,8 @@ SRC = pathlib.Path(fkips.__file__).resolve().parents[1]
             BOUNDED,
             {"flow.check_semigroup_lemmas", "harness.check_oracle_identity"},
         ),
+        # both regimes run through the one regime check
+        ("verify-bounds", DECREASING, {"harness.check_regime"}),
     ],
 )
 def test_tracer_records_named_spans(command, text, spans, tmp_path):
