@@ -787,17 +787,16 @@ def composed_caps(flow: FlowSpec, regime: str, a: float, g_sup=None):
     step_g, step_b, alpha = flow.trace.g, flow.trace.b, a / (1.0 - a)
     for n in range(flow.horizon + 1):
         for p in range(n, -1, -1):
-            if regime == "decreasing":
-                # step_g is 0-indexed: step_g[p] is the step-(p+1) ratio
-                if p < n:
-                    cap = step_g[p] ** (1.0 + alpha)
-                    records.append(InequalityRecord("g_pn", p, n, g[p][n], cap))
-            else:
+            if regime == "bounded":
                 records.append(InequalityRecord("g_pn", p, n, g[p][n], g_sup + a))
                 if p >= 1:
                     # b_p pairs with g_{p-1,n}; step_b is 0-indexed by step
                     bg = step_b[p - 1] * g[p - 1][n]
                     records.append(InequalityRecord("b_p*g_(p-1)n", p, n, bg, a))
+            elif p < n:
+                # step_g is 0-indexed: step_g[p] is the step-(p+1) ratio
+                cap = step_g[p] ** (1.0 + alpha)
+                records.append(InequalityRecord("g_pn", p, n, g[p][n], cap))
     report = LemmaReport(tuple(records))
     worst = report.worst()
     return report.holds(1e-10), worst.excess, f"{worst.name},p={worst.p},n={worst.n}"
