@@ -120,6 +120,9 @@ epsilon = 0.75
 mcmc_iters = 3
 """ + RUN
 
+# Kernels rebuilt at each replicate's realized inverse temperature.
+ADAPTIVE_MUTATION = ADAPTIVE.replace("mcmc_iters = 3", "mcmc_iters = 3\nmutation = adaptive")
+
 # At N = 40 and 5 replicates several tail-shape frequencies lie strictly
 # between 0 and 1, so verify.csv pins the adaptive engine's draws.
 VERIFY_ADAPTIVE = ADAPTIVE + """
@@ -149,6 +152,10 @@ CASES = {
     "adaptive": ("adaptive", ADAPTIVE, 0, {
         "raw.csv": "2102999d4b3fbae64de20f0b1a3d105ed1873a7741051e449b3323ba0c7cab6e",
         "stats.csv": "516793d41f0673d1b31d39b1f14f4788af9f49271d17fe285652515f963d5ac8",
+    }),
+    "adaptive-mutation": ("adaptive", ADAPTIVE_MUTATION, 0, {
+        "raw.csv": "10b20c6d8a9b3fca6ee6b0c271823e07defda6aa2dfa49675162fae4b6807f71",
+        "stats.csv": "94a0ad724fea230132e26f1905bf172f2f38ab99ff499af5e84948dd84ce0ebf",
     }),
     "oracle": ("oracle", CLASSIC, 0, {
         "oracle.csv": "314ce83a61798b2ae924e93ec3489f6032695b5d76af769a773ef6ab1df7e37f",
