@@ -8,12 +8,12 @@ Layers, bottom up:
   quantities;
 * :mod:`fkips.bounds` -- closed-form calculators for every deviation
   constant, tuning rule and tail bound;
-* :mod:`fkips.engine` -- the N-particle simulator and the occupation-count
-  engine for finite flows, with counter-based deterministic randomness;
+* :mod:`fkips.engine` -- the N-particle system as an occupation-count
+  engine, with counter-based deterministic randomness;
 * :mod:`fkips.annealing` -- Boltzmann-Gibbs targets, Metropolis annealing
   kernels, minorization certificates, the tuned optimizer;
 * :mod:`fkips.adaptive` -- adaptive temperature increments (a Newton
-  solve over rows), the adaptive particle and count engines, and their
+  solve over rows), the adaptive step rule of the count engine, and its
   perturbation/concentration verification;
 * :mod:`fkips.harness` -- configs, replicate orchestration, bound
   verification, CSV emission (CLI in :mod:`fkips.cli`).
@@ -31,14 +31,7 @@ from .measures import (
     total_variation,
 )
 from .flow import FlowSpec, FlowTrace, fk_step, run_flow
-from .engine import (
-    ParticleEnsemble,
-    init_ensemble,
-    mutation_step,
-    run_counts,
-    run_ips,
-    selection_step,
-)
+from .engine import run_counts
 from .annealing import (
     GibbsProblem,
     MinorizationCert,
@@ -53,7 +46,6 @@ from .adaptive import (
     AdaptiveConfig,
     LambdaCurve,
     kappa_solve,
-    run_adaptive,
     run_adaptive_counts,
 )
 
@@ -69,7 +61,6 @@ __all__ = [
     "KernelMatrix",
     "LambdaCurve",
     "MinorizationCert",
-    "ParticleEnsemble",
     "PotentialVector",
     "TemperatureSchedule",
     "bg_transform",
@@ -77,19 +68,14 @@ __all__ = [
     "dobrushin",
     "fk_step",
     "gibbs_measure",
-    "init_ensemble",
     "kappa_solve",
     "metropolis_kernel",
     "minorize",
-    "mutation_step",
     "optimize",
     "osc",
     "potential_ratio",
-    "run_adaptive",
     "run_adaptive_counts",
     "run_counts",
     "run_flow",
-    "run_ips",
-    "selection_step",
     "total_variation",
 ]

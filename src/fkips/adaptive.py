@@ -26,11 +26,9 @@ records, as the harness verifiers do.
 
 The scheme is the annealed transition with its potential exp(-Delta V)
 (and, in adaptive mutation mode, its kernel) chosen from the current
-occupation measure, so it runs as a step rule in the loops of
-:mod:`fkips.engine`.  :func:`run_adaptive_counts` steps the occupation
-counts of a block of replicates per numpy call and serves every finite
-caller; :func:`run_adaptive` moves N particle states, takes general-space
-problems and is the law reference the count engine is tested against.
+occupation measure, so it runs as a step rule in the count loop of
+:mod:`fkips.engine`: :func:`run_adaptive_counts` steps the occupation
+counts of a block of replicates per numpy call and serves every caller.
 
 Energies must be normalized so declared ``V_min = 0`` (all values
 non-negative); the deterministic reference additionally requires strictly
@@ -46,19 +44,10 @@ import numpy as np
 
 from . import bounds
 from .annealing import GibbsProblem, gibbs_measure, metropolis_kernel
-from .engine import (
-    BLOCK,
-    CountRun,
-    IpsRun,
-    _particle_loop,
-    _run_blocks,
-    _SlotStream,
-    _transition,
-    init_ensemble,
-)
+from .engine import BLOCK, CountRun, _run_blocks, _SlotStream, _transition
 from .errors import InputError, SolverError
 from .flow import FlowSpec
-from .measures import FiniteDistribution, KernelMatrix, PotentialVector, dobrushin, potential_ratio
+from .measures import FiniteDistribution, PotentialVector, dobrushin, potential_ratio
 from .testfns import osc1_dictionary
 
 
@@ -88,11 +77,6 @@ class LambdaCurve:
     @classmethod
     def from_distribution(cls, mu: FiniteDistribution, v_values) -> "LambdaCurve":
         return cls(np.asarray(v_values, dtype=np.float64), mu.weights.copy())
-
-    @classmethod
-    def from_ensemble(cls, v_of_states: np.ndarray) -> "LambdaCurve":
-        n = v_of_states.shape[0]
-        return cls(v_of_states, np.full(n, 1.0 / n))
 
     def value(self, x, slope: bool = False):
         """lambda at x: a float for one row, else one value per row at the
@@ -281,8 +265,6 @@ def theoretical_adaptive_flow(
     the mean-weight equation always has a root.  Consecutive unnormalized
     masses of the emitted flow contract by exactly epsilon.
     """
-    if not problem.finite:
-        raise InputError("the deterministic reference needs a finite problem")
     if not 0.0 < epsilon < 1.0:
         raise InputError("epsilon (target kept fraction) must lie in (0, 1)")
     v = problem.v_values
@@ -331,91 +313,6 @@ def theoretical_adaptive_flow(
     )
 
 
-@dataclass(frozen=True)
-class AdaptiveStepRow:
-    step: int
-    delta: float            # realized increment
-    beta: float             # realized inverse temperature
-    c: float                # perturbation constant (oracle or surrogate)
-    c_mode: str             # "oracle" | "empirical"
-    saturated: bool
-    lambda_residual: float  # |lambda(Delta) - epsilon| at the solved increment
-    iterations: int         # Newton iterations of the increment solve
-
-
-@dataclass(frozen=True)
-class AdaptiveRun(IpsRun):
-    """An :class:`~fkips.engine.IpsRun` plus one :class:`AdaptiveStepRow` per step."""
-
-    rows: tuple
-
-
-def run_adaptive(
-    problem: GibbsProblem,
-    config: AdaptiveConfig,
-    n_particles: int,
-    horizon: int,
-    seed: int,
-    *,
-    replicate: int = 0,
-    reference: ReferenceSchedule | None = None,
-) -> AdaptiveRun:
-    """Run the adaptive particle scheme on N particle states.
-
-    Finite problems run faster, for many replicates at once, through
-    :func:`run_adaptive_counts`, which has the same law.  The particle loop
-    of :func:`~fkips.engine.run_ips` keeps particle i with probability
-    exactly ``exp(-Delta^N V(x_i))`` (eps = 1, as energies are
-    non-negative) and otherwise redraws from the weighted ensemble, so the
-    diagnostics' mean potential is lambda^N(Delta^N) = epsilon up to the
-    solver tolerance; extinction is impossible because the weights are
-    strictly positive.  In theoretical mutation mode the kernels come from
-    the deterministic reference (built on demand on finite problems); in
-    adaptive mode they are rebuilt at the realized inverse temperature.
-    """
-    reference = _reference(
-        problem, config, horizon, reference, config.mutation_mode == "theoretical"
-    )
-    if problem.finite:
-        eta0 = gibbs_measure(problem, config.beta0)
-        delta_cap = config.resolved_delta_max(problem.v_osc)
-    else:
-        eta0 = problem.reference
-        if config.delta_max is None:
-            raise InputError("general-space runs need an explicit delta_max")
-        delta_cap = config.delta_max
-    rows = []
-
-    def rule(n, ens):
-        v_states = problem.energy_of(ens.states)
-        res = kappa_solve(
-            LambdaCurve.from_ensemble(v_states), config.epsilon, tol=config.tol,
-            delta_max=delta_cap, step=n + 1,
-        )
-        delta = res.delta
-        beta = (rows[-1].beta if rows else config.beta0) + delta
-        if config.mutation_mode == "theoretical":
-            kernel = reference.flow.steps[n][1]
-        else:
-            kernel = _realized_kernel(problem, beta, config.mcmc_iters)
-        if reference is not None:
-            eta_v, c_mode = reference.etas[n].expect(problem.v_values), "oracle"
-        else:
-            eta_v, c_mode = float(v_states.mean()), "empirical"
-        v_max = float(problem.v_values.max()) if problem.finite else float(v_states.max())
-        c_n = v_max * math.exp(delta * v_max) / (config.epsilon * eta_v) if eta_v > 0 else math.inf
-        rows.append(AdaptiveStepRow(
-            step=n + 1, delta=delta, beta=beta, c=c_n, c_mode=c_mode, saturated=res.saturated,
-            lambda_residual=abs(res.lam - config.epsilon), iterations=res.iterations,
-        ))
-        weights = np.exp(-delta * v_states)
-        return (lambda st, w=weights: w), 1.0, kernel
-
-    ens = init_ensemble(eta0, n_particles, seed, replicate)
-    ensembles, diagnostics = _particle_loop(ens, horizon, rule)
-    return AdaptiveRun(ensembles=ensembles, diagnostics=diagnostics, rows=tuple(rows))
-
-
 def _reference(problem, config, horizon, reference=None, needed=True):
     """``reference`` or, when it is None and ``needed``, the deterministic
     reference schedule of ``config``; either must cover ``horizon`` steps."""
@@ -434,8 +331,7 @@ def _reference(problem, config, horizon, reference=None, needed=True):
 
 def _realized_kernel(problem, beta, mcmc_iters):
     """The annealing kernel at a realized inverse temperature."""
-    kernel = metropolis_kernel(problem, beta)
-    return kernel.power(mcmc_iters) if isinstance(kernel, KernelMatrix) else kernel
+    return metropolis_kernel(problem, beta).power(mcmc_iters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,9 +373,9 @@ def run_adaptive_counts(
     particles per state and redraws the rest as one ``Multinomial`` over
     ``c G``, from the same (seed, block, step, purpose) slots.  The kernel
     is the reference's in theoretical mutation mode, and each row's
-    annealing kernel at its realized inverse temperature in adaptive mode.
-    This equals :func:`run_adaptive` in law, not draw for draw, and
-    replicate r depends on (seed, r) only.
+    annealing kernel at its realized inverse temperature in adaptive mode,
+    so there the law of the counts depends on the realized beta as well.
+    Replicate r depends on (seed, r) only.
     """
     plan = _adaptive_plan(problem, config, n_particles, horizon, replicates, reference)
     return _run_blocks(*plan, n_particles, seed)
@@ -488,8 +384,6 @@ def run_adaptive_counts(
 def _adaptive_plan(problem, config, n_particles, horizon, replicates, reference):
     """The empty run, initial weights and step rule of :func:`run_adaptive_counts`;
     the rule records each row's Delta, beta, c, saturation, residual and iterations."""
-    if not problem.finite:
-        raise InputError("the count engine needs a finite problem; run_adaptive takes samplers")
     if np.any(problem.v_values < 0):
         raise InputError("energies must be >= 0 (declared V_min = 0)")
     reference = _reference(

@@ -37,42 +37,33 @@ _REVERSIBILITY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class GibbsProblem:
-    """Energy table, reference measure and proposal kernel.
+    """Energy table, reference measure and proposal kernel on a finite space.
 
-    On finite spaces both the energy and the reference are per-state tables
-    and the proposal must be reversible with respect to the reference
-    (checked entrywise to 1e-12).  On general spaces all three are callables
-    and no structural checks are possible.
+    The proposal must be reversible with respect to the reference (checked
+    entrywise to 1e-12).
     """
 
-    energy: object          # BoundedFunction or callable(states) -> values
-    reference: object       # FiniteDistribution or sampler callable(n, rng)
-    proposal: object        # KernelMatrix or sampler callable(states, rng)
+    energy: BoundedFunction
+    reference: FiniteDistribution
+    proposal: KernelMatrix
 
     def __post_init__(self):
-        if self.finite:
-            if not isinstance(self.reference, FiniteDistribution):
-                raise InputError("finite problems need a FiniteDistribution reference")
-            if not isinstance(self.proposal, KernelMatrix):
-                raise InputError("finite problems need a KernelMatrix proposal")
-            d = self.energy.dim
-            if self.reference.dim != d or self.proposal.dim != d:
-                raise InputError("problem dimension mismatch")
-            flux = self.reference.weights[:, None] * self.proposal.rows
-            gap = float(np.abs(flux - flux.T).max())
-            if gap > _REVERSIBILITY_TOL:
-                raise InputError(
-                    f"proposal is not reversible w.r.t. the reference (gap {gap:.3e})"
-                )
-
-    @property
-    def finite(self) -> bool:
-        return isinstance(self.energy, BoundedFunction)
+        if not isinstance(self.energy, BoundedFunction):
+            raise InputError("the energy must be a BoundedFunction table")
+        if not isinstance(self.reference, FiniteDistribution):
+            raise InputError("the reference must be a FiniteDistribution")
+        if not isinstance(self.proposal, KernelMatrix):
+            raise InputError("the proposal must be a KernelMatrix")
+        d = self.energy.dim
+        if self.reference.dim != d or self.proposal.dim != d:
+            raise InputError("problem dimension mismatch")
+        flux = self.reference.weights[:, None] * self.proposal.rows
+        gap = float(np.abs(flux - flux.T).max())
+        if gap > _REVERSIBILITY_TOL:
+            raise InputError(f"proposal is not reversible w.r.t. the reference (gap {gap:.3e})")
 
     @property
     def dim(self) -> int:
-        if not self.finite:
-            raise InputError("general-space problem has no finite dimension")
         return self.energy.dim
 
     @property
@@ -87,15 +78,8 @@ class GibbsProblem:
     def v_osc(self) -> float:
         return osc(self.energy)
 
-    def energy_of(self, states) -> np.ndarray:
-        if self.finite:
-            return self.v_values[np.asarray(states, dtype=np.int64)]
-        return np.asarray(self.energy(states), dtype=np.float64)
-
     def sublevel_mass(self, threshold: float) -> float:
-        """Reference mass of ``{V <= threshold}`` (finite spaces)."""
-        if not self.finite:
-            raise InputError("sub-level mass needs a finite problem")
+        """Reference mass of ``{V <= threshold}``."""
         return float(self.reference.weights[self.v_values <= threshold].sum())
 
 
@@ -184,31 +168,12 @@ class MinorizationCert:
         return 1.0 - self.delta * math.exp(-beta * self.gap_k0)
 
 
-class MetropolisSampler:
-    """Accept/reject sampler for general-space problems."""
-
-    def __init__(self, problem: GibbsProblem, beta: float):
-        self.problem = problem
-        self.beta = float(beta)
-
-    def __call__(self, states, rng) -> np.ndarray:
-        proposed = np.asarray(self.problem.proposal(states, rng))
-        dv = self.problem.energy_of(proposed) - self.problem.energy_of(states)
-        accept = rng.random(states.shape[0]) < np.exp(-self.beta * np.maximum(dv, 0.0))
-        return np.where(accept, proposed, states)
-
-
-def metropolis_kernel(problem: GibbsProblem, beta: float):
-    """Annealing transition at inverse temperature beta.
-
-    Finite problems get the exact matrix (off-diagonal
+def metropolis_kernel(problem: GibbsProblem, beta: float) -> KernelMatrix:
+    """Annealing transition at inverse temperature beta: off-diagonal
     ``K(x,y) min(1, e^{-beta (V(y)-V(x))})`` with the rejected mass folded
-    into the diagonal); general problems get a sampler.
-    """
+    into the diagonal."""
     if beta < 0:
         raise InputError("inverse temperature must be >= 0")
-    if not problem.finite:
-        return MetropolisSampler(problem, beta)
     v = problem.v_values
     k = problem.proposal.rows
     accept = np.minimum(1.0, np.exp(-beta * (v[None, :] - v[:, None])))
@@ -222,8 +187,6 @@ def metropolis_kernel(problem: GibbsProblem, beta: float):
 
 def gibbs_measure(problem: GibbsProblem, beta: float) -> FiniteDistribution:
     """Exact normalized ``exp(-beta V) m`` (max-shifted for stability)."""
-    if not problem.finite:
-        raise InputError("exact Gibbs measures need a finite problem")
     if beta < 0:
         raise InputError("inverse temperature must be >= 0")
     log_w = -beta * problem.v_values
@@ -257,8 +220,6 @@ def minorize(problem: GibbsProblem, k0: int) -> MinorizationCert:
     ``nu(y) = min_x K^k0(x,y) / delta`` with ``delta`` the total common
     mass; fails when the columns share no mass (e.g. the identity proposal).
     """
-    if not problem.finite:
-        raise InputError("minorization certificates need a finite problem")
     if k0 < 1:
         raise InputError("k0 must be >= 1")
     kk = problem.proposal.power(k0).rows
@@ -306,8 +267,6 @@ def build_isa_flow(
     ``K_{beta_n}^(k0 m_n)`` where m_n comes from the schedule's regime rule;
     the flow then maps each Gibbs law exactly onto the next one.
     """
-    if not problem.finite:
-        raise InputError("exact flow assembly needs a finite problem")
     v_osc = problem.v_osc
     reports = []
     steps = []

@@ -13,14 +13,6 @@ class DegenerateMeasureError(FkipsError):
     """A reweighting step hit total mass zero (mu(G) = 0)."""
 
 
-class ExtinctionError(FkipsError):
-    """Every particle carries zero selection weight; the flow is extinct."""
-
-    def __init__(self, step: int):
-        super().__init__(f"particle system extinct at step {step}")
-        self.step = step
-
-
 class SolverError(FkipsError):
     """The adaptive increment solver reached its iteration cap unconverged."""
 

@@ -71,6 +71,8 @@ class FlowSpec:
 
     def __post_init__(self):
         steps = tuple(self.steps)
+        if not isinstance(self.initial, FiniteDistribution):
+            raise InputError("the initial law must be a FiniteDistribution")
         d = self.initial.dim
         if d > MAX_DIM:
             raise InputError(f"exact oracle capped at dimension {MAX_DIM}")

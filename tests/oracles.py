@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy import stats
+from scipy.optimize import brentq
 
 
 def tv_by_subsets(w1, w2) -> float:
@@ -161,3 +163,134 @@ def random_kernel_rows(rng, dim):
 
 def random_potential_values(rng, dim, low=0.2, high=3.0):
     return low + (high - low) * rng.random(dim)
+
+
+# -- the exact law of the N-particle system on a finite space ----------------
+
+
+def compositions(n, d):
+    """Every count vector of n particles on d states, one per row."""
+    cuts = itertools.combinations(range(n + d - 1), d - 1)
+    return np.array([np.diff((-1, *cut, n + d - 1)) - 1 for cut in cuts], dtype=np.int64)
+
+
+def composition_index(states, rows):
+    """Row index in ``states`` of every count vector in ``rows``."""
+    base = (int(states.max()) + 1) ** np.arange(states.shape[1])
+    keys = states @ base
+    order = np.argsort(keys)
+    found = order[np.searchsorted(keys[order], np.asarray(rows) @ base)]
+    assert np.array_equal(states[found], rows)
+    return found
+
+
+def lattice_moves(sources, moves, states):
+    """P(c -> c') from every count vector ``sources[i]`` to every row of
+    ``states`` when each particle moves on its own, one at x to y with
+    probability ``moves[i, x, y]``: c' = sum_x Multinomial(c_x, moves[i, x]).
+    The law is built one particle at a time on a dense table of the first
+    d - 1 counts (landing on the last state leaves the table index)."""
+    k, d = sources.shape
+    n = int(sources[0].sum())
+    at = np.array([np.repeat(np.arange(d), c) for c in sources]).reshape(k, n)
+    table = np.zeros((k,) + (n + 1,) * (d - 1))
+    table[(slice(None),) + (0,) * (d - 1)] = 1.0
+    shape = (k,) + (1,) * (d - 1)
+    for j in range(n):
+        p = moves[np.arange(k), at[:, j]]
+        # at most j < n particles placed so far, so no roll wraps any mass
+        nxt = table * p[:, -1].reshape(shape)
+        for y in range(d - 1):
+            nxt += np.roll(table, 1, axis=1 + y) * p[:, y].reshape(shape)
+        table = nxt
+    return table[(slice(None),) + tuple(states[:, :-1].T)]
+
+
+def selection_rows(c, g, keep):
+    """S_c = diag(keep) + diag(1 - keep) 1 (c g / sum c g): a particle at x
+    stays with probability keep[x] and is otherwise redrawn in proportion
+    to c g."""
+    pool = c * g / (c * g).sum()
+    return np.diag(keep) + (1.0 - keep)[:, None] * pool[None, :]
+
+
+def lattice_law(spec, n_particles, eps):
+    """Exact law of the counts of N particles on a finite flow at an eps
+    policy (``"auto"``: 1 / max G over occupied states, ``"multinomial"``:
+    0, or a number): the states, the laws pi_0..pi_T, the step matrices
+    P_1..P_T and E[gamma^N_T], the expected product of c.G/N."""
+    d = spec.dim
+    states = compositions(n_particles, d)
+    laws = [stats.multinomial.pmf(states, n_particles, spec.initial.weights)]
+    steps, mass = [], laws[0]   # mass: E[gamma^N_n ; c_n = c]
+    for potential, kernel in spec.steps:
+        g = potential.values
+        moves = np.empty((len(states), d, d))
+        for i, c in enumerate(states):
+            e = {"auto": 1.0 / g[c > 0].max(), "multinomial": 0.0}.get(eps, eps)
+            moves[i] = selection_rows(c, g, np.clip(e * g, 0.0, 1.0)) @ kernel.rows
+        step = lattice_moves(states, moves, states)
+        mass = (mass * (states @ g) / n_particles) @ step
+        laws.append(laws[-1] @ step)
+        steps.append(step)
+    return states, laws, steps, float(mass.sum())
+
+
+def adaptive_lattice_law(v, initial, epsilon, n_particles, horizon, kernel, realized):
+    """Exact law of the adaptive counts: Delta(c) solves
+    sum_x c_x exp(-Delta v_x) = N epsilon (by brentq), a particle at x stays
+    with probability exp(-Delta v_x) and is otherwise redrawn in proportion
+    to c exp(-Delta v), then moves by ``kernel(n, beta)``.  With
+    ``realized`` the kernel reads the realized beta = sum of the Deltas, so
+    the state is (c, beta); otherwise it is c (beta is kept at 0).  Gives
+    the states and, per step, a dict {(state index, beta): probability}."""
+    states = compositions(n_particles, len(v))
+
+    def solve(c):
+        def gap(x):
+            return c @ np.exp(-x * v) / n_particles - epsilon
+
+        hi = 1.0
+        while gap(hi) > 0:
+            hi *= 2.0
+        return brentq(gap, 0.0, hi, xtol=1e-15)
+
+    deltas = [solve(c) for c in states]
+    start = stats.multinomial.pmf(states, n_particles, initial)
+    laws = [{(i, 0.0): p for i, p in enumerate(start) if p > 0}]
+    for n in range(horizon):
+        keys, probs = zip(*laws[-1].items())
+        index = np.array([i for i, _ in keys])
+        betas = [b + deltas[i] for i, b in keys]
+        moves = np.empty((len(keys), len(v), len(v)))
+        for k, i in enumerate(index):
+            g = np.exp(-deltas[i] * v)
+            moves[k] = selection_rows(states[i], g, g) @ kernel(n, betas[k] if realized else None)
+        law = {}
+        for p, b, row in zip(probs, betas, lattice_moves(states[index], moves, states)):
+            for j in np.flatnonzero(row):
+                key = (j, b if realized else 0.0)
+                law[key] = law.get(key, 0.0) + p * row[j]
+        laws.append(law)
+    return states, laws
+
+
+def pooled_chisquare(observed, probs, min_expected=5.0):
+    """p-value of a chi-square test of cell counts against cell
+    probabilities.  Cells expecting fewer than ``min_expected`` are pooled
+    into one, which joins the smallest other cell if it is still short; a
+    count in a cell of probability 0 fails outright."""
+    observed, probs = np.asarray(observed, dtype=np.float64), np.asarray(probs)
+    assert not np.any(observed[probs == 0]), "a count landed on an impossible cell"
+    expected = observed.sum() * probs
+    small = expected < min_expected
+    obs, exp = observed[~small], expected[~small]
+    if small.any():
+        pooled_obs, pooled_exp = observed[small].sum(), expected[small].sum()
+        if pooled_exp >= min_expected:
+            obs, exp = np.append(obs, pooled_obs), np.append(exp, pooled_exp)
+        else:
+            j = np.argmin(exp)
+            obs[j] += pooled_obs
+            exp[j] += pooled_exp
+    return stats.chisquare(obs, exp).pvalue

@@ -17,7 +17,7 @@ from fkips.adaptive import (
     AdaptiveConfig,
     concentration_check,
     l2_error_check,
-    run_adaptive,
+    run_adaptive_counts,
     theoretical_adaptive_flow,
 )
 from fkips.annealing import (
@@ -27,7 +27,7 @@ from fkips.annealing import (
     metropolis_kernel,
     minorize,
 )
-from fkips.engine import run_ips
+from fkips.engine import run_counts
 from fkips.flow import check_semigroup_lemmas, run_flow
 from fkips.harness import (
     check_isa_bounds,
@@ -77,14 +77,9 @@ def bounded_tensor():
     fdict = osc1_dictionary(flow.dim)
     exact = np.array([[eta.expect(f) for f in fdict] for eta in trace.etas])
     reps, n_particles = 2000, 200
-    worst = np.zeros((reps, 11))
-    log_gaps = np.zeros((reps, 11))
-    for r in range(reps):
-        run = run_ips(flow, n_particles, seed=2024, replicate=r)
-        for n in range(11):
-            hist = run.ensembles[n].histogram(flow.dim).weights
-            worst[r, n] = np.abs(hist @ fdict.T - exact[n]).max()
-            log_gaps[r, n] = run.ensembles[n].log_gamma1 - trace.log_gamma1[n]
+    run = run_counts(flow, n_particles, seed=2024, replicates=reps)
+    worst = np.abs(run.histograms @ fdict.T - exact).max(axis=2)
+    log_gaps = run.log_gamma1 - trace.log_gamma1
     return flow, trace, worst, log_gaps, n_particles, reps
 
 
@@ -141,12 +136,8 @@ def test_criterion_03_unbiasedness():
         spec = random_flow(rng, dim=int(rng.integers(2, 6)), horizon=5)
         oracle = run_flow(spec).gamma1[5]
         for n_particles in (100, 1000):
-            vals = np.array(
-                [
-                    run_ips(spec, n_particles, seed=300 + instance, replicate=r).gamma1(5)
-                    for r in range(500)
-                ]
-            )
+            run = run_counts(spec, n_particles, seed=300 + instance, replicates=500)
+            vals = np.exp(run.log_gamma1[:, 5])
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             worst_z = max(worst_z, abs(vals.mean() - oracle) / se)
     report(3, worst_z <= 4.0, f"5 flows x N in (100, 1000), worst |z| = {worst_z:.2f}")
@@ -160,12 +151,7 @@ def test_criterion_04_l2_uniform_bound():
     caps_ok, _, _ = composed_caps(flow, "bounded", a, math.exp(0.5))
     fdict = osc1_dictionary(flow.dim)
     exact = np.array([[eta.expect(f) for f in fdict] for eta in trace.etas])
-    devs = np.zeros((reps, 31, fdict.shape[0]))
-    for r in range(reps):
-        run = run_ips(flow, n_particles, seed=400, replicate=r)
-        for n in range(31):
-            hist = run.ensembles[n].histogram(flow.dim).weights
-            devs[r, n] = hist @ fdict.T - exact[n]
+    devs = run_counts(flow, n_particles, seed=400, replicates=reps).histograms @ fdict.T - exact
     l2 = np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=1)
     cap = bounds.lp_uniform_bound(2, a, n_particles)   # B_2 = 1
     ok = caps_ok and bool(np.all(l2 <= cap))
@@ -220,11 +206,8 @@ def test_criterion_06_mass_ratio_concentration(bounded_tensor):
     caps_ok, _, _ = composed_caps(dec_flow, "decreasing", a)
     ok &= caps_ok
     g_sched = list(dec_trace.g)
-    gaps = np.zeros((reps, 11))
-    for r in range(reps):
-        run = run_ips(dec_flow, n_particles, seed=2025, replicate=r)
-        for n in range(11):
-            gaps[r, n] = run.ensembles[n].log_gamma1 - dec_trace.log_gamma1[n]
+    gaps = run_counts(dec_flow, n_particles, seed=2025, replicates=reps).log_gamma1
+    gaps = gaps - dec_trace.log_gamma1
     for y in (1.0, 2.0, 4.0):
         level = math.exp(-y)
         allow = 3.0 * math.sqrt(level * (1.0 - level) / reps)
@@ -326,11 +309,8 @@ def test_criterion_10_adaptive_solver():
     worst_resid = 0.0
     cfg = AdaptiveConfig(epsilon=0.75, tol=1e-10, mcmc_iters=3)
     ref = theoretical_adaptive_flow(prob, 0.75, 6, mcmc_iters=3)
-    for r in range(50):
-        run = run_adaptive(prob, cfg, 250, 6, seed=1000, replicate=r, reference=ref)
-        for row in run.rows:
-            if not row.saturated:
-                worst_resid = max(worst_resid, row.lambda_residual)
+    run = run_adaptive_counts(prob, cfg, 250, 6, seed=1000, replicates=50, reference=ref)
+    worst_resid = max(worst_resid, float(run.lambda_residual[~run.saturated].max()))
     ok &= worst_resid <= 1e-9
     worst_ratio = 0.0
     for eps in (0.6, 0.75, 0.9):

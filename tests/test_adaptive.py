@@ -1,5 +1,6 @@
 """Adaptive temperature machinery: increment solving, the deterministic
-reference, the particle scheme and its verification procedures."""
+reference, the count engine's adaptive rule against the exact finite-N law,
+and the verification procedures."""
 
 import math
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 from scipy.optimize import brentq
 
 from fkips import adaptive
@@ -20,11 +20,10 @@ from fkips.adaptive import (
     khintchine_conditional_check,
     l2_error_check,
     perturbation_check,
-    run_adaptive,
     run_adaptive_counts,
     theoretical_adaptive_flow,
 )
-from fkips.annealing import GibbsProblem
+from fkips.annealing import GibbsProblem, gibbs_measure, metropolis_kernel
 from fkips.bounds import bp_constant
 from fkips.engine import BLOCK
 from fkips.errors import InputError, SolverError
@@ -32,6 +31,7 @@ from fkips.flow import run_flow
 from fkips.measures import BoundedFunction, FiniteDistribution, KernelMatrix
 
 from .instances import adaptive_problem
+from .oracles import adaptive_lattice_law, composition_index, pooled_chisquare
 
 
 class TestLambdaCurve:
@@ -186,19 +186,19 @@ class TestTheoreticalFlow:
 
 class TestRunAdaptive:
     def test_single_particle_never_resampled(self):
+        # one particle is its own pool, so lambda^N(Delta) = exp(-Delta v(x))
         prob = adaptive_problem(4)
         cfg = AdaptiveConfig(epsilon=0.7, mutation_mode="adaptive", mcmc_iters=1)
-        run = run_adaptive(prob, cfg, 1, 3, seed=1)
-        v0 = prob.v_values[int(run.ensembles[0].states[0])]
-        assert run.rows[0].delta == pytest.approx(-math.log(0.7) / v0, abs=1e-8)
+        run = run_adaptive_counts(prob, cfg, 1, 3, seed=1, replicates=20)
+        v_before = prob.v_values[run.counts[:, :-1].argmax(axis=2)]
+        assert np.allclose(run.delta, -math.log(0.7) / v_before, rtol=0.0, atol=1e-8)
 
     def test_solver_residuals_within_tolerance(self):
         prob = adaptive_problem(4)
         cfg = AdaptiveConfig(epsilon=0.75, tol=1e-10, mcmc_iters=3)
-        run = run_adaptive(prob, cfg, 300, 6, seed=2)
-        for row in run.rows:
-            assert not row.saturated
-            assert row.lambda_residual <= 1e-10
+        run = run_adaptive_counts(prob, cfg, 300, 6, seed=2)
+        assert not run.saturated.any()
+        assert np.all(run.lambda_residual <= 1e-10)
 
     def test_kept_fraction_targets_epsilon(self):
         prob = adaptive_problem(4)
@@ -206,17 +206,9 @@ class TestRunAdaptive:
         reps = 500
         n_particles = 1000
         ref = theoretical_adaptive_flow(prob, 0.75, 3, mcmc_iters=3)
-        kept = np.array(
-            [
-                [
-                    step.kept_fraction
-                    for step in run_adaptive(
-                        prob, cfg, n_particles, 3, seed=3, replicate=r, reference=ref
-                    ).diagnostics
-                ]
-                for r in range(reps)
-            ]
-        )
+        kept = run_adaptive_counts(
+            prob, cfg, n_particles, 3, seed=3, replicates=reps, reference=ref
+        ).kept_fraction
         # keep variance per replicate is at most 1/(4 N)
         se = math.sqrt(0.25 / n_particles / reps)
         for n in range(3):
@@ -231,10 +223,10 @@ class TestRunAdaptive:
         cfg = AdaptiveConfig(
             epsilon=0.5, mutation_mode="adaptive", mcmc_iters=1, delta_max=10.0
         )
-        run = run_adaptive(prob, cfg, 60, 2, seed=4)
+        run = run_adaptive_counts(prob, cfg, 60, 2, seed=4)
         # two thirds of the mass never decays below 1/2: the solver saturates
-        assert any(row.saturated for row in run.rows)
-        assert all(row.delta <= 10.0 for row in run.rows)
+        assert run.saturated.any()
+        assert np.all(run.delta <= 10.0)
 
     @pytest.mark.parametrize("mode", ["theoretical", "adaptive"])
     def test_step_diagnostics(self, mode):
@@ -243,23 +235,23 @@ class TestRunAdaptive:
         prob = adaptive_problem(6)
         cfg = AdaptiveConfig(epsilon=0.75, tol=1e-10, mcmc_iters=2, mutation_mode=mode)
         n_particles = 300
-        run = run_adaptive(prob, cfg, n_particles, 5, seed=12)
-        assert [d.step for d in run.diagnostics] == [r.step for r in run.rows] == [1, 2, 3, 4, 5]
-        log_gamma = 0.0
-        for step, row in zip(run.diagnostics, run.rows):
-            assert not row.saturated
-            assert abs(step.mean_potential - cfg.epsilon) <= cfg.tol
-            assert 1.0 <= step.ess <= n_particles
-            log_gamma += math.log(step.mean_potential)
-            assert step.log_gamma1 == pytest.approx(log_gamma, rel=1e-12)
-            assert step.log_gamma1 == run.ensembles[step.step].log_gamma1
+        run = run_adaptive_counts(prob, cfg, n_particles, 5, seed=12, replicates=BLOCK + 1)
+        assert run.mean_potential.shape == run.delta.shape == (BLOCK + 1, 5)
+        assert not run.saturated.any()
+        assert np.all(np.abs(run.mean_potential - cfg.epsilon) <= cfg.tol)
+        assert np.all((run.ess >= 1.0) & (run.ess <= n_particles))
+        assert np.all(run.log_gamma1[:, 0] == 0.0)
+        np.testing.assert_allclose(
+            run.log_gamma1[:, 1:], np.cumsum(np.log(run.mean_potential), axis=1), rtol=1e-12
+        )
 
     def test_adaptive_mutation_mode_runs(self):
         prob = adaptive_problem(4)
         cfg = AdaptiveConfig(epsilon=0.7, mutation_mode="adaptive", mcmc_iters=2)
-        run = run_adaptive(prob, cfg, 200, 4, seed=5)
-        assert len(run.ensembles) == 5
-        assert run.rows[0].c_mode == "empirical"
+        run = run_adaptive_counts(prob, cfg, 200, 4, seed=5)
+        assert run.counts.shape == (1, 5, 4)
+        assert run.c_mode == "empirical"
+        assert np.all(np.diff(run.beta, axis=1) > 0)
 
     def test_config_validation(self):
         with pytest.raises(InputError):
@@ -339,35 +331,50 @@ def _count_fields(run):
     )
 
 
-class TestCountEngineLaw:
-    """The adaptive count engine against the particle engine and the exact
-    reference, in law."""
+# Three states with energies (0.5, 0.75, 1), so the increment always has a root.
+LATTICE_PROBLEM = GibbsProblem(
+    energy=BoundedFunction([0.5, 0.75, 1.0]),
+    reference=FiniteDistribution.uniform(3),
+    proposal=KernelMatrix.lazy_ring(3, 0.25),
+)
 
-    @pytest.mark.parametrize("mode", ["theoretical", "adaptive"])
-    def test_two_sample_against_particle_engine(self, mode):
-        prob = adaptive_problem(4)
-        cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=3, mutation_mode=mode)
-        n_particles, horizon, reps = 50, 4, 400
-        ref = theoretical_adaptive_flow(prob, 0.75, horizon, mcmc_iters=3)
-        ref = ref if mode == "theoretical" else None
-        ips = [
-            run_adaptive(prob, cfg, n_particles, horizon, seed=41, replicate=r, reference=ref)
-            for r in range(reps)
-        ]
-        cnt = run_adaptive_counts(
-            prob, cfg, n_particles, horizon, seed=42, replicates=reps, reference=ref
+
+class TestCountEngineLaw:
+    """The adaptive count engine against the exact finite-N law and the
+    exact reference, in law."""
+
+    @pytest.mark.parametrize(
+        "mode, n_particles, horizon",
+        [("theoretical", 8, 3), ("theoretical", 12, 3), ("adaptive", 6, 2), ("adaptive", 12, 1)],
+        ids=["theoretical-N8", "theoretical-N12", "adaptive-N6", "adaptive-N12"],
+    )
+    def test_counts_follow_the_lattice_law(self, mode, n_particles, horizon):
+        # the counts at every step against the law of (c, beta), marginal
+        # in beta; N = 6 and 8 sit below d^2 = 9, where each particle draws
+        # its own move.  In adaptive mode the (c, beta) states multiply per
+        # step, so that mode stays at N <= 6 or at one step.
+        prob, reps = LATTICE_PROBLEM, 5000
+        cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=2, mutation_mode=mode)
+        if mode == "theoretical":
+            steps = theoretical_adaptive_flow(prob, 0.75, horizon, mcmc_iters=2).flow.steps
+
+            def kernel(n, beta):
+                return steps[n][1].rows
+        else:
+            def kernel(n, beta):
+                return metropolis_kernel(prob, beta).power(2).rows
+
+        states, laws = adaptive_lattice_law(
+            prob.v_values, gibbs_measure(prob, 0.0).weights, 0.75, n_particles, horizon, kernel,
+            realized=mode == "adaptive",
         )
-        samples = {
-            f"delta_{n + 1}": ([run.rows[n].delta for run in ips], cnt.delta[:, n])
-            for n in range(horizon)
-        }
-        samples["kept"] = (
-            [np.mean([step.kept_fraction for step in run.diagnostics]) for run in ips],
-            cnt.kept_fraction.mean(axis=1),
-        )
-        samples["log_gamma_T"] = ([run.final.log_gamma1 for run in ips], cnt.log_gamma1[:, -1])
-        for name, (a, b) in samples.items():
-            assert stats.ks_2samp(a, b).pvalue > 1e-3, name
+        run = run_adaptive_counts(prob, cfg, n_particles, horizon, seed=42, replicates=reps)
+        for n, law in enumerate(laws):
+            marginal = np.zeros(len(states))
+            for (i, _), p in law.items():
+                marginal[i] += p
+            cells = np.bincount(composition_index(states, run.counts[:, n]), minlength=len(states))
+            assert pooled_chisquare(cells, marginal) > 1e-3, n
 
     def test_mean_histogram_matches_reference_eta(self):
         # the O(1/N) bias of eta^N sits far below the standard error at this N
@@ -402,8 +409,6 @@ class TestCountEngineLaw:
         assert run.iterations.shape == (BLOCK + 1, 6)
         assert np.all((run.iterations >= 1) & (run.iterations <= 8))
         assert np.all(run.lambda_residual <= 1e-10)
-        ips = run_adaptive(prob, cfg, 300, 3, seed=45)
-        assert all(1 <= row.iterations <= 8 for row in ips.rows)
 
     def test_saturation_flag_on_zero_energy_states(self):
         prob = GibbsProblem(

@@ -1,5 +1,5 @@
-"""Annealing layer: kernel invariance, minorization certificates, the
-mixing estimate, tuned flow assembly and the optimizer."""
+"""Annealing layer: finite problems, kernel invariance, minorization
+certificates, the mixing estimate, tuned flow assembly and the optimizer."""
 
 import math
 
@@ -17,7 +17,6 @@ from fkips.annealing import (
     minorize,
     optimize,
 )
-from fkips.engine import init_ensemble, mutation_step
 from fkips.errors import InputError, NoMinorizationError
 from fkips.flow import fk_step, run_flow
 from fkips.measures import (
@@ -41,12 +40,25 @@ def _isa(problem, schedule, k0, a=0.5):
 
 class TestProblem:
     def test_reversibility_is_required(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="not reversible w.r.t. the reference"):
             GibbsProblem(
                 energy=BoundedFunction([0.0, 1.0]),
                 reference=FiniteDistribution([0.9, 0.1]),
                 proposal=KernelMatrix([[0.5, 0.5], [0.5, 0.5]]),
             )
+
+    @pytest.mark.parametrize("field", ["energy", "reference", "proposal"])
+    def test_callables_are_refused(self, field):
+        # a problem is finite by type: a sampler or an energy callable in
+        # any field fails at construction
+        fields = dict(
+            energy=BoundedFunction([0.0, 1.0]),
+            reference=FiniteDistribution.uniform(2),
+            proposal=KernelMatrix.uniform(2),
+        )
+        fields[field] = lambda *args: np.zeros(2)
+        with pytest.raises(InputError, match=field):
+            GibbsProblem(**fields)
 
     def test_random_reversible_construction(self):
         rng = rng_for(1)
@@ -83,29 +95,6 @@ class TestMetropolisKernel:
         )
         mu = gibbs_measure(prob, 2.0)
         assert np.abs(mu.push(metropolis_kernel(prob, 2.0)).weights - mu.weights).max() <= 1e-12
-
-    def test_sampler_variant_targets_the_gibbs_law(self):
-        # general-space route on a finite problem: chain frequencies approach
-        # the exact law
-        prob = double_well_problem()
-        beta = 1.5
-
-        def proposal_sampler(states, rng):
-            steps = rng.integers(-1, 2, size=states.shape[0])
-            return (states + steps) % 8
-
-        sampler_prob = GibbsProblem(
-            energy=lambda states: prob.v_values[np.asarray(states, dtype=np.int64)],
-            reference=lambda n, rng: rng.integers(0, 8, size=n),
-            proposal=proposal_sampler,
-        )
-        kernel = metropolis_kernel(sampler_prob, beta)
-        ens = init_ensemble(sampler_prob.reference, 40_000, seed=3)
-        for _ in range(60):
-            ens = mutation_step(ens, kernel)
-        freqs = np.bincount(np.asarray(ens.states, dtype=np.int64), minlength=8) / ens.size
-        target = gibbs_measure(prob, beta).weights
-        assert np.abs(freqs - target).max() < 0.01
 
 
 class TestGibbsMeasure:

@@ -1,6 +1,6 @@
-"""Occupation-count engine: equal in law to the particle engine and to the
-exact oracle, and the block-level stream contract that makes a replicate's
-row a function of (seed, replicate) only."""
+"""Occupation-count engine: equal in law to the exact finite-N law of the
+particle system and to the exact flow, and the block-level stream contract
+that makes a replicate's row a function of (seed, replicate) only."""
 
 import dataclasses
 import functools
@@ -22,7 +22,6 @@ from fkips.engine import (
     _run_blocks,
     _SlotStream,
     run_counts,
-    run_ips,
     substream,
 )
 from fkips.errors import InputError
@@ -30,7 +29,7 @@ from fkips.flow import FlowSpec
 from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 
 from .instances import adaptive_problem
-from .oracles import random_kernel_rows
+from .oracles import composition_index, lattice_law, pooled_chisquare, random_kernel_rows
 
 U64 = st.integers(0, 2**64 - 1)
 
@@ -63,21 +62,43 @@ def ring_flow(dim, horizon=4):
 F = np.array([0.0, 1.0, 2.0])
 
 
-class TestLawAgainstParticleEngine:
+class TestLawAgainstLatticeOracle:
+    """The counts at every step against the exact law of the N-particle
+    system (:func:`~tests.oracles.lattice_law`), on both move paths: N = 8
+    below d^2 = 9, where each particle draws its own move, and N = 12 above."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _law(eps, n_particles):
+        return lattice_law(rotating_flow(), n_particles, eps)
+
+    @pytest.mark.parametrize("n_particles", [8, 12], ids=["N8", "N12"])
     @pytest.mark.parametrize("eps", ["auto", "multinomial", 0.2])
-    def test_two_sample_final_estimate_and_log_mass(self, eps):
-        spec, n_particles, reps = rotating_flow(), 50, 400
-        ips = [run_ips(spec, n_particles, seed=31, replicate=r, eps=eps) for r in range(reps)]
-        cnt = run_counts(spec, n_particles, seed=32, replicates=reps, eps=eps)
-        est_ips = [run.final.histogram(3).weights @ F for run in ips]
-        est_cnt = cnt.histograms[:, -1] @ F
-        assert stats.ks_2samp(est_ips, est_cnt).pvalue > 1e-3
-        gam_ips = [run.final.log_gamma1 for run in ips]
-        gam_cnt = cnt.log_gamma1[:, -1]
-        assert stats.ks_2samp(gam_ips, gam_cnt).pvalue > 1e-3
-        kept_ips = [np.mean([d.kept_fraction for d in run.diagnostics]) for run in ips]
-        kept_cnt = cnt.kept_fraction.mean(axis=1)
-        assert stats.ks_2samp(kept_ips, kept_cnt).pvalue > 1e-3
+    def test_counts_at_every_step(self, eps, n_particles):
+        spec, reps = rotating_flow(), 20_000
+        states, laws, _, _ = self._law(eps, n_particles)
+        run = run_counts(spec, n_particles, seed=32, replicates=reps, eps=eps)
+        for n, law in enumerate(laws):
+            cells = np.bincount(composition_index(states, run.counts[:, n]), minlength=len(states))
+            assert pooled_chisquare(cells, law) > 1e-3, n
+
+    @pytest.mark.parametrize("n_particles", [8, 12], ids=["N8", "N12"])
+    def test_two_consecutive_steps_jointly(self, n_particles):
+        # the pair (c_1, c_2) against pi_1(c) P_2(c, c')
+        spec, reps = rotating_flow(), 20_000
+        states, laws, steps, _ = self._law("auto", n_particles)
+        run = run_counts(spec, n_particles, seed=32, replicates=reps)
+        first, second = (composition_index(states, run.counts[:, n]) for n in (1, 2))
+        cells = np.bincount(first * len(states) + second, minlength=len(states) ** 2)
+        assert pooled_chisquare(cells, (laws[1][:, None] * steps[1]).ravel()) > 1e-3
+
+    @pytest.mark.parametrize("n_particles", [8, 12], ids=["N8", "N12"])
+    @pytest.mark.parametrize("eps", ["auto", "multinomial", 0.2])
+    def test_exact_mass_is_unbiased(self, eps, n_particles):
+        # E[gamma^N_T] summed over the lattice law is the flow's mass
+        spec = rotating_flow()
+        mass = self._law(eps, n_particles)[3]
+        assert mass == pytest.approx(spec.trace.gamma1[spec.horizon], rel=1e-12)
 
 
 class TestLawAgainstExactOracle:

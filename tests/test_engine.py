@@ -1,5 +1,8 @@
-"""Particle engine: stream determinism, selection/mutation laws, mass
-estimator, and the replicate-level statistical contracts."""
+"""Particle engine: stream determinism, the initial draw, the selection
+and mutation laws, the mass estimator and the replicate-level statistical
+contracts, all read from :func:`~fkips.engine.run_counts`.  A selection law
+is read after an identity kernel and a mutation law after a constant
+potential kept in full."""
 
 import math
 
@@ -7,17 +10,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fkips.engine import (
-    ParticleEnsemble,
-    init_ensemble,
-    estimate,
-    mutation_step,
-    resolve_eps,
-    run_ips,
-    selection_step,
-    substream,
-)
-from fkips.errors import ExtinctionError, InputError
+from fkips.engine import BLOCK, run_counts, substream
+from fkips.errors import InputError
 from fkips.flow import FlowSpec, run_flow, stability_sums
 from fkips.measures import (
     BoundedFunction,
@@ -34,6 +28,19 @@ def small_flow(horizon=5):
         FiniteDistribution.uniform(3),
         ((PotentialVector([1.0, 2.0, 3.0]), KernelMatrix.lazy_ring(3, 0.4)),) * horizon,
     )
+
+
+def one_step(initial, potential, kernel):
+    return FlowSpec(initial, ((potential, kernel),))
+
+
+def initial_counts(initial, n_particles, seed, replicates=1):
+    return run_counts(FlowSpec(initial, ()), n_particles, seed, replicates=replicates).counts[:, 0]
+
+
+def estimate(run, n, f):
+    """Empirical mean of a test function at step n of every replicate."""
+    return run.counts[:, n] @ np.asarray(f.values) / run.counts[0, n].sum()
 
 
 class TestStreams:
@@ -54,157 +61,187 @@ class TestStreams:
 
 class TestInit:
     def test_single_particle(self):
-        ens = init_ensemble(FiniteDistribution.uniform(4), 1, seed=0)
-        assert ens.size == 1 and ens.log_gamma1 == 0.0
+        run = run_counts(small_flow(), 1, seed=0, horizon=0)
+        assert run.counts.shape == (1, 1, 3) and run.counts.sum() == 1
+        assert np.all(run.log_gamma1 == 0.0)
 
     def test_point_mass(self):
-        ens = init_ensemble(FiniteDistribution.dirac(4, 2), 50, seed=0)
-        assert np.all(ens.states == 2)
+        counts = initial_counts(FiniteDistribution.dirac(4, 2), 50, seed=0, replicates=3)
+        assert np.all(counts == [0, 0, 50, 0])
 
     def test_uniform_frequencies_within_four_sigma(self):
         n = 100_000
-        ens = init_ensemble(FiniteDistribution.uniform(4), n, seed=5)
+        freqs = initial_counts(FiniteDistribution.uniform(4), n, seed=5)[0] / n
         sigma = math.sqrt(0.25 * 0.75 / n)
-        freqs = np.bincount(ens.states, minlength=4) / n
         assert np.all(np.abs(freqs - 0.25) <= 4 * sigma)
 
     def test_rejects_empty_population(self):
         with pytest.raises(InputError):
-            init_ensemble(FiniteDistribution.uniform(2), 0, seed=0)
+            initial_counts(FiniteDistribution.uniform(2), 0, seed=0)
 
     def test_sampler_initializer(self):
-        ens = init_ensemble(lambda n, rng: rng.standard_normal(n), 10, seed=1)
-        assert ens.states.shape == (10,)
+        # a sampler is not a finite law: refused when the flow is built
+        with pytest.raises(InputError):
+            FlowSpec(lambda n, rng: rng.standard_normal(n), ())
 
 
 class TestSelection:
     def test_unit_potential_keeps_everything(self):
-        ens = init_ensemble(FiniteDistribution.uniform(3), 200, seed=2)
-        out = selection_step(ens, PotentialVector.constant(3), 1.0)
-        assert np.array_equal(out.ensemble.states, ens.states)
-        assert out.kept_fraction == 1.0
-        assert out.ensemble.log_gamma1 == pytest.approx(0.0)
+        spec = one_step(
+            FiniteDistribution.uniform(3), PotentialVector.constant(3), KernelMatrix.identity(3)
+        )
+        run = run_counts(spec, 200, seed=2, eps=1.0, replicates=3)
+        assert np.array_equal(run.counts[:, 1], run.counts[:, 0])
+        assert np.all(run.kept_fraction == 1.0)
+        assert np.all(run.log_gamma1 == 0.0)
 
     def test_single_particle_is_its_own_pool(self):
-        ens = init_ensemble(FiniteDistribution.dirac(3, 1), 1, seed=3)
-        out = selection_step(ens, PotentialVector([1.0, 0.5, 2.0]), 0.0)
-        assert out.ensemble.states[0] == 1
+        spec = one_step(
+            FiniteDistribution.dirac(3, 1), PotentialVector([1.0, 0.5, 2.0]),
+            KernelMatrix.identity(3),
+        )
+        run = run_counts(spec, 1, seed=3, eps="multinomial", replicates=3)
+        assert np.all(run.counts[:, 1] == [0, 1, 0])
 
     def test_multinomial_mode_always_resamples(self):
-        ens = init_ensemble(FiniteDistribution.uniform(2), 500, seed=4)
-        out = selection_step(ens, PotentialVector([1.0, 1.0]), 0.0)
-        assert out.kept_fraction == 0.0
+        spec = one_step(
+            FiniteDistribution.uniform(2), PotentialVector([1.0, 1.0]), KernelMatrix.identity(2)
+        )
+        run = run_counts(spec, 500, seed=4, eps="multinomial", replicates=3)
+        assert np.all(run.kept_fraction == 0.0)
 
     def test_eps_cap_enforced_on_ensemble(self):
-        ens = init_ensemble(FiniteDistribution.uniform(2), 100, seed=5)
-        with pytest.raises(InputError):
-            selection_step(ens, PotentialVector([1.0, 3.0]), 0.5)
+        spec = one_step(
+            FiniteDistribution.uniform(2), PotentialVector([1.0, 3.0]), KernelMatrix.identity(2)
+        )
+        with pytest.raises(InputError, match="exceeds 1"):
+            run_counts(spec, 100, seed=5, eps=0.5)
 
     def test_extinction_detected(self):
-        ens = init_ensemble(FiniteDistribution.uniform(2), 100, seed=6)
-        with pytest.raises(ExtinctionError):
-            selection_step(ens, lambda states: np.zeros(states.shape[0]), 0.0)
+        # a potential that could leave every particle at G = 0 is refused
+        # when the flow is built, so no run goes extinct
+        with pytest.raises(InputError, match="strictly positive"):
+            one_step(
+                FiniteDistribution.dirac(2, 0), PotentialVector([0.0, 1.0]),
+                KernelMatrix.identity(2),
+            )
 
     def test_two_state_transition_law(self):
-        # 500/500 split, weights (1, 3), eps = 1/3: keep probabilities are
-        # 1/3 and 1 for states 0/1 and the recycled pool is (1/4, 3/4), so
-        #   P(0 -> 1) = (2/3)(3/4) = 1/2,   P(1 -> 1) = 1,
-        # giving expected post-selection fraction at state 1 of 3/4 with
-        # per-replicate variance 500 * (1/2)(1/2) / 1000^2 (state-1
-        # particles are deterministic).
-        states = np.array([0] * 500 + [1] * 500)
-        potential = PotentialVector([1.0, 3.0])
+        # weights (1, 3), eps = 1/3: keep probabilities are 1/3 and 1 for
+        # states 0/1 and the recycled pool is (c0, 3 c1) / (c0 + 3 c1), so
+        # given the initial counts c the state-1 count after selection is
+        # c1 + Binomial(c0, (2/3) p) with p = 3 c1 / (c0 + 3 c1).  The sum
+        # over replicates of its deviation from that mean is compared with
+        # its conditional standard error.
+        spec = one_step(
+            FiniteDistribution.uniform(2), PotentialVector([1.0, 3.0]), KernelMatrix.identity(2)
+        )
         reps = 10_000
-        fractions = np.empty(reps)
-        for rep in range(reps):
-            ens = ParticleEnsemble(
-                states=states, step=0, log_gamma1=0.0, seed=77, replicate=rep
-            )
-            out = selection_step(ens, potential, 1.0 / 3.0)
-            fractions[rep] = (out.ensemble.states == 1).mean()
-        expected = 0.75
-        var_single = (500 * 0.5 * 0.5) / 1000**2
-        se = math.sqrt(var_single / reps)
-        assert abs(fractions.mean() - expected) <= 4 * se
+        run = run_counts(spec, 1000, seed=77, eps=1.0 / 3.0, replicates=reps)
+        c0, c1 = run.counts[:, 0, 0], run.counts[:, 0, 1]
+        q = (2.0 / 3.0) * 3 * c1 / (c0 + 3 * c1)
+        dev = (run.counts[:, 1, 1] - (c1 + c0 * q)).sum()
+        assert abs(dev) <= 4 * math.sqrt((c0 * q * (1.0 - q)).sum())
 
     def test_mass_update_uses_pre_selection_mean(self):
-        states = np.array([0, 0, 1, 1])
-        ens = ParticleEnsemble(states=states, step=0, log_gamma1=0.0, seed=1)
-        out = selection_step(ens, PotentialVector([1.0, 3.0]), 0.0)
-        assert out.ensemble.log_gamma1 == pytest.approx(math.log(2.0))
-        assert out.ess == pytest.approx((8.0**2) / (2 * 1 + 2 * 9))
+        # per step, from the run's own counts: mean G = c.G/N,
+        # ESS = (c.G)^2 / c.G^2, and log gamma rises by log(mean G)
+        spec, n_particles = small_flow(4), 50
+        run = run_counts(spec, n_particles, seed=1, replicates=BLOCK + 1)
+        for n, (potential, _) in enumerate(spec.steps):
+            c, g = run.counts[:, n], potential.values
+            np.testing.assert_allclose(run.mean_potential[:, n], c @ g / n_particles, rtol=1e-15)
+            np.testing.assert_allclose(run.ess[:, n], (c @ g) ** 2 / (c @ g**2), rtol=1e-14)
+            np.testing.assert_allclose(
+                run.log_gamma1[:, n + 1] - run.log_gamma1[:, n],
+                np.log(run.mean_potential[:, n]), rtol=1e-12, atol=1e-15,
+            )
 
 
 class TestMutation:
+    # a constant potential at eps = "auto" keeps every particle
     def test_identity_kernel(self):
-        ens = init_ensemble(FiniteDistribution.uniform(3), 100, seed=8)
-        out = mutation_step(ens, KernelMatrix.identity(3))
-        assert np.array_equal(out.states, ens.states)
-        assert out.step == ens.step + 1
+        spec = one_step(
+            FiniteDistribution.uniform(3), PotentialVector.constant(3), KernelMatrix.identity(3)
+        )
+        for n_particles in (5, 100):   # moves per particle below d^2, per state above
+            run = run_counts(spec, n_particles, seed=8, replicates=3)
+            assert np.array_equal(run.counts[:, 1], run.counts[:, 0])
 
     def test_constant_kernel(self):
-        ens = init_ensemble(FiniteDistribution.uniform(3), 100, seed=9)
-        out = mutation_step(ens, KernelMatrix.constant(FiniteDistribution.dirac(3, 0)))
-        assert np.all(out.states == 0)
+        spec = one_step(
+            FiniteDistribution.uniform(3), PotentialVector.constant(3),
+            KernelMatrix.constant(FiniteDistribution.dirac(3, 0)),
+        )
+        for n_particles in (5, 100):
+            run = run_counts(spec, n_particles, seed=9, replicates=3)
+            assert np.all(run.counts[:, 1] == [n_particles, 0, 0])
 
     def test_stationary_law_preserved_within_four_sigma(self):
         # two-state chain with stationary law (2/3, 1/3)
         kernel = KernelMatrix([[0.8, 0.2], [0.4, 0.6]])
         pi = np.array([2.0 / 3.0, 1.0 / 3.0])
         n = 100_000
-        ens = init_ensemble(FiniteDistribution(pi), n, seed=10)
-        out = mutation_step(ens, kernel)
-        freq = (out.states == 0).mean()
+        spec = one_step(FiniteDistribution(pi), PotentialVector.constant(2), kernel)
+        run = run_counts(spec, n, seed=10)
+        freq = run.counts[0, 1, 0] / n
         sigma = math.sqrt(pi[0] * pi[1] / n)
         assert abs(freq - pi[0]) <= 4 * sigma
 
     def test_sampler_kernel(self):
-        ens = init_ensemble(lambda n, rng: np.zeros(n), 50, seed=11)
-        out = mutation_step(ens, lambda states, rng: states + rng.standard_normal(states.shape[0]))
-        assert out.states.shape == (50,)
-        assert not np.allclose(out.states, 0.0)
+        # a sampler is not a kernel matrix: refused when the flow is built
+        with pytest.raises(InputError):
+            one_step(
+                FiniteDistribution.uniform(2), PotentialVector.constant(2),
+                lambda states, rng: states + rng.standard_normal(states.shape[0]),
+            )
 
 
 class TestRunIps:
     def test_zero_horizon(self):
-        run = run_ips(small_flow(), 50, seed=12, horizon=0)
-        assert len(run.ensembles) == 1 and run.diagnostics == ()
+        run = run_counts(small_flow(), 50, seed=12, horizon=0)
+        assert run.counts.shape == (1, 1, 3) and run.mean_potential.shape == (1, 0)
 
     def test_constant_potential_mass_is_deterministic(self):
         spec = FlowSpec(
             FiniteDistribution.uniform(2),
             ((PotentialVector.constant(2, 2.5), KernelMatrix.uniform(2)),) * 3,
         )
-        run = run_ips(spec, 64, seed=13)
-        assert run.gamma1(3) == pytest.approx(2.5**3, rel=1e-12)
+        run = run_counts(spec, 64, seed=13)
+        assert math.exp(run.log_gamma1[0, 3]) == pytest.approx(2.5**3, rel=1e-12)
 
     def test_bit_identical_reruns(self):
-        r1 = run_ips(small_flow(), 300, seed=14)
-        r2 = run_ips(small_flow(), 300, seed=14)
-        for a, b in zip(r1.ensembles, r2.ensembles):
-            assert np.array_equal(a.states, b.states)
-        assert [d.ess for d in r1.diagnostics] == [d.ess for d in r2.diagnostics]
+        r1 = run_counts(small_flow(), 300, seed=14, replicates=3)
+        r2 = run_counts(small_flow(), 300, seed=14, replicates=3)
+        assert np.array_equal(r1.counts, r2.counts)
+        assert np.array_equal(r1.ess, r2.ess)
 
     def test_replicates_decorrelate(self):
-        r1 = run_ips(small_flow(), 300, seed=14, replicate=0)
-        r2 = run_ips(small_flow(), 300, seed=14, replicate=1)
-        assert not np.array_equal(r1.final.states, r2.final.states)
+        run = run_counts(small_flow(), 300, seed=14, replicates=2)
+        assert not np.array_equal(run.counts[0, -1], run.counts[1, -1])
 
     def test_eps_policies(self):
-        assert resolve_eps("auto", 4.0) == 0.25
-        assert resolve_eps("multinomial", 4.0) == 0.0
-        assert resolve_eps(0.1, 4.0) == 0.1
-        run = run_ips(small_flow(2), 100, seed=15, eps="multinomial")
-        assert all(d.kept_fraction == 0.0 for d in run.diagnostics)
+        # G = 4 everywhere: "auto" keeps with 1/4 * 4 = 1, "multinomial"
+        # with 0, and 0.1 with 0.4 per particle
+        spec = one_step(
+            FiniteDistribution.uniform(2), PotentialVector.constant(2, 4.0),
+            KernelMatrix.uniform(2),
+        )
+        kept = {
+            eps: run_counts(spec, 100, seed=15, eps=eps, replicates=400).kept_fraction
+            for eps in ("auto", "multinomial", 0.1)
+        }
+        assert np.all(kept["auto"] == 1.0) and np.all(kept["multinomial"] == 0.0)
+        assert abs(kept[0.1].mean() - 0.4) <= 4 * math.sqrt(0.4 * 0.6 / (100 * 400))
+        with pytest.raises(InputError, match="eps must be >= 0"):
+            run_counts(spec, 100, seed=15, eps=-0.1)
 
     def test_mass_estimator_unbiased(self):
         spec = small_flow(4)
         oracle = run_flow(spec).gamma1[4]
         reps = 400
         for mode in ("auto", "multinomial"):
-            vals = np.array(
-                [run_ips(spec, 100, seed=16, replicate=r, eps=mode).gamma1(4) for r in range(reps)]
-            )
+            vals = np.exp(run_counts(spec, 100, seed=16, replicates=reps, eps=mode).log_gamma1[:, 4])
             se = vals.std(ddof=1) / math.sqrt(reps)
             assert abs(vals.mean() - oracle) <= 4 * se, mode
 
@@ -216,59 +253,49 @@ class TestRunIps:
         sums = stability_sums(spec)
         fdict = 2.0 * osc1_dictionary(3, 8)   # sup norm 1
         n_particles, reps = 200, 300
-        devs = np.zeros((reps, 5, fdict.shape[0]))
-        for r in range(reps):
-            run = run_ips(spec, n_particles, seed=17, replicate=r)
-            for n in range(5):
-                hist = run.ensembles[n].histogram(3).weights
-                devs[r, n] = hist @ fdict.T - np.array(
-                    [trace.etas[n].expect(f) for f in fdict]
-                )
+        hists = run_counts(spec, n_particles, seed=17, replicates=reps).histograms
+        exact = np.array([[eta.expect(f) for f in fdict] for eta in trace.etas])
+        devs = hists @ fdict.T - exact
         l2 = np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=1)
         cap = bp_constant(2) / math.sqrt(n_particles)
         for n in range(5):
             assert l2[n] <= cap * sums[n] + 1e-12
 
     def test_exchangeability_two_sample_ks(self):
-        # permuting the initial particle assignment must leave the law of
-        # every scalar estimate unchanged (two-sample KS at level 1e-3)
+        # relabelling the states (the initial law, every potential and both
+        # kernel axes) must leave the law of every scalar estimate unchanged
+        # (two-sample KS at level 1e-3), on both move paths
         spec = small_flow(3)
         f = BoundedFunction([0.0, 1.0, 2.0])
-        reps = 300
-        perm = np.random.Generator(np.random.Philox(key=np.uint64(99))).permutation(200)
-
-        def run_variant(rep, permute):
-            ens = init_ensemble(spec.initial, 200, seed=18, replicate=rep)
-            if permute:
-                ens = ParticleEnsemble(
-                    states=ens.states[perm],
-                    step=0,
-                    log_gamma1=0.0,
-                    seed=18,
-                    replicate=rep + 1_000_000,
-                )
-            for potential, kernel in spec.steps:
-                out = selection_step(ens, potential, 0.0)
-                ens = mutation_step(out.ensemble, kernel)
-            return estimate(ens, f)
-
-        base = np.array([run_variant(r, False) for r in range(reps)])
-        permuted = np.array([run_variant(r, True) for r in range(reps)])
-        result = stats.ks_2samp(base, permuted)
-        assert result.pvalue > 1e-3
+        perm = np.array([2, 0, 1])
+        relabelled = FlowSpec(
+            FiniteDistribution(spec.initial.weights[perm]),
+            tuple(
+                (PotentialVector(g.values[perm]), KernelMatrix(m.rows[perm][:, perm]))
+                for g, m in spec.steps
+            ),
+        )
+        f_perm = BoundedFunction(f.values[perm])
+        for n_particles in (200, 5):
+            base = run_counts(spec, n_particles, seed=18, eps="multinomial", replicates=300)
+            other = run_counts(
+                relabelled, n_particles, seed=19, eps="multinomial", replicates=300
+            )
+            result = stats.ks_2samp(estimate(base, 3, f), estimate(other, 3, f_perm))
+            assert result.pvalue > 1e-3, n_particles
 
 
 class TestEstimate:
     def test_unit_function(self):
-        ens = init_ensemble(FiniteDistribution.uniform(3), 40, seed=19)
-        assert estimate(ens, BoundedFunction([1.0, 1.0, 1.0])) == 1.0
+        run = run_counts(small_flow(), 40, seed=19, horizon=0)
+        assert estimate(run, 0, BoundedFunction([1.0, 1.0, 1.0]))[0] == 1.0
 
     def test_point_ensemble(self):
-        ens = init_ensemble(FiniteDistribution.dirac(3, 2), 40, seed=20)
-        assert estimate(ens, BoundedFunction([5.0, 6.0, 7.0])) == 7.0
+        run = run_counts(FlowSpec(FiniteDistribution.dirac(3, 2), ()), 40, seed=20)
+        assert estimate(run, 0, BoundedFunction([5.0, 6.0, 7.0]))[0] == 7.0
 
     def test_uniform_two_state_within_four_sigma(self):
         n = 10_000
-        ens = init_ensemble(FiniteDistribution.uniform(2), n, seed=21)
-        val = estimate(ens, BoundedFunction([0.0, 1.0]))
+        run = run_counts(FlowSpec(FiniteDistribution.uniform(2), ()), n, seed=21)
+        val = estimate(run, 0, BoundedFunction([0.0, 1.0]))[0]
         assert abs(val - 0.5) <= 4 * math.sqrt(0.25 / n)
