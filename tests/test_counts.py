@@ -59,9 +59,6 @@ def ring_flow(dim, horizon=4):
     )
 
 
-F = np.array([0.0, 1.0, 2.0])
-
-
 class TestLawAgainstLatticeOracle:
     """The counts at every step against the exact law of the N-particle
     system (:func:`~tests.oracles.lattice_law`), on both move paths: N = 8
@@ -75,22 +72,17 @@ class TestLawAgainstLatticeOracle:
     @pytest.mark.parametrize("n_particles", [8, 12], ids=["N8", "N12"])
     @pytest.mark.parametrize("eps", ["auto", "multinomial", 0.2])
     def test_counts_at_every_step(self, eps, n_particles):
+        # each step's counts against pi_n, then the pair (c_1, c_2) against
+        # pi_1(c) P_2(c, c')
         spec, reps = rotating_flow(), 20_000
-        states, laws, _, _ = self._law(eps, n_particles)
+        states, laws, steps, _ = self._law(eps, n_particles)
         run = run_counts(spec, n_particles, seed=32, replicates=reps, eps=eps)
+        index = [composition_index(states, run.counts[:, n]) for n in range(len(laws))]
         for n, law in enumerate(laws):
-            cells = np.bincount(composition_index(states, run.counts[:, n]), minlength=len(states))
+            cells = np.bincount(index[n], minlength=len(states))
             assert pooled_chisquare(cells, law) > 1e-3, n
-
-    @pytest.mark.parametrize("n_particles", [8, 12], ids=["N8", "N12"])
-    def test_two_consecutive_steps_jointly(self, n_particles):
-        # the pair (c_1, c_2) against pi_1(c) P_2(c, c')
-        spec, reps = rotating_flow(), 20_000
-        states, laws, steps, _ = self._law("auto", n_particles)
-        run = run_counts(spec, n_particles, seed=32, replicates=reps)
-        first, second = (composition_index(states, run.counts[:, n]) for n in (1, 2))
-        cells = np.bincount(first * len(states) + second, minlength=len(states) ** 2)
-        assert pooled_chisquare(cells, (laws[1][:, None] * steps[1]).ravel()) > 1e-3
+        pairs = np.bincount(index[1] * len(states) + index[2], minlength=len(states) ** 2)
+        assert pooled_chisquare(pairs, (laws[1][:, None] * steps[1]).ravel()) > 1e-3
 
     @pytest.mark.parametrize("n_particles", [8, 12], ids=["N8", "N12"])
     @pytest.mark.parametrize("eps", ["auto", "multinomial", 0.2])
