@@ -165,7 +165,10 @@ def _classic_plan(spec, n_particles, replicates, horizon, eps):
     steps = spec.steps[:horizon]
     run = CountRun._allocate(n_particles, replicates, horizon, spec.dim)
     # only "auto" depends on the ensemble; the other policies are constants
-    eps_fixed = None if eps == "auto" else 0.0 if eps == "multinomial" else float(eps)
+    try:
+        eps_fixed = None if eps == "auto" else 0.0 if eps == "multinomial" else float(eps)
+    except (TypeError, ValueError):
+        raise InputError(f"eps must be 'auto', 'multinomial' or a number, got {eps!r}") from None
     if eps_fixed is not None and eps_fixed < 0:
         raise InputError("eps must be >= 0")
 

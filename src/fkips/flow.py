@@ -18,7 +18,7 @@ quantities
 
 control every non-asymptotic estimate downstream.
 
-:class:`SemigroupTable` builds them for every p <= n by one backward
+:func:`semigroup_table` builds them for every p <= n by one backward
 recursion per end time n.  ``P_{p,n} = R_{p+1} ... R_n`` is a product of
 stochastic twisted kernels ``R_k(x, y) ∝ G_k(x) M_k(x, y) h_{k,n}(y)`` (Del
 Moral, *Feynman-Kac Formulae*, 2004).  The recursion carries ``h`` (rescaled
@@ -32,6 +32,9 @@ and ``b_{p,n}`` is half the largest L1 distance between two rows of
 differ at the order of that step's own mixing, so b keeps its relative
 precision however small it gets.  Subtracting rows of ``P_{p,n}`` itself,
 which agree to 16 digits once n - p is large, would leave only float noise.
+As ``h_{n,n} = 1`` makes ``R_n = M_n``, ``b_{n-1,n}`` is the trace's
+``dobrushin(M_n)`` bit for bit.  The other centred matrices of an end time,
+like the trace's T kernels, fill a byte-capped stack reduced in one call.
 
 A frozen :class:`FlowSpec` builds its run (``spec.trace``) and its table
 (``spec.table``) once; every check reads those.  Everything here is dense
@@ -53,13 +56,14 @@ from .measures import (
     KernelMatrix,
     PotentialVector,
     _max_row_l1,
-    dobrushin,
     potential_ratio,
 )
 
 # Exact-oracle size caps: O(d^2 * T) memory and time must stay desk-scale.
 MAX_DIM = 4096
 MAX_STEPS = 10_000
+# Cap on the stack of matrices that one Dobrushin reduction reads.
+_STACK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +105,7 @@ class FlowSpec:
     @cached_property
     def table(self) -> "SemigroupTable":
         """Stability constants of every composed operator, built once per spec."""
-        return SemigroupTable.build(self)
+        return semigroup_table(self)
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,10 @@ def run_flow(spec: FlowSpec) -> FlowTrace:
     """Iterate the flow and record laws, mass products and step constants."""
     etas = [spec.initial]
     log_gamma = [0.0]
-    gs, bs = [], []
+    gs, rows = [], [kernel.rows for _, kernel in spec.steps]
+    per = max(1, _STACK_BYTES // (8 * spec.dim**2))
+    bs = [0.5 * v for s in range(0, len(rows), per)
+          for v in _max_row_l1(np.stack(rows[s:s + per])).tolist()]
     for potential, kernel in spec.steps:
         mean_g = etas[-1].expect(potential.values)
         if mean_g <= 0:
@@ -144,7 +151,6 @@ def run_flow(spec: FlowSpec) -> FlowTrace:
         log_gamma.append(log_gamma[-1] + math.log(mean_g))
         etas.append(fk_step(etas[-1], potential, kernel))
         gs.append(potential_ratio(potential))
-        bs.append(dobrushin(kernel))
     return FlowTrace(
         etas=tuple(etas),
         gamma1=tuple(math.exp(v) for v in log_gamma),
@@ -165,36 +171,43 @@ class SemigroupTable:
     b: np.ndarray
     mass: np.ndarray
 
-    @classmethod
-    def build(cls, spec: FlowSpec) -> "SemigroupTable":
-        """The centred twisted-kernel recursion of the module docstring,
-        run backward from each end time n."""
-        size, d, trace = spec.horizon + 1, spec.dim, spec.trace
-        g, b, mass = (np.full((size, size), np.nan) for _ in range(3))
-        for n in range(size):
-            h, log_scale = np.ones(d), 0.0
-            centred = np.eye(d) - np.eye(1, d)
-            for p in range(n, -1, -1):
-                if p < n:
-                    potential, kernel = spec.steps[p]
-                    mh = kernel.rows @ h
-                    # R(x, y) = G(x) M(x, y) h(y) / G(x) (M h)(x): G cancels
-                    twisted = kernel.rows * h / mh[:, None]
-                    centred = (twisted - twisted[0]) @ centred
-                    h = potential.values * mh
-                    top = h.max()
-                    h = h / top
-                    log_scale += math.log(top)
-                lo = h.min()
-                if lo <= 0:
-                    raise RatioOverflowError("composed potential has a zero entry; ratio undefined")
-                g[p, n] = h.max() / lo
-                # C_{n,n} = I - 1 (x) e_0 has two rows at L1 distance 2 once d >= 2
-                b[p, n] = 0.5 * _max_row_l1(centred) if p < n else float(d > 1)
-                mass[p, n] = trace.gamma1[p] * trace.etas[p].expect(h) * math.exp(log_scale)
-        for arr in (g, b, mass):
-            arr.setflags(write=False)
-        return cls(g=g, b=b, mass=mass)
+
+def semigroup_table(spec: FlowSpec) -> SemigroupTable:
+    """The centred twisted-kernel recursion of the module docstring, run
+    backward from each end time n."""
+    size, d, trace = spec.horizon + 1, spec.dim, spec.trace
+    g, b, mass = (np.full((size, size), np.nan) for _ in range(3))
+    stack = np.empty((max(2, min(size, _STACK_BYTES // (8 * d * d))), d, d))
+    for n in range(size):
+        h, log_scale = np.ones(d), 0.0
+        centred, filled = np.eye(d) - np.eye(1, d), 0
+        for p in range(n, -1, -1):
+            if p < n:
+                potential, kernel = spec.steps[p]
+                mh = kernel.rows @ h
+                # R(x, y) = G(x) M(x, y) h(y) / G(x) (M h)(x): G cancels
+                twisted = kernel.rows * h / mh[:, None]
+                # b_{n-1,n} is read from the trace: that slot is overwritten
+                centred = np.matmul(twisted - twisted[0], centred, out=stack[filled])
+                filled += p < n - 1
+                h = potential.values * mh
+                top = h.max()
+                h = h / top
+                log_scale += math.log(top)
+            lo = h.min()
+            if lo <= 0:
+                raise RatioOverflowError("composed potential has a zero entry; ratio undefined")
+            g[p, n] = h.max() / lo
+            mass[p, n] = trace.gamma1[p] * trace.etas[p].expect(h) * math.exp(log_scale)
+            if filled == len(stack) or (p == 0 and filled):
+                b[p:p + filled, n] = 0.5 * _max_row_l1(stack[:filled])[::-1]
+                filled = 0
+    # C_{n,n} = I - 1 (x) e_0 has two rows at L1 distance 2 once d >= 2
+    np.fill_diagonal(b, float(d > 1))
+    np.fill_diagonal(b[:, 1:], trace.b)
+    for arr in (g, b, mass):
+        arr.setflags(write=False)
+    return SemigroupTable(g=g, b=b, mass=mass)
 
 
 @dataclass(frozen=True)
@@ -262,10 +275,9 @@ def check_semigroup_lemmas(spec: FlowSpec, include_as_printed: bool = False) -> 
     that comparison.  The sum bound is stated for g_{p,n}, not g_{p,n} - 1,
     whose value near g = 1 is known only to an absolute 1e-16.  The one-step
     constants g_k = ratio(G_k) and b_k = dobrushin(M_k) are read from the
-    table's own entries g_{k-1,k} and b_{k-1,k}, which equal them exactly in
-    exact arithmetic; the p = n - 1 cases, which are identities, then compare
-    equal bit for bit, where a kernel within 1e-6 of rank one would otherwise
-    miss them by a relative 1e-15 / b_k.
+    table's own entries g_{k-1,k} and b_{k-1,k} (the latter is b_k bit for
+    bit, the former equals g_k in exact arithmetic); the p = n - 1 cases,
+    which are identities, then compare equal bit for bit.
     """
     g, b = spec.table.g.T.tolist(), spec.table.b.T.tolist()
     step_g = [None] + [g[k][k - 1] for k in range(1, spec.horizon + 1)]

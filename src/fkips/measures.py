@@ -31,9 +31,9 @@ from .errors import DegenerateMeasureError, InputError
 # accumulated floating-point drift out of oracle products.
 SUM_TOLERANCE = 1e-9
 
-# Cap on the row-difference block of ``_max_row_l1``, sized to stay in a
-# core's L2 cache.
-_DOBRUSHIN_BLOCK_BYTES = 1 << 18
+# Cap on each temporary of ``_max_row_l1``, sized to stay in a core's L2
+# cache.
+_DOBRUSHIN_BLOCK_BYTES = 1 << 16
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -251,48 +251,53 @@ def total_variation(mu: FiniteDistribution, nu: FiniteDistribution) -> float:
     return 0.5 * float(np.abs(mu.weights - nu.weights).sum())
 
 
-# Reused flat buffer of ``_max_row_l1``: module-level state, grown on demand
-# and never shrunk.
-_workspace = np.empty(0)
+def _row_l1(stack: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """L1 distance of each row of a (k, d, d) stack from its matrix's row of ``ref``."""
+    k, d, _ = stack.shape
+    out = np.empty((k, d))
+    rows = max(1, _DOBRUSHIN_BLOCK_BYTES // (8 * d))
+    mats = max(1, rows // d)
+    for m in range(0, k, mats):
+        for i in range(0, d, rows):
+            diff = np.subtract(stack[m:m + mats, i:i + rows], ref[m:m + mats, None], order="C")
+            np.abs(diff, diff)
+            np.add.reduce(diff, 2, out=out[m:m + mats, i:i + rows])
+    return out
 
 
-def _max_row_l1(rows: np.ndarray) -> float:
-    """Largest L1 distance between two rows of a square matrix (0 for one
-    row).  The rows need not be stochastic.
+def _max_row_l1(stack: np.ndarray) -> np.ndarray:
+    """Largest L1 distance between two rows of each matrix of a (k, d, d)
+    stack (0 where d = 1); the rows need not be stochastic.
 
-    Row i is paired with row (i + s) mod d for s = 1..d//2, which visits
-    every pair i < j (the pairs at s = d/2 twice).  A copy of the rows
-    followed by its first d//2 rows makes each shift s a contiguous run of
-    rows, so a block of shifts is one overlapping strided view of it.
-    Blocks hold as many shifts as fit in ``_DOBRUSHIN_BLOCK_BYTES``.  Each
-    pair's |a - b| fills one contiguous row of a reused workspace and is
-    summed along it, and |a - b| = |b - a| exactly, so the result equals a
-    per-pair ``np.abs(a - b).sum()`` bit for bit.  The workspace is
-    module-level state: the function is not safe to call from several
-    threads at once.
+    r_i is the L1 distance of row i from the coordinatewise median of five
+    fixed rows, so |x_i - x_j| <= r_i + r_j, tightly on rank-one-plus-
+    permutation kernels.  A sweep from the row of largest r gives a lower
+    bound t; only pairs with r_j >= fl(t (1 - 4(d + 2)u) - r_i), u = 2^-53,
+    are evaluated (sums of d terms are within a relative d u of exact, the
+    test rounds twice, and sums below 2^-1021 are exact).  Ranked by r, a
+    row's candidates are a prefix of the rows after it.  Each |x_i - x_j|
+    is summed along one contiguous row: every maximum is bit for bit a
+    per-pair ``np.abs(a - b).sum()``.
     """
-    global _workspace
-    d = rows.shape[0]
-    half = d // 2
-    per_block = max(1, min(half, _DOBRUSHIN_BLOCK_BYTES // (8 * d * d)))
-    ext_size = (d + half) * d
-    if _workspace.size < ext_size + per_block * d * d:
-        _workspace = np.empty(ext_size + per_block * d * d)
-    ext = _workspace[:ext_size].reshape(d + half, d)
-    ext[:d] = rows
-    ext[d:] = rows[:half]
-    best = 0.0
-    for first in range(1, half + 1, per_block):
-        n = min(per_block, half + 1 - first)
-        # shifted[k, i] is row (i + first + k) mod d of ext: a view whose
-        # rows overlap across k
-        shifted = np.ndarray((n, d, d), np.float64, _workspace, 8 * first * d, (8 * d, 8 * d, 8))
-        diff = _workspace[ext_size:ext_size + n * d * d].reshape(n, d, d)
-        # positional forms: at d = 8 keyword parsing costs as much as the
-        # arithmetic
-        np.subtract(shifted, ext[:d], diff)
+    k, d, _ = stack.shape
+    centre = np.sort(stack[:, np.linspace(0, d - 1, 5).astype(int)], axis=1)[:, 2]
+    r = _row_l1(stack, centre)
+    order = np.argsort(-r, axis=1, kind="stable")
+    ranked = np.take_along_axis(r, order, 1)
+    best = _row_l1(stack, stack[np.arange(k), order[:, 0]]).max(1)
+    # ranked row a pairs with the ranked rows a < b < reach[a]
+    t = best * (1.0 - 4 * (d + 2) * 2.0**-53)
+    reach = np.array([np.searchsorted(-q, q - top, "right") for q, top in zip(ranked, t)])
+    span = np.maximum(reach - np.arange(1, d + 1), 0).ravel()
+    ends, order = np.cumsum(span), order.ravel()
+    per = max(1, _DOBRUSHIN_BLOCK_BYTES // (8 * d))
+    for first in range(0, int(ends[-1]), per):
+        pair = np.arange(first, min(first + per, ends[-1]))
+        a = np.searchsorted(ends, pair, "right")
+        b, m = a + 1 + pair - ends[a] + span[a], a // d
+        diff = stack[m, order[a]] - stack[m, order[b]]
         np.abs(diff, diff)
-        best = max(best, float(np.maximum.reduce(np.add.reduce(diff, 2), None)))
+        np.maximum.at(best, m, np.add.reduce(diff, 1))
     return best
 
 
@@ -302,7 +307,7 @@ def dobrushin(kernel: KernelMatrix) -> float:
     Satisfies ``dobrushin(K1.K2) <= dobrushin(K1) * dobrushin(K2)`` and
     contracts both ``osc(K.f)`` and ``tv(mu.K, nu.K)``.
     """
-    return 0.5 * _max_row_l1(kernel.rows)
+    return 0.5 * float(_max_row_l1(kernel.rows[None])[0])
 
 
 def bg_transform(potential: PotentialVector, mu: FiniteDistribution) -> FiniteDistribution:

@@ -389,6 +389,13 @@ class TestInputs:
         with pytest.raises(InputError):
             run_counts(rotating_flow(), 10, seed=0, replicates=0)
 
+    def test_rejects_non_numeric_eps_by_name(self):
+        message = "eps must be 'auto', 'multinomial' or a number, got 'bogus'"
+        with pytest.raises(InputError, match=message):
+            run_counts(rotating_flow(), 10, 0, eps="bogus")
+        with pytest.raises(InputError, match="eps"):
+            run_counts(rotating_flow(), 10, 0, eps=None)
+
     def test_eps_cap_enforced_on_occupied_states(self):
         with pytest.raises(InputError):
             run_counts(rotating_flow(), 100, seed=0, eps=0.5)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fkips import flow
 from fkips.errors import InputError
 from fkips.flow import (
     FlowSpec,
@@ -24,7 +25,7 @@ from fkips.measures import (
     total_variation,
 )
 
-from .instances import bounded_regime_flow, random_flow
+from .instances import bounded_regime_flow, decreasing_regime_flow, random_flow
 from .oracles import (
     composed_by_product,
     composed_table_by_product,
@@ -195,15 +196,42 @@ class TestSemigroup:
 
     def test_table_bytes_pinned(self):
         # sha256 of the g, b and mass bytes of one seeded d = 64, T = 12
-        # table, pinned from the reduction that allocated four pairwise
-        # temporaries per call, before the workspace replaced it
+        # table.  Re-pinned when b_{n-1,n} came to be read from the trace:
+        # against the earlier pin only those b entries moved (10 of 12, by at
+        # most 1.6e-15 relative), from the centred product's roundoff to
+        # dobrushin(M_n) itself
         table = bounded_regime_flow(12, dim=64, seed=13).table
         digest = hashlib.sha256()
         for arr in (table.g, table.b, table.mass):
             digest.update(arr.tobytes())
         assert digest.hexdigest() == (
-            "9c624b545680fea534c342dab3c9ca9710d417449176badc49d182820db8e200"
+            "5f9de93b223eaa4a656b1b4c098c12d42a09ff27fd80690483d7b63b6d626a1c"
         )
+
+    def test_one_step_coefficient_is_the_trace_value(self):
+        # h_{n,n} = 1 makes R_n = M_n, so b_{n-1,n} is dobrushin(M_n) bit for
+        # bit, on every flow the shared instances build
+        rng = rng_for(19)
+        specs = [
+            bounded_regime_flow(12, dim=64, seed=13),
+            bounded_regime_flow(8),
+            decreasing_regime_flow(8, dim=6),
+            *(random_flow(rng) for _ in range(10)),
+        ]
+        for spec in specs:
+            b, trace_b = spec.table.b, spec.trace.b
+            assert [b[n - 1, n] for n in range(1, spec.horizon + 1)] == list(trace_b)
+
+    def test_table_is_independent_of_the_stack_cap(self, monkeypatch):
+        # a cap below one matrix reduces the trace's coefficients one kernel
+        # at a time and each end time's column in stacks of two
+        spec = bounded_regime_flow(12, dim=16, seed=5)
+        trace_b, table = spec.trace.b, spec.table
+        monkeypatch.setattr(flow, "_STACK_BYTES", 1)
+        capped = FlowSpec(spec.initial, spec.steps)
+        assert capped.trace.b == trace_b
+        for name in ("g", "b", "mass"):
+            np.testing.assert_array_equal(getattr(capped.table, name), getattr(table, name))
 
     def test_closed_form_coefficients(self):
         # M = 0.8 * 1 pi + 0.2 * Perm with constant potentials: P_{p,n} =

@@ -135,27 +135,87 @@ class TestDobrushin:
         )
         assert dobrushin(k) == pytest.approx(expected, abs=1e-15)
 
-    def test_workspace_reduction_is_bit_identical_to_row_pairs(self):
-        # d = 128 and 129 take several blocks under the default cap
-        self._check_reduction_against_row_pairs()
+    def test_stacked_reduction_is_bit_identical_to_row_pairs(self):
+        # d = 128 and 129 spread their candidate pairs over several blocks
+        # under the default cap
+        self._check_reduction_against_row_pairs((1, 2, 3, 8, 9, 33, 64, 65, 128, 129))
 
-    def test_one_shift_per_block_is_bit_identical_to_row_pairs(self, monkeypatch):
-        # a cap of one shift per block runs several blocks at every d >= 4
+    def test_one_row_per_block_is_bit_identical_to_row_pairs(self, monkeypatch):
+        # a cap of one row per block spreads every matrix's candidate pairs
+        # over many blocks
         monkeypatch.setattr(measures, "_DOBRUSHIN_BLOCK_BYTES", 8)
-        self._check_reduction_against_row_pairs()
+        self._check_reduction_against_row_pairs((1, 2, 3, 8, 9, 33, 64, 65))
+
+    def test_pruning_margin_covers_rounding_of_tight_pairs(self):
+        # the triangle bound is exact in real arithmetic here, so whether a
+        # pair survives pruning turns on the last bits of its sums; with
+        # seed 6, three of these matrices lose their maximum if the margin
+        # is dropped
+        rng = rng_for(6)
+        stack = np.stack([self._tight_rows(rng, 64, 4) for _ in range(24)])
+        self._check(stack)
+
+    def test_non_contiguous_stacks(self):
+        rng = rng_for(22)
+        for d in (3, 9, 64):
+            stack = self._cases(rng, d)
+            self._check(np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1))
+            self._check(stack[::-2])
+
+    @classmethod
+    def _check_reduction_against_row_pairs(cls, dims):
+        rng = rng_for(21)
+        for d in dims:
+            stack = cls._cases(rng, d)
+            expected = cls._check(stack)
+            assert [0.5 * _max_row_l1(m[None])[0] for m in stack] == expected, d
+            kernel = KernelMatrix(stack[0])
+            assert dobrushin(kernel) == dobrushin_by_rows(kernel.rows), d
 
     @staticmethod
-    def _check_reduction_against_row_pairs():
-        # the sizes alternate between calls, so a workspace left over from a
-        # larger or a smaller call would show; signed matrices like the
-        # table's centred ones go through the same reduction
-        rng = rng_for(21)
-        dims = (1, 2, 3, 8, 9, 33, 64, 128, 129)
-        for d in dims + dims[::-1] + (64, 1, 129, 33, 2, 9, 128, 3, 8):
-            kernel = KernelMatrix(random_kernel_rows(rng, d))
-            assert dobrushin(kernel) == dobrushin_by_rows(kernel.rows), d
-            signed = kernel.rows - kernel.rows[rng.integers(d)]
-            assert 0.5 * _max_row_l1(signed) == dobrushin_by_rows(signed), d
+    def _check(stack):
+        """Compare the stacked reduction with the row-pair oracle, matrix by
+        matrix and bit for bit; returns the oracle's values."""
+        expected = [dobrushin_by_rows(matrix) for matrix in stack]
+        assert (0.5 * _max_row_l1(stack)).tolist() == expected, stack.shape
+        return expected
+
+    @classmethod
+    def _cases(cls, rng, d):
+        """A stack that mixes every kind of (d, d) matrix the reduction must
+        get exact: random kernels, centred signed matrices like the table's,
+        rank-one + 0.2 permutation rows (the exact-verify workload's kernels,
+        in which every pair ties), the same with one row 1 ulp off the tie,
+        tight triangle bounds, and rows scaled into the subnormal range."""
+        kernel = random_kernel_rows(rng, d)
+        tied = 0.8 * random_kernel_rows(rng, d)[0] + 0.2 * np.eye(d)[rng.permutation(d)]
+        nudged = tied.copy()
+        x = int(rng.integers(d))
+        nudged[x] = np.nextafter(nudged[x], np.where(tied[x] > tied[x].min(), 2.0, -1.0))
+        return np.stack([
+            kernel,
+            kernel - kernel[rng.integers(d)],
+            tied,
+            nudged,
+            tied - tied[0],
+            cls._tight_rows(rng, d, max(1, d // 16)),
+            kernel * 2.0**-1060,
+            (kernel - kernel[0]) * 2.0**-1040,
+        ])
+
+    @staticmethod
+    def _tight_rows(rng, d, width):
+        """Rows that are 0 but for one multiset of values, permuted onto
+        disjoint columns: the five rows whose median is the reduction's
+        centre stay 0, so |x_i - x_j| = r_i + r_j exactly, and the active
+        rows tie up to the rounding of their sums."""
+        rows = np.zeros((d, d))
+        values, columns = 0.5 + rng.random(width), rng.permutation(d)
+        centre_rows = np.linspace(0, d - 1, 5).astype(int)
+        active = rng.permutation(np.setdiff1d(np.arange(d), centre_rows))[: d // width]
+        for a, x in enumerate(active):
+            rows[x, columns[a * width:(a + 1) * width]] = rng.permutation(values)
+        return rows
 
     def test_submultiplicative_under_composition(self):
         rng = rng_for(3)

@@ -57,6 +57,18 @@ SRC = pathlib.Path(fkips.__file__).resolve().parents[1]
     ],
 )
 def test_tracer_records_named_spans(command, text, spans, tmp_path):
+    assert spans <= set(_traced_span_names(command, text, tmp_path))
+
+
+def test_composed_table_is_built_once_in_its_own_span(tmp_path):
+    # the table build is a module function, so the tracer times it apart
+    # from its first reader, the oracle identity check
+    names = _traced_span_names("verify-bounds", BOUNDED, tmp_path)
+    assert names.count("flow.semigroup_table") == 1
+
+
+def _traced_span_names(command, text, tmp_path):
+    """The name of every span of one traced CLI run, in the tracer's order."""
     cfg = tmp_path / "case.cfg"
     cfg.write_text(text)
     spans_path = tmp_path / "spans.tsv"
@@ -68,8 +80,7 @@ def test_tracer_records_named_spans(command, text, spans, tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    recorded = {line.split("\t")[2] for line in spans_path.read_text().splitlines()}
-    assert spans <= recorded
+    return [line.split("\t")[2] for line in spans_path.read_text().splitlines()]
 
 
 def _workloads():
