@@ -62,8 +62,7 @@ from .measures import (
 # Exact-oracle size caps: O(d^2 * T) memory and time must stay desk-scale.
 MAX_DIM = 4096
 MAX_STEPS = 10_000
-# Cap on the stack of matrices that one Dobrushin reduction reads.
-_STACK_BYTES = 1 << 21
+_STACK_BYTES = 1 << 21  # cap on the matrices one Dobrushin reduction reads
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +201,7 @@ def semigroup_table(spec: FlowSpec) -> SemigroupTable:
             if filled == len(stack) or (p == 0 and filled):
                 b[p:p + filled, n] = 0.5 * _max_row_l1(stack[:filled])[::-1]
                 filled = 0
-    # C_{n,n} = I - 1 (x) e_0 has two rows at L1 distance 2 once d >= 2
-    np.fill_diagonal(b, float(d > 1))
+    np.fill_diagonal(b, float(d > 1))  # C_{n,n} = I - 1 (x) e_0: two rows 2 apart
     np.fill_diagonal(b[:, 1:], trace.b)
     for arr in (g, b, mass):
         arr.setflags(write=False)

@@ -276,12 +276,11 @@ def _max_row_l1(stack: np.ndarray) -> np.ndarray:
     are evaluated (sums of d terms are within a relative d u of exact, the
     test rounds twice, and sums below 2^-1021 are exact).  Ranked by r, a
     row's candidates are a prefix of the rows after it.  Each |x_i - x_j|
-    is summed along one contiguous row: every maximum is bit for bit a
+    is summed along one contiguous row, so every maximum is bit for bit a
     per-pair ``np.abs(a - b).sum()``.
     """
     k, d, _ = stack.shape
-    centre = np.sort(stack[:, np.linspace(0, d - 1, 5).astype(int)], axis=1)[:, 2]
-    r = _row_l1(stack, centre)
+    r = _row_l1(stack, np.sort(stack[:, np.linspace(0, d - 1, 5).astype(int)], axis=1)[:, 2])
     order = np.argsort(-r, axis=1, kind="stable")
     ranked = np.take_along_axis(r, order, 1)
     best = _row_l1(stack, stack[np.arange(k), order[:, 0]]).max(1)
@@ -291,13 +290,16 @@ def _max_row_l1(stack: np.ndarray) -> np.ndarray:
     span = np.maximum(reach - np.arange(1, d + 1), 0).ravel()
     ends, order = np.cumsum(span), order.ravel()
     per = max(1, _DOBRUSHIN_BLOCK_BYTES // (8 * d))
-    for first in range(0, int(ends[-1]), per):
-        pair = np.arange(first, min(first + per, ends[-1]))
+    for first in range(0, int(ends[-1]), 8 * per):
+        pair = np.arange(first, min(first + 8 * per, ends[-1]))
         a = np.searchsorted(ends, pair, "right")
         b, m = a + 1 + pair - ends[a] + span[a], a // d
-        diff = stack[m, order[a]] - stack[m, order[b]]
-        np.abs(diff, diff)
-        np.maximum.at(best, m, np.add.reduce(diff, 1))
+        i, j, l1 = order[a], order[b], np.empty(len(pair))
+        for part in (slice(s, s + per) for s in range(0, len(pair), per)):
+            diff = stack[m[part], i[part]] - stack[m[part], j[part]]
+            np.abs(diff, diff)
+            np.add.reduce(diff, 1, out=l1[part])
+        np.maximum.at(best, m, l1)
     return best
 
 
