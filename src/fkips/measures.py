@@ -12,9 +12,9 @@ Conventions
   the L1 distance of the weight vectors (the two are identical on finite
   spaces; the exponential subset enumeration is kept as an independent
   oracle in the test suite).
-* ``dobrushin(K)`` is the worst-case total variation between rows of ``K``;
-  it is sub-multiplicative under kernel composition and contracts both
-  measure pairs and function oscillations.
+* ``dobrushin(K)`` is the worst-case total variation between rows of ``K``
+  (one stateless, triangle-pruned reduction also serves stacks of matrices);
+  it is sub-multiplicative and contracts measure pairs and oscillations.
 * ``bg_transform(G, mu)`` reweights ``mu`` by the positive function ``G``
   and renormalizes.
 """
