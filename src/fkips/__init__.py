@@ -17,7 +17,13 @@ Layers, bottom up:
   perturbation/concentration verification;
 * :mod:`fkips.harness` -- configs, replicate orchestration, bound
   verification, CSV emission (CLI in :mod:`fkips.cli`).
+
+The annealing and adaptive names below are imported on first access, by
+the module ``__getattr__``, so a classic run never loads those two modules.
+Every name in ``__all__`` resolves either way.
 """
+
+import importlib
 
 from .measures import (
     BoundedFunction,
@@ -32,22 +38,31 @@ from .measures import (
 )
 from .flow import FlowSpec, FlowTrace, fk_step, run_flow
 from .engine import run_counts
-from .annealing import (
-    GibbsProblem,
-    MinorizationCert,
-    TemperatureSchedule,
-    build_isa_flow,
-    gibbs_measure,
-    metropolis_kernel,
-    minorize,
-    optimize,
-)
-from .adaptive import (
-    AdaptiveConfig,
-    LambdaCurve,
-    kappa_solve,
-    run_adaptive_counts,
-)
+
+# name -> submodule of the re-exports imported on first access
+_LAZY = {
+    "GibbsProblem": "annealing",
+    "MinorizationCert": "annealing",
+    "TemperatureSchedule": "annealing",
+    "build_isa_flow": "annealing",
+    "gibbs_measure": "annealing",
+    "metropolis_kernel": "annealing",
+    "minorize": "annealing",
+    "optimize": "annealing",
+    "AdaptiveConfig": "adaptive",
+    "LambdaCurve": "adaptive",
+    "kappa_solve": "adaptive",
+    "run_adaptive_counts": "adaptive",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -46,28 +46,16 @@ digits.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import adaptive as adaptive_mod
 from . import bounds
 from .bounds import CheckRow, VerifyReport
-from .annealing import (
-    GibbsProblem,
-    IsaFlow,
-    TemperatureSchedule,
-    build_isa_flow,
-    gibbs_measure,
-    metropolis_kernel,
-    minorize,
-    optimize,
-)
 from .engine import run_counts
 from .errors import ConfigError, DegenerateMeasureError, NoMinorizationError
 from .flow import FlowSpec, InequalityRecord, LemmaReport, check_semigroup_lemmas
@@ -79,6 +67,12 @@ from .measures import (
     dobrushin,
 )
 from .testfns import osc1_dictionary
+
+# annealing and adaptive are imported where they are called, so a classic
+# run never loads them
+if TYPE_CHECKING:
+    from .adaptive import AdaptiveConfig
+    from .annealing import GibbsProblem, IsaFlow, TemperatureSchedule
 
 _FLOAT_FMT = ".17g"
 
@@ -308,6 +302,8 @@ class ExperimentConfig:
     @cached_property
     def problem(self) -> GibbsProblem:
         """The Gibbs problem of an isa or adaptive config, built once."""
+        from .annealing import GibbsProblem
+
         raw = self.raw
         errors = []
         dim = raw.get("problem", "dim")
@@ -347,6 +343,8 @@ class ExperimentConfig:
             return GibbsProblem(energy=BoundedFunction(v), reference=m, proposal=kernel)
 
     def build_schedule(self) -> TemperatureSchedule:
+        from .annealing import TemperatureSchedule
+
         raw = self.raw
         mode_map = {
             "bounded": "bounded-increment",
@@ -376,8 +374,10 @@ class ExperimentConfig:
             return TemperatureSchedule(betas, mode, declared_delta=declared)
 
     @cached_property
-    def adaptive_config(self) -> adaptive_mod.AdaptiveConfig:
+    def adaptive_config(self) -> AdaptiveConfig:
         """The ``[adaptive]`` parameters, built once."""
+        from .adaptive import AdaptiveConfig
+
         raw = self.raw
         eps = raw.get("adaptive", "epsilon")
         if eps is None:
@@ -385,7 +385,7 @@ class ExperimentConfig:
         delta_max = raw.get("adaptive", "delta_max")
         mcmc_iters = _int_field(raw, "adaptive", "mcmc_iters", 1, 1)
         with _field("adaptive"):
-            return adaptive_mod.AdaptiveConfig(
+            return AdaptiveConfig(
                 epsilon=float(eps),
                 tol=float(raw.get("adaptive", "tol", 1e-10)),
                 delta_max=None if delta_max in (None, "none") else float(delta_max),
@@ -440,6 +440,8 @@ class ExperimentConfig:
         """The tuned annealing flow of an isa config, built once; None otherwise."""
         if self.kind != "isa":
             return None
+        from .annealing import build_isa_flow, minorize
+
         problem = self.problem
         schedule = self.build_schedule()
         k0 = _int_field(self.raw, "schedule", "k0", 1, 1)
@@ -584,12 +586,42 @@ class ReplicateStats:
         )
 
 
+def _quantiles(x, qs=(0.1, 0.5, 0.9)) -> np.ndarray:
+    """``np.quantile(x, qs, axis=-1)`` (linear method), bit for bit.
+
+    It repeats numpy's steps: virtual index v = (n - 1) q, neighbours
+    floor(v) and floor(v) + 1, or the top value twice, indexed -1, when
+    v >= n - 1; one ``np.partition`` at numpy's own kth set; then
+    a + (b - a) t, or b - (b - a)(1 - t) when t >= 0.5, and NaN wherever
+    the top value is NaN.  A sort would order tied -0.0 and 0.0 otherwise
+    than the partition does and change the sign of some zero quantiles.
+    """
+    n = x.shape[-1]
+    picks = []   # (lo, hi, t) per quantile
+    for q in qs:
+        v = (n - 1) * q
+        lo = math.floor(v)
+        # numpy's t is v minus the lower index, which is -1 at the top
+        picks.append((-1, -1, v + 1) if v >= n - 1 else (lo, lo + 1, v - lo))
+    kth = sorted({0, -1, *(i for lo, hi, _ in picks for i in (lo, hi))})
+    part = np.partition(x, kth, axis=-1)
+    out = np.empty((len(qs),) + x.shape[:-1])
+    for row, (lo, hi, t) in zip(out, picks):
+        a, b = part[..., lo], part[..., hi]
+        row[...] = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    out[:, np.isnan(part[..., -1])] = np.nan
+    return out
+
+
 def aggregate(values, stat_names) -> ReplicateStats:
     """Deterministic fold of (R, T+1, K) per-replicate values into summaries.
 
     The values of each (step, statistic) are laid out as one contiguous run
     in replicate order before reducing, so every sum is numpy's pairwise sum
     of that 1-d run and the summaries equal a fold of one column at a time.
+    The quantiles are ``np.quantile``'s, bit for bit, but computed by
+    :func:`_quantiles`: ``np.quantile`` calls ``np.unique``, whose first
+    call imports ``numpy.ma``, a module nothing else in a run needs.
     """
     x = np.ascontiguousarray(np.moveaxis(np.asarray(values, dtype=np.float64), 0, 2))
     r = x.shape[-1]
@@ -598,7 +630,7 @@ def aggregate(values, stat_names) -> ReplicateStats:
         names=tuple(stat_names),
         mean=x.mean(axis=-1),
         se=se,
-        quantiles=np.quantile(x, (0.1, 0.5, 0.9), axis=-1),
+        quantiles=_quantiles(x),
         replicates=r,
     )
 
@@ -654,8 +686,10 @@ def _classic_values(flow, cfg, horizon, tables):
 
 def _adaptive_values(cfg):
     """Per-replicate statistics of the adaptive scheme, from one count run."""
+    from .adaptive import run_adaptive_counts
+
     tables = tuple(osc1_dictionary(cfg.problem.dim, cfg.n_test_functions))
-    run = adaptive_mod.run_adaptive_counts(
+    run = run_adaptive_counts(
         cfg.problem, cfg.adaptive_config, cfg.n_particles, cfg.steps, cfg.seed,
         replicates=cfg.replicates,
     )
@@ -703,11 +737,16 @@ def _csv_line(cells) -> str:
 
 
 def _raw_csv(values, stat_names) -> str:
-    """One row per (replicate, step) of the (R, T+1, K) values."""
+    """One row per (replicate, step) of the (R, T+1, K) values, each written
+    by one ``%`` template; ``%.17g`` prints a float as ``format(x, ".17g")``."""
+    values = np.asarray(values, dtype=np.float64)
+    row = ",".join(["%d", "%d"] + ["%" + _FLOAT_FMT] * values.shape[2]) + "\n"
     lines = [_csv_line(["replicate", "step", *stat_names])]
-    for rep, steps in enumerate(np.asarray(values, dtype=np.float64).tolist()):
-        for step, row in enumerate(steps):
-            lines.append(_csv_line([str(rep), str(step), *(format(x, _FLOAT_FMT) for x in row)]))
+    lines += [
+        row % (rep, step, *cells)
+        for rep, steps in enumerate(values.tolist())
+        for step, cells in enumerate(steps)
+    ]
     return "".join(lines)
 
 
@@ -725,17 +764,15 @@ def _stats_csv(stats: ReplicateStats) -> str:
 def _oracle_csv(trace, horizon, tables, column="exact_est") -> str:
     """Exact mass and the exact mean of each table, steps 0..horizon; the
     table columns are named ``{column}_0, {column}_1, ...``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    lines = [_csv_line(
         ["step", "log_gamma1", "gamma1"] + [f"{column}_{i}" for i in range(len(tables))]
-    )
+    )]
     for n, eta in enumerate(trace.etas[: horizon + 1]):
-        writer.writerow(
-            [n, _fmt(trace.log_gamma1[n]), _fmt(trace.gamma1[n])]
+        lines.append(_csv_line(
+            [str(n), _fmt(trace.log_gamma1[n]), _fmt(trace.gamma1[n])]
             + [_fmt(float(eta.weights @ t)) for t in tables]
-        )
-    return buf.getvalue()
+        ))
+    return "".join(lines)
 
 
 def emit_csv(text_or_result, path) -> None:
@@ -916,7 +953,9 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
             cfg.isa, checks.epsilon_level, checks.eps_prime, cfg.n_particles, replicates,
             cfg.seed, y_values=checks.y_values,
         )
-    return adaptive_mod.concentration_check(
+    from .adaptive import concentration_check
+
+    return concentration_check(
         cfg.problem, cfg.adaptive_config, (cfg.n_particles,), cfg.steps, replicates, checks.a,
         checks.s_values, checks.y_values, cfg.seed,
     )
@@ -936,6 +975,8 @@ def check_isa_bounds(
     """Annealing checks: invariance, mixing estimate, tail bound and the
     replicated optimizer exceedance at each confidence exponent y in
     ``y_values``, all on the built flow ``isa``."""
+    from .annealing import gibbs_measure, metropolis_kernel, optimize
+
     problem, cert = isa.problem, isa.cert
     # invariance of the annealing kernel
     worst_inv = 0.0

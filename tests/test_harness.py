@@ -4,6 +4,9 @@ verification dispatch, CSV emission and the CLI."""
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fkips
 from fkips.cli import main as cli_main
 from fkips.engine import BLOCK, run_counts
 from fkips.errors import ConfigError
@@ -19,6 +23,7 @@ from fkips.flow import FlowSpec
 from fkips.harness import (
     CheckRow,
     _parse_value,
+    _raw_csv,
     aggregate,
     check_oracle_identity,
     check_regime,
@@ -33,7 +38,7 @@ from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 
 from .instances import bounded_regime_flow
 from .oracles import parse_value_by_floats
-from .test_golden import BOUNDED, DECREASING
+from .test_golden import BOUNDED, CLASSIC, DECREASING
 
 CLASSIC_TEXT = """
 # minimal classic flow
@@ -260,22 +265,86 @@ class TestRunExperiment:
 class TestAggregate:
     def test_fold_in_replicate_order(self):
         # each (step, statistic) summary equals the 1-d fold of its column
-        # in replicate order, bit for bit; R = 300 spans pairwise-sum blocks
-        values = np.random.default_rng(4).lognormal(size=(300, 3, 2))
-        values[:, 0, 1] = math.nan
-        stats = aggregate(values, ["x", "y"])
-        assert stats.replicates == 300
-        for n in range(3):
-            for j, name in enumerate(["x", "y"]):
-                col = values[:, n, j].copy()
-                summary = stats.get(n, name)
-                assert np.array_equal(summary.mean, col.mean(), equal_nan=True)
-                assert np.array_equal(
-                    summary.se, col.std(ddof=1) / math.sqrt(col.size), equal_nan=True
-                )
-                assert np.array_equal(
-                    summary.quantiles, np.quantile(col, (0.1, 0.5, 0.9)), equal_nan=True
-                )
+        # in replicate order, and its quantiles equal np.quantile's, bit for
+        # bit; R = 300 spans pairwise-sum blocks, R = 1, 2, 3 put the
+        # quantiles on the top index and both sides of t = 0.5
+        rng = np.random.default_rng(4)
+        special = [0.0, -0.0, 1.0, 1.0, -2.5, math.inf, -math.inf, 5e-324, -5e-324, 2e-310]
+        for r in (1, 2, 3, 300):
+            values = rng.lognormal(size=(r, 4, 3))
+            values[:, 0, 1] = math.nan                      # all NaN
+            values[r // 2, 1, 1] = math.nan                 # one NaN
+            values[:, 2, :] = rng.choice(special, size=(r, 3))
+            values[:, 3, 0] = rng.integers(0, 3, size=r)    # heavy ties
+            values[:, 3, 2] = rng.choice([0.0, -0.0], size=r)
+            names = ["x", "y", "z"]
+            with np.errstate(invalid="ignore", over="ignore"):
+                stats = aggregate(values, names)
+                assert stats.replicates == r
+                for n in range(4):
+                    for j, name in enumerate(names):
+                        col = values[:, n, j].copy()
+                        summary = stats.get(n, name)
+                        assert np.array_equal(summary.mean, col.mean(), equal_nan=True)
+                        if r > 1:
+                            assert np.array_equal(
+                                summary.se, col.std(ddof=1) / math.sqrt(r), equal_nan=True
+                            )
+                        got = np.array(summary.quantiles)
+                        want = np.quantile(col, (0.1, 0.5, 0.9))
+                        assert np.array_equal(got, want, equal_nan=True), (r, n, j, col)
+                        assert got.tobytes() == want.tobytes(), (r, n, j, col)
+
+
+class TestRawCsv:
+    def test_row_template_prints_each_cell_at_17_digits(self):
+        cells = [
+            math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
+            1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1 / 3,
+        ]
+        for k in (1, 3):
+            values = np.array(cells[: len(cells) // k * k]).reshape(-1, 1, k)
+            values = np.concatenate([values, values[::-1]], axis=1)   # (R, 2, k)
+            names = [f"s{i}" for i in range(k)]
+            want = ",".join(["replicate", "step", *names]) + "\n" + "".join(
+                ",".join([str(rep), str(step)] + [format(x, ".17g") for x in row]) + "\n"
+                for rep, steps in enumerate(values.tolist())
+                for step, row in enumerate(steps)
+            )
+            assert _raw_csv(values, names) == want
+
+
+class TestImports:
+    def test_classic_runs_load_neither_annealing_adaptive_nor_numpy_ma(self, tmp_path):
+        # annealing and adaptive are imported where they are called, and the
+        # quantiles skip np.quantile, whose np.unique imports numpy.ma
+        run_cfg, verify_cfg = tmp_path / "run.cfg", tmp_path / "verify.cfg"
+        run_cfg.write_text(CLASSIC)
+        verify_cfg.write_text(BOUNDED)
+        script = (
+            "import sys\n"
+            "from fkips.cli import main\n"
+            "out = sys.argv[3]\n"
+            "assert main(['run', '--config', sys.argv[1], '--out', out]) == 0\n"
+            "assert main(['verify-bounds', '--config', sys.argv[2], '--out', out]) == 0\n"
+            "mods = ('fkips.annealing', 'fkips.adaptive', 'numpy.ma')\n"
+            "print('loaded:', *(m for m in mods if m in sys.modules))\n"
+            "import fkips\n"
+            "print('resolved:', fkips.optimize.__module__, fkips.AdaptiveConfig.__module__)\n"
+            "print('all:', all(getattr(fkips, n) is not None for n in fkips.__all__))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fkips.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(run_cfg), str(verify_cfg), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-3:] == [
+            "loaded:", "resolved: fkips.annealing fkips.adaptive", "all: True"
+        ]
 
 
 class TestEmitCsv:
