@@ -22,7 +22,9 @@ through the triangle of estimates implemented in
 :func:`concentration_check`.  These checks, and
 :func:`khintchine_conditional_check`, return a
 :class:`~fkips.bounds.VerifyReport` of :class:`~fkips.bounds.CheckRow`
-records, as the harness verifiers do.
+records, as the harness verifiers do, and reduce a whole replicated run as
+those do, through :mod:`fkips.testfns` and
+:meth:`~fkips.bounds.CheckRow.exceedance`.
 
 The scheme is the annealed transition with its potential exp(-Delta V)
 (and, in adaptive mutation mode, its kernel) chosen from the current
@@ -47,8 +49,8 @@ from .annealing import GibbsProblem, gibbs_measure, metropolis_kernel
 from .engine import BLOCK, CountRun, _run_blocks, _SlotStream, _transition
 from .errors import InputError, SolverError
 from .flow import FlowSpec
-from .measures import FiniteDistribution, PotentialVector, dobrushin, potential_ratio
-from .testfns import osc1_dictionary
+from .measures import FiniteDistribution, PotentialVector
+from .testfns import deviations, l2_level, means, osc1_dictionary
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,9 +225,9 @@ class AdaptiveConfig:
 class ReferenceSchedule:
     """Deterministic reference: exact laws, increments and step constants.
 
-    ``c`` holds the perturbation constants, ``g``/``b`` the potential ratios
-    and kernel ergodic coefficients, ``e_tilde`` the accumulated deviation
-    envelope ``e~_n = 1 + g_n b_n (1 + c_n) e~_{n-1}``.
+    ``c`` holds the perturbation constants.  The potential ratios g_n and
+    kernel ergodic coefficients b_n are those of the emitted flow,
+    ``flow.trace.g`` and ``flow.trace.b``.
     """
 
     flow: FlowSpec
@@ -233,9 +235,6 @@ class ReferenceSchedule:
     deltas: tuple
     etas: tuple
     c: tuple
-    g: tuple
-    b: tuple
-    e_tilde: tuple
 
     @property
     def horizon(self) -> int:
@@ -244,9 +243,8 @@ class ReferenceSchedule:
     def hypothesis_levels(self) -> tuple:
         """Per-step products ``b_n g_n (1 + c_n)`` entering the uniform
         concentration hypothesis."""
-        return tuple(
-            self.b[i] * self.g[i] * (1.0 + self.c[i]) for i in range(self.horizon)
-        )
+        trace = self.flow.trace
+        return tuple(b * g * (1.0 + c) for g, b, c in zip(trace.g, trace.b, self.c))
 
 
 def theoretical_adaptive_flow(
@@ -274,10 +272,9 @@ def theoretical_adaptive_flow(
         raise InputError("reference measure puts mass at V = 0; reference schedule undefined")
     v_max = float(v.max())
     betas = [float(beta0)]
-    deltas, cs, gs, bs = [], [], [], []
+    deltas, cs = [], []
     etas = [gibbs_measure(problem, beta0)]
     steps = []
-    e_tilde = [1.0]
     for _ in range(horizon):
         eta_prev = etas[-1]
         curve = LambdaCurve.from_distribution(eta_prev, v)
@@ -289,17 +286,10 @@ def theoretical_adaptive_flow(
         potential = PotentialVector.boltzmann(v, delta)
         kernel = metropolis_kernel(problem, beta_next).power(mcmc_iters)
         steps.append((potential, kernel))
-        eta_v = eta_prev.expect(v)
-        c_n = v_max * math.exp(delta * v_max) / (epsilon * eta_v)
-        g_n = potential_ratio(potential)
-        b_n = dobrushin(kernel)
-        e_tilde.append(1.0 + g_n * b_n * (1.0 + c_n) * e_tilde[-1])
+        cs.append(v_max * math.exp(delta * v_max) / (epsilon * eta_prev.expect(v)))
         betas.append(beta_next)
         deltas.append(delta)
         etas.append(gibbs_measure(problem, beta_next))
-        cs.append(c_n)
-        gs.append(g_n)
-        bs.append(b_n)
     flow = FlowSpec(initial=etas[0], steps=tuple(steps))
     return ReferenceSchedule(
         flow=flow,
@@ -307,9 +297,6 @@ def theoretical_adaptive_flow(
         deltas=tuple(deltas),
         etas=tuple(etas),
         c=tuple(cs),
-        g=tuple(gs),
-        b=tuple(bs),
-        e_tilde=tuple(e_tilde),
     )
 
 
@@ -434,22 +421,15 @@ def _adaptive_plan(problem, config, n_particles, horizon, replicates, reference)
 # ---------------------------------------------------------------------------
 
 
-def _dictionary_deviations(weight_rows: np.ndarray, target: np.ndarray, fdict: np.ndarray):
-    """Per-(replicate, function) deviations of empirical vs target means,
-    each a sum over one replicate's row."""
-    return ((weight_rows - target[None, :])[:, None, :] * fdict[None, :, :]).sum(axis=2)
-
-
 def _d2_estimate(devs: np.ndarray):
-    """Dictionary sup of sqrt(mean square deviation) with a rough 1-sigma
-    error bar on the winning entry."""
-    m2 = np.mean(np.square(devs), axis=0)
-    idx = int(np.argmax(m2))
-    r = devs.shape[0]
-    d2 = math.sqrt(m2[idx])
-    se_m2 = float(np.std(np.square(devs[:, idx]), ddof=1)) / math.sqrt(r)
-    se_d2 = se_m2 / (2.0 * d2) if d2 > 0 else 0.0
-    return d2, se_d2
+    """Per-step :func:`~fkips.testfns.l2_level` of (R, T, K) deviations, with
+    a rough 1-sigma error bar on each step's winning dictionary entry."""
+    sq = np.square(devs)
+    winner = np.take_along_axis(sq, sq.mean(axis=0).argmax(axis=1)[None, :, None], axis=2)
+    d2 = l2_level(devs)
+    se_m2 = winner[..., 0].std(axis=0, ddof=1) / math.sqrt(devs.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return d2, np.where(d2 > 0, se_m2 / (2.0 * d2), 0.0)
 
 
 def perturbation_check(
@@ -482,43 +462,38 @@ def perturbation_check(
         problem, replace(config, mutation_mode="theoretical"), n_particles, horizon, seed,
         replicates=replicates, reference=reference,
     )
-    hists = run.histograms
+    base = run.histograms[:, :-1]   # eta^N_n for n = 0..T-1
+    # psi_H reweighting of each replicate's occupation measure
+    rew = base * np.exp((np.array(reference.deltas) - run.delta)[..., None] * problem.v_values)
+    rew /= rew.sum(axis=2, keepdims=True)
+    # exact flow map applied to each occupation measure
+    pushed = np.empty_like(base)
+    for n, (potential, kernel) in enumerate(reference.flow.steps):
+        weighted = base[:, n] * potential.values
+        pushed[:, n] = (weighted / weighted.sum(axis=1, keepdims=True)) @ kernel.rows
     fdict = osc1_dictionary(problem.dim)
-    v = problem.v_values
+    d2_base, se_base = _d2_estimate(deviations(base, reference.etas[:-1], fdict))
+    d2_rew_self, se_rs = _d2_estimate(means(rew - base, fdict))
+    d2_rew_eta, se_re = _d2_estimate(deviations(rew, reference.etas[:-1], fdict))
+    d2_push, se_p = _d2_estimate(deviations(pushed, reference.etas[1:], fdict))
+    trace = reference.flow.trace
     rows = []
     for n in range(horizon):
-        eta_n = reference.etas[n].weights
-        eta_next = reference.etas[n + 1].weights
-        base = hists[:, n, :]
-        # psi_H reweighting of each replicate's occupation measure
-        h_rows = np.exp((reference.deltas[n] - run.delta[:, n])[:, None] * v[None, :])
-        rew = base * h_rows
-        rew /= rew.sum(axis=1, keepdims=True)
-        # exact flow map applied to each occupation measure
-        potential, kernel = reference.flow.steps[n]
-        pushed = base * potential.values[None, :]
-        pushed /= pushed.sum(axis=1, keepdims=True)
-        pushed = pushed @ kernel.rows
-
-        d2_base, se_base = _d2_estimate(_dictionary_deviations(base, eta_n, fdict))
-        d2_rew_self, se_rs = _d2_estimate((rew - base) @ fdict.T)
-        d2_rew_eta, se_re = _d2_estimate(_dictionary_deviations(rew, eta_n, fdict))
-        d2_push, se_p = _d2_estimate(_dictionary_deviations(pushed, eta_next, fdict))
-
         c_n = reference.c[n]
-        gb = reference.g[n] * reference.b[n]
+        gb = trace.g[n] * trace.b[n]
         scope = f"n={n + 1}"
         rows += [
             bounds.CheckRow.compare(
-                "reweighting-control", scope, d2_rew_self,
-                c_n * d2_base + 4.0 * (se_rs + c_n * se_base),
+                "reweighting-control", scope, d2_rew_self[n],
+                c_n * d2_base[n] + 4.0 * (se_rs[n] + c_n * se_base[n]),
             ),
             bounds.CheckRow.compare(
-                "reweighting-control-combined", scope, d2_rew_eta,
-                (1.0 + c_n) * d2_base + 4.0 * (se_re + (1.0 + c_n) * se_base),
+                "reweighting-control-combined", scope, d2_rew_eta[n],
+                (1.0 + c_n) * d2_base[n] + 4.0 * (se_re[n] + (1.0 + c_n) * se_base[n]),
             ),
             bounds.CheckRow.compare(
-                "one-step-stability", scope, d2_push, gb * d2_base + 4.0 * (se_p + gb * se_base)
+                "one-step-stability", scope, d2_push[n],
+                gb * d2_base[n] + 4.0 * (se_p[n] + gb * se_base[n]),
             ),
         ]
     return bounds.VerifyReport(rows=tuple(rows), hypothesis_ok=True)
@@ -539,15 +514,16 @@ def l2_error_check(
     hists = run_adaptive_counts(
         problem, config, n_particles, horizon, seed, replicates=replicates, reference=reference
     ).histograms
-    fdict = osc1_dictionary(problem.dim)
+    d2 = l2_level(deviations(hists, reference.etas, osc1_dictionary(problem.dim))).tolist()
     b2 = bounds.bp_constant(2)
-    rows = []
-    for n in range(horizon + 1):
-        d2, _ = _d2_estimate(
-            _dictionary_deviations(hists[:, n, :], reference.etas[n].weights, fdict)
-        )
-        bound = b2 * reference.e_tilde[n] / math.sqrt(n_particles)
-        rows.append(bounds.CheckRow.compare("adaptive-l2", f"n={n}", d2, bound))
+    # the envelope e~_n = 1 + g_n b_n (1 + c_n) e~_{n-1}, from e~_0 = 1
+    e_tilde = [1.0]
+    for level in reference.hypothesis_levels():
+        e_tilde.append(1.0 + level * e_tilde[-1])
+    rows = [
+        bounds.CheckRow.compare("adaptive-l2", f"n={n}", lhs, b2 * env / math.sqrt(n_particles))
+        for n, (lhs, env) in enumerate(zip(d2, e_tilde))
+    ]
     return bounds.VerifyReport(rows=tuple(rows), hypothesis_ok=True)
 
 
@@ -583,10 +559,7 @@ def khintchine_conditional_check(
     )
     g = np.exp(-res.delta * v)
     kernel = reference.flow.steps[freeze_steps][1]
-
-    target = frozen * g
-    target = target / target.sum()
-    target = target @ kernel.rows
+    target = FiniteDistribution.from_unnormalized(frozen * g).push(kernel)
 
     # replay the next step from the frozen counts, one block of rows per call
     streams = _SlotStream(seed + 1)
@@ -599,10 +572,9 @@ def khintchine_conditional_check(
             n_particles,
         )
         hists[rows] = moved / n_particles
-    devs = _dictionary_deviations(hists, target, osc1_dictionary(problem.dim))
-    d2, _ = _d2_estimate(devs)
+    d2 = l2_level(deviations(hists, [target], osc1_dictionary(problem.dim)))
     row = bounds.CheckRow.compare(
-        "adaptive-khintchine-conditional", f"n={freeze_steps + 1}", d2,
+        "adaptive-khintchine-conditional", f"n={freeze_steps + 1}", float(d2),
         bounds.bp_constant(2) / math.sqrt(n_particles),
     )
     return bounds.VerifyReport(rows=(row,), hypothesis_ok=True)
@@ -651,26 +623,18 @@ def concentration_check(
             problem, config, n_particles, horizon, seed, replicates=replicates,
             reference=reference,
         ).histograms
+        # per replicate and step, sup over the dictionary
+        worst = np.abs(deviations(hists, reference.etas, fdict)).max(axis=2)
         for n in range(1, horizon + 1):
-            devs = np.abs(
-                _dictionary_deviations(hists[:, n, :], reference.etas[n].weights, fdict)
-            )
-            worst = devs.max(axis=1)   # per replicate, sup over the dictionary
             for s in s_grid:
-                bound = bounds.adaptive_tail_bound(float(s), n_particles, a)
-                freq = float((worst >= s).mean()) if s > 0 else 1.0
-                se = math.sqrt(max(bound * (1.0 - bound), 0.0) / replicates)
-                rows.append(bounds.CheckRow.compare(
+                rows.append(bounds.CheckRow.exceedance(
                     "adaptive-tail-shape", f"N={n_particles},n={n},level={float(s):.17g}",
-                    freq, bound + 3.0 * se,
+                    worst[:, n] >= s, bounds.adaptive_tail_bound(float(s), n_particles, a),
                 ))
             for y in y_grid:
                 thr = bounds.adaptive_deviation_threshold(float(y), n_particles, a)
-                bound = math.exp(-float(y))
-                freq = float((worst >= thr).mean())
-                se = math.sqrt(bound * (1.0 - bound) / replicates)
-                rows.append(bounds.CheckRow.compare(
+                rows.append(bounds.CheckRow.exceedance(
                     "adaptive-threshold", f"N={n_particles},n={n},level={float(y):.17g}",
-                    freq, bound + 3.0 * se,
+                    worst[:, n] >= thr, math.exp(-float(y)),
                 ))
     return bounds.VerifyReport(rows=tuple(rows), hypothesis_ok=True)

@@ -15,8 +15,9 @@ classic bound checks and the annealing optimizer both read it.
 
 It also holds the one record every verifier emits: a :class:`CheckRow`
 compares an estimate with its bound, and :class:`CheckRow.compare` is where
-pass or fail is decided; a :class:`VerifyReport` collects the rows and
-writes ``verify.csv``.
+pass or fail is decided; :class:`CheckRow.exceedance` is the one place an
+exceedance frequency meets its level and Monte Carlo allowance.  A
+:class:`VerifyReport` collects the rows and writes ``verify.csv``.
 """
 
 from __future__ import annotations
@@ -98,6 +99,16 @@ class CheckRow:
     def compare(cls, name: str, scope: str, lhs: float, rhs: float) -> "CheckRow":
         """The row of a comparison: ``"pass"`` exactly when ``lhs <= rhs``."""
         return cls(name, scope, lhs, rhs, "pass" if lhs <= rhs else "fail")
+
+    @classmethod
+    def exceedance(cls, name: str, scope: str, exceeds, level: float) -> "CheckRow":
+        """The frequency of the per-replicate boolean array ``exceeds`` against
+        ``level + 3 sqrt(b (1 - b) / R)``, b = level clamped to [0, 1]."""
+        r = len(exceeds)
+        b = min(max(level, 0.0), 1.0)
+        return cls.compare(
+            name, scope, int(exceeds.sum()) / r, level + 3.0 * math.sqrt(b * (1.0 - b) / r)
+        )
 
     @property
     def margin(self) -> float:

@@ -10,6 +10,7 @@ failed, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -102,6 +103,20 @@ def _cmd_verify(args) -> int:
     return CHECK_FAILED if report.failures() else 0
 
 
+def _ranged(ok, rule, convert=float):
+    """An argparse type: a finite number for which ``ok`` holds; anything
+    else is a usage error naming the flag."""
+
+    def parse(text):
+        x = convert(text)
+        if not (math.isfinite(x) and ok(x)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {rule}, got {text!r}")
+        return x
+
+    parse.__name__ = convert.__name__   # argparse's "invalid int value" names it
+    return parse
+
+
 def _cmd_tune(args) -> int:
     values = {}
     inputs = {"a": args.a}
@@ -148,19 +163,27 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         _add_common(p)
 
-    p = sub.add_parser("tune")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--g-sup", type=float, default=None)
-    p.add_argument("--particles", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None, help="minorization mass")
-    p.add_argument("--gap", type=float, default=None, help="k0-move potential climb")
-    p.add_argument("--delta-osc", type=float, default=None, help="increment times osc(V)")
-    p.add_argument("--osc-v", type=float, default=None)
-    p.add_argument("--decreasing", action="store_true")
-    p.add_argument("--out", default=None)
+    tune = sub.add_parser("tune")
+    at_least_0 = _ranged(lambda x: x >= 0, ">= 0")
+    tune.add_argument("--a", type=_ranged(lambda x: 0 < x < 1, "in (0, 1)"), required=True)
+    tune.add_argument("--g-sup", type=_ranged(lambda x: x >= 1, ">= 1"), default=None)
+    tune.add_argument("--particles", type=_ranged(lambda x: x >= 1, ">= 1", int), default=None)
+    tune.add_argument("--beta", type=at_least_0, default=None)
+    unit = _ranged(lambda x: 0 < x <= 1, "in (0, 1]")
+    tune.add_argument("--delta", type=unit, default=None, help="minorization mass")
+    tune.add_argument("--gap", type=at_least_0, default=None, help="k0-move potential climb")
+    tune.add_argument("--delta-osc", type=at_least_0, default=None, help="increment times osc(V)")
+    tune.add_argument("--osc-v", type=_ranged(lambda x: x > 0, "> 0"), default=None)
+    tune.add_argument("--decreasing", action="store_true")
+    tune.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
+    if args.command == "tune":
+        # flags valid alone but not together
+        if args.osc_v is not None and args.gap == 0:
+            tune.error("argument --gap: must be > 0 with --osc-v")
+        if None not in (args.beta, args.gap, args.delta) and args.delta_osc is None:
+            tune.error("argument --delta-osc: required with --beta, --gap and --delta")
     try:
         if args.command == "run":
             return _cmd_run(args)

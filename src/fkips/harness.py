@@ -66,7 +66,7 @@ from .measures import (
     PotentialVector,
     dobrushin,
 )
-from .testfns import osc1_dictionary
+from .testfns import deviations, l2_level, means, osc1_dictionary
 
 # annealing and adaptive are imported where they are called, so a classic
 # run never loads them
@@ -644,22 +644,12 @@ class ExperimentResult:
     oracle_csv: str | None
 
 
-def _expectations(hists, tables) -> np.ndarray:
-    """(R, T+1, d) occupation measures against (k, d) tables -> (R, T+1, k).
-
-    Each value is a sum over one row of one replicate, never a product over
-    the whole block, so a replicate's values do not depend on R.
-    """
-    tables = np.asarray(tables)
-    return np.stack([(h[:, None, :] * tables).sum(axis=2) for h in hists])
-
-
 def _stat_values(run, head, tables):
     """(R, T+1, K) values of a count run: the ``head`` columns, given as
     (name, (R, T+1) array) pairs, then ``est_i``, the mean of table i."""
     names = [name for name, _ in head] + [f"est_{i}" for i in range(len(tables))]
     columns = [col for _, col in head] + list(
-        np.moveaxis(_expectations(run.histograms, tables), 2, 0)
+        np.moveaxis(means(run.histograms, tables), 2, 0)
     )
     return np.stack(columns, axis=2), names
 
@@ -770,14 +760,13 @@ def _oracle_csv(trace, horizon, tables, column="exact_est") -> str:
     for n, eta in enumerate(trace.etas[: horizon + 1]):
         lines.append(_csv_line(
             [str(n), _fmt(trace.log_gamma1[n]), _fmt(trace.gamma1[n])]
-            + [_fmt(float(eta.weights @ t)) for t in tables]
+            + [_fmt(eta.expect(t)) for t in tables]
         ))
     return "".join(lines)
 
 
-def emit_csv(text_or_result, path) -> None:
-    """Write CSV text (or an ExperimentResult's raw CSV) to a file."""
-    text = text_or_result.raw_csv if isinstance(text_or_result, ExperimentResult) else text_or_result
+def emit_csv(text, path) -> None:
+    """Write CSV text to a file."""
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
@@ -785,20 +774,6 @@ def emit_csv(text_or_result, path) -> None:
 # ---------------------------------------------------------------------------
 # Bound verification
 # ---------------------------------------------------------------------------
-
-
-def _binomial_allowance(bound: float, replicates: int) -> float:
-    b = min(max(bound, 0.0), 1.0)
-    return 3.0 * math.sqrt(b * (1.0 - b) / replicates)
-
-
-def _deviation_tensor(flow, n_particles, replicates, seed, fdict):
-    """dev[r, n, j] = empirical-minus-exact mean of dictionary entry j, and
-    the per-replicate log mass gaps."""
-    trace = flow.trace
-    exact = np.array([[eta.expect(f) for f in fdict] for eta in trace.etas])
-    run = run_counts(flow, n_particles, seed, replicates=replicates)
-    return _expectations(run.histograms, fdict) - exact, run.log_gamma1 - trace.log_gamma1
 
 
 def composed_caps(flow: FlowSpec, regime: str, a: float, g_sup=None):
@@ -885,29 +860,29 @@ def check_regime(
     _, worst, scope = composed_caps(flow, regime, a, g_sup)
     rows = hypothesis + [CheckRow.compare(f"{name}-composed-caps", scope, worst, 1e-10)]
 
-    fdict = osc1_dictionary(flow.dim)
-    devs, log_gaps = _deviation_tensor(flow, n_particles, replicates, seed, fdict)
+    run = run_counts(flow, n_particles, seed, replicates=replicates)
+    devs = deviations(run.histograms, trace.etas, osc1_dictionary(flow.dim))
+    log_gaps = run.log_gamma1 - trace.log_gamma1
     # L2 level, uniformly in time
     l2_bound = bounds.lp_uniform_bound(2, a, n_particles)
-    l2 = np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=1)
-    for n in range(flow.horizon + 1):
-        rows.append(CheckRow.compare(f"{name}-l2", f"n={n}", float(l2[n]), l2_bound))
+    for n, l2 in enumerate(l2_level(devs).tolist()):
+        rows.append(CheckRow.compare(f"{name}-l2", f"n={n}", l2, l2_bound))
 
     # exceedance frequencies of both thresholds, each at level exp(-y)
     worst = np.abs(devs).max(axis=2)   # per replicate, sup over dictionary
     mass_rows = []
     for y in y_values:
         level = math.exp(-y)
-        rhs = level + _binomial_allowance(level, replicates)
         for n in range(1, flow.horizon + 1):
             eta_thr, mass_thr = bounds.deviation_thresholds(regime, a, g, n_particles, n, y)
-            freq = float((worst[:, n] > eta_thr).mean())
-            rows.append(CheckRow.compare(f"{name}-eta-deviation", f"n={n},y={_fmt(y)}", freq, rhs))
+            scope = f"n={n},y={_fmt(y)}"
+            rows.append(CheckRow.exceedance(
+                f"{name}-eta-deviation", scope, worst[:, n] > eta_thr, level
+            ))
             signed = log_gaps[:, n] / n
             for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                freq = float((sign * signed > mass_thr).mean())
-                mass_rows.append(CheckRow.compare(
-                    f"{name}-mass-ratio", f"n={n},y={_fmt(y)},sign={tag}", freq, rhs
+                mass_rows.append(CheckRow.exceedance(
+                    f"{name}-mass-ratio", f"{scope},sign={tag}", sign * signed > mass_thr, level
                 ))
     return VerifyReport(rows=tuple(rows + mass_rows), hypothesis_ok=True)
 
@@ -1016,12 +991,9 @@ def check_isa_bounds(
         CheckRow.compare("optimizer-exact-mass", "all-steps", 0.0 if exact_below else 1.0, 0.0)
     )
     for y in y_values:
-        level = math.exp(-y)
-        allow = _binomial_allowance(level, replicates)
         thresholds = np.array([row.thresholds[float(y)] for row in result.rows])
-        freqs = (result.proportions > thresholds).sum(axis=0) / replicates
-        for n, freq in enumerate(freqs, start=1):
-            rows.append(CheckRow.compare(
-                "optimizer-exceedance", f"n={n},y={_fmt(y)}", float(freq), level + allow
+        for n, column in enumerate((result.proportions > thresholds).T, start=1):
+            rows.append(CheckRow.exceedance(
+                "optimizer-exceedance", f"n={n},y={_fmt(y)}", column, math.exp(-y)
             ))
     return VerifyReport(rows=tuple(rows), hypothesis_ok=True)

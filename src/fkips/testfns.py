@@ -1,11 +1,13 @@
-"""Fixed dictionary of oscillation-1 test functions.
+"""Fixed dictionary of oscillation-1 test functions, and the one reduction
+of replicated occupation measures that every bound check reads.
 
-Supremum distances over all oscillation-1 functions are not computable, so
-every empirical distance in this package is taken over this deterministic
+Every empirical distance in this package is taken over this deterministic
 dictionary: singleton indicators, sub-level indicators, centered ramps and
 a fixed pseudorandom fill, all shifted to midrange zero so each entry has
 oscillation exactly 1 and sup norm 1/2.  The dictionary depends only on the
-state dimension and requested size.
+state dimension and requested size.  Its sup bounds the sup over all
+oscillation-1 functions from below; that sup, of a convex objective, is
+attained at an indicator, so at small d it is enumerable over {0,1}^d.
 """
 
 from __future__ import annotations
@@ -53,3 +55,28 @@ def osc1_dictionary(dim: int, size: int = DEFAULT_DICTIONARY_SIZE) -> np.ndarray
     while len(rows) < size:
         push(rng.random(dim))
     return np.array(rows[:size])
+
+
+def means(hists, tables) -> np.ndarray:
+    """(R, T+1, d) occupation measures against (K, d) tables -> (R, T+1, K).
+
+    Each value is a sum over one row of one replicate, never a product over
+    the whole block, so a replicate's values do not depend on R.
+    """
+    tables = np.asarray(tables)
+    out = np.empty(hists.shape[:-1] + tables.shape[:1])
+    for h, row in zip(hists, out):
+        np.sum(h[..., None, :] * tables, axis=-1, out=row)
+    return out
+
+
+def deviations(hists, laws, tables) -> np.ndarray:
+    """:func:`means` minus the exact means of the T+1 laws (a sequence of
+    :class:`~fkips.measures.FiniteDistribution`)."""
+    return means(hists, tables) - np.array([[eta.expect(t) for t in tables] for eta in laws])
+
+
+def l2_level(devs) -> np.ndarray:
+    """Dictionary sup of the root-mean-square deviation over replicates:
+    (R, T+1, K) -> (T+1,)."""
+    return np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=-1)

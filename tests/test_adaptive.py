@@ -28,7 +28,13 @@ from fkips.bounds import bp_constant
 from fkips.engine import BLOCK
 from fkips.errors import InputError, SolverError
 from fkips.flow import run_flow
-from fkips.measures import BoundedFunction, FiniteDistribution, KernelMatrix
+from fkips.measures import (
+    BoundedFunction,
+    FiniteDistribution,
+    KernelMatrix,
+    dobrushin,
+    potential_ratio,
+)
 
 from .instances import adaptive_problem
 from .oracles import adaptive_lattice_law, composition_index, pooled_chisquare
@@ -176,12 +182,23 @@ class TestTheoreticalFlow:
             theoretical_adaptive_flow(prob, 0.7, 3)
 
     def test_envelope_recursion(self):
+        # the adaptive-l2 rows bound step n by B_2 e~_n / sqrt(N), with
+        # e~_n = 1 + g_n b_n (1 + c_n) e~_{n-1} over the reference's steps
         prob = adaptive_problem(4)
         ref = theoretical_adaptive_flow(prob, 0.75, 5, mcmc_iters=3)
+        cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=3)
+        rows = l2_error_check(prob, cfg, 100, 5, seed=1, replicates=4).rows
+        trace = ref.flow.trace
         acc = 1.0
         for n in range(5):
-            acc = 1.0 + ref.g[n] * ref.b[n] * (1.0 + ref.c[n]) * acc
-            assert ref.e_tilde[n + 1] == pytest.approx(acc, rel=1e-14)
+            acc = 1.0 + trace.g[n] * trace.b[n] * (1.0 + ref.c[n]) * acc
+            assert rows[n + 1].rhs == pytest.approx(bp_constant(2) * acc / 10.0, rel=1e-14)
+
+    def test_step_constants_are_those_of_the_emitted_flow(self):
+        ref = theoretical_adaptive_flow(adaptive_problem(4), 0.75, 5, mcmc_iters=3)
+        trace = ref.flow.trace
+        assert trace.b == tuple(dobrushin(kernel) for _, kernel in ref.flow.steps)
+        assert trace.g == tuple(potential_ratio(g) for g, _ in ref.flow.steps)
 
 
 class TestRunAdaptive:

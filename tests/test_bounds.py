@@ -10,6 +10,7 @@ import pytest
 from fkips import bounds
 from fkips.bounds import (
     BoundReport,
+    CheckRow,
     RegimeParams,
     adaptive_deviation_threshold,
     adaptive_tail_bound,
@@ -331,6 +332,34 @@ class TestReports:
             BoundReport(name="bad", inputs={}, values={"x": float("nan")})
         with pytest.raises(InputError):
             BoundReport(name="bad", inputs={}, values={"x": -1.0})
+
+
+class TestExceedanceRows:
+    def test_frequency_is_count_over_replicates(self):
+        exceeds = np.array([True, False, True, False, False, False, True])
+        row = CheckRow.exceedance("x", "n=1", exceeds, 0.25)
+        assert (row.name, row.scope, row.lhs) == ("x", "n=1", 3 / 7)
+        assert row.rhs == 0.25 + 3.0 * math.sqrt(0.25 * 0.75 / 7)
+
+    @pytest.mark.parametrize("level", [1.0, 1.5])
+    def test_allowance_is_zero_at_level_one_and_above(self, level):
+        row = CheckRow.exceedance("x", "all", np.ones(9, dtype=bool), level)
+        assert (row.lhs, row.rhs, row.status) == (1.0, level, "pass")
+
+    def test_passes_exactly_when_lhs_at_most_rhs(self):
+        rng = np.random.default_rng(3)
+        seen = set()
+        for level in (0.0, 0.01, math.exp(-2.0), 0.5, 1.0):
+            for r in (1, 7, 40):
+                for count in range(r + 1):
+                    exceeds = rng.permutation(np.arange(r) < count)
+                    row = CheckRow.exceedance("x", "all", exceeds, level)
+                    assert row.status == ("pass" if row.lhs <= row.rhs else "fail")
+                    seen.add(row.status)
+        assert seen == {"pass", "fail"}
+        # the boundary: no allowance at level 0, so one exceedance fails
+        assert CheckRow.exceedance("x", "all", np.zeros(5, dtype=bool), 0.0).status == "pass"
+        assert CheckRow.exceedance("x", "all", np.eye(5, dtype=bool)[0], 0.0).status == "fail"
 
 
 class TestRawEstimates:

@@ -575,6 +575,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "r1_star=" in out and "b_max=" in out
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--a", "1.5", "--g-sup", "2", "--particles", "100"], "--a"),
+            (["--a", "0.5", "--g-sup", "0.5", "--particles", "100"], "--g-sup"),
+            (["--a", "0.5", "--osc-v", "0", "--gap", "1"], "--osc-v"),
+            (["--a", "0.5", "--osc-v", "1", "--gap", "0"], "--gap"),
+            (["--a", "0.5", "--beta", "1", "--gap", "1", "--delta", "0.5"], "--delta-osc"),
+        ],
+    )
+    def test_tune_refuses_bad_flags_as_usage_errors(self, flags, named, capsys):
+        # argparse ends a usage error with exit status 2, naming the flag
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["tune", *flags])
+        assert exc.value.code == 2
+        assert f"argument {named}: " in capsys.readouterr().err
+
     def test_particle_override(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(CLASSIC_TEXT)

@@ -1,5 +1,5 @@
 """Tooling smoke tests: the benchmark's span tracer still binds the layers it
-names, and the exact-verify workload still passes its own gate.
+names, and every benchmark workload still passes its own gate.
 
 ``perfbench/tracer.py`` wraps package functions from outside and raises if
 a wrapped original is left bound, so a refactor that moves or renames a
@@ -94,15 +94,24 @@ def _workloads():
     return sys.modules[name]
 
 
-@pytest.mark.parametrize("seed", [11, 5])
-def test_exact_verify_workload_passes_its_gate(seed, tmp_path):
-    # the benchmark's largest bound check, run in process: every row passes
-    # and the gate finds nothing; a refused hypothesis raises Refused
-    workload = _workloads().WORKLOADS["exact-verify"]
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, seed) for name in _workloads().WORKLOADS for seed in (11, 5)],
+)
+def test_workload_passes_its_gate(name, seed, tmp_path):
+    # every benchmark workload, run in process at two benchmark seeds: it
+    # writes its outputs and its gate finds nothing; a refused hypothesis
+    # raises Refused.  The verify workloads must write exactly the row
+    # counts their gates expect.
+    module = _workloads()
+    workload = module.WORKLOADS[name]
     cfg = tmp_path / "case.cfg"
     cfg.write_text(workload.config(seed))
     out = tmp_path / "out"
     assert cli_main([workload.command, "--config", str(cfg), "--out", str(out)]) == 0
-    with open(out / "verify.csv", newline="") as fh:
-        assert len(list(csv.DictReader(fh))) == 205
+    assert all((out / f).is_file() for f in workload.outputs)
+    rows = {"isa-verify": module.ISA_ROWS, "exact-verify": module.EXACT_ROWS}
+    if name in rows:
+        with open(out / "verify.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == rows[name]
     assert workload.gate(str(out)) == []
