@@ -15,8 +15,10 @@ Layers, bottom up:
 * :mod:`fkips.adaptive` -- adaptive temperature increments (a Newton
   solve over rows), the adaptive step rule of the count engine, and its
   perturbation/concentration verification;
-* :mod:`fkips.harness` -- configs, replicate orchestration, bound
-  verification, CSV emission (CLI in :mod:`fkips.cli`).
+* :mod:`fkips.config` -- the config grammar, parsed and validated once
+  into an experiment config;
+* :mod:`fkips.harness` -- replicate orchestration, bound verification,
+  CSV emission (CLI in :mod:`fkips.cli`).
 
 The annealing and adaptive names below are imported on first access, by
 the module ``__getattr__``, so a classic run never loads those two modules.

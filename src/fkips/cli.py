@@ -17,37 +17,25 @@ import sys
 import numpy as np
 
 from . import bounds
-from .errors import ConfigError, FkipsError
-from .harness import (
-    RawConfig,
-    _oracle_csv,
-    emit_csv,
-    parse_config,
-    run_experiment,
-    verify_bounds,
-)
+from .config import parse_config
+from .errors import BudgetExceededError, ConfigError, FkipsError
+from .harness import _oracle_csv, emit_csv, run_experiment, verify_bounds
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
 def _load_config(path: str, args):
+    """The config at ``path``, with the given ``[run]`` flags in place of the
+    file's values, built once."""
+    flags = {
+        "seed": args.seed,
+        "n_particles": args.particles,
+        "replicates": args.replicates,
+        "threads": args.threads,
+    }
     with open(path) as fh:
-        cfg = parse_config(fh.read())
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.particles is not None:
-        overrides["n_particles"] = args.particles
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if overrides:
-        sections = cfg.raw.sections
-        run = {**sections.get("run", {}), **overrides}
-        cfg = type(cfg).from_raw(RawConfig({**sections, "run": run}))
-    return cfg
+        return parse_config(fh.read(), {k: v for k, v in flags.items() if v is not None})
 
 
 def _add_common(p):
@@ -117,18 +105,39 @@ def _ranged(ok, rule, convert=float):
     return parse
 
 
-def _cmd_tune(args) -> int:
+def _tune_values(tune, args, flags, compute) -> dict:
+    """The named values ``compute()`` returns.  In-range ``flags`` whose
+    values float64 or the 2^63 iteration budget cannot hold are a usage
+    error naming every one of them."""
+    out_of_range = "a result is outside the range of float64"
+    try:
+        values = compute()
+        why = None if all(map(math.isfinite, values.values())) else out_of_range
+    except ArithmeticError:
+        why = out_of_range
+    except BudgetExceededError as exc:
+        why = str(exc)
+    if why is not None:
+        named = ", ".join(f"{flag} {getattr(args, flag[2:].replace('-', '_'))}" for flag in flags)
+        tune.error(f"argument {flags[0]}: {why} at {named}")
+    return values
+
+
+def _cmd_tune(args, tune) -> int:
     values = {}
     inputs = {"a": args.a}
     if args.g_sup is not None and args.particles is not None:
         params = bounds.RegimeParams(a=args.a, g_sup=args.g_sup, n_particles=args.particles)
-        values["r1_star"], values["r2_star"] = bounds.r_star_bounded(params)
-        values["rt1"], values["rt2"] = bounds.r_tilde_bounded(params)
-        values["b_max"] = bounds.condition_bounded(args.g_sup, args.a)
+        values.update(_tune_values(tune, args, ("--g-sup", "--a", "--particles"), lambda: {
+            **dict(zip(("r1_star", "r2_star"), bounds.r_star_bounded(params))),
+            **dict(zip(("rt1", "rt2"), bounds.r_tilde_bounded(params))),
+            "b_max": bounds.condition_bounded(args.g_sup, args.a),
+        }))
         inputs.update({"g_sup": args.g_sup, "n_particles": args.particles})
     if args.beta is not None and args.gap is not None and args.delta is not None:
         mode = "decreasing" if args.decreasing else "bounded"
-        values["m_p"] = bounds.tune_mcmc_iters(
+        flags = ("--beta", "--gap", "--delta", "--delta-osc", "--a")
+        values.update(_tune_values(tune, args, flags, lambda: {"m_p": bounds.tune_mcmc_iters(
             args.beta,
             args.delta,
             args.gap,
@@ -136,10 +145,12 @@ def _cmd_tune(args) -> int:
             mode,
             delta_osc=args.delta_osc,
             delta_p_osc=args.delta_osc,
-        )
+        )}))
         inputs.update({"beta": args.beta, "gap": args.gap, "delta": args.delta})
     if args.osc_v is not None and args.gap is not None:
-        values["critical_delta_beta"] = bounds.critical_delta_beta(args.a, args.osc_v, args.gap)
+        values.update(_tune_values(tune, args, ("--osc-v", "--gap", "--a"), lambda: {
+            "critical_delta_beta": bounds.critical_delta_beta(args.a, args.osc_v, args.gap)
+        }))
         inputs["osc_v"] = args.osc_v
     if not values:
         print("nothing to compute; see fkips tune --help", file=sys.stderr)
@@ -194,7 +205,7 @@ def main(argv=None) -> int:
         if args.command == "verify-bounds":
             return _cmd_verify(args)
         if args.command == "tune":
-            return _cmd_tune(args)
+            return _cmd_tune(args, tune)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -1,0 +1,499 @@
+"""Experiment configs: the config text grammar and the validated
+:class:`ExperimentConfig` built from it.  This is the only module that reads
+config sections.
+
+Config grammar (flat sections of key = value lines):
+
+    # comment
+    [section]
+    key = value            scalars: int, float, bool, bare string
+    key = 1 2 3            array: whitespace-separated numbers
+    key = 1 0; 0 1         matrix: rows separated by ';'
+
+Unknown sections or keys are rejected with field-level messages.  Sections
+and keys:
+
+    [problem]   dim, v, m (uniform|array), proposal (uniform | lazy-ring STAY
+                | matrix)
+    [flow]      initial (uniform|array), potentials (T x d matrix),
+                kernel (d x d matrix, shared) or kernels ((T*d) x d stacked)
+    [algorithm] kind = classic | isa | adaptive
+    [schedule]  mode (bounded|decreasing|constant), betas (array) or
+                beta0/delta/steps, delta_declared, a, k0
+    [adaptive]  epsilon, tol (>= 1e-13), delta_max, mutation (theoretical|adaptive),
+                mcmc_iters, beta0
+    [run]       n_particles, steps, replicates, seed, eps_mode
+                (auto|multinomial|float), n_test_functions, threads
+                (validated and kept so older configs still parse; it has
+                no effect)
+    [checks]    regime (bounded|decreasing), a in (0, 1), g_sup >= 1,
+                epsilon_level > eps_prime > 0, y_values and s_values (>= 0;
+                y >= 1 for adaptive); every number finite
+
+:func:`parse_config` merges the command line's ``[run]`` values over the
+file's and then assembles the config once: the flow (the tuned annealing
+flow of an isa config), the Gibbs problem, the adaptive parameters and the
+``[checks]`` section are built and validated at parse time, so bad input
+fails there with a field-level message and every later reader shares what
+was built.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .errors import ConfigError, DegenerateMeasureError, NoMinorizationError
+from .flow import FlowSpec
+from .measures import BoundedFunction, FiniteDistribution, KernelMatrix, PotentialVector
+
+# annealing and adaptive are imported where they are called, so a classic
+# run never loads them
+if TYPE_CHECKING:
+    from .adaptive import AdaptiveConfig
+    from .annealing import GibbsProblem, IsaFlow
+
+_FLOAT_FMT = ".17g"
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), _FLOAT_FMT)
+    return str(x)
+
+
+def _config_text(val) -> str:
+    """A parsed config value written back as config text."""
+    if isinstance(val, np.ndarray):
+        if val.ndim == 2:
+            return "; ".join(" ".join(_fmt(x) for x in row) for row in val)
+        return " ".join(_fmt(x) for x in val)
+    return _fmt(val)
+
+
+_SCHEMA = {
+    "problem": {"dim", "v", "m", "proposal"},
+    "flow": {"initial", "potentials", "kernel", "kernels"},
+    "algorithm": {"kind"},
+    "schedule": {"mode", "betas", "beta0", "delta", "steps", "delta_declared", "a", "k0"},
+    "adaptive": {"epsilon", "tol", "delta_max", "mutation", "mcmc_iters", "beta0"},
+    "run": {
+        "n_particles",
+        "steps",
+        "replicates",
+        "seed",
+        "eps_mode",
+        "n_test_functions",
+        "threads",
+    },
+    "checks": {"regime", "a", "g_sup", "y_values", "s_values", "epsilon_level", "eps_prime"},
+}
+
+
+def _parse_scalar(token: str):
+    low = token.lower()
+    if low in ("true", "false"):
+        return low == "true"
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        return float(token)
+    except ValueError:
+        pass
+    return token
+
+
+def _parse_value(text: str):
+    """One config value: a scalar, a float vector (whitespace-separated
+    tokens) or a float matrix (rows separated by ``;``).  A vector or
+    matrix that does not parse, including a ragged one, comes back as its
+    text, which the field that reads it reports as a config error.
+
+    Tables are read by numpy's C text reader in one pass, at 8 bytes per
+    number.  It reads the tokens ``float()`` reads, bit for bit, except
+    that it skips blank rows and refuses some tokens ``float()`` takes
+    (``1_000``, non-ASCII digits); those values go through ``float()``.
+    """
+    text = text.strip()
+    table = ";" in text
+    if table:
+        rows = text.split(";")
+    elif len(text.split(None, 1)) > 1:
+        rows = [text]
+    else:
+        return _parse_scalar(text) if text else ""
+    if not any(not row or row.isspace() for row in rows):
+        try:
+            values = np.loadtxt(rows, ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            return values if table else values[0]
+    try:
+        values = np.array([[float(x) for x in row.split()] for row in rows])
+    except ValueError:
+        return text
+    return values if table else values[0]
+
+
+@contextmanager
+def _field(name: str):
+    """Report a bad value met while assembling ``name`` as a config error."""
+    try:
+        yield
+    except (ValueError, DegenerateMeasureError, NoMinorizationError) as exc:
+        raise ConfigError([f"{name}: {exc}"]) from exc
+
+
+def _int_field(raw, section: str, key: str, default: int, minimum: int, name=None) -> int:
+    """``[section] key`` as an int >= ``minimum``.  A bool, a float or text is
+    refused, not truncated, by a :class:`ConfigError` naming ``name``
+    (``section.key`` unless given)."""
+    val = raw.get(section, key, default)
+    if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < minimum:
+        name = name or f"{section}.{key}"
+        raise ConfigError([f"{name} must be an integer >= {minimum}, got {val!r}"])
+    return int(val)
+
+
+@dataclass
+class RawConfig:
+    """Parsed key-value sections, prior to semantic assembly."""
+
+    sections: dict
+
+    def get(self, section: str, key: str, default=None):
+        return self.sections.get(section, {}).get(key, default)
+
+
+def parse_config(text: str, run=None) -> ExperimentConfig:
+    """Parse and validate config text; collects field-level errors.
+
+    ``run`` maps ``[run]`` keys to values that replace the file's, as the
+    command line's flags give them; they are merged before anything is
+    validated, so a flag also stands in for a bad value in the file.
+    """
+    errors = []
+    sections: dict = {}
+    current = None
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in _SCHEMA:
+                errors.append(f"line {lineno}: unknown section [{current}]")
+                current = None
+            else:
+                sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            errors.append(f"line {lineno}: expected key = value")
+            continue
+        if current is None:
+            errors.append(f"line {lineno}: key outside any known section")
+            continue
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SCHEMA[current]:
+            errors.append(f"line {lineno}: unknown key {key!r} in section [{current}]")
+            continue
+        sections[current][key] = _parse_value(value)
+    if errors:
+        raise ConfigError(errors)
+    if run:
+        sections["run"] = {**sections.get("run", {}), **run}
+    return ExperimentConfig.from_raw(RawConfig(sections))
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated experiment description."""
+
+    kind: str
+    raw: RawConfig
+    n_particles: int
+    steps: int
+    replicates: int
+    verify_replicates: int   # replicates, or 2000 when [run] omits the key
+    seed: int
+    eps_mode: object
+    n_test_functions: int
+    threads: int   # validated for older configs; has no effect
+
+    @classmethod
+    def from_raw(cls, raw: RawConfig) -> ExperimentConfig:
+        errors = []
+        kind = raw.get("algorithm", "kind", "classic")
+        if kind not in ("classic", "isa", "adaptive"):
+            errors.append(f"algorithm.kind must be classic|isa|adaptive, got {kind!r}")
+
+        def run_int(key, default, minimum):
+            # every [run] error is collected; the messages name the bare key
+            try:
+                return _int_field(raw, "run", key, default, minimum, name=key)
+            except ConfigError as exc:
+                errors.extend(exc.errors)
+                return default
+
+        n_particles = run_int("n_particles", 100, 1)
+        steps = run_int("steps", 1, 0)
+        replicates = run_int("replicates", 1, 1)
+        seed = run_int("seed", 0, 0)
+        n_test = run_int("n_test_functions", 4, 1)
+        threads = run_int("threads", 1, 1)
+        eps_mode = raw.get("run", "eps_mode", "auto")
+        if isinstance(eps_mode, str) and eps_mode not in ("auto", "multinomial"):
+            errors.append(f"eps_mode must be auto|multinomial|float, got {eps_mode!r}")
+        if errors:
+            raise ConfigError(errors)
+        cfg = cls(
+            kind=kind,
+            raw=raw,
+            n_particles=n_particles,
+            steps=steps,
+            replicates=replicates,
+            verify_replicates=2000 if raw.get("run", "replicates") is None else replicates,
+            seed=seed,
+            eps_mode=eps_mode,
+            n_test_functions=n_test,
+            threads=threads,
+        )
+        # fail fast on semantic errors; what is built is kept for every later reader
+        cfg.checks
+        if cfg.flow is None:
+            cfg.problem
+            cfg.adaptive_config
+        elif not isinstance(eps_mode, str):
+            g_max = max((g.values.max() for g, _ in cfg.flow.steps[: cfg.horizon()]), default=0.0)
+            if not 0.0 <= eps_mode * g_max <= 1.0 + 1e-12:
+                raise ConfigError(
+                    [f"eps_mode = {eps_mode!r} breaks 0 <= eps * max G <= 1 (max G = {g_max:g})"]
+                )
+        return cfg
+
+    # -- assembly -----------------------------------------------------------
+
+    @cached_property
+    def problem(self) -> GibbsProblem:
+        """The Gibbs problem of an isa or adaptive config, built once."""
+        from .annealing import GibbsProblem
+
+        raw = self.raw
+        errors = []
+        dim = raw.get("problem", "dim")
+        v = raw.get("problem", "v")
+        if v is None:
+            errors.append("problem.v is required")
+            raise ConfigError(errors)
+        with _field("problem.v"):
+            v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+        if dim is None:
+            dim = v.size
+        if v.size != dim:
+            errors.append(f"problem.v has {v.size} entries, expected dim = {dim}")
+        m_spec = raw.get("problem", "m", "uniform")
+        with _field("problem.m"):
+            if isinstance(m_spec, str) and m_spec == "uniform":
+                m = FiniteDistribution.uniform(int(dim))
+            else:
+                m = FiniteDistribution.from_unnormalized(np.asarray(m_spec, dtype=np.float64))
+        prop = raw.get("problem", "proposal", "uniform")
+        with _field("problem.proposal"):
+            if isinstance(prop, str):
+                parts = prop.split()
+                if parts[0] == "uniform":
+                    kernel = KernelMatrix.uniform(int(dim))
+                elif parts[0] == "lazy-ring":
+                    stay = float(parts[1]) if len(parts) > 1 else 0.5
+                    kernel = KernelMatrix.lazy_ring(int(dim), stay)
+                else:
+                    errors.append(f"unknown proposal {prop!r}")
+                    raise ConfigError(errors)
+            else:
+                kernel = KernelMatrix(np.asarray(prop, dtype=np.float64))
+        if errors:
+            raise ConfigError(errors)
+        with _field("problem"):
+            return GibbsProblem(energy=BoundedFunction(v), reference=m, proposal=kernel)
+
+    @cached_property
+    def adaptive_config(self) -> AdaptiveConfig:
+        """The ``[adaptive]`` parameters, built once."""
+        from .adaptive import AdaptiveConfig
+
+        raw = self.raw
+        eps = raw.get("adaptive", "epsilon")
+        if eps is None:
+            raise ConfigError(["adaptive.epsilon is required"])
+        delta_max = raw.get("adaptive", "delta_max")
+        mcmc_iters = _int_field(raw, "adaptive", "mcmc_iters", 1, 1)
+        with _field("adaptive"):
+            return AdaptiveConfig(
+                epsilon=float(eps),
+                tol=float(raw.get("adaptive", "tol", 1e-10)),
+                delta_max=None if delta_max in (None, "none") else float(delta_max),
+                mutation_mode=raw.get("adaptive", "mutation", "theoretical"),
+                mcmc_iters=mcmc_iters,
+                beta0=float(raw.get("adaptive", "beta0", 0.0)),
+            )
+
+    def build_flow(self) -> FlowSpec | None:
+        """Finite flow the experiment drives; None for adaptive runs."""
+        if self.kind == "classic":
+            raw = self.raw
+            pots = raw.get("flow", "potentials")
+            if pots is None:
+                raise ConfigError(["flow.potentials is required for classic runs"])
+            with _field("flow.potentials"):
+                pots = np.atleast_2d(np.asarray(pots, dtype=np.float64))
+                potentials = [PotentialVector(row) for row in pots]
+            dim = pots.shape[1]
+            init_spec = raw.get("flow", "initial", "uniform")
+            with _field("flow.initial"):
+                if isinstance(init_spec, str) and init_spec == "uniform":
+                    initial = FiniteDistribution.uniform(dim)
+                else:
+                    initial = FiniteDistribution.from_unnormalized(
+                        np.asarray(init_spec, dtype=np.float64)
+                    )
+            stacked = raw.get("flow", "kernels")
+            if stacked is not None:
+                with _field("flow.kernels"):
+                    stacked = np.asarray(stacked, dtype=np.float64)
+                    if stacked.shape != (len(potentials) * dim, dim):
+                        raise ConfigError(["flow.kernels must stack one d x d kernel per step"])
+                    kernels = [
+                        KernelMatrix(stacked[i * dim : (i + 1) * dim])
+                        for i in range(len(potentials))
+                    ]
+            else:
+                kern = raw.get("flow", "kernel")
+                if kern is None:
+                    raise ConfigError(["flow.kernel or flow.kernels is required"])
+                with _field("flow.kernel"):
+                    kernels = [KernelMatrix(np.asarray(kern, dtype=np.float64))] * len(potentials)
+            with _field("flow"):
+                return FlowSpec(initial=initial, steps=tuple(zip(potentials, kernels)))
+        if self.kind == "isa":
+            return self.isa.flow
+        return None
+
+    @cached_property
+    def isa(self) -> IsaFlow | None:
+        """The tuned annealing flow of an isa config, built once; None otherwise."""
+        if self.kind != "isa":
+            return None
+        from .annealing import TemperatureSchedule, build_isa_flow, minorize
+
+        raw, problem = self.raw, self.problem
+        modes = {
+            "bounded": "bounded-increment",
+            "decreasing": "decreasing-increment",
+            "constant": "constant-step",
+        }
+        given = raw.get("schedule", "mode", "constant")
+        mode = modes.get(given) if isinstance(given, str) else None
+        if mode is None:
+            raise ConfigError([
+                f"schedule.mode must be bounded|decreasing|constant, got {_config_text(given)!r}"
+            ])
+        betas = raw.get("schedule", "betas")
+        if betas is None:
+            steps = _int_field(raw, "schedule", "steps", self.steps, 0)
+        with _field("schedule"):
+            if betas is None:
+                beta0 = float(raw.get("schedule", "beta0", 0.0))
+                delta = float(raw.get("schedule", "delta", 0.5))
+                schedule = TemperatureSchedule.constant_step(beta0, delta, steps)
+            else:
+                betas = tuple(float(b) for b in np.atleast_1d(betas))
+                declared = raw.get("schedule", "delta_declared")
+                if mode == "bounded-increment" and declared is None:
+                    declared = max(
+                        betas[i + 1] - betas[i] for i in range(len(betas) - 1)
+                    ) if len(betas) > 1 else 0.0
+                schedule = TemperatureSchedule(betas, mode, declared_delta=declared)
+        k0 = _int_field(raw, "schedule", "k0", 1, 1)
+        with _field("schedule"):
+            a = float(raw.get("schedule", "a", 0.5))
+            return build_isa_flow(problem, schedule, minorize(problem, k0), a)
+
+    @cached_property
+    def flow(self) -> FlowSpec | None:
+        """The flow from :meth:`build_flow`, built once (by ``from_raw``)."""
+        return self.build_flow()
+
+    @cached_property
+    def checks(self) -> Checks:
+        """The ``[checks]`` section, validated once (by ``from_raw``)."""
+        return _parse_checks(self.raw, self.kind)
+
+    def horizon(self) -> int:
+        if self.flow is not None:
+            return min(self.steps, self.flow.horizon) if self.steps else self.flow.horizon
+        return self.steps
+
+
+@dataclass(frozen=True)
+class Checks:
+    """The validated ``[checks]`` section; a ``g_sup`` of None stands for the
+    flow's largest potential ratio."""
+
+    regime: str
+    a: float
+    g_sup: float | None
+    epsilon_level: float
+    eps_prime: float
+    y_values: tuple
+    s_values: tuple
+
+
+def _parse_checks(raw: RawConfig, kind: str) -> Checks:
+    """Every ``[checks]`` value or its default; a bad one is a field error."""
+    errors = []
+
+    def numbers(key, default, ok, rule):
+        """``key`` as a float, or a tuple of floats if the default is one."""
+        value = raw.get("checks", key)
+        if value is None:
+            return default
+        with _field(f"checks.{key}"):
+            x = np.atleast_1d(np.asarray(value, dtype=np.float64))
+        grid = isinstance(default, tuple)
+        if x.ndim != 1 or (x.size != 1 and not grid) or not np.all(np.isfinite(x) & ok(x)):
+            errors.append(f"checks.{key} must be {rule}, got {_config_text(value)!r}")
+        return tuple(float(v) for v in x.ravel()) if grid else float(x.flat[0])
+
+    regime = raw.get("checks", "regime", "bounded")
+    if regime not in ("bounded", "decreasing"):
+        errors.append(f"checks.regime must be bounded|decreasing, got {regime!r}")
+    adaptive = kind == "adaptive"
+    y_min = 1.0 if adaptive else 0.0   # the adaptive threshold needs y >= 1
+    eps_level = numbers("epsilon_level", 0.5, lambda x: x > 0, "a finite number > 0")
+    checks = Checks(
+        regime=regime,
+        a=numbers("a", 0.6 if adaptive else 0.5, lambda x: (x > 0) & (x < 1), "in (0, 1)"),
+        g_sup=numbers("g_sup", None, lambda x: x >= 1, "a finite number >= 1"),
+        epsilon_level=eps_level,
+        eps_prime=numbers(
+            "eps_prime", 0.25, lambda x: (x > 0) & (x < eps_level), "in (0, epsilon_level)"
+        ),
+        y_values=numbers(
+            "y_values", (1.0, 2.0, 4.0), lambda x: x >= y_min, f"finite numbers >= {y_min:g}"
+        ),
+        s_values=numbers("s_values", (0.0, 0.1, 0.2, 0.3), lambda x: x >= 0, "finite numbers >= 0"),
+    )
+    if errors:
+        raise ConfigError(errors)
+    return checks

@@ -32,13 +32,13 @@ from fkips.flow import check_semigroup_lemmas, run_flow
 from fkips.harness import (
     check_isa_bounds,
     composed_caps,
-    flow_to_config,
     parse_config,
     run_experiment,
 )
 from fkips.measures import KernelMatrix, dobrushin
 from fkips.testfns import osc1_dictionary
 
+from .configs import flow_to_config
 from .instances import (
     adaptive_problem,
     bounded_regime_flow,

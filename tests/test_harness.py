@@ -16,29 +16,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fkips
+from fkips import annealing
 from fkips.cli import main as cli_main
+from fkips.config import _parse_value
 from fkips.engine import BLOCK, run_counts
 from fkips.errors import ConfigError
 from fkips.flow import FlowSpec
 from fkips.harness import (
     CheckRow,
-    _parse_value,
     _raw_csv,
     aggregate,
     check_oracle_identity,
     check_regime,
     emit_csv,
-    flow_to_config,
     parse_config,
     run_experiment,
-    serialize_config,
     verify_bounds,
 )
 from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 
+from .configs import flow_to_config, serialize_config
 from .instances import bounded_regime_flow
 from .oracles import parse_value_by_floats
-from .test_golden import BOUNDED, CLASSIC, DECREASING
+from .test_golden import BOUNDED, CLASSIC, DECREASING, ISA
 
 CLASSIC_TEXT = """
 # minimal classic flow
@@ -253,13 +253,12 @@ class TestRunExperiment:
         reader = csv.DictReader(io.StringIO(result.raw_csv))
         values = {}
         for row in reader:
-            key = (int(row["step"]), "log_gamma1")
-            values.setdefault(key, []).append(float(row["log_gamma1"]))
-        for key, vals in values.items():
+            values.setdefault(int(row["step"]), []).append(float(row["log_gamma1"]))
+        j = result.stats.names.index("log_gamma1")
+        for step, vals in values.items():
             arr = np.asarray(vals)
-            summary = result.stats.get(*key)
-            assert summary.mean == arr.mean()
-            assert summary.se == arr.std(ddof=1) / math.sqrt(arr.size)
+            assert result.stats.mean[step, j] == arr.mean()
+            assert result.stats.se[step, j] == arr.std(ddof=1) / math.sqrt(arr.size)
 
 
 class TestAggregate:
@@ -282,15 +281,14 @@ class TestAggregate:
                 stats = aggregate(values, names)
                 assert stats.replicates == r
                 for n in range(4):
-                    for j, name in enumerate(names):
+                    for j in range(len(names)):
                         col = values[:, n, j].copy()
-                        summary = stats.get(n, name)
-                        assert np.array_equal(summary.mean, col.mean(), equal_nan=True)
+                        assert np.array_equal(stats.mean[n, j], col.mean(), equal_nan=True)
                         if r > 1:
                             assert np.array_equal(
-                                summary.se, col.std(ddof=1) / math.sqrt(r), equal_nan=True
+                                stats.se[n, j], col.std(ddof=1) / math.sqrt(r), equal_nan=True
                             )
-                        got = np.array(summary.quantiles)
+                        got = stats.quantiles[:, n, j]
                         want = np.quantile(col, (0.1, 0.5, 0.9))
                         assert np.array_equal(got, want, equal_nan=True), (r, n, j, col)
                         assert got.tobytes() == want.tobytes(), (r, n, j, col)
@@ -583,6 +581,13 @@ class TestCli:
             (["--a", "0.5", "--osc-v", "0", "--gap", "1"], "--osc-v"),
             (["--a", "0.5", "--osc-v", "1", "--gap", "0"], "--gap"),
             (["--a", "0.5", "--beta", "1", "--gap", "1", "--delta", "0.5"], "--delta-osc"),
+            # flags in range whose results leave float64 or the 2^63 budget
+            (["--a", "0.5", "--g-sup", "1e200", "--particles", "100"], "--g-sup"),
+            (
+                ["--a", "0.5", "--beta", "100", "--gap", "1", "--delta", "0.5", "--delta-osc", "1"],
+                "--beta",
+            ),
+            (["--a", "0.5", "--osc-v", "1e-200", "--gap", "1e-200"], "--osc-v"),
         ],
     )
     def test_tune_refuses_bad_flags_as_usage_errors(self, flags, named, capsys):
@@ -591,6 +596,48 @@ class TestCli:
             cli_main(["tune", *flags])
         assert exc.value.code == 2
         assert f"argument {named}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, output", [("verify-bounds", "verify.csv"), ("run", "raw.csv")])
+    def test_seed_flag_builds_the_flow_once(self, command, output, tmp_path, monkeypatch):
+        # the flag is merged into [run] before the one config assembly, and
+        # the output equals that of a file that says seed = 5; the isa
+        # verify rows do not depend on the seed, so raw.csv shows the flag
+        # took effect
+        calls = []
+        build = annealing.build_isa_flow
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(annealing, "build_isa_flow", counted)
+        flagged, edited = tmp_path / "flagged.cfg", tmp_path / "edited.cfg"
+        flagged.write_text(ISA)
+        edited.write_text(ISA.replace("seed = 13", "seed = 5"))
+        argv = [command, "--config", str(flagged), "--out", str(tmp_path / "f")]
+        assert cli_main(argv + ["--seed", "5"]) == 0
+        assert len(calls) == 1
+        assert cli_main([command, "--config", str(edited), "--out", str(tmp_path / "e")]) == 0
+        got = (tmp_path / "f" / output).read_bytes()
+        assert got == (tmp_path / "e" / output).read_bytes()
+        if command == "run":
+            assert cli_main(argv[:-1] + [str(tmp_path / "s13")]) == 0
+            assert got != (tmp_path / "s13" / output).read_bytes()
+
+    def test_flag_replaces_a_bad_file_value(self, tmp_path, capsys):
+        # a [run] flag is merged before validation, so it stands in for a
+        # bad value in the file, which is an error only without the flag
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CLASSIC_TEXT.replace("seed = 7", "seed = -1"))
+        good = tmp_path / "good.cfg"
+        good.write_text(CLASSIC_TEXT)
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "b")]) == 2
+        assert "config error: seed" in capsys.readouterr().err
+        argv = ["run", "--config", str(bad), "--out", str(tmp_path / "f"), "--seed", "7"]
+        assert cli_main(argv) == 0
+        assert cli_main(["run", "--config", str(good), "--out", str(tmp_path / "g")]) == 0
+        for name in ("raw.csv", "stats.csv", "oracle.csv"):
+            assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "g" / name).read_bytes()
 
     def test_particle_override(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"

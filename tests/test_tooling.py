@@ -1,5 +1,6 @@
 """Tooling smoke tests: the benchmark's span tracer still binds the layers it
-names, and every benchmark workload still passes its own gate.
+names, its set-up probe still parses a config, and every benchmark workload
+still passes its own gate.
 
 ``perfbench/tracer.py`` wraps package functions from outside and raises if
 a wrapped original is left bound, so a refactor that moves or renames a
@@ -18,7 +19,7 @@ import pytest
 import fkips
 from fkips.cli import main as cli_main
 
-from .test_golden import ADAPTIVE, BOUNDED, CLASSIC, DECREASING, VERIFY_ADAPTIVE
+from .test_golden import ADAPTIVE, BOUNDED, CLASSIC, DECREASING, ISA, VERIFY_ADAPTIVE
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -72,23 +73,47 @@ def _traced_span_names(command, text, tmp_path):
     cfg = tmp_path / "case.cfg"
     cfg.write_text(text)
     spans_path = tmp_path / "spans.tsv"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(TRACER), str(spans_path), command,
-         "--config", str(cfg), "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
+    proc = _run_with_src(
+        [str(TRACER), str(spans_path), command, "--config", str(cfg), "--out", str(tmp_path / "out")]
     )
     assert proc.returncode == 0, proc.stderr
     return [line.split("\t")[2] for line in spans_path.read_text().splitlines()]
 
 
+def test_setup_probe_parses_a_golden_config(tmp_path):
+    # the benchmark times set-up with this probe, which reaches
+    # parse_config as a name of fkips.harness
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(ISA)
+    proc = _run_with_src(["-c", _perfbench_run().SETUP_PROBE, str(cfg)])
+    assert proc.returncode == 0, proc.stderr
+
+
+def _run_with_src(args):
+    """One Python subprocess that imports the package from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def _workloads():
     """``perfbench/workloads.py`` as a module; its dataclasses need it in
     ``sys.modules`` while it runs."""
-    name = "perfbench_workloads"
+    return _perfbench_module("perfbench_workloads", "workloads.py")
+
+
+def _perfbench_run():
+    """``perfbench/run.py`` as a module; it imports the workloads module by
+    its bare name."""
+    sys.modules.setdefault("workloads", _workloads())
+    return _perfbench_module("perfbench_run", "run.py")
+
+
+def _perfbench_module(name, filename):
     if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]
