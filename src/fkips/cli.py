@@ -34,8 +34,12 @@ def _load_config(path: str, args):
         "replicates": args.replicates,
         "threads": args.threads,
     }
-    with open(path) as fh:
-        return parse_config(fh.read(), {k: v for k, v in flags.items() if v is not None})
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"{path}: not UTF-8 text at byte {exc.start}"]) from exc
+    return parse_config(text, {k: v for k, v in flags.items() if v is not None})
 
 
 def _add_common(p):

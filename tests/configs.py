@@ -16,6 +16,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         if section not in cfg.raw.sections:
             continue
         body = cfg.raw.sections[section]
+        if section == "flow" and cfg.kind == "classic" and "kernel" not in body:
+            # a kernels stack leaves raw once the flow is built; write the
+            # flow's (normalized) kernels in its place
+            body = {**body, "kernels": np.vstack([k.rows for _, k in cfg.flow.steps])}
         out.append(f"[{section}]")
         for key in sorted(body):
             out.append(f"{key} = {_config_text(body[key])}")

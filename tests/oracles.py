@@ -12,6 +12,8 @@ import numpy as np
 from scipy import stats
 from scipy.optimize import brentq
 
+from fkips.errors import ConfigError
+
 
 def tv_by_subsets(w1, w2) -> float:
     """Total variation as the explicit sup over all subsets (d <= 12)."""
@@ -137,6 +139,42 @@ def parse_value_by_floats(text: str):
         except ValueError:
             pass
     return text
+
+
+def parse_sections_by_lines(text: str, schema: dict) -> dict:
+    """Config sections by the line-copying loop: ``str.splitlines``, then
+    each line's comment, key and value split off as copies, and every value
+    read by :func:`parse_value_by_floats`.  Raises :class:`ConfigError` with
+    every bad line's message, as the config parser does."""
+    errors = []
+    sections: dict = {}
+    current = None
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in schema:
+                errors.append(f"line {lineno}: unknown section [{current}]")
+                current = None
+            else:
+                sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            errors.append(f"line {lineno}: expected key = value")
+            continue
+        if current is None:
+            errors.append(f"line {lineno}: key outside any known section")
+            continue
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in schema[current]:
+            errors.append(f"line {lineno}: unknown key {key!r} in section [{current}]")
+            continue
+        sections[current][key] = parse_value_by_floats(value)
+    if errors:
+        raise ConfigError(errors)
+    return sections
 
 
 def kernel_potential_smoothing(k_rows, g_vals):

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import fkips
 from fkips import annealing
 from fkips.cli import main as cli_main
-from fkips.config import _parse_value
+from fkips.config import _SCHEMA, _parse_sections, _parse_value
 from fkips.engine import BLOCK, run_counts
 from fkips.errors import ConfigError
 from fkips.flow import FlowSpec
@@ -37,8 +38,9 @@ from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 
 from .configs import flow_to_config, serialize_config
 from .instances import bounded_regime_flow
-from .oracles import parse_value_by_floats
+from .oracles import parse_sections_by_lines, parse_value_by_floats
 from .test_golden import BOUNDED, CLASSIC, DECREASING, ISA
+from .test_tooling import _workloads
 
 CLASSIC_TEXT = """
 # minimal classic flow
@@ -217,6 +219,103 @@ class TestParseValue:
         finally:
             tracemalloc.stop()
         assert peak < 5 * len(text)
+
+    def test_benchmark_verify_config_parses_below_its_text_size(self):
+        # the exact-verify workload's seed-11 text: 3.5 MB, most of it a
+        # 2560 x 64 kernel stack, read one row slice at a time and let go
+        # of once the flow's kernels hold it
+        text = _workloads()._exact_verify_config(random.Random("exact-verify:11"))
+        tracemalloc.start()
+        try:
+            parse_config(text).flow
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text)
+
+
+# every separator str.splitlines cuts at, and whitespace str.strip drops
+# that is no line break
+_LINE_BREAKS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+)
+_PADS = st.sampled_from(["", " ", "\t", "  ", "\x1f", "\xa0"])
+_SECTIONS = sorted(_SCHEMA) * 3 + ["bogus", "", "run]"]   # mostly known ones
+_VALUES = st.one_of(
+    _number_texts(),
+    st.sampled_from(HOSTILE_VALUES),
+    st.sampled_from(["uniform", "lazy-ring 0.5", "true", "False", "7", "-3", "2.5", "1e-13", ""]),
+)
+_COMMENTS = st.text(
+    st.characters(blacklist_characters="".join(_LINE_BREAKS), blacklist_categories=("Cs",)),
+    max_size=6,
+)
+
+
+@st.composite
+def _config_line(draw, keys, bad):
+    """A key line of one of ``keys``, a comment or a blank line; if ``bad``,
+    also an unknown key, a section header or a line with no ``=``."""
+    a, b, c, d = draw(st.lists(_PADS, min_size=4, max_size=4))
+    kinds = ["key"] * 6 * bool(keys or bad) + ["comment", "blank"] + ["section", "junk"] * bad
+    kind = draw(st.sampled_from(kinds))
+    if kind == "section":
+        line = f"{a}[{b}{draw(st.sampled_from(_SECTIONS))}{c}]{d}"
+    elif kind == "key":
+        key = draw(st.sampled_from(keys + (["whatever", "", "a b"] if bad else [])))
+        line = f"{a}{key}{b}={c}{draw(_VALUES)}{d}"
+    elif kind == "junk":
+        line = a + draw(st.sampled_from(["junk", "[flow", "flow]", "1 2; 3 4"])) + b
+    else:
+        line = a
+    if kind == "comment" or draw(st.booleans()):
+        line += "#" + draw(_COMMENTS)
+    return line
+
+
+@st.composite
+def _config_texts(draw):
+    """Sections of lines, each line ended by any of ``_LINE_BREAKS``; the
+    last break is sometimes left off.  Half the texts hold only good lines."""
+    bad = draw(st.booleans())
+    lines = draw(st.lists(_config_line([], bad), max_size=2))
+    for name in draw(st.lists(st.sampled_from(_SECTIONS if bad else sorted(_SCHEMA)), max_size=4)):
+        lines.append(f"[{name}]")
+        lines += draw(st.lists(_config_line(sorted(_SCHEMA.get(name, ())), bad), max_size=5))
+    breaks = draw(st.lists(st.sampled_from(_LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text if draw(st.booleans()) else text.rstrip("".join(_LINE_BREAKS))
+
+
+def _parsed(parse, text):
+    """Sections, or the messages of the ConfigError that refused the text."""
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        return exc.errors
+
+
+class TestParseSections:
+    """Cutting lines, keys and values by index parses what the
+    line-copying loop parses, and refuses what it refuses, line numbers
+    included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_config_texts())
+    def test_spans_parse_as_split_lines(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _parsed(_parse_sections, text)
+        want = _parsed(lambda t: parse_sections_by_lines(t, _SCHEMA), text)
+        assert type(got) is type(want)
+        if isinstance(want, list):
+            assert got == want
+            return
+        assert list(got) == list(want)
+        for name, body in want.items():
+            assert list(got[name]) == list(body)
+            for key, value in body.items():
+                _assert_same_value(got[name][key], value)
 
 
 class TestRunExperiment:
@@ -507,6 +606,12 @@ class TestCli:
             bad.write_text(text.replace(line, broken))
             assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
             assert "config error: flow.kernels" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[run]\nseed = 1\n# \xff\n")
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"config error: {bad}: not UTF-8 text at byte 17" in capsys.readouterr().err
 
     def test_run_writes_deterministic_outputs(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"
