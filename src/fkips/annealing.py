@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .engine import CountRun, run_counts
+from .engine import run_counts
 from .errors import InputError, NoMinorizationError
 from .flow import FlowSpec
 from .measures import (
@@ -235,24 +235,16 @@ def minorize(problem: GibbsProblem, k0: int) -> MinorizationCert:
 
 
 @dataclass(frozen=True)
-class IsaStepReport:
-    step: int
-    beta: float
-    delta: float
-    mcmc_iters: int
-    kernel_power: int
-
-
-@dataclass(frozen=True)
 class IsaFlow:
-    """Tuned annealing flow: the flow spec plus per-step tuning report."""
+    """Tuned annealing flow: the flow spec plus each step's tuned MCMC
+    iteration count m_n."""
 
     problem: GibbsProblem
     flow: FlowSpec
     schedule: TemperatureSchedule
     cert: MinorizationCert
     a: float
-    steps: tuple   # IsaStepReport per step
+    mcmc_iters: tuple
 
 
 def build_isa_flow(
@@ -268,8 +260,7 @@ def build_isa_flow(
     the flow then maps each Gibbs law exactly onto the next one.
     """
     v_osc = problem.v_osc
-    reports = []
-    steps = []
+    iters, steps = [], []
     mode = schedule.tuning_mode
     for n, delta in enumerate(schedule.deltas, start=1):
         beta_n = schedule.betas[n]
@@ -289,12 +280,10 @@ def build_isa_flow(
         kernel = metropolis_kernel(problem, beta_n).power(power)
         potential = PotentialVector.boltzmann(problem.v_values, delta)
         steps.append((potential, kernel))
-        reports.append(
-            IsaStepReport(step=n, beta=beta_n, delta=delta, mcmc_iters=m_n, kernel_power=power)
-        )
+        iters.append(m_n)
     flow = FlowSpec(initial=gibbs_measure(problem, schedule.betas[0]), steps=tuple(steps))
     return IsaFlow(
-        problem=problem, flow=flow, schedule=schedule, cert=cert, a=a, steps=tuple(reports)
+        problem=problem, flow=flow, schedule=schedule, cert=cert, a=a, mcmc_iters=tuple(iters)
     )
 
 
@@ -312,8 +301,6 @@ class OptimizeResult:
     rows: tuple
     proportions: np.ndarray    # (R, T): particle mass at energy >= V_min + eps, steps 1..T
     report: bounds.BoundReport
-    run: CountRun
-    isa: IsaFlow
 
 
 def optimize(
@@ -397,6 +384,4 @@ def optimize(
         },
         formula_ref="tail <= exp(-beta_n (eps - eps')) / m_eps' + (r_i N + r_j y)/N^2",
     )
-    return OptimizeResult(
-        rows=tuple(rows), proportions=proportions, report=report, run=run, isa=isa
-    )
+    return OptimizeResult(rows=tuple(rows), proportions=proportions, report=report)

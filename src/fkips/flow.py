@@ -208,47 +208,79 @@ def semigroup_table(spec: FlowSpec) -> SemigroupTable:
     return SemigroupTable(g=g, b=b, mass=mass)
 
 
-@dataclass(frozen=True)
-class InequalityRecord:
-    """One evaluated inequality ``lhs <= rhs``."""
-
-    name: str
-    p: int
-    n: int
-    lhs: float
-    rhs: float
-
-    @property
-    def excess(self) -> float:
-        """``lhs - rhs`` in units of ``min(1, rhs)``: relative wherever
-        rhs < 1, so a tolerance on it stays meaningful for caps like
-        ``a^(n-p)``.  Over ``rhs = 0`` any positive excess is infinite."""
-        gap, scale = self.lhs - self.rhs, min(1.0, self.rhs)
-        if scale > 0:
-            return gap / scale
-        return math.inf if gap > 0 else gap
+def excess(lhs, rhs):
+    """``lhs - rhs`` in units of ``min(1, rhs)``, elementwise: relative
+    wherever rhs < 1, so a tolerance on it stays meaningful for caps like
+    ``a^(n-p)``.  Over ``rhs <= 0`` a positive gap is infinite and any other
+    gap is returned as it is."""
+    gap = np.subtract(lhs, rhs, dtype=np.float64)
+    scale = np.minimum(1.0, rhs)
+    out = np.where(gap > 0, math.inf, gap)
+    return np.divide(gap, scale, out=out, where=scale > 0)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    """Batch of inequality evaluations with the worst excess."""
+def worst_excess(excesses, checked, scope, tolerance: float = 1e-10):
+    """``(ok, worst, scope)`` of a batch of inequalities held as arrays.
 
-    records: tuple
+    ``excesses`` holds the :func:`excess` of each inequality at the entries
+    the boolean array ``checked`` marks, laid out so that C order is the
+    batch's record order.  ``worst`` is the largest checked excess, ``ok``
+    says whether it is at most ``tolerance``, and the scope is
+    ``scope(*index)`` of the first entry holding it.  A NaN excess is the
+    worst and fails.
+    """
+    values = excesses[checked]
+    first = int(np.argmax(values))
+    worst = float(values[first])
+    index = np.unravel_index(np.flatnonzero(checked)[first], checked.shape)
+    return worst <= tolerance, worst, scope(*(int(i) for i in index))
 
-    @property
-    def max_excess(self) -> float:
-        return max(r.excess for r in self.records) if self.records else -math.inf
 
-    def holds(self, tolerance: float = 1e-10) -> bool:
-        """Every record has ``lhs - rhs <= tolerance * min(1, rhs)``."""
-        return self.max_excess <= tolerance
-
-    def worst(self) -> InequalityRecord:
-        return max(self.records, key=lambda r: r.excess)
+_LEMMAS = ("potential-ratio-sum", "mixing-product", "stability-product", "backward-recursion")
 
 
-def check_semigroup_lemmas(spec: FlowSpec, include_as_printed: bool = False) -> LemmaReport:
-    """Evaluate the composed-step estimates against exact quantities.
+def semigroup_lemma_excess(spec: FlowSpec):
+    """The :func:`excess` of every composed-step estimate of
+    :func:`check_semigroup_lemmas`, as :func:`worst_excess` reads them.
+
+    Entry ``[n, p, family]`` is the family's inequality at (p, n), in the
+    order of :data:`_LEMMAS`; the backward recursion is stored at p and
+    scoped at p - 1, the pair whose ratio it bounds.  One loop over k
+    multiplies factor k into the products of every pair p < k <= n at once,
+    so each entry sees the same operations, in the same order, as a loop
+    over k for that pair alone.
+    """
+    g, b = spec.table.g, spec.table.b
+    size = spec.horizon + 1
+    p, n = np.indices((size, size))
+    # step_g[k] = g_{k-1,k}, step_b[k] = b_{k-1,k}; entry 0 is never read
+    step_g, step_b = np.append(1.0, np.diagonal(g, 1)), np.append(1.0, np.diagonal(b, 1))
+    ratio_sum, (mixing, stability) = np.zeros((size, size)), np.ones((2, size, size))
+    terms, prods = np.zeros(size), np.ones(size)
+    for k in range(1, size):
+        terms[:k] += (step_g[k] - 1.0) * prods[:k]
+        prods[:k] *= step_g[k] * step_b[k]
+        ratio_sum[:k, k] = terms[:k]
+        mixing[:k, k:] *= step_b[k] * g[k, k:]
+        stability[:k, k:] *= step_b[k] * g[k - 1, k:]
+    backward = step_g[:, None] * (1.0 + step_b[:, None] * (g - 1.0))
+    excesses = np.stack([
+        excess(g, 1.0 + ratio_sum),
+        excess(b, mixing),
+        excess(g * b, stability),
+        excess(np.roll(g, 1, axis=0), backward),   # row p holds g_{p-1,n}
+    ])
+    checked = np.stack([p <= n] * 3 + [(1 <= p) & (p <= n)])
+    return (
+        excesses.transpose(2, 1, 0),
+        checked.transpose(2, 1, 0),
+        lambda n, p, family: f"{_LEMMAS[family]},p={p - (family == 3)},n={n}",
+    )
+
+
+def check_semigroup_lemmas(spec: FlowSpec):
+    """Evaluate the composed-step estimates against exact quantities and
+    return :func:`worst_excess`'s ``(ok, worst, scope)``.
 
     For every pair p <= n the following are checked with both sides computed
     exactly:
@@ -262,14 +294,14 @@ def check_semigroup_lemmas(spec: FlowSpec, include_as_printed: bool = False) -> 
     * backward one-step recursion (p >= 1):
         g_{p-1,n} <= g_p * (1 + b_p * (g_{p,n} - 1))
 
-    ``include_as_printed`` additionally evaluates the sum bound with bare
-    ``b_j`` products inside.  That variant circulates in the literature but
-    does not follow from the recursion and fails on exact instances (see the
-    regression test pinning a 3-state counterexample); it is reported only
-    for documentation and never gates verification.
+    The records run n ascending, then p ascending, then in that list's
+    order.  The sum bound with bare ``b_j`` products inside circulates in
+    the literature but does not follow from the recursion and fails on
+    exact instances (see the regression test pinning a 3-state
+    counterexample), so it is not checked.
 
-    :meth:`LemmaReport.holds` compares each record to relative precision
-    wherever its rhs is below 1.  Two choices keep float resolution out of
+    Each inequality is compared to relative precision wherever its rhs is
+    below 1 (:func:`excess`).  Two choices keep float resolution out of
     that comparison.  The sum bound is stated for g_{p,n}, not g_{p,n} - 1,
     whose value near g = 1 is known only to an absolute 1e-16.  The one-step
     constants g_k = ratio(G_k) and b_k = dobrushin(M_k) are read from the
@@ -277,51 +309,7 @@ def check_semigroup_lemmas(spec: FlowSpec, include_as_printed: bool = False) -> 
     bit, the former equals g_k in exact arithmetic); the p = n - 1 cases,
     which are identities, then compare equal bit for bit.
     """
-    g, b = spec.table.g.T.tolist(), spec.table.b.T.tolist()
-    step_g = [None] + [g[k][k - 1] for k in range(1, spec.horizon + 1)]
-    step_b = [None] + [b[k][k - 1] for k in range(1, spec.horizon + 1)]
-    records = []
-    for n in range(spec.horizon + 1):
-        g_pn, b_pn = g[n], b[n]
-        for p in range(n + 1):
-            # potential-ratio sum bound
-            rhs = 0.0
-            prod_gb = 1.0
-            rhs_printed = 0.0
-            prod_b = 1.0
-            for k in range(p + 1, n + 1):
-                rhs += (step_g[k] - 1.0) * prod_gb
-                prod_gb *= step_g[k] * step_b[k]
-                rhs_printed += (step_g[k] - 1.0) * prod_b
-                prod_b *= step_b[k]
-            records.append(
-                InequalityRecord("potential-ratio-sum", p, n, g_pn[p], 1.0 + rhs)
-            )
-            if include_as_printed:
-                records.append(
-                    InequalityRecord(
-                        "potential-ratio-sum-as-printed", p, n, g_pn[p], 1.0 + rhs_printed
-                    )
-                )
-            # mixing product bound
-            rhs = 1.0
-            for k in range(p + 1, n + 1):
-                rhs *= step_b[k] * g_pn[k]
-            records.append(InequalityRecord("mixing-product", p, n, b_pn[p], rhs))
-            # stability product bound
-            rhs = 1.0
-            for k in range(p + 1, n + 1):
-                rhs *= step_b[k] * g_pn[k - 1]
-            records.append(
-                InequalityRecord("stability-product", p, n, g_pn[p] * b_pn[p], rhs)
-            )
-            # backward recursion
-            if p >= 1:
-                rhs = step_g[p] * (1.0 + step_b[p] * (g_pn[p] - 1.0))
-                records.append(
-                    InequalityRecord("backward-recursion", p - 1, n, g_pn[p - 1], rhs)
-                )
-    return LemmaReport(records=tuple(records))
+    return worst_excess(*semigroup_lemma_excess(spec))
 
 
 def stability_sums(spec: FlowSpec) -> list:

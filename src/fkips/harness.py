@@ -31,7 +31,8 @@ from .bounds import CheckRow, VerifyReport
 # parse_config and ExperimentConfig are re-exported: perfbench/ reaches both here
 from .config import _FLOAT_FMT, ExperimentConfig, _fmt, parse_config  # noqa: F401
 from .engine import run_counts
-from .flow import FlowSpec, InequalityRecord, LemmaReport, check_semigroup_lemmas
+from .errors import InputError
+from .flow import FlowSpec, check_semigroup_lemmas, excess, worst_excess
 from .measures import dobrushin
 from .testfns import deviations, l2_level, means, osc1_dictionary
 
@@ -108,7 +109,6 @@ def aggregate(values, stat_names) -> ReplicateStats:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    config: ExperimentConfig
     stats: ReplicateStats
     raw_csv: str
     stats_csv: str
@@ -184,7 +184,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         values, stat_names = _adaptive_values(cfg)
     stats = aggregate(values, stat_names)
     return ExperimentResult(
-        config=cfg,
         stats=stats,
         raw_csv=_raw_csv(values, stat_names),
         stats_csv=_stats_csv(stats),
@@ -247,9 +246,53 @@ def emit_csv(text, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _known_regime(regime: str) -> None:
+    if regime not in ("bounded", "decreasing"):
+        raise InputError(f"unknown regime {regime!r}: expected 'bounded' or 'decreasing'")
+
+
+def composed_cap_excess(flow: FlowSpec, regime: str, a: float, g_sup=None):
+    """The :func:`~fkips.flow.excess` of every composed cap of
+    :func:`composed_caps`, as :func:`~fkips.flow.worst_excess` reads them.
+
+    Entry ``[group, n, T - p, slot]`` is a cap at (p, n).  Group 0 holds
+    ``g_pn*b_pn``; group 1 holds the regime's caps, ``g_pn`` in slot 0 and,
+    in the bounded regime, ``b_p*g_(p-1)n`` in slot 1.  C order thus runs
+    every ``g_pn*b_pn`` cap, then the regime's caps pair by pair, each with
+    n ascending and p descending.
+    """
+    _known_regime(regime)
+    t, g, b = flow.horizon, flow.table.g, flow.table.b
+    p, n = np.indices(g.shape)
+    unused, unchecked = np.zeros_like(g), np.zeros(g.shape, dtype=bool)
+    powers = np.array([a ** k for k in range(t + 1)])
+    # n - p < 0 only below the diagonal, which is never checked
+    stability = excess(g * b, powers[n - p])
+    if regime == "bounded":
+        caps = excess(g, g_sup + a)
+        # b_p pairs with g_{p-1,n}; trace.b is 0-indexed by step, row 0 unread
+        mixed = excess(np.append(1.0, flow.trace.b)[:, None] * np.roll(g, 1, axis=0), a)
+        checked = [p <= n, (1 <= p) & (p <= n)]
+    else:
+        # trace.g is 0-indexed: entry p is the step-(p+1) ratio, the cap of g_{p,n}
+        alpha = a / (1.0 - a)
+        caps = excess(g, np.array([x ** (1.0 + alpha) for x in flow.trace.g] + [1.0])[:, None])
+        mixed = unused
+        checked = [p < n, unchecked]
+    excesses = np.stack([[stability, unused], [caps, mixed]])
+    # a p = n pair is the identity 1 = a^0, kept only where it is the only pair
+    checked = np.stack([[p < n if t else p <= n, unchecked], checked])
+    names = (("g_pn*b_pn", None), ("g_pn", "b_p*g_(p-1)n"))
+    return (
+        excesses.transpose(0, 3, 2, 1)[:, :, ::-1],
+        checked.transpose(0, 3, 2, 1)[:, :, ::-1],
+        lambda group, n, q, slot: f"{names[group][slot]},p={t - q},n={n}",
+    )
+
+
 def composed_caps(flow: FlowSpec, regime: str, a: float, g_sup=None):
     """Exact composed-quantity caps implied by a regime's hypothesis.  Returns
-    (ok, worst excess, scope).
+    :func:`~fkips.flow.worst_excess`'s (ok, worst excess, scope).
 
     Both regimes cap ``g_{p,n} b_{p,n} <= a^(n-p)`` for p < n.  A p = n pair
     is the identity ``1 = a^0`` with excess exactly 0, which would pin every
@@ -258,31 +301,11 @@ def composed_caps(flow: FlowSpec, regime: str, a: float, g_sup=None):
     ``g_{p,n} <= g_sup + a`` and ``b_p g_{p-1,n} <= a``; the
     ``"decreasing"`` one adds ``g_{p,n} <= g_(p+1)^(1+alpha)`` for p < n,
     alpha = a/(1-a), and does not read ``g_sup``.  A cap holds when
-    ``lhs - rhs <= 1e-10 * min(1, rhs)`` (:attr:`InequalityRecord.excess`),
-    so the caps ``a^(n-p)`` are checked to relative precision.
+    ``lhs - rhs <= 1e-10 * min(1, rhs)`` (:func:`~fkips.flow.excess`), so
+    the caps ``a^(n-p)`` are checked to relative precision.  Any other
+    regime is an :class:`~fkips.errors.InputError`.
     """
-    g, b = flow.table.g.tolist(), flow.table.b.tolist()
-    records = [
-        InequalityRecord("g_pn*b_pn", p, n, g[p][n] * b[p][n], a ** (n - p))
-        for n in range(flow.horizon + 1)
-        for p in range(n - 1 if flow.horizon else n, -1, -1)
-    ]
-    step_g, step_b, alpha = flow.trace.g, flow.trace.b, a / (1.0 - a)
-    for n in range(flow.horizon + 1):
-        for p in range(n, -1, -1):
-            if regime == "bounded":
-                records.append(InequalityRecord("g_pn", p, n, g[p][n], g_sup + a))
-                if p >= 1:
-                    # b_p pairs with g_{p-1,n}; step_b is 0-indexed by step
-                    bg = step_b[p - 1] * g[p - 1][n]
-                    records.append(InequalityRecord("b_p*g_(p-1)n", p, n, bg, a))
-            elif p < n:
-                # step_g is 0-indexed: step_g[p] is the step-(p+1) ratio
-                cap = step_g[p] ** (1.0 + alpha)
-                records.append(InequalityRecord("g_pn", p, n, g[p][n], cap))
-    report = LemmaReport(tuple(records))
-    worst = report.worst()
-    return report.holds(1e-10), worst.excess, f"{worst.name},p={worst.p},n={worst.n}"
+    return worst_excess(*composed_cap_excess(flow, regime, a, g_sup))
 
 
 def check_regime(
@@ -309,6 +332,7 @@ def check_regime(
     :func:`~fkips.bounds.deviation_thresholds`, all over the same
     ``replicates`` runs; the row names start ``uniform-`` or ``decreasing-``.
     """
+    _known_regime(regime)
     trace = flow.trace
     name = "uniform" if regime == "bounded" else "decreasing"
     # g: what bounds.deviation_thresholds reads, the cap or the step ratios
@@ -359,16 +383,16 @@ def check_regime(
 
 
 def check_oracle_identity(flow: FlowSpec, rel_tol: float = 1e-10) -> VerifyReport:
-    """Mass recursion vs composed-operator route, every split point."""
-    gamma1, mass = flow.trace.gamma1, flow.table.mass.tolist()
-    rows = []
-    for n in range(flow.horizon + 1):
-        direct = gamma1[n]
-        worst = 0.0
-        for p in range(n + 1):
-            worst = max(worst, abs(mass[p][n] - direct) / max(abs(direct), 1e-300))
-        rows.append(CheckRow.compare("oracle-mass-identity", f"n={n}", worst, rel_tol))
-    return VerifyReport(rows=tuple(rows), hypothesis_ok=all(r.status == "pass" for r in rows))
+    """Mass recursion vs composed-operator route: per end time n, the worst
+    relative gap over every split point p <= n."""
+    direct, mass = np.array(flow.trace.gamma1), flow.table.mass
+    p, n = np.indices(mass.shape)
+    gaps = np.abs(mass - direct) / np.maximum(np.abs(direct), 1e-300)
+    rows = tuple(
+        CheckRow.compare("oracle-mass-identity", f"n={n}", worst, rel_tol)
+        for n, worst in enumerate(gaps.max(axis=0, initial=0.0, where=p <= n).tolist())
+    )
+    return VerifyReport(rows=rows, hypothesis_ok=all(r.status == "pass" for r in rows))
 
 
 def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
@@ -386,8 +410,8 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
     if cfg.kind == "classic":
         flow = cfg.flow
         rows = list(check_oracle_identity(flow).rows)
-        lemmas = check_semigroup_lemmas(flow)
-        rows.append(CheckRow.compare("semigroup-lemmas", "all", lemmas.max_excess, 1e-10))
+        _, lemma_excess, _ = check_semigroup_lemmas(flow)
+        rows.append(CheckRow.compare("semigroup-lemmas", "all", lemma_excess, 1e-10))
         report = check_regime(
             flow, checks.regime, checks.a, checks.g_sup, cfg.n_particles, replicates, cfg.seed,
             y_values=checks.y_values,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -120,3 +121,22 @@ def random_reversible_problem(rng, dim):
         reference=FiniteDistribution(m),
         proposal=KernelMatrix(rows),
     )
+
+
+@functools.cache
+def table_check_flows():
+    """(id, flow) pairs on which the composed-table checks are compared with
+    their per-pair references: random flows, both regimes' instances,
+    identity kernels, rank-one kernels (b_{p,n} = 0 for p < n, so excesses
+    tie at exactly -1 and 0), horizon 0 and one horizon of 200.  The flows
+    are built once, so each table is too."""
+    rng = _rng(300)
+    three, potential = FiniteDistribution.uniform(3), PotentialVector([1.0, 2.0, 0.5])
+    return tuple([(f"random-{i}", random_flow(rng)) for i in range(12)] + [
+        ("bounded", bounded_regime_flow(12, seed=11)),
+        ("decreasing", decreasing_regime_flow(12, seed=55)),
+        ("identity", FlowSpec(three, ((potential, KernelMatrix.identity(3)),) * 3)),
+        ("rank-one", FlowSpec(three, ((potential, KernelMatrix.uniform(3)),) * 3)),
+        ("horizon-0", FlowSpec(three, ())),
+        ("horizon-200", bounded_regime_flow(200, dim=8)),
+    ])

@@ -7,6 +7,7 @@ deliberately avoiding the production code paths it is used to check.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy import stats
@@ -175,6 +176,87 @@ def parse_sections_by_lines(text: str, schema: dict) -> dict:
     if errors:
         raise ConfigError(errors)
     return sections
+
+
+def excess_by_cases(lhs: float, rhs: float) -> float:
+    """``lhs - rhs`` in units of ``min(1, rhs)`` for one pair of floats;
+    over ``rhs <= 0`` a positive gap is infinite."""
+    gap, scale = lhs - rhs, min(1.0, rhs)
+    if scale > 0:
+        return gap / scale
+    return math.inf if gap > 0 else gap
+
+
+def worst_record(records):
+    """``(ok, worst, scope)`` of (name, p, n, excess) records: the first
+    record with the largest excess, held when it is at most 1e-10."""
+    name, p, n, worst = max(records, key=lambda r: r[3])
+    return worst <= 1e-10, worst, f"{name},p={p},n={n}"
+
+
+def semigroup_lemma_records(spec):
+    """(name, p, n, excess) of every composed-step estimate, in record order,
+    by one loop over k per pair (p, n) on Python floats."""
+    g, b = spec.table.g.T.tolist(), spec.table.b.T.tolist()
+    step_g = [None] + [g[k][k - 1] for k in range(1, spec.horizon + 1)]
+    step_b = [None] + [b[k][k - 1] for k in range(1, spec.horizon + 1)]
+    records = []
+    for n in range(spec.horizon + 1):
+        g_pn, b_pn = g[n], b[n]
+        for p in range(n + 1):
+            rhs, prod_gb = 0.0, 1.0
+            for k in range(p + 1, n + 1):
+                rhs += (step_g[k] - 1.0) * prod_gb
+                prod_gb *= step_g[k] * step_b[k]
+            records.append(("potential-ratio-sum", p, n, excess_by_cases(g_pn[p], 1.0 + rhs)))
+            rhs = 1.0
+            for k in range(p + 1, n + 1):
+                rhs *= step_b[k] * g_pn[k]
+            records.append(("mixing-product", p, n, excess_by_cases(b_pn[p], rhs)))
+            rhs = 1.0
+            for k in range(p + 1, n + 1):
+                rhs *= step_b[k] * g_pn[k - 1]
+            records.append(("stability-product", p, n, excess_by_cases(g_pn[p] * b_pn[p], rhs)))
+            if p >= 1:
+                rhs = step_g[p] * (1.0 + step_b[p] * (g_pn[p] - 1.0))
+                records.append(("backward-recursion", p - 1, n, excess_by_cases(g_pn[p - 1], rhs)))
+    return records
+
+
+def composed_cap_records(flow, regime, a, g_sup=None):
+    """(name, p, n, excess) of every composed cap of a regime, in record
+    order, one pair at a time on Python floats."""
+    g, b = flow.table.g.tolist(), flow.table.b.tolist()
+    records = [
+        ("g_pn*b_pn", p, n, excess_by_cases(g[p][n] * b[p][n], a ** (n - p)))
+        for n in range(flow.horizon + 1)
+        for p in range(n - 1 if flow.horizon else n, -1, -1)
+    ]
+    step_g, step_b, alpha = flow.trace.g, flow.trace.b, a / (1.0 - a)
+    for n in range(flow.horizon + 1):
+        for p in range(n, -1, -1):
+            if regime == "bounded":
+                records.append(("g_pn", p, n, excess_by_cases(g[p][n], g_sup + a)))
+                if p >= 1:
+                    bg = step_b[p - 1] * g[p - 1][n]
+                    records.append(("b_p*g_(p-1)n", p, n, excess_by_cases(bg, a)))
+            elif p < n:
+                cap = step_g[p] ** (1.0 + alpha)
+                records.append(("g_pn", p, n, excess_by_cases(g[p][n], cap)))
+    return records
+
+
+def oracle_identity_gaps(flow):
+    """Per end time n, the worst relative gap between gamma_n(1) and
+    gamma_p Q_{p,n} 1 over every split point p <= n, one pair at a time."""
+    gamma1, mass = flow.trace.gamma1, flow.table.mass.tolist()
+    gaps = []
+    for n in range(flow.horizon + 1):
+        direct, worst = gamma1[n], 0.0
+        for p in range(n + 1):
+            worst = max(worst, abs(mass[p][n] - direct) / max(abs(direct), 1e-300))
+        gaps.append(worst)
+    return gaps
 
 
 def kernel_potential_smoothing(k_rows, g_vals):

@@ -247,7 +247,7 @@ class TestBuildFlow:
         isa = build_isa_flow(
             prob, TemperatureSchedule.constant_step(0.0, 0.5, 5), cert, 0.5
         )
-        iters = [s.mcmc_iters for s in isa.steps]
+        iters = isa.mcmc_iters
         assert all(b >= a for a, b in zip(iters, iters[1:]))
 
 

@@ -34,6 +34,11 @@ from fkips.bounds import (
     u_sequences,
 )
 from fkips.errors import BudgetExceededError, InputError
+from fkips.flow import worst_excess
+
+from .instances import table_check_flows
+from .oracles import composed_cap_records
+from .test_flow import assert_batch_is_records
 
 
 class TestMomentConstants:
@@ -397,7 +402,20 @@ class TestRawEstimates:
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestComposedCapChecks:
+    @pytest.mark.parametrize("regime", ["bounded", "decreasing"])
+    @pytest.mark.parametrize(
+        "flow", [pytest.param(flow, id=name) for name, flow in table_check_flows()]
+    )
+    def test_cap_excess_is_the_per_pair_records(self, flow, regime):
+        from fkips.harness import composed_cap_excess, composed_caps
+
+        a, g_sup = 0.5, max(flow.trace.g, default=1.0)
+        batch = composed_cap_excess(flow, regime, a, g_sup)
+        assert_batch_is_records(batch, composed_cap_records(flow, regime, a, g_sup))
+        assert composed_caps(flow, regime, a, g_sup) == worst_excess(*batch)
+
     def test_uniform_caps_on_conditioned_random_flows(self):
         from fkips.harness import composed_caps
 

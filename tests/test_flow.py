@@ -11,11 +11,10 @@ from fkips import flow
 from fkips.errors import InputError
 from fkips.flow import (
     FlowSpec,
-    InequalityRecord,
-    LemmaReport,
     check_semigroup_lemmas,
     fk_step,
     run_flow,
+    semigroup_lemma_excess,
     stability_sums,
 )
 from fkips.measures import (
@@ -25,7 +24,7 @@ from fkips.measures import (
     total_variation,
 )
 
-from .instances import bounded_regime_flow, decreasing_regime_flow, random_flow
+from .instances import bounded_regime_flow, decreasing_regime_flow, random_flow, table_check_flows
 from .oracles import (
     composed_by_product,
     composed_table_by_product,
@@ -34,7 +33,9 @@ from .oracles import (
     random_distribution,
     random_kernel_rows,
     random_potential_values,
+    semigroup_lemma_records,
     weights_by_recursion,
+    worst_record,
 )
 
 
@@ -249,27 +250,50 @@ class TestSemigroup:
                 assert table.g[p, n] == pytest.approx(1.0, rel=1e-12)
 
 
+def assert_batch_is_records(batch, records):
+    """An array batch of excesses holds the per-pair records, in their order
+    and bit for bit, and reduces to the records' (ok, worst, scope)."""
+    excesses, checked, scope = batch
+    index = [tuple(int(i) for i in at) for at in np.argwhere(checked)]
+    assert [scope(*at) for at in index] == [f"{name},p={p},n={n}" for name, p, n, _ in records]
+    got = np.array([excesses[at] for at in index])
+    assert got.tobytes() == np.array([r[3] for r in records]).tobytes()
+    ok, worst, where = flow.worst_excess(*batch)
+    want_ok, want_worst, want_where = worst_record(records)
+    assert (ok, where) == (want_ok, want_where)
+    assert np.float64(worst).tobytes() == np.float64(want_worst).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestStabilityEstimates:
+    @pytest.mark.parametrize(
+        "spec", [pytest.param(spec, id=name) for name, spec in table_check_flows()]
+    )
+    def test_lemma_excess_is_the_per_pair_records(self, spec):
+        assert_batch_is_records(semigroup_lemma_excess(spec), semigroup_lemma_records(spec))
+        assert check_semigroup_lemmas(spec) == flow.worst_excess(*semigroup_lemma_excess(spec))
+
     def test_lemma_report_on_fixed_flows(self):
         rng = rng_for(18)
         for _ in range(30):
-            report = check_semigroup_lemmas(random_flow(rng, horizon=int(rng.integers(1, 5))))
-            assert report.holds(1e-10), report.worst()
+            ok, worst, scope = check_semigroup_lemmas(
+                random_flow(rng, horizon=int(rng.integers(1, 5)))
+            )
+            assert ok, (worst, scope)
 
     def test_identity_kernels_everywhere(self):
         spec = FlowSpec(
             FiniteDistribution.uniform(3),
             ((PotentialVector([1.0, 2.0, 0.5]), KernelMatrix.identity(3)),) * 3,
         )
-        assert check_semigroup_lemmas(spec).holds(1e-10)
+        assert check_semigroup_lemmas(spec)[0]
 
     def test_rank_one_kernels_everywhere(self):
         spec = FlowSpec(
             FiniteDistribution.uniform(3),
             ((PotentialVector([1.0, 2.0, 0.5]), KernelMatrix.uniform(3)),) * 3,
         )
-        report = check_semigroup_lemmas(spec)
-        assert report.holds(1e-10)
+        assert check_semigroup_lemmas(spec)[0]
         # composed transitions collapse immediately: b_{p,n} = 0 exactly
         # for p < n, so the mixing bounds with rhs = 0 hold with no slack
         upper = np.triu(np.ones((4, 4), dtype=bool), k=1)
@@ -294,13 +318,13 @@ class TestStabilityEstimates:
                 ))
             for steps in (flat, near):
                 spec = FlowSpec(FiniteDistribution.uniform(d), tuple(steps))
-                report = check_semigroup_lemmas(spec)
-                assert report.holds(1e-10), report.worst()
+                ok, worst, scope = check_semigroup_lemmas(spec)
+                assert ok, (worst, scope)
 
     def test_excess_is_relative_below_one(self):
-        # a record holds when lhs - rhs <= tolerance * min(1, rhs)
+        # an inequality holds when lhs - rhs <= tolerance * min(1, rhs)
         def holds(lhs, rhs):
-            return LemmaReport((InequalityRecord("x", 0, 1, lhs, rhs),)).holds(1e-10)
+            return flow.excess(lhs, rhs) <= 1e-10
 
         assert holds(1.0 + 0.9e-10, 1.0) and not holds(1.0 + 1.1e-10, 1.0)
         assert holds(4.0 + 0.9e-10, 4.0)
@@ -308,7 +332,7 @@ class TestStabilityEstimates:
         assert not holds(1e-12 * (1.0 + 1.1e-10), 1e-12)
         assert not holds(2e-12, 1e-12)   # within an absolute 1e-10
         assert holds(0.0, 0.0) and not holds(1e-300, 0.0)
-        assert InequalityRecord("x", 0, 1, 3e-12, 1e-12).excess == pytest.approx(2.0)
+        assert flow.excess(3e-12, 1e-12) == pytest.approx(2.0)
 
     def test_sum_form_with_bare_b_products_is_falsified(self):
         # Regression pin: carrying bare b_j products inside the potential
@@ -318,11 +342,23 @@ class TestStabilityEstimates:
             FiniteDistribution.uniform(3),
             ((PotentialVector([1.0, 2.0, 3.0]), KernelMatrix.lazy_ring(3, 0.4)),) * 2,
         )
-        report = check_semigroup_lemmas(spec, include_as_printed=True)
-        printed = [r for r in report.records if r.name == "potential-ratio-sum-as-printed"]
-        assert max(r.excess for r in printed) > 0.1
-        corrected = [r for r in report.records if r.name == "potential-ratio-sum"]
-        assert max(r.excess for r in corrected) <= 1e-10
+        g, b = spec.table.g, spec.table.b
+        step_g, step_b = np.diagonal(g, 1).tolist(), np.diagonal(b, 1).tolist()
+
+        def worst_sum_excess(weights):
+            # 1 + sum_{k=p+1..n} (g_k - 1) prod_{j=p+1..k-1} weights_j, every p <= n
+            worst = -math.inf
+            for n in range(spec.horizon + 1):
+                for p in range(n + 1):
+                    rhs, prod = 0.0, 1.0
+                    for k in range(p, n):   # step k + 1
+                        rhs += (step_g[k] - 1.0) * prod
+                        prod *= weights[k]
+                    worst = max(worst, float(flow.excess(g[p, n], 1.0 + rhs)))
+            return worst
+
+        assert worst_sum_excess(step_b) > 0.1
+        assert worst_sum_excess([x * y for x, y in zip(step_g, step_b)]) <= 1e-10
 
     def test_kernel_potential_smoothing(self):
         lhs, rhs = kernel_potential_smoothing(KernelMatrix.uniform(3).rows, np.ones(3))

@@ -21,7 +21,7 @@ from fkips import annealing
 from fkips.cli import main as cli_main
 from fkips.config import _SCHEMA, _parse_sections, _parse_value
 from fkips.engine import BLOCK, run_counts
-from fkips.errors import ConfigError
+from fkips.errors import ConfigError, InputError
 from fkips.flow import FlowSpec
 from fkips.harness import (
     CheckRow,
@@ -37,8 +37,8 @@ from fkips.harness import (
 from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 
 from .configs import flow_to_config, serialize_config
-from .instances import bounded_regime_flow
-from .oracles import parse_sections_by_lines, parse_value_by_floats
+from .instances import bounded_regime_flow, table_check_flows
+from .oracles import oracle_identity_gaps, parse_sections_by_lines, parse_value_by_floats
 from .test_golden import BOUNDED, CLASSIC, DECREASING, ISA
 from .test_tooling import _workloads
 
@@ -479,9 +479,30 @@ class TestVerifyDispatch:
         assert all(r.status == "hypothesis-unmet" for r in report.rows)
         assert not report.failures()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_oracle_identity_rows(self):
         report = check_oracle_identity(bounded_regime_flow(4, seed=50))
         assert report.all_pass
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "flow", [pytest.param(flow, id=name) for name, flow in table_check_flows()]
+    )
+    def test_oracle_identity_is_the_per_pair_gap(self, flow):
+        rows = check_oracle_identity(flow).rows
+        assert [r.scope for r in rows] == [f"n={n}" for n in range(flow.horizon + 1)]
+        want = np.array(oracle_identity_gaps(flow))
+        assert np.array([r.lhs for r in rows]).tobytes() == want.tobytes()
+
+    def test_unknown_regime_is_refused_before_any_replicate(self, monkeypatch):
+        from fkips import harness
+
+        flow = bounded_regime_flow(4, seed=50)
+        with pytest.raises(InputError, match="'uniform'"):
+            harness.composed_caps(flow, "uniform", 0.5, 1.5)
+        monkeypatch.setattr(harness, "run_counts", lambda *a, **k: pytest.fail("replicates ran"))
+        with pytest.raises(InputError, match="'uniform'"):
+            check_regime(flow, "uniform", 0.5, None, 50, 10, seed=4)
 
     def test_config_driven_verify(self):
         text = CLASSIC_TEXT.replace(
