@@ -254,14 +254,14 @@ def theoretical_adaptive_flow(
     *,
     mcmc_iters: int = 1,
     beta0: float = 0.0,
-    kappa_tol: float = 1e-12,
 ) -> ReferenceSchedule:
     """Build the deterministic reference schedule on a finite problem.
 
     Requires every state of positive reference mass to carry strictly
     positive energy (declared minimum 0 not attained on the support), so
-    the mean-weight equation always has a root.  Consecutive unnormalized
-    masses of the emitted flow contract by exactly epsilon.
+    the mean-weight equation always has a root, which is solved to a curve
+    tolerance of 1e-12.  Consecutive unnormalized masses of the emitted flow
+    contract by exactly epsilon.
     """
     if not 0.0 < epsilon < 1.0:
         raise InputError("epsilon (target kept fraction) must lie in (0, 1)")
@@ -278,7 +278,7 @@ def theoretical_adaptive_flow(
     for _ in range(horizon):
         eta_prev = etas[-1]
         curve = LambdaCurve.from_distribution(eta_prev, v)
-        res = kappa_solve(curve, epsilon, tol=kappa_tol, delta_max=1e9, step=len(deltas) + 1)
+        res = kappa_solve(curve, epsilon, tol=1e-12, delta_max=1e9, step=len(deltas) + 1)
         if res.saturated:
             raise InputError("increment solver saturated on the exact law")
         delta = res.delta

@@ -287,20 +287,14 @@ def build_isa_flow(
     )
 
 
-@dataclass(frozen=True)
-class OptimizeStepRow:
-    step: int
-    beta: float
-    proportion_exact: float    # mass at energy >= V_min + eps under the exact flow law
-    gibbs_term: float
-    thresholds: dict           # y -> composite bound
-
-
 @dataclass(frozen=True, eq=False)
 class OptimizeResult:
-    rows: tuple
-    proportions: np.ndarray    # (R, T): particle mass at energy >= V_min + eps, steps 1..T
-    report: bounds.BoundReport
+    """Per-step arrays of the optimizer, steps 1..T in column order."""
+
+    proportions: np.ndarray    # (R, T): particle mass at energy >= V_min + eps
+    exact_mass: np.ndarray     # (T,): the same mass under the exact flow law
+    gibbs_term: np.ndarray     # (T,): gibbs_tail_bound at beta_n
+    thresholds: np.ndarray     # (len(y_values), T): the composite bound per y
 
 
 def optimize(
@@ -314,12 +308,13 @@ def optimize(
     replicates: int = 1,
 ) -> OptimizeResult:
     """Run R replicates of the tuned annealing optimizer on a built flow and
-    report the composite bound.
+    evaluate the composite bound.
 
-    Per step and replicate the result holds the proportion of particles at
-    energy ``V_min + epsilon_level`` or above; per step it holds the
-    exact-law mass of the same event and, for each requested confidence
-    exponent y, the bound
+    ``proportions[r, n-1]`` is the proportion of replicate r's particles at
+    energy ``V_min + epsilon_level`` or above after step n, ``exact_mass[n-1]``
+    the exact-law mass of the same event, ``gibbs_term[n-1]`` the
+    Boltzmann-Gibbs tail bound at beta_n, and ``thresholds[i, n-1]``, for the
+    confidence exponent ``y_values[i]``, the bound
 
         gibbs_tail(beta_n) + (r_i N + r_j y) / N^2
 
@@ -328,13 +323,12 @@ def optimize(
     """
     if not 0.0 < eps_prime < epsilon_level:
         raise InputError("thresholds must satisfy 0 < eps' < eps")
-    problem, schedule, cert, a = isa.problem, isa.schedule, isa.cert, isa.a
+    problem, schedule, a = isa.problem, isa.schedule, isa.a
     trace = isa.flow.trace
     run = run_counts(isa.flow, n_particles, seed, replicates=replicates)
 
-    v = problem.v_values
     v_min = problem.v_min
-    tail_set = (v >= v_min + epsilon_level).astype(np.float64)
+    tail_set = (problem.v_values >= v_min + epsilon_level).astype(np.float64)
     m_eps_prime = problem.sublevel_mass(v_min + eps_prime)
     if m_eps_prime <= 0:
         raise InputError("reference mass of the eps' sub-level set is zero")
@@ -347,41 +341,18 @@ def optimize(
         g = math.exp(schedule.delta_cap * problem.v_osc)
     else:
         g = [math.exp(d * problem.v_osc) for d in schedule.deltas]
-
-    rows = []
-    for n in range(1, schedule.horizon + 1):
-        beta_n = schedule.betas[n]
-        gibbs_term = bounds.gibbs_tail_bound(beta_n, epsilon_level, eps_prime, m_eps_prime)
-        thresholds = {
-            float(y): gibbs_term + bounds.deviation_thresholds(mode, a, g, n_particles, n, y)[0]
-            for y in y_values
-        }
-        rows.append(
-            OptimizeStepRow(
-                step=n,
-                beta=beta_n,
-                proportion_exact=trace.etas[n].expect(tail_set),
-                gibbs_term=gibbs_term,
-                thresholds=thresholds,
-            )
-        )
-    report = bounds.BoundReport(
-        name="annealed-optimizer",
-        inputs={
-            "n_particles": n_particles,
-            "eps": epsilon_level,
-            "eps_prime": eps_prime,
-            "a": a,
-            "k0": cert.k0,
-            "delta": cert.delta,
-            "gap_k0": cert.gap_k0,
-            "mode": mode,
-        },
-        values={
-            "m_eps_prime": m_eps_prime,
-            "final_beta": schedule.betas[-1],
-            "final_gibbs_term": rows[-1].gibbs_term if rows else 1.0,
-        },
-        formula_ref="tail <= exp(-beta_n (eps - eps')) / m_eps' + (r_i N + r_j y)/N^2",
+    steps = range(1, schedule.horizon + 1)
+    gibbs_term = np.array([
+        bounds.gibbs_tail_bound(schedule.betas[n], epsilon_level, eps_prime, m_eps_prime)
+        for n in steps
+    ])
+    thresholds = gibbs_term + np.array([
+        [bounds.deviation_thresholds(mode, a, g, n_particles, n, y)[0] for n in steps]
+        for y in y_values
+    ]).reshape(len(y_values), len(steps))
+    return OptimizeResult(
+        proportions=proportions,
+        exact_mass=np.array([trace.etas[n].expect(tail_set) for n in steps]),
+        gibbs_term=gibbs_term,
+        thresholds=thresholds,
     )
-    return OptimizeResult(rows=tuple(rows), proportions=proportions, report=report)

@@ -57,33 +57,6 @@ class RegimeParams:
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    """Evaluated constants with the inputs and formula that produced them."""
-
-    name: str
-    inputs: dict
-    values: dict
-    formula_ref: str = ""
-
-    def __post_init__(self):
-        for key, val in self.values.items():
-            v = float(val)
-            if not math.isfinite(v) or v < 0:
-                raise InputError(f"bound value {key}={val!r} must be finite and >= 0")
-
-    def as_key_values(self) -> str:
-        lines = [f"name={self.name}"]
-        lines += [f"in.{k}={v}" for k, v in self.inputs.items()]
-        lines += [f"{k}={format(float(v), '.17g')}" for k, v in self.values.items()]
-        if self.formula_ref:
-            lines.append(f"formula={self.formula_ref}")
-        return "\n".join(lines)
-
-    def as_csv_rows(self) -> list:
-        return [[self.name, k, format(float(v), ".17g")] for k, v in self.values.items()]
-
-
-@dataclass(frozen=True)
 class CheckRow:
     """One checked estimate: ``lhs`` (an exact quantity, an empirical L2
     level or an exceedance frequency) against ``rhs`` (its bound, with any

@@ -159,13 +159,14 @@ def _cmd_tune(args, tune) -> int:
     if not values:
         print("nothing to compute; see fkips tune --help", file=sys.stderr)
         return USAGE_ERROR
-    report = bounds.BoundReport(name="tune", inputs=inputs, values=values)
-    print(report.as_key_values())
+    # _tune_values refused every non-finite value, and none is negative
+    cells = [(k, format(float(v), ".17g")) for k, v in values.items()]
+    lines = ["name=tune"] + [f"in.{k}={v}" for k, v in inputs.items()]
+    print("\n".join(lines + [f"{k}={v}" for k, v in cells]))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "tune.csv")
-        lines = ["name,key,value"] + [",".join(r) for r in report.as_csv_rows()]
-        emit_csv("\n".join(lines) + "\n", path)
+        emit_csv("name,key,value\n" + "".join(f"tune,{k},{v}\n" for k, v in cells), path)
         print(f"wrote {path}")
     return 0
 

@@ -219,13 +219,13 @@ def excess(lhs, rhs):
     return np.divide(gap, scale, out=out, where=scale > 0)
 
 
-def worst_excess(excesses, checked, scope, tolerance: float = 1e-10):
+def worst_excess(excesses, checked, scope):
     """``(ok, worst, scope)`` of a batch of inequalities held as arrays.
 
     ``excesses`` holds the :func:`excess` of each inequality at the entries
     the boolean array ``checked`` marks, laid out so that C order is the
     batch's record order.  ``worst`` is the largest checked excess, ``ok``
-    says whether it is at most ``tolerance``, and the scope is
+    says whether it is at most 1e-10, and the scope is
     ``scope(*index)`` of the first entry holding it.  A NaN excess is the
     worst and fails.
     """
@@ -233,7 +233,7 @@ def worst_excess(excesses, checked, scope, tolerance: float = 1e-10):
     first = int(np.argmax(values))
     worst = float(values[first])
     index = np.unravel_index(np.flatnonzero(checked)[first], checked.shape)
-    return worst <= tolerance, worst, scope(*(int(i) for i in index))
+    return worst <= 1e-10, worst, scope(*(int(i) for i in index))
 
 
 _LEMMAS = ("potential-ratio-sum", "mixing-product", "stability-product", "backward-recursion")

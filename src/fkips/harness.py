@@ -58,8 +58,9 @@ class ReplicateStats:
     replicates: int
 
 
-def _quantiles(x, qs=(0.1, 0.5, 0.9)) -> np.ndarray:
-    """``np.quantile(x, qs, axis=-1)`` (linear method), bit for bit.
+def _quantiles(x) -> np.ndarray:
+    """``np.quantile(x, (0.1, 0.5, 0.9), axis=-1)`` (linear method), bit for
+    bit.
 
     It repeats numpy's steps: virtual index v = (n - 1) q, neighbours
     floor(v) and floor(v) + 1, or the top value twice, indexed -1, when
@@ -70,14 +71,14 @@ def _quantiles(x, qs=(0.1, 0.5, 0.9)) -> np.ndarray:
     """
     n = x.shape[-1]
     picks = []   # (lo, hi, t) per quantile
-    for q in qs:
+    for q in (0.1, 0.5, 0.9):
         v = (n - 1) * q
         lo = math.floor(v)
         # numpy's t is v minus the lower index, which is -1 at the top
         picks.append((-1, -1, v + 1) if v >= n - 1 else (lo, lo + 1, v - lo))
     kth = sorted({0, -1, *(i for lo, hi, _ in picks for i in (lo, hi))})
     part = np.partition(x, kth, axis=-1)
-    out = np.empty((len(qs),) + x.shape[:-1])
+    out = np.empty((len(picks),) + x.shape[:-1])
     for row, (lo, hi, t) in zip(out, picks):
         a, b = part[..., lo], part[..., hi]
         row[...] = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
@@ -251,6 +252,12 @@ def _known_regime(regime: str) -> None:
         raise InputError(f"unknown regime {regime!r}: expected 'bounded' or 'decreasing'")
 
 
+def _uniform_g_sup(flow: FlowSpec, g_sup):
+    """The uniform regime's ratio cap: ``g_sup``, or when it is None the
+    flow's largest step ratio (1 for a flow without steps)."""
+    return max(flow.trace.g, default=1.0) if g_sup is None else g_sup
+
+
 def composed_cap_excess(flow: FlowSpec, regime: str, a: float, g_sup=None):
     """The :func:`~fkips.flow.excess` of every composed cap of
     :func:`composed_caps`, as :func:`~fkips.flow.worst_excess` reads them.
@@ -269,7 +276,7 @@ def composed_cap_excess(flow: FlowSpec, regime: str, a: float, g_sup=None):
     # n - p < 0 only below the diagonal, which is never checked
     stability = excess(g * b, powers[n - p])
     if regime == "bounded":
-        caps = excess(g, g_sup + a)
+        caps = excess(g, _uniform_g_sup(flow, g_sup) + a)
         # b_p pairs with g_{p-1,n}; trace.b is 0-indexed by step, row 0 unread
         mixed = excess(np.append(1.0, flow.trace.b)[:, None] * np.roll(g, 1, axis=0), a)
         checked = [p <= n, (1 <= p) & (p <= n)]
@@ -298,7 +305,8 @@ def composed_caps(flow: FlowSpec, regime: str, a: float, g_sup=None):
     is the identity ``1 = a^0`` with excess exactly 0, which would pin every
     passing row's worst excess at 0; it is kept only at horizon 0, where it
     is the only pair.  The ``"bounded"`` (uniform) regime adds
-    ``g_{p,n} <= g_sup + a`` and ``b_p g_{p-1,n} <= a``; the
+    ``g_{p,n} <= g_sup + a`` and ``b_p g_{p-1,n} <= a``, g_sup None
+    standing for the flow's largest step ratio as in :func:`check_regime`; the
     ``"decreasing"`` one adds ``g_{p,n} <= g_(p+1)^(1+alpha)`` for p < n,
     alpha = a/(1-a), and does not read ``g_sup``.  A cap holds when
     ``lhs - rhs <= 1e-10 * min(1, rhs)`` (:func:`~fkips.flow.excess`), so
@@ -337,7 +345,7 @@ def check_regime(
     name = "uniform" if regime == "bounded" else "decreasing"
     # g: what bounds.deviation_thresholds reads, the cap or the step ratios
     if regime == "bounded":
-        g = g_sup = max(trace.g) if g_sup is None else g_sup
+        g = g_sup = _uniform_g_sup(flow, g_sup)
         b_cap = bounds.condition_bounded(g_sup, a)
         ok = all(x <= g_sup + 1e-12 for x in trace.g) and all(b <= b_cap + 1e-12 for b in trace.b)
         status = "pass" if ok else "hypothesis-unmet"
@@ -382,14 +390,14 @@ def check_regime(
     return VerifyReport(rows=tuple(rows + mass_rows), hypothesis_ok=True)
 
 
-def check_oracle_identity(flow: FlowSpec, rel_tol: float = 1e-10) -> VerifyReport:
+def check_oracle_identity(flow: FlowSpec) -> VerifyReport:
     """Mass recursion vs composed-operator route: per end time n, the worst
-    relative gap over every split point p <= n."""
+    relative gap over every split point p <= n, which passes at 1e-10."""
     direct, mass = np.array(flow.trace.gamma1), flow.table.mass
     p, n = np.indices(mass.shape)
     gaps = np.abs(mass - direct) / np.maximum(np.abs(direct), 1e-300)
     rows = tuple(
-        CheckRow.compare("oracle-mass-identity", f"n={n}", worst, rel_tol)
+        CheckRow.compare("oracle-mass-identity", f"n={n}", worst, 1e-10)
         for n, worst in enumerate(gaps.max(axis=0, initial=0.0, where=p <= n).tolist())
     )
     return VerifyReport(rows=rows, hypothesis_ok=all(r.status == "pass" for r in rows))
@@ -431,6 +439,10 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
     )
 
 
+# the inverse temperatures of the annealing invariance, mixing and tail rows
+_ISA_BETA_GRID = (0.0, 0.5, 1.0, 2.0, 5.0)
+
+
 def check_isa_bounds(
     isa: IsaFlow,
     eps_level: float,
@@ -440,53 +452,42 @@ def check_isa_bounds(
     seed: int,
     *,
     y_values=(2.0,),
-    beta_grid=(0.0, 0.5, 1.0, 2.0, 5.0),
 ) -> VerifyReport:
-    """Annealing checks: invariance, mixing estimate, tail bound and the
-    replicated optimizer exceedance at each confidence exponent y in
-    ``y_values``, all on the built flow ``isa``."""
+    """Annealing checks: invariance, mixing estimate and tail bound over a
+    fixed beta grid, then the replicated optimizer exceedance at each
+    confidence exponent y in ``y_values``, all on the built flow ``isa``."""
     from .annealing import gibbs_measure, metropolis_kernel, optimize
 
     problem, cert = isa.problem, isa.cert
-    # invariance of the annealing kernel
-    worst_inv = 0.0
-    for beta in beta_grid:
-        mu = gibbs_measure(problem, beta)
-        pushed = mu.push(metropolis_kernel(problem, beta))
-        worst_inv = max(worst_inv, float(np.abs(pushed.weights - mu.weights).max()))
-    rows = [CheckRow.compare("annealing-invariance", "beta-grid", worst_inv, 1e-12)]
-    # mixing estimate for the k0-fold kernel
-    worst_gap = -math.inf
-    for beta in beta_grid:
-        kb = metropolis_kernel(problem, beta).power(cert.k0)
-        exact = dobrushin(kb)
-        est = cert.mixing_bound(beta)
-        worst_gap = max(worst_gap, exact - est)
-    rows.append(CheckRow.compare("annealing-mixing-estimate", "beta-grid", worst_gap, 1e-12))
-    # Boltzmann-Gibbs tail bound; the 1e-12 rounding slack is not part of rhs
     v_min = problem.v_min
+    tail_set = problem.v_values >= v_min + eps_level
     m_prime = problem.sublevel_mass(v_min + eps_prime)
-    tail_ok = True
-    worst_tail = -math.inf
-    for beta in beta_grid:
-        mu = gibbs_measure(problem, beta)
-        exact_tail = float(mu.weights[problem.v_values >= v_min + eps_level].sum())
+    worst_inv, worst_gap, worst_tail, tail_ok = 0.0, -math.inf, -math.inf, True
+    for beta in _ISA_BETA_GRID:
+        mu, kernel = gibbs_measure(problem, beta), metropolis_kernel(problem, beta)
+        # invariance of the annealing kernel
+        worst_inv = max(worst_inv, float(np.abs(mu.push(kernel).weights - mu.weights).max()))
+        # mixing estimate for the k0-fold kernel
+        worst_gap = max(worst_gap, dobrushin(kernel.power(cert.k0)) - cert.mixing_bound(beta))
+        # Boltzmann-Gibbs tail bound; the 1e-12 rounding slack is not part of rhs
+        exact_tail = float(mu.weights[tail_set].sum())
         bound = bounds.gibbs_tail_bound(beta, eps_level, eps_prime, m_prime)
         worst_tail = max(worst_tail, exact_tail - bound)
         tail_ok &= exact_tail <= bound + 1e-12
-    rows.append(
-        CheckRow("gibbs-tail", "beta-grid", worst_tail, 0.0, "pass" if tail_ok else "fail")
-    )
+    rows = [
+        CheckRow.compare("annealing-invariance", "beta-grid", worst_inv, 1e-12),
+        CheckRow.compare("annealing-mixing-estimate", "beta-grid", worst_gap, 1e-12),
+        CheckRow("gibbs-tail", "beta-grid", worst_tail, 0.0, "pass" if tail_ok else "fail"),
+    ]
     # replicated optimizer: per-step exceedance of the composite bound
     result = optimize(
         isa, n_particles, seed, eps_level, eps_prime, y_values=y_values, replicates=replicates
     )
-    exact_below = all(row.proportion_exact <= row.gibbs_term + 1e-12 for row in result.rows)
+    exact_below = np.all(result.exact_mass <= result.gibbs_term + 1e-12)
     rows.append(
         CheckRow.compare("optimizer-exact-mass", "all-steps", 0.0 if exact_below else 1.0, 0.0)
     )
-    for y in y_values:
-        thresholds = np.array([row.thresholds[float(y)] for row in result.rows])
+    for y, thresholds in zip(y_values, result.thresholds):
         for n, column in enumerate((result.proportions > thresholds).T, start=1):
             rows.append(CheckRow.exceedance(
                 "optimizer-exceedance", f"n={n},y={_fmt(y)}", column, math.exp(-y)

@@ -266,12 +266,14 @@ class TestOptimize:
             eps_prime=0.25,
         )
         assert np.all(result.proportions == 0.0)
-        assert all(r.proportion_exact == 0.0 for r in result.rows)
+        assert np.all(result.exact_mass == 0.0)
 
     def test_sublevel_mass_matches_direct_sum(self):
+        # the Gibbs term reads the eps' sub-level mass of the reference
         prob = double_well_problem()
+        schedule = TemperatureSchedule.constant_step(0.0, 0.5, 2)
         result = optimize(
-            _isa(prob, TemperatureSchedule.constant_step(0.0, 0.5, 2), k0=4),
+            _isa(prob, schedule, k0=4),
             100,
             seed=5,
             epsilon_level=0.5,
@@ -280,7 +282,9 @@ class TestOptimize:
         direct = float(
             prob.reference.weights[prob.v_values <= prob.v_min + 0.25].sum()
         )
-        assert result.report.values["m_eps_prime"] == pytest.approx(direct)
+        assert result.gibbs_term[-1] == bounds.gibbs_tail_bound(
+            schedule.betas[-1], 0.5, 0.25, direct
+        )
 
     def test_exact_mass_sits_below_the_gibbs_term(self):
         prob = double_well_problem()
@@ -291,8 +295,8 @@ class TestOptimize:
             epsilon_level=0.5,
             eps_prime=0.25,
         )
-        for row in result.rows:
-            assert row.proportion_exact <= row.gibbs_term + 1e-12
+        assert result.exact_mass.shape == result.gibbs_term.shape == (6,)
+        assert np.all(result.exact_mass <= result.gibbs_term + 1e-12)
 
     @pytest.mark.parametrize(
         "schedule",
@@ -312,17 +316,17 @@ class TestOptimize:
             _isa(prob, schedule, k0=4, a=a), n_particles, seed=8,
             epsilon_level=0.5, eps_prime=0.25, y_values=ys,
         )
-        assert result.report.inputs["mode"] == schedule.tuning_mode
         g_sched = [math.exp(d * prob.v_osc) for d in schedule.deltas]
-        for row in result.rows:
+        assert result.thresholds.shape == (len(ys), schedule.horizon)
+        for n in range(1, schedule.horizon + 1):
             if schedule.tuning_mode == "bounded":
                 g_sup = math.exp(schedule.delta_cap * prob.v_osc)
                 r_i, r_j = bounds.r_star_bounded(bounds.RegimeParams(a, g_sup, n_particles))
             else:
-                r_i, r_j = bounds.r_star_decreasing(g_sched, a, n_particles, row.step)[:2]
-            for y in ys:
-                expected = row.gibbs_term + bounds.eta_deviation_threshold(r_i, r_j, n_particles, y)
-                assert row.thresholds[y] == expected
+                r_i, r_j = bounds.r_star_decreasing(g_sched, a, n_particles, n)[:2]
+            for i, y in enumerate(ys):
+                deviation = bounds.eta_deviation_threshold(r_i, r_j, n_particles, y)
+                assert result.thresholds[i, n - 1] == result.gibbs_term[n - 1] + deviation
 
     def test_threshold_ordering(self):
         with pytest.raises(InputError):

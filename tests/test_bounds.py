@@ -9,7 +9,6 @@ import pytest
 
 from fkips import bounds
 from fkips.bounds import (
-    BoundReport,
     CheckRow,
     RegimeParams,
     adaptive_deviation_threshold,
@@ -324,20 +323,6 @@ class TestReports:
         g = [1 + 2.0 ** (-k) for k in range(1, 9)]
         assert r_star_decreasing(g, 0.37, 123, 8) == r_star_decreasing(g, 0.37, 123, 8)
 
-    def test_report_rendering(self):
-        rep = BoundReport(
-            name="demo", inputs={"a": 0.5}, values={"r1": 1.25}, formula_ref="r1 = ..."
-        )
-        text = rep.as_key_values()
-        assert "name=demo" in text and "r1=1.25" in text
-        assert rep.as_csv_rows() == [["demo", "r1", "1.25"]]
-
-    def test_report_rejects_bad_values(self):
-        with pytest.raises(InputError):
-            BoundReport(name="bad", inputs={}, values={"x": float("nan")})
-        with pytest.raises(InputError):
-            BoundReport(name="bad", inputs={}, values={"x": -1.0})
-
 
 class TestExceedanceRows:
     def test_frequency_is_count_over_replicates(self):
@@ -415,6 +400,16 @@ class TestComposedCapChecks:
         batch = composed_cap_excess(flow, regime, a, g_sup)
         assert_batch_is_records(batch, composed_cap_records(flow, regime, a, g_sup))
         assert composed_caps(flow, regime, a, g_sup) == worst_excess(*batch)
+
+    @pytest.mark.parametrize(
+        "flow", [pytest.param(flow, id=name) for name, flow in table_check_flows()]
+    )
+    def test_uniform_cap_defaults_to_the_largest_step_ratio(self, flow):
+        # g_sup None stands for the flow's largest ratio, as in check_regime
+        from fkips.harness import composed_caps
+
+        g_sup = max(flow.trace.g, default=1.0)
+        assert composed_caps(flow, "bounded", 0.5) == composed_caps(flow, "bounded", 0.5, g_sup)
 
     def test_uniform_caps_on_conditioned_random_flows(self):
         from fkips.harness import composed_caps

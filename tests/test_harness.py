@@ -700,6 +700,47 @@ class TestCli:
         assert "r1_star=" in out and "b_max=" in out
 
     @pytest.mark.parametrize(
+        "flags, stdout, csv_rows",
+        [
+            # the uniform-regime constants
+            (
+                ["--g-sup", "2", "--particles", "100"],
+                "in.g_sup=2.0\nin.n_particles=100\n"
+                "r1_star=60.776323486786382\nr2_star=229.52632348678637\n"
+                "rt1=200\nrt2=16\nb_max=0.20000000000000001\n",
+                "r1_star,60.776323486786382\nr2_star,229.52632348678637\n"
+                "rt1,200\nrt2,16\nb_max,0.20000000000000001\n",
+            ),
+            # m_p in the bounded and in the decreasing regime
+            (
+                ["--beta", "1", "--gap", "1", "--delta", "0.5", "--delta-osc", "0.5"],
+                "in.beta=1.0\nin.gap=1.0\nin.delta=0.5\nm_p=8\n",
+                "m_p,8\n",
+            ),
+            (
+                ["--beta", "1", "--gap", "1", "--delta", "0.5", "--delta-osc", "0.5", "--decreasing"],
+                "in.beta=1.0\nin.gap=1.0\nin.delta=0.5\nm_p=7\n",
+                "m_p,7\n",
+            ),
+            (
+                ["--osc-v", "2", "--gap", "1.5"],
+                "in.osc_v=2.0\ncritical_delta_beta=0.48067562886696097\n",
+                "critical_delta_beta,0.48067562886696097\n",
+            ),
+        ],
+        ids=["bounded-constants", "m_p-bounded", "m_p-decreasing", "critical-delta-beta"],
+    )
+    def test_tune_output_bytes(self, flags, stdout, csv_rows, tmp_path, capsys):
+        # inputs echo as given, values print at 17 significant digits, and
+        # tune.csv holds one tune row per value
+        out = tmp_path / "t"
+        assert cli_main(["tune", "--a", "0.5", *flags, "--out", str(out)]) == 0
+        path = out / "tune.csv"
+        assert capsys.readouterr().out == f"name=tune\nin.a=0.5\n{stdout}wrote {path}\n"
+        rows = "".join(f"tune,{row}\n" for row in csv_rows.splitlines())
+        assert path.read_bytes() == f"name,key,value\n{rows}".encode()
+
+    @pytest.mark.parametrize(
         "flags, named",
         [
             (["--a", "1.5", "--g-sup", "2", "--particles", "100"], "--a"),

@@ -55,6 +55,18 @@ SRC = pathlib.Path(fkips.__file__).resolve().parents[1]
         ),
         # both regimes run through the one regime check
         ("verify-bounds", DECREASING, {"harness.check_regime"}),
+        # the path the isa-verify workload times: the tuned flow, its kernel
+        # powers and the replicated optimizer inside the annealing checks
+        (
+            "verify-bounds",
+            ISA,
+            {
+                "annealing.optimize",
+                "harness.check_isa_bounds",
+                "annealing.build_isa_flow",
+                "measures.KernelMatrix.power",
+            },
+        ),
     ],
 )
 def test_tracer_records_named_spans(command, text, spans, tmp_path):
