@@ -76,10 +76,6 @@ class LambdaCurve:
         object.__setattr__(self, "v_values", v)
         object.__setattr__(self, "weights", w / w.sum(axis=-1, keepdims=True))
 
-    @classmethod
-    def from_distribution(cls, mu: FiniteDistribution, v_values) -> "LambdaCurve":
-        return cls(np.asarray(v_values, dtype=np.float64), mu.weights.copy())
-
     def value(self, x, slope: bool = False):
         """lambda at x: a float for one row, else one value per row at the
         row's own x.  With ``slope``, also returns lambda'(x).
@@ -231,7 +227,6 @@ class ReferenceSchedule:
     """
 
     flow: FlowSpec
-    betas: tuple
     deltas: tuple
     etas: tuple
     c: tuple
@@ -245,6 +240,13 @@ class ReferenceSchedule:
         concentration hypothesis."""
         trace = self.flow.trace
         return tuple(b * g * (1.0 + c) for g, b, c in zip(trace.g, trace.b, self.c))
+
+
+def _realized_kernel(problem, beta, mcmc_iters):
+    """The annealing kernel at inverse temperature ``beta``, ``mcmc_iters``
+    Metropolis moves: the mutation of the reference schedule and, in
+    adaptive mutation mode, of each row at its realized beta."""
+    return metropolis_kernel(problem, beta).power(mcmc_iters)
 
 
 def theoretical_adaptive_flow(
@@ -271,33 +273,27 @@ def theoretical_adaptive_flow(
     if np.any((v <= 0) & (problem.reference.weights > 0)):
         raise InputError("reference measure puts mass at V = 0; reference schedule undefined")
     v_max = float(v.max())
-    betas = [float(beta0)]
+    beta = float(beta0)
     deltas, cs = [], []
     etas = [gibbs_measure(problem, beta0)]
     steps = []
     for _ in range(horizon):
         eta_prev = etas[-1]
-        curve = LambdaCurve.from_distribution(eta_prev, v)
-        res = kappa_solve(curve, epsilon, tol=1e-12, delta_max=1e9, step=len(deltas) + 1)
+        res = kappa_solve(
+            LambdaCurve(v, eta_prev.weights), epsilon, tol=1e-12, delta_max=1e9,
+            step=len(deltas) + 1,
+        )
         if res.saturated:
             raise InputError("increment solver saturated on the exact law")
         delta = res.delta
-        beta_next = betas[-1] + delta
-        potential = PotentialVector.boltzmann(v, delta)
-        kernel = metropolis_kernel(problem, beta_next).power(mcmc_iters)
-        steps.append((potential, kernel))
+        beta += delta
+        kernel = _realized_kernel(problem, beta, mcmc_iters)
+        steps.append((PotentialVector.boltzmann(v, delta), kernel))
         cs.append(v_max * math.exp(delta * v_max) / (epsilon * eta_prev.expect(v)))
-        betas.append(beta_next)
         deltas.append(delta)
-        etas.append(gibbs_measure(problem, beta_next))
+        etas.append(gibbs_measure(problem, beta))
     flow = FlowSpec(initial=etas[0], steps=tuple(steps))
-    return ReferenceSchedule(
-        flow=flow,
-        betas=tuple(betas),
-        deltas=tuple(deltas),
-        etas=tuple(etas),
-        c=tuple(cs),
-    )
+    return ReferenceSchedule(flow=flow, deltas=tuple(deltas), etas=tuple(etas), c=tuple(cs))
 
 
 def _reference(problem, config, horizon, reference=None, needed=True):
@@ -316,11 +312,6 @@ def _reference(problem, config, horizon, reference=None, needed=True):
     return reference
 
 
-def _realized_kernel(problem, beta, mcmc_iters):
-    """The annealing kernel at a realized inverse temperature."""
-    return metropolis_kernel(problem, beta).power(mcmc_iters)
-
-
 @dataclass(frozen=True, eq=False)
 class AdaptiveCountRun(CountRun):
     """Occupation counts and per-step records of R replicates of the
@@ -333,7 +324,6 @@ class AdaptiveCountRun(CountRun):
     delta: np.ndarray            # (R, T) realized increments
     beta: np.ndarray             # (R, T+1) realized inverse temperatures
     c: np.ndarray                # (R, T) perturbation constants
-    c_mode: str                  # "oracle" | "empirical"
     saturated: np.ndarray        # (R, T) bool
     lambda_residual: np.ndarray  # (R, T) |lambda(Delta) - epsilon|
     iterations: np.ndarray       # (R, T) Newton iterations per solve
@@ -381,7 +371,6 @@ def _adaptive_plan(problem, config, n_particles, horizon, replicates, reference)
         n_particles, replicates, horizon, problem.dim,
         delta=np.empty(shape), c=np.empty(shape), lambda_residual=np.empty(shape),
         beta=np.full((replicates, horizon + 1), float(config.beta0)),
-        c_mode="empirical" if reference is None else "oracle",
         saturated=np.empty(shape, dtype=bool), iterations=np.empty(shape, dtype=np.int64),
     )
     eps, v, v_max = config.epsilon, problem.v_values, float(problem.v_values.max())
@@ -496,7 +485,7 @@ def perturbation_check(
                 gb * d2_base[n] + 4.0 * (se_p[n] + gb * se_base[n]),
             ),
         ]
-    return bounds.VerifyReport(rows=tuple(rows), hypothesis_ok=True)
+    return bounds.VerifyReport(rows=tuple(rows))
 
 
 def l2_error_check(
@@ -524,7 +513,7 @@ def l2_error_check(
         bounds.CheckRow.compare("adaptive-l2", f"n={n}", lhs, b2 * env / math.sqrt(n_particles))
         for n, (lhs, env) in enumerate(zip(d2, e_tilde))
     ]
-    return bounds.VerifyReport(rows=tuple(rows), hypothesis_ok=True)
+    return bounds.VerifyReport(rows=tuple(rows))
 
 
 def khintchine_conditional_check(
@@ -577,7 +566,7 @@ def khintchine_conditional_check(
         "adaptive-khintchine-conditional", f"n={freeze_steps + 1}", float(d2),
         bounds.bp_constant(2) / math.sqrt(n_particles),
     )
-    return bounds.VerifyReport(rows=(row,), hypothesis_ok=True)
+    return bounds.VerifyReport(rows=(row,))
 
 
 def concentration_check(
@@ -614,7 +603,7 @@ def concentration_check(
         row = bounds.CheckRow(
             "adaptive-hypothesis", f"step={bad[0] + 1}", max(levels), a, "hypothesis-unmet"
         )
-        return bounds.VerifyReport(rows=(row,), hypothesis_ok=False)
+        return bounds.VerifyReport(rows=(row,))
     fdict = osc1_dictionary(problem.dim)
     rows = [bounds.CheckRow("adaptive-hypothesis", "all", max(levels), a, "pass")]
     for n_particles in n_grid:
@@ -637,4 +626,4 @@ def concentration_check(
                     "adaptive-threshold", f"N={n_particles},n={n},level={float(y):.17g}",
                     worst[:, n] >= thr, math.exp(-float(y)),
                 ))
-    return bounds.VerifyReport(rows=tuple(rows), hypothesis_ok=True)
+    return bounds.VerifyReport(rows=tuple(rows))

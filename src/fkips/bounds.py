@@ -26,7 +26,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceededError, InputError
 
@@ -90,15 +90,16 @@ class CheckRow:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """The rows of a verification suite; ``hypothesis_ok`` is False when a
-    hypothesis preamble refused the comparisons."""
+    """The rows of a verification suite.  A hypothesis preamble that refuses
+    the comparisons writes a ``"hypothesis-unmet"`` row, so a failed row is
+    a failure, never a refusal."""
 
     rows: tuple
-    hypothesis_ok: bool
 
     @property
-    def all_pass(self) -> bool:
-        return all(r.status == "pass" for r in self.rows)
+    def hypothesis_ok(self) -> bool:
+        """True unless some row is ``"hypothesis-unmet"``."""
+        return all(r.status != "hypothesis-unmet" for r in self.rows)
 
     def failures(self):
         return [r for r in self.rows if r.status == "fail"]
@@ -192,14 +193,6 @@ def _g_at(g: list, k: int) -> float:
     return g[min(max(k, 1), len(g)) - 1]
 
 
-class DecreasingConstants(NamedTuple):
-    r3: float
-    r4: float
-    u1: float
-    u2: float
-    u3: float
-
-
 def u_sequences(g_schedule: Sequence[float], a: float, n: int):
     """The three normalizing sequences of the decreasing regime at time n.
 
@@ -229,22 +222,18 @@ def u_sequences(g_schedule: Sequence[float], a: float, n: int):
     return u1, u2, u3
 
 
-def r_star_decreasing(
-    g_schedule: Sequence[float], a: float, n_particles: float, n: int
-) -> DecreasingConstants:
-    """Decreasing-regime deviation constants (r3*(n), r4*(n)) plus the u
-    sequences they are built from:
+def r_star_decreasing(g_schedule: Sequence[float], a: float, n_particles: float, n: int):
+    """Decreasing-regime deviation constants (r3*(n), r4*(n)), built from the
+    first of the :func:`u_sequences`:
 
         r3*(n) = 9 u1(n) / (2 (1-a)) + sqrt(8/sqrt(1-a^2) + 18 u1(n)/sqrt(N))
         r4*(n) = 18 u1(n) / (1-a)    + sqrt(8/sqrt(1-a^2) + 18 u1(n)/sqrt(N))
     """
     if n_particles < 1:
         raise InputError("population size must be >= 1")
-    u1, u2, u3 = u_sequences(g_schedule, a, n)
+    u1 = u_sequences(g_schedule, a, n)[0]
     tail = _sqrt_tail(a, u1, n_particles)
-    r3 = 9.0 * u1 / (2.0 * (1.0 - a)) + tail
-    r4 = 18.0 * u1 / (1.0 - a) + tail
-    return DecreasingConstants(r3, r4, u1, u2, u3)
+    return 9.0 * u1 / (2.0 * (1.0 - a)) + tail, 18.0 * u1 / (1.0 - a) + tail
 
 
 def r_tilde_decreasing(g_schedule: Sequence[float], a: float, n: int):
@@ -276,19 +265,13 @@ def condition_bounded(g_sup: float, a: float) -> float:
     return a / (a + g_sup)
 
 
-class MixingLevel(NamedTuple):
-    value: float
-    at_limit: bool
-
-
-def condition_decreasing(g_p: float, a: float) -> MixingLevel:
+def condition_decreasing(g_p: float, a: float) -> float:
     """Admissible mixing level for the decreasing regime, the smaller of
 
         (g^alpha - 1) / (g^(alpha+1) - 1)      and      a / g^(alpha+1)
 
     with alpha = a/(1-a).  Both expressions tend to ``a`` as g -> 1; at
-    g = 1 the analytic limit is returned with ``at_limit`` set instead of
-    a 0/0 NaN.
+    g = 1 that limit, ``a`` itself, is returned instead of a 0/0 NaN.
     """
     if not 0.0 < a < 1.0:
         raise InputError("performance degree a must lie in (0, 1)")
@@ -296,11 +279,11 @@ def condition_decreasing(g_p: float, a: float) -> MixingLevel:
         raise InputError("potential ratio must be >= 1")
     alpha = a / (1.0 - a)
     if g_p == 1.0:
-        return MixingLevel(a, True)
+        return a
     log_g = math.log(g_p)
     first = math.expm1(alpha * log_g) / math.expm1((alpha + 1.0) * log_g)
     second = a / g_p ** (alpha + 1.0)
-    return MixingLevel(min(first, second), False)
+    return min(first, second)
 
 
 def tune_mcmc_iters(
@@ -418,7 +401,7 @@ def deviation_thresholds(regime: str, a: float, g, n_particles: float, n: int, y
         r_i, r_j = r_star_bounded(params)
         mass = gamma_log_ratio_threshold_bounded(*r_tilde_bounded(params), n, n_particles, y)
     elif regime == "decreasing":
-        r_i, r_j = r_star_decreasing(g, a, n_particles, n)[:2]
+        r_i, r_j = r_star_decreasing(g, a, n_particles, n)
         mass = gamma_log_ratio_threshold_decreasing(
             *r_tilde_decreasing(g, a, n), n, n_particles, y
         )

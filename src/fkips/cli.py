@@ -150,12 +150,15 @@ def _cmd_tune(args, tune) -> int:
             delta_osc=args.delta_osc,
             delta_p_osc=args.delta_osc,
         )}))
-        inputs.update({"beta": args.beta, "gap": args.gap, "delta": args.delta})
+        inputs.update({
+            "beta": args.beta, "gap": args.gap, "delta": args.delta,
+            "delta_osc": args.delta_osc, "mode": mode,
+        })
     if args.osc_v is not None and args.gap is not None:
         values.update(_tune_values(tune, args, ("--osc-v", "--gap", "--a"), lambda: {
             "critical_delta_beta": bounds.critical_delta_beta(args.a, args.osc_v, args.gap)
         }))
-        inputs["osc_v"] = args.osc_v
+        inputs.update({"osc_v": args.osc_v, "gap": args.gap})
     if not values:
         print("nothing to compute; see fkips tune --help", file=sys.stderr)
         return USAGE_ERROR

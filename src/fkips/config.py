@@ -30,10 +30,10 @@ and keys:
                 beta0/delta/steps, delta_declared, a, k0
     [adaptive]  epsilon, tol (>= 1e-13), delta_max, mutation (theoretical|adaptive),
                 mcmc_iters, beta0
-    [run]       n_particles, steps, replicates, seed, eps_mode
+    [run]       n_particles, steps (at most a classic or isa flow's T;
+                omitted, the whole flow), replicates, seed, eps_mode
                 (auto|multinomial|float), n_test_functions, threads
-                (validated and kept so older configs still parse; it has
-                no effect)
+                (validated so older configs still parse; it has no effect)
     [checks]    regime (bounded|decreasing), a in (0, 1), g_sup >= 1,
                 epsilon_level > eps_prime > 0, y_values and s_values (>= 0;
                 y >= 1 for adaptive); every number finite
@@ -286,13 +286,12 @@ class ExperimentConfig:
     kind: str
     raw: RawConfig
     n_particles: int
-    steps: int
+    steps: int | None        # None when [run] omits the key: see horizon()
     replicates: int
     verify_replicates: int   # replicates, or 2000 when [run] omits the key
     seed: int
     eps_mode: object
     n_test_functions: int
-    threads: int   # validated for older configs; has no effect
 
     @classmethod
     def from_raw(cls, raw: RawConfig) -> ExperimentConfig:
@@ -310,11 +309,11 @@ class ExperimentConfig:
                 return default
 
         n_particles = run_int("n_particles", 100, 1)
-        steps = run_int("steps", 1, 0)
+        steps = None if raw.get("run", "steps") is None else run_int("steps", 1, 0)
         replicates = run_int("replicates", 1, 1)
         seed = run_int("seed", 0, 0)
         n_test = run_int("n_test_functions", 4, 1)
-        threads = run_int("threads", 1, 1)
+        run_int("threads", 1, 1)   # validated so older configs still parse
         eps_mode = raw.get("run", "eps_mode", "auto")
         if isinstance(eps_mode, str) and eps_mode not in ("auto", "multinomial"):
             errors.append(f"eps_mode must be auto|multinomial|float, got {eps_mode!r}")
@@ -330,14 +329,16 @@ class ExperimentConfig:
             seed=seed,
             eps_mode=eps_mode,
             n_test_functions=n_test,
-            threads=threads,
         )
         # fail fast on semantic errors; what is built is kept for every later reader
         cfg.checks
         if cfg.build_flow() is None:
             cfg.problem
             cfg.adaptive_config
-        elif not isinstance(eps_mode, str):
+            return cfg
+        if steps is not None and steps > cfg.flow.horizon:
+            raise ConfigError([f"steps = {steps} exceeds the flow's {cfg.flow.horizon} steps"])
+        if not isinstance(eps_mode, str):
             g_max = max((g.values.max() for g, _ in cfg.flow.steps[: cfg.horizon()]), default=0.0)
             if not 0.0 <= eps_mode * g_max <= 1.0 + 1e-12:
                 raise ConfigError(
@@ -480,7 +481,8 @@ class ExperimentConfig:
             ])
         betas = raw.get("schedule", "betas")
         if betas is None:
-            steps = _int_field(raw, "schedule", "steps", self.steps, 0)
+            default = 1 if self.steps is None else self.steps
+            steps = _int_field(raw, "schedule", "steps", default, 0)
         with _field("schedule"):
             if betas is None:
                 beta0 = float(raw.get("schedule", "beta0", 0.0))
@@ -505,9 +507,11 @@ class ExperimentConfig:
         return _parse_checks(self.raw, self.kind)
 
     def horizon(self) -> int:
-        if self.flow is not None:
-            return min(self.steps, self.flow.horizon) if self.steps else self.flow.horizon
-        return self.steps
+        """The steps a run covers: ``[run] steps`` when given, else the whole
+        flow, or one step for an adaptive config, which has no flow."""
+        if self.steps is not None:
+            return self.steps
+        return 1 if self.flow is None else self.flow.horizon
 
 
 @dataclass(frozen=True)

@@ -55,16 +55,12 @@ def _counter(index: int, step: int, purpose: int) -> np.ndarray:
     )
 
 
-def substream(seed: int, index: int, step: int, purpose: int) -> np.random.Generator:
-    """Dedicated Philox stream for one (index, step, purpose) slot."""
-    bit_gen = np.random.Philox(key=_key(seed), counter=_counter(index, step, purpose))
-    return np.random.Generator(bit_gen)
-
-
 class _SlotStream:
     """One generator moved to any (index, step, purpose) slot of a seed by
-    setting its Philox state: the draws equal :func:`substream`'s for that
-    slot, without building a new bit generator per slot."""
+    setting its Philox state, without building a new bit generator per
+    slot: the draws equal those of a fresh Philox generator keyed by
+    ``_key(seed)`` at counter ``_counter(index, step, purpose)``, the
+    reference ``substream`` in ``tests/oracles.py``."""
 
     def __init__(self, seed: int):
         self._key = _key(seed)

@@ -152,7 +152,7 @@ def _adaptive_values(cfg):
 
     tables = tuple(osc1_dictionary(cfg.problem.dim, cfg.n_test_functions))
     run = run_adaptive_counts(
-        cfg.problem, cfg.adaptive_config, cfg.n_particles, cfg.steps, cfg.seed,
+        cfg.problem, cfg.adaptive_config, cfg.n_particles, cfg.horizon(), cfg.seed,
         replicates=cfg.replicates,
     )
     head = [
@@ -352,14 +352,14 @@ def check_regime(
         hypothesis = [CheckRow("uniform-hypothesis", "all", max(trace.b), b_cap, status)]
     else:
         g = list(trace.g)
-        caps = [bounds.condition_decreasing(g_p, a).value for g_p in trace.g]
+        caps = [bounds.condition_decreasing(g_p, a) for g_p in trace.g]
         hypothesis = [
             CheckRow("decreasing-hypothesis", f"p={p}", b_p, cap, "hypothesis-unmet")
             for p, (b_p, cap) in enumerate(zip(trace.b, caps), start=1)
             if b_p > cap + 1e-12
         ] or [CheckRow("decreasing-hypothesis", "all", 0.0, 0.0, "pass")]
     if hypothesis[0].status != "pass":
-        return VerifyReport(rows=tuple(hypothesis), hypothesis_ok=False)
+        return VerifyReport(rows=tuple(hypothesis))
     _, worst, scope = composed_caps(flow, regime, a, g_sup)
     rows = hypothesis + [CheckRow.compare(f"{name}-composed-caps", scope, worst, 1e-10)]
 
@@ -387,7 +387,7 @@ def check_regime(
                 mass_rows.append(CheckRow.exceedance(
                     f"{name}-mass-ratio", f"{scope},sign={tag}", sign * signed > mass_thr, level
                 ))
-    return VerifyReport(rows=tuple(rows + mass_rows), hypothesis_ok=True)
+    return VerifyReport(rows=tuple(rows + mass_rows))
 
 
 def check_oracle_identity(flow: FlowSpec) -> VerifyReport:
@@ -400,7 +400,7 @@ def check_oracle_identity(flow: FlowSpec) -> VerifyReport:
         CheckRow.compare("oracle-mass-identity", f"n={n}", worst, 1e-10)
         for n, worst in enumerate(gaps.max(axis=0, initial=0.0, where=p <= n).tolist())
     )
-    return VerifyReport(rows=rows, hypothesis_ok=all(r.status == "pass" for r in rows))
+    return VerifyReport(rows=rows)
 
 
 def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
@@ -420,12 +420,11 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
         rows = list(check_oracle_identity(flow).rows)
         _, lemma_excess, _ = check_semigroup_lemmas(flow)
         rows.append(CheckRow.compare("semigroup-lemmas", "all", lemma_excess, 1e-10))
-        report = check_regime(
+        rows += check_regime(
             flow, checks.regime, checks.a, checks.g_sup, cfg.n_particles, replicates, cfg.seed,
             y_values=checks.y_values,
-        )
-        rows.extend(report.rows)
-        return VerifyReport(rows=tuple(rows), hypothesis_ok=report.hypothesis_ok)
+        ).rows
+        return VerifyReport(rows=tuple(rows))
     if cfg.kind == "isa":
         return check_isa_bounds(
             cfg.isa, checks.epsilon_level, checks.eps_prime, cfg.n_particles, replicates,
@@ -434,8 +433,8 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
     from .adaptive import concentration_check
 
     return concentration_check(
-        cfg.problem, cfg.adaptive_config, (cfg.n_particles,), cfg.steps, replicates, checks.a,
-        checks.s_values, checks.y_values, cfg.seed,
+        cfg.problem, cfg.adaptive_config, (cfg.n_particles,), cfg.horizon(), replicates,
+        checks.a, checks.s_values, checks.y_values, cfg.seed,
     )
 
 
@@ -492,4 +491,4 @@ def check_isa_bounds(
             rows.append(CheckRow.exceedance(
                 "optimizer-exceedance", f"n={n},y={_fmt(y)}", column, math.exp(-y)
             ))
-    return VerifyReport(rows=tuple(rows), hypothesis_ok=True)
+    return VerifyReport(rows=tuple(rows))

@@ -167,12 +167,6 @@ class KernelMatrix:
     def row(self, state: int) -> FiniteDistribution:
         return FiniteDistribution(self.rows[state])
 
-    def compose(self, other: "KernelMatrix") -> "KernelMatrix":
-        """Kernel composition ``K1 . K2`` (apply self first)."""
-        if other.dim != self.dim:
-            raise InputError("kernel dimension mismatch")
-        return KernelMatrix(self.rows @ other.rows)
-
     def power(self, exponent: int) -> "KernelMatrix":
         """Iterated kernel ``K^m`` via binary powering.
 

@@ -13,6 +13,7 @@ import numpy as np
 from scipy import stats
 from scipy.optimize import brentq
 
+from fkips.engine import _counter, _key
 from fkips.errors import ConfigError
 
 
@@ -111,6 +112,13 @@ def dobrushin_by_rows(rows) -> float:
     rows = np.asarray(rows, dtype=np.float64)
     d = rows.shape[0]
     return max(0.5 * float(np.abs(rows[x] - rows[y]).sum()) for x in range(d) for y in range(d))
+
+
+def substream(seed: int, index: int, step: int, purpose: int) -> np.random.Generator:
+    """A fresh Philox generator for one (index, step, purpose) slot of a
+    seed: the reference the engine's ``_SlotStream`` is held to."""
+    bit_gen = np.random.Philox(key=_key(seed), counter=_counter(index, step, purpose))
+    return np.random.Generator(bit_gen)
 
 
 def parse_value_by_floats(text: str):

@@ -267,7 +267,11 @@ class TestRunAdaptive:
         cfg = AdaptiveConfig(epsilon=0.7, mutation_mode="adaptive", mcmc_iters=2)
         run = run_adaptive_counts(prob, cfg, 200, 4, seed=5)
         assert run.counts.shape == (1, 5, 4)
-        assert run.c_mode == "empirical"
+        # with no reference schedule, c reads eta(V) from each row's own counts
+        v, v_max = prob.v_values, float(prob.v_values.max())
+        eta_v = (run.counts[:, :-1] * v).sum(axis=2) / 200
+        expected = v_max * np.exp(run.delta * v_max) / (cfg.epsilon * eta_v)
+        np.testing.assert_array_equal(run.c, expected)
         assert np.all(np.diff(run.beta, axis=1) > 0)
 
     def test_config_validation(self):
@@ -282,7 +286,7 @@ class TestVerificationProcedures:
         prob = adaptive_problem(4)
         cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=3)
         report = perturbation_check(prob, cfg, 300, 3, seed=6, replicates=150)
-        assert report.all_pass
+        assert all(r.status == "pass" for r in report.rows)
         names = {r.name for r in report.rows}
         assert names == {
             "reweighting-control",
@@ -294,7 +298,7 @@ class TestVerificationProcedures:
         prob = adaptive_problem(6)
         cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=4)
         report = l2_error_check(prob, cfg, 400, 4, seed=7, replicates=150)
-        assert report.all_pass
+        assert all(r.status == "pass" for r in report.rows)
         # e~_0 = 1, so the step-0 envelope is B_2 / sqrt(N) itself
         assert report.rows[0].rhs == bp_constant(2) / math.sqrt(400)
 
@@ -331,7 +335,7 @@ class TestVerificationProcedures:
             prob, cfg, (200,), 3, 300, 0.6, (0.0, 0.1, 0.25), (1.0, 2.0), seed=10
         )
         assert report.hypothesis_ok
-        assert report.all_pass
+        assert all(r.status == "pass" for r in report.rows)
         zero_rows = [
             r for r in report.rows
             if r.name == "adaptive-tail-shape" and r.scope.endswith(",level=0")

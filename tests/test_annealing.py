@@ -323,7 +323,7 @@ class TestOptimize:
                 g_sup = math.exp(schedule.delta_cap * prob.v_osc)
                 r_i, r_j = bounds.r_star_bounded(bounds.RegimeParams(a, g_sup, n_particles))
             else:
-                r_i, r_j = bounds.r_star_decreasing(g_sched, a, n_particles, n)[:2]
+                r_i, r_j = bounds.r_star_decreasing(g_sched, a, n_particles, n)
             for i, y in enumerate(ys):
                 deviation = bounds.eta_deviation_threshold(r_i, r_j, n_particles, y)
                 assert result.thresholds[i, n - 1] == result.gibbs_term[n - 1] + deviation

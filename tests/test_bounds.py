@@ -11,6 +11,7 @@ from fkips import bounds
 from fkips.bounds import (
     CheckRow,
     RegimeParams,
+    VerifyReport,
     adaptive_deviation_threshold,
     adaptive_tail_bound,
     bp_constant,
@@ -32,10 +33,12 @@ from fkips.bounds import (
     tune_mcmc_iters,
     u_sequences,
 )
+from fkips.engine import run_counts
 from fkips.errors import BudgetExceededError, InputError
 from fkips.flow import worst_excess
+from fkips.testfns import deviations, osc1_dictionary
 
-from .instances import table_check_flows
+from .instances import decreasing_regime_flow, table_check_flows
 from .oracles import composed_cap_records
 from .test_flow import assert_batch_is_records
 
@@ -149,9 +152,9 @@ class TestDecreasingRegimeConstants:
 
     def test_deviation_constants_frozen(self):
         g10 = [1 + 2.0 ** (-k) for k in range(1, 11)]
-        dec = r_star_decreasing(g10, 0.5, 400, 10)
-        assert dec.r3 == pytest.approx(12.325916093250706, rel=1e-12)
-        assert dec.r4 == pytest.approx(39.74520088760867, rel=1e-12)
+        r3, r4 = r_star_decreasing(g10, 0.5, 400, 10)
+        assert r3 == pytest.approx(12.325916093250706, rel=1e-12)
+        assert r4 == pytest.approx(39.74520088760867, rel=1e-12)
         rt3, rt4, rt5 = r_tilde_decreasing(g10, 0.5, 10)
         assert rt3 == pytest.approx(64.39235253442902, rel=1e-12)
         assert rt4 == pytest.approx(3.5555572509765625, rel=1e-12)
@@ -172,24 +175,21 @@ class TestMixingConditions:
         assert condition_bounded(9.0, 0.9) == pytest.approx(0.9 / 9.9, rel=1e-15)
         assert condition_bounded(1e12, 0.5) < 1e-12
 
-    def test_decreasing_limit_flag(self):
-        level = condition_decreasing(1.0, 0.5)
-        assert level.value == 0.5 and level.at_limit
+    def test_decreasing_limit_is_exactly_a(self):
+        # at g = 1 both expressions are 0/0; their common limit a is returned
+        assert condition_decreasing(1.0, 0.5) == 0.5
 
     def test_decreasing_example(self):
-        level = condition_decreasing(2.0, 0.5)
-        assert level.value == pytest.approx(1.0 / 8.0, rel=1e-14)
-        assert not level.at_limit
+        assert condition_decreasing(2.0, 0.5) == pytest.approx(1.0 / 8.0, rel=1e-14)
 
     def test_near_one_stability(self):
         # expm1/log1p evaluation vs direct powers at g = 1.01, a = 0.5
         level = condition_decreasing(1.01, 0.5)
         direct = min((1.01 - 1.0) / (1.01**2 - 1.0), 0.5 / 1.01**2)
-        assert level.value == pytest.approx(direct, rel=1e-12)
-        assert level.value == pytest.approx(0.4901480247034604, rel=1e-12)
+        assert level == pytest.approx(direct, rel=1e-12)
+        assert level == pytest.approx(0.4901480247034604, rel=1e-12)
         # approaches the limit smoothly
-        closer = condition_decreasing(1.0 + 1e-12, 0.5)
-        assert closer.value == pytest.approx(0.5, abs=1e-9)
+        assert condition_decreasing(1.0 + 1e-12, 0.5) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestIterationTuning:
@@ -260,6 +260,29 @@ class TestThresholdHelpers:
             (10.0 * 100 + 5.0 * 2.0) / 100**2
         )
 
+    def test_as_printed_eta_threshold_is_falsified(self):
+        # Regression pin: the occupation-deviation threshold as printed,
+        # (r3 N + r4 y) / N^2, falls as 1/N while the deviation falls as
+        # 1/sqrt(N).  On this decreasing-regime flow, which meets its
+        # hypothesis, the dictionary sup exceeds it far more often than
+        # exp(-y) plus three binomial standard errors allows.
+        flow = decreasing_regime_flow(10)
+        n_particles, replicates, y, a = 1000, 400, 4.0, 0.5
+        run = run_counts(flow, n_particles, 7, replicates=replicates)
+        devs = deviations(run.histograms, flow.trace.etas, osc1_dictionary(flow.dim))
+        worst = np.abs(devs).max(axis=2)
+        g = list(flow.trace.g)
+        freq = [
+            float(np.mean(worst[:, n] > eta_deviation_threshold(
+                *r_star_decreasing(g, a, n_particles, n), n_particles, y
+            )))
+            for n in range(1, flow.horizon + 1)
+        ]
+        level = math.exp(-y)
+        allowed = level + 3.0 * math.sqrt(level * (1.0 - level) / replicates)
+        assert sum(f > allowed for f in freq) >= 9
+        assert max(freq) > 0.75
+
     def test_gamma_threshold_bounded_decomposition(self):
         val = gamma_log_ratio_threshold_bounded(36.0, 8.0, 4, 200, 2.0)
         assert val == pytest.approx(36.0 / 200 * h0(2.0) + 8.0 * h1(2.0 / 800), rel=1e-14)
@@ -303,9 +326,9 @@ class TestThresholdHelpers:
                 )
                 got = deviation_thresholds("bounded", a, g_sup, n_particles, n, y)
                 assert got == expected, (a, n_particles, n, y, g_sup)
-            dec = r_star_decreasing(g_sched, a, n_particles, n)
+            r3, r4 = r_star_decreasing(g_sched, a, n_particles, n)
             expected = (
-                eta_deviation_threshold(dec.r3, dec.r4, n_particles, y),
+                eta_deviation_threshold(r3, r4, n_particles, y),
                 gamma_log_ratio_threshold_decreasing(
                     *r_tilde_decreasing(g_sched, a, n), n, n_particles, y
                 ),
@@ -322,6 +345,15 @@ class TestReports:
         assert r_star_bounded(p) == r_star_bounded(p)
         g = [1 + 2.0 ** (-k) for k in range(1, 9)]
         assert r_star_decreasing(g, 0.37, 123, 8) == r_star_decreasing(g, 0.37, 123, 8)
+
+    def test_only_a_refusal_row_unsets_hypothesis_ok(self):
+        # a failed row is a failure, never a refusal
+        passed = CheckRow.compare("x", "n=0", 0.0, 1.0)
+        failed = CheckRow.compare("x", "n=1", 2.0, 1.0)
+        refused = CheckRow("x", "all", 2.0, 1.0, "hypothesis-unmet")
+        report = VerifyReport((passed, failed))
+        assert report.hypothesis_ok and report.failures() == [failed]
+        assert not VerifyReport((passed, refused)).hypothesis_ok
 
 
 class TestExceedanceRows:
@@ -495,5 +527,5 @@ class TestComposedCapChecks:
             m_kernel = KernelMatrix(random_kernel_rows(rng, d))
             k_kernel = KernelMatrix(random_kernel_rows(rng, d))
             m = int(rng.integers(1, 5))
-            lhs = dobrushin(m_kernel.compose(k_kernel.power(m)))
+            lhs = dobrushin(KernelMatrix(m_kernel.rows @ k_kernel.power(m).rows))
             assert lhs <= dobrushin(m_kernel) * dobrushin(k_kernel) ** m + 1e-12

@@ -22,14 +22,19 @@ from fkips.engine import (
     _run_blocks,
     _SlotStream,
     run_counts,
-    substream,
 )
 from fkips.errors import InputError
 from fkips.flow import FlowSpec
 from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 
 from .instances import adaptive_problem
-from .oracles import composition_index, lattice_law, pooled_chisquare, random_kernel_rows
+from .oracles import (
+    composition_index,
+    lattice_law,
+    pooled_chisquare,
+    random_kernel_rows,
+    substream,
+)
 
 U64 = st.integers(0, 2**64 - 1)
 

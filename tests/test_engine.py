@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fkips.engine import BLOCK, run_counts, substream
+from fkips.engine import BLOCK, run_counts
 from fkips.errors import InputError
 from fkips.flow import FlowSpec, run_flow, stability_sums
 from fkips.measures import (
@@ -21,6 +21,8 @@ from fkips.measures import (
 )
 from fkips.bounds import bp_constant
 from fkips.testfns import osc1_dictionary
+
+from .oracles import substream
 
 
 def small_flow(horizon=5):

@@ -39,7 +39,7 @@ from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 from .configs import flow_to_config, serialize_config
 from .instances import bounded_regime_flow, table_check_flows
 from .oracles import oracle_identity_gaps, parse_sections_by_lines, parse_value_by_floats
-from .test_golden import BOUNDED, CLASSIC, DECREASING, ISA
+from .test_golden import BOUNDED, CLASSIC, DECREASING, ISA, RUN
 from .test_tooling import _workloads
 
 CLASSIC_TEXT = """
@@ -101,7 +101,7 @@ class TestParsing:
         cfg = parse_config(CLASSIC_TEXT)
         assert cfg.kind == "classic"
         assert cfg.n_particles == 120 and cfg.replicates == 4
-        assert cfg.eps_mode == "auto" and cfg.threads == 1
+        assert cfg.eps_mode == "auto"
         flow = cfg.build_flow()
         assert flow.horizon == 3 and flow.dim == 2
 
@@ -466,7 +466,7 @@ class TestVerifyDispatch:
             ((PotentialVector.constant(3), KernelMatrix.uniform(3)),) * 3,
         )
         report = check_regime(flow, "bounded", 0.5, 1.0, 50, 20, seed=3)
-        assert report.hypothesis_ok and report.all_pass
+        assert report.hypothesis_ok and all(r.status == "pass" for r in report.rows)
 
     def test_hypothesis_unmet_is_not_a_failure(self):
         # identity kernels break the mixing cap: rows must say so
@@ -482,7 +482,7 @@ class TestVerifyDispatch:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_oracle_identity_rows(self):
         report = check_oracle_identity(bounded_regime_flow(4, seed=50))
-        assert report.all_pass
+        assert all(r.status == "pass" for r in report.rows)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -512,7 +512,7 @@ class TestVerifyDispatch:
         cfg = parse_config(text)
         report = verify_bounds(cfg)
         assert report.hypothesis_ok
-        assert report.all_pass
+        assert all(r.status == "pass" for r in report.rows)
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0] == "check,scope,lhs,rhs,margin,status"
 
@@ -562,6 +562,8 @@ class TestCli:
             ("adaptive", ADAPTIVE_TEXT.replace("mcmc_iters = 3", "tol = 1e-14"), "adaptive: tol"),
             ("run", CLASSIC_TEXT.replace("1 2; 1 2; 1 2", "1 2; 1 -2; 1 2"), "flow.potentials"),
             ("run", CLASSIC_TEXT + "eps_mode = 5.0\n", "eps_mode"),
+            # threads has no effect, but it is still validated
+            ("run", CLASSIC_TEXT + "threads = 0\n", "threads"),
             ("run", CLASSIC_TEXT.replace("initial = uniform", "initial = 0 0"), "flow.initial"),
             ("run", ISA_TEXT.replace("lazy-ring 0.5", "1 0 0; 0 1 0; 0 0 1"), "schedule"),
             # integer fields outside [run] are refused, not truncated
@@ -645,6 +647,33 @@ class TestCli:
         for name in ("raw.csv", "stats.csv", "oracle.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("text", [CLASSIC, ISA], ids=["classic", "isa"])
+    def test_omitted_steps_run_the_whole_flow(self, text, tmp_path):
+        # both golden flows have T = 4 and say steps = 4 in [run]; without
+        # the key the run covers steps 0..4 and writes the same bytes
+        cfg_path = tmp_path / "c.cfg"
+        given, omitted = tmp_path / "given", tmp_path / "omitted"
+        for out, run_block in ((given, RUN), (omitted, RUN.replace("steps = 4\n", ""))):
+            cfg_path.write_text(text.replace(RUN, run_block))
+            assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        raw = (omitted / "raw.csv").read_text()
+        assert {line.split(",")[1] for line in raw.splitlines()[1:]} == set("01234")
+        for name in ("raw.csv", "stats.csv", "oracle.csv"):
+            assert (omitted / name).read_bytes() == (given / name).read_bytes()
+
+    @pytest.mark.parametrize("text", [CLASSIC, ISA], ids=["classic", "isa"])
+    def test_steps_run_that_many_and_no_more_than_the_flow(self, text, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text.replace(RUN, RUN.replace("steps = 4", "steps = 2")))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "two")]) == 0
+        raw = (tmp_path / "two" / "raw.csv").read_text()
+        assert {line.split(",")[1] for line in raw.splitlines()[1:]} == set("012")
+        capsys.readouterr()
+        cfg_path.write_text(text.replace(RUN, RUN.replace("steps = 4", "steps = 5")))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "five")]) == 2
+        assert "config error: steps = 5 exceeds the flow's 4 steps" in capsys.readouterr().err
+        assert not (tmp_path / "five").exists()
+
     def test_raw_rows_independent_of_replicate_count(self, tmp_path):
         # each short count and the long one sit on either side of a block
         # boundary; d = 10 puts every per-row sum on numpy's pairwise path,
@@ -714,17 +743,19 @@ class TestCli:
             # m_p in the bounded and in the decreasing regime
             (
                 ["--beta", "1", "--gap", "1", "--delta", "0.5", "--delta-osc", "0.5"],
-                "in.beta=1.0\nin.gap=1.0\nin.delta=0.5\nm_p=8\n",
+                "in.beta=1.0\nin.gap=1.0\nin.delta=0.5\nin.delta_osc=0.5\nin.mode=bounded\n"
+                "m_p=8\n",
                 "m_p,8\n",
             ),
             (
                 ["--beta", "1", "--gap", "1", "--delta", "0.5", "--delta-osc", "0.5", "--decreasing"],
-                "in.beta=1.0\nin.gap=1.0\nin.delta=0.5\nm_p=7\n",
+                "in.beta=1.0\nin.gap=1.0\nin.delta=0.5\nin.delta_osc=0.5\nin.mode=decreasing\n"
+                "m_p=7\n",
                 "m_p,7\n",
             ),
             (
                 ["--osc-v", "2", "--gap", "1.5"],
-                "in.osc_v=2.0\ncritical_delta_beta=0.48067562886696097\n",
+                "in.osc_v=2.0\nin.gap=1.5\ncritical_delta_beta=0.48067562886696097\n",
                 "critical_delta_beta,0.48067562886696097\n",
             ),
         ],

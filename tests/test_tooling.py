@@ -1,12 +1,14 @@
 """Tooling smoke tests: the benchmark's span tracer still binds the layers it
-names, its set-up probe still parses a config, and every benchmark workload
-still passes its own gate.
+names, its set-up probe still parses a config, every benchmark workload
+still passes its own gate, and every public name of the package has a
+caller.
 
 ``perfbench/tracer.py`` wraps package functions from outside and raises if
 a wrapped original is left bound, so a refactor that moves or renames a
 traced function shows up here, not first in a benchmark run.
 """
 
+import ast
 import csv
 import importlib.util
 import os
@@ -152,3 +154,46 @@ def test_workload_passes_its_gate(name, seed, tmp_path):
         with open(out / "verify.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == rows[name]
     assert workload.gate(str(out)) == []
+
+
+# Public names that only tests reach, each with the ROADMAP item that gives
+# it a caller in src/ or deletes it.
+UNCALLED_ALLOWLIST = {
+    "adaptive.perturbation_check": "item 14",
+    "adaptive.l2_error_check": "item 14",
+    "adaptive.khintchine_conditional_check": "item 14",
+    "bounds.raw_eta_tail_level": "items 1 and 2",
+    "bounds.raw_gamma_threshold": "item 2",
+    "flow.raw_concentration_estimates": "item 2",
+    "flow.stability_sums": "item 9",
+}
+
+
+def test_every_public_src_name_has_a_caller():
+    # a module-level public function or class must be read somewhere in
+    # src/ other than its own definition, or be exported by fkips.__all__;
+    # test-only references belong in tests/
+    defined, read = {}, set()
+    for path in sorted((SRC / "fkips").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                if not own.startswith("_"):
+                    defined[f"{path.stem}.{own}"] = own
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                elif isinstance(sub, ast.alias):
+                    name = sub.name.rpartition(".")[2]
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    uncalled = {
+        qualified for qualified, name in defined.items()
+        if name not in read and name not in fkips.__all__
+    }
+    assert uncalled == set(UNCALLED_ALLOWLIST)
