@@ -152,7 +152,6 @@ class MinorizationCert:
     k0: int
     delta: float
     gap_k0: float
-    nu: FiniteDistribution | None = None
 
     def __post_init__(self):
         if self.k0 < 1:
@@ -217,8 +216,9 @@ def _max_climb(support: np.ndarray, v: np.ndarray, k0: int) -> float:
 def minorize(problem: GibbsProblem, k0: int) -> MinorizationCert:
     """Entrywise-minimum minorization of the k0-fold proposal.
 
-    ``nu(y) = min_x K^k0(x,y) / delta`` with ``delta`` the total common
-    mass; fails when the columns share no mass (e.g. the identity proposal).
+    ``delta = sum_y min_x K^k0(x,y)``, the mass every row shares, with
+    ``nu`` that common part normalized; fails when the columns share no mass
+    (e.g. the identity proposal).
     """
     if k0 < 1:
         raise InputError("k0 must be >= 1")
@@ -229,9 +229,8 @@ def minorize(problem: GibbsProblem, k0: int) -> MinorizationCert:
         raise NoMinorizationError(
             f"k0 = {k0} proposal iterate has no common component; try a larger k0"
         )
-    nu = FiniteDistribution.from_unnormalized(common)
     gap = _max_climb(problem.proposal.rows > 0, problem.v_values, k0)
-    return MinorizationCert(k0=k0, delta=delta, gap_k0=gap, nu=nu)
+    return MinorizationCert(k0=k0, delta=delta, gap_k0=gap)
 
 
 @dataclass(frozen=True)
@@ -264,15 +263,10 @@ def build_isa_flow(
     mode = schedule.tuning_mode
     for n, delta in enumerate(schedule.deltas, start=1):
         beta_n = schedule.betas[n]
+        increment = schedule.delta_cap if mode == "bounded" else delta
         try:
             m_n = bounds.tune_mcmc_iters(
-                beta_n,
-                cert.delta,
-                cert.gap_k0,
-                a,
-                mode,
-                delta_osc=schedule.delta_cap * v_osc,
-                delta_p_osc=delta * v_osc,
+                beta_n, cert.delta, cert.gap_k0, a, mode, increment_osc=increment * v_osc
             )
         except Exception as exc:
             raise type(exc)(f"step {n}: {exc}") from exc

@@ -96,11 +96,6 @@ class VerifyReport:
 
     rows: tuple
 
-    @property
-    def hypothesis_ok(self) -> bool:
-        """True unless some row is ``"hypothesis-unmet"``."""
-        return all(r.status != "hypothesis-unmet" for r in self.rows)
-
     def failures(self):
         return [r for r in self.rows if r.status == "fail"]
 
@@ -293,23 +288,22 @@ def tune_mcmc_iters(
     a: float,
     mode: str,
     *,
-    delta_osc: float | None = None,
-    delta_p_osc: float | None = None,
+    increment_osc: float | None = None,
 ) -> int:
     """Smallest admissible MCMC iteration count at inverse temperature beta_p.
 
     ``gap_k0`` is the worst-case potential climb over one minorization block
     of proposal moves; it multiplies beta_p in the exponent.  The increment
-    arguments are passed pre-multiplied by osc(V):
+    is passed pre-multiplied by osc(V), as ``increment_osc``:
 
-    * bounded mode (``delta_osc`` = Delta * osc(V), the cap on log potential
-      spread per step):
+    * bounded mode (Delta * osc(V), with Delta the cap on the increments, so
+      the cap on log potential spread per step):
 
-          m_p = ceil( log((e^{delta_osc} + a)/a) * e^{gap_k0 beta_p} / delta )
+          m_p = ceil( log((e^{increment_osc} + a)/a) * e^{gap_k0 beta_p} / delta )
 
-    * decreasing mode (``delta_p_osc`` = Delta_p * osc(V) for this step):
+    * decreasing mode (Delta_p * osc(V), with Delta_p this step's increment):
 
-          m_p = ceil( (delta_p_osc + log(1/a)) * e^{gap_k0 beta_p} / delta )
+          m_p = ceil( (increment_osc + log(1/a)) * e^{gap_k0 beta_p} / delta )
 
     Raises :class:`BudgetExceededError` (carrying the unrounded value) when
     the count exceeds 2^63.
@@ -320,16 +314,14 @@ def tune_mcmc_iters(
         raise InputError("performance degree a must lie in (0, 1)")
     if beta_p < 0 or gap_k0 < 0:
         raise InputError("inverse temperature and gap must be >= 0")
-    if mode == "bounded":
-        if delta_osc is None or delta_osc < 0:
-            raise InputError("bounded mode needs delta_osc >= 0")
-        raw = math.log((math.exp(delta_osc) + a) / a)
-    elif mode == "decreasing":
-        if delta_p_osc is None or delta_p_osc < 0:
-            raise InputError("decreasing mode needs delta_p_osc >= 0")
-        raw = delta_p_osc + math.log(1.0 / a)
-    else:
+    if mode not in ("bounded", "decreasing"):
         raise InputError("mode must be 'bounded' or 'decreasing'")
+    if increment_osc is None or increment_osc < 0:
+        raise InputError(f"{mode} mode needs increment_osc >= 0")
+    if mode == "bounded":
+        raw = math.log((math.exp(increment_osc) + a) / a)
+    else:
+        raw = increment_osc + math.log(1.0 / a)
     raw *= math.exp(gap_k0 * beta_p) / minorization_delta
     if raw > _MAX_ITER_BUDGET:
         raise BudgetExceededError(raw, f"beta_p={beta_p}")

@@ -147,8 +147,7 @@ def _cmd_tune(args, tune) -> int:
             args.gap,
             args.a,
             mode,
-            delta_osc=args.delta_osc,
-            delta_p_osc=args.delta_osc,
+            increment_osc=args.delta_osc,
         )}))
         inputs.update({
             "beta": args.beta, "gap": args.gap, "delta": args.delta,

@@ -31,8 +31,8 @@ and keys:
     [adaptive]  epsilon, tol (>= 1e-13), delta_max, mutation (theoretical|adaptive),
                 mcmc_iters, beta0
     [run]       n_particles, steps (at most a classic or isa flow's T;
-                omitted, the whole flow), replicates, seed, eps_mode
-                (auto|multinomial|float), n_test_functions, threads
+                omitted, the whole flow; required for adaptive), replicates,
+                seed, eps_mode (auto|multinomial|float), n_test_functions, threads
                 (validated so older configs still parse; it has no effect)
     [checks]    regime (bounded|decreasing), a in (0, 1), g_sup >= 1,
                 epsilon_level > eps_prime > 0, y_values and s_values (>= 0;
@@ -286,7 +286,7 @@ class ExperimentConfig:
     kind: str
     raw: RawConfig
     n_particles: int
-    steps: int | None        # None when [run] omits the key: see horizon()
+    steps: int | None        # None when [run] omits the key: the whole flow
     replicates: int
     verify_replicates: int   # replicates, or 2000 when [run] omits the key
     seed: int
@@ -310,6 +310,8 @@ class ExperimentConfig:
 
         n_particles = run_int("n_particles", 100, 1)
         steps = None if raw.get("run", "steps") is None else run_int("steps", 1, 0)
+        if steps is None and kind == "adaptive":
+            errors.append("steps is required for an adaptive config, which has no flow length")
         replicates = run_int("replicates", 1, 1)
         seed = run_int("seed", 0, 0)
         n_test = run_int("n_test_functions", 4, 1)
@@ -508,10 +510,8 @@ class ExperimentConfig:
 
     def horizon(self) -> int:
         """The steps a run covers: ``[run] steps`` when given, else the whole
-        flow, or one step for an adaptive config, which has no flow."""
-        if self.steps is not None:
-            return self.steps
-        return 1 if self.flow is None else self.flow.horizon
+        flow.  An adaptive config, which has no flow, must give the key."""
+        return self.flow.horizon if self.steps is None else self.steps
 
 
 @dataclass(frozen=True)

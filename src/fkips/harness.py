@@ -110,7 +110,6 @@ def aggregate(values, stat_names) -> ReplicateStats:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    stats: ReplicateStats
     raw_csv: str
     stats_csv: str
     oracle_csv: str | None
@@ -183,11 +182,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         oracle_csv = _oracle_csv(flow.trace, horizon, tables)
     else:
         values, stat_names = _adaptive_values(cfg)
-    stats = aggregate(values, stat_names)
     return ExperimentResult(
-        stats=stats,
         raw_csv=_raw_csv(values, stat_names),
-        stats_csv=_stats_csv(stats),
+        stats_csv=_stats_csv(aggregate(values, stat_names)),
         oracle_csv=oracle_csv,
     )
 

@@ -86,14 +86,6 @@ class FiniteDistribution:
             raise InputError("dim must be >= 1")
         return cls(np.full(dim, 1.0 / dim))
 
-    @classmethod
-    def dirac(cls, dim: int, state: int) -> "FiniteDistribution":
-        if not 0 <= state < dim:
-            raise InputError("dirac state out of range")
-        w = np.zeros(dim)
-        w[state] = 1.0
-        return cls(w)
-
     @property
     def dim(self) -> int:
         return self.weights.size
@@ -135,10 +127,6 @@ class KernelMatrix:
         object.__setattr__(self, "rows", _freeze(m / sums[:, None]))
 
     @classmethod
-    def identity(cls, dim: int) -> "KernelMatrix":
-        return cls(np.eye(dim))
-
-    @classmethod
     def constant(cls, target: FiniteDistribution) -> "KernelMatrix":
         """Rank-one kernel sending every state to ``target``."""
         return cls(np.tile(target.weights, (target.dim, 1)))
@@ -164,9 +152,6 @@ class KernelMatrix:
     def dim(self) -> int:
         return self.rows.shape[0]
 
-    def row(self, state: int) -> FiniteDistribution:
-        return FiniteDistribution(self.rows[state])
-
     def power(self, exponent: int) -> "KernelMatrix":
         """Iterated kernel ``K^m`` via binary powering.
 
@@ -188,13 +173,6 @@ class KernelMatrix:
                 base = base @ base
                 base /= base.sum(axis=1, keepdims=True)
         return KernelMatrix(result)
-
-    def apply(self, values) -> np.ndarray:
-        """Function image ``K.f`` as a per-state vector."""
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise InputError("function table dimension mismatch")
-        return self.rows @ v
 
 
 @dataclass(frozen=True, eq=False)

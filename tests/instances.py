@@ -96,6 +96,7 @@ def adaptive_problem(dim=4):
     tables = {
         4: np.array([0.5, 0.65, 0.8, 1.0]),
         6: np.array([0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+        8: np.linspace(0.3, 1.0, 8),
     }
     return GibbsProblem(
         energy=BoundedFunction(tables[dim]),
@@ -135,7 +136,7 @@ def table_check_flows():
     return tuple([(f"random-{i}", random_flow(rng)) for i in range(12)] + [
         ("bounded", bounded_regime_flow(12, seed=11)),
         ("decreasing", decreasing_regime_flow(12, seed=55)),
-        ("identity", FlowSpec(three, ((potential, KernelMatrix.identity(3)),) * 3)),
+        ("identity", FlowSpec(three, ((potential, KernelMatrix(np.eye(3))),) * 3)),
         ("rank-one", FlowSpec(three, ((potential, KernelMatrix.uniform(3)),) * 3)),
         ("horizon-0", FlowSpec(three, ())),
         ("horizon-200", bounded_regime_flow(200, dim=8)),

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats
 from scipy.optimize import brentq
 
-from fkips.engine import _counter, _key
+from fkips.engine import BLOCK, _counter, _key, _SlotStream, _transition
 from fkips.errors import ConfigError
 
 
@@ -119,6 +119,24 @@ def substream(seed: int, index: int, step: int, purpose: int) -> np.random.Gener
     seed: the reference the engine's ``_SlotStream`` is held to."""
     bit_gen = np.random.Philox(key=_key(seed), counter=_counter(index, step, purpose))
     return np.random.Generator(bit_gen)
+
+
+def frozen_step_replay(counts, g, kernel_rows, n_particles, replicates, seed):
+    """``replicates`` independent next-step occupation measures from the
+    frozen ``counts``, by the count engine's own transition: each row keeps
+    ``Binomial(c_x, g(x))`` particles, redraws the rest in proportion to
+    c g and moves them all by ``kernel_rows``, a block of rows per call from
+    the streams of ``seed``.  The Monte Carlo reference that the closed-form
+    conditional variance of the adaptive check is held to."""
+    streams = _SlotStream(seed)
+    hists = np.empty((replicates, len(counts)))
+    for block in range(-(-replicates // BLOCK)):
+        rows = slice(block * BLOCK, min(replicates, (block + 1) * BLOCK))
+        c = np.broadcast_to(counts, hists[rows].shape)
+        hists[rows], _ = _transition(
+            streams, block, 1, c, np.broadcast_to(g, c.shape), c * g, kernel_rows, n_particles
+        )
+    return hists / n_particles
 
 
 def parse_value_by_floats(text: str):

@@ -358,7 +358,7 @@ def test_criterion_12_adaptive_concentration():
         seed=1200,
     )
     hypothesis, *rows = rep.rows
-    assert rep.hypothesis_ok, f"hypothesis failed at {hypothesis.scope}"
+    assert hypothesis.status == "pass", f"hypothesis failed at {hypothesis.scope}"
     worst = max(r.lhs - r.rhs for r in rows)
     report(
         12,

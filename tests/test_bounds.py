@@ -196,28 +196,28 @@ class TestIterationTuning:
     def test_bounded_example(self):
         # keep-spread ln 2, a = 0.5, beta = 0, unit minorization:
         # ceil(log((2 + 0.5)/0.5)) = ceil(ln 5) = 2
-        m = tune_mcmc_iters(0.0, 1.0, 1.0, 0.5, "bounded", delta_osc=math.log(2.0))
+        m = tune_mcmc_iters(0.0, 1.0, 1.0, 0.5, "bounded", increment_osc=math.log(2.0))
         assert m == 2
 
     def test_decreasing_example(self):
-        m = tune_mcmc_iters(0.0, 1.0, 1.0, 1.0 / math.e, "decreasing", delta_p_osc=0.0)
+        m = tune_mcmc_iters(0.0, 1.0, 1.0, 1.0 / math.e, "decreasing", increment_osc=0.0)
         assert m == 1
 
     def test_exponential_growth_in_beta(self):
-        base = tune_mcmc_iters(1.0, 0.5, 1.0, 0.5, "bounded", delta_osc=0.5)
-        doubled = tune_mcmc_iters(2.0, 0.5, 1.0, 0.5, "bounded", delta_osc=0.5)
+        base = tune_mcmc_iters(1.0, 0.5, 1.0, 0.5, "bounded", increment_osc=0.5)
+        doubled = tune_mcmc_iters(2.0, 0.5, 1.0, 0.5, "bounded", increment_osc=0.5)
         raw = math.log((math.exp(0.5) + 0.5) / 0.5) / 0.5
         assert base == math.ceil(raw * math.e)
         assert doubled == math.ceil(raw * math.e**2)
 
     def test_budget_error_carries_raw_value(self):
         with pytest.raises(BudgetExceededError) as err:
-            tune_mcmc_iters(100.0, 1e-3, 1.0, 0.5, "bounded", delta_osc=0.5)
+            tune_mcmc_iters(100.0, 1e-3, 1.0, 0.5, "bounded", increment_osc=0.5)
         assert err.value.raw > 2.0**63
 
     def test_mode_validation(self):
         with pytest.raises(InputError):
-            tune_mcmc_iters(0.0, 1.0, 1.0, 0.5, "bogus", delta_osc=0.1)
+            tune_mcmc_iters(0.0, 1.0, 1.0, 0.5, "bogus", increment_osc=0.1)
         with pytest.raises(InputError):
             tune_mcmc_iters(0.0, 1.0, 1.0, 0.5, "bounded")
 
@@ -346,14 +346,13 @@ class TestReports:
         g = [1 + 2.0 ** (-k) for k in range(1, 9)]
         assert r_star_decreasing(g, 0.37, 123, 8) == r_star_decreasing(g, 0.37, 123, 8)
 
-    def test_only_a_refusal_row_unsets_hypothesis_ok(self):
+    def test_a_refusal_row_is_not_a_failure(self):
         # a failed row is a failure, never a refusal
         passed = CheckRow.compare("x", "n=0", 0.0, 1.0)
         failed = CheckRow.compare("x", "n=1", 2.0, 1.0)
         refused = CheckRow("x", "all", 2.0, 1.0, "hypothesis-unmet")
-        report = VerifyReport((passed, failed))
-        assert report.hypothesis_ok and report.failures() == [failed]
-        assert not VerifyReport((passed, refused)).hypothesis_ok
+        assert VerifyReport((passed, failed)).failures() == [failed]
+        assert VerifyReport((passed, refused)).failures() == []
 
 
 class TestExceedanceRows:

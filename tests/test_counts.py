@@ -409,7 +409,7 @@ class TestInputs:
         # max G is taken over occupied states only: state 2 is empty
         spec = FlowSpec(
             FiniteDistribution([0.5, 0.5, 0.0]),
-            ((PotentialVector([1.0, 2.0, 4.0]), KernelMatrix.identity(3)),),
+            ((PotentialVector([1.0, 2.0, 4.0]), KernelMatrix(np.eye(3))),),
         )
         run = run_counts(spec, 100, seed=0, eps=0.5, replicates=BLOCK + 1)
         assert np.all(run.counts[:, 1, 2] == 0)

@@ -68,7 +68,7 @@ class TestInit:
         assert np.all(run.log_gamma1 == 0.0)
 
     def test_point_mass(self):
-        counts = initial_counts(FiniteDistribution.dirac(4, 2), 50, seed=0, replicates=3)
+        counts = initial_counts(FiniteDistribution(np.eye(4)[2]), 50, seed=0, replicates=3)
         assert np.all(counts == [0, 0, 50, 0])
 
     def test_uniform_frequencies_within_four_sigma(self):
@@ -90,7 +90,7 @@ class TestInit:
 class TestSelection:
     def test_unit_potential_keeps_everything(self):
         spec = one_step(
-            FiniteDistribution.uniform(3), PotentialVector.constant(3), KernelMatrix.identity(3)
+            FiniteDistribution.uniform(3), PotentialVector.constant(3), KernelMatrix(np.eye(3))
         )
         run = run_counts(spec, 200, seed=2, eps=1.0, replicates=3)
         assert np.array_equal(run.counts[:, 1], run.counts[:, 0])
@@ -99,22 +99,22 @@ class TestSelection:
 
     def test_single_particle_is_its_own_pool(self):
         spec = one_step(
-            FiniteDistribution.dirac(3, 1), PotentialVector([1.0, 0.5, 2.0]),
-            KernelMatrix.identity(3),
+            FiniteDistribution(np.eye(3)[1]), PotentialVector([1.0, 0.5, 2.0]),
+            KernelMatrix(np.eye(3)),
         )
         run = run_counts(spec, 1, seed=3, eps="multinomial", replicates=3)
         assert np.all(run.counts[:, 1] == [0, 1, 0])
 
     def test_multinomial_mode_always_resamples(self):
         spec = one_step(
-            FiniteDistribution.uniform(2), PotentialVector([1.0, 1.0]), KernelMatrix.identity(2)
+            FiniteDistribution.uniform(2), PotentialVector([1.0, 1.0]), KernelMatrix(np.eye(2))
         )
         run = run_counts(spec, 500, seed=4, eps="multinomial", replicates=3)
         assert np.all(run.kept_fraction == 0.0)
 
     def test_eps_cap_enforced_on_ensemble(self):
         spec = one_step(
-            FiniteDistribution.uniform(2), PotentialVector([1.0, 3.0]), KernelMatrix.identity(2)
+            FiniteDistribution.uniform(2), PotentialVector([1.0, 3.0]), KernelMatrix(np.eye(2))
         )
         with pytest.raises(InputError, match="exceeds 1"):
             run_counts(spec, 100, seed=5, eps=0.5)
@@ -124,8 +124,8 @@ class TestSelection:
         # when the flow is built, so no run goes extinct
         with pytest.raises(InputError, match="strictly positive"):
             one_step(
-                FiniteDistribution.dirac(2, 0), PotentialVector([0.0, 1.0]),
-                KernelMatrix.identity(2),
+                FiniteDistribution(np.eye(2)[0]), PotentialVector([0.0, 1.0]),
+                KernelMatrix(np.eye(2)),
             )
 
     def test_two_state_transition_law(self):
@@ -136,7 +136,7 @@ class TestSelection:
         # over replicates of its deviation from that mean is compared with
         # its conditional standard error.
         spec = one_step(
-            FiniteDistribution.uniform(2), PotentialVector([1.0, 3.0]), KernelMatrix.identity(2)
+            FiniteDistribution.uniform(2), PotentialVector([1.0, 3.0]), KernelMatrix(np.eye(2))
         )
         reps = 10_000
         run = run_counts(spec, 1000, seed=77, eps=1.0 / 3.0, replicates=reps)
@@ -164,7 +164,7 @@ class TestMutation:
     # a constant potential at eps = "auto" keeps every particle
     def test_identity_kernel(self):
         spec = one_step(
-            FiniteDistribution.uniform(3), PotentialVector.constant(3), KernelMatrix.identity(3)
+            FiniteDistribution.uniform(3), PotentialVector.constant(3), KernelMatrix(np.eye(3))
         )
         for n_particles in (5, 100):   # moves per particle below d^2, per state above
             run = run_counts(spec, n_particles, seed=8, replicates=3)
@@ -173,7 +173,7 @@ class TestMutation:
     def test_constant_kernel(self):
         spec = one_step(
             FiniteDistribution.uniform(3), PotentialVector.constant(3),
-            KernelMatrix.constant(FiniteDistribution.dirac(3, 0)),
+            KernelMatrix.constant(FiniteDistribution(np.eye(3)[0])),
         )
         for n_particles in (5, 100):
             run = run_counts(spec, n_particles, seed=9, replicates=3)
@@ -293,7 +293,7 @@ class TestEstimate:
         assert estimate(run, 0, BoundedFunction([1.0, 1.0, 1.0]))[0] == 1.0
 
     def test_point_ensemble(self):
-        run = run_counts(FlowSpec(FiniteDistribution.dirac(3, 2), ()), 40, seed=20)
+        run = run_counts(FlowSpec(FiniteDistribution(np.eye(3)[2]), ()), 40, seed=20)
         assert estimate(run, 0, BoundedFunction([5.0, 6.0, 7.0]))[0] == 7.0
 
     def test_uniform_two_state_within_four_sigma(self):

@@ -50,14 +50,14 @@ def raw_steps(spec):
 class TestFkStep:
     def test_identity_maps(self):
         mu = FiniteDistribution([0.2, 0.8])
-        out = fk_step(mu, PotentialVector.constant(2), KernelMatrix.identity(2))
+        out = fk_step(mu, PotentialVector.constant(2), KernelMatrix(np.eye(2)))
         assert np.allclose(out.weights, mu.weights, atol=1e-15)
 
     def test_reweighting_only(self):
         out = fk_step(
             FiniteDistribution([0.5, 0.5]),
             PotentialVector([1.0, 3.0]),
-            KernelMatrix.identity(2),
+            KernelMatrix(np.eye(2)),
         )
         assert np.allclose(out.weights, [0.25, 0.75], atol=1e-15)
 
@@ -177,7 +177,7 @@ class TestSemigroup:
         # minimum to exp(-800) < 1e-300; the table rescales each step and
         # keeps its scale in log space, so g stays finite and the mass
         # identity holds
-        step = (PotentialVector.boltzmann([0.5, 1.0], 200.0), KernelMatrix.identity(2))
+        step = (PotentialVector.boltzmann([0.5, 1.0], 200.0), KernelMatrix(np.eye(2)))
         spec = FlowSpec(FiniteDistribution.uniform(2), (step,) * 4)
         table, trace = spec.table, spec.trace
         for n in range(5):
@@ -284,7 +284,7 @@ class TestStabilityEstimates:
     def test_identity_kernels_everywhere(self):
         spec = FlowSpec(
             FiniteDistribution.uniform(3),
-            ((PotentialVector([1.0, 2.0, 0.5]), KernelMatrix.identity(3)),) * 3,
+            ((PotentialVector([1.0, 2.0, 0.5]), KernelMatrix(np.eye(3))),) * 3,
         )
         assert check_semigroup_lemmas(spec)[0]
 
@@ -407,5 +407,5 @@ class TestSpecLimits:
         with pytest.raises(InputError):
             FlowSpec(
                 FiniteDistribution.uniform(2),
-                ((PotentialVector.constant(3), KernelMatrix.identity(3)),),
+                ((PotentialVector.constant(3), KernelMatrix(np.eye(3))),),
             )

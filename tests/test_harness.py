@@ -39,7 +39,7 @@ from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
 from .configs import flow_to_config, serialize_config
 from .instances import bounded_regime_flow, table_check_flows
 from .oracles import oracle_identity_gaps, parse_sections_by_lines, parse_value_by_floats
-from .test_golden import BOUNDED, CLASSIC, DECREASING, ISA, RUN
+from .test_golden import ADAPTIVE, BOUNDED, CLASSIC, DECREASING, ISA, RUN
 from .test_tooling import _workloads
 
 CLASSIC_TEXT = """
@@ -347,17 +347,28 @@ class TestRunExperiment:
         assert result.oracle_csv is None
 
     def test_aggregation_matches_recomputation_from_raw(self):
+        # raw.csv prints every value at .17g, so its cells are the run's
+        # floats and stats.csv must print their aggregate
         cfg = parse_config(CLASSIC_TEXT)
         result = run_experiment(cfg)
-        reader = csv.DictReader(io.StringIO(result.raw_csv))
-        values = {}
-        for row in reader:
-            values.setdefault(int(row["step"]), []).append(float(row["log_gamma1"]))
-        j = result.stats.names.index("log_gamma1")
-        for step, vals in values.items():
+        rows = list(csv.DictReader(io.StringIO(result.raw_csv)))
+        names = list(rows[0])[2:]
+        steps = max(int(row["step"]) for row in rows) + 1
+        values = np.array([[float(row[name]) for name in names] for row in rows])
+        stats = aggregate(values.reshape(-1, steps, len(names)), names)
+        per_step = {}
+        for row in rows:
+            per_step.setdefault(int(row["step"]), []).append(float(row["log_gamma1"]))
+        j = stats.names.index("log_gamma1")
+        for step, vals in per_step.items():
             arr = np.asarray(vals)
-            assert result.stats.mean[step, j] == arr.mean()
-            assert result.stats.se[step, j] == arr.std(ddof=1) / math.sqrt(arr.size)
+            assert stats.mean[step, j] == arr.mean()
+            assert stats.se[step, j] == arr.std(ddof=1) / math.sqrt(arr.size)
+        printed = [
+            row for row in csv.DictReader(io.StringIO(result.stats_csv))
+            if row["statistic"] == "log_gamma1"
+        ]
+        assert [float(row["mean"]) for row in printed] == stats.mean[:, j].tolist()
 
 
 class TestAggregate:
@@ -466,16 +477,15 @@ class TestVerifyDispatch:
             ((PotentialVector.constant(3), KernelMatrix.uniform(3)),) * 3,
         )
         report = check_regime(flow, "bounded", 0.5, 1.0, 50, 20, seed=3)
-        assert report.hypothesis_ok and all(r.status == "pass" for r in report.rows)
+        assert all(r.status == "pass" for r in report.rows)
 
     def test_hypothesis_unmet_is_not_a_failure(self):
         # identity kernels break the mixing cap: rows must say so
         flow = FlowSpec(
             FiniteDistribution.uniform(2),
-            ((PotentialVector([1.0, 1.2]), KernelMatrix.identity(2)),) * 2,
+            ((PotentialVector([1.0, 1.2]), KernelMatrix(np.eye(2))),) * 2,
         )
         report = check_regime(flow, "bounded", 0.5, 1.2, 50, 10, seed=4)
-        assert not report.hypothesis_ok
         assert all(r.status == "hypothesis-unmet" for r in report.rows)
         assert not report.failures()
 
@@ -511,7 +521,6 @@ class TestVerifyDispatch:
         text += "\n[checks]\nregime = bounded\na = 0.5\ng_sup = 2.0\ny_values = 2\n"
         cfg = parse_config(text)
         report = verify_bounds(cfg)
-        assert report.hypothesis_ok
         assert all(r.status == "pass" for r in report.rows)
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0] == "check,scope,lhs,rhs,margin,status"
@@ -673,6 +682,16 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "five")]) == 2
         assert "config error: steps = 5 exceeds the flow's 4 steps" in capsys.readouterr().err
         assert not (tmp_path / "five").exists()
+
+    @pytest.mark.parametrize("command", ["adaptive", "verify-bounds"])
+    def test_adaptive_config_must_give_steps(self, command, tmp_path, capsys):
+        # an adaptive config has no flow to take its length from
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(ADAPTIVE.replace("steps = 4\n", ""))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "config error: steps is required" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_raw_rows_independent_of_replicate_count(self, tmp_path):
         # each short count and the long one sit on either side of a block

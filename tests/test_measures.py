@@ -104,7 +104,7 @@ class TestTotalVariation:
 
 class TestDobrushin:
     def test_identity_kernel(self):
-        assert dobrushin(KernelMatrix.identity(2)) == 1.0
+        assert dobrushin(KernelMatrix(np.eye(2))) == 1.0
 
     def test_rank_one_kernel(self):
         assert dobrushin(KernelMatrix.uniform(3)) == 0.0
@@ -129,7 +129,7 @@ class TestDobrushin:
         rng = rng_for(12)
         d = 200
         k = KernelMatrix(random_kernel_rows(rng, d))
-        rows = [k.row(x) for x in range(d)]
+        rows = [FiniteDistribution(row) for row in k.rows]
         expected = max(
             total_variation(rows[x], rows[y]) for x in range(d) for y in range(x + 1, d)
         )
@@ -231,7 +231,7 @@ class TestDobrushin:
             d = int(rng.integers(2, 11))
             k = KernelMatrix(random_kernel_rows(rng, d))
             f = rng.standard_normal(d)
-            assert osc(k.apply(f)) <= dobrushin(k) * osc(f) + 1e-12
+            assert osc(k.rows @ f) <= dobrushin(k) * osc(f) + 1e-12
 
     def test_contracts_measure_pairs(self):
         rng = rng_for(5)
@@ -256,7 +256,7 @@ class TestBoltzmannGibbs:
         assert np.allclose(out.weights, [0.25, 0.75], atol=1e-15)
 
     def test_dirac_fixed_point(self):
-        mu = FiniteDistribution.dirac(3, 0)
+        mu = FiniteDistribution(np.eye(3)[0])
         out = bg_transform(PotentialVector([5.0, 1.0, 2.0]), mu)
         assert np.allclose(out.weights, mu.weights)
 

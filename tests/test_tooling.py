@@ -1,7 +1,7 @@
 """Tooling smoke tests: the benchmark's span tracer still binds the layers it
 names, its set-up probe still parses a config, every benchmark workload
-still passes its own gate, and every public name of the package has a
-caller.
+still passes its own gate, every public name and class member of the
+package has a caller, and only the engine draws particles.
 
 ``perfbench/tracer.py`` wraps package functions from outside and raises if
 a wrapped original is left bound, so a refactor that moves or renames a
@@ -9,6 +9,7 @@ traced function shows up here, not first in a benchmark run.
 """
 
 import ast
+import collections
 import csv
 import importlib.util
 import os
@@ -169,18 +170,24 @@ UNCALLED_ALLOWLIST = {
 }
 
 
+def _src_modules():
+    """(module name, parsed tree) of every module of the package."""
+    for path in sorted((SRC / "fkips").glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_every_public_src_name_has_a_caller():
     # a module-level public function or class must be read somewhere in
     # src/ other than its own definition, or be exported by fkips.__all__;
     # test-only references belong in tests/
     defined, read = {}, set()
-    for path in sorted((SRC / "fkips").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in _src_modules():
+        for node in tree.body:
             own = None
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = node.name
                 if not own.startswith("_"):
-                    defined[f"{path.stem}.{own}"] = own
+                    defined[f"{module}.{own}"] = own
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
                     name = sub.id
@@ -197,3 +204,68 @@ def test_every_public_src_name_has_a_caller():
         if name not in read and name not in fkips.__all__
     }
     assert uncalled == set(UNCALLED_ALLOWLIST)
+
+
+# Public class members that only tests reach, each with the ROADMAP item
+# that gives it a caller in src/ or deletes it.
+UNREAD_MEMBER_ALLOWLIST = {
+    f"flow.RawConcentrationEstimates.{field}": "item 2"
+    for field in ("n", "r_n", "r_bar", "tau_star", "beta_bar_sq", "sigma_bar_sq", "b_star")
+}
+
+
+def test_every_public_src_member_is_read():
+    # a public method, property, classmethod or dataclass field of a class
+    # in src/ must be read as an attribute, or named by a getattr string,
+    # somewhere in src/ outside its own definition; test-only members
+    # belong in tests/
+    members, reads = [], collections.Counter()
+    for module, tree in _src_modules():
+        reads.update(_attribute_reads(tree))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members.append((f"{module}.{cls.name}.{name}", name, item))
+    unread = {
+        qualified for qualified, name, item in members
+        if reads[name] == list(_attribute_reads(item)).count(name)
+    }
+    assert unread == set(UNREAD_MEMBER_ALLOWLIST)
+
+
+def _attribute_reads(node):
+    """Every name read as an attribute, or as a ``getattr`` string, under
+    ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Name)
+            and sub.func.id == "getattr"
+            and len(sub.args) > 1
+            and isinstance(sub.args[1], ast.Constant)
+        ):
+            yield sub.args[1].value
+
+
+def test_only_the_engine_draws_particles():
+    # the transition and its streams stay private to fkips.engine, so no
+    # other module keeps a second copy of the particle loop
+    private = {"_SlotStream", "_transition", "_move_particles"}
+    for module, tree in _src_modules():
+        if module == "engine":
+            continue
+        names = set(_attribute_reads(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & private, module
