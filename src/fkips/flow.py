@@ -18,8 +18,8 @@ quantities
 
 control every non-asymptotic estimate downstream.
 
-:func:`semigroup_table` builds them for every p <= n by one backward
-recursion per end time n.  ``P_{p,n} = R_{p+1} ... R_n`` is a product of
+:func:`semigroup_table` builds them for every p <= n by one recursion
+along the lag k = n - p.  ``P_{p,n} = R_{p+1} ... R_n`` is a product of
 stochastic twisted kernels ``R_k(x, y) ∝ G_k(x) M_k(x, y) h_{k,n}(y)`` (Del
 Moral, *Feynman-Kac Formulae*, 2004).  The recursion carries ``h`` (rescaled
 by its maximum, the scale kept in log space so annealing products cannot
@@ -32,9 +32,10 @@ and ``b_{p,n}`` is half the largest L1 distance between two rows of
 differ at the order of that step's own mixing, so b keeps its relative
 precision however small it gets.  Subtracting rows of ``P_{p,n}`` itself,
 which agree to 16 digits once n - p is large, would leave only float noise.
-As ``h_{n,n} = 1`` makes ``R_n = M_n``, ``b_{n-1,n}`` is the trace's
-``dobrushin(M_n)`` bit for bit.  The other centred matrices of an end time,
-like the trace's T kernels, fill a byte-capped stack reduced in one call.
+Each pair (p, n) follows from (p + 1, n): per lag n - p, one stacked step
+(the per-pair BLAS calls, so the same bits) and one Dobrushin reduction,
+over a few (T + 1, d, d) stacks, the order of the flow's own kernels.  As
+``h_{n,n} = 1`` makes ``R_n = M_n``, ``b_{n-1,n}`` is the trace's value.
 
 A frozen :class:`FlowSpec` builds its run (``spec.trace``) and its table
 (``spec.table``) once; every check reads those.  Everything here is dense
@@ -62,7 +63,6 @@ from .measures import (
 # Exact-oracle size caps: O(d^2 * T) memory and time must stay desk-scale.
 MAX_DIM = 4096
 MAX_STEPS = 10_000
-_STACK_BYTES = 1 << 21  # cap on the matrices one Dobrushin reduction reads
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,27 +135,27 @@ def fk_step(
     return FiniteDistribution((w / s) @ kernel.rows)
 
 
+def _kernel_stack(spec: FlowSpec) -> np.ndarray:
+    """The (T, d, d) stack of the flow's kernels M_1 .. M_T."""
+    return np.array([kernel.rows for _, kernel in spec.steps]).reshape(-1, spec.dim, spec.dim)
+
+
 def run_flow(spec: FlowSpec) -> FlowTrace:
     """Iterate the flow and record laws, mass products and step constants."""
     etas = [spec.initial]
     log_gamma = [0.0]
-    gs, rows = [], [kernel.rows for _, kernel in spec.steps]
-    per = max(1, _STACK_BYTES // (8 * spec.dim**2))
-    bs = [0.5 * v for s in range(0, len(rows), per)
-          for v in _max_row_l1(np.stack(rows[s:s + per])).tolist()]
     for potential, kernel in spec.steps:
         mean_g = etas[-1].expect(potential.values)
         if mean_g <= 0:
             raise DegenerateMeasureError("mu(G) = 0: flow step undefined")
         log_gamma.append(log_gamma[-1] + math.log(mean_g))
         etas.append(fk_step(etas[-1], potential, kernel))
-        gs.append(potential_ratio(potential))
     return FlowTrace(
         etas=tuple(etas),
         gamma1=tuple(math.exp(v) for v in log_gamma),
         log_gamma1=tuple(log_gamma),
-        g=tuple(gs),
-        b=tuple(bs),
+        g=tuple(potential_ratio(potential) for potential, _ in spec.steps),
+        b=tuple((0.5 * _max_row_l1(_kernel_stack(spec))).tolist()),
     )
 
 
@@ -173,34 +173,36 @@ class SemigroupTable:
 
 def semigroup_table(spec: FlowSpec) -> SemigroupTable:
     """The centred twisted-kernel recursion of the module docstring, run
-    backward from each end time n."""
+    along lags: lag k moves every pair (p + 1, p + k) to (p, p + k)."""
     size, d, trace = spec.horizon + 1, spec.dim, spec.trace
     g, b, mass = (np.full((size, size), np.nan) for _ in range(3))
-    stack = np.empty((max(2, min(size, _STACK_BYTES // (8 * d * d))), d, d))
-    for n in range(size):
-        h, log_scale = np.ones(d), 0.0
-        centred, filled = np.eye(d) - np.eye(1, d), 0
-        for p in range(n, -1, -1):
-            if p < n:
-                potential, kernel = spec.steps[p]
-                mh = kernel.rows @ h
-                # R(x, y) = G(x) M(x, y) h(y) / G(x) (M h)(x): G cancels
-                twisted = kernel.rows * h / mh[:, None]
-                # b_{n-1,n} is read from the trace: that slot is overwritten
-                centred = np.matmul(twisted - twisted[0], centred, out=stack[filled])
-                filled += p < n - 1
-                h = potential.values * mh
-                top = h.max()
-                h = h / top
-                log_scale += math.log(top)
-            lo = h.min()
-            if lo <= 0:
-                raise RatioOverflowError("composed potential has a zero entry; ratio undefined")
-            g[p, n] = h.max() / lo
-            mass[p, n] = trace.gamma1[p] * trace.etas[p].expect(h) * math.exp(log_scale)
-            if filled == len(stack) or (p == 0 and filled):
-                b[p:p + filled, n] = 0.5 * _max_row_l1(stack[:filled])[::-1]
-                filled = 0
+    rows = _kernel_stack(spec)
+    potentials = np.array([potential.values for potential, _ in spec.steps]).reshape(-1, d)
+    weights, gamma1 = np.stack([eta.weights for eta in trace.etas])[:, None], np.array(trace.gamma1)
+    h, log_scale = np.ones((size, d)), [0.0] * size
+    centred = np.broadcast_to(np.eye(d) - np.eye(1, d), (size, d, d))
+    for lag in range(size):
+        count = size - lag   # pairs (p, p + lag) for p < count
+        if lag:
+            mh = np.matmul(rows[:count], h[1:, :, None])[..., 0]
+            # R(x, y) = G(x) M(x, y) h(y) / G(x) (M h)(x): G cancels
+            twisted = rows[:count] * h[1:, None]
+            twisted /= mh[..., None]
+            twisted -= twisted[:, :1]
+            centred = np.matmul(twisted, centred[1:])
+            h = potentials[:count] * mh
+            top = h.max(1)
+            h /= top[:, None]
+            log_scale = [s + math.log(t) for s, t in zip(log_scale[1:], top.tolist())]
+        lo = h.min(1)
+        if np.any(lo <= 0):
+            raise RatioOverflowError("composed potential has a zero entry; ratio undefined")
+        p = np.arange(count)
+        g[p, p + lag] = h.max(1) / lo
+        mass[p, p + lag] = gamma1[:count] * np.matmul(weights[:count], h[..., None])[:, 0, 0]
+        mass[p, p + lag] *= [math.exp(s) for s in log_scale]
+        if lag > 1:   # b_{n-1,n} is read from the trace
+            b[p, p + lag] = 0.5 * _max_row_l1(centred)
     np.fill_diagonal(b, float(d > 1))  # C_{n,n} = I - 1 (x) e_0: two rows 2 apart
     np.fill_diagonal(b[:, 1:], trace.b)
     for arr in (g, b, mass):

@@ -13,7 +13,8 @@ Conventions
   spaces; the exponential subset enumeration is kept as an independent
   oracle in the test suite).
 * ``dobrushin(K)`` is the worst-case total variation between rows of ``K``
-  (one stateless, triangle-pruned reduction also serves stacks of matrices);
+  (one reduction, pruned by a vectorized triangle-inequality test, also
+  serves stacks of matrices, such as a table's centred matrices of one lag);
   it is sub-multiplicative and contracts measure pairs and oscillations.
 * ``bg_transform(G, mu)`` reweights ``mu`` by the positive function ``G``
   and renormalizes.
@@ -244,29 +245,25 @@ def _max_row_l1(stack: np.ndarray) -> np.ndarray:
     r_i is the L1 distance of row i from the coordinatewise median of five
     fixed rows, so |x_i - x_j| <= r_i + r_j, tightly on rank-one-plus-
     permutation kernels.  A sweep from the row of largest r gives a lower
-    bound t; only pairs with r_j >= fl(t (1 - 4(d + 2)u) - r_i), u = 2^-53,
-    are evaluated (sums of d terms are within a relative d u of exact, the
-    test rounds twice, and sums below 2^-1021 are exact).  Ranked by r, a
-    row's candidates are a prefix of the rows after it.  Each |x_i - x_j|
-    is summed along one contiguous row, so every maximum is bit for bit a
-    per-pair ``np.abs(a - b).sum()``.
+    bound t, and one vectorized test keeps the candidate pairs i < j with
+    r_j >= fl(t (1 - 4(d + 2)u) - r_i), u = 2^-53 (sums of d terms are
+    within a relative d u of exact, the test rounds twice, and sums below
+    2^-1021 are exact).  The test runs a block of rows at a time, over the
+    rows that pass it against their matrix's largest r, and only candidate
+    pairs are evaluated.  Each |x_i - x_j| is summed along one contiguous
+    row, so every maximum is bit for bit a per-pair ``np.abs(a - b).sum()``.
     """
     k, d, _ = stack.shape
     r = _row_l1(stack, np.sort(stack[:, np.linspace(0, d - 1, 5).astype(int)], axis=1)[:, 2])
-    order = np.argsort(-r, axis=1, kind="stable")
-    ranked = np.take_along_axis(r, order, 1)
-    best = _row_l1(stack, stack[np.arange(k), order[:, 0]]).max(1)
-    # ranked row a pairs with the ranked rows a < b < reach[a]
-    t = best * (1.0 - 4 * (d + 2) * 2.0**-53)
-    reach = np.array([np.searchsorted(-q, q - top, "right") for q, top in zip(ranked, t)])
-    span = np.maximum(reach - np.arange(1, d + 1), 0).ravel()
-    ends, order = np.cumsum(span), order.ravel()
+    best = _row_l1(stack, stack[np.arange(k), r.argmax(1)]).max(1)
+    need = (best * (1.0 - 4 * (d + 2) * 2.0**-53))[:, None] - r
+    # row i has a candidate only if it passes the test with its matrix's largest r
+    keep_m, keep_i = np.nonzero(r.max(1, keepdims=True) >= need)
     per = max(1, _DOBRUSHIN_BLOCK_BYTES // (8 * d))
-    for first in range(0, int(ends[-1]), 8 * per):
-        pair = np.arange(first, min(first + 8 * per, ends[-1]))
-        a = np.searchsorted(ends, pair, "right")
-        b, m = a + 1 + pair - ends[a] + span[a], a // d
-        i, j, l1 = order[a], order[b], np.empty(len(pair))
+    for first in range(0, len(keep_m), per):
+        m, i = keep_m[first:first + per], keep_i[first:first + per]
+        pair, j = np.nonzero((r[m] >= need[m, i, None]) & (np.arange(d) > i[:, None]))
+        m, i, l1 = m[pair], i[pair], np.empty(len(pair))
         for part in (slice(s, s + per) for s in range(0, len(pair), per)):
             diff = stack[m[part], i[part]] - stack[m[part], j[part]]
             np.abs(diff, diff)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fkips import flow
+from fkips import flow, measures
 from fkips.errors import InputError
 from fkips.flow import (
     FlowSpec,
@@ -223,12 +223,12 @@ class TestSemigroup:
             b, trace_b = spec.table.b, spec.trace.b
             assert [b[n - 1, n] for n in range(1, spec.horizon + 1)] == list(trace_b)
 
-    def test_table_is_independent_of_the_stack_cap(self, monkeypatch):
-        # a cap below one matrix reduces the trace's coefficients one kernel
-        # at a time and each end time's column in stacks of two
+    def test_table_is_independent_of_the_block_cap(self, monkeypatch):
+        # a cap of one row per block reduces the trace's kernels and each
+        # lag's centred matrices one candidate row, and one pair, at a time
         spec = bounded_regime_flow(12, dim=16, seed=5)
         trace_b, table = spec.trace.b, spec.table
-        monkeypatch.setattr(flow, "_STACK_BYTES", 1)
+        monkeypatch.setattr(measures, "_DOBRUSHIN_BLOCK_BYTES", 8)
         capped = FlowSpec(spec.initial, spec.steps)
         assert capped.trace.b == trace_b
         for name in ("g", "b", "mass"):

@@ -22,7 +22,7 @@ from fkips.cli import main as cli_main
 from fkips.config import _SCHEMA, _parse_sections, _parse_value
 from fkips.engine import BLOCK, run_counts
 from fkips.errors import ConfigError, InputError
-from fkips.flow import FlowSpec
+from fkips.flow import FlowSpec, check_semigroup_lemmas
 from fkips.harness import (
     CheckRow,
     _raw_csv,
@@ -478,6 +478,20 @@ class TestVerifyDispatch:
         )
         report = check_regime(flow, "bounded", 0.5, 1.0, 50, 20, seed=3)
         assert all(r.status == "pass" for r in report.rows)
+
+    def test_uniform_regime_holds_over_a_thousand_steps(self):
+        # uniformity in time: at T = 1000 the hypothesis, every composed cap
+        # and the L2 level at each of the 1001 steps pass, and so do the
+        # semigroup lemmas on the same table.  The deviation and mass-ratio
+        # rows are not asserted: their threshold shrinks as 1/N
+        flow = bounded_regime_flow(1000, dim=8, seed=13)
+        rows = check_regime(flow, "bounded", 0.5, None, 200, 50, 7, y_values=(2.0,)).rows
+        checked = [r for r in rows if r.name in ("uniform-hypothesis", "uniform-composed-caps")]
+        l2 = [r for r in rows if r.name == "uniform-l2"]
+        assert [r.name for r in checked] == ["uniform-hypothesis", "uniform-composed-caps"]
+        assert [r.scope for r in l2] == [f"n={n}" for n in range(1001)]
+        assert all(r.status == "pass" for r in checked + l2)
+        assert check_semigroup_lemmas(flow)[0]
 
     def test_hypothesis_unmet_is_not_a_failure(self):
         # identity kernels break the mixing cap: rows must say so

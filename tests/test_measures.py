@@ -137,8 +137,12 @@ class TestDobrushin:
 
     def test_stacked_reduction_is_bit_identical_to_row_pairs(self):
         # d = 128 and 129 spread their candidate pairs over several blocks
-        # under the default cap
+        # under the default cap; 10 000 matrices at d = 2 and 3, the shape a
+        # long horizon's table reduces at each lag, span many blocks of rows
         self._check_reduction_against_row_pairs((1, 2, 3, 8, 9, 33, 64, 65, 128, 129))
+        rng = rng_for(23)
+        for d in (2, 3):
+            self._check(self._mixed_rows(rng, d, 10_000))
 
     def test_one_row_per_block_is_bit_identical_to_row_pairs(self, monkeypatch):
         # a cap of one row per block spreads every matrix's candidate pairs
@@ -202,6 +206,18 @@ class TestDobrushin:
             kernel * 2.0**-1060,
             (kernel - kernel[0]) * 2.0**-1040,
         ])
+
+    @staticmethod
+    def _mixed_rows(rng, d, count):
+        """``count`` (d, d) matrices whose rows are each, at random, a random
+        kernel row or a row of a rank-one + 0.2 permutation kernel, so some
+        matrices tie in every pair, some in none and some in a few."""
+        kernel = rng.random((count, d, d))
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        target = rng.random((count, 1, d))
+        target /= target.sum(axis=2, keepdims=True)
+        perm = np.eye(d)[rng.permuted(np.tile(np.arange(d), (count, 1)), axis=1)]
+        return np.where(rng.random((count, d, 1)) < 0.5, kernel, 0.8 * target + 0.2 * perm)
 
     @staticmethod
     def _tight_rows(rng, d, width):
