@@ -4,8 +4,8 @@ Layers, bottom up:
 
 * :mod:`fkips.measures` -- finite distributions, kernels, total variation,
   Dobrushin coefficients, Boltzmann-Gibbs reweighting;
-* :mod:`fkips.flow` -- the exact flow oracle and composed-operator
-  quantities;
+* :mod:`fkips.flow` -- the exact flow oracle, a flow held as its (T, d)
+  potentials and (T, d, d) kernels, and composed-operator quantities;
 * :mod:`fkips.bounds` -- closed-form calculators for every deviation
   constant, tuning rule and tail bound;
 * :mod:`fkips.engine` -- the N-particle system as an occupation-count
@@ -31,7 +31,6 @@ from .measures import (
     BoundedFunction,
     FiniteDistribution,
     KernelMatrix,
-    PotentialVector,
     bg_transform,
     dobrushin,
     osc,
@@ -78,7 +77,6 @@ __all__ = [
     "KernelMatrix",
     "LambdaCurve",
     "MinorizationCert",
-    "PotentialVector",
     "TemperatureSchedule",
     "bg_transform",
     "build_isa_flow",

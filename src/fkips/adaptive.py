@@ -49,7 +49,6 @@ from .annealing import GibbsProblem, gibbs_measure, metropolis_kernel
 from .engine import CountRun, _run_blocks
 from .errors import InputError, SolverError
 from .flow import FlowSpec
-from .measures import PotentialVector
 from .testfns import deviations, l2_level, means, osc1_dictionary
 
 
@@ -272,27 +271,26 @@ def theoretical_adaptive_flow(
         raise InputError("energies must be >= 0 (declared V_min = 0)")
     if np.any((v <= 0) & (problem.reference.weights > 0)):
         raise InputError("reference measure puts mass at V = 0; reference schedule undefined")
-    v_max = float(v.max())
+    v_max, d = float(v.max()), problem.dim
     beta = float(beta0)
     deltas, cs = [], []
     etas = [gibbs_measure(problem, beta0)]
-    steps = []
-    for _ in range(horizon):
+    kernels = np.empty((horizon, d, d))
+    for n in range(horizon):
         eta_prev = etas[-1]
         res = kappa_solve(
             LambdaCurve(v, eta_prev.weights), epsilon, tol=1e-12, delta_max=1e9,
-            step=len(deltas) + 1,
+            step=n + 1,
         )
         if res.saturated:
             raise InputError("increment solver saturated on the exact law")
         delta = res.delta
         beta += delta
-        kernel = _realized_kernel(problem, beta, mcmc_iters)
-        steps.append((PotentialVector.boltzmann(v, delta), kernel))
+        kernels[n] = _realized_kernel(problem, beta, mcmc_iters).rows
         cs.append(v_max * math.exp(delta * v_max) / (epsilon * eta_prev.expect(v)))
         deltas.append(delta)
         etas.append(gibbs_measure(problem, beta))
-    flow = FlowSpec(initial=etas[0], steps=tuple(steps))
+    flow = FlowSpec(etas[0], np.exp(-np.array(deltas)[:, None] * v), kernels)
     return ReferenceSchedule(flow=flow, deltas=tuple(deltas), etas=tuple(etas), c=tuple(cs))
 
 
@@ -382,7 +380,7 @@ def _adaptive_plan(problem, config, n_particles, horizon, replicates, reference)
         )
         beta = run.beta[rows, n] + res.delta
         if config.mutation_mode == "theoretical":
-            kernel_rows = reference.flow.steps[n][1].rows
+            kernel_rows = reference.flow.kernels[n]
         else:
             kernel_rows = np.stack(
                 [_realized_kernel(problem, b, config.mcmc_iters).rows for b in beta]
@@ -456,16 +454,16 @@ def perturbation_check(
     rew = base * np.exp((np.array(reference.deltas) - run.delta)[..., None] * problem.v_values)
     rew /= rew.sum(axis=2, keepdims=True)
     # exact flow map applied to each occupation measure
-    pushed = np.empty_like(base)
-    for n, (potential, kernel) in enumerate(reference.flow.steps):
-        weighted = base[:, n] * potential.values
-        pushed[:, n] = (weighted / weighted.sum(axis=1, keepdims=True)) @ kernel.rows
+    pushed, flow = np.empty_like(base), reference.flow
+    for n in range(horizon):
+        weighted = base[:, n] * flow.potentials[n]
+        pushed[:, n] = (weighted / weighted.sum(axis=1, keepdims=True)) @ flow.kernels[n]
     fdict = osc1_dictionary(problem.dim)
     d2_base, se_base = _d2_estimate(deviations(base, reference.etas[:-1], fdict))
     d2_rew_self, se_rs = _d2_estimate(means(rew - base, fdict))
     d2_rew_eta, se_re = _d2_estimate(deviations(rew, reference.etas[:-1], fdict))
     d2_push, se_p = _d2_estimate(deviations(pushed, reference.etas[1:], fdict))
-    trace = reference.flow.trace
+    trace = flow.trace
     rows = []
     for n in range(horizon):
         c_n = reference.c[n]
@@ -542,7 +540,7 @@ def khintchine_conditional_check(
         delta_max=config.resolved_delta_max(problem.v_osc), step=freeze_steps + 1,
     )
     var = _conditional_variances(
-        frozen, np.exp(-res.delta * problem.v_values), reference.flow.steps[freeze_steps][1].rows,
+        frozen, np.exp(-res.delta * problem.v_values), reference.flow.kernels[freeze_steps],
         osc1_dictionary(problem.dim),
     )
     row = bounds.CheckRow.compare(

@@ -24,13 +24,7 @@ from . import bounds
 from .engine import run_counts
 from .errors import InputError, NoMinorizationError
 from .flow import FlowSpec
-from .measures import (
-    BoundedFunction,
-    FiniteDistribution,
-    KernelMatrix,
-    PotentialVector,
-    osc,
-)
+from .measures import BoundedFunction, FiniteDistribution, KernelMatrix, osc
 
 _REVERSIBILITY_TOL = 1e-12
 
@@ -258,8 +252,8 @@ def build_isa_flow(
     ``K_{beta_n}^(k0 m_n)`` where m_n comes from the schedule's regime rule;
     the flow then maps each Gibbs law exactly onto the next one.
     """
-    v_osc = problem.v_osc
-    iters, steps = [], []
+    v_osc, d = problem.v_osc, problem.dim
+    iters, kernels = [], np.empty((schedule.horizon, d, d))
     mode = schedule.tuning_mode
     for n, delta in enumerate(schedule.deltas, start=1):
         beta_n = schedule.betas[n]
@@ -270,12 +264,13 @@ def build_isa_flow(
             )
         except Exception as exc:
             raise type(exc)(f"step {n}: {exc}") from exc
-        power = cert.k0 * m_n
-        kernel = metropolis_kernel(problem, beta_n).power(power)
-        potential = PotentialVector.boltzmann(problem.v_values, delta)
-        steps.append((potential, kernel))
+        kernels[n - 1] = metropolis_kernel(problem, beta_n).power(cert.k0 * m_n).rows
         iters.append(m_n)
-    flow = FlowSpec(initial=gibbs_measure(problem, schedule.betas[0]), steps=tuple(steps))
+    flow = FlowSpec(
+        initial=gibbs_measure(problem, schedule.betas[0]),
+        potentials=np.exp(-np.array(schedule.deltas)[:, None] * problem.v_values),
+        kernels=kernels,
+    )
     return IsaFlow(
         problem=problem, flow=flow, schedule=schedule, cert=cert, a=a, mcmc_iters=tuple(iters)
     )

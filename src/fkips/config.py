@@ -15,7 +15,7 @@ and value is cut from the text by index: the text is never split or copied
 whole.  A vector or ``;`` table is read by numpy's C text reader one row
 slice at a time, so it costs its float64 array plus one row.  A d = 64,
 T = 40 kernel stack (3.5 MB of text) parses, flow built, at a tracemalloc
-peak of 0.79 times its text; the built flow's kernels are then the only
+peak of 0.80 times its text; the built flow's kernels are then the only
 copy of the stack.
 
 Unknown sections or keys are rejected with field-level messages.  Sections
@@ -59,7 +59,13 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateMeasureError, NoMinorizationError
 from .flow import FlowSpec
-from .measures import BoundedFunction, FiniteDistribution, KernelMatrix, PotentialVector
+from .measures import (
+    BoundedFunction,
+    FiniteDistribution,
+    KernelMatrix,
+    _check_potentials,
+    _kernel_row_sums,
+)
 
 # annealing and adaptive are imported where they are called, so a classic
 # run never loads them
@@ -341,7 +347,7 @@ class ExperimentConfig:
         if steps is not None and steps > cfg.flow.horizon:
             raise ConfigError([f"steps = {steps} exceeds the flow's {cfg.flow.horizon} steps"])
         if not isinstance(eps_mode, str):
-            g_max = max((g.values.max() for g, _ in cfg.flow.steps[: cfg.horizon()]), default=0.0)
+            g_max = float(cfg.flow.potentials[: cfg.horizon()].max(initial=0.0))
             if not 0.0 <= eps_mode * g_max <= 1.0 + 1e-12:
                 raise ConfigError(
                     [f"eps_mode = {eps_mode!r} breaks 0 <= eps * max G <= 1 (max G = {g_max:g})"]
@@ -430,8 +436,8 @@ class ExperimentConfig:
                 raise ConfigError(["flow.potentials is required for classic runs"])
             with _field("flow.potentials"):
                 pots = np.atleast_2d(np.asarray(pots, dtype=np.float64))
-                potentials = [PotentialVector(row) for row in pots]
-            dim = pots.shape[1]
+                _check_potentials(pots)
+            t, dim = pots.shape
             init_spec = raw.get("flow", "initial", "uniform")
             with _field("flow.initial"):
                 if isinstance(init_spec, str) and init_spec == "uniform":
@@ -440,24 +446,24 @@ class ExperimentConfig:
                     initial = FiniteDistribution.from_unnormalized(
                         np.asarray(init_spec, dtype=np.float64)
                     )
-            stacked = raw.sections.get("flow", {}).pop("kernels", None)
-            if stacked is not None:
+            kernels = raw.sections.get("flow", {}).pop("kernels", None)
+            if kernels is not None:
                 with _field("flow.kernels"):
-                    stacked = np.asarray(stacked, dtype=np.float64)
-                    if stacked.shape != (len(potentials) * dim, dim):
+                    kernels = np.asarray(kernels, dtype=np.float64)
+                    if kernels.shape != (t * dim, dim):
                         raise ConfigError(["flow.kernels must stack one d x d kernel per step"])
-                    kernels = [
-                        KernelMatrix(stacked[i * dim : (i + 1) * dim])
-                        for i in range(len(potentials))
-                    ]
+                    # normalized in place: the parsed table is the only copy
+                    kernels = kernels.reshape(t, dim, dim)
+                    kernels /= _kernel_row_sums(kernels)[..., None]
             else:
                 kern = raw.get("flow", "kernel")
                 if kern is None:
                     raise ConfigError(["flow.kernel or flow.kernels is required"])
                 with _field("flow.kernel"):
-                    kernels = [KernelMatrix(np.asarray(kern, dtype=np.float64))] * len(potentials)
+                    kern = KernelMatrix(np.asarray(kern, dtype=np.float64)).rows
+                kernels = np.broadcast_to(kern, (t, *kern.shape))
             with _field("flow"):
-                return FlowSpec(initial=initial, steps=tuple(zip(potentials, kernels)))
+                return FlowSpec(initial, pots, kernels)
         if self.kind == "isa":
             return self.isa.flow
         return None

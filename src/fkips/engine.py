@@ -158,7 +158,6 @@ def _classic_plan(spec, n_particles, replicates, horizon, eps):
     horizon = spec.horizon if horizon is None else int(horizon)
     if not 0 <= horizon <= spec.horizon:
         raise InputError("horizon out of range")
-    steps = spec.steps[:horizon]
     run = CountRun._allocate(n_particles, replicates, horizon, spec.dim)
     # only "auto" depends on the ensemble; the other policies are constants
     try:
@@ -169,15 +168,14 @@ def _classic_plan(spec, n_particles, replicates, horizon, eps):
         raise InputError("eps must be >= 0")
 
     def rule(n, rows, c):
-        potential, kernel = steps[n]
-        # a PotentialVector is > 0, so every ensemble has g_max > 0 and
+        # a flow's potentials are > 0, so every ensemble has g_max > 0 and
         # none goes extinct
-        g = potential.values
+        g = spec.potentials[n]
         g_max = np.where(c > 0, g, -np.inf).max(axis=1)
         eps_n = 1.0 / g_max if eps_fixed is None else np.full(len(c), eps_fixed)
         if np.any(eps_n * g_max > 1.0 + 1e-12):
             raise InputError("eps * max potential exceeds 1 on this ensemble")
-        return g, np.clip(eps_n[:, None] * g, 0.0, 1.0), kernel.rows
+        return g, np.clip(eps_n[:, None] * g, 0.0, 1.0), spec.kernels[n]
 
     return run, spec.initial.weights, rule
 

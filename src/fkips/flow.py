@@ -1,7 +1,8 @@
 """Exact Feynman-Kac flow on finite state spaces.
 
 A flow is an initial distribution ``eta_0`` plus steps ``(G_n, M_n)``,
-``n = 1..T``.  Each step reweights by the positive potential ``G_n`` and
+``n = 1..T``, held as two arrays: the (T, d) potentials and the (T, d, d)
+kernel rows.  Each step reweights by the positive potential ``G_n`` and
 pushes through the Markov kernel ``M_n``:
 
     eta_n = bg_transform(G_n, eta_{n-1}) . M_n
@@ -54,10 +55,10 @@ import numpy as np
 from .errors import DegenerateMeasureError, InputError, RatioOverflowError
 from .measures import (
     FiniteDistribution,
-    KernelMatrix,
-    PotentialVector,
+    _check_potentials,
+    _freeze,
+    _kernel_row_sums,
     _max_row_l1,
-    potential_ratio,
 )
 
 # Exact-oracle size caps: O(d^2 * T) memory and time must stay desk-scale.
@@ -67,26 +68,40 @@ MAX_STEPS = 10_000
 
 @dataclass(frozen=True, eq=False)
 class FlowSpec:
-    """Initial distribution plus an ordered list of (potential, kernel) steps."""
+    """Initial distribution plus the flow's T steps as two arrays:
+    ``potentials[n - 1]`` is G_n, strictly positive, and ``kernels[n - 1]``
+    holds the rows of M_n, each summing to 1 within the measures'
+    tolerance.  Both are validated and copied once, into read-only
+    C-contiguous float64 arrays of shapes (T, d) and (T, d, d); kernel rows
+    are kept as given, not renormalized."""
 
     initial: FiniteDistribution
-    steps: tuple
+    potentials: np.ndarray
+    kernels: np.ndarray
 
     def __post_init__(self):
-        steps = tuple(self.steps)
         if not isinstance(self.initial, FiniteDistribution):
             raise InputError("the initial law must be a FiniteDistribution")
         d = self.initial.dim
         if d > MAX_DIM:
             raise InputError(f"exact oracle capped at dimension {MAX_DIM}")
-        if len(steps) > MAX_STEPS:
+        try:
+            potentials = np.array(self.potentials, dtype=np.float64, order="C")
+            kernels = np.array(self.kernels, dtype=np.float64, order="C")
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"flow potentials and kernels must be float arrays: {exc}") from None
+        t = len(potentials) if potentials.ndim else 0
+        if potentials.shape != (t, d) or kernels.shape != (t, d, d):
+            raise InputError(
+                f"a flow on {d} states needs (T, {d}) potentials and (T, {d}, {d}) kernels,"
+                f" got {potentials.shape} and {kernels.shape}"
+            )
+        if t > MAX_STEPS:
             raise InputError(f"exact oracle capped at {MAX_STEPS} steps")
-        for n, (g, m) in enumerate(steps, start=1):
-            if not isinstance(g, PotentialVector) or not isinstance(m, KernelMatrix):
-                raise InputError(f"step {n} must be a (PotentialVector, KernelMatrix) pair")
-            if g.dim != d or m.dim != d:
-                raise InputError(f"step {n} dimension mismatch")
-        object.__setattr__(self, "steps", steps)
+        _check_potentials(potentials)
+        _kernel_row_sums(kernels)
+        object.__setattr__(self, "potentials", _freeze(potentials))
+        object.__setattr__(self, "kernels", _freeze(kernels))
 
     @property
     def dim(self) -> int:
@@ -94,7 +109,7 @@ class FlowSpec:
 
     @property
     def horizon(self) -> int:
-        return len(self.steps)
+        return len(self.potentials)
 
     @cached_property
     def trace(self) -> "FlowTrace":
@@ -117,35 +132,26 @@ class FlowTrace:
     g: tuple             # per-step potential ratios g_1 .. g_T
     b: tuple             # per-step Dobrushin coefficients b_1 .. b_T
 
-    @property
-    def horizon(self) -> int:
-        return len(self.etas) - 1
 
-
-def fk_step(
-    mu: FiniteDistribution, potential: PotentialVector, kernel: KernelMatrix
-) -> FiniteDistribution:
-    """One flow step: reweight by ``G`` then push through ``M``."""
-    if potential.dim != mu.dim or kernel.dim != mu.dim:
+def fk_step(mu: FiniteDistribution, potential, kernel) -> FiniteDistribution:
+    """One flow step: reweight by the (d,) potential ``G`` then push through
+    the (d, d) kernel rows ``M``."""
+    potential, kernel = np.asarray(potential, np.float64), np.asarray(kernel, np.float64)
+    if potential.shape != mu.weights.shape or kernel.shape != (mu.dim, mu.dim):
         raise InputError("dimension mismatch in flow step")
-    w = potential.values * mu.weights
+    w = potential * mu.weights
     s = w.sum()
     if s <= 0:
         raise DegenerateMeasureError("mu(G) = 0: flow step undefined")
-    return FiniteDistribution((w / s) @ kernel.rows)
-
-
-def _kernel_stack(spec: FlowSpec) -> np.ndarray:
-    """The (T, d, d) stack of the flow's kernels M_1 .. M_T."""
-    return np.array([kernel.rows for _, kernel in spec.steps]).reshape(-1, spec.dim, spec.dim)
+    return FiniteDistribution((w / s) @ kernel)
 
 
 def run_flow(spec: FlowSpec) -> FlowTrace:
     """Iterate the flow and record laws, mass products and step constants."""
     etas = [spec.initial]
     log_gamma = [0.0]
-    for potential, kernel in spec.steps:
-        mean_g = etas[-1].expect(potential.values)
+    for potential, kernel in zip(spec.potentials, spec.kernels):
+        mean_g = etas[-1].expect(potential)
         if mean_g <= 0:
             raise DegenerateMeasureError("mu(G) = 0: flow step undefined")
         log_gamma.append(log_gamma[-1] + math.log(mean_g))
@@ -154,8 +160,8 @@ def run_flow(spec: FlowSpec) -> FlowTrace:
         etas=tuple(etas),
         gamma1=tuple(math.exp(v) for v in log_gamma),
         log_gamma1=tuple(log_gamma),
-        g=tuple(potential_ratio(potential) for potential, _ in spec.steps),
-        b=tuple((0.5 * _max_row_l1(_kernel_stack(spec))).tolist()),
+        g=tuple((spec.potentials.max(1) / spec.potentials.min(1)).tolist()),
+        b=tuple((0.5 * _max_row_l1(spec.kernels)).tolist()),
     )
 
 
@@ -176,8 +182,7 @@ def semigroup_table(spec: FlowSpec) -> SemigroupTable:
     along lags: lag k moves every pair (p + 1, p + k) to (p, p + k)."""
     size, d, trace = spec.horizon + 1, spec.dim, spec.trace
     g, b, mass = (np.full((size, size), np.nan) for _ in range(3))
-    rows = _kernel_stack(spec)
-    potentials = np.array([potential.values for potential, _ in spec.steps]).reshape(-1, d)
+    rows, potentials = spec.kernels, spec.potentials
     weights, gamma1 = np.stack([eta.weights for eta in trace.etas])[:, None], np.array(trace.gamma1)
     h, log_scale = np.ones((size, d)), [0.0] * size
     centred = np.broadcast_to(np.eye(d) - np.eye(1, d), (size, d, d))

@@ -346,7 +346,8 @@ def check_regime(
         b_cap = bounds.condition_bounded(g_sup, a)
         ok = all(x <= g_sup + 1e-12 for x in trace.g) and all(b <= b_cap + 1e-12 for b in trace.b)
         status = "pass" if ok else "hypothesis-unmet"
-        hypothesis = [CheckRow("uniform-hypothesis", "all", max(trace.b), b_cap, status)]
+        b_max = max(trace.b, default=0.0)
+        hypothesis = [CheckRow("uniform-hypothesis", "all", b_max, b_cap, status)]
     else:
         g = list(trace.g)
         caps = [bounds.condition_decreasing(g_p, a) for g_p in trace.g]

@@ -51,6 +51,29 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_potentials(values: np.ndarray) -> None:
+    """Refuse a potential table with an entry that is not finite and > 0."""
+    if not np.all(np.isfinite(values)):
+        raise InputError("potential values must contain only finite values")
+    if np.any(values <= 0):
+        raise InputError("potential values must be strictly positive")
+
+
+def _kernel_row_sums(m: np.ndarray) -> np.ndarray:
+    """Row sums of a kernel or a stack of kernels, each row non-negative and
+    summing to 1 within ``SUM_TOLERANCE``; a stack's rows are numbered down
+    the stack."""
+    if not np.all(np.isfinite(m)):
+        raise InputError("kernel must contain only finite values")
+    if np.any(m < 0):
+        raise InputError("kernel entries must be non-negative")
+    sums = m.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > SUM_TOLERANCE
+    if np.any(bad):
+        raise InputError(f"kernel rows {np.flatnonzero(bad).tolist()} are not stochastic")
+    return sums
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteDistribution:
     """Probability vector over states ``0..d-1``.
@@ -115,17 +138,7 @@ class KernelMatrix:
         m = np.array(self.rows, dtype=np.float64, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise InputError("kernel must be a non-empty square matrix")
-        if not np.all(np.isfinite(m)):
-            raise InputError("kernel must contain only finite values")
-        if np.any(m < 0):
-            raise InputError("kernel entries must be non-negative")
-        sums = m.sum(axis=1)
-        bad = np.abs(sums - 1.0) > SUM_TOLERANCE
-        if np.any(bad):
-            raise InputError(
-                f"kernel rows {np.flatnonzero(bad).tolist()} are not stochastic"
-            )
-        object.__setattr__(self, "rows", _freeze(m / sums[:, None]))
+        object.__setattr__(self, "rows", _freeze(m / _kernel_row_sums(m)[..., None]))
 
     @classmethod
     def constant(cls, target: FiniteDistribution) -> "KernelMatrix":
@@ -174,33 +187,6 @@ class KernelMatrix:
                 base = base @ base
                 base /= base.sum(axis=1, keepdims=True)
         return KernelMatrix(result)
-
-
-@dataclass(frozen=True, eq=False)
-class PotentialVector:
-    """Strictly positive per-state fitness table."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _as_vector(self.values, "potential values")
-        if np.any(v <= 0):
-            raise InputError("potential values must be strictly positive")
-        object.__setattr__(self, "values", _freeze(v))
-
-    @classmethod
-    def constant(cls, dim: int, value: float = 1.0) -> "PotentialVector":
-        return cls(np.full(dim, float(value)))
-
-    @classmethod
-    def boltzmann(cls, v_table, delta: float) -> "PotentialVector":
-        """Annealing potential ``exp(-delta * V)`` for an energy table ``V``."""
-        v = _as_vector(v_table, "energy table")
-        return cls(np.exp(-float(delta) * v))
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,11 +267,13 @@ def dobrushin(kernel: KernelMatrix) -> float:
     return 0.5 * float(_max_row_l1(kernel.rows[None])[0])
 
 
-def bg_transform(potential: PotentialVector, mu: FiniteDistribution) -> FiniteDistribution:
-    """Boltzmann-Gibbs reweighting: weights proportional to ``G(x) * mu(x)``."""
-    if potential.dim != mu.dim:
+def bg_transform(potential, mu: FiniteDistribution) -> FiniteDistribution:
+    """Boltzmann-Gibbs reweighting: weights proportional to ``G(x) * mu(x)``
+    for a (d,) table ``G``."""
+    potential = np.asarray(potential, dtype=np.float64)
+    if potential.shape != mu.weights.shape:
         raise InputError("potential dimension mismatch")
-    w = potential.values * mu.weights
+    w = potential * mu.weights
     s = w.sum()
     if s <= 0:
         raise DegenerateMeasureError("mu(G) = 0: reweighting undefined")
@@ -294,17 +282,13 @@ def bg_transform(potential: PotentialVector, mu: FiniteDistribution) -> FiniteDi
 
 def osc(f) -> float:
     """Oscillation ``max(f) - min(f)`` of a per-state table."""
-    v = f.values if isinstance(f, (BoundedFunction, PotentialVector)) else None
-    if v is None:
-        v = _as_vector(f, "function values")
+    v = f.values if isinstance(f, BoundedFunction) else _as_vector(f, "function values")
     return float(v.max() - v.min())
 
 
 def potential_ratio(potential) -> float:
     """Worst-case ratio ``max(G) / min(G)`` of a strictly positive table."""
-    v = potential.values if isinstance(potential, PotentialVector) else _as_vector(
-        potential, "potential values"
-    )
+    v = _as_vector(potential, "potential values")
     lo = float(v.min())
     if lo <= 0:
         raise InputError("potential values must be strictly positive")

@@ -3,8 +3,6 @@ text, and a finite flow as a classic-run config."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from fkips.config import _SCHEMA, ExperimentConfig, _config_text, _fmt
 from fkips.flow import FlowSpec
 
@@ -19,7 +17,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         if section == "flow" and cfg.kind == "classic" and "kernel" not in body:
             # a kernels stack leaves raw once the flow is built; write the
             # flow's (normalized) kernels in its place
-            body = {**body, "kernels": np.vstack([k.rows for _, k in cfg.flow.steps])}
+            body = {**body, "kernels": cfg.flow.kernels.reshape(-1, cfg.flow.dim)}
         out.append(f"[{section}]")
         for key in sorted(body):
             out.append(f"{key} = {_config_text(body[key])}")
@@ -33,9 +31,9 @@ def flow_to_config(spec: FlowSpec, *, n_particles=100, replicates=1, seed=0, ste
     lines.append("initial = " + " ".join(_fmt(x) for x in spec.initial.weights))
     lines.append(
         "potentials = "
-        + "; ".join(" ".join(_fmt(x) for x in g.values) for g, _ in spec.steps)
+        + "; ".join(" ".join(_fmt(x) for x in g) for g in spec.potentials)
     )
-    stacked = np.vstack([m.rows for _, m in spec.steps])
+    stacked = spec.kernels.reshape(-1, spec.dim)
     lines.append("kernels = " + "; ".join(" ".join(_fmt(x) for x in row) for row in stacked))
     lines.append("")
     lines.append("[algorithm]")

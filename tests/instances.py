@@ -9,12 +9,7 @@ import numpy as np
 
 from fkips.annealing import GibbsProblem
 from fkips.flow import FlowSpec
-from fkips.measures import (
-    BoundedFunction,
-    FiniteDistribution,
-    KernelMatrix,
-    PotentialVector,
-)
+from fkips.measures import BoundedFunction, FiniteDistribution, KernelMatrix
 
 from .oracles import random_kernel_rows
 
@@ -24,19 +19,19 @@ def _rng(seed):
 
 
 def mixing_kernel(rng, dim, level):
-    """Kernel with ergodic coefficient at most ``level``: a rank-one base
-    mixed with a random stochastic perturbation."""
+    """Kernel rows with ergodic coefficient at most ``level``: a rank-one
+    base mixed with a random stochastic perturbation."""
     base = rng.random(dim) + 0.2
     base /= base.sum()
     perturb = random_kernel_rows(rng, dim)
-    return KernelMatrix((1.0 - level) * np.tile(base, (dim, 1)) + level * perturb)
+    return KernelMatrix((1.0 - level) * np.tile(base, (dim, 1)) + level * perturb).rows
 
 
 def ratio_capped_potential(rng, dim, ratio):
     """Strictly positive table whose max/min ratio is exactly ``ratio``."""
     v = rng.random(dim)
     v = (v - v.min()) / (v.max() - v.min())
-    return PotentialVector(1.0 + (ratio - 1.0) * v)
+    return 1.0 + (ratio - 1.0) * v
 
 
 def bounded_regime_flow(horizon, dim=4, a=0.5, g_cap=math.exp(0.5), mix=0.2, seed=100):
@@ -45,38 +40,44 @@ def bounded_regime_flow(horizon, dim=4, a=0.5, g_cap=math.exp(0.5), mix=0.2, see
     where mix < a/(a + g_cap)."""
     assert mix < a / (a + g_cap)
     rng = _rng(seed)
-    steps = tuple(
-        (ratio_capped_potential(rng, dim, g_cap), mixing_kernel(rng, dim, mix))
-        for _ in range(horizon)
-    )
-    return FlowSpec(initial=FiniteDistribution.uniform(dim), steps=steps)
+    potentials, kernels = np.empty((horizon, dim)), np.empty((horizon, dim, dim))
+    for n in range(horizon):
+        potentials[n] = ratio_capped_potential(rng, dim, g_cap)
+        kernels[n] = mixing_kernel(rng, dim, mix)
+    return FlowSpec(FiniteDistribution.uniform(dim), potentials, kernels)
 
 
 def decreasing_regime_flow(horizon, dim=4, a=0.5, mix=0.15, seed=200):
     """Flow with potential ratios 1 + 2^-p decreasing to 1 and kernels
     mixing at level <= mix, below every decreasing-regime cap."""
     rng = _rng(seed)
-    steps = []
-    for p in range(1, horizon + 1):
-        ratio = 1.0 + 2.0 ** (-p)
-        steps.append((ratio_capped_potential(rng, dim, ratio), mixing_kernel(rng, dim, mix)))
-    return FlowSpec(initial=FiniteDistribution.uniform(dim), steps=tuple(steps))
+    potentials, kernels = np.empty((horizon, dim)), np.empty((horizon, dim, dim))
+    for n in range(horizon):
+        potentials[n] = ratio_capped_potential(rng, dim, 1.0 + 2.0 ** (-(n + 1)))
+        kernels[n] = mixing_kernel(rng, dim, mix)
+    return FlowSpec(FiniteDistribution.uniform(dim), potentials, kernels)
 
 
 def random_flow(rng, dim=None, horizon=None):
     """Unconstrained random flow for oracle identities and lemma checks."""
     dim = int(rng.integers(2, 9)) if dim is None else dim
     horizon = int(rng.integers(1, 7)) if horizon is None else horizon
-    steps = tuple(
-        (
-            PotentialVector(0.2 + 2.8 * rng.random(dim)),
-            KernelMatrix(random_kernel_rows(rng, dim)),
-        )
-        for _ in range(horizon)
-    )
+    potentials, kernels = np.empty((horizon, dim)), np.empty((horizon, dim, dim))
+    for n in range(horizon):
+        potentials[n] = 0.2 + 2.8 * rng.random(dim)
+        kernels[n] = KernelMatrix(random_kernel_rows(rng, dim)).rows
     init = rng.random(dim) + 0.05
+    return FlowSpec(FiniteDistribution.from_unnormalized(init), potentials, kernels)
+
+
+def repeated_flow(initial, potential, kernel, horizon):
+    """The flow of ``initial`` taking the same step, the (d,) ``potential``
+    and the (d, d) ``kernel`` rows, ``horizon`` times."""
+    dim = initial.dim
     return FlowSpec(
-        initial=FiniteDistribution.from_unnormalized(init), steps=steps
+        initial,
+        np.broadcast_to(potential, (horizon, dim)),
+        np.broadcast_to(kernel, (horizon, dim, dim)),
     )
 
 
@@ -132,12 +133,12 @@ def table_check_flows():
     tie at exactly -1 and 0), horizon 0 and one horizon of 200.  The flows
     are built once, so each table is too."""
     rng = _rng(300)
-    three, potential = FiniteDistribution.uniform(3), PotentialVector([1.0, 2.0, 0.5])
+    three, potential = FiniteDistribution.uniform(3), [1.0, 2.0, 0.5]
     return tuple([(f"random-{i}", random_flow(rng)) for i in range(12)] + [
         ("bounded", bounded_regime_flow(12, seed=11)),
         ("decreasing", decreasing_regime_flow(12, seed=55)),
-        ("identity", FlowSpec(three, ((potential, KernelMatrix(np.eye(3))),) * 3)),
-        ("rank-one", FlowSpec(three, ((potential, KernelMatrix.uniform(3)),) * 3)),
-        ("horizon-0", FlowSpec(three, ())),
+        ("identity", repeated_flow(three, potential, np.eye(3), 3)),
+        ("rank-one", repeated_flow(three, potential, KernelMatrix.uniform(3).rows, 3)),
+        ("horizon-0", repeated_flow(three, potential, np.eye(3), 0)),
         ("horizon-200", bounded_regime_flow(200, dim=8)),
     ])

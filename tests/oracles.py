@@ -369,12 +369,11 @@ def lattice_law(spec, n_particles, eps):
     states = compositions(n_particles, d)
     laws = [stats.multinomial.pmf(states, n_particles, spec.initial.weights)]
     steps, mass = [], laws[0]   # mass: E[gamma^N_n ; c_n = c]
-    for potential, kernel in spec.steps:
-        g = potential.values
+    for g, kernel in zip(spec.potentials, spec.kernels):
         moves = np.empty((len(states), d, d))
         for i, c in enumerate(states):
             e = {"auto": 1.0 / g[c > 0].max(), "multinomial": 0.0}.get(eps, eps)
-            moves[i] = selection_rows(c, g, np.clip(e * g, 0.0, 1.0)) @ kernel.rows
+            moves[i] = selection_rows(c, g, np.clip(e * g, 0.0, 1.0)) @ kernel
         step = lattice_moves(states, moves, states)
         mass = (mass * (states @ g) / n_particles) @ step
         laws.append(laws[-1] @ step)

@@ -92,7 +92,7 @@ def test_criterion_01_oracle_identity():
     for _ in range(200):
         spec = random_flow(rng)
         trace = run_flow(spec)
-        steps = [(g.values, m.rows) for g, m in spec.steps]
+        steps = list(zip(spec.potentials, spec.kernels))
         f = rng.standard_normal(spec.dim)
         for n in range(spec.horizon + 1):
             direct = trace.etas[n].expect(f) * trace.gamma1[n]

@@ -201,10 +201,14 @@ class TestTheoreticalFlow:
             assert rows[n + 1].rhs == pytest.approx(bp_constant(2) * acc / 10.0, rel=1e-14)
 
     def test_step_constants_are_those_of_the_emitted_flow(self):
-        ref = theoretical_adaptive_flow(adaptive_problem(4), 0.75, 5, mcmc_iters=3)
+        prob = adaptive_problem(4)
+        ref = theoretical_adaptive_flow(prob, 0.75, 5, mcmc_iters=3)
         trace = ref.flow.trace
-        assert trace.b == tuple(dobrushin(kernel) for _, kernel in ref.flow.steps)
-        assert trace.g == tuple(potential_ratio(g) for g, _ in ref.flow.steps)
+        # step n moves by 3 Metropolis moves at beta_n = Delta_1 + ... + Delta_n
+        kernels = [metropolis_kernel(prob, beta).power(3) for beta in np.cumsum(ref.deltas)]
+        assert ref.flow.kernels.tobytes() == np.array([k.rows for k in kernels]).tobytes()
+        assert trace.b == tuple(dobrushin(kernel) for kernel in kernels)
+        assert trace.g == tuple(potential_ratio(g) for g in ref.flow.potentials)
 
 
 class TestRunAdaptive:
@@ -336,7 +340,7 @@ class TestVerificationProcedures:
             delta_max=cfg.resolved_delta_max(prob.v_osc),
         )
         g = np.exp(-res.delta * prob.v_values)
-        kernel_rows = ref.flow.steps[2][1].rows
+        kernel_rows = ref.flow.kernels[2]
         fdict = osc1_dictionary(dim)
         var = adaptive._conditional_variances(frozen, g, kernel_rows, fdict)
         (row,) = khintchine_conditional_check(prob, cfg, n_particles, 2, seed=8).rows
@@ -415,10 +419,10 @@ class TestCountEngineLaw:
         prob, reps = LATTICE_PROBLEM, 5000
         cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=2, mutation_mode=mode)
         if mode == "theoretical":
-            steps = theoretical_adaptive_flow(prob, 0.75, horizon, mcmc_iters=2).flow.steps
+            kernels = theoretical_adaptive_flow(prob, 0.75, horizon, mcmc_iters=2).flow.kernels
 
             def kernel(n, beta):
-                return steps[n][1].rows
+                return kernels[n]
         else:
             def kernel(n, beta):
                 return metropolis_kernel(prob, beta).power(2).rows

@@ -199,8 +199,7 @@ class TestBuildFlow:
         cert = minorize(prob, 4)
         sched = TemperatureSchedule.constant_step(1.0, 0.0, 3)
         isa = build_isa_flow(prob, sched, cert, 0.5)
-        for potential, _ in isa.flow.steps:
-            assert np.allclose(potential.values, 1.0)
+        assert np.allclose(isa.flow.potentials, 1.0)
         trace = run_flow(isa.flow)
         mu = gibbs_measure(prob, 1.0)
         for eta in trace.etas:
@@ -226,8 +225,7 @@ class TestBuildFlow:
         cert = minorize(prob, 2)
         sched = TemperatureSchedule.constant_step(0.3, 0.4, 1)
         isa = build_isa_flow(prob, sched, cert, 0.5)
-        potential, kernel = isa.flow.steps[0]
-        out = fk_step(gibbs_measure(prob, 0.3), potential, kernel)
+        out = fk_step(gibbs_measure(prob, 0.3), isa.flow.potentials[0], isa.flow.kernels[0])
         assert np.abs(out.weights - gibbs_measure(prob, 0.7).weights).max() <= 1e-10
 
     def test_tuned_kernels_meet_the_regime_condition(self):

@@ -488,22 +488,22 @@ class TestComposedCapChecks:
             )
             p, n = (int(part.split("=")[1]) for part in scope.split(",")[1:])
             assert ok and stability <= worst < 0 and p < n, scope
-            assert caps(FlowSpec(flow.initial, ())) == (True, 0.0, "g_pn*b_pn,p=0,n=0")
+            empty = FlowSpec(flow.initial, flow.potentials[:0], flow.kernels[:0])
+            assert caps(empty) == (True, 0.0, "g_pn*b_pn,p=0,n=0")
 
     def test_caps_are_relative_below_one(self):
         # constant potentials and M = 0.5 * 1 pi + 0.5 * Perm give
         # b_{p,n} = 0.5^(n-p) exactly; a cap a^(n-p) with a = 0.5 (1 - 1e-10)
         # is missed by about (n-p) * 1e-10 relative, which an absolute slack
         # of 1e-10 cannot see at any n-p
-        from fkips.flow import FlowSpec
         from fkips.harness import composed_caps
-        from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
+        from fkips.measures import FiniteDistribution, KernelMatrix
+
+        from .instances import repeated_flow
 
         dim, horizon = 4, 30
-        kernel = KernelMatrix(0.5 / dim + 0.5 * np.roll(np.eye(dim), 1, axis=1))
-        flow = FlowSpec(
-            FiniteDistribution.uniform(dim), ((PotentialVector.constant(dim), kernel),) * horizon
-        )
+        kernel = KernelMatrix(0.5 / dim + 0.5 * np.roll(np.eye(dim), 1, axis=1)).rows
+        flow = repeated_flow(FiniteDistribution.uniform(dim), np.ones(dim), kernel, horizon)
         ok, worst, scope = composed_caps(flow, "bounded", 0.5 * (1.0 - 1e-10), 1.0)
         assert not ok
         assert worst == pytest.approx(horizon * 1e-10, rel=1e-3)

@@ -25,9 +25,9 @@ from fkips.engine import (
 )
 from fkips.errors import InputError
 from fkips.flow import FlowSpec
-from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
+from fkips.measures import FiniteDistribution, KernelMatrix
 
-from .instances import adaptive_problem
+from .instances import adaptive_problem, repeated_flow
 from .oracles import (
     composition_index,
     lattice_law,
@@ -45,9 +45,8 @@ def rotating_flow(horizon=4):
     pots = ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0])
     return FlowSpec(
         FiniteDistribution([0.5, 0.3, 0.2]),
-        tuple(
-            (PotentialVector(pots[n % 3]), KernelMatrix.lazy_ring(3, 0.6)) for n in range(horizon)
-        ),
+        [pots[n % 3] for n in range(horizon)],
+        np.broadcast_to(KernelMatrix.lazy_ring(3, 0.6).rows, (horizon, 3, 3)),
     )
 
 
@@ -57,10 +56,8 @@ def ring_flow(dim, horizon=4):
     ramp = 1.0 + 2.0 * np.arange(dim) / (dim - 1)
     return FlowSpec(
         FiniteDistribution.from_unnormalized(ramp[::-1]),
-        tuple(
-            (PotentialVector(np.roll(ramp, n)), KernelMatrix.lazy_ring(dim, 0.6))
-            for n in range(horizon)
-        ),
+        [np.roll(ramp, n) for n in range(horizon)],
+        np.broadcast_to(KernelMatrix.lazy_ring(dim, 0.6).rows, (horizon, dim, dim)),
     )
 
 
@@ -126,9 +123,8 @@ class TestLawAgainstExactOracle:
             assert abs(gammas[:, n].mean() - spec.trace.gamma1[n]) <= 4 * se, n
 
     def test_constant_potential_mass_is_deterministic(self):
-        spec = FlowSpec(
-            FiniteDistribution.uniform(2),
-            ((PotentialVector.constant(2, 2.5), KernelMatrix.uniform(2)),) * 3,
+        spec = repeated_flow(
+            FiniteDistribution.uniform(2), np.full(2, 2.5), KernelMatrix.uniform(2).rows, 3
         )
         run = run_counts(spec, self.constant_particles, seed=13, replicates=3)
         assert np.allclose(run.log_gamma1[:, 3], 3 * math.log(2.5), rtol=1e-12)
@@ -143,10 +139,7 @@ class TestLawAgainstExactOracle:
         # enumerated and compared by a chi-square test over 10^4 replicates.
         n_particles, reps = self.two_state_particles, 10_000
         kernel = np.array([[0.8, 0.2], [0.4, 0.6]])
-        spec = FlowSpec(
-            FiniteDistribution.uniform(2),
-            ((PotentialVector([1.0, 3.0]), KernelMatrix(kernel)),),
-        )
+        spec = FlowSpec(FiniteDistribution.uniform(2), [[1.0, 3.0]], [kernel])
         pmf = np.zeros(n_particles + 1)
         for c1 in range(n_particles + 1):
             c0 = n_particles - c1
@@ -407,9 +400,6 @@ class TestInputs:
         with pytest.raises(InputError):
             run_counts(rotating_flow(), 100, seed=0, eps=-0.1)
         # max G is taken over occupied states only: state 2 is empty
-        spec = FlowSpec(
-            FiniteDistribution([0.5, 0.5, 0.0]),
-            ((PotentialVector([1.0, 2.0, 4.0]), KernelMatrix(np.eye(3))),),
-        )
+        spec = FlowSpec(FiniteDistribution([0.5, 0.5, 0.0]), [[1.0, 2.0, 4.0]], [np.eye(3)])
         run = run_counts(spec, 100, seed=0, eps=0.5, replicates=BLOCK + 1)
         assert np.all(run.counts[:, 1, 2] == 0)

@@ -13,31 +13,29 @@ from scipy import stats
 from fkips.engine import BLOCK, run_counts
 from fkips.errors import InputError
 from fkips.flow import FlowSpec, run_flow, stability_sums
-from fkips.measures import (
-    BoundedFunction,
-    FiniteDistribution,
-    KernelMatrix,
-    PotentialVector,
-)
+from fkips.measures import BoundedFunction, FiniteDistribution, KernelMatrix
 from fkips.bounds import bp_constant
 from fkips.testfns import osc1_dictionary
 
+from .instances import repeated_flow
 from .oracles import substream
 
 
 def small_flow(horizon=5):
-    return FlowSpec(
-        FiniteDistribution.uniform(3),
-        ((PotentialVector([1.0, 2.0, 3.0]), KernelMatrix.lazy_ring(3, 0.4)),) * horizon,
-    )
+    kernel = KernelMatrix.lazy_ring(3, 0.4).rows
+    return repeated_flow(FiniteDistribution.uniform(3), [1.0, 2.0, 3.0], kernel, horizon)
 
 
 def one_step(initial, potential, kernel):
-    return FlowSpec(initial, ((potential, kernel),))
+    return FlowSpec(initial, [potential], [kernel])
+
+
+def empty_flow(initial):
+    return FlowSpec(initial, np.empty((0, initial.dim)), np.empty((0, initial.dim, initial.dim)))
 
 
 def initial_counts(initial, n_particles, seed, replicates=1):
-    return run_counts(FlowSpec(initial, ()), n_particles, seed, replicates=replicates).counts[:, 0]
+    return run_counts(empty_flow(initial), n_particles, seed, replicates=replicates).counts[:, 0]
 
 
 def estimate(run, n, f):
@@ -84,13 +82,13 @@ class TestInit:
     def test_sampler_initializer(self):
         # a sampler is not a finite law: refused when the flow is built
         with pytest.raises(InputError):
-            FlowSpec(lambda n, rng: rng.standard_normal(n), ())
+            FlowSpec(lambda n, rng: rng.standard_normal(n), np.empty((0, 1)), np.empty((0, 1, 1)))
 
 
 class TestSelection:
     def test_unit_potential_keeps_everything(self):
         spec = one_step(
-            FiniteDistribution.uniform(3), PotentialVector.constant(3), KernelMatrix(np.eye(3))
+            FiniteDistribution.uniform(3), np.ones(3), np.eye(3)
         )
         run = run_counts(spec, 200, seed=2, eps=1.0, replicates=3)
         assert np.array_equal(run.counts[:, 1], run.counts[:, 0])
@@ -99,22 +97,21 @@ class TestSelection:
 
     def test_single_particle_is_its_own_pool(self):
         spec = one_step(
-            FiniteDistribution(np.eye(3)[1]), PotentialVector([1.0, 0.5, 2.0]),
-            KernelMatrix(np.eye(3)),
+            FiniteDistribution(np.eye(3)[1]), [1.0, 0.5, 2.0], np.eye(3)
         )
         run = run_counts(spec, 1, seed=3, eps="multinomial", replicates=3)
         assert np.all(run.counts[:, 1] == [0, 1, 0])
 
     def test_multinomial_mode_always_resamples(self):
         spec = one_step(
-            FiniteDistribution.uniform(2), PotentialVector([1.0, 1.0]), KernelMatrix(np.eye(2))
+            FiniteDistribution.uniform(2), np.ones(2), np.eye(2)
         )
         run = run_counts(spec, 500, seed=4, eps="multinomial", replicates=3)
         assert np.all(run.kept_fraction == 0.0)
 
     def test_eps_cap_enforced_on_ensemble(self):
         spec = one_step(
-            FiniteDistribution.uniform(2), PotentialVector([1.0, 3.0]), KernelMatrix(np.eye(2))
+            FiniteDistribution.uniform(2), [1.0, 3.0], np.eye(2)
         )
         with pytest.raises(InputError, match="exceeds 1"):
             run_counts(spec, 100, seed=5, eps=0.5)
@@ -123,10 +120,7 @@ class TestSelection:
         # a potential that could leave every particle at G = 0 is refused
         # when the flow is built, so no run goes extinct
         with pytest.raises(InputError, match="strictly positive"):
-            one_step(
-                FiniteDistribution(np.eye(2)[0]), PotentialVector([0.0, 1.0]),
-                KernelMatrix(np.eye(2)),
-            )
+            one_step(FiniteDistribution(np.eye(2)[0]), [0.0, 1.0], np.eye(2))
 
     def test_two_state_transition_law(self):
         # weights (1, 3), eps = 1/3: keep probabilities are 1/3 and 1 for
@@ -136,7 +130,7 @@ class TestSelection:
         # over replicates of its deviation from that mean is compared with
         # its conditional standard error.
         spec = one_step(
-            FiniteDistribution.uniform(2), PotentialVector([1.0, 3.0]), KernelMatrix(np.eye(2))
+            FiniteDistribution.uniform(2), [1.0, 3.0], np.eye(2)
         )
         reps = 10_000
         run = run_counts(spec, 1000, seed=77, eps=1.0 / 3.0, replicates=reps)
@@ -150,8 +144,8 @@ class TestSelection:
         # ESS = (c.G)^2 / c.G^2, and log gamma rises by log(mean G)
         spec, n_particles = small_flow(4), 50
         run = run_counts(spec, n_particles, seed=1, replicates=BLOCK + 1)
-        for n, (potential, _) in enumerate(spec.steps):
-            c, g = run.counts[:, n], potential.values
+        for n, g in enumerate(spec.potentials):
+            c = run.counts[:, n]
             np.testing.assert_allclose(run.mean_potential[:, n], c @ g / n_particles, rtol=1e-15)
             np.testing.assert_allclose(run.ess[:, n], (c @ g) ** 2 / (c @ g**2), rtol=1e-14)
             np.testing.assert_allclose(
@@ -164,7 +158,7 @@ class TestMutation:
     # a constant potential at eps = "auto" keeps every particle
     def test_identity_kernel(self):
         spec = one_step(
-            FiniteDistribution.uniform(3), PotentialVector.constant(3), KernelMatrix(np.eye(3))
+            FiniteDistribution.uniform(3), np.ones(3), np.eye(3)
         )
         for n_particles in (5, 100):   # moves per particle below d^2, per state above
             run = run_counts(spec, n_particles, seed=8, replicates=3)
@@ -172,8 +166,8 @@ class TestMutation:
 
     def test_constant_kernel(self):
         spec = one_step(
-            FiniteDistribution.uniform(3), PotentialVector.constant(3),
-            KernelMatrix.constant(FiniteDistribution(np.eye(3)[0])),
+            FiniteDistribution.uniform(3), np.ones(3),
+            KernelMatrix.constant(FiniteDistribution(np.eye(3)[0])).rows,
         )
         for n_particles in (5, 100):
             run = run_counts(spec, n_particles, seed=9, replicates=3)
@@ -184,7 +178,7 @@ class TestMutation:
         kernel = KernelMatrix([[0.8, 0.2], [0.4, 0.6]])
         pi = np.array([2.0 / 3.0, 1.0 / 3.0])
         n = 100_000
-        spec = one_step(FiniteDistribution(pi), PotentialVector.constant(2), kernel)
+        spec = one_step(FiniteDistribution(pi), np.ones(2), kernel.rows)
         run = run_counts(spec, n, seed=10)
         freq = run.counts[0, 1, 0] / n
         sigma = math.sqrt(pi[0] * pi[1] / n)
@@ -194,7 +188,7 @@ class TestMutation:
         # a sampler is not a kernel matrix: refused when the flow is built
         with pytest.raises(InputError):
             one_step(
-                FiniteDistribution.uniform(2), PotentialVector.constant(2),
+                FiniteDistribution.uniform(2), np.ones(2),
                 lambda states, rng: states + rng.standard_normal(states.shape[0]),
             )
 
@@ -205,9 +199,8 @@ class TestRunIps:
         assert run.counts.shape == (1, 1, 3) and run.mean_potential.shape == (1, 0)
 
     def test_constant_potential_mass_is_deterministic(self):
-        spec = FlowSpec(
-            FiniteDistribution.uniform(2),
-            ((PotentialVector.constant(2, 2.5), KernelMatrix.uniform(2)),) * 3,
+        spec = repeated_flow(
+            FiniteDistribution.uniform(2), np.full(2, 2.5), KernelMatrix.uniform(2).rows, 3
         )
         run = run_counts(spec, 64, seed=13)
         assert math.exp(run.log_gamma1[0, 3]) == pytest.approx(2.5**3, rel=1e-12)
@@ -226,8 +219,7 @@ class TestRunIps:
         # G = 4 everywhere: "auto" keeps with 1/4 * 4 = 1, "multinomial"
         # with 0, and 0.1 with 0.4 per particle
         spec = one_step(
-            FiniteDistribution.uniform(2), PotentialVector.constant(2, 4.0),
-            KernelMatrix.uniform(2),
+            FiniteDistribution.uniform(2), np.full(2, 4.0), KernelMatrix.uniform(2).rows,
         )
         kept = {
             eps: run_counts(spec, 100, seed=15, eps=eps, replicates=400).kept_fraction
@@ -272,10 +264,8 @@ class TestRunIps:
         perm = np.array([2, 0, 1])
         relabelled = FlowSpec(
             FiniteDistribution(spec.initial.weights[perm]),
-            tuple(
-                (PotentialVector(g.values[perm]), KernelMatrix(m.rows[perm][:, perm]))
-                for g, m in spec.steps
-            ),
+            spec.potentials[:, perm],
+            spec.kernels[:, perm][:, :, perm],
         )
         f_perm = BoundedFunction(f.values[perm])
         for n_particles in (200, 5):
@@ -293,11 +283,11 @@ class TestEstimate:
         assert estimate(run, 0, BoundedFunction([1.0, 1.0, 1.0]))[0] == 1.0
 
     def test_point_ensemble(self):
-        run = run_counts(FlowSpec(FiniteDistribution(np.eye(3)[2]), ()), 40, seed=20)
+        run = run_counts(empty_flow(FiniteDistribution(np.eye(3)[2])), 40, seed=20)
         assert estimate(run, 0, BoundedFunction([5.0, 6.0, 7.0]))[0] == 7.0
 
     def test_uniform_two_state_within_four_sigma(self):
         n = 10_000
-        run = run_counts(FlowSpec(FiniteDistribution.uniform(2), ()), n, seed=21)
+        run = run_counts(empty_flow(FiniteDistribution.uniform(2)), n, seed=21)
         val = estimate(run, 0, BoundedFunction([0.0, 1.0]))[0]
         assert abs(val - 0.5) <= 4 * math.sqrt(0.25 / n)

@@ -17,14 +17,15 @@ from fkips.flow import (
     semigroup_lemma_excess,
     stability_sums,
 )
-from fkips.measures import (
-    FiniteDistribution,
-    KernelMatrix,
-    PotentialVector,
-    total_variation,
-)
+from fkips.measures import FiniteDistribution, KernelMatrix, total_variation
 
-from .instances import bounded_regime_flow, decreasing_regime_flow, random_flow, table_check_flows
+from .instances import (
+    bounded_regime_flow,
+    decreasing_regime_flow,
+    random_flow,
+    repeated_flow,
+    table_check_flows,
+)
 from .oracles import (
     composed_by_product,
     composed_table_by_product,
@@ -44,43 +45,40 @@ def rng_for(seed=0):
 
 
 def raw_steps(spec):
-    return [(g.values, m.rows) for g, m in spec.steps]
+    return list(zip(spec.potentials, spec.kernels))
 
 
 class TestFkStep:
     def test_identity_maps(self):
         mu = FiniteDistribution([0.2, 0.8])
-        out = fk_step(mu, PotentialVector.constant(2), KernelMatrix(np.eye(2)))
+        out = fk_step(mu, np.ones(2), np.eye(2))
         assert np.allclose(out.weights, mu.weights, atol=1e-15)
 
     def test_reweighting_only(self):
-        out = fk_step(
-            FiniteDistribution([0.5, 0.5]),
-            PotentialVector([1.0, 3.0]),
-            KernelMatrix(np.eye(2)),
-        )
+        out = fk_step(FiniteDistribution([0.5, 0.5]), [1.0, 3.0], np.eye(2))
         assert np.allclose(out.weights, [0.25, 0.75], atol=1e-15)
 
     def test_pure_pushforward(self):
-        out = fk_step(
-            FiniteDistribution([1.0, 0.0]),
-            PotentialVector.constant(2),
-            KernelMatrix([[0.0, 1.0], [1.0, 0.0]]),
-        )
+        out = fk_step(FiniteDistribution([1.0, 0.0]), np.ones(2), [[0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(out.weights, [0.0, 1.0])
+
+    def test_dimension_mismatch(self):
+        mu = FiniteDistribution.uniform(2)
+        for potential, kernel in ((np.ones(3), np.eye(2)), (np.ones(2), np.eye(3))):
+            with pytest.raises(InputError, match="dimension mismatch"):
+                fk_step(mu, potential, kernel)
 
 
 class TestRunFlow:
     def test_empty_horizon(self):
-        spec = FlowSpec(FiniteDistribution.uniform(3), ())
+        spec = FlowSpec(FiniteDistribution.uniform(3), np.empty((0, 3)), np.empty((0, 3, 3)))
         trace = run_flow(spec)
-        assert trace.horizon == 0
+        assert len(trace.etas) == 1 and trace.g == trace.b == ()
         assert trace.gamma1 == (1.0,)
 
     def test_constant_potential_mass(self):
-        spec = FlowSpec(
-            FiniteDistribution.uniform(2),
-            ((PotentialVector.constant(2, 1.7), KernelMatrix.uniform(2)),) * 5,
+        spec = repeated_flow(
+            FiniteDistribution.uniform(2), np.full(2, 1.7), KernelMatrix.uniform(2).rows, 5
         )
         trace = run_flow(spec)
         for n in range(6):
@@ -122,9 +120,8 @@ class TestSemigroup:
     def test_single_step_transition_is_the_kernel(self):
         # P_{p,p+1} row-normalizes diag(G) K back to K; a rank-one kernel
         # therefore gives a zero coefficient
-        spec = FlowSpec(
-            FiniteDistribution.uniform(3),
-            ((PotentialVector([1.0, 2.0, 3.0]), KernelMatrix.uniform(3)),),
+        spec = repeated_flow(
+            FiniteDistribution.uniform(3), [1.0, 2.0, 3.0], KernelMatrix.uniform(3).rows, 1
         )
         assert spec.table.b[0, 1] == 0.0
         rng = rng_for(13)
@@ -142,7 +139,7 @@ class TestSemigroup:
         q, h, _ = composed_by_product(raw_steps(spec), 0, 3, 4)
         via_operator = float(mu.weights @ (q @ f)) / float(mu.weights @ h)
         stepped = mu
-        for g, m in spec.steps:
+        for g, m in zip(spec.potentials, spec.kernels):
             stepped = fk_step(stepped, g, m)
         assert via_operator == pytest.approx(stepped.expect(f), rel=1e-11)
 
@@ -177,8 +174,8 @@ class TestSemigroup:
         # minimum to exp(-800) < 1e-300; the table rescales each step and
         # keeps its scale in log space, so g stays finite and the mass
         # identity holds
-        step = (PotentialVector.boltzmann([0.5, 1.0], 200.0), KernelMatrix(np.eye(2)))
-        spec = FlowSpec(FiniteDistribution.uniform(2), (step,) * 4)
+        potential = np.exp(-200.0 * np.array([0.5, 1.0]))
+        spec = repeated_flow(FiniteDistribution.uniform(2), potential, np.eye(2), 4)
         table, trace = spec.table, spec.trace
         for n in range(5):
             for p in range(n + 1):
@@ -229,7 +226,7 @@ class TestSemigroup:
         spec = bounded_regime_flow(12, dim=16, seed=5)
         trace_b, table = spec.trace.b, spec.table
         monkeypatch.setattr(measures, "_DOBRUSHIN_BLOCK_BYTES", 8)
-        capped = FlowSpec(spec.initial, spec.steps)
+        capped = FlowSpec(spec.initial, spec.potentials, spec.kernels)
         assert capped.trace.b == trace_b
         for name in ("g", "b", "mass"):
             np.testing.assert_array_equal(getattr(capped.table, name), getattr(table, name))
@@ -239,10 +236,8 @@ class TestSemigroup:
         # M^(n-p) and its coefficient is 0.2^(n-p) exactly, down to 1e-42
         dim, beta, horizon = 16, 0.2, 60
         perm = np.roll(np.eye(dim), 1, axis=1)
-        kernel = KernelMatrix((1.0 - beta) / dim + beta * perm)
-        spec = FlowSpec(
-            FiniteDistribution.uniform(dim), ((PotentialVector.constant(dim), kernel),) * horizon
-        )
+        kernel = KernelMatrix((1.0 - beta) / dim + beta * perm).rows
+        spec = repeated_flow(FiniteDistribution.uniform(dim), np.ones(dim), kernel, horizon)
         table = spec.table
         for n in range(horizon + 1):
             for p in range(n + 1):
@@ -282,16 +277,12 @@ class TestStabilityEstimates:
             assert ok, (worst, scope)
 
     def test_identity_kernels_everywhere(self):
-        spec = FlowSpec(
-            FiniteDistribution.uniform(3),
-            ((PotentialVector([1.0, 2.0, 0.5]), KernelMatrix(np.eye(3))),) * 3,
-        )
+        spec = repeated_flow(FiniteDistribution.uniform(3), [1.0, 2.0, 0.5], np.eye(3), 3)
         assert check_semigroup_lemmas(spec)[0]
 
     def test_rank_one_kernels_everywhere(self):
-        spec = FlowSpec(
-            FiniteDistribution.uniform(3),
-            ((PotentialVector([1.0, 2.0, 0.5]), KernelMatrix.uniform(3)),) * 3,
+        spec = repeated_flow(
+            FiniteDistribution.uniform(3), [1.0, 2.0, 0.5], KernelMatrix.uniform(3).rows, 3
         )
         assert check_semigroup_lemmas(spec)[0]
         # composed transitions collapse immediately: b_{p,n} = 0 exactly
@@ -307,17 +298,19 @@ class TestStabilityEstimates:
         rng = rng_for(22)
         for _ in range(20):
             d, horizon = int(rng.integers(2, 7)), int(rng.integers(1, 5))
-            flat, near = [], []
-            for _ in range(horizon):
+            potentials, kernels = np.empty((2, horizon, d)), np.empty((2, horizon, d, d))
+            for n in range(horizon):
                 rows = random_kernel_rows(rng, d)
                 target = random_distribution(rng, d)
-                flat.append((PotentialVector.constant(d, 0.5 + rng.random()), KernelMatrix(rows)))
-                near.append((
-                    PotentialVector(random_potential_values(rng, d)),
-                    KernelMatrix((1.0 - 1e-9) * np.tile(target, (d, 1)) + 1e-9 * rows),
-                ))
-            for steps in (flat, near):
-                spec = FlowSpec(FiniteDistribution.uniform(d), tuple(steps))
+                potentials[0, n], kernels[0, n] = 0.5 + rng.random(), KernelMatrix(rows).rows
+                potentials[1, n] = random_potential_values(rng, d)
+                kernels[1, n] = KernelMatrix(
+                    (1.0 - 1e-9) * np.tile(target, (d, 1)) + 1e-9 * rows
+                ).rows
+            for flat_or_near in range(2):
+                spec = FlowSpec(
+                    FiniteDistribution.uniform(d), potentials[flat_or_near], kernels[flat_or_near]
+                )
                 ok, worst, scope = check_semigroup_lemmas(spec)
                 assert ok, (worst, scope)
 
@@ -338,9 +331,8 @@ class TestStabilityEstimates:
         # Regression pin: carrying bare b_j products inside the potential
         # ratio sum (instead of g_j b_j) is NOT implied by the backward
         # recursion and fails on this 3-state instance.
-        spec = FlowSpec(
-            FiniteDistribution.uniform(3),
-            ((PotentialVector([1.0, 2.0, 3.0]), KernelMatrix.lazy_ring(3, 0.4)),) * 2,
+        spec = repeated_flow(
+            FiniteDistribution.uniform(3), [1.0, 2.0, 3.0], KernelMatrix.lazy_ring(3, 0.4).rows, 2
         )
         g, b = spec.table.g, spec.table.b
         step_g, step_b = np.diagonal(g, 1).tolist(), np.diagonal(b, 1).tolist()
@@ -400,12 +392,92 @@ class TestStabilityEstimates:
 
 class TestSpecLimits:
     def test_dimension_cap(self):
+        big = FiniteDistribution.uniform(5000)
         with pytest.raises(InputError):
-            FlowSpec(FiniteDistribution.uniform(5000), ())
+            FlowSpec(big, np.empty((0, 5000)), np.empty((0, 5000, 5000)))
+
+    def test_step_cap(self):
+        one = FiniteDistribution.uniform(1)
+        assert FlowSpec(one, np.ones((10_000, 1)), np.ones((10_000, 1, 1))).horizon == 10_000
+        with pytest.raises(InputError, match="capped at 10000 steps"):
+            FlowSpec(one, np.ones((10_001, 1)), np.ones((10_001, 1, 1)))
 
     def test_mismatched_step_dimension(self):
-        with pytest.raises(InputError):
-            FlowSpec(
-                FiniteDistribution.uniform(2),
-                ((PotentialVector.constant(3), KernelMatrix(np.eye(3))),),
-            )
+        two = FiniteDistribution.uniform(2)
+        for potentials, kernels in (
+            (np.ones((1, 3)), np.eye(3)[None]),        # both of another dimension
+            (np.ones((1, 2)), np.eye(3)[None]),        # kernels of another dimension
+            (np.ones((2, 2)), np.eye(2)[None]),        # one kernel short
+            (np.ones(2), np.eye(2)),                   # a step without its step axis
+            (np.ones((1, 1, 2)), np.eye(2)[None]),     # potentials with an extra axis
+        ):
+            with pytest.raises(InputError, match="a flow on 2 states needs"):
+                FlowSpec(two, potentials, kernels)
+
+
+class TestSpecArrays:
+    """A flow holds one (T, d) potential array and one (T, d, d) kernel
+    array, validated once."""
+
+    def test_arrays_are_read_only_c_contiguous_copies(self):
+        potentials = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 1.0]])
+        # a broadcast kernel and a Fortran-ordered one: both strides differ
+        # from a C stack's, and a (d, d) slice's product would move bits
+        kernel = KernelMatrix.lazy_ring(3, 0.4).rows
+        for kernels in (
+            np.broadcast_to(kernel, (2, 3, 3)),
+            np.asfortranarray(np.stack([kernel, kernel])),
+        ):
+            spec = FlowSpec(FiniteDistribution.uniform(3), potentials, kernels)
+            for arr in (spec.potentials, spec.kernels):
+                assert arr.flags.c_contiguous and not arr.flags.writeable
+                assert arr.dtype == np.float64
+            assert spec.kernels.strides == (72, 24, 8)
+            with pytest.raises(ValueError):
+                spec.potentials[0, 0] = 5.0
+
+    def test_caller_arrays_are_copied(self):
+        rng = rng_for(23)
+        spec = random_flow(rng, dim=3, horizon=4)
+        potentials, kernels = np.array(spec.potentials), np.array(spec.kernels)
+        copy = FlowSpec(spec.initial, potentials, kernels)
+        potentials *= 2.0
+        kernels[:] = np.eye(3)
+        assert copy.potentials.tobytes() == spec.potentials.tobytes()
+        assert copy.kernels.tobytes() == spec.kernels.tobytes()
+        assert copy.trace.b == spec.trace.b
+        for name in ("g", "b", "mass"):
+            assert getattr(copy.table, name).tobytes() == getattr(spec.table, name).tobytes()
+
+    def test_kernel_rows_are_kept_as_given(self):
+        # rows within the tolerance of 1 are validated, not renormalized
+        kernel = np.full((2, 2), 0.5)
+        kernel[0] += [2e-10, 0.0]
+        spec = FlowSpec(FiniteDistribution.uniform(2), np.ones((1, 2)), kernel[None])
+        assert spec.kernels[0].tobytes() == kernel.tobytes()
+
+    @pytest.mark.parametrize(
+        "potential, message",
+        [
+            ([1.0, 0.0], "strictly positive"),
+            ([1.0, -2.0], "strictly positive"),
+            ([1.0, np.inf], "only finite values"),
+            ([1.0, np.nan], "only finite values"),
+        ],
+    )
+    def test_potentials_must_be_finite_and_positive(self, potential, message):
+        with pytest.raises(InputError, match=message):
+            FlowSpec(FiniteDistribution.uniform(2), [[1.0, 1.0], potential], [np.eye(2)] * 2)
+
+    @pytest.mark.parametrize(
+        "kernel, message",
+        [
+            ([[1.0, 0.0], [0.5, 0.4]], r"kernel rows \[3\] are not stochastic"),
+            ([[1.5, -0.5], [0.0, 1.0]], "non-negative"),
+            ([[np.nan, 1.0], [0.0, 1.0]], "only finite values"),
+        ],
+    )
+    def test_kernels_must_be_stochastic(self, kernel, message):
+        # rows are numbered down the stack: the second kernel's row 1 is row 3
+        with pytest.raises(InputError, match=message):
+            FlowSpec(FiniteDistribution.uniform(2), np.ones((2, 2)), [np.eye(2), kernel])

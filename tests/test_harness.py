@@ -22,7 +22,7 @@ from fkips.cli import main as cli_main
 from fkips.config import _SCHEMA, _parse_sections, _parse_value
 from fkips.engine import BLOCK, run_counts
 from fkips.errors import ConfigError, InputError
-from fkips.flow import FlowSpec, check_semigroup_lemmas
+from fkips.flow import check_semigroup_lemmas
 from fkips.harness import (
     CheckRow,
     _raw_csv,
@@ -34,10 +34,10 @@ from fkips.harness import (
     run_experiment,
     verify_bounds,
 )
-from fkips.measures import FiniteDistribution, KernelMatrix, PotentialVector
+from fkips.measures import FiniteDistribution, KernelMatrix
 
 from .configs import flow_to_config, serialize_config
-from .instances import bounded_regime_flow, table_check_flows
+from .instances import bounded_regime_flow, repeated_flow, table_check_flows
 from .oracles import oracle_identity_gaps, parse_sections_by_lines, parse_value_by_floats
 from .test_golden import ADAPTIVE, BOUNDED, CLASSIC, DECREASING, ISA, RUN
 from .test_tooling import _workloads
@@ -135,9 +135,34 @@ class TestParsing:
         rebuilt = cfg.build_flow()
         assert rebuilt.horizon == flow.horizon
         assert np.allclose(rebuilt.initial.weights, flow.initial.weights)
-        for (g1, k1), (g2, k2) in zip(rebuilt.steps, flow.steps):
-            assert np.allclose(g1.values, g2.values, rtol=1e-15)
-            assert np.allclose(k1.rows, k2.rows, rtol=1e-15)
+        assert np.allclose(rebuilt.potentials, flow.potentials, rtol=1e-15)
+        assert np.allclose(rebuilt.kernels, flow.kernels, rtol=1e-15)
+
+    def test_shared_kernel_and_its_stack_give_the_same_bytes(self, tmp_path):
+        # one "kernel =" line and the same kernel written once per step as a
+        # "kernels =" stack build the same flow arrays, so the trace, the
+        # table and every output file are byte-identical
+        kernel = "0.4 0.3 0.3; 0.3 0.4 0.3; 0.3 0.3 0.4"
+        assert f"kernel = {kernel}\n" in BOUNDED
+        stacked = BOUNDED.replace(f"kernel = {kernel}", "kernels = " + "; ".join([kernel] * 4))
+        flows = [parse_config(text).flow for text in (BOUNDED, stacked)]
+        for flow in flows:
+            for arr in (flow.potentials, flow.kernels):
+                assert arr.flags.c_contiguous and not arr.flags.writeable
+        shared, stack = flows
+        assert shared.kernels.tobytes() == stack.kernels.tobytes()
+        assert repr(shared.trace) == repr(stack.trace)
+        for name in ("g", "b", "mass"):
+            assert getattr(shared.table, name).tobytes() == getattr(stack.table, name).tobytes()
+        outputs = []
+        for i, text in enumerate((BOUNDED, stacked)):
+            cfg_path, out = tmp_path / f"{i}.cfg", tmp_path / f"out{i}"
+            cfg_path.write_text(text)
+            for command in ("run", "verify-bounds"):
+                assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert set(outputs[0]) == {"raw.csv", "stats.csv", "oracle.csv", "verify.csv"}
+        assert outputs[0] == outputs[1]
 
 
 _TOKENS = st.one_of(
@@ -227,11 +252,16 @@ class TestParseValue:
         text = _workloads()._exact_verify_config(random.Random("exact-verify:11"))
         tracemalloc.start()
         try:
-            parse_config(text).flow
-            peak = tracemalloc.get_traced_memory()[1]
+            flow = parse_config(text).flow
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < len(text)
+        # the flow's kernels are the only float copy of the stack left: the
+        # 64 KiB of slack covers the parsed potentials and the flow's copy
+        # of them (20 KiB each) and the config's objects; 44-46 KiB were
+        # held on top of the 1.31 MB of kernels
+        assert held <= flow.kernels.nbytes + 64 * 1024
 
 
 # every separator str.splitlines cuts at, and whitespace str.strip drops
@@ -471,13 +501,17 @@ class TestEmitCsv:
 
 class TestVerifyDispatch:
     def test_degenerate_flow_trivially_passes(self):
-        # unit potentials and rank-one kernels: every deviation is zero
-        flow = FlowSpec(
-            FiniteDistribution.uniform(3),
-            ((PotentialVector.constant(3), KernelMatrix.uniform(3)),) * 3,
-        )
-        report = check_regime(flow, "bounded", 0.5, 1.0, 50, 20, seed=3)
-        assert all(r.status == "pass" for r in report.rows)
+        # unit potentials and rank-one kernels: every deviation is zero.
+        # Without steps, each regime reports its hypothesis, composed-caps
+        # and n = 0 L2 rows
+        for horizon in (3, 0):
+            flow = repeated_flow(
+                FiniteDistribution.uniform(3), np.ones(3), KernelMatrix.uniform(3).rows, horizon
+            )
+            for regime in ("bounded", "decreasing"):
+                report = check_regime(flow, regime, 0.5, None, 50, 20, seed=3)
+                assert len(report.rows) == 3 + 10 * horizon
+                assert all(r.status == "pass" for r in report.rows)
 
     def test_uniform_regime_holds_over_a_thousand_steps(self):
         # uniformity in time: at T = 1000 the hypothesis, every composed cap
@@ -495,10 +529,7 @@ class TestVerifyDispatch:
 
     def test_hypothesis_unmet_is_not_a_failure(self):
         # identity kernels break the mixing cap: rows must say so
-        flow = FlowSpec(
-            FiniteDistribution.uniform(2),
-            ((PotentialVector([1.0, 1.2]), KernelMatrix(np.eye(2))),) * 2,
-        )
+        flow = repeated_flow(FiniteDistribution.uniform(2), [1.0, 1.2], np.eye(2), 2)
         report = check_regime(flow, "bounded", 0.5, 1.2, 50, 10, seed=4)
         assert all(r.status == "hypothesis-unmet" for r in report.rows)
         assert not report.failures()
