@@ -2,16 +2,16 @@
 
 Layers, bottom up:
 
-* :mod:`fkips.measures` -- finite distributions, kernels, total variation,
-  Dobrushin coefficients, Boltzmann-Gibbs reweighting;
+* :mod:`fkips.measures` -- finite distributions, kernels, stacked kernel
+  powers, Dobrushin coefficients;
 * :mod:`fkips.flow` -- the exact flow oracle, a flow held as its (T, d)
   potentials and (T, d, d) kernels, and composed-operator quantities;
 * :mod:`fkips.bounds` -- closed-form calculators for every deviation
   constant, tuning rule and tail bound;
 * :mod:`fkips.engine` -- the N-particle system as an occupation-count
   engine, with counter-based deterministic randomness;
-* :mod:`fkips.annealing` -- Boltzmann-Gibbs targets, Metropolis annealing
-  kernels, minorization certificates, the tuned optimizer;
+* :mod:`fkips.annealing` -- Boltzmann-Gibbs targets, stacked Metropolis
+  annealing kernels, minorization certificates, the tuned optimizer;
 * :mod:`fkips.adaptive` -- adaptive temperature increments (a Newton
   solve over rows), the adaptive step rule of the count engine, and its
   perturbation/concentration verification;
@@ -31,11 +31,8 @@ from .measures import (
     BoundedFunction,
     FiniteDistribution,
     KernelMatrix,
-    bg_transform,
     dobrushin,
     osc,
-    potential_ratio,
-    total_variation,
 )
 from .flow import FlowSpec, FlowTrace, fk_step, run_flow
 from .engine import run_counts
@@ -47,7 +44,7 @@ _LAZY = {
     "TemperatureSchedule": "annealing",
     "build_isa_flow": "annealing",
     "gibbs_measure": "annealing",
-    "metropolis_kernel": "annealing",
+    "metropolis_kernels": "annealing",
     "minorize": "annealing",
     "optimize": "annealing",
     "AdaptiveConfig": "adaptive",
@@ -78,19 +75,16 @@ __all__ = [
     "LambdaCurve",
     "MinorizationCert",
     "TemperatureSchedule",
-    "bg_transform",
     "build_isa_flow",
     "dobrushin",
     "fk_step",
     "gibbs_measure",
     "kappa_solve",
-    "metropolis_kernel",
+    "metropolis_kernels",
     "minorize",
     "optimize",
     "osc",
-    "potential_ratio",
     "run_adaptive_counts",
     "run_counts",
     "run_flow",
-    "total_variation",
 ]

@@ -31,6 +31,11 @@ The scheme is the annealed transition with its potential exp(-Delta V)
 occupation measure, so it runs as a step rule in the count loop of
 :mod:`fkips.engine`: :func:`run_adaptive_counts` steps the occupation
 counts of a block of replicates per numpy call and serves every caller.
+Kernels are built as stacks, by
+:func:`~fkips.annealing.metropolis_kernels` and
+:func:`~fkips.measures.kernel_powers`: once for the whole reference
+schedule, and in adaptive mutation mode once per block and step, at the
+block's realized inverse temperatures.
 
 Energies must be normalized so declared ``V_min = 0`` (all values
 non-negative); the deterministic reference additionally requires strictly
@@ -45,10 +50,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds
-from .annealing import GibbsProblem, gibbs_measure, metropolis_kernel
+from .annealing import GibbsProblem, gibbs_measure, metropolis_kernels
 from .engine import CountRun, _run_blocks
 from .errors import InputError, SolverError
 from .flow import FlowSpec
+from .measures import kernel_powers
 from .testfns import deviations, l2_level, means, osc1_dictionary
 
 
@@ -241,13 +247,6 @@ class ReferenceSchedule:
         return tuple(b * g * (1.0 + c) for g, b, c in zip(trace.g, trace.b, self.c))
 
 
-def _realized_kernel(problem, beta, mcmc_iters):
-    """The annealing kernel at inverse temperature ``beta``, ``mcmc_iters``
-    Metropolis moves: the mutation of the reference schedule and, in
-    adaptive mutation mode, of each row at its realized beta."""
-    return metropolis_kernel(problem, beta).power(mcmc_iters)
-
-
 def theoretical_adaptive_flow(
     problem: GibbsProblem,
     epsilon: float,
@@ -271,11 +270,10 @@ def theoretical_adaptive_flow(
         raise InputError("energies must be >= 0 (declared V_min = 0)")
     if np.any((v <= 0) & (problem.reference.weights > 0)):
         raise InputError("reference measure puts mass at V = 0; reference schedule undefined")
-    v_max, d = float(v.max()), problem.dim
+    v_max = float(v.max())
     beta = float(beta0)
-    deltas, cs = [], []
+    deltas, cs, betas = [], [], []
     etas = [gibbs_measure(problem, beta0)]
-    kernels = np.empty((horizon, d, d))
     for n in range(horizon):
         eta_prev = etas[-1]
         res = kappa_solve(
@@ -286,10 +284,11 @@ def theoretical_adaptive_flow(
             raise InputError("increment solver saturated on the exact law")
         delta = res.delta
         beta += delta
-        kernels[n] = _realized_kernel(problem, beta, mcmc_iters).rows
+        betas.append(beta)
         cs.append(v_max * math.exp(delta * v_max) / (epsilon * eta_prev.expect(v)))
         deltas.append(delta)
         etas.append(gibbs_measure(problem, beta))
+    kernels = kernel_powers(metropolis_kernels(problem, betas), [mcmc_iters] * horizon)
     flow = FlowSpec(etas[0], np.exp(-np.array(deltas)[:, None] * v), kernels)
     return ReferenceSchedule(flow=flow, deltas=tuple(deltas), etas=tuple(etas), c=tuple(cs))
 
@@ -382,8 +381,8 @@ def _adaptive_plan(problem, config, n_particles, horizon, replicates, reference)
         if config.mutation_mode == "theoretical":
             kernel_rows = reference.flow.kernels[n]
         else:
-            kernel_rows = np.stack(
-                [_realized_kernel(problem, b, config.mcmc_iters).rows for b in beta]
+            kernel_rows = kernel_powers(
+                metropolis_kernels(problem, beta), [config.mcmc_iters] * len(beta)
             )
         if reference is not None:
             eta_v = reference.etas[n].expect(v)

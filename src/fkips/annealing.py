@@ -11,6 +11,14 @@ potential climb over k0 proposal moves yields the mixing estimate
     dobrushin(K_beta^k0) <= 1 - delta exp(-beta gap_k0)
 
 which turns admissible mixing levels into explicit MCMC iteration counts.
+
+Every annealing kernel is built as one stack: :func:`metropolis_kernels`
+gives the (k, d, d) rows of K_beta for a whole vector of inverse
+temperatures in one broadcast expression, and
+:func:`~fkips.measures.kernel_powers` raises the stack to its iteration
+counts in one loop.  The tuned flow, the adaptive reference schedule and
+the annealing checks each make one call of each, and adaptive mutation one
+per block of replicates and step.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from . import bounds
 from .engine import run_counts
 from .errors import InputError, NoMinorizationError
 from .flow import FlowSpec
-from .measures import BoundedFunction, FiniteDistribution, KernelMatrix, osc
+from .measures import BoundedFunction, FiniteDistribution, KernelMatrix, kernel_powers, osc
 
 _REVERSIBILITY_TOL = 1e-12
 
@@ -161,21 +169,20 @@ class MinorizationCert:
         return 1.0 - self.delta * math.exp(-beta * self.gap_k0)
 
 
-def metropolis_kernel(problem: GibbsProblem, beta: float) -> KernelMatrix:
-    """Annealing transition at inverse temperature beta: off-diagonal
-    ``K(x,y) min(1, e^{-beta (V(y)-V(x))})`` with the rejected mass folded
-    into the diagonal."""
-    if beta < 0:
+def metropolis_kernels(problem: GibbsProblem, betas) -> np.ndarray:
+    """Annealing transitions at each inverse temperature of ``betas``, as a
+    (k, d, d) stack of rows: off-diagonal ``K(x,y) min(1, e^{-beta
+    (V(y)-V(x))})`` with the rejected mass folded into the diagonal, and
+    each row divided once by its sum, as :class:`KernelMatrix` does."""
+    betas = np.asarray(betas, dtype=np.float64)
+    if np.any(betas < 0):
         raise InputError("inverse temperature must be >= 0")
-    v = problem.v_values
-    k = problem.proposal.rows
-    accept = np.minimum(1.0, np.exp(-beta * (v[None, :] - v[:, None])))
-    rows = k * accept
-    np.fill_diagonal(rows, 0.0)
-    off_mass = rows.sum(axis=1)
-    d = problem.dim
-    rows[np.arange(d), np.arange(d)] = 1.0 - off_mass
-    return KernelMatrix(rows)
+    v, diag = problem.v_values, np.arange(problem.dim)
+    climb = v[None, :] - v[:, None]
+    rows = problem.proposal.rows * np.minimum(1.0, np.exp(-betas[:, None, None] * climb))
+    rows[:, diag, diag] = 0.0
+    rows[:, diag, diag] = 1.0 - rows.sum(axis=-1)
+    return rows / rows.sum(axis=-1, keepdims=True)
 
 
 def gibbs_measure(problem: GibbsProblem, beta: float) -> FiniteDistribution:
@@ -252,8 +259,7 @@ def build_isa_flow(
     ``K_{beta_n}^(k0 m_n)`` where m_n comes from the schedule's regime rule;
     the flow then maps each Gibbs law exactly onto the next one.
     """
-    v_osc, d = problem.v_osc, problem.dim
-    iters, kernels = [], np.empty((schedule.horizon, d, d))
+    v_osc, iters = problem.v_osc, []
     mode = schedule.tuning_mode
     for n, delta in enumerate(schedule.deltas, start=1):
         beta_n = schedule.betas[n]
@@ -264,12 +270,12 @@ def build_isa_flow(
             )
         except Exception as exc:
             raise type(exc)(f"step {n}: {exc}") from exc
-        kernels[n - 1] = metropolis_kernel(problem, beta_n).power(cert.k0 * m_n).rows
         iters.append(m_n)
+    kernels = metropolis_kernels(problem, schedule.betas[1:])
     flow = FlowSpec(
         initial=gibbs_measure(problem, schedule.betas[0]),
         potentials=np.exp(-np.array(schedule.deltas)[:, None] * problem.v_values),
-        kernels=kernels,
+        kernels=kernel_powers(kernels, [cert.k0 * m for m in iters]),
     )
     return IsaFlow(
         problem=problem, flow=flow, schedule=schedule, cert=cert, a=a, mcmc_iters=tuple(iters)

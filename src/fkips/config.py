@@ -427,11 +427,13 @@ class ExperimentConfig:
 
     @cached_property
     def flow(self) -> FlowSpec | None:
-        """The flow of :meth:`build_flow`.  A ``flow.kernels`` stack leaves
-        ``raw`` here, so the flow's kernels are the one copy of the table."""
+        """The flow of :meth:`build_flow`.  The ``flow.potentials`` table and
+        a ``flow.kernels`` stack leave ``raw`` here, so the flow holds the
+        one copy of each."""
         if self.kind == "classic":
             raw = self.raw
-            pots = raw.get("flow", "potentials")
+            section = raw.sections.get("flow", {})
+            pots = section.pop("potentials", None)
             if pots is None:
                 raise ConfigError(["flow.potentials is required for classic runs"])
             with _field("flow.potentials"):
@@ -446,7 +448,7 @@ class ExperimentConfig:
                     initial = FiniteDistribution.from_unnormalized(
                         np.asarray(init_spec, dtype=np.float64)
                     )
-            kernels = raw.sections.get("flow", {}).pop("kernels", None)
+            kernels = section.pop("kernels", None)
             if kernels is not None:
                 with _field("flow.kernels"):
                     kernels = np.asarray(kernels, dtype=np.float64)

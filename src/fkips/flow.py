@@ -5,7 +5,7 @@ A flow is an initial distribution ``eta_0`` plus steps ``(G_n, M_n)``,
 kernel rows.  Each step reweights by the positive potential ``G_n`` and
 pushes through the Markov kernel ``M_n``:
 
-    eta_n = bg_transform(G_n, eta_{n-1}) . M_n
+    eta_n(y) = sum_x eta_{n-1}(x) G_n(x) M_n(x, y) / eta_{n-1}(G_n)
 
 The unnormalized mass ``gamma_n(1)`` is the running product of mean
 potentials ``eta_{p-1}(G_p)``.  The composed operator from time p to n is

@@ -33,7 +33,7 @@ from .config import _FLOAT_FMT, ExperimentConfig, _fmt, parse_config  # noqa: F4
 from .engine import run_counts
 from .errors import InputError
 from .flow import FlowSpec, check_semigroup_lemmas, excess, worst_excess
-from .measures import dobrushin
+from .measures import FiniteDistribution, _max_row_l1, kernel_powers
 from .testfns import deviations, l2_level, means, osc1_dictionary
 
 # annealing and adaptive are imported where they are called, so a classic
@@ -453,19 +453,23 @@ def check_isa_bounds(
     """Annealing checks: invariance, mixing estimate and tail bound over a
     fixed beta grid, then the replicated optimizer exceedance at each
     confidence exponent y in ``y_values``, all on the built flow ``isa``."""
-    from .annealing import gibbs_measure, metropolis_kernel, optimize
+    from .annealing import gibbs_measure, metropolis_kernels, optimize
 
     problem, cert = isa.problem, isa.cert
     v_min = problem.v_min
     tail_set = problem.v_values >= v_min + eps_level
     m_prime = problem.sublevel_mass(v_min + eps_prime)
+    kernels = metropolis_kernels(problem, _ISA_BETA_GRID)
+    # Dobrushin coefficients of the k0-fold kernels
+    mixing = 0.5 * _max_row_l1(kernel_powers(kernels, [cert.k0] * len(kernels)))
     worst_inv, worst_gap, worst_tail, tail_ok = 0.0, -math.inf, -math.inf, True
-    for beta in _ISA_BETA_GRID:
-        mu, kernel = gibbs_measure(problem, beta), metropolis_kernel(problem, beta)
+    for beta, rows, b in zip(_ISA_BETA_GRID, kernels, mixing.tolist()):
+        mu = gibbs_measure(problem, beta)
         # invariance of the annealing kernel
-        worst_inv = max(worst_inv, float(np.abs(mu.push(kernel).weights - mu.weights).max()))
+        pushed = FiniteDistribution(mu.weights @ rows)
+        worst_inv = max(worst_inv, float(np.abs(pushed.weights - mu.weights).max()))
         # mixing estimate for the k0-fold kernel
-        worst_gap = max(worst_gap, dobrushin(kernel.power(cert.k0)) - cert.mixing_bound(beta))
+        worst_gap = max(worst_gap, b - cert.mixing_bound(beta))
         # Boltzmann-Gibbs tail bound; the 1e-12 rounding slack is not part of rhs
         exact_tail = float(mu.weights[tail_set].sum())
         bound = bounds.gibbs_tail_bound(beta, eps_level, eps_prime, m_prime)

@@ -1,23 +1,20 @@
 """Finite-state measure algebra.
 
-Probability vectors, row-stochastic kernels, total variation, Dobrushin
-ergodic coefficients and Boltzmann-Gibbs reweighting.  This is the exact
-ground-truth layer everything else builds on: states are plain indices
-``0..d-1``, weights are dense float64 vectors, and every operation is a pure
-function of immutable value objects.
+Probability vectors, row-stochastic kernels, kernel powers and Dobrushin
+ergodic coefficients.  This is the exact ground-truth layer everything else
+builds on: states are plain indices ``0..d-1``, weights are dense float64
+vectors, and every operation is a pure function of its arguments.
 
 Conventions
 -----------
-* ``total_variation(mu, nu)`` is the subset-sup distance, computed as half
-  the L1 distance of the weight vectors (the two are identical on finite
-  spaces; the exponential subset enumeration is kept as an independent
-  oracle in the test suite).
+* ``kernel_powers(stack, exponents)`` raises each matrix of a (k, d, d)
+  stack of kernel rows to its own integer power by one row-renormalized
+  binary-powering loop over the stack; ``KernelMatrix.power`` is the same
+  loop on a stack of one.
 * ``dobrushin(K)`` is the worst-case total variation between rows of ``K``
   (one reduction, pruned by a vectorized triangle-inequality test, also
   serves stacks of matrices, such as a table's centred matrices of one lag);
   it is sub-multiplicative and contracts measure pairs and oscillations.
-* ``bg_transform(G, mu)`` reweights ``mu`` by the positive function ``G``
-  and renormalizes.
 """
 
 from __future__ import annotations
@@ -121,12 +118,6 @@ class FiniteDistribution:
             raise InputError("value table dimension mismatch")
         return float(self.weights @ v)
 
-    def push(self, kernel: "KernelMatrix") -> "FiniteDistribution":
-        """Push-forward ``mu . K``."""
-        if kernel.dim != self.dim:
-            raise InputError("kernel dimension mismatch")
-        return FiniteDistribution(self.weights @ kernel.rows)
-
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
@@ -167,26 +158,50 @@ class KernelMatrix:
         return self.rows.shape[0]
 
     def power(self, exponent: int) -> "KernelMatrix":
-        """Iterated kernel ``K^m`` via binary powering.
+        """Iterated kernel ``K^m``, by the loop of :func:`kernel_powers`."""
+        return KernelMatrix(_binary_powers(self.rows[None], [exponent])[0])
 
-        Every intermediate product is row-renormalized: raw repeated squaring
-        lets the row-sum roundoff compound geometrically in the exponent,
-        which matters for the astronomically iterated annealing kernels.
-        """
-        if exponent < 0:
-            raise InputError("kernel exponent must be >= 0")
-        result = np.eye(self.dim)
-        base = np.array(self.rows)
-        e = int(exponent)
-        while e > 0:
-            if e & 1:
-                result = result @ base
-                result /= result.sum(axis=1, keepdims=True)
-            e >>= 1
-            if e:
-                base = base @ base
-                base /= base.sum(axis=1, keepdims=True)
-        return KernelMatrix(result)
+
+def kernel_powers(stack, exponents) -> np.ndarray:
+    """``K_i^(m_i)`` for each matrix ``K_i`` of a (k, d, d) stack of kernel
+    rows and its non-negative integer exponent ``m_i``, with each row
+    divided by its sum once more, as a :class:`KernelMatrix` built from the
+    power holds it.  The exponents are Python ints, so ``k0 m_n`` may pass
+    2^63."""
+    powers = _binary_powers(stack, exponents)
+    return powers / powers.sum(axis=-1, keepdims=True)
+
+
+def _binary_powers(stack, exponents) -> np.ndarray:
+    """Binary powering of every matrix of a (k, d, d) stack at once.
+
+    Every intermediate product is row-renormalized: raw repeated squaring
+    lets the row-sum roundoff compound geometrically in the exponent,
+    which matters for the astronomically iterated annealing kernels.  A
+    step multiplies only the matrices whose exponent still needs it, each
+    by one C-contiguous (d, d) product, so every power is bit for bit the
+    loop run on its matrix alone.
+    """
+    exps = [int(e) for e in exponents]
+    if len(exps) != len(stack):
+        raise InputError("kernel powers need one exponent per matrix")
+    if any(e < 0 for e in exps):
+        raise InputError("kernel exponent must be >= 0")
+    base = np.array(stack, dtype=np.float64)
+    result = np.broadcast_to(np.eye(base.shape[-1]), base.shape).copy()
+    while any(exps):
+        odd = np.array([e & 1 for e in exps], dtype=bool)
+        if odd.any():
+            step = result[odd] @ base[odd]
+            step /= step.sum(axis=-1, keepdims=True)
+            result[odd] = step
+        exps = [e >> 1 for e in exps]
+        live = np.array([e > 0 for e in exps], dtype=bool)
+        if live.any():
+            step = base[live] @ base[live]
+            step /= step.sum(axis=-1, keepdims=True)
+            base[live] = step
+    return result
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,13 +216,6 @@ class BoundedFunction:
     @property
     def dim(self) -> int:
         return self.values.size
-
-
-def total_variation(mu: FiniteDistribution, nu: FiniteDistribution) -> float:
-    """Sup over subsets A of ``|mu(A) - nu(A)|``, as half the L1 distance."""
-    if mu.dim != nu.dim:
-        raise InputError("distribution dimension mismatch")
-    return 0.5 * float(np.abs(mu.weights - nu.weights).sum())
 
 
 def _row_l1(stack: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -267,29 +275,7 @@ def dobrushin(kernel: KernelMatrix) -> float:
     return 0.5 * float(_max_row_l1(kernel.rows[None])[0])
 
 
-def bg_transform(potential, mu: FiniteDistribution) -> FiniteDistribution:
-    """Boltzmann-Gibbs reweighting: weights proportional to ``G(x) * mu(x)``
-    for a (d,) table ``G``."""
-    potential = np.asarray(potential, dtype=np.float64)
-    if potential.shape != mu.weights.shape:
-        raise InputError("potential dimension mismatch")
-    w = potential * mu.weights
-    s = w.sum()
-    if s <= 0:
-        raise DegenerateMeasureError("mu(G) = 0: reweighting undefined")
-    return FiniteDistribution(w / s)
-
-
 def osc(f) -> float:
     """Oscillation ``max(f) - min(f)`` of a per-state table."""
     v = f.values if isinstance(f, BoundedFunction) else _as_vector(f, "function values")
     return float(v.max() - v.min())
-
-
-def potential_ratio(potential) -> float:
-    """Worst-case ratio ``max(G) / min(G)`` of a strictly positive table."""
-    v = _as_vector(potential, "potential values")
-    lo = float(v.min())
-    if lo <= 0:
-        raise InputError("potential values must be strictly positive")
-    return float(v.max()) / lo

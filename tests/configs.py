@@ -14,10 +14,12 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         if section not in cfg.raw.sections:
             continue
         body = cfg.raw.sections[section]
-        if section == "flow" and cfg.kind == "classic" and "kernel" not in body:
-            # a kernels stack leaves raw once the flow is built; write the
-            # flow's (normalized) kernels in its place
-            body = {**body, "kernels": cfg.flow.kernels.reshape(-1, cfg.flow.dim)}
+        if section == "flow" and cfg.kind == "classic":
+            # the potentials and a kernels stack leave raw once the flow is
+            # built; write the flow's copies (kernels normalized) in their place
+            body = {**body, "potentials": cfg.flow.potentials}
+            if "kernel" not in body:
+                body["kernels"] = cfg.flow.kernels.reshape(-1, cfg.flow.dim)
         out.append(f"[{section}]")
         for key in sorted(body):
             out.append(f"{key} = {_config_text(body[key])}")

@@ -14,7 +14,68 @@ from scipy import stats
 from scipy.optimize import brentq
 
 from fkips.engine import BLOCK, _counter, _key, _SlotStream, _transition
-from fkips.errors import ConfigError
+from fkips.errors import ConfigError, DegenerateMeasureError, InputError
+from fkips.measures import FiniteDistribution
+
+
+def total_variation(mu, nu) -> float:
+    """Sup over subsets A of ``|mu(A) - nu(A)|`` of two distributions, as
+    half the L1 distance of their weights (:func:`tv_by_subsets` is the
+    sup itself)."""
+    if mu.dim != nu.dim:
+        raise InputError("distribution dimension mismatch")
+    return 0.5 * float(np.abs(mu.weights - nu.weights).sum())
+
+
+def bg_transform(potential, mu):
+    """Boltzmann-Gibbs reweighting: the distribution with weights
+    proportional to ``G(x) mu(x)`` for a (d,) table ``G``."""
+    potential = np.asarray(potential, dtype=np.float64)
+    if potential.shape != mu.weights.shape:
+        raise InputError("potential dimension mismatch")
+    w = potential * mu.weights
+    s = w.sum()
+    if s <= 0:
+        raise DegenerateMeasureError("mu(G) = 0: reweighting undefined")
+    return FiniteDistribution(w / s)
+
+
+def potential_ratio(potential) -> float:
+    """Worst-case ratio ``max(G) / min(G)`` of a strictly positive table."""
+    v = np.asarray(potential, dtype=np.float64)
+    if v.min() <= 0:
+        raise InputError("potential values must be strictly positive")
+    return float(v.max()) / float(v.min())
+
+
+def metropolis_rows_by_entries(problem, beta) -> np.ndarray:
+    """The annealing kernel of ``problem`` at one inverse temperature, built
+    on its own: off-diagonal ``K(x,y) min(1, e^{-beta (V(y)-V(x))})`` and the
+    rejected mass on the diagonal, before any row division."""
+    v = problem.v_values
+    rows = problem.proposal.rows * np.minimum(1.0, np.exp(-beta * (v[None, :] - v[:, None])))
+    np.fill_diagonal(rows, 0.0)
+    off_mass = rows.sum(axis=1)
+    d = problem.dim
+    rows[np.arange(d), np.arange(d)] = 1.0 - off_mass
+    return rows
+
+
+def power_by_squaring(rows, exponent) -> np.ndarray:
+    """``K^m`` of one (d, d) matrix by binary powering, every intermediate
+    product row-renormalized, one matrix at a time."""
+    result = np.eye(len(rows))
+    base = np.array(rows, dtype=np.float64)
+    e = int(exponent)
+    while e > 0:
+        if e & 1:
+            result = result @ base
+            result /= result.sum(axis=1, keepdims=True)
+        e >>= 1
+        if e:
+            base = base @ base
+            base /= base.sum(axis=1, keepdims=True)
+    return result
 
 
 def tv_by_subsets(w1, w2) -> float:

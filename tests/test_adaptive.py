@@ -23,7 +23,7 @@ from fkips.adaptive import (
     run_adaptive_counts,
     theoretical_adaptive_flow,
 )
-from fkips.annealing import GibbsProblem, gibbs_measure, metropolis_kernel
+from fkips.annealing import GibbsProblem, gibbs_measure, metropolis_kernels
 from fkips.bounds import bp_constant
 from fkips.engine import BLOCK
 from fkips.errors import InputError, SolverError
@@ -33,7 +33,7 @@ from fkips.measures import (
     FiniteDistribution,
     KernelMatrix,
     dobrushin,
-    potential_ratio,
+    kernel_powers,
 )
 from fkips.testfns import osc1_dictionary
 
@@ -42,7 +42,10 @@ from .oracles import (
     adaptive_lattice_law,
     composition_index,
     frozen_step_replay,
+    metropolis_rows_by_entries,
     pooled_chisquare,
+    potential_ratio,
+    power_by_squaring,
 )
 
 
@@ -205,7 +208,10 @@ class TestTheoreticalFlow:
         ref = theoretical_adaptive_flow(prob, 0.75, 5, mcmc_iters=3)
         trace = ref.flow.trace
         # step n moves by 3 Metropolis moves at beta_n = Delta_1 + ... + Delta_n
-        kernels = [metropolis_kernel(prob, beta).power(3) for beta in np.cumsum(ref.deltas)]
+        kernels = []
+        for beta in np.cumsum(ref.deltas):
+            rows = KernelMatrix(metropolis_rows_by_entries(prob, beta)).rows
+            kernels.append(KernelMatrix(power_by_squaring(rows, 3)))
         assert ref.flow.kernels.tobytes() == np.array([k.rows for k in kernels]).tobytes()
         assert trace.b == tuple(dobrushin(kernel) for kernel in kernels)
         assert trace.g == tuple(potential_ratio(g) for g in ref.flow.potentials)
@@ -425,7 +431,7 @@ class TestCountEngineLaw:
                 return kernels[n]
         else:
             def kernel(n, beta):
-                return metropolis_kernel(prob, beta).power(2).rows
+                return kernel_powers(metropolis_kernels(prob, [beta]), [2])[0]
 
         states, laws = adaptive_lattice_law(
             prob.v_values, gibbs_measure(prob, 0.0).weights, 0.75, n_particles, horizon, kernel,

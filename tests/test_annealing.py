@@ -13,7 +13,7 @@ from fkips.annealing import (
     TemperatureSchedule,
     build_isa_flow,
     gibbs_measure,
-    metropolis_kernel,
+    metropolis_kernels,
     minorize,
     optimize,
 )
@@ -24,10 +24,11 @@ from fkips.measures import (
     FiniteDistribution,
     KernelMatrix,
     dobrushin,
+    kernel_powers,
 )
 
 from .instances import double_well_problem, random_reversible_problem
-from .oracles import max_climb_by_paths
+from .oracles import max_climb_by_paths, metropolis_rows_by_entries, power_by_squaring
 
 
 def rng_for(seed=0):
@@ -72,11 +73,10 @@ class TestProblem:
         assert prob.sublevel_mass(0.25) == pytest.approx(0.25)  # states 0 and 4
 
 
-class TestMetropolisKernel:
+class TestMetropolisKernels:
     def test_zero_temperature_returns_proposal(self):
         prob = double_well_problem()
-        k0 = metropolis_kernel(prob, 0.0)
-        assert np.allclose(k0.rows, prob.proposal.rows, atol=1e-15)
+        assert np.allclose(metropolis_kernels(prob, [0.0])[0], prob.proposal.rows, atol=1e-15)
 
     def test_flat_energy_returns_proposal(self):
         prob = GibbsProblem(
@@ -84,8 +84,8 @@ class TestMetropolisKernel:
             reference=FiniteDistribution.uniform(3),
             proposal=KernelMatrix.lazy_ring(3, 0.4),
         )
-        for beta in (0.0, 1.0, 10.0):
-            assert np.allclose(metropolis_kernel(prob, beta).rows, prob.proposal.rows)
+        for rows in metropolis_kernels(prob, [0.0, 1.0, 10.0]):
+            assert np.allclose(rows, prob.proposal.rows)
 
     def test_three_state_invariance(self):
         prob = GibbsProblem(
@@ -94,7 +94,27 @@ class TestMetropolisKernel:
             proposal=KernelMatrix.lazy_ring(3, 0.2),
         )
         mu = gibbs_measure(prob, 2.0)
-        assert np.abs(mu.push(metropolis_kernel(prob, 2.0)).weights - mu.weights).max() <= 1e-12
+        pushed = FiniteDistribution(mu.weights @ metropolis_kernels(prob, [2.0])[0])
+        assert np.abs(pushed.weights - mu.weights).max() <= 1e-12
+
+    def test_stack_is_bit_identical_to_one_kernel_at_a_time(self):
+        # 40 inverse temperatures, beta = 0 among them, on random reversible
+        # problems; each matrix's powers too, at exponents past 2^34
+        rng = rng_for(40)
+        for d in (2, 3, 4, 6, 9, 16, 24, 32, 33):
+            prob = random_reversible_problem(rng, d)
+            betas = np.concatenate([[0.0], 10.0 ** rng.uniform(-3, 2, 39)])
+            stack = metropolis_kernels(prob, betas)
+            expected = [KernelMatrix(metropolis_rows_by_entries(prob, b)).rows for b in betas]
+            assert np.array_equal(stack, np.stack(expected)), d
+            exps = [int(e) for e in rng.integers(0, 2**34, len(betas))]
+            exps[:4] = [0, 1, 3, 2**34]
+            powers = [KernelMatrix(power_by_squaring(k, e)).rows for k, e in zip(stack, exps)]
+            assert np.array_equal(kernel_powers(stack, exps), np.stack(powers)), d
+
+    def test_negative_temperature_is_refused(self):
+        with pytest.raises(InputError, match="inverse temperature must be >= 0"):
+            metropolis_kernels(double_well_problem(), [0.5, -1e-9])
 
 
 class TestGibbsMeasure:
@@ -163,7 +183,7 @@ class TestMinorization:
         prob = double_well_problem()
         cert = minorize(prob, 4)
         for beta in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0):
-            exact = dobrushin(metropolis_kernel(prob, beta).power(cert.k0))
+            exact = dobrushin(KernelMatrix(metropolis_kernels(prob, [beta])[0]).power(cert.k0))
             assert exact <= cert.mixing_bound(beta) + 1e-12
 
     def test_certificate_validation(self):
@@ -237,6 +257,25 @@ class TestBuildFlow:
         trace = run_flow(isa.flow)
         for g_n, b_n in zip(trace.g, trace.b):
             assert b_n <= a / (a + g_n) + 1e-12
+
+    def test_empty_schedule_builds_an_empty_flow(self):
+        # beta_0 alone: no step, so an empty stack of kernels
+        prob = double_well_problem()
+        sched = TemperatureSchedule((0.5,), "constant-step")
+        isa = build_isa_flow(prob, sched, minorize(prob, 4), 0.5)
+        assert isa.flow.kernels.shape == (0, prob.dim, prob.dim)
+        assert isa.flow.potentials.shape == (0, prob.dim)
+        assert isa.mcmc_iters == ()
+
+    def test_kernels_are_the_tuned_powers_one_step_at_a_time(self):
+        prob = double_well_problem()
+        cert = minorize(prob, 4)
+        sched = TemperatureSchedule.constant_step(0.0, 0.5, 6)
+        isa = build_isa_flow(prob, sched, cert, 0.5)
+        for n, m_n in enumerate(isa.mcmc_iters, start=1):
+            rows = KernelMatrix(metropolis_rows_by_entries(prob, sched.betas[n])).rows
+            expected = KernelMatrix(power_by_squaring(rows, cert.k0 * m_n)).rows
+            assert np.array_equal(isa.flow.kernels[n - 1], expected), n
 
     def test_iteration_counts_grow_with_beta(self):
         prob = double_well_problem()

@@ -17,7 +17,7 @@ from fkips.flow import (
     semigroup_lemma_excess,
     stability_sums,
 )
-from fkips.measures import FiniteDistribution, KernelMatrix, total_variation
+from fkips.measures import FiniteDistribution, KernelMatrix
 
 from .instances import (
     bounded_regime_flow,
@@ -35,6 +35,7 @@ from .oracles import (
     random_kernel_rows,
     random_potential_values,
     semigroup_lemma_records,
+    total_variation,
     weights_by_recursion,
     worst_record,
 )

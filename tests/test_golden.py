@@ -132,6 +132,12 @@ s_values = 0.05 0.1 0.15
 y_values = 1 2
 """
 
+# The same checks with each replicate's kernels built at its realized
+# inverse temperature: the per-row path of the adaptive step rule.
+VERIFY_ADAPTIVE_MUTATION = VERIFY_ADAPTIVE.replace(
+    "mcmc_iters = 3", "mcmc_iters = 3\nmutation = adaptive"
+)
+
 # (command, config, expected exit code, {output file: sha256})
 CASES = {
     "run-classic": ("run", CLASSIC, 0, {
@@ -171,6 +177,9 @@ CASES = {
     }),
     "verify-adaptive": ("verify-bounds", VERIFY_ADAPTIVE, 0, {
         "verify.csv": "934a051967406def835ee8b5f65dff8c2e5a4a94bd247f6bcf4640faf22b57c3",
+    }),
+    "verify-adaptive-mutation": ("verify-bounds", VERIFY_ADAPTIVE_MUTATION, 0, {
+        "verify.csv": "c0292ace73af06834a6834a75d34054146a5c2686175ee81214ab7d6bf1f3b2d",
     }),
     "verify-isa-exceedance": ("verify-bounds", ISA_EXCEEDANCE, 2, {}),
 }

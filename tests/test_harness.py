@@ -252,15 +252,17 @@ class TestParseValue:
         text = _workloads()._exact_verify_config(random.Random("exact-verify:11"))
         tracemalloc.start()
         try:
-            flow = parse_config(text).flow
+            cfg = parse_config(text)
+            flow = cfg.flow
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < len(text)
+        # both parsed tables leave the raw config once the flow holds them
+        assert not {"potentials", "kernels"} & set(cfg.raw.sections["flow"])
         # the flow's kernels are the only float copy of the stack left: the
-        # 64 KiB of slack covers the parsed potentials and the flow's copy
-        # of them (20 KiB each) and the config's objects; 44-46 KiB were
-        # held on top of the 1.31 MB of kernels
+        # 64 KiB of slack covers the flow's potentials (20 KiB) and the
+        # config's objects; 23-25 KiB were held on top of the 1.31 MB of kernels
         assert held <= flow.kernels.nbytes + 64 * 1024
 
 

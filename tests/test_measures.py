@@ -1,5 +1,7 @@
 """Measure algebra: constructor contracts, the spec'd examples, and the
-contraction properties that everything downstream leans on."""
+contraction properties that everything downstream leans on.  Total
+variation, Boltzmann-Gibbs reweighting and the potential ratio are test
+references in :mod:`tests.oracles`; their laws are checked here too."""
 
 import math
 
@@ -16,19 +18,21 @@ from fkips.measures import (
     FiniteDistribution,
     KernelMatrix,
     _max_row_l1,
-    bg_transform,
     dobrushin,
+    kernel_powers,
     osc,
-    potential_ratio,
-    total_variation,
 )
 
 from .oracles import (
+    bg_transform,
     dobrushin_by_enumeration,
     dobrushin_by_rows,
+    potential_ratio,
+    power_by_squaring,
     random_distribution,
     random_kernel_rows,
     random_potential_values,
+    total_variation,
     tv_by_subsets,
 )
 
@@ -257,9 +261,50 @@ class TestDobrushin:
             k = KernelMatrix(random_kernel_rows(rng, d))
             mu = FiniteDistribution(random_distribution(rng, d))
             nu = FiniteDistribution(random_distribution(rng, d))
-            assert total_variation(mu.push(k), nu.push(k)) <= dobrushin(k) * total_variation(
-                mu, nu
-            ) + 1e-12
+            pushed = [FiniteDistribution(m.weights @ k.rows) for m in (mu, nu)]
+            assert total_variation(*pushed) <= dobrushin(k) * total_variation(mu, nu) + 1e-12
+
+
+# exponents 0, 1 and 3, powers of two up to 2^34, 2^34 - 1 and one past 2^64
+_EXPONENTS = (0, 1, 3, 2**20, 2**34 - 1, 2**34, 2**64 + 5)
+
+
+class TestKernelPowers:
+    def test_stack_is_bit_identical_to_one_kernel_at_a_time(self):
+        # mixed exponents in one stack: each matrix leaves the loop at its
+        # own bit length, and every power is the per-kernel loop's bits
+        rng = rng_for(31)
+        for d in (2, 3, 5, 8, 17, 33):
+            stack = np.stack([random_kernel_rows(rng, d) for _ in range(2 * len(_EXPONENTS))])
+            exps = list(_EXPONENTS) + list(reversed(_EXPONENTS))
+            expected = [KernelMatrix(power_by_squaring(k, e)).rows for k, e in zip(stack, exps)]
+            assert np.array_equal(kernel_powers(stack, exps), np.stack(expected)), d
+
+    def test_method_is_bit_identical_to_the_loop(self):
+        rng = rng_for(32)
+        for d in (2, 9, 33):
+            k = KernelMatrix(random_kernel_rows(rng, d))
+            for e in _EXPONENTS:
+                expected = KernelMatrix(power_by_squaring(k.rows, e)).rows
+                assert np.array_equal(k.power(e).rows, expected), (d, e)
+
+    def test_zeroth_power_is_the_identity(self):
+        rows = random_kernel_rows(rng_for(33), 4)
+        assert np.array_equal(kernel_powers(rows[None], [0])[0], np.eye(4))
+
+    def test_empty_stack(self):
+        assert kernel_powers(np.empty((0, 3, 3)), []).shape == (0, 3, 3)
+
+    def test_negative_exponent_is_refused(self):
+        rows = np.stack([np.eye(2)] * 2)
+        with pytest.raises(InputError, match="exponent must be >= 0"):
+            kernel_powers(rows, [1, -1])
+        with pytest.raises(InputError, match="exponent must be >= 0"):
+            KernelMatrix(np.eye(2)).power(-1)
+
+    def test_one_exponent_per_matrix(self):
+        with pytest.raises(InputError, match="one exponent per matrix"):
+            kernel_powers(np.stack([np.eye(2)] * 2), [1])
 
 
 class TestBoltzmannGibbs:

@@ -39,7 +39,7 @@ SRC = pathlib.Path(fkips.__file__).resolve().parents[1]
             {
                 "harness.ExperimentConfig.build_flow",
                 "adaptive.LambdaCurve.value",
-                "measures.KernelMatrix.power",
+                "measures.kernel_powers",
             },
         ),
         # the path the adaptive-run workload times: the count loop with the
@@ -58,8 +58,9 @@ SRC = pathlib.Path(fkips.__file__).resolve().parents[1]
         ),
         # both regimes run through the one regime check
         ("verify-bounds", DECREASING, {"harness.check_regime"}),
-        # the path the isa-verify workload times: the tuned flow, its kernel
-        # powers and the replicated optimizer inside the annealing checks
+        # the path the isa-verify workload times: the tuned flow, its stacked
+        # kernels and their powers, the minorization's proposal power and
+        # the replicated optimizer inside the annealing checks
         (
             "verify-bounds",
             ISA,
@@ -67,6 +68,8 @@ SRC = pathlib.Path(fkips.__file__).resolve().parents[1]
                 "annealing.optimize",
                 "harness.check_isa_bounds",
                 "annealing.build_isa_flow",
+                "annealing.metropolis_kernels",
+                "measures.kernel_powers",
                 "measures.KernelMatrix.power",
             },
         ),
