@@ -2,7 +2,7 @@
 
 Layers, bottom up:
 
-* :mod:`fkips.measures` -- finite distributions, kernels, stacked kernel
+* :mod:`fkips.measures` -- laws as (d,) arrays, kernels, stacked kernel
   powers, Dobrushin coefficients;
 * :mod:`fkips.flow` -- the exact flow oracle, a flow held as its (T, d)
   potentials and (T, d, d) kernels, and composed-operator quantities;
@@ -27,13 +27,7 @@ Every name in ``__all__`` resolves either way.
 
 import importlib
 
-from .measures import (
-    BoundedFunction,
-    FiniteDistribution,
-    KernelMatrix,
-    dobrushin,
-    osc,
-)
+from .measures import KernelMatrix, osc
 from .flow import FlowSpec, FlowTrace, fk_step, run_flow
 from .engine import run_counts
 
@@ -66,8 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveConfig",
-    "BoundedFunction",
-    "FiniteDistribution",
     "FlowSpec",
     "FlowTrace",
     "GibbsProblem",
@@ -76,7 +68,6 @@ __all__ = [
     "MinorizationCert",
     "TemperatureSchedule",
     "build_isa_flow",
-    "dobrushin",
     "fk_step",
     "gibbs_measure",
     "kappa_solve",

@@ -54,7 +54,7 @@ from .annealing import GibbsProblem, gibbs_measure, metropolis_kernels
 from .engine import CountRun, _run_blocks
 from .errors import InputError, SolverError
 from .flow import FlowSpec
-from .measures import kernel_powers
+from .measures import _freeze, kernel_powers
 from .testfns import deviations, l2_level, means, osc1_dictionary
 
 
@@ -213,6 +213,8 @@ class AdaptiveConfig:
             raise InputError("mutation_mode must be 'theoretical' or 'adaptive'")
         if self.mcmc_iters < 1:
             raise InputError("mcmc_iters must be >= 1")
+        if self.beta0 < 0:
+            raise InputError("beta0 (initial inverse temperature) must be >= 0")
 
     def resolved_delta_max(self, v_osc: float) -> float:
         if self.delta_max is not None:
@@ -222,7 +224,7 @@ class AdaptiveConfig:
         return 50.0 / v_osc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSchedule:
     """Deterministic reference: exact laws, increments and step constants.
 
@@ -233,7 +235,7 @@ class ReferenceSchedule:
 
     flow: FlowSpec
     deltas: tuple
-    etas: tuple
+    etas: np.ndarray     # (T+1, d): the exact laws eta_0 .. eta_T
     c: tuple
 
     @property
@@ -268,7 +270,7 @@ def theoretical_adaptive_flow(
     v = problem.v_values
     if np.any(v < 0):
         raise InputError("energies must be >= 0 (declared V_min = 0)")
-    if np.any((v <= 0) & (problem.reference.weights > 0)):
+    if np.any((v <= 0) & (problem.reference > 0)):
         raise InputError("reference measure puts mass at V = 0; reference schedule undefined")
     v_max = float(v.max())
     beta = float(beta0)
@@ -277,7 +279,7 @@ def theoretical_adaptive_flow(
     for n in range(horizon):
         eta_prev = etas[-1]
         res = kappa_solve(
-            LambdaCurve(v, eta_prev.weights), epsilon, tol=1e-12, delta_max=1e9,
+            LambdaCurve(v, eta_prev), epsilon, tol=1e-12, delta_max=1e9,
             step=n + 1,
         )
         if res.saturated:
@@ -285,12 +287,12 @@ def theoretical_adaptive_flow(
         delta = res.delta
         beta += delta
         betas.append(beta)
-        cs.append(v_max * math.exp(delta * v_max) / (epsilon * eta_prev.expect(v)))
+        cs.append(v_max * math.exp(delta * v_max) / (epsilon * float(eta_prev @ v)))
         deltas.append(delta)
         etas.append(gibbs_measure(problem, beta))
     kernels = kernel_powers(metropolis_kernels(problem, betas), [mcmc_iters] * horizon)
     flow = FlowSpec(etas[0], np.exp(-np.array(deltas)[:, None] * v), kernels)
-    return ReferenceSchedule(flow=flow, deltas=tuple(deltas), etas=tuple(etas), c=tuple(cs))
+    return ReferenceSchedule(flow, tuple(deltas), _freeze(np.stack(etas)), tuple(cs))
 
 
 def _reference(problem, config, horizon, reference=None, needed=True):
@@ -385,7 +387,7 @@ def _adaptive_plan(problem, config, n_particles, horizon, replicates, reference)
                 metropolis_kernels(problem, beta), [config.mcmc_iters] * len(beta)
             )
         if reference is not None:
-            eta_v = reference.etas[n].expect(v)
+            eta_v = float(reference.etas[n] @ v)
         else:
             eta_v = (c * v).sum(axis=1) / n_particles
         with np.errstate(over="ignore", divide="ignore"):
@@ -399,7 +401,7 @@ def _adaptive_plan(problem, config, n_particles, horizon, replicates, reference)
         g = np.exp(-res.delta[:, None] * v)
         return g, g, kernel_rows
 
-    return run, gibbs_measure(problem, config.beta0).weights, rule
+    return run, gibbs_measure(problem, config.beta0), rule
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +592,15 @@ def concentration_check(
     """
     reference = _reference(problem, config, horizon)
     levels = reference.hypothesis_levels()
+    top = max(levels, default=0.0)   # no steps, no level
     bad = [i for i, lvl in enumerate(levels) if lvl > a]
     if bad:
         row = bounds.CheckRow(
-            "adaptive-hypothesis", f"step={bad[0] + 1}", max(levels), a, "hypothesis-unmet"
+            "adaptive-hypothesis", f"step={bad[0] + 1}", top, a, "hypothesis-unmet"
         )
         return bounds.VerifyReport(rows=(row,))
     fdict = osc1_dictionary(problem.dim)
-    rows = [bounds.CheckRow("adaptive-hypothesis", "all", max(levels), a, "pass")]
+    rows = [bounds.CheckRow("adaptive-hypothesis", "all", top, a, "pass")]
     for n_particles in n_grid:
         n_particles = int(n_particles)
         hists = run_adaptive_counts(

@@ -1,8 +1,8 @@
 """Interacting simulated annealing: Boltzmann-Gibbs targets, Metropolis
 annealing kernels, minorization certificates and the tuned optimizer flow.
 
-The target family is ``mu_beta propto exp(-beta V) m`` for an energy table V
-and a reference measure m.  The annealing kernel accepts a proposed move
+The target family is ``mu_beta propto exp(-beta V) m`` for a (d,) energy V
+and a (d,) reference law m.  The annealing kernel accepts a proposed move
 ``x -> y`` with probability ``min(1, exp(-beta (V(y) - V(x))))`` and leaves
 ``mu_beta`` invariant whenever the proposal is m-reversible.  A minorization
 certificate ``K^k0(x, .) >= delta nu(.)`` combined with the worst-case
@@ -30,47 +30,46 @@ import numpy as np
 
 from . import bounds
 from .engine import run_counts
-from .errors import InputError, NoMinorizationError
+from .errors import BudgetExceededError, InputError, NoMinorizationError
 from .flow import FlowSpec
-from .measures import BoundedFunction, FiniteDistribution, KernelMatrix, kernel_powers, osc
+from .measures import (
+    KernelMatrix, _as_vector, _checked_law, _freeze, kernel_powers, normalized_law, osc,
+)
 
 _REVERSIBILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsProblem:
-    """Energy table, reference measure and proposal kernel on a finite space.
+    """Energy table, reference law and proposal kernel on a finite space.
 
-    The proposal must be reversible with respect to the reference (checked
+    The (d,) energy and reference law are validated and copied once into
+    read-only float64 arrays, the law kept as given, not renormalized.  The
+    proposal must be reversible with respect to the reference (checked
     entrywise to 1e-12).
     """
 
-    energy: BoundedFunction
-    reference: FiniteDistribution
+    v_values: np.ndarray
+    reference: np.ndarray
     proposal: KernelMatrix
 
     def __post_init__(self):
-        if not isinstance(self.energy, BoundedFunction):
-            raise InputError("the energy must be a BoundedFunction table")
-        if not isinstance(self.reference, FiniteDistribution):
-            raise InputError("the reference must be a FiniteDistribution")
+        v = _as_vector(self.v_values, "energy values")
+        reference = _checked_law(self.reference, "reference weights")
         if not isinstance(self.proposal, KernelMatrix):
             raise InputError("the proposal must be a KernelMatrix")
-        d = self.energy.dim
-        if self.reference.dim != d or self.proposal.dim != d:
+        if reference.size != v.size or self.proposal.dim != v.size:
             raise InputError("problem dimension mismatch")
-        flux = self.reference.weights[:, None] * self.proposal.rows
+        flux = reference[:, None] * self.proposal.rows
         gap = float(np.abs(flux - flux.T).max())
         if gap > _REVERSIBILITY_TOL:
             raise InputError(f"proposal is not reversible w.r.t. the reference (gap {gap:.3e})")
+        object.__setattr__(self, "v_values", _freeze(v))
+        object.__setattr__(self, "reference", _freeze(reference))
 
     @property
     def dim(self) -> int:
-        return self.energy.dim
-
-    @property
-    def v_values(self) -> np.ndarray:
-        return self.energy.values
+        return self.v_values.size
 
     @property
     def v_min(self) -> float:
@@ -78,11 +77,11 @@ class GibbsProblem:
 
     @property
     def v_osc(self) -> float:
-        return osc(self.energy)
+        return osc(self.v_values)
 
     def sublevel_mass(self, threshold: float) -> float:
         """Reference mass of ``{V <= threshold}``."""
-        return float(self.reference.weights[self.v_values <= threshold].sum())
+        return float(self.reference[self.v_values <= threshold].sum())
 
 
 @dataclass(frozen=True)
@@ -185,13 +184,14 @@ def metropolis_kernels(problem: GibbsProblem, betas) -> np.ndarray:
     return rows / rows.sum(axis=-1, keepdims=True)
 
 
-def gibbs_measure(problem: GibbsProblem, beta: float) -> FiniteDistribution:
-    """Exact normalized ``exp(-beta V) m`` (max-shifted for stability)."""
+def gibbs_measure(problem: GibbsProblem, beta: float) -> np.ndarray:
+    """Exact normalized ``exp(-beta V) m`` (max-shifted for stability), as
+    a (d,) law."""
     if beta < 0:
         raise InputError("inverse temperature must be >= 0")
     log_w = -beta * problem.v_values
     log_w = log_w - log_w.max()
-    return FiniteDistribution.from_unnormalized(np.exp(log_w) * problem.reference.weights)
+    return normalized_law(np.exp(log_w) * problem.reference)
 
 
 def _max_climb(support: np.ndarray, v: np.ndarray, k0: int) -> float:
@@ -268,8 +268,9 @@ def build_isa_flow(
             m_n = bounds.tune_mcmc_iters(
                 beta_n, cert.delta, cert.gap_k0, a, mode, increment_osc=increment * v_osc
             )
-        except Exception as exc:
-            raise type(exc)(f"step {n}: {exc}") from exc
+        except (InputError, BudgetExceededError) as exc:
+            exc.args = (f"step {n}: {exc}",)   # the same error, naming its step
+            raise
         iters.append(m_n)
     kernels = metropolis_kernels(problem, schedule.betas[1:])
     flow = FlowSpec(
@@ -347,7 +348,7 @@ def optimize(
     ]).reshape(len(y_values), len(steps))
     return OptimizeResult(
         proportions=proportions,
-        exact_mass=np.array([trace.etas[n].expect(tail_set) for n in steps]),
+        exact_mass=np.array([float(trace.etas[n] @ tail_set) for n in steps]),
         gibbs_term=gibbs_term,
         thresholds=thresholds,
     )

@@ -276,8 +276,14 @@ def condition_decreasing(g_p: float, a: float) -> float:
     if g_p == 1.0:
         return a
     log_g = math.log(g_p)
-    first = math.expm1(alpha * log_g) / math.expm1((alpha + 1.0) * log_g)
-    second = a / g_p ** (alpha + 1.0)
+    try:
+        first = math.expm1(alpha * log_g) / math.expm1((alpha + 1.0) * log_g)
+        second = a / g_p ** (alpha + 1.0)
+    except OverflowError:
+        # g^(alpha+1) past float64: both ratios divided through by it, so
+        # a / g^(alpha+1) underflows toward its limit 0
+        first = math.exp(-log_g) * math.expm1(-alpha * log_g) / math.expm1(-(alpha + 1.0) * log_g)
+        second = a * math.exp(-(alpha + 1.0) * log_g)
     return min(first, second)
 
 
@@ -318,11 +324,16 @@ def tune_mcmc_iters(
         raise InputError("mode must be 'bounded' or 'decreasing'")
     if increment_osc is None or increment_osc < 0:
         raise InputError(f"{mode} mode needs increment_osc >= 0")
-    if mode == "bounded":
-        raw = math.log((math.exp(increment_osc) + a) / a)
-    else:
+    if mode == "decreasing":
         raw = increment_osc + math.log(1.0 / a)
-    raw *= math.exp(gap_k0 * beta_p) / minorization_delta
+    elif increment_osc < 700.0:
+        raw = math.log((math.exp(increment_osc) + a) / a)
+    else:   # the same log, without an e^x that overflows
+        raw = increment_osc + math.log1p(a * math.exp(-increment_osc)) - math.log(a)
+    try:
+        raw *= math.exp(gap_k0 * beta_p) / minorization_delta
+    except OverflowError:   # raw > 0, so past float64 is past the budget
+        raw = math.inf
     if raw > _MAX_ITER_BUDGET:
         raise BudgetExceededError(raw, f"beta_p={beta_p}")
     return max(1, math.ceil(raw))

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,14 +58,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMeasureError, NoMinorizationError
-from .flow import FlowSpec
+from .errors import BudgetExceededError, ConfigError, DegenerateMeasureError, NoMinorizationError
+from .flow import MAX_STEPS, FlowSpec
 from .measures import (
-    BoundedFunction,
-    FiniteDistribution,
     KernelMatrix,
     _check_potentials,
     _kernel_row_sums,
+    normalized_law,
+    uniform_law,
 )
 
 # annealing and adaptive are imported where they are called, so a classic
@@ -74,6 +75,8 @@ if TYPE_CHECKING:
     from .annealing import GibbsProblem, IsaFlow
 
 _FLOAT_FMT = ".17g"
+# the largest integer a key takes (numpy draws counts as int64), and float
+_INT_MAX, _FLOAT_MAX = 2**63 - 1, sys.float_info.max
 # the characters str.splitlines breaks lines at ("\r\n" is one break)
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _SPACE = re.compile(r"\s")   # str.isspace, as str.split and str.strip use it
@@ -209,19 +212,37 @@ def _field(name: str):
     """Report a bad value met while assembling ``name`` as a config error."""
     try:
         yield
-    except (ValueError, DegenerateMeasureError, NoMinorizationError) as exc:
+    except (ValueError, BudgetExceededError, DegenerateMeasureError, NoMinorizationError) as exc:
         raise ConfigError([f"{name}: {exc}"]) from exc
 
 
 def _int_field(raw, section: str, key: str, default: int, minimum: int, name=None) -> int:
-    """``[section] key`` as an int >= ``minimum``.  A bool, a float or text is
-    refused, not truncated, by a :class:`ConfigError` naming ``name``
-    (``section.key`` unless given)."""
+    """``[section] key`` as an int in [``minimum``, 2^63 - 1].  A bool, a
+    float, an array or text is refused, not truncated, by a
+    :class:`ConfigError` naming ``name`` (``section.key`` unless given)."""
     val = raw.get(section, key, default)
+    name = name or f"{section}.{key}"
     if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < minimum:
-        name = name or f"{section}.{key}"
-        raise ConfigError([f"{name} must be an integer >= {minimum}, got {val!r}"])
+        shown = _config_text(val) if isinstance(val, np.ndarray) else val
+        raise ConfigError([f"{name} must be an integer >= {minimum}, got {shown!r}"])
+    if val > _INT_MAX:
+        raise ConfigError([f"{name} must be at most 2^63 - 1, got {val!r}"])
     return int(val)
+
+
+def _is_number(val) -> bool:
+    """Whether a parsed value is a number that float64 holds finitely: not
+    a bool, an array, text, a NaN or an infinity."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= _FLOAT_MAX
+
+
+def _float_field(raw, section: str, key: str, default: float) -> float:
+    """``[section] key`` as a finite float; anything else is a
+    :class:`ConfigError` naming ``section.key``."""
+    val = raw.get(section, key, default)
+    if not _is_number(val):
+        raise ConfigError([f"{section}.{key} must be a finite number, got {_config_text(val)!r}"])
+    return float(val)
 
 
 @dataclass
@@ -302,7 +323,8 @@ class ExperimentConfig:
     @classmethod
     def from_raw(cls, raw: RawConfig) -> ExperimentConfig:
         errors = []
-        kind = raw.get("algorithm", "kind", "classic")
+        # a word as its config text, so a number or an array is refused too
+        kind = _config_text(raw.get("algorithm", "kind", "classic"))
         if kind not in ("classic", "isa", "adaptive"):
             errors.append(f"algorithm.kind must be classic|isa|adaptive, got {kind!r}")
 
@@ -318,13 +340,17 @@ class ExperimentConfig:
         steps = None if raw.get("run", "steps") is None else run_int("steps", 1, 0)
         if steps is None and kind == "adaptive":
             errors.append("steps is required for an adaptive config, which has no flow length")
+        elif kind == "adaptive" and steps > MAX_STEPS:
+            errors.append(f"steps = {steps} exceeds the exact oracle's cap of {MAX_STEPS} steps")
         replicates = run_int("replicates", 1, 1)
         seed = run_int("seed", 0, 0)
         n_test = run_int("n_test_functions", 4, 1)
         run_int("threads", 1, 1)   # validated so older configs still parse
         eps_mode = raw.get("run", "eps_mode", "auto")
-        if isinstance(eps_mode, str) and eps_mode not in ("auto", "multinomial"):
-            errors.append(f"eps_mode must be auto|multinomial|float, got {eps_mode!r}")
+        if _config_text(eps_mode) not in ("auto", "multinomial") and not _is_number(eps_mode):
+            errors.append(
+                f"eps_mode must be auto|multinomial|float, got {_config_text(eps_mode)!r}"
+            )
         if errors:
             raise ConfigError(errors)
         cfg = cls(
@@ -362,42 +388,34 @@ class ExperimentConfig:
         from .annealing import GibbsProblem
 
         raw = self.raw
-        errors = []
-        dim = raw.get("problem", "dim")
         v = raw.get("problem", "v")
         if v is None:
-            errors.append("problem.v is required")
-            raise ConfigError(errors)
+            raise ConfigError(["problem.v is required"])
         with _field("problem.v"):
             v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-        if dim is None:
-            dim = v.size
+        dim = _int_field(raw, "problem", "dim", v.size, 1)
         if v.size != dim:
-            errors.append(f"problem.v has {v.size} entries, expected dim = {dim}")
+            raise ConfigError([f"problem.v has {v.size} entries, expected dim = {dim}"])
         m_spec = raw.get("problem", "m", "uniform")
         with _field("problem.m"):
             if isinstance(m_spec, str) and m_spec == "uniform":
-                m = FiniteDistribution.uniform(int(dim))
+                m = uniform_law(dim)
             else:
-                m = FiniteDistribution.from_unnormalized(np.asarray(m_spec, dtype=np.float64))
+                m = normalized_law(np.asarray(m_spec, dtype=np.float64))
         prop = raw.get("problem", "proposal", "uniform")
         with _field("problem.proposal"):
             if isinstance(prop, str):
-                parts = prop.split()
-                if parts[0] == "uniform":
-                    kernel = KernelMatrix.uniform(int(dim))
-                elif parts[0] == "lazy-ring":
-                    stay = float(parts[1]) if len(parts) > 1 else 0.5
-                    kernel = KernelMatrix.lazy_ring(int(dim), stay)
+                name, *args = prop.split() or [""]
+                if name == "uniform":
+                    kernel = KernelMatrix.uniform(dim)
+                elif name == "lazy-ring":
+                    kernel = KernelMatrix.lazy_ring(dim, float(args[0]) if args else 0.5)
                 else:
-                    errors.append(f"unknown proposal {prop!r}")
-                    raise ConfigError(errors)
+                    raise ValueError(f"unknown proposal {prop!r}")
             else:
                 kernel = KernelMatrix(np.asarray(prop, dtype=np.float64))
-        if errors:
-            raise ConfigError(errors)
         with _field("problem"):
-            return GibbsProblem(energy=BoundedFunction(v), reference=m, proposal=kernel)
+            return GibbsProblem(v_values=v, reference=m, proposal=kernel)
 
     @cached_property
     def adaptive_config(self) -> AdaptiveConfig:
@@ -405,20 +423,19 @@ class ExperimentConfig:
         from .adaptive import AdaptiveConfig
 
         raw = self.raw
-        eps = raw.get("adaptive", "epsilon")
-        if eps is None:
+        if raw.get("adaptive", "epsilon") is None:
             raise ConfigError(["adaptive.epsilon is required"])
-        delta_max = raw.get("adaptive", "delta_max")
-        mcmc_iters = _int_field(raw, "adaptive", "mcmc_iters", 1, 1)
+        no_cap = str(raw.get("adaptive", "delta_max", "none")) == "none"
+        fields = dict(
+            epsilon=_float_field(raw, "adaptive", "epsilon", None),
+            tol=_float_field(raw, "adaptive", "tol", 1e-10),
+            delta_max=None if no_cap else _float_field(raw, "adaptive", "delta_max", None),
+            mutation_mode=_config_text(raw.get("adaptive", "mutation", "theoretical")),
+            mcmc_iters=_int_field(raw, "adaptive", "mcmc_iters", 1, 1),
+            beta0=_float_field(raw, "adaptive", "beta0", 0.0),
+        )
         with _field("adaptive"):
-            return AdaptiveConfig(
-                epsilon=float(eps),
-                tol=float(raw.get("adaptive", "tol", 1e-10)),
-                delta_max=None if delta_max in (None, "none") else float(delta_max),
-                mutation_mode=raw.get("adaptive", "mutation", "theoretical"),
-                mcmc_iters=mcmc_iters,
-                beta0=float(raw.get("adaptive", "beta0", 0.0)),
-            )
+            return AdaptiveConfig(**fields)
 
     def build_flow(self) -> FlowSpec | None:
         """Finite flow the experiment drives, built on the first call (by
@@ -443,11 +460,9 @@ class ExperimentConfig:
             init_spec = raw.get("flow", "initial", "uniform")
             with _field("flow.initial"):
                 if isinstance(init_spec, str) and init_spec == "uniform":
-                    initial = FiniteDistribution.uniform(dim)
+                    initial = uniform_law(dim)
                 else:
-                    initial = FiniteDistribution.from_unnormalized(
-                        np.asarray(init_spec, dtype=np.float64)
-                    )
+                    initial = normalized_law(np.asarray(init_spec, dtype=np.float64))
             kernels = section.pop("kernels", None)
             if kernels is not None:
                 with _field("flow.kernels"):
@@ -493,22 +508,33 @@ class ExperimentConfig:
         if betas is None:
             default = 1 if self.steps is None else self.steps
             steps = _int_field(raw, "schedule", "steps", default, 0)
+            beta0 = _float_field(raw, "schedule", "beta0", 0.0)
+            delta = _float_field(raw, "schedule", "delta", 0.5)
+        else:
+            betas = np.atleast_1d(betas)
+            if betas.ndim != 1 or betas.dtype.kind not in "iuf":
+                raise ConfigError([
+                    f"schedule.betas must be a vector of numbers, got {_config_text(betas)!r}"
+                ])
+            betas, steps = tuple(float(b) for b in betas), len(betas) - 1
+            declared = raw.get("schedule", "delta_declared")
+            if declared is not None:
+                declared = _float_field(raw, "schedule", "delta_declared", None)
+        if steps > MAX_STEPS:
+            raise ConfigError(
+                [f"schedule.steps = {steps} exceeds the exact oracle's cap of {MAX_STEPS} steps"]
+            )
+        k0 = _int_field(raw, "schedule", "k0", 1, 1)
+        a = _float_field(raw, "schedule", "a", 0.5)
         with _field("schedule"):
             if betas is None:
-                beta0 = float(raw.get("schedule", "beta0", 0.0))
-                delta = float(raw.get("schedule", "delta", 0.5))
                 schedule = TemperatureSchedule.constant_step(beta0, delta, steps)
             else:
-                betas = tuple(float(b) for b in np.atleast_1d(betas))
-                declared = raw.get("schedule", "delta_declared")
                 if mode == "bounded-increment" and declared is None:
                     declared = max(
                         betas[i + 1] - betas[i] for i in range(len(betas) - 1)
                     ) if len(betas) > 1 else 0.0
                 schedule = TemperatureSchedule(betas, mode, declared_delta=declared)
-        k0 = _int_field(raw, "schedule", "k0", 1, 1)
-        with _field("schedule"):
-            a = float(raw.get("schedule", "a", 0.5))
             return build_isa_flow(problem, schedule, minorize(problem, k0), a)
 
     @cached_property
@@ -552,7 +578,7 @@ def _parse_checks(raw: RawConfig, kind: str) -> Checks:
             errors.append(f"checks.{key} must be {rule}, got {_config_text(value)!r}")
         return tuple(float(v) for v in x.ravel()) if grid else float(x.flat[0])
 
-    regime = raw.get("checks", "regime", "bounded")
+    regime = _config_text(raw.get("checks", "regime", "bounded"))
     if regime not in ("bounded", "decreasing"):
         errors.append(f"checks.regime must be bounded|decreasing, got {regime!r}")
     adaptive = kind == "adaptive"

@@ -177,7 +177,7 @@ def _classic_plan(spec, n_particles, replicates, horizon, eps):
             raise InputError("eps * max potential exceeds 1 on this ensemble")
         return g, np.clip(eps_n[:, None] * g, 0.0, 1.0), spec.kernels[n]
 
-    return run, spec.initial.weights, rule
+    return run, spec.initial, rule
 
 
 def _run_blocks(run, initial, rule, n_particles, seed):

@@ -1,6 +1,6 @@
 """Exact Feynman-Kac flow on finite state spaces.
 
-A flow is an initial distribution ``eta_0`` plus steps ``(G_n, M_n)``,
+A flow is a (d,) initial law ``eta_0`` plus steps ``(G_n, M_n)``,
 ``n = 1..T``, held as two arrays: the (T, d) potentials and the (T, d, d)
 kernel rows.  Each step reweights by the positive potential ``G_n`` and
 pushes through the Markov kernel ``M_n``:
@@ -38,10 +38,11 @@ Each pair (p, n) follows from (p + 1, n): per lag n - p, one stacked step
 over a few (T + 1, d, d) stacks, the order of the flow's own kernels.  As
 ``h_{n,n} = 1`` makes ``R_n = M_n``, ``b_{n-1,n}`` is the trace's value.
 
-A frozen :class:`FlowSpec` builds its run (``spec.trace``) and its table
-(``spec.table``) once; every check reads those.  Everything here is dense
-linear algebra, exact up to float64 roundoff, and serves as ground truth
-for the particle engine and the bound verifiers.
+A frozen :class:`FlowSpec` builds its run (``spec.trace``, whose laws are
+one (T+1, d) array) and its table (``spec.table``) once; every check reads
+those.  Everything here is dense linear algebra, exact up to float64
+roundoff, and serves as ground truth for the particle engine and the bound
+verifiers.
 """
 
 from __future__ import annotations
@@ -53,13 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMeasureError, InputError, RatioOverflowError
-from .measures import (
-    FiniteDistribution,
-    _check_potentials,
-    _freeze,
-    _kernel_row_sums,
-    _max_row_l1,
-)
+from .measures import _check_potentials, _checked_law, _freeze, _kernel_row_sums, _max_row_l1, law
 
 # Exact-oracle size caps: O(d^2 * T) memory and time must stay desk-scale.
 MAX_DIM = 4096
@@ -68,21 +63,20 @@ MAX_STEPS = 10_000
 
 @dataclass(frozen=True, eq=False)
 class FlowSpec:
-    """Initial distribution plus the flow's T steps as two arrays:
+    """Initial law plus the flow's T steps as two arrays:
     ``potentials[n - 1]`` is G_n, strictly positive, and ``kernels[n - 1]``
-    holds the rows of M_n, each summing to 1 within the measures'
-    tolerance.  Both are validated and copied once, into read-only
-    C-contiguous float64 arrays of shapes (T, d) and (T, d, d); kernel rows
-    are kept as given, not renormalized."""
+    holds the rows of M_n.  The (d,) initial law and each kernel row sum to
+    1 within the measures' tolerance.  All three are validated and copied
+    once, into read-only C-contiguous float64 arrays, and kept as given,
+    not renormalized."""
 
-    initial: FiniteDistribution
+    initial: np.ndarray
     potentials: np.ndarray
     kernels: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.initial, FiniteDistribution):
-            raise InputError("the initial law must be a FiniteDistribution")
-        d = self.initial.dim
+        initial = _checked_law(self.initial, "initial weights")
+        d = initial.size
         if d > MAX_DIM:
             raise InputError(f"exact oracle capped at dimension {MAX_DIM}")
         try:
@@ -100,12 +94,13 @@ class FlowSpec:
             raise InputError(f"exact oracle capped at {MAX_STEPS} steps")
         _check_potentials(potentials)
         _kernel_row_sums(kernels)
+        object.__setattr__(self, "initial", _freeze(initial))
         object.__setattr__(self, "potentials", _freeze(potentials))
         object.__setattr__(self, "kernels", _freeze(kernels))
 
     @property
     def dim(self) -> int:
-        return self.initial.dim
+        return self.initial.size
 
     @property
     def horizon(self) -> int:
@@ -122,28 +117,30 @@ class FlowSpec:
         return semigroup_table(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowTrace:
     """Exact flow output: per-step laws, unnormalized mass and step constants."""
 
-    etas: tuple          # eta_0 .. eta_T
+    etas: np.ndarray     # (T+1, d): eta_0 .. eta_T
     gamma1: tuple        # gamma_n(1), gamma_0(1) = 1
     log_gamma1: tuple    # log of the above
     g: tuple             # per-step potential ratios g_1 .. g_T
     b: tuple             # per-step Dobrushin coefficients b_1 .. b_T
 
 
-def fk_step(mu: FiniteDistribution, potential, kernel) -> FiniteDistribution:
-    """One flow step: reweight by the (d,) potential ``G`` then push through
-    the (d, d) kernel rows ``M``."""
-    potential, kernel = np.asarray(potential, np.float64), np.asarray(kernel, np.float64)
-    if potential.shape != mu.weights.shape or kernel.shape != (mu.dim, mu.dim):
+def fk_step(mu, potential, kernel) -> np.ndarray:
+    """One flow step from the (d,) law ``mu``: reweight by the (d,)
+    potential ``G``, push through the (d, d) kernel rows ``M`` and return
+    the :func:`~fkips.measures.law` of the result."""
+    mu, potential, kernel = (np.asarray(x, np.float64) for x in (mu, potential, kernel))
+    d = mu.size
+    if mu.shape != (d,) or potential.shape != (d,) or kernel.shape != (d, d):
         raise InputError("dimension mismatch in flow step")
-    w = potential * mu.weights
+    w = potential * mu
     s = w.sum()
     if s <= 0:
         raise DegenerateMeasureError("mu(G) = 0: flow step undefined")
-    return FiniteDistribution((w / s) @ kernel)
+    return law((w / s) @ kernel)
 
 
 def run_flow(spec: FlowSpec) -> FlowTrace:
@@ -151,13 +148,13 @@ def run_flow(spec: FlowSpec) -> FlowTrace:
     etas = [spec.initial]
     log_gamma = [0.0]
     for potential, kernel in zip(spec.potentials, spec.kernels):
-        mean_g = etas[-1].expect(potential)
+        mean_g = float(etas[-1] @ potential)
         if mean_g <= 0:
             raise DegenerateMeasureError("mu(G) = 0: flow step undefined")
         log_gamma.append(log_gamma[-1] + math.log(mean_g))
         etas.append(fk_step(etas[-1], potential, kernel))
     return FlowTrace(
-        etas=tuple(etas),
+        etas=_freeze(np.stack(etas)),
         gamma1=tuple(math.exp(v) for v in log_gamma),
         log_gamma1=tuple(log_gamma),
         g=tuple((spec.potentials.max(1) / spec.potentials.min(1)).tolist()),
@@ -183,7 +180,7 @@ def semigroup_table(spec: FlowSpec) -> SemigroupTable:
     size, d, trace = spec.horizon + 1, spec.dim, spec.trace
     g, b, mass = (np.full((size, size), np.nan) for _ in range(3))
     rows, potentials = spec.kernels, spec.potentials
-    weights, gamma1 = np.stack([eta.weights for eta in trace.etas])[:, None], np.array(trace.gamma1)
+    weights, gamma1 = trace.etas[:, None], np.array(trace.gamma1)
     h, log_scale = np.ones((size, d)), [0.0] * size
     centred = np.broadcast_to(np.eye(d) - np.eye(1, d), (size, d, d))
     for lag in range(size):

@@ -33,7 +33,7 @@ from .config import _FLOAT_FMT, ExperimentConfig, _fmt, parse_config  # noqa: F4
 from .engine import run_counts
 from .errors import InputError
 from .flow import FlowSpec, check_semigroup_lemmas, excess, worst_excess
-from .measures import FiniteDistribution, _max_row_l1, kernel_powers
+from .measures import _max_row_l1, kernel_powers, law
 from .testfns import deviations, l2_level, means, osc1_dictionary
 
 # annealing and adaptive are imported where they are called, so a classic
@@ -228,7 +228,7 @@ def _oracle_csv(trace, horizon, tables, column="exact_est") -> str:
     for n, eta in enumerate(trace.etas[: horizon + 1]):
         lines.append(_csv_line(
             [str(n), _fmt(trace.log_gamma1[n]), _fmt(trace.gamma1[n])]
-            + [_fmt(eta.expect(t)) for t in tables]
+            + [_fmt(float(eta @ t)) for t in tables]
         ))
     return "".join(lines)
 
@@ -466,12 +466,11 @@ def check_isa_bounds(
     for beta, rows, b in zip(_ISA_BETA_GRID, kernels, mixing.tolist()):
         mu = gibbs_measure(problem, beta)
         # invariance of the annealing kernel
-        pushed = FiniteDistribution(mu.weights @ rows)
-        worst_inv = max(worst_inv, float(np.abs(pushed.weights - mu.weights).max()))
+        worst_inv = max(worst_inv, float(np.abs(law(mu @ rows) - mu).max()))
         # mixing estimate for the k0-fold kernel
         worst_gap = max(worst_gap, b - cert.mixing_bound(beta))
         # Boltzmann-Gibbs tail bound; the 1e-12 rounding slack is not part of rhs
-        exact_tail = float(mu.weights[tail_set].sum())
+        exact_tail = float(mu[tail_set].sum())
         bound = bounds.gibbs_tail_bound(beta, eps_level, eps_prime, m_prime)
         worst_tail = max(worst_tail, exact_tail - bound)
         tail_ok &= exact_tail <= bound + 1e-12

@@ -7,14 +7,17 @@ vectors, and every operation is a pure function of its arguments.
 
 Conventions
 -----------
+* A law is a read-only (d,) float64 array, built by :func:`law`,
+  :func:`normalized_law` or :func:`uniform_law`; a flow's laws are one
+  (T+1, d) array, and energies and test functions are plain (d,) tables.
 * ``kernel_powers(stack, exponents)`` raises each matrix of a (k, d, d)
   stack of kernel rows to its own integer power by one row-renormalized
   binary-powering loop over the stack; ``KernelMatrix.power`` is the same
   loop on a stack of one.
-* ``dobrushin(K)`` is the worst-case total variation between rows of ``K``
-  (one reduction, pruned by a vectorized triangle-inequality test, also
-  serves stacks of matrices, such as a table's centred matrices of one lag);
-  it is sub-multiplicative and contracts measure pairs and oscillations.
+* The Dobrushin coefficient (worst-case row total variation) is half of
+  ``_max_row_l1``, one reduction, pruned by a vectorized triangle-inequality
+  test, over a whole stack of matrices, such as a table's centred matrices
+  of one lag.
 """
 
 from __future__ import annotations
@@ -35,8 +38,11 @@ _DOBRUSHIN_BLOCK_BYTES = 1 << 16
 
 
 def _as_vector(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1 or arr.size == 0:
+    try:
+        arr = np.array(values, dtype=np.float64, copy=True)
+    except (TypeError, ValueError):   # a callable, or ragged rows
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.size == 0:
         raise InputError(f"{name} must be a non-empty 1-d vector")
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} must contain only finite values")
@@ -71,52 +77,43 @@ def _kernel_row_sums(m: np.ndarray) -> np.ndarray:
     return sums
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteDistribution:
-    """Probability vector over states ``0..d-1``.
+def _checked_law(weights, name: str = "weights") -> np.ndarray:
+    """A float64 copy of ``weights``, refused unless it is a non-empty 1-d
+    vector of non-negative finite entries summing to 1 within
+    ``SUM_TOLERANCE``; messages name ``name``."""
+    w = _as_vector(weights, name)
+    if np.any(w < 0):
+        raise InputError(f"{name} must be non-negative")
+    s = w.sum()
+    if abs(s - 1.0) > SUM_TOLERANCE:
+        raise InputError(f"{name} sum to {s!r}, expected 1 within {SUM_TOLERANCE}")
+    return w
 
-    Weights must be non-negative and sum to 1 within ``SUM_TOLERANCE``;
-    they are renormalized exactly on construction.
-    """
 
-    weights: np.ndarray
+def law(weights) -> np.ndarray:
+    """A probability vector as a read-only (d,) float64 array: the checked
+    weights divided once by their sum."""
+    w = _checked_law(weights)
+    return _freeze(w / w.sum())
 
-    def __post_init__(self):
-        w = _as_vector(self.weights, "weights")
-        if np.any(w < 0):
-            raise InputError("weights must be non-negative")
-        s = w.sum()
-        if abs(s - 1.0) > SUM_TOLERANCE:
-            raise InputError(f"weights sum to {s!r}, expected 1 within {SUM_TOLERANCE}")
-        object.__setattr__(self, "weights", _freeze(w / s))
 
-    @classmethod
-    def from_unnormalized(cls, weights) -> "FiniteDistribution":
-        """Normalize any non-negative vector with positive total mass."""
-        w = _as_vector(weights, "weights")
-        if np.any(w < 0):
-            raise InputError("weights must be non-negative")
-        s = w.sum()
-        if s <= 0:
-            raise DegenerateMeasureError("total mass is zero")
-        return cls(w / s)
+def normalized_law(weights) -> np.ndarray:
+    """:func:`law` of any non-negative vector with positive total mass,
+    divided by that mass first."""
+    w = _as_vector(weights, "weights")
+    if np.any(w < 0):
+        raise InputError("weights must be non-negative")
+    s = w.sum()
+    if s <= 0:
+        raise DegenerateMeasureError("total mass is zero")
+    return law(w / s)
 
-    @classmethod
-    def uniform(cls, dim: int) -> "FiniteDistribution":
-        if dim < 1:
-            raise InputError("dim must be >= 1")
-        return cls(np.full(dim, 1.0 / dim))
 
-    @property
-    def dim(self) -> int:
-        return self.weights.size
-
-    def expect(self, values) -> float:
-        """Integral of a per-state value table against the distribution."""
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != self.weights.shape:
-            raise InputError("value table dimension mismatch")
-        return float(self.weights @ v)
+def uniform_law(dim: int) -> np.ndarray:
+    """The uniform :func:`law` on ``dim`` states."""
+    if dim < 1:
+        raise InputError("dim must be >= 1")
+    return law(np.full(dim, 1.0 / dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +129,8 @@ class KernelMatrix:
         object.__setattr__(self, "rows", _freeze(m / _kernel_row_sums(m)[..., None]))
 
     @classmethod
-    def constant(cls, target: FiniteDistribution) -> "KernelMatrix":
-        """Rank-one kernel sending every state to ``target``."""
-        return cls(np.tile(target.weights, (target.dim, 1)))
-
-    @classmethod
     def uniform(cls, dim: int) -> "KernelMatrix":
-        return cls.constant(FiniteDistribution.uniform(dim))
+        return cls(np.tile(uniform_law(dim), (dim, 1)))
 
     @classmethod
     def lazy_ring(cls, dim: int, stay: float = 0.5) -> "KernelMatrix":
@@ -204,20 +196,6 @@ def _binary_powers(stack, exponents) -> np.ndarray:
     return result
 
 
-@dataclass(frozen=True, eq=False)
-class BoundedFunction:
-    """Finite real-valued per-state test function."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(_as_vector(self.values, "values")))
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-
 def _row_l1(stack: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """L1 distance of each row of a (k, d, d) stack from its matrix's row of ``ref``."""
     k, d, _ = stack.shape
@@ -266,16 +244,7 @@ def _max_row_l1(stack: np.ndarray) -> np.ndarray:
     return best
 
 
-def dobrushin(kernel: KernelMatrix) -> float:
-    """Dobrushin ergodic coefficient: worst-case row total variation.
-
-    Satisfies ``dobrushin(K1.K2) <= dobrushin(K1) * dobrushin(K2)`` and
-    contracts both ``osc(K.f)`` and ``tv(mu.K, nu.K)``.
-    """
-    return 0.5 * float(_max_row_l1(kernel.rows[None])[0])
-
-
 def osc(f) -> float:
     """Oscillation ``max(f) - min(f)`` of a per-state table."""
-    v = f.values if isinstance(f, BoundedFunction) else _as_vector(f, "function values")
+    v = _as_vector(f, "function values")
     return float(v.max() - v.min())

@@ -71,9 +71,9 @@ def means(hists, tables) -> np.ndarray:
 
 
 def deviations(hists, laws, tables) -> np.ndarray:
-    """:func:`means` minus the exact means of the T+1 laws (a sequence of
-    :class:`~fkips.measures.FiniteDistribution`)."""
-    return means(hists, tables) - np.array([[eta.expect(t) for t in tables] for eta in laws])
+    """:func:`means` minus the exact means of the (T+1, d) ``laws``.  Each
+    exact mean is one 1-d dot product of a law and a table."""
+    return means(hists, tables) - np.array([[float(eta @ t) for t in tables] for eta in laws])
 
 
 def l2_level(devs) -> np.ndarray:

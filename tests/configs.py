@@ -30,7 +30,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def flow_to_config(spec: FlowSpec, *, n_particles=100, replicates=1, seed=0, steps=None) -> str:
     """Render a finite flow as classic-run config text."""
     lines = ["[flow]"]
-    lines.append("initial = " + " ".join(_fmt(x) for x in spec.initial.weights))
+    lines.append("initial = " + " ".join(_fmt(x) for x in spec.initial))
     lines.append(
         "potentials = "
         + "; ".join(" ".join(_fmt(x) for x in g) for g in spec.potentials)

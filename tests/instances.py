@@ -9,7 +9,7 @@ import numpy as np
 
 from fkips.annealing import GibbsProblem
 from fkips.flow import FlowSpec
-from fkips.measures import BoundedFunction, FiniteDistribution, KernelMatrix
+from fkips.measures import KernelMatrix, law, normalized_law, uniform_law
 
 from .oracles import random_kernel_rows
 
@@ -44,7 +44,7 @@ def bounded_regime_flow(horizon, dim=4, a=0.5, g_cap=math.exp(0.5), mix=0.2, see
     for n in range(horizon):
         potentials[n] = ratio_capped_potential(rng, dim, g_cap)
         kernels[n] = mixing_kernel(rng, dim, mix)
-    return FlowSpec(FiniteDistribution.uniform(dim), potentials, kernels)
+    return FlowSpec(uniform_law(dim), potentials, kernels)
 
 
 def decreasing_regime_flow(horizon, dim=4, a=0.5, mix=0.15, seed=200):
@@ -55,7 +55,7 @@ def decreasing_regime_flow(horizon, dim=4, a=0.5, mix=0.15, seed=200):
     for n in range(horizon):
         potentials[n] = ratio_capped_potential(rng, dim, 1.0 + 2.0 ** (-(n + 1)))
         kernels[n] = mixing_kernel(rng, dim, mix)
-    return FlowSpec(FiniteDistribution.uniform(dim), potentials, kernels)
+    return FlowSpec(uniform_law(dim), potentials, kernels)
 
 
 def random_flow(rng, dim=None, horizon=None):
@@ -67,13 +67,13 @@ def random_flow(rng, dim=None, horizon=None):
         potentials[n] = 0.2 + 2.8 * rng.random(dim)
         kernels[n] = KernelMatrix(random_kernel_rows(rng, dim)).rows
     init = rng.random(dim) + 0.05
-    return FlowSpec(FiniteDistribution.from_unnormalized(init), potentials, kernels)
+    return FlowSpec(normalized_law(init), potentials, kernels)
 
 
 def repeated_flow(initial, potential, kernel, horizon):
     """The flow of ``initial`` taking the same step, the (d,) ``potential``
     and the (d, d) ``kernel`` rows, ``horizon`` times."""
-    dim = initial.dim
+    dim = len(initial)
     return FlowSpec(
         initial,
         np.broadcast_to(potential, (horizon, dim)),
@@ -85,8 +85,8 @@ def double_well_problem():
     """8-state double-well energy with a lazy-ring proposal."""
     v = np.array([0.0, 0.6, 1.0, 0.6, 0.1, 0.6, 1.0, 0.6])
     return GibbsProblem(
-        energy=BoundedFunction(v),
-        reference=FiniteDistribution.uniform(8),
+        v_values=v,
+        reference=uniform_law(8),
         proposal=KernelMatrix.lazy_ring(8, 0.5),
     )
 
@@ -100,8 +100,8 @@ def adaptive_problem(dim=4):
         8: np.linspace(0.3, 1.0, 8),
     }
     return GibbsProblem(
-        energy=BoundedFunction(tables[dim]),
-        reference=FiniteDistribution.uniform(dim),
+        v_values=tables[dim],
+        reference=uniform_law(dim),
         proposal=KernelMatrix.lazy_ring(dim, 0.25),
     )
 
@@ -119,8 +119,8 @@ def random_reversible_problem(rng, dim):
     rows = rows / scale
     np.fill_diagonal(rows, 1.0 - rows.sum(axis=1))
     return GibbsProblem(
-        energy=BoundedFunction(2.0 * rng.random(dim)),
-        reference=FiniteDistribution(m),
+        v_values=2.0 * rng.random(dim),
+        reference=law(m),
         proposal=KernelMatrix(rows),
     )
 
@@ -133,7 +133,7 @@ def table_check_flows():
     tie at exactly -1 and 0), horizon 0 and one horizon of 200.  The flows
     are built once, so each table is too."""
     rng = _rng(300)
-    three, potential = FiniteDistribution.uniform(3), [1.0, 2.0, 0.5]
+    three, potential = uniform_law(3), [1.0, 2.0, 0.5]
     return tuple([(f"random-{i}", random_flow(rng)) for i in range(12)] + [
         ("bounded", bounded_regime_flow(12, seed=11)),
         ("decreasing", decreasing_regime_flow(12, seed=55)),

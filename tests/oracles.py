@@ -15,29 +15,29 @@ from scipy.optimize import brentq
 
 from fkips.engine import BLOCK, _counter, _key, _SlotStream, _transition
 from fkips.errors import ConfigError, DegenerateMeasureError, InputError
-from fkips.measures import FiniteDistribution
 
 
 def total_variation(mu, nu) -> float:
-    """Sup over subsets A of ``|mu(A) - nu(A)|`` of two distributions, as
-    half the L1 distance of their weights (:func:`tv_by_subsets` is the
-    sup itself)."""
-    if mu.dim != nu.dim:
+    """Sup over subsets A of ``|mu(A) - nu(A)|`` of two (d,) laws, as half
+    the L1 distance of their weights (:func:`tv_by_subsets` is the sup
+    itself)."""
+    mu, nu = np.asarray(mu, dtype=np.float64), np.asarray(nu, dtype=np.float64)
+    if mu.shape != nu.shape:
         raise InputError("distribution dimension mismatch")
-    return 0.5 * float(np.abs(mu.weights - nu.weights).sum())
+    return 0.5 * float(np.abs(mu - nu).sum())
 
 
 def bg_transform(potential, mu):
-    """Boltzmann-Gibbs reweighting: the distribution with weights
-    proportional to ``G(x) mu(x)`` for a (d,) table ``G``."""
-    potential = np.asarray(potential, dtype=np.float64)
-    if potential.shape != mu.weights.shape:
+    """Boltzmann-Gibbs reweighting: the (d,) law with weights proportional
+    to ``G(x) mu(x)`` for a (d,) table ``G``."""
+    potential, mu = np.asarray(potential, dtype=np.float64), np.asarray(mu, dtype=np.float64)
+    if potential.shape != mu.shape:
         raise InputError("potential dimension mismatch")
-    w = potential * mu.weights
+    w = potential * mu
     s = w.sum()
     if s <= 0:
         raise DegenerateMeasureError("mu(G) = 0: reweighting undefined")
-    return FiniteDistribution(w / s)
+    return w / s
 
 
 def potential_ratio(potential) -> float:
@@ -155,21 +155,23 @@ def composed_by_product(steps, p, n, dim):
 def composed_table_by_product(initial, steps):
     """(g, b, mass) arrays of every pair p <= n (NaN for p > n) from
     :func:`composed_by_product`: ``g = max h / min h``,
-    ``b = dobrushin_by_rows(P_{p,n})`` and ``mass = gamma_p . Q_{p,n} . 1``."""
+    ``b = dobrushin(P_{p,n})`` and ``mass = gamma_p . Q_{p,n} . 1``."""
     size, dim = len(steps) + 1, len(initial)
     g, b, mass = (np.full((size, size), np.nan) for _ in range(3))
     for n in range(size):
         for p in range(n + 1):
             _, h, transition = composed_by_product(steps, p, n, dim)
             g[p, n] = h.max() / h.min()
-            b[p, n] = dobrushin_by_rows(transition)
+            b[p, n] = dobrushin(transition)
             mass[p, n] = float(weights_by_recursion(initial, steps[:p]) @ h)
     return g, b, mass
 
 
-def dobrushin_by_rows(rows) -> float:
-    """Ergodic coefficient as half the largest L1 distance over all ordered
-    row pairs, by a plain double loop."""
+def dobrushin(rows) -> float:
+    """Dobrushin ergodic coefficient of a kernel's rows, as half the largest
+    L1 distance over all ordered row pairs, by a plain double loop: the
+    reference the stacked reduction ``fkips.measures._max_row_l1`` is held
+    to, bit for bit."""
     rows = np.asarray(rows, dtype=np.float64)
     d = rows.shape[0]
     return max(0.5 * float(np.abs(rows[x] - rows[y]).sum()) for x in range(d) for y in range(d))
@@ -355,7 +357,7 @@ def kernel_potential_smoothing(k_rows, g_vals):
     k_rows, g_vals = np.asarray(k_rows), np.asarray(g_vals)
     kg = k_rows @ g_vals
     lhs = float(kg.max()) / float(kg.min())
-    return lhs, 1.0 + dobrushin_by_rows(k_rows) * (float(g_vals.max()) / float(g_vals.min()) - 1.0)
+    return lhs, 1.0 + dobrushin(k_rows) * (float(g_vals.max()) / float(g_vals.min()) - 1.0)
 
 
 def random_distribution(rng, dim):
@@ -428,7 +430,7 @@ def lattice_law(spec, n_particles, eps):
     P_1..P_T and E[gamma^N_T], the expected product of c.G/N."""
     d = spec.dim
     states = compositions(n_particles, d)
-    laws = [stats.multinomial.pmf(states, n_particles, spec.initial.weights)]
+    laws = [stats.multinomial.pmf(states, n_particles, spec.initial)]
     steps, mass = [], laws[0]   # mass: E[gamma^N_n ; c_n = c]
     for g, kernel in zip(spec.potentials, spec.kernels):
         moves = np.empty((len(states), d, d))

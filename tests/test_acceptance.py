@@ -35,7 +35,7 @@ from fkips.harness import (
     parse_config,
     run_experiment,
 )
-from fkips.measures import FiniteDistribution, KernelMatrix, dobrushin, kernel_powers
+from fkips.measures import KernelMatrix, kernel_powers, law, uniform_law
 from fkips.testfns import osc1_dictionary
 
 from .configs import flow_to_config
@@ -48,6 +48,7 @@ from .instances import (
     random_reversible_problem,
 )
 from .oracles import (
+    dobrushin,
     composed_by_product,
     kernel_potential_smoothing,
     random_kernel_rows,
@@ -75,7 +76,7 @@ def bounded_tensor():
     flow = bounded_regime_flow(10, seed=100)
     trace = run_flow(flow)
     fdict = osc1_dictionary(flow.dim)
-    exact = np.array([[eta.expect(f) for f in fdict] for eta in trace.etas])
+    exact = np.array([[float(eta @ f) for f in fdict] for eta in trace.etas])
     reps, n_particles = 2000, 200
     run = run_counts(flow, n_particles, seed=2024, replicates=reps)
     worst = np.abs(run.histograms @ fdict.T - exact).max(axis=2)
@@ -95,10 +96,10 @@ def test_criterion_01_oracle_identity():
         steps = list(zip(spec.potentials, spec.kernels))
         f = rng.standard_normal(spec.dim)
         for n in range(spec.horizon + 1):
-            direct = trace.etas[n].expect(f) * trace.gamma1[n]
+            direct = float(trace.etas[n] @ f) * trace.gamma1[n]
             for p in range(n + 1):
                 q, _, _ = composed_by_product(steps, p, n, spec.dim)
-                alt = float(weights_by_recursion(spec.initial.weights, steps[:p]) @ (q @ f))
+                alt = float(weights_by_recursion(spec.initial, steps[:p]) @ (q @ f))
                 worst_rel = max(worst_rel, abs(alt - direct) / max(abs(direct), 1e-300))
                 mass_gap = abs(spec.table.mass[p, n] - trace.gamma1[n]) / trace.gamma1[n]
                 worst_rel = max(worst_rel, mass_gap)
@@ -150,7 +151,7 @@ def test_criterion_04_l2_uniform_bound():
     trace = run_flow(flow)
     caps_ok, _, _ = composed_caps(flow, "bounded", a, math.exp(0.5))
     fdict = osc1_dictionary(flow.dim)
-    exact = np.array([[eta.expect(f) for f in fdict] for eta in trace.etas])
+    exact = np.array([[float(eta @ f) for f in fdict] for eta in trace.etas])
     devs = run_counts(flow, n_particles, seed=400, replicates=reps).histograms @ fdict.T - exact
     l2 = np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=1)
     cap = bounds.lp_uniform_bound(2, a, n_particles)   # B_2 = 1
@@ -232,8 +233,8 @@ def test_criterion_07_annealing_invariance():
         betas = (0.0, 0.3, 1.0, 3.0, 10.0)
         for beta, rows in zip(betas, metropolis_kernels(prob, betas)):
             mu = gibbs_measure(prob, beta)
-            pushed = FiniteDistribution(mu.weights @ rows)
-            worst = max(worst, float(np.abs(pushed.weights - mu.weights).max()))
+            pushed = law(mu @ rows)
+            worst = max(worst, float(np.abs(pushed - mu).max()))
     report(7, worst <= 1e-12, f"50 problems x 5 temperatures, worst gap {worst:.2e}")
 
 
@@ -247,18 +248,17 @@ def test_criterion_08_mixing_estimate():
         prob = double_well_problem() if dim == 8 else None
         if prob is None:
             from fkips.annealing import GibbsProblem
-            from fkips.measures import BoundedFunction, FiniteDistribution
 
             prob = GibbsProblem(
-                energy=BoundedFunction(rng.random(dim)),
-                reference=FiniteDistribution.uniform(dim),
+                v_values=rng.random(dim),
+                reference=uniform_law(dim),
                 proposal=KernelMatrix.lazy_ring(dim, 0.5),
             )
         cert = minorize(prob, dim // 2)
         betas = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
         powers = kernel_powers(metropolis_kernels(prob, betas), [cert.k0] * len(betas))
         for beta, rows in zip(betas, powers):
-            exact = dobrushin(KernelMatrix(rows))
+            exact = dobrushin(KernelMatrix(rows).rows)
             worst = max(worst, exact - cert.mixing_bound(beta))
             checked += 1
     # dense random reversible proposals minorize in one move
@@ -267,7 +267,7 @@ def test_criterion_08_mixing_estimate():
         cert = minorize(prob, 1)
         betas = (0.0, 0.5, 1.5, 3.0)
         for beta, rows in zip(betas, metropolis_kernels(prob, betas)):
-            exact = dobrushin(KernelMatrix(rows))
+            exact = dobrushin(KernelMatrix(rows).rows)
             worst = max(worst, exact - cert.mixing_bound(beta))
             checked += 1
     report(8, worst <= 1e-12, f"{checked} (proposal, beta) pairs, worst excess {worst:.2e}")
@@ -285,7 +285,7 @@ def test_criterion_09_gibbs_tail_and_optimizer():
             for eps_prime in (0.05, 0.15, 0.25):
                 if eps_prime >= eps:
                     continue
-                exact_tail = float(mu.weights[prob.v_values >= eps].sum())
+                exact_tail = float(mu[prob.v_values >= eps].sum())
                 cap = bounds.gibbs_tail_bound(
                     beta, eps, eps_prime, prob.sublevel_mass(eps_prime)
                 )

@@ -28,17 +28,12 @@ from fkips.bounds import bp_constant
 from fkips.engine import BLOCK
 from fkips.errors import InputError, SolverError
 from fkips.flow import run_flow
-from fkips.measures import (
-    BoundedFunction,
-    FiniteDistribution,
-    KernelMatrix,
-    dobrushin,
-    kernel_powers,
-)
+from fkips.measures import KernelMatrix, kernel_powers, uniform_law
 from fkips.testfns import osc1_dictionary
 
 from .instances import adaptive_problem
 from .oracles import (
+    dobrushin,
     adaptive_lattice_law,
     composition_index,
     frozen_step_replay,
@@ -160,13 +155,18 @@ class TestTheoreticalFlow:
         prob = adaptive_problem(4)
         ref = theoretical_adaptive_flow(prob, 0.7, 5, mcmc_iters=2)
         trace = run_flow(ref.flow)
-        for eta_flow, eta_ref in zip(trace.etas, ref.etas):
-            assert np.abs(eta_flow.weights - eta_ref.weights).max() <= 1e-9
+        assert ref.etas.shape == trace.etas.shape == (6, 4)
+        assert not ref.etas.flags.writeable
+        assert np.abs(trace.etas - ref.etas).max() <= 1e-9
+        # the reference laws are the Gibbs laws at the solved temperatures
+        betas = np.cumsum((0.0,) + ref.deltas)
+        for eta, beta in zip(ref.etas, betas):
+            assert eta.tobytes() == gibbs_measure(prob, beta).tobytes()
 
     def test_single_energy_level_constant_increment(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([0.8, 0.8, 0.8]),
-            reference=FiniteDistribution.uniform(3),
+            v_values=[0.8, 0.8, 0.8],
+            reference=uniform_law(3),
             proposal=KernelMatrix.lazy_ring(3, 0.25),
         )
         ref = theoretical_adaptive_flow(prob, 0.6, 4)
@@ -183,8 +183,8 @@ class TestTheoreticalFlow:
 
     def test_rejects_zero_energy_atom(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([0.0, 0.5, 1.0]),
-            reference=FiniteDistribution.uniform(3),
+            v_values=[0.0, 0.5, 1.0],
+            reference=uniform_law(3),
             proposal=KernelMatrix.lazy_ring(3, 0.25),
         )
         with pytest.raises(InputError):
@@ -213,7 +213,7 @@ class TestTheoreticalFlow:
             rows = KernelMatrix(metropolis_rows_by_entries(prob, beta)).rows
             kernels.append(KernelMatrix(power_by_squaring(rows, 3)))
         assert ref.flow.kernels.tobytes() == np.array([k.rows for k in kernels]).tobytes()
-        assert trace.b == tuple(dobrushin(kernel) for kernel in kernels)
+        assert trace.b == tuple(dobrushin(kernel.rows) for kernel in kernels)
         assert trace.g == tuple(potential_ratio(g) for g in ref.flow.potentials)
 
 
@@ -249,8 +249,8 @@ class TestRunAdaptive:
 
     def test_saturation_flag_on_zero_energy_states(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([0.0, 0.0, 1.0]),
-            reference=FiniteDistribution.uniform(3),
+            v_values=[0.0, 0.0, 1.0],
+            reference=uniform_law(3),
             proposal=KernelMatrix.lazy_ring(3, 0.25),
         )
         cfg = AdaptiveConfig(
@@ -363,8 +363,8 @@ class TestVerificationProcedures:
     def test_concentration_refuses_on_failed_hypothesis(self):
         # a barely-mixing kernel pushes b g (1+c) far above the level
         prob = GibbsProblem(
-            energy=BoundedFunction([0.5, 0.65, 0.8, 1.0]),
-            reference=FiniteDistribution.uniform(4),
+            v_values=[0.5, 0.65, 0.8, 1.0],
+            reference=uniform_law(4),
             proposal=KernelMatrix.lazy_ring(4, 0.9),
         )
         cfg = AdaptiveConfig(epsilon=0.5, mcmc_iters=1)
@@ -392,6 +392,16 @@ class TestVerificationProcedures:
         # the bound is 1 at s = 0, and its binomial allowance is 0
         assert all(r.rhs == 1.0 for r in zero_rows)
 
+    def test_concentration_check_without_steps(self):
+        # a horizon of 0 has no hypothesis level and no exceedance rows
+        cfg = AdaptiveConfig(epsilon=0.75, mcmc_iters=3)
+        report = concentration_check(
+            adaptive_problem(4), cfg, (40,), 0, 5, 0.6, (0.1,), (1.0,), seed=10
+        )
+        (row,) = report.rows
+        assert (row.name, row.scope, row.lhs, row.rhs) == ("adaptive-hypothesis", "all", 0.0, 0.6)
+        assert row.status == "pass"
+
 
 def _count_fields(run):
     return (
@@ -402,8 +412,8 @@ def _count_fields(run):
 
 # Three states with energies (0.5, 0.75, 1), so the increment always has a root.
 LATTICE_PROBLEM = GibbsProblem(
-    energy=BoundedFunction([0.5, 0.75, 1.0]),
-    reference=FiniteDistribution.uniform(3),
+    v_values=[0.5, 0.75, 1.0],
+    reference=uniform_law(3),
     proposal=KernelMatrix.lazy_ring(3, 0.25),
 )
 
@@ -434,7 +444,7 @@ class TestCountEngineLaw:
                 return kernel_powers(metropolis_kernels(prob, [beta]), [2])[0]
 
         states, laws = adaptive_lattice_law(
-            prob.v_values, gibbs_measure(prob, 0.0).weights, 0.75, n_particles, horizon, kernel,
+            prob.v_values, gibbs_measure(prob, 0.0), 0.75, n_particles, horizon, kernel,
             realized=mode == "adaptive",
         )
         run = run_adaptive_counts(prob, cfg, n_particles, horizon, seed=42, replicates=reps)
@@ -456,7 +466,7 @@ class TestCountEngineLaw:
         ).histograms
         for n, eta in enumerate(ref.etas):
             se = hists[:, n].std(axis=0, ddof=1) / math.sqrt(reps)
-            z = np.abs(hists[:, n].mean(axis=0) - eta.weights) / se
+            z = np.abs(hists[:, n].mean(axis=0) - eta) / se
             assert np.all(z <= 4.0), (n, z)
 
     @pytest.mark.parametrize("mode", ["theoretical", "adaptive"])
@@ -481,8 +491,8 @@ class TestCountEngineLaw:
 
     def test_saturation_flag_on_zero_energy_states(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([0.0, 0.0, 1.0]),
-            reference=FiniteDistribution.uniform(3),
+            v_values=[0.0, 0.0, 1.0],
+            reference=uniform_law(3),
             proposal=KernelMatrix.lazy_ring(3, 0.25),
         )
         cfg = AdaptiveConfig(epsilon=0.5, mutation_mode="adaptive", delta_max=10.0)

@@ -19,16 +19,10 @@ from fkips.annealing import (
 )
 from fkips.errors import InputError, NoMinorizationError
 from fkips.flow import fk_step, run_flow
-from fkips.measures import (
-    BoundedFunction,
-    FiniteDistribution,
-    KernelMatrix,
-    dobrushin,
-    kernel_powers,
-)
+from fkips.measures import KernelMatrix, kernel_powers, law, uniform_law
 
 from .instances import double_well_problem, random_reversible_problem
-from .oracles import max_climb_by_paths, metropolis_rows_by_entries, power_by_squaring
+from .oracles import dobrushin, max_climb_by_paths, metropolis_rows_by_entries, power_by_squaring
 
 
 def rng_for(seed=0):
@@ -43,8 +37,8 @@ class TestProblem:
     def test_reversibility_is_required(self):
         with pytest.raises(InputError, match="not reversible w.r.t. the reference"):
             GibbsProblem(
-                energy=BoundedFunction([0.0, 1.0]),
-                reference=FiniteDistribution([0.9, 0.1]),
+                v_values=[0.0, 1.0],
+                reference=law([0.9, 0.1]),
                 proposal=KernelMatrix([[0.5, 0.5], [0.5, 0.5]]),
             )
 
@@ -53,19 +47,56 @@ class TestProblem:
         # a problem is finite by type: a sampler or an energy callable in
         # any field fails at construction
         fields = dict(
-            energy=BoundedFunction([0.0, 1.0]),
-            reference=FiniteDistribution.uniform(2),
+            v_values=[0.0, 1.0],
+            reference=uniform_law(2),
             proposal=KernelMatrix.uniform(2),
         )
-        fields[field] = lambda *args: np.zeros(2)
+        fields[{"energy": "v_values"}.get(field, field)] = lambda *args: np.zeros(2)
         with pytest.raises(InputError, match=field):
             GibbsProblem(**fields)
+
+    def test_arrays_are_read_only_copies_kept_as_given(self):
+        v, m = np.array([0.0, 1.0]), np.array([0.5 + 2e-13, 0.5])
+        prob = GibbsProblem(v_values=v, reference=m, proposal=KernelMatrix.uniform(2))
+        v[0], m[0] = 5.0, 1.0
+        assert prob.v_values.tolist() == [0.0, 1.0]
+        assert prob.reference.tolist() == [0.5 + 2e-13, 0.5]
+        for arr in (prob.v_values, prob.reference):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("v_values", [0.0, np.inf], "energy values must contain only finite values"),
+            ("v_values", [[0.0, 1.0]], "energy values must be a non-empty 1-d vector"),
+            ("v_values", [0.0, 1.0, 2.0], "problem dimension mismatch"),
+            ("reference", [0.5, 0.6], "reference weights sum to"),
+            ("reference", [1.5, -0.5], "reference weights must be non-negative"),
+            ("reference", [1.0], "problem dimension mismatch"),
+        ],
+    )
+    def test_arrays_are_validated(self, field, value, message):
+        fields = dict(
+            v_values=[0.0, 1.0], reference=uniform_law(2), proposal=KernelMatrix.uniform(2)
+        )
+        fields[field] = value
+        with pytest.raises(InputError, match=message):
+            GibbsProblem(**fields)
+
+    def test_gibbs_measure_divides_twice(self):
+        # exp(-beta V) m divided by its total, then by the sum of that
+        prob = double_well_problem()
+        w = np.exp(-1.5 * prob.v_values - (-1.5 * prob.v_values).max()) * prob.reference
+        once = w / w.sum()
+        got = gibbs_measure(prob, 1.5)
+        assert got.tobytes() == (once / once.sum()).tobytes()
+        assert not got.flags.writeable
 
     def test_random_reversible_construction(self):
         rng = rng_for(1)
         for _ in range(20):
             prob = random_reversible_problem(rng, int(rng.integers(2, 7)))
-            flux = prob.reference.weights[:, None] * prob.proposal.rows
+            flux = prob.reference[:, None] * prob.proposal.rows
             assert np.abs(flux - flux.T).max() <= 1e-12
 
     def test_sublevel_mass(self):
@@ -80,8 +111,8 @@ class TestMetropolisKernels:
 
     def test_flat_energy_returns_proposal(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([1.0, 1.0, 1.0]),
-            reference=FiniteDistribution.uniform(3),
+            v_values=[1.0, 1.0, 1.0],
+            reference=uniform_law(3),
             proposal=KernelMatrix.lazy_ring(3, 0.4),
         )
         for rows in metropolis_kernels(prob, [0.0, 1.0, 10.0]):
@@ -89,13 +120,13 @@ class TestMetropolisKernels:
 
     def test_three_state_invariance(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([0.0, 0.7, 1.3]),
-            reference=FiniteDistribution.uniform(3),
+            v_values=[0.0, 0.7, 1.3],
+            reference=uniform_law(3),
             proposal=KernelMatrix.lazy_ring(3, 0.2),
         )
         mu = gibbs_measure(prob, 2.0)
-        pushed = FiniteDistribution(mu.weights @ metropolis_kernels(prob, [2.0])[0])
-        assert np.abs(pushed.weights - mu.weights).max() <= 1e-12
+        pushed = law(mu @ metropolis_kernels(prob, [2.0])[0])
+        assert np.abs(pushed - mu).max() <= 1e-12
 
     def test_stack_is_bit_identical_to_one_kernel_at_a_time(self):
         # 40 inverse temperatures, beta = 0 among them, on random reversible
@@ -120,31 +151,31 @@ class TestMetropolisKernels:
 class TestGibbsMeasure:
     def test_zero_temperature_is_reference(self):
         prob = double_well_problem()
-        assert np.allclose(gibbs_measure(prob, 0.0).weights, prob.reference.weights)
+        assert np.allclose(gibbs_measure(prob, 0.0), prob.reference)
 
     def test_two_state_example(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([0.0, 1.0]),
-            reference=FiniteDistribution.uniform(2),
+            v_values=[0.0, 1.0],
+            reference=uniform_law(2),
             proposal=KernelMatrix.uniform(2),
         )
-        w = gibbs_measure(prob, math.log(2.0)).weights
+        w = gibbs_measure(prob, math.log(2.0))
         assert np.allclose(w, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
     def test_concentrates_on_unique_minimizer(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([0.0, 0.4, 1.0, 0.7]),
-            reference=FiniteDistribution.uniform(4),
+            v_values=[0.0, 0.4, 1.0, 0.7],
+            reference=uniform_law(4),
             proposal=KernelMatrix.uniform(4),
         )
-        assert gibbs_measure(prob, 50.0).weights[0] > 1.0 - 1e-8
+        assert gibbs_measure(prob, 50.0)[0] > 1.0 - 1e-8
 
 
 class TestMinorization:
     def test_rank_one_proposal(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([0.0, 1.0, 2.0]),
-            reference=FiniteDistribution.uniform(3),
+            v_values=[0.0, 1.0, 2.0],
+            reference=uniform_law(3),
             proposal=KernelMatrix.uniform(3),
         )
         cert = minorize(prob, 1)
@@ -152,8 +183,8 @@ class TestMinorization:
 
     def test_identity_proposal_has_no_certificate(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([0.0, 1.0]),
-            reference=FiniteDistribution.uniform(2),
+            v_values=[0.0, 1.0],
+            reference=uniform_law(2),
             proposal=KernelMatrix(np.eye(2)),
         )
         for k0 in (1, 2, 3):
@@ -183,7 +214,8 @@ class TestMinorization:
         prob = double_well_problem()
         cert = minorize(prob, 4)
         for beta in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0):
-            exact = dobrushin(KernelMatrix(metropolis_kernels(prob, [beta])[0]).power(cert.k0))
+            kernel = KernelMatrix(metropolis_kernels(prob, [beta])[0])
+            exact = dobrushin(kernel.power(cert.k0).rows)
             assert exact <= cert.mixing_bound(beta) + 1e-12
 
     def test_certificate_validation(self):
@@ -223,7 +255,7 @@ class TestBuildFlow:
         trace = run_flow(isa.flow)
         mu = gibbs_measure(prob, 1.0)
         for eta in trace.etas:
-            assert np.abs(eta.weights / mu.weights - 1.0).max() <= 1e-10
+            assert np.abs(eta / mu - 1.0).max() <= 1e-10
 
     def test_flow_reproduces_gibbs_laws_per_entry(self):
         # annealed flow laws equal the exact targets, relative error 1e-10
@@ -233,20 +265,20 @@ class TestBuildFlow:
         isa = build_isa_flow(prob, sched, cert, 0.5)
         trace = run_flow(isa.flow)
         for n in range(1, 7):
-            target = gibbs_measure(prob, sched.betas[n]).weights
-            assert np.abs(trace.etas[n].weights / target - 1.0).max() <= 1e-10
+            target = gibbs_measure(prob, sched.betas[n])
+            assert np.abs(trace.etas[n] / target - 1.0).max() <= 1e-10
 
     def test_one_step_maps_gibbs_to_gibbs(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([0.0, 0.5, 1.0]),
-            reference=FiniteDistribution.uniform(3),
+            v_values=[0.0, 0.5, 1.0],
+            reference=uniform_law(3),
             proposal=KernelMatrix.lazy_ring(3, 0.2),
         )
         cert = minorize(prob, 2)
         sched = TemperatureSchedule.constant_step(0.3, 0.4, 1)
         isa = build_isa_flow(prob, sched, cert, 0.5)
         out = fk_step(gibbs_measure(prob, 0.3), isa.flow.potentials[0], isa.flow.kernels[0])
-        assert np.abs(out.weights - gibbs_measure(prob, 0.7).weights).max() <= 1e-10
+        assert np.abs(out - gibbs_measure(prob, 0.7)).max() <= 1e-10
 
     def test_tuned_kernels_meet_the_regime_condition(self):
         prob = double_well_problem()
@@ -290,8 +322,8 @@ class TestBuildFlow:
 class TestOptimize:
     def test_flat_energy_has_empty_tail(self):
         prob = GibbsProblem(
-            energy=BoundedFunction([1.0, 1.0, 1.0, 1.0]),
-            reference=FiniteDistribution.uniform(4),
+            v_values=[1.0, 1.0, 1.0, 1.0],
+            reference=uniform_law(4),
             proposal=KernelMatrix.lazy_ring(4, 0.25),
         )
         result = optimize(
@@ -316,7 +348,7 @@ class TestOptimize:
             eps_prime=0.25,
         )
         direct = float(
-            prob.reference.weights[prob.v_values <= prob.v_min + 0.25].sum()
+            prob.reference[prob.v_values <= prob.v_min + 0.25].sum()
         )
         assert result.gibbs_term[-1] == bounds.gibbs_tail_bound(
             schedule.betas[-1], 0.5, 0.25, direct

@@ -182,6 +182,22 @@ class TestMixingConditions:
     def test_decreasing_example(self):
         assert condition_decreasing(2.0, 0.5) == pytest.approx(1.0 / 8.0, rel=1e-14)
 
+    def test_large_exponents_do_not_overflow(self):
+        # at a = 0.9999, alpha + 1 = 10^4 and g^(alpha+1) is past float64;
+        # the level follows both ratios divided through by that power:
+        # the first tends to 1/g, the second underflows toward 0
+        for g in (1.1, 1.5, 2.0, 1e6):
+            level = condition_decreasing(g, 0.9999)
+            assert 0.0 <= level <= 0.9999 / g
+        alpha = 0.9999 / (1.0 - 0.9999)
+        log_g = math.log(1.1)
+        with pytest.raises(OverflowError):
+            1.1 ** (alpha + 1.0)   # the power of the direct form
+        assert condition_decreasing(1.1, 0.9999) == min(
+            math.exp(-log_g) * math.expm1(-alpha * log_g) / math.expm1(-(alpha + 1.0) * log_g),
+            0.9999 * math.exp(-(alpha + 1.0) * log_g),
+        )
+
     def test_near_one_stability(self):
         # expm1/log1p evaluation vs direct powers at g = 1.01, a = 0.5
         level = condition_decreasing(1.01, 0.5)
@@ -214,6 +230,17 @@ class TestIterationTuning:
         with pytest.raises(BudgetExceededError) as err:
             tune_mcmc_iters(100.0, 1e-3, 1.0, 0.5, "bounded", increment_osc=0.5)
         assert err.value.raw > 2.0**63
+
+    def test_counts_past_float64_exceed_the_budget(self):
+        # e^{gap beta} past float64 is a count past 2^63, not an OverflowError
+        with pytest.raises(BudgetExceededError, match="required iteration count inf") as err:
+            tune_mcmc_iters(1000.0, 0.5, 1.0, 0.5, "bounded", increment_osc=0.5)
+        assert err.value.raw == math.inf
+
+    def test_large_increment_spread(self):
+        # log((e^x + a)/a) = x - log a + log1p(a e^-x), with no e^x to overflow
+        m = tune_mcmc_iters(0.0, 1.0, 0.0, 0.5, "bounded", increment_osc=1000.0)
+        assert m == math.ceil(1000.0 - math.log(0.5))
 
     def test_mode_validation(self):
         with pytest.raises(InputError):
@@ -470,7 +497,6 @@ class TestComposedCapChecks:
         # the only pair, stays
         from fkips.flow import FlowSpec
         from fkips.harness import composed_caps
-        from fkips.measures import FiniteDistribution
 
         from .instances import bounded_regime_flow, decreasing_regime_flow
 
@@ -497,13 +523,13 @@ class TestComposedCapChecks:
         # is missed by about (n-p) * 1e-10 relative, which an absolute slack
         # of 1e-10 cannot see at any n-p
         from fkips.harness import composed_caps
-        from fkips.measures import FiniteDistribution, KernelMatrix
+        from fkips.measures import KernelMatrix, uniform_law
 
         from .instances import repeated_flow
 
         dim, horizon = 4, 30
         kernel = KernelMatrix(0.5 / dim + 0.5 * np.roll(np.eye(dim), 1, axis=1)).rows
-        flow = repeated_flow(FiniteDistribution.uniform(dim), np.ones(dim), kernel, horizon)
+        flow = repeated_flow(uniform_law(dim), np.ones(dim), kernel, horizon)
         ok, worst, scope = composed_caps(flow, "bounded", 0.5 * (1.0 - 1e-10), 1.0)
         assert not ok
         assert worst == pytest.approx(horizon * 1e-10, rel=1e-3)
@@ -516,9 +542,9 @@ class TestComposedCapChecks:
         # coefficient caps: dob(M . K^m) <= dob(M) dob(K)^m
         import numpy as np
 
-        from fkips.measures import KernelMatrix, dobrushin
+        from fkips.measures import KernelMatrix
 
-        from .oracles import random_kernel_rows
+        from .oracles import dobrushin, random_kernel_rows
 
         rng = np.random.Generator(np.random.Philox(key=np.uint64(88)))
         for _ in range(100):
@@ -526,5 +552,5 @@ class TestComposedCapChecks:
             m_kernel = KernelMatrix(random_kernel_rows(rng, d))
             k_kernel = KernelMatrix(random_kernel_rows(rng, d))
             m = int(rng.integers(1, 5))
-            lhs = dobrushin(KernelMatrix(m_kernel.rows @ k_kernel.power(m).rows))
-            assert lhs <= dobrushin(m_kernel) * dobrushin(k_kernel) ** m + 1e-12
+            lhs = dobrushin(KernelMatrix(m_kernel.rows @ k_kernel.power(m).rows).rows)
+            assert lhs <= dobrushin(m_kernel.rows) * dobrushin(k_kernel.rows) ** m + 1e-12

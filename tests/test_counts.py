@@ -25,7 +25,7 @@ from fkips.engine import (
 )
 from fkips.errors import InputError
 from fkips.flow import FlowSpec
-from fkips.measures import FiniteDistribution, KernelMatrix
+from fkips.measures import KernelMatrix, law, normalized_law, uniform_law
 
 from .instances import adaptive_problem, repeated_flow
 from .oracles import (
@@ -44,7 +44,7 @@ def rotating_flow(horizon=4):
     shapes every law along the way."""
     pots = ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0])
     return FlowSpec(
-        FiniteDistribution([0.5, 0.3, 0.2]),
+        law([0.5, 0.3, 0.2]),
         [pots[n % 3] for n in range(horizon)],
         np.broadcast_to(KernelMatrix.lazy_ring(3, 0.6).rows, (horizon, 3, 3)),
     )
@@ -55,7 +55,7 @@ def ring_flow(dim, horizon=4):
     entries, whose fittest state moves every step."""
     ramp = 1.0 + 2.0 * np.arange(dim) / (dim - 1)
     return FlowSpec(
-        FiniteDistribution.from_unnormalized(ramp[::-1]),
+        normalized_law(ramp[::-1]),
         [np.roll(ramp, n) for n in range(horizon)],
         np.broadcast_to(KernelMatrix.lazy_ring(dim, 0.6).rows, (horizon, dim, dim)),
     )
@@ -109,7 +109,7 @@ class TestLawAgainstExactOracle:
         hists = run_counts(spec, n_particles, seed=33, replicates=reps).histograms
         for n, eta in enumerate(spec.trace.etas):
             se = hists[:, n].std(axis=0, ddof=1) / math.sqrt(reps)
-            z = np.abs(hists[:, n].mean(axis=0) - eta.weights) / se
+            z = np.abs(hists[:, n].mean(axis=0) - eta) / se
             assert np.all(z <= 4.0), (n, z)
 
     @pytest.mark.parametrize("eps", ["auto", "multinomial"])
@@ -124,7 +124,7 @@ class TestLawAgainstExactOracle:
 
     def test_constant_potential_mass_is_deterministic(self):
         spec = repeated_flow(
-            FiniteDistribution.uniform(2), np.full(2, 2.5), KernelMatrix.uniform(2).rows, 3
+            uniform_law(2), np.full(2, 2.5), KernelMatrix.uniform(2).rows, 3
         )
         run = run_counts(spec, self.constant_particles, seed=13, replicates=3)
         assert np.allclose(run.log_gamma1[:, 3], 3 * math.log(2.5), rtol=1e-12)
@@ -139,7 +139,7 @@ class TestLawAgainstExactOracle:
         # enumerated and compared by a chi-square test over 10^4 replicates.
         n_particles, reps = self.two_state_particles, 10_000
         kernel = np.array([[0.8, 0.2], [0.4, 0.6]])
-        spec = FlowSpec(FiniteDistribution.uniform(2), [[1.0, 3.0]], [kernel])
+        spec = FlowSpec(uniform_law(2), [[1.0, 3.0]], [kernel])
         pmf = np.zeros(n_particles + 1)
         for c1 in range(n_particles + 1):
             c0 = n_particles - c1
@@ -400,6 +400,6 @@ class TestInputs:
         with pytest.raises(InputError):
             run_counts(rotating_flow(), 100, seed=0, eps=-0.1)
         # max G is taken over occupied states only: state 2 is empty
-        spec = FlowSpec(FiniteDistribution([0.5, 0.5, 0.0]), [[1.0, 2.0, 4.0]], [np.eye(3)])
+        spec = FlowSpec(law([0.5, 0.5, 0.0]), [[1.0, 2.0, 4.0]], [np.eye(3)])
         run = run_counts(spec, 100, seed=0, eps=0.5, replicates=BLOCK + 1)
         assert np.all(run.counts[:, 1, 2] == 0)

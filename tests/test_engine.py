@@ -13,7 +13,7 @@ from scipy import stats
 from fkips.engine import BLOCK, run_counts
 from fkips.errors import InputError
 from fkips.flow import FlowSpec, run_flow, stability_sums
-from fkips.measures import BoundedFunction, FiniteDistribution, KernelMatrix
+from fkips.measures import KernelMatrix, law, uniform_law
 from fkips.bounds import bp_constant
 from fkips.testfns import osc1_dictionary
 
@@ -23,7 +23,7 @@ from .oracles import substream
 
 def small_flow(horizon=5):
     kernel = KernelMatrix.lazy_ring(3, 0.4).rows
-    return repeated_flow(FiniteDistribution.uniform(3), [1.0, 2.0, 3.0], kernel, horizon)
+    return repeated_flow(uniform_law(3), [1.0, 2.0, 3.0], kernel, horizon)
 
 
 def one_step(initial, potential, kernel):
@@ -31,7 +31,8 @@ def one_step(initial, potential, kernel):
 
 
 def empty_flow(initial):
-    return FlowSpec(initial, np.empty((0, initial.dim)), np.empty((0, initial.dim, initial.dim)))
+    d = len(initial)
+    return FlowSpec(initial, np.empty((0, d)), np.empty((0, d, d)))
 
 
 def initial_counts(initial, n_particles, seed, replicates=1):
@@ -40,7 +41,7 @@ def initial_counts(initial, n_particles, seed, replicates=1):
 
 def estimate(run, n, f):
     """Empirical mean of a test function at step n of every replicate."""
-    return run.counts[:, n] @ np.asarray(f.values) / run.counts[0, n].sum()
+    return run.counts[:, n] @ np.asarray(f, dtype=np.float64) / run.counts[0, n].sum()
 
 
 class TestStreams:
@@ -66,18 +67,18 @@ class TestInit:
         assert np.all(run.log_gamma1 == 0.0)
 
     def test_point_mass(self):
-        counts = initial_counts(FiniteDistribution(np.eye(4)[2]), 50, seed=0, replicates=3)
+        counts = initial_counts(law(np.eye(4)[2]), 50, seed=0, replicates=3)
         assert np.all(counts == [0, 0, 50, 0])
 
     def test_uniform_frequencies_within_four_sigma(self):
         n = 100_000
-        freqs = initial_counts(FiniteDistribution.uniform(4), n, seed=5)[0] / n
+        freqs = initial_counts(uniform_law(4), n, seed=5)[0] / n
         sigma = math.sqrt(0.25 * 0.75 / n)
         assert np.all(np.abs(freqs - 0.25) <= 4 * sigma)
 
     def test_rejects_empty_population(self):
         with pytest.raises(InputError):
-            initial_counts(FiniteDistribution.uniform(2), 0, seed=0)
+            initial_counts(uniform_law(2), 0, seed=0)
 
     def test_sampler_initializer(self):
         # a sampler is not a finite law: refused when the flow is built
@@ -88,7 +89,7 @@ class TestInit:
 class TestSelection:
     def test_unit_potential_keeps_everything(self):
         spec = one_step(
-            FiniteDistribution.uniform(3), np.ones(3), np.eye(3)
+            uniform_law(3), np.ones(3), np.eye(3)
         )
         run = run_counts(spec, 200, seed=2, eps=1.0, replicates=3)
         assert np.array_equal(run.counts[:, 1], run.counts[:, 0])
@@ -97,21 +98,21 @@ class TestSelection:
 
     def test_single_particle_is_its_own_pool(self):
         spec = one_step(
-            FiniteDistribution(np.eye(3)[1]), [1.0, 0.5, 2.0], np.eye(3)
+            law(np.eye(3)[1]), [1.0, 0.5, 2.0], np.eye(3)
         )
         run = run_counts(spec, 1, seed=3, eps="multinomial", replicates=3)
         assert np.all(run.counts[:, 1] == [0, 1, 0])
 
     def test_multinomial_mode_always_resamples(self):
         spec = one_step(
-            FiniteDistribution.uniform(2), np.ones(2), np.eye(2)
+            uniform_law(2), np.ones(2), np.eye(2)
         )
         run = run_counts(spec, 500, seed=4, eps="multinomial", replicates=3)
         assert np.all(run.kept_fraction == 0.0)
 
     def test_eps_cap_enforced_on_ensemble(self):
         spec = one_step(
-            FiniteDistribution.uniform(2), [1.0, 3.0], np.eye(2)
+            uniform_law(2), [1.0, 3.0], np.eye(2)
         )
         with pytest.raises(InputError, match="exceeds 1"):
             run_counts(spec, 100, seed=5, eps=0.5)
@@ -120,7 +121,7 @@ class TestSelection:
         # a potential that could leave every particle at G = 0 is refused
         # when the flow is built, so no run goes extinct
         with pytest.raises(InputError, match="strictly positive"):
-            one_step(FiniteDistribution(np.eye(2)[0]), [0.0, 1.0], np.eye(2))
+            one_step(law(np.eye(2)[0]), [0.0, 1.0], np.eye(2))
 
     def test_two_state_transition_law(self):
         # weights (1, 3), eps = 1/3: keep probabilities are 1/3 and 1 for
@@ -130,7 +131,7 @@ class TestSelection:
         # over replicates of its deviation from that mean is compared with
         # its conditional standard error.
         spec = one_step(
-            FiniteDistribution.uniform(2), [1.0, 3.0], np.eye(2)
+            uniform_law(2), [1.0, 3.0], np.eye(2)
         )
         reps = 10_000
         run = run_counts(spec, 1000, seed=77, eps=1.0 / 3.0, replicates=reps)
@@ -158,17 +159,14 @@ class TestMutation:
     # a constant potential at eps = "auto" keeps every particle
     def test_identity_kernel(self):
         spec = one_step(
-            FiniteDistribution.uniform(3), np.ones(3), np.eye(3)
+            uniform_law(3), np.ones(3), np.eye(3)
         )
         for n_particles in (5, 100):   # moves per particle below d^2, per state above
             run = run_counts(spec, n_particles, seed=8, replicates=3)
             assert np.array_equal(run.counts[:, 1], run.counts[:, 0])
 
     def test_constant_kernel(self):
-        spec = one_step(
-            FiniteDistribution.uniform(3), np.ones(3),
-            KernelMatrix.constant(FiniteDistribution(np.eye(3)[0])).rows,
-        )
+        spec = one_step(uniform_law(3), np.ones(3), np.tile(np.eye(3)[0], (3, 1)))
         for n_particles in (5, 100):
             run = run_counts(spec, n_particles, seed=9, replicates=3)
             assert np.all(run.counts[:, 1] == [n_particles, 0, 0])
@@ -178,7 +176,7 @@ class TestMutation:
         kernel = KernelMatrix([[0.8, 0.2], [0.4, 0.6]])
         pi = np.array([2.0 / 3.0, 1.0 / 3.0])
         n = 100_000
-        spec = one_step(FiniteDistribution(pi), np.ones(2), kernel.rows)
+        spec = one_step(law(pi), np.ones(2), kernel.rows)
         run = run_counts(spec, n, seed=10)
         freq = run.counts[0, 1, 0] / n
         sigma = math.sqrt(pi[0] * pi[1] / n)
@@ -188,7 +186,7 @@ class TestMutation:
         # a sampler is not a kernel matrix: refused when the flow is built
         with pytest.raises(InputError):
             one_step(
-                FiniteDistribution.uniform(2), np.ones(2),
+                uniform_law(2), np.ones(2),
                 lambda states, rng: states + rng.standard_normal(states.shape[0]),
             )
 
@@ -200,7 +198,7 @@ class TestRunIps:
 
     def test_constant_potential_mass_is_deterministic(self):
         spec = repeated_flow(
-            FiniteDistribution.uniform(2), np.full(2, 2.5), KernelMatrix.uniform(2).rows, 3
+            uniform_law(2), np.full(2, 2.5), KernelMatrix.uniform(2).rows, 3
         )
         run = run_counts(spec, 64, seed=13)
         assert math.exp(run.log_gamma1[0, 3]) == pytest.approx(2.5**3, rel=1e-12)
@@ -219,7 +217,7 @@ class TestRunIps:
         # G = 4 everywhere: "auto" keeps with 1/4 * 4 = 1, "multinomial"
         # with 0, and 0.1 with 0.4 per particle
         spec = one_step(
-            FiniteDistribution.uniform(2), np.full(2, 4.0), KernelMatrix.uniform(2).rows,
+            uniform_law(2), np.full(2, 4.0), KernelMatrix.uniform(2).rows,
         )
         kept = {
             eps: run_counts(spec, 100, seed=15, eps=eps, replicates=400).kept_fraction
@@ -248,7 +246,7 @@ class TestRunIps:
         fdict = 2.0 * osc1_dictionary(3, 8)   # sup norm 1
         n_particles, reps = 200, 300
         hists = run_counts(spec, n_particles, seed=17, replicates=reps).histograms
-        exact = np.array([[eta.expect(f) for f in fdict] for eta in trace.etas])
+        exact = np.array([[float(eta @ f) for f in fdict] for eta in trace.etas])
         devs = hists @ fdict.T - exact
         l2 = np.sqrt(np.mean(np.square(devs), axis=0)).max(axis=1)
         cap = bp_constant(2) / math.sqrt(n_particles)
@@ -260,14 +258,14 @@ class TestRunIps:
         # kernel axes) must leave the law of every scalar estimate unchanged
         # (two-sample KS at level 1e-3), on both move paths
         spec = small_flow(3)
-        f = BoundedFunction([0.0, 1.0, 2.0])
+        f = np.array([0.0, 1.0, 2.0])
         perm = np.array([2, 0, 1])
         relabelled = FlowSpec(
-            FiniteDistribution(spec.initial.weights[perm]),
+            law(spec.initial[perm]),
             spec.potentials[:, perm],
             spec.kernels[:, perm][:, :, perm],
         )
-        f_perm = BoundedFunction(f.values[perm])
+        f_perm = f[perm]
         for n_particles in (200, 5):
             base = run_counts(spec, n_particles, seed=18, eps="multinomial", replicates=300)
             other = run_counts(
@@ -280,14 +278,14 @@ class TestRunIps:
 class TestEstimate:
     def test_unit_function(self):
         run = run_counts(small_flow(), 40, seed=19, horizon=0)
-        assert estimate(run, 0, BoundedFunction([1.0, 1.0, 1.0]))[0] == 1.0
+        assert estimate(run, 0, [1.0, 1.0, 1.0])[0] == 1.0
 
     def test_point_ensemble(self):
-        run = run_counts(empty_flow(FiniteDistribution(np.eye(3)[2])), 40, seed=20)
-        assert estimate(run, 0, BoundedFunction([5.0, 6.0, 7.0]))[0] == 7.0
+        run = run_counts(empty_flow(law(np.eye(3)[2])), 40, seed=20)
+        assert estimate(run, 0, [5.0, 6.0, 7.0])[0] == 7.0
 
     def test_uniform_two_state_within_four_sigma(self):
         n = 10_000
-        run = run_counts(empty_flow(FiniteDistribution.uniform(2)), n, seed=21)
-        val = estimate(run, 0, BoundedFunction([0.0, 1.0]))[0]
+        run = run_counts(empty_flow(uniform_law(2)), n, seed=21)
+        val = estimate(run, 0, [0.0, 1.0])[0]
         assert abs(val - 0.5) <= 4 * math.sqrt(0.25 / n)

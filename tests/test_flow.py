@@ -17,7 +17,7 @@ from fkips.flow import (
     semigroup_lemma_excess,
     stability_sums,
 )
-from fkips.measures import FiniteDistribution, KernelMatrix
+from fkips.measures import KernelMatrix, law, uniform_law
 
 from .instances import (
     bounded_regime_flow,
@@ -51,20 +51,28 @@ def raw_steps(spec):
 
 class TestFkStep:
     def test_identity_maps(self):
-        mu = FiniteDistribution([0.2, 0.8])
+        mu = law([0.2, 0.8])
         out = fk_step(mu, np.ones(2), np.eye(2))
-        assert np.allclose(out.weights, mu.weights, atol=1e-15)
+        assert np.allclose(out, mu, atol=1e-15)
 
     def test_reweighting_only(self):
-        out = fk_step(FiniteDistribution([0.5, 0.5]), [1.0, 3.0], np.eye(2))
-        assert np.allclose(out.weights, [0.25, 0.75], atol=1e-15)
+        out = fk_step(law([0.5, 0.5]), [1.0, 3.0], np.eye(2))
+        assert np.allclose(out, [0.25, 0.75], atol=1e-15)
+
+    def test_step_returns_a_law(self):
+        # the pushed law is divided by its sum once more, and read-only
+        kernel = KernelMatrix.lazy_ring(3, 0.4).rows
+        out = fk_step(uniform_law(3), [1.0, 2.0, 3.0], kernel)
+        w = (np.array([1.0, 2.0, 3.0]) / 6.0) @ kernel
+        assert out.tobytes() == (w / w.sum()).tobytes()
+        assert not out.flags.writeable
 
     def test_pure_pushforward(self):
-        out = fk_step(FiniteDistribution([1.0, 0.0]), np.ones(2), [[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(out.weights, [0.0, 1.0])
+        out = fk_step(law([1.0, 0.0]), np.ones(2), [[0.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(out, [0.0, 1.0])
 
     def test_dimension_mismatch(self):
-        mu = FiniteDistribution.uniform(2)
+        mu = uniform_law(2)
         for potential, kernel in ((np.ones(3), np.eye(2)), (np.ones(2), np.eye(3))):
             with pytest.raises(InputError, match="dimension mismatch"):
                 fk_step(mu, potential, kernel)
@@ -72,14 +80,14 @@ class TestFkStep:
 
 class TestRunFlow:
     def test_empty_horizon(self):
-        spec = FlowSpec(FiniteDistribution.uniform(3), np.empty((0, 3)), np.empty((0, 3, 3)))
+        spec = FlowSpec(uniform_law(3), np.empty((0, 3)), np.empty((0, 3, 3)))
         trace = run_flow(spec)
         assert len(trace.etas) == 1 and trace.g == trace.b == ()
         assert trace.gamma1 == (1.0,)
 
     def test_constant_potential_mass(self):
         spec = repeated_flow(
-            FiniteDistribution.uniform(2), np.full(2, 1.7), KernelMatrix.uniform(2).rows, 5
+            uniform_law(2), np.full(2, 1.7), KernelMatrix.uniform(2).rows, 5
         )
         trace = run_flow(spec)
         for n in range(6):
@@ -92,7 +100,7 @@ class TestRunFlow:
             trace = run_flow(spec)
             steps = raw_steps(spec)
             for n in range(spec.horizon + 1):
-                expected = gamma_by_recursion(spec.initial.weights, steps[:n])
+                expected = gamma_by_recursion(spec.initial, steps[:n])
                 assert trace.gamma1[n] == pytest.approx(expected, rel=1e-12)
 
     def test_normalized_law_matches_mass_ratio(self):
@@ -102,9 +110,9 @@ class TestRunFlow:
         trace = run_flow(spec)
         steps = raw_steps(spec)
         f = rng.standard_normal(3)
-        num = gamma_by_recursion(spec.initial.weights, steps, f)
-        den = gamma_by_recursion(spec.initial.weights, steps)
-        assert trace.etas[4].expect(f) == pytest.approx(num / den, rel=1e-12)
+        num = gamma_by_recursion(spec.initial, steps, f)
+        den = gamma_by_recursion(spec.initial, steps)
+        assert float(trace.etas[4] @ f) == pytest.approx(num / den, rel=1e-12)
 
 
 class TestSemigroup:
@@ -122,7 +130,7 @@ class TestSemigroup:
         # P_{p,p+1} row-normalizes diag(G) K back to K; a rank-one kernel
         # therefore gives a zero coefficient
         spec = repeated_flow(
-            FiniteDistribution.uniform(3), [1.0, 2.0, 3.0], KernelMatrix.uniform(3).rows, 1
+            uniform_law(3), [1.0, 2.0, 3.0], KernelMatrix.uniform(3).rows, 1
         )
         assert spec.table.b[0, 1] == 0.0
         rng = rng_for(13)
@@ -135,14 +143,14 @@ class TestSemigroup:
         # composed-operator evaluation equals three chained steps
         rng = rng_for(14)
         spec = random_flow(rng, dim=4, horizon=3)
-        mu = FiniteDistribution(random_distribution(rng, 4))
+        mu = law(random_distribution(rng, 4))
         f = rng.standard_normal(4)
         q, h, _ = composed_by_product(raw_steps(spec), 0, 3, 4)
-        via_operator = float(mu.weights @ (q @ f)) / float(mu.weights @ h)
+        via_operator = float(mu @ (q @ f)) / float(mu @ h)
         stepped = mu
         for g, m in zip(spec.potentials, spec.kernels):
             stepped = fk_step(stepped, g, m)
-        assert via_operator == pytest.approx(stepped.expect(f), rel=1e-11)
+        assert via_operator == pytest.approx(float(stepped @ f), rel=1e-11)
 
     def test_mass_identity_every_split(self):
         rng = rng_for(15)
@@ -150,10 +158,10 @@ class TestSemigroup:
         trace, steps = run_flow(spec), raw_steps(spec)
         f = rng.standard_normal(3)
         for n in range(5):
-            direct = trace.etas[n].expect(f) * trace.gamma1[n]
+            direct = float(trace.etas[n] @ f) * trace.gamma1[n]
             for p in range(n + 1):
                 q, _, _ = composed_by_product(steps, p, n, 3)
-                split = float(weights_by_recursion(spec.initial.weights, steps[:p]) @ (q @ f))
+                split = float(weights_by_recursion(spec.initial, steps[:p]) @ (q @ f))
                 assert split == pytest.approx(direct, rel=1e-10)
                 assert spec.table.mass[p, n] == pytest.approx(trace.gamma1[n], rel=1e-10)
 
@@ -162,7 +170,7 @@ class TestSemigroup:
         rng = rng_for(16)
         for _ in range(20):
             spec = random_flow(rng, dim=int(rng.integers(2, 6)), horizon=int(rng.integers(1, 5)))
-            g, b, mass = composed_table_by_product(spec.initial.weights, raw_steps(spec))
+            g, b, mass = composed_table_by_product(spec.initial, raw_steps(spec))
             table = spec.table
             np.testing.assert_array_equal(np.isnan(table.g), np.isnan(g))
             upper = ~np.isnan(g)
@@ -176,7 +184,7 @@ class TestSemigroup:
         # keeps its scale in log space, so g stays finite and the mass
         # identity holds
         potential = np.exp(-200.0 * np.array([0.5, 1.0]))
-        spec = repeated_flow(FiniteDistribution.uniform(2), potential, np.eye(2), 4)
+        spec = repeated_flow(uniform_law(2), potential, np.eye(2), 4)
         table, trace = spec.table, spec.trace
         for n in range(5):
             for p in range(n + 1):
@@ -238,7 +246,7 @@ class TestSemigroup:
         dim, beta, horizon = 16, 0.2, 60
         perm = np.roll(np.eye(dim), 1, axis=1)
         kernel = KernelMatrix((1.0 - beta) / dim + beta * perm).rows
-        spec = repeated_flow(FiniteDistribution.uniform(dim), np.ones(dim), kernel, horizon)
+        spec = repeated_flow(uniform_law(dim), np.ones(dim), kernel, horizon)
         table = spec.table
         for n in range(horizon + 1):
             for p in range(n + 1):
@@ -278,12 +286,12 @@ class TestStabilityEstimates:
             assert ok, (worst, scope)
 
     def test_identity_kernels_everywhere(self):
-        spec = repeated_flow(FiniteDistribution.uniform(3), [1.0, 2.0, 0.5], np.eye(3), 3)
+        spec = repeated_flow(uniform_law(3), [1.0, 2.0, 0.5], np.eye(3), 3)
         assert check_semigroup_lemmas(spec)[0]
 
     def test_rank_one_kernels_everywhere(self):
         spec = repeated_flow(
-            FiniteDistribution.uniform(3), [1.0, 2.0, 0.5], KernelMatrix.uniform(3).rows, 3
+            uniform_law(3), [1.0, 2.0, 0.5], KernelMatrix.uniform(3).rows, 3
         )
         assert check_semigroup_lemmas(spec)[0]
         # composed transitions collapse immediately: b_{p,n} = 0 exactly
@@ -310,7 +318,7 @@ class TestStabilityEstimates:
                 ).rows
             for flat_or_near in range(2):
                 spec = FlowSpec(
-                    FiniteDistribution.uniform(d), potentials[flat_or_near], kernels[flat_or_near]
+                    uniform_law(d), potentials[flat_or_near], kernels[flat_or_near]
                 )
                 ok, worst, scope = check_semigroup_lemmas(spec)
                 assert ok, (worst, scope)
@@ -333,7 +341,7 @@ class TestStabilityEstimates:
         # ratio sum (instead of g_j b_j) is NOT implied by the backward
         # recursion and fails on this 3-state instance.
         spec = repeated_flow(
-            FiniteDistribution.uniform(3), [1.0, 2.0, 3.0], KernelMatrix.lazy_ring(3, 0.4).rows, 2
+            uniform_law(3), [1.0, 2.0, 3.0], KernelMatrix.lazy_ring(3, 0.4).rows, 2
         )
         g, b = spec.table.g, spec.table.b
         step_g, step_b = np.diagonal(g, 1).tolist(), np.diagonal(b, 1).tolist()
@@ -373,10 +381,10 @@ class TestStabilityEstimates:
         for _ in range(100):
             spec = random_flow(rng, dim=int(rng.integers(2, 6)), horizon=3)
             q, h, _ = composed_by_product(raw_steps(spec), 0, 3, spec.dim)
-            mu = FiniteDistribution(random_distribution(rng, spec.dim))
-            nu = FiniteDistribution(random_distribution(rng, spec.dim))
-            phi_mu = (mu.weights @ q) / (mu.weights @ h)
-            phi_nu = (nu.weights @ q) / (nu.weights @ h)
+            mu = law(random_distribution(rng, spec.dim))
+            nu = law(random_distribution(rng, spec.dim))
+            phi_mu = (mu @ q) / (mu @ h)
+            phi_nu = (nu @ q) / (nu @ h)
             lhs = 0.5 * np.abs(phi_mu - phi_nu).sum()
             constant = spec.table.g[0, 3] * spec.table.b[0, 3]
             assert lhs <= constant * total_variation(mu, nu) + 1e-12
@@ -385,7 +393,7 @@ class TestStabilityEstimates:
         rng = rng_for(21)
         spec = random_flow(rng, dim=3, horizon=4)
         sums = stability_sums(spec)
-        g, b, _ = composed_table_by_product(spec.initial.weights, raw_steps(spec))
+        g, b, _ = composed_table_by_product(spec.initial, raw_steps(spec))
         for n in range(5):
             expected = sum(g[p, n] * b[p, n] for p in range(n + 1))
             assert sums[n] == pytest.approx(expected, rel=1e-12)
@@ -393,18 +401,18 @@ class TestStabilityEstimates:
 
 class TestSpecLimits:
     def test_dimension_cap(self):
-        big = FiniteDistribution.uniform(5000)
+        big = uniform_law(5000)
         with pytest.raises(InputError):
             FlowSpec(big, np.empty((0, 5000)), np.empty((0, 5000, 5000)))
 
     def test_step_cap(self):
-        one = FiniteDistribution.uniform(1)
+        one = uniform_law(1)
         assert FlowSpec(one, np.ones((10_000, 1)), np.ones((10_000, 1, 1))).horizon == 10_000
         with pytest.raises(InputError, match="capped at 10000 steps"):
             FlowSpec(one, np.ones((10_001, 1)), np.ones((10_001, 1, 1)))
 
     def test_mismatched_step_dimension(self):
-        two = FiniteDistribution.uniform(2)
+        two = uniform_law(2)
         for potentials, kernels in (
             (np.ones((1, 3)), np.eye(3)[None]),        # both of another dimension
             (np.ones((1, 2)), np.eye(3)[None]),        # kernels of another dimension
@@ -429,8 +437,8 @@ class TestSpecArrays:
             np.broadcast_to(kernel, (2, 3, 3)),
             np.asfortranarray(np.stack([kernel, kernel])),
         ):
-            spec = FlowSpec(FiniteDistribution.uniform(3), potentials, kernels)
-            for arr in (spec.potentials, spec.kernels):
+            spec = FlowSpec(uniform_law(3), potentials, kernels)
+            for arr in (spec.initial, spec.potentials, spec.kernels):
                 assert arr.flags.c_contiguous and not arr.flags.writeable
                 assert arr.dtype == np.float64
             assert spec.kernels.strides == (72, 24, 8)
@@ -450,11 +458,41 @@ class TestSpecArrays:
         for name in ("g", "b", "mass"):
             assert getattr(copy.table, name).tobytes() == getattr(spec.table, name).tobytes()
 
+    def test_initial_law_is_kept_as_given(self):
+        # an initial law within the tolerance of 1 is validated and copied,
+        # not divided by its sum again
+        initial = np.array([0.5 + 2e-10, 0.5])
+        spec = FlowSpec(initial, np.ones((1, 2)), np.eye(2)[None])
+        initial[0] = 1.0
+        assert spec.initial.tolist() == [0.5 + 2e-10, 0.5]
+
+    @pytest.mark.parametrize(
+        "initial, message",
+        [
+            ([0.5, 0.6], "initial weights sum to"),
+            ([1.5, -0.5], "initial weights must be non-negative"),
+            ([[0.5, 0.5]], "initial weights must be a non-empty 1-d vector"),
+            ([np.nan, 1.0], "initial weights must contain only finite values"),
+        ],
+    )
+    def test_initial_law_is_validated(self, initial, message):
+        with pytest.raises(InputError, match=message):
+            FlowSpec(initial, np.ones((1, 2)), np.eye(2)[None])
+
+    def test_trace_laws_are_one_read_only_array(self):
+        spec = random_flow(rng_for(24), dim=3, horizon=4)
+        etas = spec.trace.etas
+        assert etas.shape == (5, 3) and etas.dtype == np.float64
+        assert not etas.flags.writeable
+        assert etas[0].tobytes() == spec.initial.tobytes()
+        for n, (potential, kernel) in enumerate(raw_steps(spec)):
+            assert etas[n + 1].tobytes() == fk_step(etas[n], potential, kernel).tobytes()
+
     def test_kernel_rows_are_kept_as_given(self):
         # rows within the tolerance of 1 are validated, not renormalized
         kernel = np.full((2, 2), 0.5)
         kernel[0] += [2e-10, 0.0]
-        spec = FlowSpec(FiniteDistribution.uniform(2), np.ones((1, 2)), kernel[None])
+        spec = FlowSpec(uniform_law(2), np.ones((1, 2)), kernel[None])
         assert spec.kernels[0].tobytes() == kernel.tobytes()
 
     @pytest.mark.parametrize(
@@ -468,7 +506,7 @@ class TestSpecArrays:
     )
     def test_potentials_must_be_finite_and_positive(self, potential, message):
         with pytest.raises(InputError, match=message):
-            FlowSpec(FiniteDistribution.uniform(2), [[1.0, 1.0], potential], [np.eye(2)] * 2)
+            FlowSpec(uniform_law(2), [[1.0, 1.0], potential], [np.eye(2)] * 2)
 
     @pytest.mark.parametrize(
         "kernel, message",
@@ -481,4 +519,4 @@ class TestSpecArrays:
     def test_kernels_must_be_stochastic(self, kernel, message):
         # rows are numbered down the stack: the second kernel's row 1 is row 3
         with pytest.raises(InputError, match=message):
-            FlowSpec(FiniteDistribution.uniform(2), np.ones((2, 2)), [np.eye(2), kernel])
+            FlowSpec(uniform_law(2), np.ones((2, 2)), [np.eye(2), kernel])

@@ -34,12 +34,12 @@ from fkips.harness import (
     run_experiment,
     verify_bounds,
 )
-from fkips.measures import FiniteDistribution, KernelMatrix
+from fkips.measures import KernelMatrix, uniform_law
 
 from .configs import flow_to_config, serialize_config
 from .instances import bounded_regime_flow, repeated_flow, table_check_flows
 from .oracles import oracle_identity_gaps, parse_sections_by_lines, parse_value_by_floats
-from .test_golden import ADAPTIVE, BOUNDED, CLASSIC, DECREASING, ISA, RUN
+from .test_golden import ADAPTIVE, BOUNDED, CLASSIC, DECREASING, ISA, RUN, VERIFY_ADAPTIVE
 from .test_tooling import _workloads
 
 CLASSIC_TEXT = """
@@ -134,7 +134,7 @@ class TestParsing:
         cfg = parse_config(flow_to_config(flow, n_particles=77, seed=5))
         rebuilt = cfg.build_flow()
         assert rebuilt.horizon == flow.horizon
-        assert np.allclose(rebuilt.initial.weights, flow.initial.weights)
+        assert np.allclose(rebuilt.initial, flow.initial)
         assert np.allclose(rebuilt.potentials, flow.potentials, rtol=1e-15)
         assert np.allclose(rebuilt.kernels, flow.kernels, rtol=1e-15)
 
@@ -508,7 +508,7 @@ class TestVerifyDispatch:
         # and n = 0 L2 rows
         for horizon in (3, 0):
             flow = repeated_flow(
-                FiniteDistribution.uniform(3), np.ones(3), KernelMatrix.uniform(3).rows, horizon
+                uniform_law(3), np.ones(3), KernelMatrix.uniform(3).rows, horizon
             )
             for regime in ("bounded", "decreasing"):
                 report = check_regime(flow, regime, 0.5, None, 50, 20, seed=3)
@@ -531,7 +531,7 @@ class TestVerifyDispatch:
 
     def test_hypothesis_unmet_is_not_a_failure(self):
         # identity kernels break the mixing cap: rows must say so
-        flow = repeated_flow(FiniteDistribution.uniform(2), [1.0, 1.2], np.eye(2), 2)
+        flow = repeated_flow(uniform_law(2), [1.0, 1.2], np.eye(2), 2)
         report = check_regime(flow, "bounded", 0.5, 1.2, 50, 10, seed=4)
         assert all(r.status == "hypothesis-unmet" for r in report.rows)
         assert not report.failures()
@@ -674,6 +674,96 @@ class TestCli:
             bad.write_text(text)
             assert cli_main([command, "--config", str(bad), "--out", str(tmp_path)]) == 2
             assert f"config error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            # a scalar key given a vector, a float, nothing or an int past int64
+            ("run", CLASSIC.replace("kind = classic", "kind = 1 2"), "algorithm.kind"),
+            ("verify-bounds", BOUNDED.replace("bounded", "1 2"), "checks.regime"),
+            (
+                "run",
+                ISA.replace("dim = 4", "dim = 1 2"),
+                "problem.dim must be an integer >= 1, got '1 2'",
+            ),
+            ("run", ISA.replace("dim = 4", "dim = inf"), "problem.dim"),
+            ("run", ISA.replace("proposal = lazy-ring 0.5", "proposal ="), "problem.proposal"),
+            ("adaptive", ADAPTIVE.replace("epsilon = 0.75", "epsilon = 1 2"), "adaptive.epsilon"),
+            # a legal number out of range, refused at parse time, not mid-run
+            (
+                "adaptive",
+                ADAPTIVE.replace("mcmc_iters = 3", "mcmc_iters = 3\nbeta0 = -1"),
+                "adaptive: beta0 (initial inverse temperature) must be >= 0",
+            ),
+            ("run", ISA.replace("a = 0.5\nk0", "a = 1 2\nk0"), "schedule.a"),
+            ("run", ISA.replace("beta0 = 0.0", "beta0 = 1 2"), "schedule.beta0"),
+            ("run", ISA.replace("delta = 0.5", "delta = 1 2"), "schedule.delta"),
+            (
+                "run",
+                CLASSIC.replace("n_particles = 40", "n_particles = 100000000000000000000"),
+                "n_particles must be at most 2^63 - 1",
+            ),
+            # a tuned iteration count past the budget, or past float64
+            (
+                "run",
+                ISA.replace("beta0 = 0.0", "beta0 = 60"),
+                "schedule: step 1: required iteration count 5.49047e+26 exceeds 2^63",
+            ),
+            (
+                "run",
+                ISA.replace("beta0 = 0.0", "beta0 = 1000"),
+                "schedule: step 1: required iteration count inf exceeds 2^63",
+            ),
+            (
+                "run",
+                ISA.replace("k0 = 2", "k0 = 10000"),
+                "schedule: step 1: required iteration count inf exceeds 2^63",
+            ),
+            # a run past the exact oracle's step cap, refused before any work
+            (
+                "run",
+                ISA.replace("steps = 4\na", "steps = 20000\na"),
+                "schedule.steps = 20000 exceeds the exact oracle's cap of 10000 steps",
+            ),
+            (
+                "run",
+                ISA.replace("steps = 4\na", "betas = " + " ".join(["0"] * 10_002) + "\na"),
+                "schedule.steps = 10001 exceeds the exact oracle's cap of 10000 steps",
+            ),
+            (
+                "adaptive",
+                ADAPTIVE.replace("steps = 4", "steps = 20000"),
+                "steps = 20000 exceeds the exact oracle's cap of 10000 steps",
+            ),
+        ],
+    )
+    def test_bad_scalar_keys_are_config_errors(self, command, text, message, tmp_path, capsys):
+        # exit 1 is kept for a failed bound check: every one of these is a
+        # usage error at parse time, which writes nothing
+        with pytest.raises(ConfigError):
+            parse_config(text)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            # a decreasing-regime cap whose powers are past float64
+            ("verify-bounds", DECREASING.replace("a = 0.5", "a = 0.9999")),
+            # an adaptive check without steps
+            ("verify-bounds", VERIFY_ADAPTIVE.replace("steps = 4", "steps = 0")),
+        ],
+    )
+    def test_legal_edge_configs_verify(self, command, text, tmp_path):
+        bad = tmp_path / "edge.cfg"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 0
+        assert (out / "verify.csv").is_file()
 
     def test_blank_kernel_rows_name_the_field(self, tmp_path, capsys):
         # numpy's text reader skips blank rows, which would leave a well

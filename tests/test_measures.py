@@ -1,7 +1,9 @@
-"""Measure algebra: constructor contracts, the spec'd examples, and the
-contraction properties that everything downstream leans on.  Total
-variation, Boltzmann-Gibbs reweighting and the potential ratio are test
-references in :mod:`tests.oracles`; their laws are checked here too."""
+"""Measure algebra: the law builders' contracts, the spec'd examples, and
+the contraction properties that everything downstream leans on.  Total
+variation, Boltzmann-Gibbs reweighting, the potential ratio and the
+Dobrushin coefficient are test references in :mod:`tests.oracles`; their
+laws are checked here too, the last one on the stacked reduction
+``_max_row_l1`` that the package computes it with."""
 
 import math
 
@@ -14,19 +16,19 @@ from fkips import measures
 from fkips.errors import DegenerateMeasureError, InputError
 from fkips.flow import FlowSpec
 from fkips.measures import (
-    BoundedFunction,
-    FiniteDistribution,
     KernelMatrix,
     _max_row_l1,
-    dobrushin,
     kernel_powers,
+    law,
+    normalized_law,
     osc,
+    uniform_law,
 )
 
 from .oracles import (
     bg_transform,
+    dobrushin,
     dobrushin_by_enumeration,
-    dobrushin_by_rows,
     potential_ratio,
     power_by_squaring,
     random_distribution,
@@ -41,29 +43,65 @@ def rng_for(seed=0):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def coefficient(rows) -> float:
+    """The package's Dobrushin coefficient of one kernel's rows: half the
+    stacked reduction on a stack of one."""
+    return 0.5 * float(_max_row_l1(np.asarray(rows, dtype=np.float64)[None])[0])
+
+
 class TestConstructors:
     def test_distribution_normalizes_exactly(self):
-        mu = FiniteDistribution([0.3, 0.7 + 1e-10])
-        assert mu.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        mu = law([0.3, 0.7 + 1e-10])
+        assert mu.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_distribution_rejects_bad_sum(self):
-        with pytest.raises(InputError):
-            FiniteDistribution([0.3, 0.8])
+        with pytest.raises(InputError, match="expected 1 within"):
+            law([0.3, 0.8])
 
     def test_distribution_rejects_negative(self):
-        with pytest.raises(InputError):
-            FiniteDistribution([-0.1, 1.1])
+        with pytest.raises(InputError, match="weights must be non-negative"):
+            law([-0.1, 1.1])
+        with pytest.raises(InputError, match="weights must be non-negative"):
+            normalized_law([-0.1, 1.1])
+
+    def test_distribution_rejects_bad_shape_and_values(self):
+        for bad in ([], [[0.5, 0.5]]):
+            with pytest.raises(InputError, match="weights must be a non-empty 1-d vector"):
+                law(bad)
+        with pytest.raises(InputError, match="weights must contain only finite values"):
+            law([np.nan, 1.0])
 
     def test_weights_are_frozen(self):
-        mu = FiniteDistribution([0.5, 0.5])
-        with pytest.raises(ValueError):
-            mu.weights[0] = 1.0
+        for mu in (law([0.5, 0.5]), normalized_law([1.0, 3.0]), uniform_law(2)):
+            with pytest.raises(ValueError):
+                mu[0] = 1.0
+
+    def test_law_copies_its_input(self):
+        weights = np.array([0.5, 0.5])
+        mu = law(weights)
+        weights[0] = 1.0
+        assert mu.tolist() == [0.5, 0.5]
 
     def test_from_unnormalized(self):
-        mu = FiniteDistribution.from_unnormalized([2.0, 6.0])
-        assert np.allclose(mu.weights, [0.25, 0.75])
+        mu = normalized_law([2.0, 6.0])
+        assert np.allclose(mu, [0.25, 0.75])
         with pytest.raises(DegenerateMeasureError):
-            FiniteDistribution.from_unnormalized([0.0, 0.0])
+            normalized_law([0.0, 0.0])
+
+    def test_uniform(self):
+        assert uniform_law(4).tolist() == [0.25] * 4
+        with pytest.raises(InputError, match="dim must be >= 1"):
+            uniform_law(0)
+
+    def test_divisions_by_the_sum(self):
+        # law divides once by the sum, normalized_law twice (by the total,
+        # then by law) and uniform_law once: the bits the flows are built on
+        w = np.array([0.1, 0.2, 0.3 + 3e-10, 0.4])
+        assert law(w).tobytes() == (w / w.sum()).tobytes()
+        once = w / w.sum()
+        assert normalized_law(w).tobytes() == (once / once.sum()).tobytes()
+        third = np.full(3, 1.0 / 3.0)
+        assert uniform_law(3).tobytes() == (third / third.sum()).tobytes()
 
     def test_kernel_rows_stochastic(self):
         with pytest.raises(InputError):
@@ -74,57 +112,55 @@ class TestConstructors:
     def test_potential_strictly_positive(self):
         # a flow's potential table is validated by FlowSpec
         with pytest.raises(InputError, match="strictly positive"):
-            FlowSpec(FiniteDistribution.uniform(2), [[1.0, 0.0]], np.eye(2)[None])
+            FlowSpec(uniform_law(2), [[1.0, 0.0]], np.eye(2)[None])
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            total_variation(FiniteDistribution([1.0]), FiniteDistribution([0.5, 0.5]))
+            total_variation(law([1.0]), law([0.5, 0.5]))
 
 
 class TestTotalVariation:
     def test_identical_measures(self):
-        mu = FiniteDistribution([0.3, 0.7])
+        mu = law([0.3, 0.7])
         assert total_variation(mu, mu) == 0.0
 
     def test_disjoint_diracs(self):
-        assert total_variation(FiniteDistribution([1, 0]), FiniteDistribution([0, 1])) == 1.0
+        assert total_variation(law([1, 0]), law([0, 1])) == 1.0
 
     def test_half_l1_equals_subset_sup(self):
-        mu = FiniteDistribution([0.5, 0.5])
-        nu = FiniteDistribution([0.9, 0.1])
+        mu = law([0.5, 0.5])
+        nu = law([0.9, 0.1])
         assert total_variation(mu, nu) == pytest.approx(0.4, abs=1e-15)
-        assert total_variation(mu, nu) == pytest.approx(
-            tv_by_subsets(mu.weights, nu.weights), abs=1e-15
-        )
+        assert total_variation(mu, nu) == pytest.approx(tv_by_subsets(mu, nu), abs=1e-15)
 
     def test_subset_oracle_agrees_on_random_instances(self):
         rng = rng_for(1)
         for _ in range(50):
             d = int(rng.integers(2, 8))
             w1, w2 = random_distribution(rng, d), random_distribution(rng, d)
-            assert total_variation(
-                FiniteDistribution(w1), FiniteDistribution(w2)
-            ) == pytest.approx(tv_by_subsets(w1, w2), abs=1e-12)
+            assert total_variation(law(w1), law(w2)) == pytest.approx(
+                tv_by_subsets(w1, w2), abs=1e-12
+            )
 
 
 class TestDobrushin:
     def test_identity_kernel(self):
-        assert dobrushin(KernelMatrix(np.eye(2))) == 1.0
+        assert coefficient(np.eye(2)) == 1.0
 
     def test_rank_one_kernel(self):
-        assert dobrushin(KernelMatrix.uniform(3)) == 0.0
+        assert coefficient(KernelMatrix.uniform(3).rows) == 0.0
 
     def test_two_state_example(self):
         k = KernelMatrix([[0.9, 0.1], [0.2, 0.8]])
-        assert dobrushin(k) == pytest.approx(0.7, abs=1e-15)
-        assert dobrushin(k) == pytest.approx(dobrushin_by_enumeration(k.rows), abs=1e-15)
+        assert coefficient(k.rows) == pytest.approx(0.7, abs=1e-15)
+        assert coefficient(k.rows) == pytest.approx(dobrushin_by_enumeration(k.rows), abs=1e-15)
 
     def test_enumeration_oracle_on_random_kernels(self):
         rng = rng_for(2)
         for _ in range(30):
             d = int(rng.integers(2, 7))
             rows = random_kernel_rows(rng, d)
-            assert dobrushin(KernelMatrix(rows)) == pytest.approx(
+            assert coefficient(KernelMatrix(rows).rows) == pytest.approx(
                 dobrushin_by_enumeration(rows), abs=1e-12
             )
 
@@ -134,11 +170,11 @@ class TestDobrushin:
         rng = rng_for(12)
         d = 200
         k = KernelMatrix(random_kernel_rows(rng, d))
-        rows = [FiniteDistribution(row) for row in k.rows]
+        rows = [law(row) for row in k.rows]
         expected = max(
             total_variation(rows[x], rows[y]) for x in range(d) for y in range(x + 1, d)
         )
-        assert dobrushin(k) == pytest.approx(expected, abs=1e-15)
+        assert coefficient(k.rows) == pytest.approx(expected, abs=1e-15)
 
     def test_stacked_reduction_is_bit_identical_to_row_pairs(self):
         # d = 128 and 129 spread their candidate pairs over several blocks
@@ -179,13 +215,13 @@ class TestDobrushin:
             expected = cls._check(stack)
             assert [0.5 * _max_row_l1(m[None])[0] for m in stack] == expected, d
             kernel = KernelMatrix(stack[0])
-            assert dobrushin(kernel) == dobrushin_by_rows(kernel.rows), d
+            assert coefficient(kernel.rows) == dobrushin(kernel.rows), d
 
     @staticmethod
     def _check(stack):
         """Compare the stacked reduction with the row-pair oracle, matrix by
         matrix and bit for bit; returns the oracle's values."""
-        expected = [dobrushin_by_rows(matrix) for matrix in stack]
+        expected = [dobrushin(matrix) for matrix in stack]
         assert (0.5 * _max_row_l1(stack)).tolist() == expected, stack.shape
         return expected
 
@@ -242,9 +278,10 @@ class TestDobrushin:
         rng = rng_for(3)
         for _ in range(200):
             d = int(rng.integers(2, 11))
-            k1 = KernelMatrix(random_kernel_rows(rng, d))
-            k2 = KernelMatrix(random_kernel_rows(rng, d))
-            assert dobrushin(KernelMatrix(k1.rows @ k2.rows)) <= dobrushin(k1) * dobrushin(k2) + 1e-12
+            k1 = KernelMatrix(random_kernel_rows(rng, d)).rows
+            k2 = KernelMatrix(random_kernel_rows(rng, d)).rows
+            product = KernelMatrix(k1 @ k2).rows
+            assert coefficient(product) <= coefficient(k1) * coefficient(k2) + 1e-12
 
     def test_contracts_oscillations(self):
         rng = rng_for(4)
@@ -252,17 +289,18 @@ class TestDobrushin:
             d = int(rng.integers(2, 11))
             k = KernelMatrix(random_kernel_rows(rng, d))
             f = rng.standard_normal(d)
-            assert osc(k.rows @ f) <= dobrushin(k) * osc(f) + 1e-12
+            assert osc(k.rows @ f) <= coefficient(k.rows) * osc(f) + 1e-12
 
     def test_contracts_measure_pairs(self):
         rng = rng_for(5)
         for _ in range(200):
             d = int(rng.integers(2, 11))
             k = KernelMatrix(random_kernel_rows(rng, d))
-            mu = FiniteDistribution(random_distribution(rng, d))
-            nu = FiniteDistribution(random_distribution(rng, d))
-            pushed = [FiniteDistribution(m.weights @ k.rows) for m in (mu, nu)]
-            assert total_variation(*pushed) <= dobrushin(k) * total_variation(mu, nu) + 1e-12
+            mu = law(random_distribution(rng, d))
+            nu = law(random_distribution(rng, d))
+            pushed = [law(m @ k.rows) for m in (mu, nu)]
+            bound = coefficient(k.rows) * total_variation(mu, nu)
+            assert total_variation(*pushed) <= bound + 1e-12
 
 
 # exponents 0, 1 and 3, powers of two up to 2^34, 2^34 - 1 and one past 2^64
@@ -309,34 +347,34 @@ class TestKernelPowers:
 
 class TestBoltzmannGibbs:
     def test_constant_potential_is_identity(self):
-        mu = FiniteDistribution([0.2, 0.3, 0.5])
+        mu = law([0.2, 0.3, 0.5])
         out = bg_transform(np.full(3, 7.0), mu)
-        assert np.allclose(out.weights, mu.weights, atol=1e-15)
+        assert np.allclose(out, mu, atol=1e-15)
 
     def test_two_state_example(self):
-        out = bg_transform([1.0, 3.0], FiniteDistribution([0.5, 0.5]))
-        assert np.allclose(out.weights, [0.25, 0.75], atol=1e-15)
+        out = bg_transform([1.0, 3.0], law([0.5, 0.5]))
+        assert np.allclose(out, [0.25, 0.75], atol=1e-15)
 
     def test_dirac_fixed_point(self):
-        mu = FiniteDistribution(np.eye(3)[0])
+        mu = law(np.eye(3)[0])
         out = bg_transform([5.0, 1.0, 2.0], mu)
-        assert np.allclose(out.weights, mu.weights)
+        assert np.allclose(out, mu)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError, match="potential dimension mismatch"):
-            bg_transform(np.ones(3), FiniteDistribution.uniform(2))
+            bg_transform(np.ones(3), uniform_law(2))
 
     def test_composition_law(self):
         # reweighting by G then G' equals reweighting by the product
         rng = rng_for(6)
         for _ in range(100):
             d = int(rng.integers(2, 8))
-            mu = FiniteDistribution(random_distribution(rng, d))
+            mu = law(random_distribution(rng, d))
             g1 = random_potential_values(rng, d)
             g2 = random_potential_values(rng, d)
             lhs = bg_transform(g2, bg_transform(g1, mu))
             rhs = bg_transform(g1 * g2, mu)
-            assert np.allclose(lhs.weights, rhs.weights, atol=1e-12)
+            assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_reweighting_contraction(self):
         # tv(psi_G mu, psi_G nu) <= ratio(G) tv(mu, nu)
@@ -344,26 +382,28 @@ class TestBoltzmannGibbs:
         for _ in range(200):
             d = int(rng.integers(2, 9))
             g = random_potential_values(rng, d)
-            mu = FiniteDistribution(random_distribution(rng, d))
-            nu = FiniteDistribution(random_distribution(rng, d))
+            mu = law(random_distribution(rng, d))
+            nu = law(random_distribution(rng, d))
             lhs = total_variation(bg_transform(g, mu), bg_transform(g, nu))
             assert lhs <= potential_ratio(g) * total_variation(mu, nu) + 1e-12
 
     def test_degenerate_mass(self):
-        mu = FiniteDistribution([1.0, 0.0])
-        weighted = mu.weights * np.array([1e-300, 1.0])
+        mu = law([1.0, 0.0])
+        weighted = mu * np.array([1e-300, 1.0])
         assert weighted.sum() > 0  # strictly positive potentials cannot vanish
 
 
 class TestOscAndRatio:
     def test_osc_examples(self):
-        assert osc(BoundedFunction([3.0, 3.0, 3.0])) == 0.0
-        assert osc(BoundedFunction([0.0, 1.0])) == 1.0
-        assert osc(BoundedFunction([-2.0, 3.0, 0.5])) == 5.0
+        assert osc([3.0, 3.0, 3.0]) == 0.0
+        assert osc(np.array([0.0, 1.0])) == 1.0
+        assert osc([-2.0, 3.0, 0.5]) == 5.0
 
     def test_osc_empty_rejected(self):
         with pytest.raises(InputError):
             osc([])
+        with pytest.raises(InputError, match="finite"):
+            osc([0.0, np.inf])
 
     def test_ratio_examples(self):
         assert potential_ratio(np.ones(4)) == 1.0
@@ -385,7 +425,7 @@ class TestOscAndRatio:
 def test_tv_is_a_metric(w1, w2, w3):
     def to_dist(w, size):
         arr = np.asarray(w[:size]) + 1e-3
-        return FiniteDistribution(arr / arr.sum())
+        return law(arr / arr.sum())
 
     size = min(len(w1), len(w2), len(w3))
     mu, nu, rho = (to_dist(w, size) for w in (w1, w2, w3))
