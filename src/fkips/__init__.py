@@ -11,7 +11,8 @@ Layers, bottom up:
 * :mod:`fkips.engine` -- the N-particle system as an occupation-count
   engine, with counter-based deterministic randomness;
 * :mod:`fkips.annealing` -- Boltzmann-Gibbs targets, stacked Metropolis
-  annealing kernels, minorization certificates, the tuned optimizer;
+  annealing kernels, minorization certificates, annealed flows of a
+  (T+1,) inverse-temperature array, the tuned optimizer;
 * :mod:`fkips.adaptive` -- adaptive temperature increments (a Newton
   solve over rows), the adaptive step rule of the count engine, and its
   perturbation/concentration verification;
@@ -35,7 +36,7 @@ from .engine import run_counts
 _LAZY = {
     "GibbsProblem": "annealing",
     "MinorizationCert": "annealing",
-    "TemperatureSchedule": "annealing",
+    "annealed_flow": "annealing",
     "build_isa_flow": "annealing",
     "gibbs_measure": "annealing",
     "metropolis_kernels": "annealing",
@@ -66,7 +67,7 @@ __all__ = [
     "KernelMatrix",
     "LambdaCurve",
     "MinorizationCert",
-    "TemperatureSchedule",
+    "annealed_flow",
     "build_isa_flow",
     "fk_step",
     "gibbs_measure",

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds
-from .annealing import GibbsProblem, gibbs_measure, metropolis_kernels
+from .annealing import GibbsProblem, annealed_flow, gibbs_measure, metropolis_kernels
 from .engine import CountRun, _run_blocks
 from .errors import InputError, SolverError
 from .flow import FlowSpec
@@ -274,7 +274,7 @@ def theoretical_adaptive_flow(
         raise InputError("reference measure puts mass at V = 0; reference schedule undefined")
     v_max = float(v.max())
     beta = float(beta0)
-    deltas, cs, betas = [], [], []
+    deltas, cs, betas = [], [], [beta]
     etas = [gibbs_measure(problem, beta0)]
     for n in range(horizon):
         eta_prev = etas[-1]
@@ -287,11 +287,14 @@ def theoretical_adaptive_flow(
         delta = res.delta
         beta += delta
         betas.append(beta)
-        cs.append(v_max * math.exp(delta * v_max) / (epsilon * float(eta_prev @ v)))
+        try:
+            growth = math.exp(delta * v_max)
+        except OverflowError:   # past float64: c_n = inf, as the step rule takes it
+            growth = math.inf
+        cs.append(v_max * growth / (epsilon * float(eta_prev @ v)))
         deltas.append(delta)
         etas.append(gibbs_measure(problem, beta))
-    kernels = kernel_powers(metropolis_kernels(problem, betas), [mcmc_iters] * horizon)
-    flow = FlowSpec(etas[0], np.exp(-np.array(deltas)[:, None] * v), kernels)
+    flow = annealed_flow(problem, betas, deltas, [mcmc_iters] * horizon)
     return ReferenceSchedule(flow, tuple(deltas), _freeze(np.stack(etas)), tuple(cs))
 
 
@@ -593,7 +596,7 @@ def concentration_check(
     reference = _reference(problem, config, horizon)
     levels = reference.hypothesis_levels()
     top = max(levels, default=0.0)   # no steps, no level
-    bad = [i for i, lvl in enumerate(levels) if lvl > a]
+    bad = [i for i, lvl in enumerate(levels) if not lvl <= a]   # a NaN level is unmet
     if bad:
         row = bounds.CheckRow(
             "adaptive-hypothesis", f"step={bad[0] + 1}", top, a, "hypothesis-unmet"

@@ -12,13 +12,19 @@ potential climb over k0 proposal moves yields the mixing estimate
 
 which turns admissible mixing levels into explicit MCMC iteration counts.
 
+A schedule is a (T+1,) array of inverse temperatures and a mode word,
+``bounded``, ``decreasing`` or ``constant``: :func:`build_isa_flow` checks
+the increments against the mode and tunes each m_n by the bounded rule
+(``bounded`` and ``constant``) or the decreasing one.
+
 Every annealing kernel is built as one stack: :func:`metropolis_kernels`
 gives the (k, d, d) rows of K_beta for a whole vector of inverse
 temperatures in one broadcast expression, and
 :func:`~fkips.measures.kernel_powers` raises the stack to its iteration
-counts in one loop.  The tuned flow, the adaptive reference schedule and
-the annealing checks each make one call of each, and adaptive mutation one
-per block of replicates and step.
+counts in one loop.  :func:`annealed_flow` builds the flow of the tuned
+schedule and of the adaptive reference schedule alike; it and the
+annealing checks each make one call of each, and adaptive mutation one per
+block of replicates and step.
 """
 
 from __future__ import annotations
@@ -85,67 +91,6 @@ class GibbsProblem:
 
 
 @dataclass(frozen=True)
-class TemperatureSchedule:
-    """Non-decreasing inverse temperatures with a regime tag.
-
-    Modes: ``bounded-increment`` (sup of increments capped by
-    ``declared_delta``), ``decreasing-increment`` (increments non-increasing)
-    and ``constant-step`` (all increments equal).
-    """
-
-    betas: tuple
-    mode: str
-    declared_delta: float | None = None
-
-    def __post_init__(self):
-        betas = tuple(float(b) for b in self.betas)
-        if len(betas) < 1:
-            raise InputError("schedule needs at least beta_0")
-        deltas = [betas[i + 1] - betas[i] for i in range(len(betas) - 1)]
-        if any(d < 0 for d in deltas):
-            raise InputError("inverse temperatures must be non-decreasing")
-        if self.mode not in ("bounded-increment", "decreasing-increment", "constant-step"):
-            raise InputError(f"unknown schedule mode {self.mode!r}")
-        if self.mode == "bounded-increment":
-            if self.declared_delta is None:
-                raise InputError("bounded-increment mode needs declared_delta")
-            if deltas and max(deltas) > self.declared_delta + 1e-12:
-                raise InputError("an increment exceeds the declared cap")
-        if self.mode == "decreasing-increment":
-            if any(deltas[i + 1] > deltas[i] + 1e-12 for i in range(len(deltas) - 1)):
-                raise InputError("increments must be non-increasing")
-        if self.mode == "constant-step" and deltas:
-            if max(deltas) - min(deltas) > 1e-12:
-                raise InputError("constant-step increments must be equal")
-        object.__setattr__(self, "betas", betas)
-
-    @classmethod
-    def constant_step(cls, beta0: float, delta: float, steps: int) -> "TemperatureSchedule":
-        betas = [beta0 + k * delta for k in range(steps + 1)]
-        return cls(tuple(betas), "constant-step", declared_delta=delta)
-
-    @property
-    def deltas(self) -> tuple:
-        return tuple(
-            self.betas[i + 1] - self.betas[i] for i in range(len(self.betas) - 1)
-        )
-
-    @property
-    def horizon(self) -> int:
-        return len(self.betas) - 1
-
-    @property
-    def tuning_mode(self) -> str:
-        return "decreasing" if self.mode == "decreasing-increment" else "bounded"
-
-    @property
-    def delta_cap(self) -> float:
-        if self.mode == "bounded-increment":
-            return float(self.declared_delta)
-        return max(self.deltas) if self.deltas else 0.0
-
-
-@dataclass(frozen=True)
 class MinorizationCert:
     """Certificate ``K^k0(x, .) >= delta nu(.)`` plus the worst-case climb
     ``gap_k0`` over k0 proposal moves."""
@@ -170,15 +115,17 @@ class MinorizationCert:
 
 def metropolis_kernels(problem: GibbsProblem, betas) -> np.ndarray:
     """Annealing transitions at each inverse temperature of ``betas``, as a
-    (k, d, d) stack of rows: off-diagonal ``K(x,y) min(1, e^{-beta
-    (V(y)-V(x))})`` with the rejected mass folded into the diagonal, and
-    each row divided once by its sum, as :class:`KernelMatrix` does."""
+    (k, d, d) stack of rows: off-diagonal ``K(x,y) e^{-beta max(V(y)-V(x),
+    0)}``, which is ``K(x,y) min(1, e^{-beta (V(y)-V(x))})`` bit for bit
+    without an overflow, with the rejected mass folded into the diagonal,
+    and each row divided once by its sum, as :class:`KernelMatrix` does."""
     betas = np.asarray(betas, dtype=np.float64)
     if np.any(betas < 0):
         raise InputError("inverse temperature must be >= 0")
     v, diag = problem.v_values, np.arange(problem.dim)
-    climb = v[None, :] - v[:, None]
-    rows = problem.proposal.rows * np.minimum(1.0, np.exp(-betas[:, None, None] * climb))
+    climb = np.maximum(v[None, :] - v[:, None], 0.0)
+    with np.errstate(over="ignore"):   # beta * climb past float64: accepted w.p. 0
+        rows = problem.proposal.rows * np.exp(-betas[:, None, None] * climb)
     rows[:, diag, diag] = 0.0
     rows[:, diag, diag] = 1.0 - rows.sum(axis=-1)
     return rows / rows.sum(axis=-1, keepdims=True)
@@ -234,53 +181,85 @@ def minorize(problem: GibbsProblem, k0: int) -> MinorizationCert:
     return MinorizationCert(k0=k0, delta=delta, gap_k0=gap)
 
 
-@dataclass(frozen=True)
+def annealed_flow(problem: GibbsProblem, betas, deltas, iterations) -> FlowSpec:
+    """The annealed flow from the Gibbs law at ``betas[0]``: step n reweights
+    by ``exp(-Delta_n V)`` and moves by ``K_{beta_n}`` iterated
+    ``iterations[n-1]`` times.  ``betas`` holds beta_0..beta_T and ``deltas``
+    the T increments as the caller computed them, so a schedule built by
+    summing its increments keeps the bits of both."""
+    return FlowSpec(
+        gibbs_measure(problem, betas[0]),
+        np.exp(-np.asarray(deltas, dtype=np.float64)[:, None] * problem.v_values),
+        kernel_powers(metropolis_kernels(problem, betas[1:]), iterations),
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class IsaFlow:
-    """Tuned annealing flow: the flow spec plus each step's tuned MCMC
-    iteration count m_n."""
+    """Tuned annealing flow: the flow spec, its read-only (T+1,) inverse
+    temperatures, the tuning ``rule`` (``"bounded"`` or ``"decreasing"``)
+    with the increment cap ``delta_cap`` the bounded rule reads, and each
+    step's tuned MCMC iteration count m_n."""
 
     problem: GibbsProblem
     flow: FlowSpec
-    schedule: TemperatureSchedule
+    betas: np.ndarray
+    rule: str
+    delta_cap: float
     cert: MinorizationCert
     a: float
     mcmc_iters: tuple
 
 
 def build_isa_flow(
-    problem: GibbsProblem,
-    schedule: TemperatureSchedule,
-    cert: MinorizationCert,
-    a: float,
+    problem: GibbsProblem, betas, mode: str, cert: MinorizationCert, a: float,
+    declared_delta: float | None = None,
 ) -> IsaFlow:
-    """Assemble the annealing flow with tuned MCMC iteration counts.
+    """The annealed flow of the non-decreasing schedule ``betas`` (beta_0..
+    beta_T) with tuned MCMC iteration counts m_n.  ``mode`` is checked to
+    1e-12 and picks the tuning rule:
+
+    * ``bounded``: no increment above ``declared_delta`` (the largest
+      increment when None); the bounded rule at that cap;
+    * ``decreasing``: non-increasing increments; the decreasing rule at
+      each step's own increment;
+    * ``constant``: equal increments; the bounded rule at the largest.
 
     Step n carries potential ``exp(-Delta_n V)`` and kernel
-    ``K_{beta_n}^(k0 m_n)`` where m_n comes from the schedule's regime rule;
-    the flow then maps each Gibbs law exactly onto the next one.
+    ``K_{beta_n}^(k0 m_n)`` (:func:`annealed_flow`).
     """
+    betas = _freeze(np.array(betas, dtype=np.float64, ndmin=1))
+    if betas.ndim != 1 or betas.size < 1:
+        raise InputError("schedule needs at least beta_0")
+    deltas = np.diff(betas)
+    if np.any(deltas < 0):
+        raise InputError("inverse temperatures must be non-decreasing")
+    if mode not in ("bounded", "decreasing", "constant"):
+        raise InputError(f"unknown schedule mode {mode!r}")
+    if declared_delta is not None and mode != "bounded":
+        raise InputError(f"declared_delta is read in bounded mode, not {mode}")
+    delta_cap = float(deltas.max()) if deltas.size else 0.0
+    if declared_delta is not None:
+        if delta_cap > declared_delta + 1e-12:
+            raise InputError("an increment exceeds the declared cap")
+        delta_cap = float(declared_delta)
+    if mode == "decreasing" and np.any(deltas[1:] > deltas[:-1] + 1e-12):
+        raise InputError("increments must be non-increasing")
+    if mode == "constant" and deltas.size and delta_cap - float(deltas.min()) > 1e-12:
+        raise InputError("constant-step increments must be equal")
+    rule = "decreasing" if mode == "decreasing" else "bounded"
     v_osc, iters = problem.v_osc, []
-    mode = schedule.tuning_mode
-    for n, delta in enumerate(schedule.deltas, start=1):
-        beta_n = schedule.betas[n]
-        increment = schedule.delta_cap if mode == "bounded" else delta
+    for n, (beta_n, delta) in enumerate(zip(betas[1:].tolist(), deltas.tolist()), start=1):
+        increment = delta if rule == "decreasing" else delta_cap
         try:
-            m_n = bounds.tune_mcmc_iters(
-                beta_n, cert.delta, cert.gap_k0, a, mode, increment_osc=increment * v_osc
-            )
+            iters.append(bounds.tune_mcmc_iters(
+                beta_n, cert.delta, cert.gap_k0, a, rule, increment_osc=increment * v_osc
+            ))
         except (InputError, BudgetExceededError) as exc:
             exc.args = (f"step {n}: {exc}",)   # the same error, naming its step
             raise
-        iters.append(m_n)
-    kernels = metropolis_kernels(problem, schedule.betas[1:])
-    flow = FlowSpec(
-        initial=gibbs_measure(problem, schedule.betas[0]),
-        potentials=np.exp(-np.array(schedule.deltas)[:, None] * problem.v_values),
-        kernels=kernel_powers(kernels, [cert.k0 * m for m in iters]),
-    )
-    return IsaFlow(
-        problem=problem, flow=flow, schedule=schedule, cert=cert, a=a, mcmc_iters=tuple(iters)
-    )
+    flow = annealed_flow(problem, betas, deltas, [cert.k0 * m for m in iters])
+    return IsaFlow(problem, flow, betas, rule, delta_cap, cert, a, tuple(iters))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +298,7 @@ def optimize(
     """
     if not 0.0 < eps_prime < epsilon_level:
         raise InputError("thresholds must satisfy 0 < eps' < eps")
-    problem, schedule, a = isa.problem, isa.schedule, isa.a
+    problem, a = isa.problem, isa.a
     trace = isa.flow.trace
     run = run_counts(isa.flow, n_particles, seed, replicates=replicates)
 
@@ -332,18 +311,17 @@ def optimize(
     proportions = (run.counts[:, 1:] * tail_set).sum(axis=2) / n_particles
 
     # the potential-ratio cap, or the ratio of each step
-    mode = schedule.tuning_mode
-    if mode == "bounded":
-        g = math.exp(schedule.delta_cap * problem.v_osc)
+    betas = isa.betas.tolist()
+    if isa.rule == "bounded":
+        g = math.exp(isa.delta_cap * problem.v_osc)
     else:
-        g = [math.exp(d * problem.v_osc) for d in schedule.deltas]
-    steps = range(1, schedule.horizon + 1)
+        g = [math.exp(d * problem.v_osc) for d in np.diff(isa.betas).tolist()]
+    steps = range(1, len(betas))
     gibbs_term = np.array([
-        bounds.gibbs_tail_bound(schedule.betas[n], epsilon_level, eps_prime, m_eps_prime)
-        for n in steps
+        bounds.gibbs_tail_bound(betas[n], epsilon_level, eps_prime, m_eps_prime) for n in steps
     ])
     thresholds = gibbs_term + np.array([
-        [bounds.deviation_thresholds(mode, a, g, n_particles, n, y)[0] for n in steps]
+        [bounds.deviation_thresholds(isa.rule, a, g, n_particles, n, y)[0] for n in steps]
         for y in y_values
     ]).reshape(len(y_values), len(steps))
     return OptimizeResult(

@@ -4,7 +4,8 @@ Subcommands: ``run`` (execute an experiment), ``oracle`` (exact flow only),
 ``tune`` (bound calculators), ``verify-bounds`` (inequality suite) and
 ``adaptive`` (adaptive run; same as ``run`` with the adaptive kind
 enforced).  Exit codes: 0 all requested checks pass, 1 a bound check
-failed, 2 usage or config error.
+failed, 2 usage, config or input error (also one met mid-run, such as a
+composed potential underflowing or the adaptive solver saturating).
 """
 
 from __future__ import annotations
@@ -218,8 +219,10 @@ def main(argv=None) -> int:
             print(f"config error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except FkipsError as exc:
+        # an input the checks cannot be run on, met past the parse: exit 1
+        # is kept for a failed bound check
         print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+        return USAGE_ERROR
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -27,7 +27,8 @@ and keys:
                 kernel (d x d matrix, shared) or kernels ((T*d) x d stacked)
     [algorithm] kind = classic | isa | adaptive
     [schedule]  mode (bounded|decreasing|constant), betas (array) or
-                beta0/delta/steps, delta_declared, a, k0
+                beta0/delta/steps (the grid beta0 + k delta), delta_declared
+                (bounded mode only), a, k0 (at most 10000)
     [adaptive]  epsilon, tol (>= 1e-13), delta_max, mutation (theoretical|adaptive),
                 mcmc_iters, beta0
     [run]       n_particles, steps (at most a classic or isa flow's T;
@@ -435,7 +436,25 @@ class ExperimentConfig:
             beta0=_float_field(raw, "adaptive", "beta0", 0.0),
         )
         with _field("adaptive"):
-            return AdaptiveConfig(**fields)
+            config = AdaptiveConfig(**fields)
+        # the energy every adaptive run needs, refused here rather than mid-run
+        problem = self.problem
+        if np.any(problem.v_values < 0):
+            raise ConfigError(["problem.v: energies must be >= 0 (declared V_min = 0)"])
+        if config.delta_max is None and problem.v_osc <= 0:
+            raise ConfigError(["adaptive.delta_max: cannot resolve delta_max for a flat energy"])
+        if config.mutation_mode == "theoretical":
+            self.require_reference()
+        return config
+
+    def require_reference(self) -> None:
+        """Refuse reference mass at V = 0, which leaves the adaptive reference
+        schedule that theoretical mutation and every bound check read undefined."""
+        problem = self.problem
+        if np.any((problem.v_values <= 0) & (problem.reference > 0)):
+            raise ConfigError(
+                ["problem.v: reference measure puts mass at V = 0; reference schedule undefined"]
+            )
 
     def build_flow(self) -> FlowSpec | None:
         """Finite flow the experiment drives, built on the first call (by
@@ -490,20 +509,13 @@ class ExperimentConfig:
         """The tuned annealing flow of an isa config, built once; None otherwise."""
         if self.kind != "isa":
             return None
-        from .annealing import TemperatureSchedule, build_isa_flow, minorize
+        from .annealing import build_isa_flow, minorize
 
         raw, problem = self.raw, self.problem
-        modes = {
-            "bounded": "bounded-increment",
-            "decreasing": "decreasing-increment",
-            "constant": "constant-step",
-        }
-        given = raw.get("schedule", "mode", "constant")
-        mode = modes.get(given) if isinstance(given, str) else None
-        if mode is None:
-            raise ConfigError([
-                f"schedule.mode must be bounded|decreasing|constant, got {_config_text(given)!r}"
-            ])
+        # a word as its config text, so a number or an array is refused too
+        mode = _config_text(raw.get("schedule", "mode", "constant"))
+        if mode not in ("bounded", "decreasing", "constant"):
+            raise ConfigError([f"schedule.mode must be bounded|decreasing|constant, got {mode!r}"])
         betas = raw.get("schedule", "betas")
         if betas is None:
             default = 1 if self.steps is None else self.steps
@@ -516,26 +528,24 @@ class ExperimentConfig:
                 raise ConfigError([
                     f"schedule.betas must be a vector of numbers, got {_config_text(betas)!r}"
                 ])
-            betas, steps = tuple(float(b) for b in betas), len(betas) - 1
-            declared = raw.get("schedule", "delta_declared")
-            if declared is not None:
-                declared = _float_field(raw, "schedule", "delta_declared", None)
+            steps = betas.size - 1
         if steps > MAX_STEPS:
             raise ConfigError(
                 [f"schedule.steps = {steps} exceeds the exact oracle's cap of {MAX_STEPS} steps"]
             )
+        declared = raw.get("schedule", "delta_declared")
+        if declared is not None:
+            if mode != "bounded":
+                raise ConfigError([f"schedule.delta_declared is read in bounded mode, not {mode}"])
+            declared = _float_field(raw, "schedule", "delta_declared", None)
         k0 = _int_field(raw, "schedule", "k0", 1, 1)
+        if k0 > MAX_STEPS:
+            raise ConfigError([f"schedule.k0 = {k0} exceeds the cap of {MAX_STEPS} proposal moves"])
         a = _float_field(raw, "schedule", "a", 0.5)
+        if betas is None:
+            betas = beta0 + np.arange(steps + 1) * delta   # beta0 + k delta, bit for bit
         with _field("schedule"):
-            if betas is None:
-                schedule = TemperatureSchedule.constant_step(beta0, delta, steps)
-            else:
-                if mode == "bounded-increment" and declared is None:
-                    declared = max(
-                        betas[i + 1] - betas[i] for i in range(len(betas) - 1)
-                    ) if len(betas) > 1 else 0.0
-                schedule = TemperatureSchedule(betas, mode, declared_delta=declared)
-            return build_isa_flow(problem, schedule, minorize(problem, k0), a)
+            return build_isa_flow(problem, betas, mode, minorize(problem, k0), a, declared)
 
     @cached_property
     def checks(self) -> Checks:

@@ -153,11 +153,13 @@ def run_flow(spec: FlowSpec) -> FlowTrace:
             raise DegenerateMeasureError("mu(G) = 0: flow step undefined")
         log_gamma.append(log_gamma[-1] + math.log(mean_g))
         etas.append(fk_step(etas[-1], potential, kernel))
+    with np.errstate(over="ignore"):   # a ratio past float64 is g = inf
+        g = spec.potentials.max(1) / spec.potentials.min(1)
     return FlowTrace(
         etas=_freeze(np.stack(etas)),
         gamma1=tuple(math.exp(v) for v in log_gamma),
         log_gamma1=tuple(log_gamma),
-        g=tuple((spec.potentials.max(1) / spec.potentials.min(1)).tolist()),
+        g=tuple(g.tolist()),
         b=tuple((0.5 * _max_row_l1(spec.kernels)).tolist()),
     )
 

@@ -430,6 +430,7 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
         )
     from .adaptive import concentration_check
 
+    cfg.require_reference()
     return concentration_check(
         cfg.problem, cfg.adaptive_config, (cfg.n_particles,), cfg.horizon(), replicates,
         checks.a, checks.s_values, checks.y_values, cfg.seed,

@@ -21,7 +21,6 @@ from fkips.adaptive import (
     theoretical_adaptive_flow,
 )
 from fkips.annealing import (
-    TemperatureSchedule,
     build_isa_flow,
     gibbs_measure,
     metropolis_kernels,
@@ -291,9 +290,9 @@ def test_criterion_09_gibbs_tail_and_optimizer():
                 )
                 ok &= exact_tail <= cap + 1e-12
     # replicated optimizer at y = 2
-    schedule = TemperatureSchedule.constant_step(0.0, 0.5, 24)
+    betas = 0.0 + np.arange(25) * 0.5
     verify = check_isa_bounds(
-        build_isa_flow(prob, schedule, minorize(prob, 4), 0.5),
+        build_isa_flow(prob, betas, "constant", minorize(prob, 4), 0.5),
         eps_level=0.5,
         eps_prime=0.25,
         n_particles=1000,

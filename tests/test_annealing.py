@@ -2,6 +2,7 @@
 certificates, the mixing estimate, tuned flow assembly and the optimizer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fkips import bounds
 from fkips.annealing import (
     GibbsProblem,
     MinorizationCert,
-    TemperatureSchedule,
+    annealed_flow,
     build_isa_flow,
     gibbs_measure,
     metropolis_kernels,
@@ -29,8 +30,13 @@ def rng_for(seed=0):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _isa(problem, schedule, k0, a=0.5):
-    return build_isa_flow(problem, schedule, minorize(problem, k0), a)
+def _grid(beta0, delta, steps):
+    """The constant-step schedule beta0 + k delta, k = 0..steps."""
+    return beta0 + np.arange(steps + 1) * delta
+
+
+def _isa(problem, betas, k0, mode="constant", a=0.5):
+    return build_isa_flow(problem, betas, mode, minorize(problem, k0), a)
 
 
 class TestProblem:
@@ -147,6 +153,17 @@ class TestMetropolisKernels:
         with pytest.raises(InputError, match="inverse temperature must be >= 0"):
             metropolis_kernels(double_well_problem(), [0.5, -1e-9])
 
+    def test_huge_temperature_rejects_every_climb_without_a_warning(self):
+        # beta V past float64 accepts an uphill move with probability 0,
+        # silently, and the bits still match the entrywise reference
+        prob = double_well_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = metropolis_kernels(prob, [1e300, 1.7e308])
+        with np.errstate(over="ignore"):   # the reference overflows to min(1, inf)
+            expected = [metropolis_rows_by_entries(prob, b) for b in (1e300, 1.7e308)]
+        assert np.array_equal(stack, np.stack([KernelMatrix(e).rows for e in expected]))
+
 
 class TestGibbsMeasure:
     def test_zero_temperature_is_reference(self):
@@ -226,31 +243,66 @@ class TestMinorization:
 
 
 class TestSchedule:
-    def test_constant_step_constructor(self):
-        sched = TemperatureSchedule.constant_step(0.0, 0.5, 4)
-        assert sched.betas == (0.0, 0.5, 1.0, 1.5, 2.0)
-        assert sched.deltas == (0.5,) * 4
-        assert sched.tuning_mode == "bounded"
+    @pytest.fixture
+    def build(self):
+        prob = double_well_problem()
+        cert = minorize(prob, 4)
+        return lambda betas, mode, **kw: build_isa_flow(prob, betas, mode, cert, 0.5, **kw)
 
-    def test_monotonicity_enforced(self):
-        with pytest.raises(InputError):
-            TemperatureSchedule((0.0, 0.5, 0.4), "constant-step")
+    def test_constant_grid(self, build):
+        isa = build(_grid(0.0, 0.5, 4), "constant")
+        assert isa.betas.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert not isa.betas.flags.writeable
+        assert isa.rule == "bounded" and isa.delta_cap == 0.5
 
-    def test_bounded_cap_enforced(self):
-        with pytest.raises(InputError):
-            TemperatureSchedule((0.0, 1.0), "bounded-increment", declared_delta=0.5)
+    def test_constant_cap_is_the_largest_computed_increment(self, build):
+        # beta_{k+1} - beta_k is not delta in the last bits
+        betas = _grid(0.1, 0.7, 6)
+        assert np.diff(betas).max() != 0.7
+        assert build(betas, "constant").delta_cap == np.diff(betas).max()
 
-    def test_decreasing_increments_enforced(self):
-        with pytest.raises(InputError):
-            TemperatureSchedule((0.0, 0.1, 0.5), "decreasing-increment")
+    def test_rule_and_cap_of_each_mode(self, build):
+        betas = (0.0, 0.5, 0.9, 1.2)
+        bounded = build(betas, "bounded")
+        assert (bounded.rule, bounded.delta_cap) == ("bounded", 0.5)
+        declared = build(betas, "bounded", declared_delta=0.75)
+        assert (declared.rule, declared.delta_cap) == ("bounded", 0.75)
+        decreasing = build(betas, "decreasing")
+        assert (decreasing.rule, decreasing.delta_cap) == ("decreasing", 0.5)
+
+    def test_monotonicity_enforced(self, build):
+        with pytest.raises(InputError, match="inverse temperatures must be non-decreasing"):
+            build((0.0, 0.5, 0.4), "constant")
+
+    def test_bounded_cap_enforced(self, build):
+        with pytest.raises(InputError, match="an increment exceeds the declared cap"):
+            build((0.0, 1.0), "bounded", declared_delta=0.5)
+
+    def test_decreasing_increments_enforced(self, build):
+        with pytest.raises(InputError, match="increments must be non-increasing"):
+            build((0.0, 0.1, 0.5), "decreasing")
+
+    def test_constant_increments_enforced(self, build):
+        with pytest.raises(InputError, match="constant-step increments must be equal"):
+            build((0.0, 0.5, 1.2), "constant")
+
+    def test_empty_schedule_and_unknown_mode_are_refused(self, build):
+        with pytest.raises(InputError, match="schedule needs at least beta_0"):
+            build((), "constant")
+        with pytest.raises(InputError, match="unknown schedule mode 'constant-step'"):
+            build((0.0, 0.5), "constant-step")
+
+    @pytest.mark.parametrize("mode", ["constant", "decreasing"])
+    def test_declared_cap_is_read_in_bounded_mode_only(self, build, mode):
+        with pytest.raises(InputError, match=f"declared_delta is read in bounded mode, not {mode}"):
+            build((0.0, 0.5), mode, declared_delta=0.5)
 
 
 class TestBuildFlow:
     def test_zero_increment_is_pure_mcmc(self):
         prob = double_well_problem()
         cert = minorize(prob, 4)
-        sched = TemperatureSchedule.constant_step(1.0, 0.0, 3)
-        isa = build_isa_flow(prob, sched, cert, 0.5)
+        isa = build_isa_flow(prob, _grid(1.0, 0.0, 3), "constant", cert, 0.5)
         assert np.allclose(isa.flow.potentials, 1.0)
         trace = run_flow(isa.flow)
         mu = gibbs_measure(prob, 1.0)
@@ -261,11 +313,10 @@ class TestBuildFlow:
         # annealed flow laws equal the exact targets, relative error 1e-10
         prob = double_well_problem()
         cert = minorize(prob, 4)
-        sched = TemperatureSchedule.constant_step(0.0, 0.5, 6)
-        isa = build_isa_flow(prob, sched, cert, 0.5)
+        isa = build_isa_flow(prob, _grid(0.0, 0.5, 6), "constant", cert, 0.5)
         trace = run_flow(isa.flow)
         for n in range(1, 7):
-            target = gibbs_measure(prob, sched.betas[n])
+            target = gibbs_measure(prob, isa.betas[n])
             assert np.abs(trace.etas[n] / target - 1.0).max() <= 1e-10
 
     def test_one_step_maps_gibbs_to_gibbs(self):
@@ -275,8 +326,7 @@ class TestBuildFlow:
             proposal=KernelMatrix.lazy_ring(3, 0.2),
         )
         cert = minorize(prob, 2)
-        sched = TemperatureSchedule.constant_step(0.3, 0.4, 1)
-        isa = build_isa_flow(prob, sched, cert, 0.5)
+        isa = build_isa_flow(prob, _grid(0.3, 0.4, 1), "constant", cert, 0.5)
         out = fk_step(gibbs_measure(prob, 0.3), isa.flow.potentials[0], isa.flow.kernels[0])
         assert np.abs(out - gibbs_measure(prob, 0.7)).max() <= 1e-10
 
@@ -284,8 +334,7 @@ class TestBuildFlow:
         prob = double_well_problem()
         cert = minorize(prob, 4)
         a = 0.5
-        sched = TemperatureSchedule.constant_step(0.0, 0.5, 5)
-        isa = build_isa_flow(prob, sched, cert, a)
+        isa = build_isa_flow(prob, _grid(0.0, 0.5, 5), "constant", cert, a)
         trace = run_flow(isa.flow)
         for g_n, b_n in zip(trace.g, trace.b):
             assert b_n <= a / (a + g_n) + 1e-12
@@ -293,8 +342,7 @@ class TestBuildFlow:
     def test_empty_schedule_builds_an_empty_flow(self):
         # beta_0 alone: no step, so an empty stack of kernels
         prob = double_well_problem()
-        sched = TemperatureSchedule((0.5,), "constant-step")
-        isa = build_isa_flow(prob, sched, minorize(prob, 4), 0.5)
+        isa = build_isa_flow(prob, (0.5,), "constant", minorize(prob, 4), 0.5)
         assert isa.flow.kernels.shape == (0, prob.dim, prob.dim)
         assert isa.flow.potentials.shape == (0, prob.dim)
         assert isa.mcmc_iters == ()
@@ -302,19 +350,34 @@ class TestBuildFlow:
     def test_kernels_are_the_tuned_powers_one_step_at_a_time(self):
         prob = double_well_problem()
         cert = minorize(prob, 4)
-        sched = TemperatureSchedule.constant_step(0.0, 0.5, 6)
-        isa = build_isa_flow(prob, sched, cert, 0.5)
+        isa = build_isa_flow(prob, _grid(0.0, 0.5, 6), "constant", cert, 0.5)
         for n, m_n in enumerate(isa.mcmc_iters, start=1):
-            rows = KernelMatrix(metropolis_rows_by_entries(prob, sched.betas[n])).rows
+            rows = KernelMatrix(metropolis_rows_by_entries(prob, float(isa.betas[n]))).rows
             expected = KernelMatrix(power_by_squaring(rows, cert.k0 * m_n)).rows
             assert np.array_equal(isa.flow.kernels[n - 1], expected), n
+
+    def test_annealed_flow_reweights_and_moves_the_gibbs_law(self):
+        # the flow of any (betas, deltas, iterations), here increments summed
+        # into betas as the adaptive reference schedule sums them
+        prob = random_reversible_problem(rng_for(7), 5)
+        deltas = [0.3, 0.1, 0.7]
+        betas = [0.2]
+        for delta in deltas:
+            betas.append(betas[-1] + delta)
+        flow = annealed_flow(prob, betas, deltas, [1, 4, 2**40])
+        assert np.array_equal(flow.initial, gibbs_measure(prob, 0.2))
+        assert np.array_equal(flow.potentials, np.exp(-np.array(deltas)[:, None] * prob.v_values))
+        for n, m in enumerate((1, 4, 2**40), start=1):
+            rows = KernelMatrix(metropolis_rows_by_entries(prob, betas[n])).rows
+            expected = KernelMatrix(power_by_squaring(rows, m)).rows
+            assert np.array_equal(flow.kernels[n - 1], expected), n
+        for n in range(1, 4):
+            assert np.abs(run_flow(flow).etas[n] - gibbs_measure(prob, betas[n])).max() <= 1e-12
 
     def test_iteration_counts_grow_with_beta(self):
         prob = double_well_problem()
         cert = minorize(prob, 4)
-        isa = build_isa_flow(
-            prob, TemperatureSchedule.constant_step(0.0, 0.5, 5), cert, 0.5
-        )
+        isa = build_isa_flow(prob, _grid(0.0, 0.5, 5), "constant", cert, 0.5)
         iters = isa.mcmc_iters
         assert all(b >= a for a, b in zip(iters, iters[1:]))
 
@@ -327,7 +390,7 @@ class TestOptimize:
             proposal=KernelMatrix.lazy_ring(4, 0.25),
         )
         result = optimize(
-            _isa(prob, TemperatureSchedule.constant_step(0.0, 0.2, 3), k0=2),
+            _isa(prob, _grid(0.0, 0.2, 3), k0=2),
             200,
             seed=4,
             epsilon_level=0.5,
@@ -339,9 +402,9 @@ class TestOptimize:
     def test_sublevel_mass_matches_direct_sum(self):
         # the Gibbs term reads the eps' sub-level mass of the reference
         prob = double_well_problem()
-        schedule = TemperatureSchedule.constant_step(0.0, 0.5, 2)
+        betas = _grid(0.0, 0.5, 2)
         result = optimize(
-            _isa(prob, schedule, k0=4),
+            _isa(prob, betas, k0=4),
             100,
             seed=5,
             epsilon_level=0.5,
@@ -351,13 +414,13 @@ class TestOptimize:
             prob.reference[prob.v_values <= prob.v_min + 0.25].sum()
         )
         assert result.gibbs_term[-1] == bounds.gibbs_tail_bound(
-            schedule.betas[-1], 0.5, 0.25, direct
+            betas[-1], 0.5, 0.25, direct
         )
 
     def test_exact_mass_sits_below_the_gibbs_term(self):
         prob = double_well_problem()
         result = optimize(
-            _isa(prob, TemperatureSchedule.constant_step(0.0, 0.5, 6), k0=4),
+            _isa(prob, _grid(0.0, 0.5, 6), k0=4),
             200,
             seed=6,
             epsilon_level=0.5,
@@ -367,28 +430,26 @@ class TestOptimize:
         assert np.all(result.exact_mass <= result.gibbs_term + 1e-12)
 
     @pytest.mark.parametrize(
-        "schedule",
-        [
-            TemperatureSchedule.constant_step(0.0, 0.5, 4),
-            TemperatureSchedule((0.0, 0.5, 0.9, 1.2, 1.4), "decreasing-increment"),
-        ],
+        "betas, mode",
+        [(_grid(0.0, 0.5, 4), "constant"), ((0.0, 0.5, 0.9, 1.2, 1.4), "decreasing")],
         ids=["bounded", "decreasing"],
     )
-    def test_thresholds_add_the_regime_deviation_term(self, schedule):
+    def test_thresholds_add_the_regime_deviation_term(self, betas, mode):
         # the composite bound is the Gibbs term plus (r_i N + r_j y) / N^2,
         # with the uniform (r1*, r2*) at g_sup = exp(Delta osc V) or the
         # decreasing (r3*(n), r4*(n)) over the ratios exp(Delta_p osc V)
         prob = double_well_problem()
         a, n_particles, ys = 0.5, 150, (0.0, 1.0, 2.5)
         result = optimize(
-            _isa(prob, schedule, k0=4, a=a), n_particles, seed=8,
+            _isa(prob, betas, k0=4, mode=mode, a=a), n_particles, seed=8,
             epsilon_level=0.5, eps_prime=0.25, y_values=ys,
         )
-        g_sched = [math.exp(d * prob.v_osc) for d in schedule.deltas]
-        assert result.thresholds.shape == (len(ys), schedule.horizon)
-        for n in range(1, schedule.horizon + 1):
-            if schedule.tuning_mode == "bounded":
-                g_sup = math.exp(schedule.delta_cap * prob.v_osc)
+        g_sched = [math.exp(d * prob.v_osc) for d in np.diff(betas)]
+        horizon = len(betas) - 1
+        assert result.thresholds.shape == (len(ys), horizon)
+        for n in range(1, horizon + 1):
+            if mode == "constant":
+                g_sup = math.exp(max(np.diff(betas)) * prob.v_osc)
                 r_i, r_j = bounds.r_star_bounded(bounds.RegimeParams(a, g_sup, n_particles))
             else:
                 r_i, r_j = bounds.r_star_decreasing(g_sched, a, n_particles, n)
@@ -399,7 +460,7 @@ class TestOptimize:
     def test_threshold_ordering(self):
         with pytest.raises(InputError):
             optimize(
-                _isa(double_well_problem(), TemperatureSchedule.constant_step(0.0, 0.5, 2), k0=4),
+                _isa(double_well_problem(), _grid(0.0, 0.5, 2), k0=4),
                 50,
                 seed=7,
                 epsilon_level=0.25,

@@ -42,6 +42,40 @@ from .oracles import oracle_identity_gaps, parse_sections_by_lines, parse_value_
 from .test_golden import ADAPTIVE, BOUNDED, CLASSIC, DECREASING, ISA, RUN, VERIFY_ADAPTIVE
 from .test_tooling import _workloads
 
+GOLDEN_V = "v = 0.5 0.65 0.8 1.0"
+GOLDEN_GRID = "beta0 = 0.0\ndelta = 0.5\nsteps = 4"
+
+# Two states under an independence proposal whose first increment is about
+# 720 / V_max, so e^{Delta V_max} and the potential ratio are past float64
+# while every potential is positive: c_1 = inf and the hypothesis is unmet.
+# At mcmc_iters = 1000 the kernel's rows agree to the last bit, b_1 = 0 and
+# the level b g (1 + c) is NaN, which must not pass either.
+HUGE_C = """
+[problem]
+dim = 2
+v = 8.9636e-05 1
+m = 0.8 0.2
+proposal = 0.8 0.2; 0.8 0.2
+
+[algorithm]
+kind = adaptive
+
+[adaptive]
+epsilon = 0.75
+
+[run]
+n_particles = 40
+steps = 1
+replicates = 5
+seed = 13
+
+[checks]
+a = 0.6
+s_values = 0.05
+y_values = 1
+"""
+NAN_LEVEL = HUGE_C.replace("epsilon = 0.75", "epsilon = 0.75\nmcmc_iters = 1000")
+
 CLASSIC_TEXT = """
 # minimal classic flow
 [flow]
@@ -735,6 +769,52 @@ class TestCli:
                 ADAPTIVE.replace("steps = 4", "steps = 20000"),
                 "steps = 20000 exceeds the exact oracle's cap of 10000 steps",
             ),
+            # k0 proposal moves past the step cap, refused before the climb
+            # over them is walked one move at a time
+            (
+                "run",
+                ISA.replace("k0 = 2", "k0 = 10001"),
+                "schedule.k0 = 10001 exceeds the cap of 10000 proposal moves",
+            ),
+            (
+                "verify-bounds",
+                ISA.replace("k0 = 2", "k0 = 9000000000000000000"),
+                "schedule.k0 = 9000000000000000000 exceeds the cap of 10000 proposal moves",
+            ),
+            # a declared cap the mode would not read
+            (
+                "run",
+                ISA.replace("k0 = 2", "k0 = 2\ndelta_declared = 0.5"),
+                "schedule.delta_declared is read in bounded mode, not constant",
+            ),
+            (
+                "run",
+                ISA.replace("mode = constant", "mode = decreasing")
+                .replace(GOLDEN_GRID, "betas = 0 0.5 0.9\ndelta_declared = 0.5"),
+                "schedule.delta_declared is read in bounded mode, not decreasing",
+            ),
+            # an energy no adaptive run takes, refused at parse time, not mid-run
+            (
+                "adaptive",
+                ADAPTIVE.replace(GOLDEN_V, "v = 0 0.65 0.8 1.0"),
+                "problem.v: reference measure puts mass at V = 0; reference schedule undefined",
+            ),
+            (
+                "verify-bounds",
+                VERIFY_ADAPTIVE.replace(GOLDEN_V, "v = 0 0.65 0.8 1.0"),
+                "problem.v: reference measure puts mass at V = 0",
+            ),
+            (
+                "adaptive",
+                ADAPTIVE.replace(GOLDEN_V, "v = -1 0.65 0.8 1.0")
+                .replace("mcmc_iters = 3", "mcmc_iters = 3\nmutation = adaptive"),
+                "problem.v: energies must be >= 0 (declared V_min = 0)",
+            ),
+            (
+                "adaptive",
+                ADAPTIVE.replace(GOLDEN_V, "v = 1 1 1 1"),
+                "adaptive.delta_max: cannot resolve delta_max for a flat energy",
+            ),
         ],
     )
     def test_bad_scalar_keys_are_config_errors(self, command, text, message, tmp_path, capsys):
@@ -756,6 +836,9 @@ class TestCli:
             ("verify-bounds", DECREASING.replace("a = 0.5", "a = 0.9999")),
             # an adaptive check without steps
             ("verify-bounds", VERIFY_ADAPTIVE.replace("steps = 4", "steps = 0")),
+            # a perturbation constant c_n past float64, and a NaN level
+            ("verify-bounds", HUGE_C),
+            ("verify-bounds", NAN_LEVEL),
         ],
     )
     def test_legal_edge_configs_verify(self, command, text, tmp_path):
@@ -764,6 +847,87 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 0
         assert (out / "verify.csv").is_file()
+
+    @pytest.mark.parametrize("text, level", [(HUGE_C, "inf"), (NAN_LEVEL, "nan")])
+    def test_an_infinite_or_nan_level_leaves_the_hypothesis_unmet(self, text, level):
+        (row,) = verify_bounds(parse_config(text)).rows
+        assert (row.name, row.scope, row.status) == (
+            "adaptive-hypothesis", "step=1", "hypothesis-unmet"
+        )
+        assert repr(row.lhs) == level
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            # a composed potential that underflows to 0
+            (
+                "verify-bounds",
+                "[flow]\ninitial = uniform\npotentials = 1e-300 1; 1e-300 1; 1e-300 1\n"
+                "kernel = 1 0; 0 1\n\n[algorithm]\nkind = classic\n"
+                + RUN.replace("steps = 4", "steps = 3"),
+                "error: composed potential has a zero entry; ratio undefined",
+            ),
+            (
+                "adaptive",
+                ADAPTIVE.replace(GOLDEN_V, "v = 1e-300 2e-300 3e-300 4e-300"),
+                "error: increment solver saturated on the exact law",
+            ),
+            # e^{Delta V_max} past float64 is c_n = inf, not an OverflowError;
+            # the potential exp(-Delta V_max) is then 0
+            (
+                "adaptive",
+                ADAPTIVE.replace(GOLDEN_V, "v = 0.5 0.65 0.8 1e300"),
+                "error: potential values must be strictly positive",
+            ),
+        ],
+        ids=["ratio-underflow", "solver-saturated", "c-overflow"],
+    )
+    def test_input_errors_met_mid_run_are_usage_errors(
+        self, command, text, message, tmp_path, capsys
+    ):
+        # exit 1 is kept for a failed bound check, and nothing escapes as a
+        # traceback
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_adaptive_mutation_needs_no_reference_schedule(self, tmp_path, capsys):
+        # mass at V = 0 leaves the reference schedule undefined: adaptive
+        # mutation runs without it, a bound check reads it
+        text = VERIFY_ADAPTIVE.replace(GOLDEN_V, "v = 0 0.65 0.8 1.0").replace(
+            "mcmc_iters = 3", "mcmc_iters = 3\nmutation = adaptive"
+        )
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        run_out, verify_out = tmp_path / "run", tmp_path / "verify"
+        assert cli_main(["adaptive", "--config", str(cfg_path), "--out", str(run_out)]) == 0
+        assert (run_out / "raw.csv").is_file()
+        assert cli_main(
+            ["verify-bounds", "--config", str(cfg_path), "--out", str(verify_out)]
+        ) == 2
+        assert "config error: problem.v: reference measure puts mass at V = 0" in (
+            capsys.readouterr().err
+        )
+        assert not verify_out.exists()
+
+    @pytest.mark.parametrize("mode", ["bounded", "decreasing", "constant"])
+    @pytest.mark.parametrize("command", ["run", "verify-bounds"])
+    def test_both_spellings_of_the_grid_write_the_same_bytes(self, mode, command, tmp_path):
+        # beta0/delta/steps is beta0 + k delta written out, and the mode is
+        # honoured in both spellings
+        outs = []
+        for spelling in (GOLDEN_GRID, "betas = 0 0.5 1 1.5 2"):
+            text = ISA.replace("mode = constant", f"mode = {mode}").replace(GOLDEN_GRID, spelling)
+            cfg_path, out = tmp_path / "c.cfg", tmp_path / str(len(outs))
+            cfg_path.write_text(text)
+            assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outs[0] == outs[1]
+        assert set(outs[0]) == ({"verify.csv"} if command == "verify-bounds" else {
+            "raw.csv", "stats.csv", "oracle.csv"
+        })
 
     def test_blank_kernel_rows_name_the_field(self, tmp_path, capsys):
         # numpy's text reader skips blank rows, which would leave a well
