@@ -35,7 +35,8 @@ Kernels are built as stacks, by
 :func:`~fkips.annealing.metropolis_kernels` and
 :func:`~fkips.measures.kernel_powers`: once for the whole reference
 schedule, and in adaptive mutation mode once per block and step, at the
-block's realized inverse temperatures.
+block's realized inverse temperatures.  The step rule reads the reference
+schedule in theoretical mutation mode only.
 
 Energies must be normalized so declared ``V_min = 0`` (all values
 non-negative); the deterministic reference additionally requires strictly
@@ -82,19 +83,16 @@ class LambdaCurve:
         object.__setattr__(self, "weights", w / w.sum(axis=-1, keepdims=True))
 
     def value(self, x, slope: bool = False):
-        """lambda at x: a float for one row, else one value per row at the
-        row's own x.  With ``slope``, also returns lambda'(x).
+        """lambda at x, one value per row at the row's own x (0-d for one
+        row).  With ``slope``, also returns lambda'(x).
 
         Each row is an elementwise product and a sum over that row alone,
         so its value does not depend on the other rows.
         """
         terms = self.weights * np.exp(-np.asarray(x, dtype=np.float64)[..., None] * self.v_values)
-        lam = terms.sum(axis=-1)
-        lam = float(lam) if lam.ndim == 0 else lam
         if not slope:
-            return lam
-        grad = -(terms * self.v_values).sum(axis=-1)
-        return lam, float(grad) if grad.ndim == 0 else grad
+            return terms.sum(axis=-1)
+        return terms.sum(axis=-1), -(terms * self.v_values).sum(axis=-1)
 
 
 # Smallest accepted solver tolerance: a curve value is a sum of m rounded
@@ -107,12 +105,12 @@ MAX_ITERATIONS = 100
 
 @dataclass(frozen=True)
 class KappaResult:
-    """Solved increments; floats for a one-row curve, else arrays of rows."""
+    """Solved increments, one entry per row of the curve (0-d for one row)."""
 
-    delta: float
-    saturated: bool
-    lam: float          # lambda at the returned increment
-    iterations: int     # Newton iterations taken
+    delta: np.ndarray
+    saturated: np.ndarray
+    lam: np.ndarray         # lambda at the returned increment
+    iterations: np.ndarray  # Newton iterations taken
 
 
 def kappa_solve(
@@ -147,7 +145,7 @@ def kappa_solve(
     saturated = np.zeros(shape, dtype=bool)
     iterations = np.zeros(shape, dtype=np.int64)
     if epsilon == 1.0:
-        return _kappa_result(delta, saturated, np.ones(shape), iterations)
+        return KappaResult(delta, saturated, np.ones(shape), iterations)
     lam, grad = curve.value(delta, slope=True)
     active = np.abs(lam - epsilon) > tol
     for _ in range(MAX_ITERATIONS):
@@ -170,12 +168,6 @@ def kappa_solve(
         raise SolverError(
             step, float(np.ravel(delta)[r]), float(np.ravel(residual)[r]), MAX_ITERATIONS
         )
-    return _kappa_result(delta, saturated, lam, iterations)
-
-
-def _kappa_result(delta, saturated, lam, iterations) -> KappaResult:
-    if np.ndim(delta) == 0:
-        return KappaResult(float(delta), bool(saturated), float(lam), int(iterations))
     return KappaResult(delta, saturated, lam, iterations)
 
 
@@ -188,8 +180,10 @@ class AdaptiveConfig:
     to 50/osc(V)); ``mutation_mode`` selects the analyzed variant
     ("theoretical": kernels from the deterministic reference schedule) or
     the fully adaptive one ("adaptive": kernels at the realized inverse
-    temperature, excluded from bound checks); ``mcmc_iters`` is the number
-    of annealing-kernel iterations per mutation.
+    temperature and c_n from the particles' own eta^N_n(V); of the checks
+    only :func:`concentration_check` runs it, the others analyze the
+    theoretical scheme); ``mcmc_iters`` is the number of annealing-kernel
+    iterations per mutation.
     """
 
     epsilon: float
@@ -238,10 +232,6 @@ class ReferenceSchedule:
     etas: np.ndarray     # (T+1, d): the exact laws eta_0 .. eta_T
     c: tuple
 
-    @property
-    def horizon(self) -> int:
-        return len(self.deltas)
-
     def hypothesis_levels(self) -> tuple:
         """Per-step products ``b_n g_n (1 + c_n)`` entering the uniform
         concentration hypothesis."""
@@ -284,7 +274,7 @@ def theoretical_adaptive_flow(
         )
         if res.saturated:
             raise InputError("increment solver saturated on the exact law")
-        delta = res.delta
+        delta = float(res.delta)
         beta += delta
         betas.append(beta)
         try:
@@ -298,10 +288,10 @@ def theoretical_adaptive_flow(
     return ReferenceSchedule(flow, tuple(deltas), _freeze(np.stack(etas)), tuple(cs))
 
 
-def _reference(problem, config, horizon, reference=None, needed=True):
-    """``reference`` or, when it is None and ``needed``, the deterministic
-    reference schedule of ``config``; either must cover ``horizon`` steps."""
-    if reference is None and needed:
+def _reference(problem, config, horizon, reference=None):
+    """``reference`` or, when it is None, the deterministic reference
+    schedule of ``config``; either must cover ``horizon`` steps."""
+    if reference is None:
         reference = theoretical_adaptive_flow(
             problem,
             config.epsilon,
@@ -309,7 +299,7 @@ def _reference(problem, config, horizon, reference=None, needed=True):
             mcmc_iters=config.mcmc_iters,
             beta0=config.beta0,
         )
-    if reference is not None and reference.horizon < horizon:
+    if reference.flow.horizon < horizon:
         raise InputError("reference schedule shorter than the requested horizon")
     return reference
 
@@ -350,11 +340,13 @@ def run_adaptive_counts(
     ``G = exp(-Delta v)`` as both the potential and the keep probability
     (the classic step at eps = 1): it keeps ``Binomial(c_x, G(x))``
     particles per state and redraws the rest as one ``Multinomial`` over
-    ``c G``, from the same (seed, block, step, purpose) slots.  The kernel
-    is the reference's in theoretical mutation mode, and each row's
-    annealing kernel at its realized inverse temperature in adaptive mode,
-    so there the law of the counts depends on the realized beta as well.
-    Replicate r depends on (seed, r) only.
+    ``c G``, from the same (seed, block, step, purpose) slots.  In
+    theoretical mutation mode the kernel is the reference's and c_n reads
+    the reference's eta_n(V); ``reference`` is built when None.  In
+    adaptive mode no reference is read: the kernel is each row's
+    annealing kernel at its realized inverse temperature, so the law of
+    the counts depends on the realized beta as well, and c_n reads the
+    row's own eta^N_n(V).  Replicate r depends on (seed, r) only.
     """
     plan = _adaptive_plan(problem, config, n_particles, horizon, replicates, reference)
     return _run_blocks(*plan, n_particles, seed)
@@ -365,9 +357,9 @@ def _adaptive_plan(problem, config, n_particles, horizon, replicates, reference)
     the rule records each row's Delta, beta, c, saturation, residual and iterations."""
     if np.any(problem.v_values < 0):
         raise InputError("energies must be >= 0 (declared V_min = 0)")
-    reference = _reference(
-        problem, config, horizon, reference, config.mutation_mode == "theoretical"
-    )
+    theoretical = config.mutation_mode == "theoretical"
+    if theoretical:
+        reference = _reference(problem, config, horizon, reference)
     shape = (replicates, horizon)
     run = AdaptiveCountRun._allocate(
         n_particles, replicates, horizon, problem.dim,
@@ -383,15 +375,13 @@ def _adaptive_plan(problem, config, n_particles, horizon, replicates, reference)
             LambdaCurve(v, c), eps, tol=config.tol, delta_max=delta_cap, step=n + 1
         )
         beta = run.beta[rows, n] + res.delta
-        if config.mutation_mode == "theoretical":
+        if theoretical:
             kernel_rows = reference.flow.kernels[n]
+            eta_v = float(reference.etas[n] @ v)
         else:
             kernel_rows = kernel_powers(
                 metropolis_kernels(problem, beta), [config.mcmc_iters] * len(beta)
             )
-        if reference is not None:
-            eta_v = float(reference.etas[n] @ v)
-        else:
             eta_v = (c * v).sum(axis=1) / n_particles
         with np.errstate(over="ignore", divide="ignore"):
             c_n = np.where(eta_v > 0, v_max * np.exp(res.delta * v_max) / (eps * eta_v), np.inf)
@@ -498,12 +488,14 @@ def l2_error_check(
     seed: int,
     replicates: int,
 ) -> bounds.VerifyReport:
-    """Replicate-estimated d2 against the accumulated envelope bound
+    """Replicate-estimated d2 of the theoretical scheme, whatever
+    ``config``'s mutation mode, against the accumulated envelope bound
     ``B_2 e~_n / sqrt(N)`` with every constant exact: one ``adaptive-l2``
     row per step n = 0..horizon, with no Monte Carlo allowance."""
     reference = _reference(problem, config, horizon)
     hists = run_adaptive_counts(
-        problem, config, n_particles, horizon, seed, replicates=replicates, reference=reference
+        problem, replace(config, mutation_mode="theoretical"), n_particles, horizon, seed,
+        replicates=replicates, reference=reference,
     ).histograms
     d2 = l2_level(deviations(hists, reference.etas, osc1_dictionary(problem.dim))).tolist()
     b2 = bounds.bp_constant(2)
@@ -527,9 +519,11 @@ def khintchine_conditional_check(
 ) -> bounds.VerifyReport:
     """Conditional one-step L2 error from a frozen ensemble vs B_2/sqrt(N).
 
-    Freezes the counts c of replicate 0 after ``freeze_steps`` adaptive
-    steps.  Given c the next step's particles move independently, so the L2
-    deviation of eta^N(f) from its conditional mean is exactly
+    Freezes the counts c of replicate 0 after ``freeze_steps`` steps of the
+    theoretical scheme, whatever ``config``'s mutation mode, so the next
+    step moves by the reference's kernel.  Given c the next step's
+    particles move independently, so the L2 deviation of eta^N(f) from its
+    conditional mean is exactly
     ``sqrt(sum_x c_x Var_{p_x}(f)) / N`` (:func:`_conditional_variances`).
     Test functions have sup norm 1/2, so the bound B_2/sqrt(N) applies with
     a factor-2 margin.  The report has one ``adaptive-khintchine-conditional``
@@ -537,7 +531,8 @@ def khintchine_conditional_check(
     """
     reference = _reference(problem, config, freeze_steps + 1)
     frozen = run_adaptive_counts(
-        problem, config, n_particles, freeze_steps, seed, reference=reference
+        problem, replace(config, mutation_mode="theoretical"), n_particles, freeze_steps, seed,
+        reference=reference,
     ).counts[0, -1]
     res = kappa_solve(
         LambdaCurve(problem.v_values, frozen), config.epsilon, tol=config.tol,

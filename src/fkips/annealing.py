@@ -210,6 +210,14 @@ class IsaFlow:
     a: float
     mcmc_iters: tuple
 
+    def ratios(self):
+        """The potential-ratio cap e^{delta_cap osc V} under the bounded
+        rule, else each step's ratio e^{Delta_n osc V}: the ``g`` that
+        :func:`~fkips.bounds.deviation_thresholds` reads."""
+        if self.rule == "bounded":
+            return math.exp(self.delta_cap * self.problem.v_osc)
+        return [math.exp(d * self.problem.v_osc) for d in np.diff(self.betas).tolist()]
+
 
 def build_isa_flow(
     problem: GibbsProblem, betas, mode: str, cert: MinorizationCert, a: float,
@@ -300,22 +308,14 @@ def optimize(
         raise InputError("thresholds must satisfy 0 < eps' < eps")
     problem, a = isa.problem, isa.a
     trace = isa.flow.trace
-    run = run_counts(isa.flow, n_particles, seed, replicates=replicates)
-
     v_min = problem.v_min
     tail_set = (problem.v_values >= v_min + epsilon_level).astype(np.float64)
     m_eps_prime = problem.sublevel_mass(v_min + eps_prime)
     if m_eps_prime <= 0:
         raise InputError("reference mass of the eps' sub-level set is zero")
-    # a per-row sum of whole counts: exact, whatever R is
-    proportions = (run.counts[:, 1:] * tail_set).sum(axis=2) / n_particles
 
-    # the potential-ratio cap, or the ratio of each step
-    betas = isa.betas.tolist()
-    if isa.rule == "bounded":
-        g = math.exp(isa.delta_cap * problem.v_osc)
-    else:
-        g = [math.exp(d * problem.v_osc) for d in np.diff(isa.betas).tolist()]
+    # every bound first, so a bad input is refused before any replicate is drawn
+    betas, g = isa.betas.tolist(), isa.ratios()
     steps = range(1, len(betas))
     gibbs_term = np.array([
         bounds.gibbs_tail_bound(betas[n], epsilon_level, eps_prime, m_eps_prime) for n in steps
@@ -324,8 +324,11 @@ def optimize(
         [bounds.deviation_thresholds(isa.rule, a, g, n_particles, n, y)[0] for n in steps]
         for y in y_values
     ]).reshape(len(y_values), len(steps))
+
+    run = run_counts(isa.flow, n_particles, seed, replicates=replicates)
     return OptimizeResult(
-        proportions=proportions,
+        # a per-row sum of whole counts: exact, whatever R is
+        proportions=(run.counts[:, 1:] * tail_set).sum(axis=2) / n_particles,
         exact_mass=np.array([float(trace.etas[n] @ tail_set) for n in steps]),
         gibbs_term=gibbs_term,
         thresholds=thresholds,

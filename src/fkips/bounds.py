@@ -170,13 +170,19 @@ def r_tilde_bounded(params: RegimeParams):
     return 8.0 * g * (g + a) ** 2 / (1.0 - a), 4.0 * g / (1.0 - a)
 
 
+def ratio_rises(g: Sequence[float]) -> list:
+    """The steps p >= 2 whose ratio g_p rises above g_(p-1) by more than
+    1e-15, for the schedule g_1, g_2, ...; the decreasing regime needs none."""
+    return [p for p in range(2, len(g) + 1) if g[p - 1] > g[p - 2] + 1e-15]
+
+
 def _validate_schedule(g_schedule: Sequence[float]):
     g = [float(x) for x in g_schedule]
     if not g:
         raise InputError("potential-ratio schedule must be non-empty")
     if any(x < 1.0 for x in g):
         raise InputError("potential ratios must be >= 1")
-    if any(g[i + 1] > g[i] + 1e-15 for i in range(len(g) - 1)):
+    if ratio_rises(g):
         raise InputError("potential-ratio schedule must be non-increasing")
     return g
 

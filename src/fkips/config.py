@@ -37,7 +37,10 @@ and keys:
                 (validated so older configs still parse; it has no effect)
     [checks]    regime (bounded|decreasing), a in (0, 1), g_sup >= 1,
                 epsilon_level > eps_prime > 0, y_values and s_values (>= 0;
-                y >= 1 for adaptive); every number finite
+                y >= 1 for adaptive); every number finite.  A kind reads
+                only its own keys, and any other is refused: classic
+                regime, a, g_sup, y_values; isa epsilon_level, eps_prime,
+                y_values; adaptive a, s_values, y_values
 
 :func:`parse_config` merges the command line's ``[run]`` values over the
 file's and then assembles the config once: the flow (the tuned annealing
@@ -102,6 +105,13 @@ def _config_text(val) -> str:
     return _fmt(val)
 
 
+# the [checks] keys each kind reads; any other is refused
+_CHECK_KEYS = {
+    "classic": {"regime", "a", "g_sup", "y_values"},
+    "isa": {"epsilon_level", "eps_prime", "y_values"},
+    "adaptive": {"a", "s_values", "y_values"},
+}
+
 _SCHEMA = {
     "problem": {"dim", "v", "m", "proposal"},
     "flow": {"initial", "potentials", "kernel", "kernels"},
@@ -117,7 +127,7 @@ _SCHEMA = {
         "n_test_functions",
         "threads",
     },
-    "checks": {"regime", "a", "g_sup", "y_values", "s_values", "epsilon_level", "eps_prime"},
+    "checks": set().union(*_CHECK_KEYS.values()),
 }
 
 
@@ -573,8 +583,13 @@ class Checks:
 
 
 def _parse_checks(raw: RawConfig, kind: str) -> Checks:
-    """Every ``[checks]`` value or its default; a bad one is a field error."""
-    errors = []
+    """Every ``[checks]`` value or its default; a bad one, or a key that
+    ``kind`` does not read, is a field error."""
+    errors = [
+        f"checks.{key} is not read by the {kind} kind"
+        for key in raw.sections.get("checks", {})
+        if key not in _CHECK_KEYS[kind]
+    ]
 
     def numbers(key, default, ok, rule):
         """``key`` as a float, or a tuple of floats if the default is one."""

@@ -55,7 +55,6 @@ class ReplicateStats:
     mean: np.ndarray
     se: np.ndarray
     quantiles: np.ndarray   # (3, T+1, K): q10, q50, q90
-    replicates: int
 
 
 def _quantiles(x) -> np.ndarray:
@@ -104,7 +103,6 @@ def aggregate(values, stat_names) -> ReplicateStats:
         mean=x.mean(axis=-1),
         se=se,
         quantiles=_quantiles(x),
-        replicates=r,
     )
 
 
@@ -329,9 +327,12 @@ def check_regime(
     the flow's largest ratio) or ``"decreasing"``.
 
     The hypothesis rows come first, and an unmet hypothesis returns them
-    alone: the uniform regime caps every ratio by g_sup and every ergodic
-    coefficient by a/(a+g_sup), the decreasing one caps step p's coefficient
-    by :func:`~fkips.bounds.condition_decreasing` of its ratio g_p.  Then, in
+    alone, before any replicate is drawn: the uniform regime caps every
+    ratio by g_sup and every ergodic coefficient by a/(a+g_sup).  The
+    decreasing one needs non-increasing ratios, one ``g_p,p=<p>`` row
+    (lhs g_p, rhs g_(p-1)) per rise of :func:`~fkips.bounds.ratio_rises`,
+    and caps step p's coefficient by
+    :func:`~fkips.bounds.condition_decreasing` of its ratio g_p.  Then, in
     the order the module docstring gives, come the composed caps, the L2
     level and the exceedances of both thresholds of
     :func:`~fkips.bounds.deviation_thresholds`, all over the same
@@ -349,10 +350,13 @@ def check_regime(
         b_max = max(trace.b, default=0.0)
         hypothesis = [CheckRow("uniform-hypothesis", "all", b_max, b_cap, status)]
     else:
-        g = list(trace.g)
-        caps = [bounds.condition_decreasing(g_p, a) for g_p in trace.g]
+        g, unmet = list(trace.g), "hypothesis-unmet"
+        caps = [bounds.condition_decreasing(g_p, a) for g_p in g]
         hypothesis = [
-            CheckRow("decreasing-hypothesis", f"p={p}", b_p, cap, "hypothesis-unmet")
+            CheckRow("decreasing-hypothesis", f"g_p,p={p}", g[p - 1], g[p - 2], unmet)
+            for p in bounds.ratio_rises(g)
+        ] + [
+            CheckRow("decreasing-hypothesis", f"p={p}", b_p, cap, unmet)
             for p, (b_p, cap) in enumerate(zip(trace.b, caps), start=1)
             if b_p > cap + 1e-12
         ] or [CheckRow("decreasing-hypothesis", "all", 0.0, 0.0, "pass")]
@@ -453,7 +457,13 @@ def check_isa_bounds(
 ) -> VerifyReport:
     """Annealing checks: invariance, mixing estimate and tail bound over a
     fixed beta grid, then the replicated optimizer exceedance at each
-    confidence exponent y in ``y_values``, all on the built flow ``isa``."""
+    confidence exponent y in ``y_values``, all on the built flow ``isa``.
+
+    Under the decreasing rule the optimizer's thresholds need its step
+    ratios g_n = e^{Delta_n osc V} non-increasing; where
+    :func:`~fkips.bounds.ratio_rises` finds a rise, one
+    ``optimizer-hypothesis`` row per rise (lhs g_p, rhs g_(p-1)) stands
+    in place of the optimizer rows and no replicate is drawn."""
     from .annealing import gibbs_measure, metropolis_kernels, optimize
 
     problem, cert = isa.problem, isa.cert
@@ -480,6 +490,13 @@ def check_isa_bounds(
         CheckRow.compare("annealing-mixing-estimate", "beta-grid", worst_gap, 1e-12),
         CheckRow("gibbs-tail", "beta-grid", worst_tail, 0.0, "pass" if tail_ok else "fail"),
     ]
+    g = isa.ratios()
+    refusals = [
+        CheckRow("optimizer-hypothesis", f"p={p}", g[p - 1], g[p - 2], "hypothesis-unmet")
+        for p in (bounds.ratio_rises(g) if isa.rule == "decreasing" else ())
+    ]
+    if refusals:
+        return VerifyReport(rows=tuple(rows + refusals))
     # replicated optimizer: per-step exceedance of the composite bound
     result = optimize(
         isa, n_particles, seed, eps_level, eps_prime, y_values=y_values, replicates=replicates

@@ -94,6 +94,17 @@ class TestKappaSolve:
         with pytest.raises(InputError):
             kappa_solve(curve, 1.5)
 
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0])
+    def test_one_row_curve_returns_0d_arrays(self, epsilon):
+        # one return type for every curve: a one-row curve gives numpy
+        # values of shape (), not Python scalars
+        curve = LambdaCurve(np.array([0.5, 0.8, 1.0]), np.array([0.3, 0.3, 0.4]))
+        res = kappa_solve(curve, epsilon)
+        values = (res.delta, res.saturated, res.lam, res.iterations, *curve.value(0.5, slope=True))
+        for value, kind in zip(values, "fbfiff"):
+            assert isinstance(value, (np.ndarray, np.generic)) and value.shape == ()
+            assert value.dtype.kind == kind
+
     def test_monotone_in_target(self):
         curve = LambdaCurve(np.array([0.5, 0.8, 1.0]), np.array([0.3, 0.3, 0.4]))
         deltas = [kappa_solve(curve, eps, tol=1e-12).delta for eps in (0.3, 0.5, 0.7, 0.9)]
@@ -290,6 +301,17 @@ class TestRunAdaptive:
         np.testing.assert_array_equal(run.c, expected)
         assert np.all(np.diff(run.beta, axis=1) > 0)
 
+    def test_adaptive_mutation_reads_no_reference(self):
+        # a reference, even one too short for the run, changes nothing in
+        # adaptive mode: c reads each row's own counts, as without one
+        prob = adaptive_problem(4)
+        cfg = AdaptiveConfig(epsilon=0.7, mutation_mode="adaptive", mcmc_iters=2)
+        short = theoretical_adaptive_flow(prob, 0.7, 1, mcmc_iters=2)
+        plain = run_adaptive_counts(prob, cfg, 200, 4, seed=5, replicates=3)
+        given = run_adaptive_counts(prob, cfg, 200, 4, seed=5, replicates=3, reference=short)
+        for a, b in zip(_count_fields(plain), _count_fields(given)):
+            assert np.array_equal(a, b)
+
     def test_config_validation(self):
         with pytest.raises(InputError):
             AdaptiveConfig(epsilon=1.2)
@@ -317,6 +339,19 @@ class TestVerificationProcedures:
         assert all(r.status == "pass" for r in report.rows)
         # e~_0 = 1, so the step-0 envelope is B_2 / sqrt(N) itself
         assert report.rows[0].rhs == bp_constant(2) / math.sqrt(400)
+
+    @pytest.mark.parametrize(
+        "check, args",
+        [(l2_error_check, (200, 3, 7, 40)), (khintchine_conditional_check, (400, 2, 9))],
+        ids=["l2", "khintchine"],
+    )
+    def test_checks_analyze_the_theoretical_scheme_in_either_mode(self, check, args):
+        prob = adaptive_problem(4)
+        theoretical, adaptive_mode = (
+            check(prob, AdaptiveConfig(epsilon=0.75, mcmc_iters=3, mutation_mode=mode), *args)
+            for mode in ("theoretical", "adaptive")
+        )
+        assert theoretical.rows == adaptive_mode.rows
 
     def test_khintchine_conditional_step(self):
         prob = adaptive_problem(4)

@@ -457,6 +457,16 @@ class TestOptimize:
                 deviation = bounds.eta_deviation_threshold(r_i, r_j, n_particles, y)
                 assert result.thresholds[i, n - 1] == result.gibbs_term[n - 1] + deviation
 
+    def test_rising_ratios_are_refused_before_any_replicate(self, monkeypatch):
+        # increments equal within build_isa_flow's 1e-12 whose ratios rise
+        # by more than the decreasing regime's 1e-15
+        from fkips import annealing
+
+        isa = _isa(double_well_problem(), (0.0, 0.5, 1.0000000000005), k0=4, mode="decreasing")
+        monkeypatch.setattr(annealing, "run_counts", lambda *a, **k: pytest.fail("replicates ran"))
+        with pytest.raises(InputError, match="non-increasing"):
+            optimize(isa, 50, seed=7, epsilon_level=0.5, eps_prime=0.25)
+
     def test_threshold_ordering(self):
         with pytest.raises(InputError):
             optimize(

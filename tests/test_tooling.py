@@ -1,7 +1,8 @@
 """Tooling smoke tests: the benchmark's span tracer still binds the layers it
 names, its set-up probe still parses a config, every benchmark workload
 still passes its own gate, every public name and class member of the
-package has a caller, and only the engine draws particles.
+package has a caller, the package re-exports nothing, and only the engine
+draws particles.
 
 ``perfbench/tracer.py`` wraps package functions from outside and raises if
 a wrapped original is left bound, so a refactor that moves or renames a
@@ -181,8 +182,8 @@ def _src_modules():
 
 def test_every_public_src_name_has_a_caller():
     # a module-level public function or class must be read somewhere in
-    # src/ other than its own definition and the package's re-exports: a
-    # name in fkips/__init__.py or fkips.__all__ is not a caller.
+    # src/ other than its own definition and fkips/__init__.py, which
+    # binds nothing but __version__.
     # Test-only references belong in tests/
     defined, read = {}, set()
     for module, tree in _src_modules():
@@ -257,6 +258,33 @@ def _attribute_reads(node):
             and isinstance(sub.args[1], ast.Constant)
         ):
             yield sub.args[1].value
+
+
+def test_the_package_re_exports_nothing():
+    # every name is imported from its module: importing the package loads
+    # no submodule, and its __init__ binds __version__ and nothing else (no
+    # re-export, no __all__, no lazy __getattr__)
+    proc = _run_with_src([
+        "-c",
+        "import sys, fkips\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('fkips.')), sep=',')\n"
+        "print(*sorted(n for n in vars(fkips) if not n.startswith('__')), sep=',')\n",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", ""]
+    tree = ast.parse((SRC / "fkips" / "__init__.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        else:
+            bound |= {
+                sub.id for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+            }
+    assert bound == {"__version__"}
 
 
 def test_only_the_engine_draws_particles():
