@@ -571,14 +571,18 @@ def concentration_check(
     s_grid,
     y_grid,
     seed: int,
+    *,
+    reference: ReferenceSchedule | None = None,
 ) -> bounds.VerifyReport:
     """Exceedance frequencies of the adaptive scheme vs both uniform bounds.
 
     The first row, ``adaptive-hypothesis``, verifies ``b_n g_n (1 + c_n) <= a``
-    with exact constants from the deterministic reference; its ``lhs`` is the
-    largest level.  When the hypothesis fails it is the only row: status
-    ``hypothesis-unmet`` at scope ``step=<first failing step>``, and the
-    bound comparison is refused.  Otherwise, over the population grid,
+    with exact constants from the deterministic reference (``reference``,
+    built when None); its ``lhs`` is the largest level.  When the hypothesis
+    fails, its rows are the only ones and the bound comparison is refused:
+    one ``hypothesis-unmet`` row per failing step, a NaN level included, at
+    scope ``step=<n>`` with that step's level as ``lhs``.  Otherwise, over
+    the population grid,
     per-step dictionary deviations are compared against
 
     * the tail-shape bound at each s in ``s_grid`` (``adaptive-tail-shape``);
@@ -588,15 +592,16 @@ def concentration_check(
     at scope ``N=<N>,n=<step>,level=<s or y>``; each row's ``rhs`` is the
     bound plus three binomial standard errors of Monte Carlo allowance.
     """
-    reference = _reference(problem, config, horizon)
+    reference = _reference(problem, config, horizon, reference)
     levels = reference.hypothesis_levels()
+    refusals = tuple(
+        bounds.CheckRow("adaptive-hypothesis", f"step={n}", lvl, a, "hypothesis-unmet")
+        for n, lvl in enumerate(levels, start=1)
+        if not lvl <= a   # a NaN level is unmet
+    )
+    if refusals:
+        return bounds.VerifyReport(rows=refusals)
     top = max(levels, default=0.0)   # no steps, no level
-    bad = [i for i, lvl in enumerate(levels) if not lvl <= a]   # a NaN level is unmet
-    if bad:
-        row = bounds.CheckRow(
-            "adaptive-hypothesis", f"step={bad[0] + 1}", top, a, "hypothesis-unmet"
-        )
-        return bounds.VerifyReport(rows=(row,))
     fdict = osc1_dictionary(problem.dim)
     rows = [bounds.CheckRow("adaptive-hypothesis", "all", top, a, "pass")]
     for n_particles in n_grid:

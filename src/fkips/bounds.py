@@ -39,24 +39,6 @@ _MAX_ITER_BUDGET = 2.0**63
 
 
 @dataclass(frozen=True)
-class RegimeParams:
-    """Uniform-regime hypothesis: performance degree ``a``, potential-ratio
-    cap ``g_sup`` and population size ``n_particles``."""
-
-    a: float
-    g_sup: float
-    n_particles: float
-
-    def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
-            raise InputError("performance degree a must lie in (0, 1)")
-        if self.g_sup < 1.0:
-            raise InputError("potential-ratio bound must be >= 1")
-        if self.n_particles < 1:
-            raise InputError("population size must be >= 1")
-
-
-@dataclass(frozen=True)
 class CheckRow:
     """One checked estimate: ``lhs`` (an exact quantity, an empirical L2
     level or an exceedance frequency) against ``rhs`` (its bound, with any
@@ -149,25 +131,37 @@ def _sqrt_tail(a: float, u1: float, n_particles: float) -> float:
     return math.sqrt(8.0 / math.sqrt(1.0 - a * a) + 18.0 * u1 / math.sqrt(n_particles))
 
 
-def r_star_bounded(params: RegimeParams):
-    """Uniform-regime deviation constants (r1*, r2*):
+def _uniform_hypothesis(a: float, g_sup: float) -> None:
+    """Refuse a performance degree ``a`` outside (0, 1) or a potential-ratio
+    cap ``g_sup`` below 1."""
+    if not 0.0 < a < 1.0:
+        raise InputError("performance degree a must lie in (0, 1)")
+    if g_sup < 1.0:
+        raise InputError("potential-ratio bound must be >= 1")
+
+
+def r_star_bounded(a: float, g_sup: float, n_particles: float):
+    """Uniform-regime deviation constants (r1*, r2*), at performance degree
+    ``a``, potential-ratio cap g = ``g_sup`` and population size N:
 
         r1* = (9/2) (g+a)^2/(1-a) + sqrt(8/sqrt(1-a^2) + 18 (g+a)^2/sqrt(N))
         r2* =  18   (g+a)^2/(1-a) + sqrt(8/sqrt(1-a^2) + 18 (g+a)^2/sqrt(N))
     """
-    a, g, n = params.a, params.g_sup, params.n_particles
-    sq = (g + a) ** 2
-    tail = _sqrt_tail(a, sq, n)
+    _uniform_hypothesis(a, g_sup)
+    if n_particles < 1:
+        raise InputError("population size must be >= 1")
+    sq = (g_sup + a) ** 2
+    tail = _sqrt_tail(a, sq, n_particles)
     return 4.5 * sq / (1.0 - a) + tail, 18.0 * sq / (1.0 - a) + tail
 
 
-def r_tilde_bounded(params: RegimeParams):
-    """Uniform-regime mass-ratio constants (rt1, rt2):
+def r_tilde_bounded(a: float, g_sup: float):
+    """Uniform-regime mass-ratio constants (rt1, rt2), with g = ``g_sup``:
 
         rt1 = 8 g (g+a)^2 / (1-a)        rt2 = 4 g / (1-a)
     """
-    a, g = params.a, params.g_sup
-    return 8.0 * g * (g + a) ** 2 / (1.0 - a), 4.0 * g / (1.0 - a)
+    _uniform_hypothesis(a, g_sup)
+    return 8.0 * g_sup * (g_sup + a) ** 2 / (1.0 - a), 4.0 * g_sup / (1.0 - a)
 
 
 def ratio_rises(g: Sequence[float]) -> list:
@@ -259,10 +253,7 @@ def r_tilde_decreasing(g_schedule: Sequence[float], a: float, n: int):
 
 def condition_bounded(g_sup: float, a: float) -> float:
     """Admissible mixing level for the uniform regime: ``a / (a + g_sup)``."""
-    if g_sup < 1.0:
-        raise InputError("potential-ratio bound must be >= 1")
-    if not 0.0 < a < 1.0:
-        raise InputError("performance degree a must lie in (0, 1)")
+    _uniform_hypothesis(a, g_sup)
     return a / (a + g_sup)
 
 
@@ -406,9 +397,8 @@ def deviation_thresholds(regime: str, a: float, g, n_particles: float, n: int, y
     (uniform) regime, from (r3*(n), r4*(n)) and (rt3, rt4, rt5) over the
     step ratios ``g`` = g_1, g_2, ... in the ``"decreasing"`` one."""
     if regime == "bounded":
-        params = RegimeParams(a=a, g_sup=g, n_particles=n_particles)
-        r_i, r_j = r_star_bounded(params)
-        mass = gamma_log_ratio_threshold_bounded(*r_tilde_bounded(params), n, n_particles, y)
+        r_i, r_j = r_star_bounded(a, g, n_particles)
+        mass = gamma_log_ratio_threshold_bounded(*r_tilde_bounded(a, g), n, n_particles, y)
     elif regime == "decreasing":
         r_i, r_j = r_star_decreasing(g, a, n_particles, n)
         mass = gamma_log_ratio_threshold_decreasing(

@@ -5,14 +5,13 @@ Subcommands: ``run`` (execute an experiment), ``oracle`` (exact flow only),
 ``adaptive`` (adaptive run; same as ``run`` with the adaptive kind
 enforced).  Exit codes: 0 all requested checks pass, 1 a bound check
 failed, 2 usage, config or input error (also one met mid-run, such as a
-composed potential underflowing or the adaptive solver saturating).
+composed potential underflowing or the increment solver not converging).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -59,13 +58,9 @@ def _cmd_run(args, force_kind=None) -> int:
     if force_kind and cfg.kind != force_kind:
         print(f"config algorithm kind is {cfg.kind!r}, expected {force_kind!r}", file=sys.stderr)
         return USAGE_ERROR
-    result = run_experiment(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    emit_csv(result.raw_csv, os.path.join(args.out, "raw.csv"))
-    emit_csv(result.stats_csv, os.path.join(args.out, "stats.csv"))
-    if result.oracle_csv is not None:
-        emit_csv(result.oracle_csv, os.path.join(args.out, "oracle.csv"))
-    print(f"wrote raw.csv, stats.csv{', oracle.csv' if result.oracle_csv else ''} to {args.out}")
+    files = run_experiment(cfg)
+    emit_csv(files, args.out)
+    print(f"wrote {', '.join(files)} to {args.out}")
     return 0
 
 
@@ -76,9 +71,9 @@ def _cmd_oracle(args) -> int:
         print("adaptive configs have no standalone exact flow", file=sys.stderr)
         return USAGE_ERROR
     units = tuple(np.eye(flow.dim))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "oracle.csv")
-    emit_csv(_oracle_csv(flow.trace, flow.horizon, units, column="eta"), path)
+    (path,) = emit_csv(
+        {"oracle.csv": _oracle_csv(flow.trace, flow.horizon, units, column="eta")}, args.out
+    )
     print(f"wrote {path}")
     return 0
 
@@ -86,9 +81,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config, args)
     report = verify_bounds(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "verify.csv")
-    emit_csv(report.to_csv(), path)
+    (path,) = emit_csv({"verify.csv": report.to_csv()}, args.out)
     for row in report.rows:
         print(f"{row.status:17s} {row.name} [{row.scope}] lhs={row.lhs:.6g} rhs={row.rhs:.6g}")
     print(f"wrote {path}")
@@ -132,11 +125,11 @@ def _cmd_tune(args, tune) -> int:
     values = {}
     inputs = {"a": args.a}
     if args.g_sup is not None and args.particles is not None:
-        params = bounds.RegimeParams(a=args.a, g_sup=args.g_sup, n_particles=args.particles)
+        a, g_sup = args.a, args.g_sup
         values.update(_tune_values(tune, args, ("--g-sup", "--a", "--particles"), lambda: {
-            **dict(zip(("r1_star", "r2_star"), bounds.r_star_bounded(params))),
-            **dict(zip(("rt1", "rt2"), bounds.r_tilde_bounded(params))),
-            "b_max": bounds.condition_bounded(args.g_sup, args.a),
+            **dict(zip(("r1_star", "r2_star"), bounds.r_star_bounded(a, g_sup, args.particles))),
+            **dict(zip(("rt1", "rt2"), bounds.r_tilde_bounded(a, g_sup))),
+            "b_max": bounds.condition_bounded(g_sup, a),
         }))
         inputs.update({"g_sup": args.g_sup, "n_particles": args.particles})
     if args.beta is not None and args.gap is not None and args.delta is not None:
@@ -167,9 +160,8 @@ def _cmd_tune(args, tune) -> int:
     lines = ["name=tune"] + [f"in.{k}={v}" for k, v in inputs.items()]
     print("\n".join(lines + [f"{k}={v}" for k, v in cells]))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "tune.csv")
-        emit_csv("name,key,value\n" + "".join(f"tune,{k},{v}\n" for k, v in cells), path)
+        table = "name,key,value\n" + "".join(f"tune,{k},{v}\n" for k, v in cells)
+        (path,) = emit_csv({"tune.csv": table}, args.out)
         print(f"wrote {path}")
     return 0
 

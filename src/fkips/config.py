@@ -33,7 +33,8 @@ and keys:
                 mcmc_iters, beta0
     [run]       n_particles, steps (at most a classic or isa flow's T;
                 omitted, the whole flow; required for adaptive), replicates,
-                seed, eps_mode (auto|multinomial|float), n_test_functions, threads
+                seed, eps_mode (auto|multinomial|float; refused by the adaptive
+                kind, which does not read it), n_test_functions, threads
                 (validated so older configs still parse; it has no effect)
     [checks]    regime (bounded|decreasing), a in (0, 1), g_sup >= 1,
                 epsilon_level > eps_prime > 0, y_values and s_values (>= 0;
@@ -44,8 +45,9 @@ and keys:
 
 :func:`parse_config` merges the command line's ``[run]`` values over the
 file's and then assembles the config once: the flow (the tuned annealing
-flow of an isa config), the Gibbs problem, the adaptive parameters and the
-``[checks]`` section are built and validated at parse time, so bad input
+flow of an isa config), the Gibbs problem, the adaptive parameters (with
+the reference schedule in theoretical mutation mode) and the ``[checks]``
+section are built and validated at parse time, so bad input
 fails there with a field-level message and every later reader shares what
 was built.
 """
@@ -62,7 +64,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError, DegenerateMeasureError, NoMinorizationError
+from .errors import (
+    BudgetExceededError, ConfigError, DegenerateMeasureError, NoMinorizationError, SolverError,
+)
 from .flow import MAX_STEPS, FlowSpec
 from .measures import (
     KernelMatrix,
@@ -75,7 +79,7 @@ from .measures import (
 # annealing and adaptive are imported where they are called, so a classic
 # run never loads them
 if TYPE_CHECKING:
-    from .adaptive import AdaptiveConfig
+    from .adaptive import AdaptiveConfig, ReferenceSchedule
     from .annealing import GibbsProblem, IsaFlow
 
 _FLOAT_FMT = ".17g"
@@ -223,7 +227,9 @@ def _field(name: str):
     """Report a bad value met while assembling ``name`` as a config error."""
     try:
         yield
-    except (ValueError, BudgetExceededError, DegenerateMeasureError, NoMinorizationError) as exc:
+    except (
+        ValueError, BudgetExceededError, DegenerateMeasureError, NoMinorizationError, SolverError
+    ) as exc:
         raise ConfigError([f"{name}: {exc}"]) from exc
 
 
@@ -358,7 +364,10 @@ class ExperimentConfig:
         n_test = run_int("n_test_functions", 4, 1)
         run_int("threads", 1, 1)   # validated so older configs still parse
         eps_mode = raw.get("run", "eps_mode", "auto")
-        if _config_text(eps_mode) not in ("auto", "multinomial") and not _is_number(eps_mode):
+        if kind == "adaptive" and raw.get("run", "eps_mode") is not None:
+            # the adaptive kind keeps each particle with probability e^{-Delta V}
+            errors.append("eps_mode is not read by the adaptive kind")
+        elif _config_text(eps_mode) not in ("auto", "multinomial") and not _is_number(eps_mode):
             errors.append(
                 f"eps_mode must be auto|multinomial|float, got {_config_text(eps_mode)!r}"
             )
@@ -379,7 +388,8 @@ class ExperimentConfig:
         cfg.checks
         if cfg.build_flow() is None:
             cfg.problem
-            cfg.adaptive_config
+            if cfg.adaptive_config.mutation_mode == "theoretical":
+                cfg.reference
             return cfg
         if steps is not None and steps > cfg.flow.horizon:
             raise ConfigError([f"steps = {steps} exceeds the flow's {cfg.flow.horizon} steps"])
@@ -453,17 +463,22 @@ class ExperimentConfig:
             raise ConfigError(["problem.v: energies must be >= 0 (declared V_min = 0)"])
         if config.delta_max is None and problem.v_osc <= 0:
             raise ConfigError(["adaptive.delta_max: cannot resolve delta_max for a flat energy"])
-        if config.mutation_mode == "theoretical":
-            self.require_reference()
         return config
 
-    def require_reference(self) -> None:
-        """Refuse reference mass at V = 0, which leaves the adaptive reference
-        schedule that theoretical mutation and every bound check read undefined."""
-        problem = self.problem
-        if np.any((problem.v_values <= 0) & (problem.reference > 0)):
-            raise ConfigError(
-                ["problem.v: reference measure puts mass at V = 0; reference schedule undefined"]
+    @cached_property
+    def reference(self) -> ReferenceSchedule:
+        """The deterministic reference schedule of an adaptive config over its
+        steps, built once: by ``from_raw`` in theoretical mutation mode, which
+        runs on it, and on first read in adaptive mode, where only a bound
+        check reads it.  An energy it cannot be built on is a ``problem.v``
+        error."""
+        from .adaptive import theoretical_adaptive_flow
+
+        config = self.adaptive_config
+        with _field("problem.v"):
+            return theoretical_adaptive_flow(
+                self.problem, config.epsilon, self.horizon(),
+                mcmc_iters=config.mcmc_iters, beta0=config.beta0,
             )
 
     def build_flow(self) -> FlowSpec | None:

@@ -21,6 +21,7 @@ digits.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -106,13 +107,6 @@ def aggregate(values, stat_names) -> ReplicateStats:
     )
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    raw_csv: str
-    stats_csv: str
-    oracle_csv: str | None
-
-
 def _stat_values(run, head, tables):
     """(R, T+1, K) values of a count run: the ``head`` columns, given as
     (name, (R, T+1) array) pairs, then ``est_i``, the mean of table i."""
@@ -148,9 +142,11 @@ def _adaptive_values(cfg):
     from .adaptive import run_adaptive_counts
 
     tables = tuple(osc1_dictionary(cfg.problem.dim, cfg.n_test_functions))
+    config = cfg.adaptive_config
     run = run_adaptive_counts(
-        cfg.problem, cfg.adaptive_config, cfg.n_particles, cfg.horizon(), cfg.seed,
+        cfg.problem, config, cfg.n_particles, cfg.horizon(), cfg.seed,
         replicates=cfg.replicates,
+        reference=cfg.reference if config.mutation_mode == "theoretical" else None,
     )
     head = [
         ("log_gamma1", run.log_gamma1),
@@ -163,8 +159,10 @@ def _adaptive_values(cfg):
     return _stat_values(run, head, tables)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Execute all replicates and aggregate.
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Execute all replicates and aggregate; returns the output files as one
+    {file name: text} map: ``raw.csv``, ``stats.csv`` and, for a config
+    with a finite flow, ``oracle.csv``.
 
     Every kind runs all its replicates through one block-wise count-engine
     call: :func:`~fkips.engine.run_counts` for classic and isa flows,
@@ -172,19 +170,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     The ``threads`` config key has no effect.
     """
     flow = cfg.flow
-    oracle_csv = None
-    if cfg.kind in ("classic", "isa"):
+    if flow is None:
+        values, stat_names = _adaptive_values(cfg)
+    else:
         horizon = cfg.horizon()
         tables = tuple(osc1_dictionary(flow.dim, cfg.n_test_functions))
         values, stat_names = _classic_values(flow, cfg, horizon, tables)
-        oracle_csv = _oracle_csv(flow.trace, horizon, tables)
-    else:
-        values, stat_names = _adaptive_values(cfg)
-    return ExperimentResult(
-        raw_csv=_raw_csv(values, stat_names),
-        stats_csv=_stats_csv(aggregate(values, stat_names)),
-        oracle_csv=oracle_csv,
-    )
+    files = {
+        "raw.csv": _raw_csv(values, stat_names),
+        "stats.csv": _stats_csv(aggregate(values, stat_names)),
+    }
+    if flow is not None:
+        files["oracle.csv"] = _oracle_csv(flow.trace, horizon, tables)
+    return files
 
 
 def _csv_line(cells) -> str:
@@ -231,10 +229,16 @@ def _oracle_csv(trace, horizon, tables, column="exact_est") -> str:
     return "".join(lines)
 
 
-def emit_csv(text, path) -> None:
-    """Write CSV text to a file."""
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+def emit_csv(files: dict, out_dir) -> list:
+    """Make the directory ``out_dir`` and write every {file name: text} of
+    ``files`` in it, in order; returns the paths written.  This is the one
+    place the package writes a file."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, name) for name in files]
+    for path, text in zip(paths, files.values()):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +331,14 @@ def check_regime(
     the flow's largest ratio) or ``"decreasing"``.
 
     The hypothesis rows come first, and an unmet hypothesis returns them
-    alone, before any replicate is drawn: the uniform regime caps every
-    ratio by g_sup and every ergodic coefficient by a/(a+g_sup).  The
-    decreasing one needs non-increasing ratios, one ``g_p,p=<p>`` row
-    (lhs g_p, rhs g_(p-1)) per rise of :func:`~fkips.bounds.ratio_rises`,
-    and caps step p's coefficient by
-    :func:`~fkips.bounds.condition_decreasing` of its ratio g_p.  Then, in
+    alone, before any replicate is drawn.  Each refusal row names one
+    violated condition with its own lhs and rhs: a ``g_p,p=<p>`` row (lhs
+    g_p) per step ratio above its cap, then a ``p=<p>`` row (lhs b_p) per
+    ergodic coefficient above its cap.  The uniform regime caps every ratio
+    by g_sup and every coefficient by a/(a+g_sup).  The decreasing one caps
+    g_p by g_(p-1), one row per rise of :func:`~fkips.bounds.ratio_rises`,
+    and b_p by :func:`~fkips.bounds.condition_decreasing` of g_p.  A met
+    hypothesis is one ``all`` row.  Then, in
     the order the module docstring gives, come the composed caps, the L2
     level and the exceedances of both thresholds of
     :func:`~fkips.bounds.deviation_thresholds`, all over the same
@@ -341,16 +347,19 @@ def check_regime(
     _known_regime(regime)
     trace = flow.trace
     name = "uniform" if regime == "bounded" else "decreasing"
+    unmet = "hypothesis-unmet"
     # g: what bounds.deviation_thresholds reads, the cap or the step ratios
     if regime == "bounded":
         g = g_sup = _uniform_g_sup(flow, g_sup)
         b_cap = bounds.condition_bounded(g_sup, a)
-        ok = all(x <= g_sup + 1e-12 for x in trace.g) and all(b <= b_cap + 1e-12 for b in trace.b)
-        status = "pass" if ok else "hypothesis-unmet"
-        b_max = max(trace.b, default=0.0)
-        hypothesis = [CheckRow("uniform-hypothesis", "all", b_max, b_cap, status)]
+        hypothesis = [
+            CheckRow("uniform-hypothesis", f"{prefix}{p}", x, cap, unmet)
+            for prefix, xs, cap in (("g_p,p=", trace.g, g_sup), ("p=", trace.b, b_cap))
+            for p, x in enumerate(xs, start=1)
+            if not x <= cap + 1e-12
+        ] or [CheckRow("uniform-hypothesis", "all", max(trace.b, default=0.0), b_cap, "pass")]
     else:
-        g, unmet = list(trace.g), "hypothesis-unmet"
+        g = list(trace.g)
         caps = [bounds.condition_decreasing(g_p, a) for g_p in g]
         hypothesis = [
             CheckRow("decreasing-hypothesis", f"g_p,p={p}", g[p - 1], g[p - 2], unmet)
@@ -434,10 +443,9 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
         )
     from .adaptive import concentration_check
 
-    cfg.require_reference()
     return concentration_check(
         cfg.problem, cfg.adaptive_config, (cfg.n_particles,), cfg.horizon(), replicates,
-        checks.a, checks.s_values, checks.y_values, cfg.seed,
+        checks.a, checks.s_values, checks.y_values, cfg.seed, reference=cfg.reference,
     )
 
 

@@ -165,8 +165,7 @@ def test_criterion_05_eta_deviation_thresholds(bounded_tensor):
     assert max(trace.g) <= g_sup + 1e-12
     assert max(trace.b) <= bounds.condition_bounded(g_sup, a) + 1e-12
     caps_ok, _, _ = composed_caps(flow, "bounded", a, g_sup)
-    params = bounds.RegimeParams(a=a, g_sup=g_sup, n_particles=n_particles)
-    r1, r2 = bounds.r_star_bounded(params)
+    r1, r2 = bounds.r_star_bounded(a, g_sup, n_particles)
     ok = caps_ok
     detail = []
     for y in (1.0, 2.0, 4.0):
@@ -184,8 +183,7 @@ def test_criterion_06_mass_ratio_concentration(bounded_tensor):
     regimes, both signs."""
     flow, trace, _, log_gaps, n_particles, reps = bounded_tensor
     a = 0.5
-    params = bounds.RegimeParams(a=a, g_sup=math.exp(0.5), n_particles=n_particles)
-    rt1, rt2 = bounds.r_tilde_bounded(params)
+    rt1, rt2 = bounds.r_tilde_bounded(a, math.exp(0.5))
     ok = True
     worst_freq = 0.0
     for y in (1.0, 2.0, 4.0):
@@ -399,8 +397,8 @@ seed = 9
     ok = True
     for text in (classic, adaptive_text):
         outputs = {
-            run_experiment(parse_config(text + f"threads = {t}\n")).raw_csv for t in (1, 2, 8)
+            run_experiment(parse_config(text + f"threads = {t}\n"))["raw.csv"] for t in (1, 2, 8)
         }
-        outputs.add(run_experiment(parse_config(text)).raw_csv)
+        outputs.add(run_experiment(parse_config(text))["raw.csv"])
         ok &= len(outputs) == 1
     report(13, ok, "raw CSV identical across threads = 1, 2, 8 and consecutive runs")

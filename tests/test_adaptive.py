@@ -396,7 +396,8 @@ class TestVerificationProcedures:
         assert np.all(np.abs(sq.mean(axis=0) - var) <= 5.0 * se)
 
     def test_concentration_refuses_on_failed_hypothesis(self):
-        # a barely-mixing kernel pushes b g (1+c) far above the level
+        # a barely-mixing kernel pushes b g (1+c) far above the level: one
+        # refusal row per failing step, each carrying that step's own level
         prob = GibbsProblem(
             v_values=[0.5, 0.65, 0.8, 1.0],
             reference=uniform_law(4),
@@ -407,10 +408,22 @@ class TestVerificationProcedures:
             prob, cfg, (100,), 3, 50, 0.3, (0.1,), (1.0,), seed=9
         )
         levels = theoretical_adaptive_flow(prob, 0.5, 3).hypothesis_levels()
-        first_bad = next(n for n, lvl in enumerate(levels, start=1) if lvl > 0.3)
-        (row,) = report.rows
-        assert (row.status, row.scope) == ("hypothesis-unmet", f"step={first_bad}")
-        assert row.lhs == max(levels)
+        bad = [(n, lvl) for n, lvl in enumerate(levels, start=1) if lvl > 0.3]
+        assert bad
+        assert [(r.status, r.scope, r.lhs, r.rhs) for r in report.rows] == [
+            ("hypothesis-unmet", f"step={n}", lvl, 0.3) for n, lvl in bad
+        ]
+
+    def test_concentration_reads_a_given_reference(self, monkeypatch):
+        # a reference passed in is read as it stands, not built again
+        prob, cfg = adaptive_problem(4), AdaptiveConfig(epsilon=0.75, mcmc_iters=3)
+        reference = theoretical_adaptive_flow(prob, 0.75, 2, mcmc_iters=3)
+        args = (prob, cfg, (50,), 2, 20, 0.6, (0.1,), (1.0,), 4)
+        built = concentration_check(*args)
+        monkeypatch.setattr(
+            adaptive, "theoretical_adaptive_flow", lambda *a, **k: pytest.fail("rebuilt")
+        )
+        assert concentration_check(*args, reference=reference).rows == built.rows
 
     def test_concentration_bounds_hold_under_hypothesis(self):
         prob = adaptive_problem(4)

@@ -450,7 +450,7 @@ class TestOptimize:
         for n in range(1, horizon + 1):
             if mode == "constant":
                 g_sup = math.exp(max(np.diff(betas)) * prob.v_osc)
-                r_i, r_j = bounds.r_star_bounded(bounds.RegimeParams(a, g_sup, n_particles))
+                r_i, r_j = bounds.r_star_bounded(a, g_sup, n_particles)
             else:
                 r_i, r_j = bounds.r_star_decreasing(g_sched, a, n_particles, n)
             for i, y in enumerate(ys):

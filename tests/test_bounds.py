@@ -10,7 +10,6 @@ import pytest
 from fkips import bounds
 from fkips.bounds import (
     CheckRow,
-    RegimeParams,
     VerifyReport,
     adaptive_deviation_threshold,
     adaptive_tail_bound,
@@ -84,14 +83,14 @@ class TestTailShapes:
 
 class TestUniformRegimeConstants:
     def test_infinite_population_limit(self):
-        r1, r2 = r_star_bounded(RegimeParams(a=0.5, g_sup=1.0, n_particles=10**18))
+        r1, r2 = r_star_bounded(0.5, 1.0, 10**18)
         # closed form with the 1/sqrt(N) term zeroed:
         # 4.5 * 1.5^2 / 0.5 + sqrt(8 / sqrt(0.75)) = 23.28934274...
         assert r1 == pytest.approx(23.289342742606372, rel=1e-8)
         assert r2 == pytest.approx(84.039342742606377, rel=1e-8)
 
     def test_regression_pin_n_100(self):
-        r1, r2 = r_star_bounded(RegimeParams(a=0.5, g_sup=1.0, n_particles=100))
+        r1, r2 = r_star_bounded(0.5, 1.0, 100)
         assert r1 == pytest.approx(23.895216633759098, rel=1e-13)
         assert r2 == pytest.approx(84.6452166337591, rel=1e-13)
 
@@ -99,29 +98,31 @@ class TestUniformRegimeConstants:
         for a in (0.1, 0.5, 0.9):
             for g in (1.0, 2.0, 5.0):
                 for n in (1, 100, 10**6):
-                    r1, r2 = r_star_bounded(RegimeParams(a=a, g_sup=g, n_particles=n))
+                    r1, r2 = r_star_bounded(a, g, n)
                     assert r2 >= r1 > 0
 
     def test_mass_ratio_constants(self):
-        rt1, rt2 = r_tilde_bounded(RegimeParams(a=0.5, g_sup=1.0, n_particles=100))
+        rt1, rt2 = r_tilde_bounded(0.5, 1.0)
         assert rt1 == pytest.approx(36.0, rel=1e-14)
         assert rt2 == pytest.approx(8.0, rel=1e-14)
 
     def test_mass_ratio_small_a_limit(self):
-        rt1, rt2 = r_tilde_bounded(RegimeParams(a=1e-9, g_sup=1.0, n_particles=100))
+        rt1, rt2 = r_tilde_bounded(1e-9, 1.0)
         assert rt1 == pytest.approx(8.0, rel=1e-6)
         assert rt2 == pytest.approx(4.0, rel=1e-6)
 
     def test_monotone_in_ratio_cap(self):
         grid = np.linspace(1.0, 6.0, 20)
         vals = [
-            r_tilde_bounded(RegimeParams(a=0.3, g_sup=g, n_particles=50))[0] for g in grid
+            r_tilde_bounded(0.3, g)[0] for g in grid
         ]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_invalid_degree(self):
         with pytest.raises(InputError):
-            RegimeParams(a=1.0, g_sup=1.0, n_particles=10)
+            r_star_bounded(1.0, 1.0, 10)
+        with pytest.raises(InputError):
+            r_tilde_bounded(1.0, 1.0)
 
 
 class TestDecreasingRegimeConstants:
@@ -344,11 +345,11 @@ class TestThresholdHelpers:
         grid = itertools.product((0.1, 0.5, 0.9), (1, 50, 1000), range(1, 11), (0.0, 1.0, 2.5))
         for a, n_particles, n, y in grid:
             for g_sup in (1.0, 1.7):
-                params = RegimeParams(a=a, g_sup=g_sup, n_particles=n_particles)
+                r1, r2 = r_star_bounded(a, g_sup, n_particles)
                 expected = (
-                    eta_deviation_threshold(*r_star_bounded(params), n_particles, y),
+                    eta_deviation_threshold(r1, r2, n_particles, y),
                     gamma_log_ratio_threshold_bounded(
-                        *r_tilde_bounded(params), n, n_particles, y
+                        *r_tilde_bounded(a, g_sup), n, n_particles, y
                     ),
                 )
                 got = deviation_thresholds("bounded", a, g_sup, n_particles, n, y)
@@ -368,8 +369,7 @@ class TestThresholdHelpers:
 
 class TestReports:
     def test_bit_identical_repeat_calls(self):
-        p = RegimeParams(a=0.37, g_sup=2.2, n_particles=123)
-        assert r_star_bounded(p) == r_star_bounded(p)
+        assert r_star_bounded(0.37, 2.2, 123) == r_star_bounded(0.37, 2.2, 123)
         g = [1 + 2.0 ** (-k) for k in range(1, 9)]
         assert r_star_decreasing(g, 0.37, 123, 8) == r_star_decreasing(g, 0.37, 123, 8)
 

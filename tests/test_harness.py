@@ -22,7 +22,7 @@ from fkips.cli import main as cli_main
 from fkips.config import _SCHEMA, _parse_sections, _parse_value
 from fkips.engine import BLOCK, run_counts
 from fkips.errors import ConfigError, InputError
-from fkips.flow import check_semigroup_lemmas
+from fkips.flow import FlowSpec, check_semigroup_lemmas
 from fkips.harness import (
     CheckRow,
     _raw_csv,
@@ -75,6 +75,18 @@ s_values = 0.05
 y_values = 1
 """
 NAN_LEVEL = HUGE_C.replace("epsilon = 0.75", "epsilon = 0.75\nmcmc_iters = 1000")
+
+# The golden decreasing flow with its potential rows reversed:
+# g = 1.0625, 1.125, 1.25, 1.5
+RISING_DECREASING = DECREASING.replace(
+    "1 1.5 1.2; 1.25 1 1.1; 1 1.05 1.125; 1.0625 1 1.03",
+    "1.0625 1 1.03; 1 1.05 1.125; 1.25 1 1.1; 1 1.5 1.2",
+)
+# Increments that build_isa_flow accepts within 1e-12, whose ratios
+# e^{Delta osc V} (osc V = 1) rise by more than 1e-15
+RISING_ISA = ISA.replace("mode = constant", "mode = decreasing").replace(
+    GOLDEN_GRID, "betas = 0 0.5 1.0000000000005 1.4 1.7"
+)
 
 CLASSIC_TEXT = """
 # minimal classic flow
@@ -390,7 +402,7 @@ class TestRunExperiment:
         flow = cfg.build_flow()
         direct = run_counts(flow, cfg.n_particles, cfg.seed, eps="auto")
         result = run_experiment(cfg)
-        reader = csv.DictReader(io.StringIO(result.raw_csv))
+        reader = csv.DictReader(io.StringIO(result["raw.csv"]))
         rows = {int(r["step"]): r for r in reader}
         for n in range(4):
             assert float(rows[n]["log_gamma1"]) == pytest.approx(
@@ -403,21 +415,21 @@ class TestRunExperiment:
             run_experiment(parse_config(CLASSIC_TEXT + f"threads = {t}\n")) for t in (1, 2, 8)
         ]
         again = run_experiment(parse_config(CLASSIC_TEXT))
-        assert len({o.raw_csv for o in outs} | {again.raw_csv}) == 1
-        assert len({o.stats_csv for o in outs}) == 1
+        assert len({o["raw.csv"] for o in outs} | {again["raw.csv"]}) == 1
+        assert len({o["stats.csv"] for o in outs}) == 1
 
     def test_adaptive_kind_runs(self):
         cfg = parse_config(ADAPTIVE_TEXT)
         result = run_experiment(cfg)
-        assert "delta" in result.raw_csv.splitlines()[0]
-        assert result.oracle_csv is None
+        assert "delta" in result["raw.csv"].splitlines()[0]
+        assert list(result) == ["raw.csv", "stats.csv"]
 
     def test_aggregation_matches_recomputation_from_raw(self):
         # raw.csv prints every value at .17g, so its cells are the run's
         # floats and stats.csv must print their aggregate
         cfg = parse_config(CLASSIC_TEXT)
         result = run_experiment(cfg)
-        rows = list(csv.DictReader(io.StringIO(result.raw_csv)))
+        rows = list(csv.DictReader(io.StringIO(result["raw.csv"])))
         names = list(rows[0])[2:]
         steps = max(int(row["step"]) for row in rows) + 1
         values = np.array([[float(row[name]) for name in names] for row in rows])
@@ -431,7 +443,7 @@ class TestRunExperiment:
             assert stats.mean[step, j] == arr.mean()
             assert stats.se[step, j] == arr.std(ddof=1) / math.sqrt(arr.size)
         printed = [
-            row for row in csv.DictReader(io.StringIO(result.stats_csv))
+            row for row in csv.DictReader(io.StringIO(result["stats.csv"]))
             if row["statistic"] == "log_gamma1"
         ]
         assert [float(row["mean"]) for row in printed] == stats.mean[:, j].tolist()
@@ -517,15 +529,21 @@ class TestImports:
 class TestEmitCsv:
     def test_header_only_and_re_emission(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv("step,stat\n", path)
+        assert emit_csv({"empty.csv": "step,stat\n"}, tmp_path) == [str(path)]
         assert path.read_text() == "step,stat\n"
-        emit_csv("step,stat\n", path)
+        emit_csv({"empty.csv": "step,stat\n"}, tmp_path)
         assert path.read_text() == "step,stat\n"
 
     def test_two_line_file(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit_csv("step,value\n0,1.5\n", path)
+        emit_csv({"one.csv": "step,value\n0,1.5\n"}, tmp_path)
         assert path.read_text().splitlines() == ["step,value", "0,1.5"]
+
+    def test_makes_the_directory_and_writes_every_file_in_order(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        files = {"raw.csv": "x\n1\n", "stats.csv": "y\n", "oracle.csv": "z\r\n"}
+        assert emit_csv(files, out) == [str(out / name) for name in files]
+        assert {name: (out / name).read_bytes().decode() for name in files} == files
 
 
 class TestVerifyDispatch:
@@ -808,6 +826,33 @@ class TestCli:
                 ADAPTIVE.replace(GOLDEN_V, "v = 1 1 1 1"),
                 "adaptive.delta_max: cannot resolve delta_max for a flat energy",
             ),
+            # the reference schedule is built at parse time: an energy it
+            # cannot be built on names problem.v, in either command
+            (
+                "adaptive",
+                ADAPTIVE.replace(GOLDEN_V, "v = 1e-300 2e-300 3e-300 4e-300"),
+                "problem.v: increment solver saturated on the exact law",
+            ),
+            # e^{Delta V_max} past float64 is c_n = inf, not an OverflowError;
+            # the potential exp(-Delta V_max) is then 0
+            (
+                "adaptive",
+                ADAPTIVE.replace(GOLDEN_V, "v = 0.5 0.65 0.8 1e300"),
+                "problem.v: potential values must be strictly positive",
+            ),
+            (
+                "verify-bounds",
+                VERIFY_ADAPTIVE.replace(GOLDEN_V, "v = 0.5 0.65 0.8 1e300"),
+                "problem.v: potential values must be strictly positive",
+            ),
+            # the adaptive kind keeps each particle with probability
+            # e^{-Delta V}, so an eps_mode would change nothing
+            ("adaptive", ADAPTIVE + "eps_mode = 0.3\n", "eps_mode is not read by the adaptive kind"),
+            (
+                "verify-bounds",
+                VERIFY_ADAPTIVE.replace("seed = 13", "seed = 13\neps_mode = multinomial"),
+                "eps_mode is not read by the adaptive kind",
+            ),
             # a [checks] key the config's kind never reads
             ("verify-bounds", BOUNDED + "s_values = 0.3\n",
              "checks.s_values is not read by the classic kind"),
@@ -867,20 +912,8 @@ class TestCli:
                 + RUN.replace("steps = 4", "steps = 3"),
                 "error: composed potential has a zero entry; ratio undefined",
             ),
-            (
-                "adaptive",
-                ADAPTIVE.replace(GOLDEN_V, "v = 1e-300 2e-300 3e-300 4e-300"),
-                "error: increment solver saturated on the exact law",
-            ),
-            # e^{Delta V_max} past float64 is c_n = inf, not an OverflowError;
-            # the potential exp(-Delta V_max) is then 0
-            (
-                "adaptive",
-                ADAPTIVE.replace(GOLDEN_V, "v = 0.5 0.65 0.8 1e300"),
-                "error: potential values must be strictly positive",
-            ),
         ],
-        ids=["ratio-underflow", "solver-saturated", "c-overflow"],
+        ids=["ratio-underflow"],
     )
     def test_input_errors_met_mid_run_are_usage_errors(
         self, command, text, message, tmp_path, capsys
@@ -896,24 +929,16 @@ class TestCli:
     @pytest.mark.parametrize(
         "text, refusals",
         [
-            # the golden decreasing flow with its potential rows reversed:
-            # g = 1.0625, 1.125, 1.25, 1.5
             (
-                DECREASING.replace(
-                    "1 1.5 1.2; 1.25 1 1.1; 1 1.05 1.125; 1.0625 1 1.03",
-                    "1.0625 1 1.03; 1 1.05 1.125; 1.25 1 1.1; 1 1.5 1.2",
-                ),
+                RISING_DECREASING,
                 [
                     ("decreasing-hypothesis", "g_p,p=2", 1.125, 1.0625),
                     ("decreasing-hypothesis", "g_p,p=3", 1.25, 1.125),
                     ("decreasing-hypothesis", "g_p,p=4", 1.5, 1.25),
                 ],
             ),
-            # increments that build_isa_flow accepts within 1e-12, whose
-            # ratios e^{Delta osc V} (osc V = 1) rise by more than 1e-15
             (
-                ISA.replace("mode = constant", "mode = decreasing")
-                .replace(GOLDEN_GRID, "betas = 0 0.5 1.0000000000005 1.4 1.7"),
+                RISING_ISA,
                 [("optimizer-hypothesis", "p=2", math.exp(1.0000000000005 - 0.5), math.exp(0.5))],
             ),
         ],
@@ -937,6 +962,41 @@ class TestCli:
         for row, (_, _, lhs, rhs) in zip(unmet, refusals):
             assert (float(row["lhs"]), float(row["rhs"])) == (lhs, rhs)
         assert rows[-1]["status"] == "hypothesis-unmet"
+
+    @pytest.mark.parametrize(
+        "text, scopes",
+        [
+            # every step's ratio is 2.0, above the cap 1.5; every coefficient
+            # is 0.1, below its cap 0.5 / 2
+            (
+                BOUNDED.replace("g_sup = 2.0", "g_sup = 1.5"),
+                [f"g_p,p={p}" for p in range(1, 5)],
+            ),
+            (RISING_DECREASING, ["g_p,p=2", "g_p,p=3", "g_p,p=4"]),
+            (RISING_ISA, ["p=2"]),
+            # steps 1, 3 and 4 fail, each at its own level
+            (VERIFY_ADAPTIVE.replace("a = 0.6", "a = 0.3717"), ["step=1", "step=3", "step=4"]),
+        ],
+        ids=["uniform", "decreasing", "isa", "adaptive"],
+    )
+    def test_every_refusal_row_shows_its_violated_condition(self, text, scopes):
+        # a refusal row names one violated condition and carries that
+        # condition's own lhs and rhs, so none reads as met
+        unmet = [r for r in verify_bounds(parse_config(text)).rows if r.status == "hypothesis-unmet"]
+        assert [r.scope for r in unmet] == scopes
+        assert all(not r.lhs <= r.rhs for r in unmet)
+
+    def test_uniform_refusal_rows_carry_each_ratio_and_coefficient(self):
+        # identity kernels (b_p = 1) under ratios 1.2, 1.5: one row per ratio
+        # above the cap 1.3, then one per coefficient above a / (a + 1.3)
+        flow = FlowSpec(uniform_law(2), [[1.0, 1.2], [1.0, 1.5]], [np.eye(2)] * 2)
+        rows = check_regime(flow, "bounded", 0.5, 1.3, 50, 10, seed=4).rows
+        cap = 0.5 / 1.8
+        assert [(r.scope, r.lhs, r.rhs, r.status) for r in rows] == [
+            ("g_p,p=2", 1.5, 1.3, "hypothesis-unmet"),
+            ("p=1", 1.0, cap, "hypothesis-unmet"),
+            ("p=2", 1.0, cap, "hypothesis-unmet"),
+        ]
 
     def test_adaptive_mutation_needs_no_reference_schedule(self, tmp_path, capsys):
         # mass at V = 0 leaves the reference schedule undefined: adaptive
@@ -973,6 +1033,17 @@ class TestCli:
         assert set(outs[0]) == ({"verify.csv"} if command == "verify-bounds" else {
             "raw.csv", "stats.csv", "oracle.csv"
         })
+
+    @pytest.mark.parametrize("spelling", [GOLDEN_GRID, "betas = 0 0.5 1 1.5 2"])
+    @pytest.mark.parametrize(
+        "mode, iters",
+        [("constant", (5, 8, 14, 22)), ("bounded", (5, 8, 14, 22)), ("decreasing", (4, 7, 11, 18))],
+    )
+    def test_tuned_mcmc_iters_are_pinned(self, mode, iters, spelling):
+        # no output digest sees the tuned counts: at the golden N and R every
+        # optimizer exceedance frequency is 0 whatever the kernels
+        text = ISA.replace("mode = constant", f"mode = {mode}").replace(GOLDEN_GRID, spelling)
+        assert parse_config(text).isa.mcmc_iters == iters
 
     def test_blank_kernel_rows_name_the_field(self, tmp_path, capsys):
         # numpy's text reader skips blank rows, which would leave a well

@@ -1,8 +1,8 @@
 """Tooling smoke tests: the benchmark's span tracer still binds the layers it
 names, its set-up probe still parses a config, every benchmark workload
 still passes its own gate, every public name and class member of the
-package has a caller, the package re-exports nothing, and only the engine
-draws particles.
+package has a caller, the package re-exports nothing, only the engine
+draws particles and only ``harness.emit_csv`` writes files.
 
 ``perfbench/tracer.py`` wraps package functions from outside and raises if
 a wrapped original is left bound, so a refactor that moves or renames a
@@ -285,6 +285,34 @@ def test_the_package_re_exports_nothing():
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
             }
     assert bound == {"__version__"}
+
+
+def test_only_emit_csv_writes_files():
+    # one write path: no src/ function but harness.emit_csv makes a
+    # directory or opens a file in a write mode (a mode that is not a
+    # literal counts as one), so every output file goes through it
+    writers = set()
+    for module, tree in _src_modules():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call) and _writes(call):
+                    writers.add(f"{module}.{func.name}")
+    assert writers == {"harness.emit_csv"}
+
+
+def _writes(call) -> bool:
+    """Whether ``call`` makes a directory or writes a file."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if name in ("makedirs", "mkdir", "write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), ast.Constant("r")
+    )
+    return not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+"))
 
 
 def test_only_the_engine_draws_particles():
